@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import NoSuchAgent
-from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State
+from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State, parse_rational
 
 BEST_RESPONDER = "bestResponder"
 IMITATOR = "imitator"
@@ -33,6 +33,24 @@ class Cell:
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.role, self.kind, self.type_index)
+
+
+def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> str:
+    """Threshold rule; the tie branch is unreachable for non-integer tempers."""
+    temper = parse_rational(temper)
+    if kind == COORDINATING:
+        if n_c > temper:
+            return C
+        if n_c < temper:
+            return D
+        return current
+    if kind == ANTICOORDINATING:
+        if n_c < temper:
+            return C
+        if n_c > temper:
+            return D
+        return current
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _lcm(a: int, b: int) -> int:
@@ -202,17 +220,7 @@ class CellSpace:
         n_c = sum(coords)
         if cell.role == BEST_RESPONDER:
             tau = self.pop.get_type(cell.kind, cell.type_index).temper
-            if cell.kind == COORDINATING:
-                if n_c > tau:
-                    return C
-                if n_c < tau:
-                    return D
-                return current
-            if n_c < tau:
-                return C
-            if n_c > tau:
-                return D
-            return current
+            return best_response_next(cell.kind, tau, current, n_c)
         sup_c, sup_d = self.imitation_sups(coords)
         if sup_c > sup_d:
             return C

@@ -159,10 +159,10 @@ def cmd_stochastic(args) -> int:
     pop = _load_population(args.config)
     bpop = stochastic.BinaryTypePopulation.from_population_spec(pop)
     epsilons = [parse_rational(e) for e in (args.epsilon or [])]
-    report = stochastic.stochastic_report(bpop, epsilons)
+    graph = _oracle_graph(pop, args)
+    report = stochastic.stochastic_report(bpop, epsilons, graph)
     problems: list[str] = []
     if args.verify:
-        graph = oracle.build_transition_digraph(pop, max_states=args.max_states)
         eps_grid = epsilons or [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
         problems = verify.verify_stochastic(bpop, eps_grid, graph=graph)
         report["verification"] = {"passed": not problems, "problems": problems}
@@ -184,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="population spec JSON")
         p.add_argument("--max-states", type=int, default=None,
                        help="state-space guard (default 10^6 or POPDYN_MAX_STATES)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; analyses run single-process")
         p.add_argument("--json", default=None, help="report path (default stdout)")
         if verify_flag:
             p.add_argument("--verify", action="store_true",
@@ -229,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except StateSpaceTooLarge as exc:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .cells import BEST_RESPONDER, IMITATOR, CellSpace, Coords
+from .cells import BEST_RESPONDER, IMITATOR, CellSpace, Coords, best_response_next
 from .errors import NoSuchAgent
 from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State, parse_rational
 
@@ -42,24 +41,6 @@ class AgentRef:
     @property
     def cell_key(self) -> CellKey:
         return (self.role, self.kind, self.type_index)
-
-
-def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> str:
-    """Threshold rule; the tie branch is unreachable for non-integer tempers."""
-    temper = parse_rational(temper)
-    if kind == COORDINATING:
-        if n_c > temper:
-            return C
-        if n_c < temper:
-            return D
-        return current
-    if kind == ANTICOORDINATING:
-        if n_c < temper:
-            return C
-        if n_c > temper:
-            return D
-        return current
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def imitation_next(pop: PopulationSpec, state, current: str) -> str:
@@ -202,13 +183,6 @@ class Scripted(ActivationPolicy):
             return pos, ref.strategy, ref
 
         return sample
-
-
-class Exhaustive(ActivationPolicy):
-    """Marker policy: all activation choices at once (oracle use only)."""
-
-    def make_sampler(self, space):
-        raise ValueError("Exhaustive policy enumerates all choices; use the oracle, not simulate")
 
 
 # -- trajectories -------------------------------------------------------------

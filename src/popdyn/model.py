@@ -49,11 +49,6 @@ def parse_rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot parse rational from {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Serialize as "p/q" (or plain "p" for integers)."""
-    return str(value)
-
-
 @dataclass(frozen=True)
 class PayoffMatrix:
     """2x2 payoffs: C-vs-C, C-vs-D, D-vs-C, D-vs-D."""

@@ -6,7 +6,9 @@ epsilon they play the opposite of what their update rule says. The resulting
 chain is an aperiodic irreducible Markov chain for every epsilon in (0,1);
 its epsilon->0 behavior is governed by the 0/1/infinity mistake-cost graph:
 recurrent classes, basins and radii, minimum-weight rooted spanning
-arborescences (gamma), and exact stationary distributions.
+arborescences (gamma), and exact stationary distributions. The chain has no
+update rules of its own: it reads each group's intended move off the oracle
+digraph, and its recurrent classes are the oracle's minimal invariant sets.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
+from .cells import BEST_RESPONDER, IMITATOR
 from .errors import NotMixed, SingularSystem
 from .model import (
     ANTICOORDINATING,
-    C,
     COORDINATING,
-    D,
     AgentTypeSpec,
     PopulationSpec,
     UtilityLine,
@@ -33,9 +33,9 @@ from .model import (
     temper_from_lines,
     validate_population,
 )
+from .oracle import TransitionDigraph, build_transition_digraph, minimal_invariant_sets
 
 EXACT_SOLVE_LIMIT = 500
-BRUTE_FORCE_TREE_LIMIT = 9
 
 
 class BState(NamedTuple):
@@ -134,55 +134,24 @@ class BinaryTypePopulation:
             }
         )
 
-    # -- update rules on BStates -------------------------------------------
 
-    def sups(self, state: BState) -> tuple[Fraction | float, Fraction | float]:
-        n_c = sum(state)
-        sup_c: Fraction | float = float("-inf")
-        sup_d: Fraction | float = float("-inf")
-        if state.x1I > 0 or state.xa > 0:
-            sup_c = max(sup_c, self.line_ca(n_c))
-        if state.x2I > 0 or state.xc > 0:
-            sup_c = max(sup_c, self.line_cc(n_c))
-        if state.x1I < self.ma or state.xa < self.na:
-            sup_d = max(sup_d, self.line_da(n_c))
-        if state.x2I < self.mc or state.xc < self.nc:
-            sup_d = max(sup_d, self.line_dc(n_c))
-        return sup_c, sup_d
-
-    def intended(self, state: BState, cell: int, current: str) -> str:
-        n_c = sum(state)
-        if cell == 1:  # nonconformists
-            if n_c < self.tau_a:
-                return C
-            if n_c > self.tau_a:
-                return D
-            return current
-        if cell == 3:  # conformists
-            if n_c > self.tau_c:
-                return C
-            if n_c < self.tau_c:
-                return D
-            return current
-        sup_c, sup_d = self.sups(state)
-        if sup_c > sup_d:
-            return C
-        if sup_c < sup_d:
-            return D
-        return current
-
-
-def _apply(state: BState, cell: int, current: str, played: str) -> BState:
-    if played == current:
-        return state
-    values = list(state)
-    values[cell] += 1 if played == C else -1
-    return BState(*values)
+# BState fields in order, as (role, kind) cells of the oracle's CellSpace; the
+# one place that knows (x1I, xa, x2I, xc) <-> (I_a, I_c, BR_a, BR_c).
+_BSTATE_CELLS = (
+    (IMITATOR, ANTICOORDINATING),
+    (BEST_RESPONDER, ANTICOORDINATING),
+    (IMITATOR, COORDINATING),
+    (BEST_RESPONDER, COORDINATING),
+)
 
 
 @dataclass
 class PerturbedChain:
-    """Sparse exact transition matrix plus the epsilon-independent supports."""
+    """Sparse exact transition matrix plus the epsilon-independent supports.
+
+    Chain indices enumerate BStates lexicographically; `oracle_index[i]` is the
+    index of chain state i in the oracle digraph `graph`.
+    """
 
     bpop: BinaryTypePopulation
     epsilon: Fraction
@@ -191,6 +160,8 @@ class PerturbedChain:
     rows: list[dict[int, Fraction]]
     support0: list[frozenset[int]]
     support_eps: list[frozenset[int]]
+    graph: TransitionDigraph
+    oracle_index: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -216,57 +187,57 @@ class PerturbedChain:
         return self.support0[i] == frozenset((i,))
 
 
-def enumerate_states(bpop: BinaryTypePopulation) -> list[BState]:
-    out = []
-    for x1 in range(bpop.ma + 1):
-        for xa in range(bpop.na + 1):
-            for x2 in range(bpop.mc + 1):
-                for xc in range(bpop.nc + 1):
-                    out.append(BState(x1, xa, x2, xc))
-    return out
-
-
-def build_chain(bpop: BinaryTypePopulation, epsilon) -> PerturbedChain:
+def build_chain(bpop: BinaryTypePopulation, epsilon,
+                graph: TransitionDigraph | None = None) -> PerturbedChain:
     """Exact transition matrix of the perturbed dynamics at tremble rate epsilon.
 
     Each of the up-to-8 (cell, strategy) groups of a state is activated with
     mass (member count) * (per-agent weight); the active agent plays her rule's
-    choice with probability 1-epsilon and the opposite with epsilon.
+    choice with probability 1-epsilon and the opposite with epsilon. The rule's
+    choice comes from `graph`, the oracle digraph of `bpop.to_population_spec()`
+    (built when not given): a switch edge o -> o - stride (o + stride) moves a
+    cooperator out of (into) that cell, and a group with no such edge keeps its
+    strategy.
     """
     epsilon = parse_rational(epsilon)
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
-    states = enumerate_states(bpop)
+    if graph is None:
+        graph = build_transition_digraph(bpop.to_population_spec())
+    space = graph.space
+    strides = [space.strides[space.position[(role, kind, 1)]] for role, kind in _BSTATE_CELLS]
+    caps = bpop.caps
+    grid = np.indices(tuple(c + 1 for c in caps)).reshape(4, -1).T
+    oracle_index = grid @ np.array(strides, dtype=np.int64)
+    chain_of = np.argsort(oracle_index).tolist()
+    states = [BState(*row) for row in grid.tolist()]
     index = {s: i for i, s in enumerate(states)}
+    weights = bpop.weights
+    keep = 1 - epsilon
     rows: list[dict[int, Fraction]] = []
     support0: list[frozenset[int]] = []
     support_eps: list[frozenset[int]] = []
-    caps = bpop.caps
-    weights = bpop.weights
-    for i, state in enumerate(states):
+    for i, (state, o) in enumerate(zip(states, oracle_index.tolist())):
+        switches = set(graph.switch_successors(o).tolist())
         row: dict[int, Fraction] = {}
         sup0: set[int] = set()
-        sup_e: set[int] = set()
-        for cell in range(4):
-            for current, members in ((C, state[cell]), (D, caps[cell] - state[cell])):
+        for f in range(4):
+            for members, dst in ((state[f], o - strides[f]), (caps[f] - state[f], o + strides[f])):
                 if members == 0:
                     continue
-                mass = members * weights[cell]
-                intended = bpop.intended(state, cell, current)
-                opposite = D if intended == C else C
-                dst_main = index[_apply(state, cell, current, intended)]
-                dst_flip = index[_apply(state, cell, current, opposite)]
-                row[dst_main] = row.get(dst_main, Fraction(0)) + mass * (1 - epsilon)
-                row[dst_flip] = row.get(dst_flip, Fraction(0)) + mass * epsilon
-                sup0.add(dst_main)
-                sup_e.add(dst_main)
-                sup_e.add(dst_flip)
+                mass = members * weights[f]
+                moved = chain_of[dst]
+                main, flip = (moved, i) if dst in switches else (i, moved)
+                row[main] = row.get(main, 0) + mass * keep
+                row[flip] = row.get(flip, 0) + mass * epsilon
+                sup0.add(main)
+        support_eps.append(frozenset(row))
         if epsilon == 0:
             row = {j: p for j, p in row.items() if p > 0}
         rows.append(row)
         support0.append(frozenset(sup0))
-        support_eps.append(frozenset(sup_e))
-    return PerturbedChain(bpop, epsilon, states, index, rows, support0, support_eps)
+    return PerturbedChain(bpop, epsilon, states, index, rows, support0, support_eps,
+                          graph, oracle_index)
 
 
 # -- transition costs ---------------------------------------------------------
@@ -311,68 +282,17 @@ def cost(chain: PerturbedChain, from_set, to_set) -> int:
 
 
 def recurrent_classes(chain: PerturbedChain) -> list[tuple[int, ...]]:
-    """Sink SCCs of the unperturbed support digraph, ordered by smallest state."""
-    n = chain.n_states
-    labels = _scc_labels(n, chain.support0)
-    has_exit = set()
-    for i in range(n):
-        for j in chain.support0[i]:
-            if labels[i] != labels[j]:
-                has_exit.add(labels[i])
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        if labels[i] not in has_exit:
-            classes.setdefault(labels[i], []).append(i)
-    return sorted((tuple(sorted(v)) for v in classes.values()), key=lambda c: c[0])
+    """Sink SCCs of the unperturbed support digraph, ordered by smallest state.
 
-
-def _scc_labels(n: int, succ: Sequence[frozenset[int]]) -> list[int]:
-    """Iterative Tarjan strongly-connected components."""
-    index_counter = [0]
-    indices = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    labels = [-1] * n
-    label_counter = [0]
-
-    for root in range(n):
-        if indices[root] != -1:
-            continue
-        work = [(root, iter(sorted(succ[root])))]
-        indices[root] = low[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if indices[w] == -1:
-                    indices[w] = low[w] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(succ[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], indices[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == indices[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    labels[w] = label_counter[0]
-                    if w == v:
-                        break
-                label_counter[0] += 1
-    return labels
+    These are the oracle's minimal invariant sets in chain indices: the
+    unperturbed support is the oracle's switch edges plus self-loops.
+    """
+    chain_of = np.argsort(chain.oracle_index)
+    classes = (
+        tuple(sorted(chain_of[res.indices].tolist()))
+        for res in minimal_invariant_sets(chain.graph)
+    )
+    return sorted(classes, key=lambda c: c[0])
 
 
 def basin(chain: PerturbedChain, omega: Sequence) -> frozenset[int]:
@@ -449,59 +369,50 @@ def build_class_graph(chain: PerturbedChain) -> ClassGraph:
 def gamma(class_graph: ClassGraph, root: int) -> int:
     """Minimum total weight of a spanning tree whose paths all lead to `root`.
 
-    Exhaustive enumeration up to BRUTE_FORCE_TREE_LIMIT classes, minimum-
-    arborescence algorithm beyond.
+    Chu-Liu/Edmonds on the reversed class digraph: every class but the root
+    takes its cheapest parent; each cycle this closes is contracted into one
+    node, whose incoming weights are reduced by the choice they would replace.
     """
     k = class_graph.k
-    if k == 1:
-        return 0
-    if k <= BRUTE_FORCE_TREE_LIMIT:
-        return _gamma_brute(class_graph, root)
-    return gamma_arborescence(class_graph, root)
-
-
-def _gamma_brute(class_graph: ClassGraph, root: int) -> int:
-    k = class_graph.k
-    non_root = [v for v in range(k) if v != root]
-    choices = [np.array([u for u in range(k) if u != v], dtype=np.int64) for v in non_root]
-    grids = np.meshgrid(*choices, indexing="ij")
-    m = grids[0].size
-    parent_full = np.empty((m, k), dtype=np.int64)
-    parent_full[:, root] = root
-    for pos, v in enumerate(non_root):
-        parent_full[:, v] = grids[pos].reshape(-1)
-    # pointer doubling: after ceil(log2(k)) squarings every pointer has
-    # travelled >= k steps, so valid assignments all point at the root
-    ptr = parent_full
-    hops = 1
-    while hops < k:
-        ptr = np.take_along_axis(ptr, ptr, axis=1)
-        hops *= 2
-    valid = (ptr[:, non_root] == root).all(axis=1)
-    weights = np.array(class_graph.costs, dtype=np.int64)
-    total = np.zeros(m, dtype=np.int64)
-    for pos, v in enumerate(non_root):
-        total += weights[v, parent_full[:, v]]
-    if not valid.any():
-        raise SingularSystem("no rooted spanning arborescence exists")
-    return int(total[valid].min())
-
-
-def gamma_arborescence(class_graph: ClassGraph, root: int) -> int:
-    """Same minimum via a minimum-spanning-arborescence computation."""
-    k = class_graph.k
-    if k == 1:
-        return 0
-    g = nx.DiGraph()
-    g.add_nodes_from(range(k))
-    for i in range(k):
-        for j in range(k):
-            if i != j and i != root:
-                # reverse each edge so paths-to-root become a root-out arborescence;
-                # dropping reversed edges into the root pins the root choice
-                g.add_edge(j, i, weight=class_graph.costs[i][j])
-    tree = nx.algorithms.tree.branchings.minimum_spanning_arborescence(g, attr="weight")
-    return int(sum(d["weight"] for _, _, d in tree.edges(data=True)))
+    # (u, v, w): class v points at parent u at mistake cost w; nothing leaves the root
+    edges = [
+        (u, v, class_graph.costs[v][u]) for v in range(k) if v != root for u in range(k) if u != v
+    ]
+    total = 0
+    while True:
+        best = [math.inf] * k
+        parent = [-1] * k
+        for u, v, w in edges:
+            if w < best[v]:
+                best[v], parent[v] = w, u
+        comp = [-1] * k
+        seen = [-1] * k
+        n_comp = 0
+        for v in range(k):
+            if v == root:
+                continue
+            if math.isinf(best[v]):
+                raise SingularSystem("no rooted spanning arborescence exists")
+            total += best[v]
+            x = v
+            while seen[x] != v and comp[x] == -1 and x != root:
+                seen[x] = v
+                x = parent[x]
+            if x != root and comp[x] == -1:  # the walk from v closed a new cycle at x
+                y = parent[x]
+                while y != x:
+                    comp[y] = n_comp
+                    y = parent[y]
+                comp[x] = n_comp
+                n_comp += 1
+        if n_comp == 0:
+            return total
+        for v in range(k):
+            if comp[v] == -1:
+                comp[v] = n_comp
+                n_comp += 1
+        edges = [(comp[u], comp[v], w - best[v]) for u, v, w in edges if comp[u] != comp[v]]
+        k, root = n_comp, comp[root]
 
 
 @dataclass(frozen=True)
@@ -590,7 +501,7 @@ def _stationary_float(chain: PerturbedChain) -> list[Fraction]:
         mu = mu @ mat
     else:
         raise SingularSystem("stationary refinement did not reach the residual target")
-    return [Fraction(repr(x)) for x in mu]
+    return [Fraction(float(x)) for x in mu]
 
 
 def stationary_residual(chain: PerturbedChain, mu: Sequence[Fraction]) -> Fraction:
@@ -761,14 +672,20 @@ class ExtremeTheoremVerdict:
     stable_equilibria: tuple[BState, ...]
 
 
-def check_extreme_theorem(bpop: BinaryTypePopulation) -> ExtremeTheoremVerdict:
+def check_extreme_theorem(bpop: BinaryTypePopulation, chain: PerturbedChain | None = None,
+                          result: StochasticStabilityResult | None = None) -> ExtremeTheoremVerdict:
     """Does stochastic stability of equilibria force an extreme equilibrium?
 
     Checks the hypothesis (each mixed equilibrium's corresponding extreme
     state is itself an equilibrium) and then the conclusion (the set of
     stochastically stable equilibria is empty or contains an extreme one).
+    `chain` and `result` are the unperturbed chain and its stability result,
+    computed when not given.
     """
-    chain = build_chain(bpop, Fraction(0))
+    if chain is None:
+        chain = build_chain(bpop, Fraction(0))
+    if result is None:
+        result = stochastically_stable_set(bpop, chain)
     eqs = equilibria_of_chain(chain)
     mixed = tuple(s for s in eqs if is_mixed_equilibrium_state(bpop, s))
     extremes: dict[BState, tuple[BState, bool]] = {}
@@ -779,7 +696,6 @@ def check_extreme_theorem(bpop: BinaryTypePopulation) -> ExtremeTheoremVerdict:
         extremes[s] = (ext, ext_is_eq)
         hypothesis = hypothesis and ext_is_eq
 
-    result = stochastically_stable_set(bpop, chain)
     eq_set = set(eqs)
     stable_eqs = tuple(sorted(s for s in result.stable_states if s in eq_set))
 
@@ -805,8 +721,10 @@ def check_extreme_theorem(bpop: BinaryTypePopulation) -> ExtremeTheoremVerdict:
 # -- reporting -----------------------------------------------------------------
 
 
-def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = ()) -> dict:
-    chain = build_chain(bpop, Fraction(0))
+def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
+                      graph: TransitionDigraph | None = None) -> dict:
+    """JSON-ready report; `graph` is the oracle digraph of the population."""
+    chain = build_chain(bpop, Fraction(0), graph)
     result = stochastically_stable_set(bpop, chain)
     cg = result.class_graph
     report: dict = {
@@ -826,7 +744,7 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = ()) -> di
         "stochastically_stable_class_ids": list(result.stable_class_ids),
         "stochastically_stable_states": sorted(list(s) for s in result.stable_states),
     }
-    verdict = check_extreme_theorem(bpop)
+    verdict = check_extreme_theorem(bpop, chain, result)
     report["extreme_theorem"] = {
         "hypothesis_holds": verdict.hypothesis_holds,
         "conclusion_status": verdict.conclusion_status,
@@ -837,7 +755,7 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = ()) -> di
         table = {}
         for eps in epsilons:
             eps = parse_rational(eps)
-            pchain = build_chain(bpop, eps)
+            pchain = build_chain(bpop, eps, chain.graph)
             mu = stationary_distribution(pchain)
             ss_mass = sum((mu[chain.index[s]] for s in result.stable_states), Fraction(0))
             table[str(eps)] = {

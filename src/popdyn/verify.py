@@ -13,11 +13,13 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import equilibria as eq
 from . import invariants as inv
 from . import stochastic as st
-from .errors import AssumptionViolated, StateSpaceTooLarge
+from .errors import AssumptionViolated, SingularSystem, StateSpaceTooLarge
 from .model import PopulationSpec, State
 from .oracle import (
     TransitionDigraph,
@@ -27,6 +29,9 @@ from .oracle import (
 )
 
 DEFAULT_S_GUARD = 200_000
+# exhaustive gamma enumerates (k-1)^(k-1) parent assignments: 823,543 at k = 8,
+# 387,420,489 at k = 10
+REFERENCE_TREE_LIMIT = 8
 
 
 def iter_pooled_states(pop: PopulationSpec):
@@ -211,26 +216,31 @@ def verify_oracle(graph: TransitionDigraph, sample: int = 20, seed: int = 0) -> 
 def verify_stochastic(bpop: st.BinaryTypePopulation,
                       epsilons: Sequence = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
                       graph: TransitionDigraph | None = None) -> list[str]:
-    """Full stochastic-stability cross-check battery on a binary-type population."""
+    """Full stochastic-stability cross-check battery on a binary-type population.
+
+    `graph` is the oracle digraph of `bpop.to_population_spec()`, built when not
+    given. Tree weights are compared with exhaustive enumeration when there
+    are at most REFERENCE_TREE_LIMIT recurrent classes.
+    """
     problems: list[str] = []
-    chain0 = st.build_chain(bpop, 0)
-    classes = st.recurrent_classes(chain0)
+    chain0 = st.build_chain(bpop, 0, graph)
+    result = st.stochastically_stable_set(bpop, chain0)
+    cg = result.class_graph
+    classes = cg.classes
 
-    if graph is not None:
-        oracle_sets = {
-            frozenset(int(i) for i in res.indices) for res in minimal_invariant_sets(graph)
-        }
-        chain_sets = {
-            frozenset(
-                graph.space.index_of(_bstate_to_cells(graph, chain0.states[i])) for i in cls
-            )
-            for cls in classes
-        }
-        if oracle_sets != chain_sets:
-            problems.append("recurrent classes disagree with oracle minimal invariant sets")
+    analytic = {r.state for r in eq.enumerate_equilibria(chain0.graph.pop)}
+    singletons = {
+        State(s.x1I + s.x2I, (s.xa,), (s.xc,))
+        for s in (chain0.states[cls[0]] for cls in classes if len(cls) == 1)
+    }
+    if analytic != singletons:
+        problems.append(
+            f"singleton recurrent classes {sorted(s.to_tuple() for s in singletons)} differ "
+            f"from the closed-form equilibria {sorted(s.to_tuple() for s in analytic)}"
+        )
 
-    for eps in epsilons:
-        chain = st.build_chain(bpop, eps)
+    chains = {eps: st.build_chain(bpop, eps, chain0.graph) for eps in epsilons}
+    for eps, chain in chains.items():
         for i, row in enumerate(chain.rows):
             if sum(row.values()) != 1:
                 problems.append(f"row {i} of the eps={eps} chain does not sum to 1")
@@ -249,16 +259,19 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                 if c_val != want:
                     problems.append(f"one-step cost mismatch at ({i},{j}): {c_val} vs {want}")
                     break
-        labels = st._scc_labels(chain.n_states, chain.support_eps)
-        if len(set(labels)) != 1:
+        src = [i for i, succ in enumerate(chain.support_eps) for _ in succ]
+        dst = [j for succ in chain.support_eps for j in succ]
+        n = chain.n_states
+        support = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+        if connected_components(support, directed=True, connection="strong")[0] != 1:
             problems.append(f"perturbed chain at eps={eps} is not irreducible")
         if not any(i in chain.support_eps[i] for i in range(chain.n_states)):
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")
 
-    cg = st.build_class_graph(chain0)
-    for i in range(cg.k):
-        if st._gamma_brute(cg, i) != st.gamma_arborescence(cg, i):
-            problems.append(f"gamma brute force and arborescence disagree at class {i}")
+    if cg.k <= REFERENCE_TREE_LIMIT:
+        for i in range(cg.k):
+            if result.gammas[i] != _gamma_reference(cg, i):
+                problems.append(f"gamma disagrees with exhaustive enumeration at class {i}")
 
     # cost vs modified cost dominance over every (state, class) pair
     for t, cls in enumerate(classes):
@@ -274,10 +287,8 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                     f"{c_star} > {c_val}"
                 )
 
-    result = st.stochastically_stable_set(bpop, chain0)
     mus = {}
-    for eps in epsilons:
-        chain = st.build_chain(bpop, eps)
+    for eps, chain in chains.items():
         mu = st.stationary_distribution(chain)
         if st.stationary_residual(chain, mu) > Fraction(1, 10**12):
             problems.append(f"stationary residual too large at eps={eps}")
@@ -318,19 +329,46 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                     )
                     break
 
-    verdict = st.check_extreme_theorem(bpop)
+    verdict = st.check_extreme_theorem(bpop, chain0, result)
     if verdict.conclusion_status == "violated":
         problems.append("extreme-equilibrium conclusion violated despite its hypothesis")
     return problems
 
 
-def _bstate_to_cells(graph: TransitionDigraph, s: st.BState) -> tuple[int, ...]:
-    """Map a binary-type state onto the oracle's cell order (imitators first)."""
-    space = graph.space
-    coords = [0] * len(space.cells)
-    for k, cell in enumerate(space.cells):
-        if cell.role == "imitator":
-            coords[k] = s.x1I if cell.kind == "anticoordinating" else s.x2I
-        else:
-            coords[k] = s.xa if cell.kind == "anticoordinating" else s.xc
-    return tuple(coords)
+def _gamma_reference(class_graph: st.ClassGraph, root: int) -> int:
+    """Exhaustive minimum over every parent choice; the cross-check for st.gamma.
+
+    It enumerates (k-1)^(k-1) parent assignments at once, so it refuses more
+    than REFERENCE_TREE_LIMIT classes instead of allocating.
+    """
+    k = class_graph.k
+    if k > REFERENCE_TREE_LIMIT:
+        raise ValueError(
+            f"exhaustive tree enumeration is limited to {REFERENCE_TREE_LIMIT} classes, got {k}"
+        )
+    if k == 1:
+        return 0
+    non_root = [v for v in range(k) if v != root]
+    choices = [np.array([u for u in range(k) if u != v], dtype=np.int8) for v in non_root]
+    grids = np.meshgrid(*choices, indexing="ij")
+    m = grids[0].size
+    parent_full = np.empty((m, k), dtype=np.int8)
+    parent_full[:, root] = root
+    for pos, v in enumerate(non_root):
+        parent_full[:, v] = grids[pos].reshape(-1)
+    del grids
+    # pointer doubling: after ceil(log2(k)) squarings every pointer has
+    # travelled >= k steps, so valid assignments all point at the root
+    ptr = parent_full
+    hops = 1
+    while hops < k:
+        ptr = np.take_along_axis(ptr, ptr, axis=1)
+        hops *= 2
+    valid = (ptr[:, non_root] == root).all(axis=1)
+    weights = np.array(class_graph.costs, dtype=np.int64)
+    total = np.zeros(m, dtype=np.int64)
+    for v in non_root:
+        total += weights[v, parent_full[:, v]]
+    if not valid.any():
+        raise SingularSystem("no rooted spanning arborescence exists")
+    return int(total[valid].min())

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from popdyn import cli
@@ -174,3 +175,27 @@ def test_stochastic_verify_ex7_1(tmp_path):
     report = json.loads(out.read_text())
     assert report["verification"]["passed"] is True
     assert report["stochastically_stable_states"] == [[0, 1, 0, 0]]
+
+
+def test_stochastic_float_fallback_scaled_ex7_1(tmp_path):
+    # every count of ex7_1 tripled: 1,792 chain states, above EXACT_SOLVE_LIMIT
+    from popdyn import stochastic
+    from popdyn.fixtures import fixture_config
+    from popdyn.model import validate_population
+
+    raw = fixture_config("ex7_1")
+    for group in raw["anticoordinating"] + raw["coordinating"]:
+        group["bestResponders"] *= 3
+        group["imitators"] *= 3
+    config, out = tmp_path / "ex7_1x3.json", tmp_path / "st.json"
+    config.write_text(json.dumps(raw))
+    code = run_cli("stochastic", "--config", str(config), "--epsilon", "1/1000", "--json", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["states"] == 1792
+    by_state = report["stationary"]["1/1000"]["by_state"]
+    bpop = stochastic.BinaryTypePopulation.from_population_spec(validate_population(raw))
+    chain = stochastic.build_chain(bpop, Fraction(1, 1000))
+    mu = [Fraction(by_state[str(tuple(s))]) for s in chain.states]
+    assert abs(sum(mu) - 1) <= Fraction(1, 10**12)
+    assert stochastic.stationary_residual(chain, mu) <= Fraction(1, 10**12)

@@ -6,7 +6,6 @@ import pytest
 from popdyn.cells import CellSpace
 from popdyn.dynamics import (
     AgentRef,
-    Exhaustive,
     Scripted,
     UniformRandom,
     Weighted,
@@ -182,12 +181,6 @@ def test_weighted_policy_runs_deterministically(pops):
     a = simulate(pop, State(0, (0,), (0,)), Weighted(w, seed=9), 200)
     b = simulate(pop, State(0, (0,), (0,)), Weighted(w, seed=9), 200)
     assert a.records == b.records
-
-
-def test_exhaustive_policy_rejected(pops):
-    pop = pops["ex7_1"]
-    with pytest.raises(ValueError):
-        simulate(pop, State(0, (0,), (0,)), Exhaustive(), 1)
 
 
 def test_trajectory_csv_format(pops):

@@ -7,9 +7,10 @@ import numpy as np
 from genpop import sample_populations
 from popdyn import stochastic as st
 from popdyn.dynamics import UniformRandom, Weighted, simulate
-from popdyn.model import validate_population
+from popdyn.equilibria import enumerate_equilibria
+from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
-from popdyn.verify import _bstate_to_cells
+from popdyn.verify import _gamma_reference
 
 
 def test_validate_population_idempotent_randomized():
@@ -55,18 +56,14 @@ def _binary_pops(seed, count):
             return
 
 
-def test_recurrent_classes_match_oracle_randomized():
+def test_singleton_classes_match_closed_form_randomized():
     for pop, bpop in _binary_pops(seed=41, count=25):
         chain = st.build_chain(bpop, 0)
-        graph = build_transition_digraph(pop, max_states=200_000)
-        oracle_sets = {
-            frozenset(int(i) for i in res.indices) for res in minimal_invariant_sets(graph)
+        singletons = {
+            State(s.x1I + s.x2I, (s.xa,), (s.xc,))
+            for s in (chain.states[cls[0]] for cls in st.recurrent_classes(chain) if len(cls) == 1)
         }
-        chain_sets = {
-            frozenset(graph.space.index_of(_bstate_to_cells(graph, chain.states[i])) for i in cls)
-            for cls in st.recurrent_classes(chain)
-        }
-        assert oracle_sets == chain_sets
+        assert singletons == {r.state for r in enumerate_equilibria(pop)}
 
 
 def test_cost_dominates_modified_cost_randomized():
@@ -86,7 +83,7 @@ def test_gamma_routes_agree_randomized():
         chain = st.build_chain(bpop, 0)
         cg = st.build_class_graph(chain)
         for t in range(cg.k):
-            assert st.gamma(cg, t) == st.gamma_arborescence(cg, t)
+            assert st.gamma(cg, t) == _gamma_reference(cg, t)
 
 
 def test_stationary_exact_on_random_chain():

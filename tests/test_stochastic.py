@@ -1,7 +1,10 @@
 import io
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from popdyn.errors import NotMixed
 from popdyn.model import UtilityLine
@@ -17,7 +20,6 @@ from popdyn.stochastic import (
     equilibria_of_chain,
     export_class_digraph_dot,
     gamma,
-    gamma_arborescence,
     modified_cost,
     radius,
     recurrent_classes,
@@ -26,6 +28,7 @@ from popdyn.stochastic import (
     stochastic_report,
     stochastically_stable_set,
 )
+from popdyn.verify import _gamma_reference
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +81,12 @@ def test_chain_support_monotone(bpops):
 
 
 def test_perturbed_chain_irreducible_aperiodic(bpops):
-    from popdyn.stochastic import _scc_labels
-
     chain = build_chain(bpops["ex7_1"], Fraction(1, 100))
-    labels = _scc_labels(chain.n_states, chain.support_eps)
-    assert len(set(labels)) == 1
+    src = [i for i, succ in enumerate(chain.support_eps) for _ in succ]
+    dst = [j for succ in chain.support_eps for j in succ]
+    n = chain.n_states
+    support = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    assert connected_components(support, directed=True, connection="strong")[0] == 1
     assert all(i in chain.support_eps[i] for i in range(chain.n_states))
 
 
@@ -189,7 +193,29 @@ def test_gamma_brute_vs_arborescence(chains):
     for chain in chains.values():
         cg = build_class_graph(chain)
         for t in range(cg.k):
-            assert gamma(cg, t) == gamma_arborescence(cg, t)
+            assert gamma(cg, t) == _gamma_reference(cg, t)
+
+
+def test_gamma_matches_reference_on_random_costs():
+    # small integer costs force ties and cycles nested inside contracted cycles
+    from popdyn.stochastic import ClassGraph
+
+    rng = np.random.default_rng(7)
+    for k in range(1, 7):
+        for _ in range(40):
+            costs = rng.integers(0, 5, size=(k, k))
+            np.fill_diagonal(costs, 0)
+            cg = ClassGraph(tuple((i,) for i in range(k)), tuple(map(tuple, costs.tolist())))
+            for root in range(k):
+                assert gamma(cg, root) == _gamma_reference(cg, root)
+
+
+def test_gamma_reference_refuses_nine_classes():
+    from popdyn.stochastic import ClassGraph
+
+    cg = ClassGraph(tuple((i,) for i in range(9)), tuple((1,) * 9 for _ in range(9)))
+    with pytest.raises(ValueError):
+        _gamma_reference(cg, 0)
 
 
 def test_gamma_unique_minimum_ex7_1(chains):
