@@ -1,9 +1,11 @@
 """Command-line front end: config ingestion, analysis orchestration, exports.
 
 Commands: simulate | equilibria | invariants | oracle | stochastic.
-Exit codes: 0 success, 2 configuration error, 3 state-space guard exceeded,
-4 verification failure. The env var POPDYN_MAX_STATES overrides the default
-state guard; an explicit --max-states flag overrides both.
+Exit codes: 0 success, 2 configuration error (the config, an option's value,
+a file that cannot be opened, or a population the command does not take),
+3 state-space guard exceeded, 4 verification failure, 5 internal error. The
+env var POPDYN_MAX_STATES overrides the default state guard; an explicit
+--max-states flag overrides both.
 """
 
 from __future__ import annotations
@@ -11,20 +13,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import dynamics, equilibria, invariants, oracle, stochastic, verify
-from .errors import PopdynError, StateSpaceTooLarge
+from .errors import NoSuchAgent, PopdynError, StateSpaceTooLarge
 from .model import PopulationSpec, State, parse_rational, validate_population
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
+
+
+class _InputError(Exception):
+    """The config, an option's value or the population cannot be used."""
+
+
+@contextmanager
+def _input(errors=(PopdynError, ValueError, KeyError, TypeError)):
+    """Report `errors` raised inside the block as bad input, not internal faults."""
+    try:
+        yield
+    except errors as exc:
+        raise _InputError(exc) from exc
 
 
 def _load_population(path: str) -> PopulationSpec:
-    with open(path) as fh:
+    with _input(), open(path) as fh:
         return validate_population(json.load(fh))
 
 
@@ -47,20 +65,21 @@ def _emit(payload: dict, path: str | None) -> None:
 def _parse_initial(pop: PopulationSpec, text: str | None) -> State:
     if text is None:
         return State(0, (0,) * pop.b, (0,) * pop.bp)
-    values = [int(v) for v in text.replace(" ", "").split(",")]
-    return pop.state(*values)
+    with _input():
+        values = [int(v) for v in text.replace(" ", "").split(",")]
+        return pop.state(*values)
 
 
 def _parse_script(path: str) -> dynamics.Scripted:
     refs = []
-    with open(path) as fh:
+    with _input(), open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             role, kind, index, strategy = (p.strip() for p in line.split(","))
             refs.append(dynamics.AgentRef(role, kind, int(index), strategy))
-    return dynamics.Scripted(tuple(refs))
+        return dynamics.Scripted(tuple(refs))
 
 
 def cmd_simulate(args) -> int:
@@ -73,7 +92,9 @@ def cmd_simulate(args) -> int:
             print("simulate: --seed is required for random activation", file=sys.stderr)
             return EXIT_CONFIG
         policy = dynamics.UniformRandom(seed=args.seed)
-    trajectory = dynamics.simulate(pop, initial, policy, args.steps)
+    # simulate checks --steps, and the script against the population as it runs
+    with _input((NoSuchAgent, ValueError)):
+        trajectory = dynamics.simulate(pop, initial, policy, args.steps)
     stream, close = _open_out(args.csv)
     try:
         trajectory.to_csv(stream)
@@ -157,14 +178,18 @@ def cmd_oracle(args) -> int:
 
 def cmd_stochastic(args) -> int:
     pop = _load_population(args.config)
-    bpop = stochastic.BinaryTypePopulation.from_population_spec(pop)
-    epsilons = [parse_rational(e) for e in (args.epsilon or [])]
+    with _input():
+        bpop = stochastic.BinaryTypePopulation.from_population_spec(pop)
+        epsilons = [parse_rational(e) for e in (args.epsilon or [])]
+        if not all(0 < eps < 1 for eps in epsilons):
+            raise ValueError("--epsilon must lie strictly between 0 and 1")
     graph = _oracle_graph(pop, args)
-    report = stochastic.stochastic_report(bpop, epsilons, graph)
+    stationary = stochastic.stationary_distributions(bpop, epsilons, graph)
+    report = stochastic.stochastic_report(bpop, epsilons, graph, stationary)
     problems: list[str] = []
     if args.verify:
         eps_grid = epsilons or [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-        problems = verify.verify_stochastic(bpop, eps_grid, graph=graph)
+        problems = verify.verify_stochastic(bpop, eps_grid, graph=graph, stationary=stationary)
         report["verification"] = {"passed": not problems, "problems": problems}
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -232,9 +257,14 @@ def main(argv=None) -> int:
     except StateSpaceTooLarge as exc:
         print(f"state-space guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (PopdynError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (_InputError, OSError) as exc:
+        # every file the CLI opens is named on its command line
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

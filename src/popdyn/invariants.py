@@ -307,43 +307,41 @@ def x_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex) -> np.ndarr
     """Vectorized X membership over all refined states of the oracle digraph."""
     idx.check(graph.pop)
     space = graph.space
-    n = graph.n_states
-    mask = np.ones(n, dtype=bool)
-    states = np.arange(n, dtype=np.int64)
-    for k, cell in enumerate(space.cells):
+    mask = np.ones(graph.n_states, dtype=bool)
+    for cell, cap, column in zip(space.cells, space.caps, graph.coords):
         if cell.role != BEST_RESPONDER:
             continue
-        coord = (states // space.strides[k]) % (space.caps[k] + 1)
-        if cell.kind == ANTICOORDINATING:
-            if cell.type_index <= idx.j1:
-                mask &= coord == space.caps[k]
-            elif cell.type_index >= idx.j2:
-                mask &= coord == 0
-        else:
-            if cell.type_index <= idx.j1p:
-                mask &= coord == space.caps[k]
-            elif cell.type_index >= idx.j2p:
-                mask &= coord == 0
+        j_coop, j_def = (idx.j1, idx.j2) if cell.kind == ANTICOORDINATING else (idx.j1p, idx.j2p)
+        if cell.type_index <= j_coop:
+            mask &= column == cap
+        elif cell.type_index >= j_def:
+            mask &= column == 0
     return mask
 
 
-def s_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex) -> np.ndarray:
-    space = graph.space
-    n = graph.n_states
-    states = np.arange(n, dtype=np.int64)
-    n_c = np.zeros(n, dtype=np.int64)
-    for k in range(len(space.cells)):
-        n_c += (states // space.strides[k]) % (space.caps[k] + 1)
+def s_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex,
+                      x_mask: np.ndarray | None = None) -> np.ndarray:
+    """X membership (`x_mask` when already computed) within the open temper window."""
+    if x_mask is None:
+        x_mask = x_membership_mask(graph, idx)
     lo = math.floor(tau_max(graph.pop, idx)) + 1
     hi = math.ceil(tau_min(graph.pop, idx)) - 1
-    return x_membership_mask(graph, idx) & (n_c >= lo) & (n_c <= hi)
+    return x_mask & (graph.n_c >= lo) & (graph.n_c <= hi)
 
 
 def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:
-    """True iff no one-step transition leaves the masked set."""
-    for src, dst in graph.iter_edge_blocks():
-        if bool((mask[src] & ~mask[dst]).any()):
-            return False
+    """True iff no one-step transition leaves the masked set.
+
+    Each edge moves one cell by one agent, so a member whose cell k can move
+    down (up) must have its neighbour at -stride_k (+stride_k) in the set.
+    """
+    rows = np.flatnonzero(mask)
+    moves = graph.moves[rows]
+    for k, stride in enumerate(graph.space.strides):
+        for bit, step in ((2 * k, -stride), (2 * k + 1, stride)):
+            movers = rows[(moves & (1 << bit)) != 0]
+            if not mask[movers + step].all():
+                return False
     return True
 
 

@@ -410,8 +410,12 @@ def validate_population(raw) -> PopulationSpec:
     """
     if isinstance(raw, PopulationSpec):
         raw = {"anticoordinating": list(raw.anticoordinating), "coordinating": list(raw.coordinating)}
+    if not isinstance(raw, dict):
+        raise ValueError("a population spec is an object holding the two type lists")
     raw_a = list(raw.get("anticoordinating", ()))
     raw_c = list(raw.get("coordinating", ()))
+    if not all(isinstance(t, (dict, AgentTypeSpec)) for t in raw_a + raw_c):
+        raise ValueError("every type entry must be an object")
 
     n = sum(sum(_counts_of(t)) for t in raw_a + raw_c)
     if n == 0:

@@ -5,17 +5,23 @@ materialized exhaustively with exact integer arithmetic, and minimal
 positively invariant sets fall out as sink strongly-connected components.
 Construction is vectorized and chunked so desk-scale spaces (about 10^7
 states) stay within a few hundred MB.
+
+The cross-checks read decoded views (`coords`, `n_c`, `moves`) built once on
+first use, never by the build or the sink search. Every edge moves one cell by
+one agent, so closure of a state set is a check of each member's moves, and
+reachability is a numpy frontier search over the CSR arrays.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import connected_components
 
 from .cells import BEST_RESPONDER, IMITATOR, CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
@@ -45,14 +51,6 @@ class InvariantSetResult:
     states: frozenset[State]
     is_singleton: bool
     cooperator_bounds: tuple[int, int]
-
-    @property
-    def min_cooperators(self) -> int:
-        return self.cooperator_bounds[0]
-
-    @property
-    def max_cooperators(self) -> int:
-        return self.cooperator_bounds[1]
 
 
 class ReachableSet:
@@ -127,32 +125,47 @@ class TransitionDigraph:
             src = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
             yield src, indices[e_lo:e_hi].astype(np.int64, copy=False)
 
+    # -- decoded views, built on first use -----------------------------------
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(cells, states) table of cooperator counts; row k is cell k's column."""
+        space = self.space
+        dtype = np.min_scalar_type(max(space.caps))
+        table = np.empty((len(space.cells), self.n_states), dtype=dtype)
+        for k, (cap, stride) in enumerate(zip(space.caps, space.strides)):
+            digit = np.repeat(np.arange(cap + 1, dtype=dtype), stride)
+            table[k] = np.tile(digit, self.n_states // digit.size)
+        return table
+
+    @cached_property
+    def n_c(self) -> np.ndarray:
+        """Number of cooperators at each state."""
+        return self.coords.sum(axis=0, dtype=np.min_scalar_type(self.pop.n))
+
+    @cached_property
+    def moves(self) -> np.ndarray:
+        """Per-state bitmask: bit 2k set iff cell k can lose a cooperator, 2k+1 gain one.
+
+        Cells without capacity never move and share their stride with the
+        previous cell, so they are skipped.
+        """
+        space = self.space
+        dtype = np.min_scalar_type((1 << 2 * len(space.cells)) - 1)
+        moves = np.zeros(self.n_states, dtype=dtype)
+        for src, dst in self.iter_edge_blocks():
+            step = dst - src
+            for k, (cap, stride) in enumerate(zip(space.caps, space.strides)):
+                if cap:
+                    moves[src[step == -stride]] |= 1 << 2 * k
+                    moves[src[step == stride]] |= 1 << 2 * k + 1
+        return moves
+
     # -- reachability ---------------------------------------------------------
 
     def reachable_mask(self, starts: Sequence[int]) -> np.ndarray:
         """Boolean mask of states reachable from any start (starts included)."""
-        starts = np.asarray(list(starts), dtype=np.int64)
-        if starts.size == 0:
-            return np.zeros(self.n_states, dtype=bool)
-        if starts.size == 1:
-            order = breadth_first_order(
-                self.matrix, int(starts[0]), directed=True, return_predecessors=False
-            )
-            mask = np.zeros(self.n_states, dtype=bool)
-            mask[order] = True
-            return mask
-        # virtual source row pointing at all starts
-        n = self.n_states
-        indptr = np.concatenate(
-            [self.matrix.indptr.astype(np.int64), [self.matrix.indptr[-1] + starts.size]]
-        )
-        indices = np.concatenate([self.matrix.indices.astype(np.int64), starts])
-        data = np.ones(len(indices), dtype=np.int8)
-        aug = csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
-        order = breadth_first_order(aug, n, directed=True, return_predecessors=False)
-        mask = np.zeros(n + 1, dtype=bool)
-        mask[order] = True
-        return mask[:n]
+        return frontier_search(self.matrix.indptr, self.matrix.indices, starts)
 
     # -- condensation ----------------------------------------------------------
 
@@ -161,6 +174,29 @@ class TransitionDigraph:
             _, labels = connected_components(self.matrix, directed=True, connection="strong")
             self._labels = labels
         return self._labels
+
+
+def frontier_search(indptr: np.ndarray, indices: np.ndarray, starts,
+                    bound: np.ndarray | None = None) -> np.ndarray | None:
+    """Mask of the states reachable from `starts` (included) over CSR rows.
+
+    With `bound`, returns None as soon as a state outside it is reached.
+    """
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    frontier = np.unique(np.asarray(starts, dtype=np.int64))
+    seen[frontier] = True
+    while frontier.size:
+        if bound is not None and not bound[frontier].all():
+            return None
+        lo = indptr[frontier]
+        counts = indptr[frontier + 1] - lo
+        offsets = np.cumsum(counts) - counts
+        edges = np.repeat(lo - offsets, counts) + np.arange(offsets[-1] + counts[-1])
+        found = indices[edges]
+        found = np.sort(found[~seen[found]])
+        frontier = found[np.diff(found, prepend=-1) != 0]
+        seen[frontier] = True
+    return seen
 
 
 def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None) -> TransitionDigraph:
@@ -288,20 +324,16 @@ def minimal_invariant_sets(graph: TransitionDigraph) -> list[InvariantSetResult]
     member_labels = labels[members]
 
     results: list[InvariantSetResult] = []
-    space = graph.space
     for lab in sink_labels:
         idxs = members[member_labels == lab]
-        coords = np.stack(
-            [(idxs // space.strides[k]) % (space.caps[k] + 1) for k in range(len(space.cells))],
-            axis=1,
-        )
-        n_cs = coords.sum(axis=1)
+        states = graph.pooled_states_of(idxs)
+        n_cs = [s.n_cooperators for s in states]
         results.append(
             InvariantSetResult(
                 indices=np.sort(idxs),
-                states=graph.pooled_states_of(idxs),
+                states=states,
                 is_singleton=len(idxs) == 1,
-                cooperator_bounds=(int(n_cs.min()), int(n_cs.max())),
+                cooperator_bounds=(min(n_cs), max(n_cs)),
             )
         )
     results.sort(key=lambda r: int(r.indices[0]))
@@ -318,39 +350,35 @@ def is_equilibrium_oracle(graph: TransitionDigraph, state) -> bool:
     return all(graph.out_degree(i) == 0 for i in indices)
 
 
-def _pooled_distance_mask(graph: TransitionDigraph, eq: State, radius: int) -> np.ndarray:
-    """Mask of refined states within pooled L1 distance `radius` of eq."""
+def _pooled_distance(graph: TransitionDigraph, eq: State) -> np.ndarray:
+    """Pooled L1 distance of every refined state from eq."""
     space = graph.space
-    n = graph.n_states
-    dist = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    imit_total = np.zeros(n, dtype=np.int64)
-    for k, cell in enumerate(space.cells):
-        coord = (idx // space.strides[k]) % (space.caps[k] + 1)
+    dist = np.zeros(graph.n_states, dtype=np.int32)
+    imit_total = np.zeros(graph.n_states, dtype=np.int32)
+    for cell, column in zip(space.cells, graph.coords):
         if cell.role == IMITATOR:
-            imit_total += coord
+            imit_total += column
         else:
             target = (
                 eq.xa[cell.type_index - 1]
                 if cell.kind == ANTICOORDINATING
                 else eq.xc[cell.type_index - 1]
             )
-            dist += np.abs(coord - target)
+            dist += np.abs(column.astype(np.int32) - target)
     dist += np.abs(imit_total - eq.xI)
-    return dist <= radius
+    return dist
 
 
 def is_stable_oracle(graph: TransitionDigraph, eq: State) -> bool:
     """Discrete stability: no trajectory from pooled distance 1 ever exceeds it."""
     if not is_equilibrium_oracle(graph, eq):
         raise NotAnEquilibrium(f"{eq} is not an equilibrium")
-    ball = _pooled_distance_mask(graph, eq, 1)
-    eq_mask = _pooled_distance_mask(graph, eq, 0)
-    starts = np.flatnonzero(ball & ~eq_mask)
+    dist = _pooled_distance(graph, eq)
+    starts = np.flatnonzero(dist == 1)
     if starts.size == 0:
         return True
-    reached = graph.reachable_mask(starts)
-    return not bool((reached & ~ball).any())
+    reached = frontier_search(graph.matrix.indptr, graph.matrix.indices, starts, bound=dist <= 1)
+    return reached is not None
 
 
 def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
@@ -359,9 +387,7 @@ def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
         starts = graph.indices_of_pooled(from_state)
     else:
         starts = [graph.space.index_of(graph.space.refine(from_state))]
-    mask = graph.reachable_mask(starts)
-    mask[np.asarray(starts, dtype=np.int64)] = True
-    return ReachableSet(graph, mask)
+    return ReachableSet(graph, graph.reachable_mask(starts))
 
 
 def export_adjacency(graph: TransitionDigraph, stream) -> None:

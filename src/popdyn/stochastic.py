@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .cells import BEST_RESPONDER, IMITATOR
-from .errors import NotMixed, SingularSystem
+from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
 from .model import (
     ANTICOORDINATING,
     COORDINATING,
@@ -36,6 +36,8 @@ from .model import (
 from .oracle import TransitionDigraph, build_transition_digraph, minimal_invariant_sets
 
 EXACT_SOLVE_LIMIT = 500
+# the float fallback holds three dense n x n float64 matrices at once
+DENSE_SOLVE_BYTES = 1 << 30
 
 
 class BState(NamedTuple):
@@ -484,6 +486,12 @@ def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
 
 def _stationary_float(chain: PerturbedChain) -> list[Fraction]:
     n = chain.n_states
+    needed = 3 * 8 * n * n
+    if needed > DENSE_SOLVE_BYTES:
+        raise StateSpaceTooLarge(
+            f"the float stationary solve of {n} states needs {needed} bytes of dense "
+            f"matrices, above the limit of {DENSE_SOLVE_BYTES}"
+        )
     mat = np.zeros((n, n))
     for i, row in enumerate(chain.rows):
         for j, prob in row.items():
@@ -502,6 +510,15 @@ def _stationary_float(chain: PerturbedChain) -> list[Fraction]:
     else:
         raise SingularSystem("stationary refinement did not reach the residual target")
     return [Fraction(float(x)) for x in mu]
+
+
+def stationary_distributions(bpop: BinaryTypePopulation, epsilons: Sequence,
+                             graph: TransitionDigraph | None = None) -> dict[Fraction, list[Fraction]]:
+    """Stationary distribution of the chain at each epsilon, keyed by the parsed rational."""
+    return {
+        eps: stationary_distribution(build_chain(bpop, eps, graph))
+        for eps in map(parse_rational, epsilons)
+    }
 
 
 def stationary_residual(chain: PerturbedChain, mu: Sequence[Fraction]) -> Fraction:
@@ -722,8 +739,10 @@ def check_extreme_theorem(bpop: BinaryTypePopulation, chain: PerturbedChain | No
 
 
 def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
-                      graph: TransitionDigraph | None = None) -> dict:
-    """JSON-ready report; `graph` is the oracle digraph of the population."""
+                      graph: TransitionDigraph | None = None,
+                      stationary: dict[Fraction, list[Fraction]] | None = None) -> dict:
+    """JSON-ready report; `graph` is the oracle digraph of the population and
+    `stationary` the distributions at `epsilons`, when already computed."""
     chain = build_chain(bpop, Fraction(0), graph)
     result = stochastically_stable_set(bpop, chain)
     cg = result.class_graph
@@ -752,11 +771,11 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
         "stable_equilibria": [list(s) for s in verdict.stable_equilibria],
     }
     if epsilons:
+        if stationary is None:
+            stationary = stationary_distributions(bpop, epsilons, chain.graph)
         table = {}
-        for eps in epsilons:
-            eps = parse_rational(eps)
-            pchain = build_chain(bpop, eps, chain.graph)
-            mu = stationary_distribution(pchain)
+        for eps in map(parse_rational, epsilons):
+            mu = stationary[eps]
             ss_mass = sum((mu[chain.index[s]] for s in result.stable_states), Fraction(0))
             table[str(eps)] = {
                 "stable_set_mass": str(ss_mass),

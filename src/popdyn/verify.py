@@ -20,9 +20,10 @@ from . import equilibria as eq
 from . import invariants as inv
 from . import stochastic as st
 from .errors import AssumptionViolated, SingularSystem, StateSpaceTooLarge
-from .model import PopulationSpec, State
+from .model import PopulationSpec, State, state_space_size
 from .oracle import (
     TransitionDigraph,
+    frontier_search,
     is_equilibrium_oracle,
     is_stable_oracle,
     minimal_invariant_sets,
@@ -82,12 +83,7 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph,
                 f"analytic {verdict.status}, oracle {'stable' if oracle_stable else 'unstable'}"
             )
 
-    pooled_count = pop.m + 1
-    for i in range(1, pop.b + 1):
-        pooled_count *= pop.n_a(i) + 1
-    for i in range(1, pop.bp + 1):
-        pooled_count *= pop.n_c(i) + 1
-    if pooled_count <= 5000:
+    if state_space_size(pop) <= 5000:
         candidates = list(iter_pooled_states(pop))
     else:
         candidates = list(analytic) + _sample_pooled_states(pop, sample, seed)
@@ -102,16 +98,6 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph,
     return problems
 
 
-def _closure_violations(graph: TransitionDigraph, masks: list[np.ndarray]) -> list[bool]:
-    """For each mask: does any one-step transition leave the masked set?"""
-    violated = [False] * len(masks)
-    for src, dst in graph.iter_edge_blocks():
-        for pos, mask in enumerate(masks):
-            if not violated[pos] and bool((mask[src] & ~mask[dst]).any()):
-                violated[pos] = True
-    return violated
-
-
 def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
                       s_guard: int = DEFAULT_S_GUARD) -> tuple[list[str], list[str]]:
     """Closed-form invariance verdicts vs exhaustive one-step closure, plus the
@@ -122,40 +108,35 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
     skipped: list[str] = []
 
     sinks = minimal_invariant_sets(graph)
-    indices = list(inv.all_benchmark_indices(pop))
-    x_masks = [inv.x_membership_mask(graph, idx) for idx in indices]
-    x_closed = _closure_violations(graph, x_masks)
-    for idx, violated, mask in zip(indices, x_closed, x_masks):
+    for idx in inv.all_benchmark_indices(pop):
+        x_mask = inv.x_membership_mask(graph, idx)
         analytic = inv.is_invariant_X(pop, idx)
-        oracle = not violated and bool(mask.any())
-        if bool(mask.any()) and analytic != oracle:
-            problems.append(f"X invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}")
-        if analytic and not any(mask[res.indices].all() for res in sinks):
+        if x_mask.any():
+            oracle = inv.is_closed_under_step(graph, x_mask)
+            if analytic != oracle:
+                problems.append(
+                    f"X invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
+                )
+        if analytic and not any(x_mask[res.indices].all() for res in sinks):
             problems.append(f"invariant X at {idx} holds no minimal invariant set")
-        del mask
 
-    s_indices, s_masks, s_analytic = [], [], []
-    for idx in indices:
         lo, hi = inv.s_cooperator_range(pop, idx)
         if lo > hi:
             continue
         try:
-            verdict = inv.is_invariant_S(pop, idx, guard=s_guard)
+            analytic = inv.is_invariant_S(pop, idx, guard=s_guard)
         except StateSpaceTooLarge:
             skipped.append(f"S check at {idx} exceeds the enumeration guard {s_guard}")
             continue
-        s_indices.append(idx)
-        s_analytic.append(verdict)
-        s_masks.append(inv.s_membership_mask(graph, idx))
-    s_closed = _closure_violations(graph, s_masks)
-    for idx, violated, analytic, mask in zip(s_indices, s_closed, s_analytic, s_masks):
-        if not bool(mask.any()):
-            continue
-        oracle = not violated
-        if analytic != oracle:
-            problems.append(f"S invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}")
+        s_mask = inv.s_membership_mask(graph, idx, x_mask)
+        if s_mask.any():
+            oracle = inv.is_closed_under_step(graph, s_mask)
+            if analytic != oracle:
+                problems.append(
+                    f"S invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
+                )
 
-    for inv_set in minimal_invariant_sets(graph):
+    for inv_set in sinks:
         if inv_set.is_singleton:
             continue
         report = inv.verify_necessary_conditions(pop, inv_set, graph)
@@ -167,60 +148,47 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
     return problems, skipped
 
 
-def verify_oracle(graph: TransitionDigraph, sample: int = 20, seed: int = 0) -> list[str]:
-    """Structural sanity of the oracle digraph and its minimal invariant sets."""
+def verify_oracle(graph: TransitionDigraph) -> list[str]:
+    """Structural sanity of the oracle digraph and its minimal invariant sets.
+
+    Each set must be closed, strongly connected and disjoint from the others,
+    and every state must reach one: a single search backwards from all their
+    members covers every state.
+    """
     problems: list[str] = []
     sinks = minimal_invariant_sets(graph)
     if not sinks:
         problems.append("no minimal invariant set found; finite dynamics must have one")
 
-    for res in sinks:
-        members = set(int(i) for i in res.indices)
-        adj = {i: [j for j in graph.successors(i) if j in members] for i in members}
-        start = next(iter(members))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        if seen != members:
-            problems.append(f"minimal invariant set {res.cooperator_bounds} is not strongly reachable")
-        # sink property: no successor leaves the set
-        for i in members:
-            if any(j not in members for j in graph.switch_successors(i)):
-                problems.append(f"state {i} escapes its minimal invariant set")
-                break
-
-    all_sink_states: set[int] = set()
-    for res in sinks:
-        overlap = all_sink_states & set(int(i) for i in res.indices)
-        if overlap:
+    indptr, indices = graph.matrix.indptr, graph.matrix.indices
+    owner = np.full(graph.n_states, -1, dtype=np.int32)
+    for t, res in enumerate(sinks):
+        if (owner[res.indices] >= 0).any():
             problems.append("minimal invariant sets are not pairwise disjoint")
-        all_sink_states |= set(int(i) for i in res.indices)
+        owner[res.indices] = t
+        reached = frontier_search(indptr, indices, res.indices[:1], bound=owner == t)
+        if reached is None:
+            problems.append(f"a transition leaves the minimal invariant set {res.cooperator_bounds}")
+        elif not reached[res.indices].all():
+            problems.append(f"minimal invariant set {res.cooperator_bounds} is not strongly reachable")
 
-    rng = np.random.default_rng(seed)
-    n = graph.n_states
-    picks = range(n) if n <= 2000 else (int(rng.integers(n)) for _ in range(sample))
-    for i in picks:
-        mask = graph.reachable_mask([i])
-        mask[i] = True
-        if not any(mask[j] for j in all_sink_states):
-            problems.append(f"state {i} cannot reach any minimal invariant set")
-            break
+    reverse = graph.matrix.tocsc()
+    reaches_sink = frontier_search(reverse.indptr, reverse.indices, np.flatnonzero(owner >= 0))
+    if not reaches_sink.all():
+        problems.append(f"state {int(np.argmin(reaches_sink))} cannot reach any minimal invariant set")
     return problems
 
 
 def verify_stochastic(bpop: st.BinaryTypePopulation,
                       epsilons: Sequence = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
-                      graph: TransitionDigraph | None = None) -> list[str]:
+                      graph: TransitionDigraph | None = None,
+                      stationary: dict[Fraction, list[Fraction]] | None = None) -> list[str]:
     """Full stochastic-stability cross-check battery on a binary-type population.
 
     `graph` is the oracle digraph of `bpop.to_population_spec()`, built when not
-    given. Tree weights are compared with exhaustive enumeration when there
-    are at most REFERENCE_TREE_LIMIT recurrent classes.
+    given. `stationary` maps an epsilon to its already solved distribution;
+    the others are solved here. Tree weights are compared with exhaustive
+    enumeration when there are at most REFERENCE_TREE_LIMIT recurrent classes.
     """
     problems: list[str] = []
     chain0 = st.build_chain(bpop, 0, graph)
@@ -287,9 +255,10 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                     f"{c_star} > {c_val}"
                 )
 
+    solved = stationary or {}
     mus = {}
     for eps, chain in chains.items():
-        mu = st.stationary_distribution(chain)
+        mu = solved[eps] if eps in solved else st.stationary_distribution(chain)
         if st.stationary_residual(chain, mu) > Fraction(1, 10**12):
             problems.append(f"stationary residual too large at eps={eps}")
         mus[eps] = mu

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,8 +28,9 @@ def test_missing_config_is_config_error(tmp_path):
 
 def test_malformed_config_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("equilibria", "--config", str(bad)) == cli.EXIT_CONFIG
+    for text in ("{not json", "[1, 2]", '{"anticoordinating": [1]}'):
+        bad.write_text(text)
+        assert run_cli("equilibria", "--config", str(bad)) == cli.EXIT_CONFIG
 
 
 def test_stochastic_rejects_non_binary(tmp_path):
@@ -57,6 +59,29 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
     assert code == cli.EXIT_VERIFY
     report = json.loads((tmp_path / "o.json").read_text())
     assert report["verification"]["passed"] is False
+
+
+def test_internal_fault_exit_code(tmp_path, monkeypatch, capsys):
+    from popdyn import verify
+
+    def broken(pop, graph, **kw):
+        raise ValueError("forced fault")
+
+    monkeypatch.setattr(verify, "verify_invariants", broken)
+    code = run_cli(
+        "invariants", "--config", str(FIXDIR / "ex7_2.json"),
+        "--verify", "--json", str(tmp_path / "o.json"),
+    )
+    assert code == cli.EXIT_INTERNAL
+    assert "internal error: ValueError('forced fault')" in capsys.readouterr().err
+
+
+def test_bad_epsilon_is_config_error(tmp_path):
+    for eps in ("0", "1", "abc"):
+        assert run_cli(
+            "stochastic", "--config", str(FIXDIR / "ex7_2.json"),
+            "--epsilon", eps, "--json", str(tmp_path / "o.json"),
+        ) == cli.EXIT_CONFIG
 
 
 def test_simulate_csv_reproducible(tmp_path):
@@ -116,6 +141,21 @@ def test_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
+    from popdyn.oracle import TransitionDigraph
+
+    def refuse(self):
+        raise AssertionError("decoded view built without --verify")
+
+    for name in ("coords", "n_c", "moves"):
+        monkeypatch.setattr(TransitionDigraph, name, property(refuse))
+    code = run_cli("oracle", "--config", str(FIXDIR / "ex7_2.json"), "--json", str(tmp_path / "o.json"))
+    assert code == 0
+    code = run_cli("oracle", "--config", str(FIXDIR / "ex7_2.json"), "--verify",
+                   "--json", str(tmp_path / "o.json"))
+    assert code == 0
+
+
 def test_oracle_adjacency_export(tmp_path):
     adj = tmp_path / "adj.txt"
     code = run_cli(
@@ -156,10 +196,14 @@ def test_env_guard_override(tmp_path, monkeypatch):
 
 def test_console_entry_point_subprocess(tmp_path):
     out = tmp_path / "o.json"
+    # the child finds popdyn where this process did, installed or not
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "popdyn.cli", "equilibria",
          "--config", str(FIXDIR / "ex7_1.json"), "--json", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["count"] == 6
@@ -199,3 +243,23 @@ def test_stochastic_float_fallback_scaled_ex7_1(tmp_path):
     mu = [Fraction(by_state[str(tuple(s))]) for s in chain.states]
     assert abs(sum(mu) - 1) <= Fraction(1, 10**12)
     assert stochastic.stationary_residual(chain, mu) <= Fraction(1, 10**12)
+
+
+def test_stochastic_verify_solves_each_epsilon_once(tmp_path, monkeypatch):
+    from popdyn import stochastic
+
+    solved = []
+    real = stochastic.stationary_distribution
+
+    def counting(chain):
+        solved.append(chain.epsilon)
+        return real(chain)
+
+    monkeypatch.setattr(stochastic, "stationary_distribution", counting)
+    code = run_cli(
+        "stochastic", "--config", str(FIXDIR / "ex7_4.json"),
+        "--epsilon", "1/100", "--epsilon", "1/1000", "--verify",
+        "--json", str(tmp_path / "st.json"),
+    )
+    assert code == 0
+    assert sorted(solved) == [Fraction(1, 1000), Fraction(1, 100)]

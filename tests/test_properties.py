@@ -1,5 +1,6 @@
 """Randomized cross-checks beyond the fixtures."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,13 @@ from genpop import sample_populations
 from popdyn import stochastic as st
 from popdyn.dynamics import UniformRandom, Weighted, simulate
 from popdyn.equilibria import enumerate_equilibria
-from popdyn.model import State, validate_population
+from popdyn.invariants import (
+    all_benchmark_indices,
+    is_closed_under_step,
+    s_membership_mask,
+    x_membership_mask,
+)
+from popdyn.model import PopulationSpec, State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.verify import _gamma_reference
 
@@ -39,6 +46,61 @@ def test_trajectory_locality_randomized():
         )
         for prev, cur in zip(traj.refined, traj.refined[1:]):
             assert sum(abs(a - b) for a, b in zip(prev, cur)) <= 1
+
+
+def _closed_by_edge_scan(graph, mask):
+    src = np.repeat(np.arange(graph.n_states), np.diff(graph.matrix.indptr))
+    return not (mask[src] & ~mask[graph.matrix.indices]).any()
+
+
+def _with_empty_best_responder_cell(pop):
+    # validate_population drops empty types, so build the spec directly; the
+    # empty cell is last and shares its stride with the cell before it
+    last = pop.coordinating[-1] if pop.coordinating else pop.anticoordinating[-1]
+    empty = replace(last, temper=last.temper + 1 if last.kind == "coordinating"
+                    else last.temper - 1, best_responders=0, imitators=0)
+    if pop.coordinating:
+        return PopulationSpec(pop.anticoordinating, pop.coordinating + (empty,))
+    return PopulationSpec(pop.anticoordinating + (empty,), pop.coordinating)
+
+
+def _moves_by_edge_scan(graph):
+    src = np.repeat(np.arange(graph.n_states), np.diff(graph.matrix.indptr))
+    dst = graph.matrix.indices
+    change = graph.coords[:, dst].astype(int) - graph.coords[:, src]
+    cell = np.argmax(change != 0, axis=0)
+    up = change[cell, np.arange(len(dst))] > 0
+    moves = np.zeros(graph.n_states, dtype=np.int64)
+    np.bitwise_or.at(moves, src, 1 << (2 * cell + up))
+    return moves
+
+
+def test_closure_check_matches_edge_scan_randomized():
+    pops = list(sample_populations(seed=61, count=25))
+    pops.append(_with_empty_best_responder_cell(pops[0]))
+    assert 0 in build_transition_digraph(pops[-1]).space.caps
+    rng = np.random.default_rng(61)
+    for pop in pops:
+        g = build_transition_digraph(pop, max_states=200_000)
+        decoded = np.array([g.space.coords_of(i) for i in range(g.n_states)]).T
+        assert (g.coords == decoded).all()
+        assert (g.n_c == decoded.sum(axis=0)).all()
+        assert (g.moves == _moves_by_edge_scan(g)).all()
+        masks = []
+        for idx in all_benchmark_indices(pop):
+            x_mask = x_membership_mask(g, idx)
+            masks += [x_mask, s_membership_mask(g, idx), s_membership_mask(g, idx, x_mask)]
+        for density in (0.05, 0.5, 0.95):
+            masks.append(rng.random(g.n_states) < density)
+            # forward closures are closed; removing one state usually breaks that
+            reach = g.reachable_mask(rng.integers(0, g.n_states, size=2))
+            masks.append(reach)
+            trimmed = reach.copy()
+            trimmed[rng.choice(np.flatnonzero(reach))] = False
+            masks.append(trimmed)
+        verdicts = [_closed_by_edge_scan(g, m) for m in masks]
+        assert any(verdicts)
+        assert [is_closed_under_step(g, m) for m in masks] == verdicts
 
 
 def _binary_pops(seed, count):

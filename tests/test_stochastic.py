@@ -6,7 +6,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from popdyn.errors import NotMixed
+from popdyn import stochastic
+from popdyn.errors import NotMixed, StateSpaceTooLarge
 from popdyn.model import UtilityLine
 from popdyn.stochastic import (
     BinaryTypePopulation,
@@ -258,6 +259,25 @@ def test_stationary_distribution_exact(bpops):
 def test_stationary_requires_noise(chains):
     with pytest.raises(ValueError):
         stationary_distribution(chains["ex7_1"])
+
+
+def test_float_solve_guard_precedes_allocation(bpops, monkeypatch):
+    chain = build_chain(bpops["ex7_2"], Fraction(1, 1000))
+    needed = 3 * 8 * chain.n_states ** 2
+    monkeypatch.setattr(stochastic, "EXACT_SOLVE_LIMIT", 10)
+    monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed - 1)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("dense matrix allocated before the guard")
+
+    with monkeypatch.context() as m:
+        for name in ("zeros", "empty", "eye"):
+            m.setattr(stochastic.np, name, no_allocation)
+        with pytest.raises(StateSpaceTooLarge):
+            stationary_distribution(chain)
+    monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed)
+    mu = stationary_distribution(chain)
+    assert stationary_residual(chain, mu) <= Fraction(1, 10**12)
 
 
 def test_stationary_mass_concentrates_ex7_1(bpops):

@@ -7,6 +7,8 @@ test_cli. The three large fixtures dominate the suite's runtime.
 
 import pytest
 
+from popdyn import invariants
+from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.stochastic import BinaryTypePopulation
 from popdyn.verify import (
     verify_equilibria,
@@ -36,3 +38,20 @@ def test_large_fixture_full_battery(name, pops, graphs):
     assert problems == []
     assert skipped == []
     assert verify_oracle(graph) == []
+
+
+def test_verify_oracle_flags_states_missing_their_sink(pops):
+    graph = build_transition_digraph(pops["ex7_2"])
+    sinks = minimal_invariant_sets(graph)
+    assert len(sinks) > 1
+    del sinks[-1]  # the cached list, read again by verify_oracle
+    problems = verify_oracle(graph)
+    assert any("cannot reach any minimal invariant set" in p for p in problems)
+
+
+def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
+    pop, graph = pops["ex7_4"], graphs("ex7_4")
+    real = invariants.is_invariant_X
+    monkeypatch.setattr(invariants, "is_invariant_X", lambda p, idx: not real(p, idx))
+    problems, _ = verify_invariants(pop, graph)
+    assert any(p.startswith("X invariance disagrees") for p in problems)
