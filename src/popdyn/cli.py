@@ -193,7 +193,7 @@ def cmd_stochastic(args) -> int:
         report["verification"] = {"passed": not problems, "problems": problems}
     if args.dot:
         with open(args.dot, "w") as fh:
-            stochastic.export_class_digraph_dot(bpop, fh)
+            stochastic.export_class_digraph_dot(bpop, fh, graph)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 

@@ -13,10 +13,11 @@ digraph, and its recurrent classes are the oracle's minimal invariant sets.
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ from .model import (
     temper_from_lines,
     validate_population,
 )
-from .oracle import TransitionDigraph, build_transition_digraph, minimal_invariant_sets
+from .oracle import (TransitionDigraph, build_transition_digraph, frontier_search,
+                     minimal_invariant_sets)
 
 EXACT_SOLVE_LIMIT = 500
 # the float fallback holds three dense n x n float64 matrices at once
@@ -169,14 +171,6 @@ class PerturbedChain:
     def n_states(self) -> int:
         return len(self.states)
 
-    def cost_edges(self, i: int) -> Iterable[tuple[int, int]]:
-        """(successor, one-step mistake cost) pairs; cost 0 edges first."""
-        zero = self.support0[i]
-        for j in sorted(zero):
-            yield j, 0
-        for j in sorted(self.support_eps[i] - zero):
-            yield j, 1
-
     def one_step_cost(self, i: int, j: int) -> float:
         if j in self.support0[i]:
             return 0
@@ -187,6 +181,11 @@ class PerturbedChain:
     def is_equilibrium(self, state: BState | int) -> bool:
         i = state if isinstance(state, int) else self.index[state]
         return self.support0[i] == frozenset((i,))
+
+    @cached_property
+    def class_table(self) -> ClassTable:
+        """Recurrent classes with their basins, radii and costs, built on first use."""
+        return _class_table(self)
 
 
 def build_chain(bpop: BinaryTypePopulation, epsilon,
@@ -246,41 +245,111 @@ def build_chain(bpop: BinaryTypePopulation, epsilon,
 
 
 def _as_indices(chain: PerturbedChain, group) -> list[int]:
-    out = []
-    for s in group:
-        out.append(s if isinstance(s, int) else chain.index[BState(*s)])
-    return out
+    return [s if isinstance(s, int) else chain.index[BState(*s)] for s in group]
+
+
+def _mistake_costs(chain: PerturbedChain, sources: Iterable[int],
+                   stop=frozenset()) -> list[int | float]:
+    """Fewest mistakes from `sources` to every state, math.inf where unreachable.
+
+    A 0-1 breadth-first search over the perturbed support: a step the
+    unperturbed chain takes costs 0, a tremble costs 1. States in `stop` are
+    reached but never left.
+    """
+    dist: list[int | float] = [math.inf] * chain.n_states
+    queue = deque(sources)
+    for i in queue:
+        dist[i] = 0
+    while queue:
+        u = queue.popleft()
+        if u in stop:
+            continue
+        d = dist[u]
+        zero = chain.support0[u]
+        for v in chain.support_eps[u]:
+            if v in zero:
+                if d < dist[v]:
+                    dist[v] = d
+                    queue.appendleft(v)
+            elif d + 1 < dist[v]:
+                dist[v] = d + 1
+                queue.append(v)
+    return dist
 
 
 def cost(chain: PerturbedChain, from_set, to_set) -> int:
     """Minimum mistakes over paths from `from_set` to `to_set`.
 
-    Paths terminate on first entry to the target set, which together with
-    non-negative step costs enforces the no-revisit, no-passing-through rule.
+    The minimum over `to_set` of one `_mistake_costs` search from `from_set`;
+    paths end on first entry to `to_set`, which with non-negative step costs
+    enforces the no-revisit, no-passing-through rule.
     """
     sources = _as_indices(chain, from_set)
-    targets = set(_as_indices(chain, to_set))
+    targets = frozenset(_as_indices(chain, to_set))
     if not sources or not targets:
         raise ValueError("cost needs non-empty state sets")
-    if set(sources) & targets:
-        return 0
-    dist = {i: 0 for i in sources}
-    heap = [(0, i) for i in sources]
-    heapq.heapify(heap)
-    settled: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if u in targets:
-            return d
-        for v, w in chain.cost_edges(u):
-            nd = d + w
-            if v not in settled and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    raise SingularSystem("target unreachable; perturbed chain should be irreducible")
+    dist = _mistake_costs(chain, sources, stop=targets)
+    best = min(dist[j] for j in targets)
+    if math.isinf(best):
+        raise SingularSystem("target unreachable; perturbed chain should be irreducible")
+    return best
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """Recurrent classes of a chain and their mistake-cost quantities.
+
+    Class ids are positions in `classes`; `class_of` maps each class state to
+    its id. `costs[a][b]` is cost(class a, class b) and `rseg[a][b]` the
+    cheapest path from class a into class b that enters no other class.
+    `legs[a][b]` is the cheapest walk over classes from a to b when a leg
+    leaving class q weighs rseg[q][.] - radii[q] (0 on the diagonal).
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    class_of: dict[int, int]
+    basins: tuple[frozenset[int], ...]
+    radii: tuple[int | float, ...]
+    costs: tuple[tuple[int, ...], ...]
+    rseg: tuple[tuple[int | float, ...], ...]
+    legs: tuple[tuple[int | float, ...], ...]
+
+
+def _class_table(chain: PerturbedChain) -> ClassTable:
+    classes = recurrent_classes(chain)
+    k = len(classes)
+    class_of = {i: a for a, cls in enumerate(classes) for i in cls}
+    # reaches[a][i]: chain state i falls into class a without a mistake
+    order = chain.oracle_index
+    rev = chain.graph.matrix.tocsc()
+    reaches = np.array([frontier_search(rev.indptr, rev.indices, order[list(cls)])[order]
+                        for cls in classes])
+    shared = reaches.sum(axis=0) > 1
+    basins = tuple(frozenset(np.flatnonzero(r & ~shared).tolist()) for r in reaches)
+    radii, costs, rseg = [], [], []
+    for a, cls in enumerate(classes):
+        dist = _mistake_costs(chain, cls)
+        if math.inf in dist:
+            raise SingularSystem("target unreachable; perturbed chain should be irreducible")
+        radii.append(min((d for i, d in enumerate(dist) if i not in basins[a]), default=math.inf))
+        costs.append(tuple(min(dist[j] for j in other) for other in classes))
+        dist = _mistake_costs(chain, cls, stop=class_of.keys() - set(cls))
+        rseg.append(tuple(min(dist[j] for j in other) for other in classes))
+    legs = [[0 if a == b else rseg[a][b] - radii[a] for b in range(k)] for a in range(k)]
+    for q in range(k):
+        for a in range(k):
+            for b in range(k):
+                legs[a][b] = min(legs[a][b], legs[a][q] + legs[q][b])
+    return ClassTable(tuple(classes), class_of, basins, tuple(radii), tuple(costs),
+                      tuple(rseg), tuple(map(tuple, legs)))
+
+
+def _class_id(chain: PerturbedChain, omega: Sequence) -> int:
+    omega_set = set(_as_indices(chain, omega))
+    for a, cls in enumerate(chain.class_table.classes):
+        if omega_set == set(cls):
+            return a
+    raise ValueError("omega is not a recurrent class of the chain")
 
 
 def recurrent_classes(chain: PerturbedChain) -> list[tuple[int, ...]]:
@@ -290,56 +359,26 @@ def recurrent_classes(chain: PerturbedChain) -> list[tuple[int, ...]]:
     unperturbed support is the oracle's switch edges plus self-loops.
     """
     chain_of = np.argsort(chain.oracle_index)
-    classes = (
-        tuple(sorted(chain_of[res.indices].tolist()))
-        for res in minimal_invariant_sets(chain.graph)
-    )
+    classes = (tuple(sorted(chain_of[res.indices].tolist()))
+               for res in minimal_invariant_sets(chain.graph))
     return sorted(classes, key=lambda c: c[0])
 
 
 def basin(chain: PerturbedChain, omega: Sequence) -> frozenset[int]:
     """States from which the unperturbed chain reaches omega with probability one,
-    i.e. from which no other recurrent class is reachable."""
-    classes = recurrent_classes(chain)
-    omega_idx = frozenset(_as_indices(chain, omega))
-    reach_some_other = set()
-    reach_omega = set()
-    for cls in classes:
-        cls_set = frozenset(cls)
-        hits = _reverse_closure(chain, cls_set)
-        if cls_set == omega_idx:
-            reach_omega = hits
-        else:
-            reach_some_other |= hits
-    if not reach_omega:
-        raise ValueError("omega is not a recurrent class of the chain")
-    return frozenset(reach_omega - reach_some_other)
+    i.e. from which no other recurrent class is reachable.
 
-
-def _reverse_closure(chain: PerturbedChain, targets: frozenset[int]) -> set[int]:
-    preds: dict[int, list[int]] = {}
-    for i in range(chain.n_states):
-        for j in chain.support0[i]:
-            preds.setdefault(j, []).append(i)
-    seen = set(targets)
-    frontier = list(targets)
-    while frontier:
-        v = frontier.pop()
-        for p in preds.get(v, ()):
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    return seen
+    Each class's zero-cost reverse closure is one search over the oracle's
+    reversed edges; the basin is the part of omega's closure in no other.
+    """
+    return chain.class_table.basins[_class_id(chain, omega)]
 
 
 def radius(chain: PerturbedChain, omega: Sequence) -> int | float:
-    """Mistakes needed to leave the basin of attraction, starting inside omega."""
-    omega_idx = _as_indices(chain, omega)
-    inside = basin(chain, omega)
-    outside = [i for i in range(chain.n_states) if i not in inside]
-    if not outside:
-        return math.inf
-    return cost(chain, omega_idx, outside)
+    """Mistakes needed to leave the basin of attraction, starting inside omega:
+    the fewest mistakes from omega to a state outside its basin, math.inf when
+    the basin is every state."""
+    return chain.class_table.radii[_class_id(chain, omega)]
 
 
 # -- rooted spanning arborescences --------------------------------------------
@@ -358,14 +397,8 @@ class ClassGraph:
 
 
 def build_class_graph(chain: PerturbedChain) -> ClassGraph:
-    classes = recurrent_classes(chain)
-    k = len(classes)
-    costs = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                costs[i][j] = cost(chain, classes[i], classes[j])
-    return ClassGraph(tuple(classes), tuple(tuple(row) for row in costs))
+    table = chain.class_table
+    return ClassGraph(table.classes, table.costs)
 
 
 def gamma(class_graph: ClassGraph, root: int) -> int:
@@ -439,9 +472,9 @@ def stochastically_stable_set(bpop: BinaryTypePopulation,
     states: set[BState] = set()
     for i in stable_ids:
         states.update(chain.states[j] for j in cg.classes[i])
-    radii = tuple(radius(chain, cg.classes[i]) for i in range(cg.k))
-    basins = tuple(basin(chain, cg.classes[i]) for i in range(cg.k))
-    return StochasticStabilityResult(cg, gammas, stable_ids, frozenset(states), radii, basins)
+    table = chain.class_table
+    return StochasticStabilityResult(cg, gammas, stable_ids, frozenset(states),
+                                     table.radii, table.basins)
 
 
 # -- stationary distributions --------------------------------------------------
@@ -536,123 +569,35 @@ def stationary_residual(chain: PerturbedChain, mu: Sequence[Fraction]) -> Fracti
 # -- modified costs (step-by-step evolution discounts) -------------------------
 
 
-def _restricted_cost(chain: PerturbedChain, sources: Iterable[int], targets: set[int],
-                     banned: set[int]) -> int | float:
-    dist = {i: 0 for i in sources if i not in banned}
-    heap = [(0, i) for i in dist]
-    heapq.heapify(heap)
-    settled: set[int] = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if u in targets:
-            return d
-        for v, w in chain.cost_edges(u):
-            if v in banned and v not in targets:
-                continue
-            nd = d + w
-            if v not in settled and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return math.inf
-
-
-class _ModifiedCostArtifacts:
-    """Chain-level cache: classes, radii, and pairwise restricted segment costs."""
-
-    def __init__(self, chain: PerturbedChain):
-        self.classes = recurrent_classes(chain)
-        self.class_sets = [set(c) for c in self.classes]
-        self.radii = [radius(chain, c) for c in self.classes]
-        self.all_class_states: set[int] = set().union(*self.class_sets) if self.class_sets else set()
-        k = len(self.classes)
-        self.rseg = [[math.inf] * k for _ in range(k)]
-        for a in range(k):
-            for b in range(k):
-                if a != b:
-                    banned = self.all_class_states - self.class_sets[a] - self.class_sets[b]
-                    self.rseg[a][b] = _restricted_cost(
-                        chain, self.class_sets[a], self.class_sets[b], banned
-                    )
-
-    def seg_from_state(self, chain: PerturbedChain, x: int, t_to: int) -> int | float:
-        banned = self.all_class_states - self.class_sets[t_to]
-        return _restricted_cost(chain, [x], self.class_sets[t_to], banned)
-
-
-def _modified_cost_artifacts(chain: PerturbedChain) -> _ModifiedCostArtifacts:
-    cached = getattr(chain, "_mc_artifacts", None)
-    if cached is None:
-        cached = _ModifiedCostArtifacts(chain)
-        chain._mc_artifacts = cached
-    return cached
-
-
 def modified_cost(chain: PerturbedChain, start, omega: Sequence) -> int | float:
     """Path cost to omega minus the radii of intermediate recurrent classes.
 
-    Minimized over simple sequences of recurrent classes ending at omega
-    (exhaustively, as a subset dynamic program); segment costs are shortest
-    paths avoiding every other class, and each strictly intermediate class
-    contributes minus its radius. A path's first class is never discounted.
-    Raw values are reported without clamping.
+    Minimized over sequences of recurrent classes ending at omega; segment
+    costs are shortest paths entering no other class, and each strictly
+    intermediate class contributes minus its radius. A path's first class is
+    never discounted. Raw values are reported without clamping.
+
+    Every path out of a class q leaves q's basin first, so each leg out of q
+    costs at least R(q) and every discounted leg weight rseg - R(q) is
+    non-negative. The cheapest walk over classes is then a simple one, so the
+    shortest-path table `legs` equals the minimum over simple sequences: from
+    a state of class s it is R(s) + legs[s][omega], and from any other state x
+    min(seg(x, omega), min_q seg(x, q) + R(q) + legs[q][omega]), where seg(x, .)
+    comes from one search from x that stops at every class state.
     """
-    art = _modified_cost_artifacts(chain)
-    omega_set = set(_as_indices(chain, omega))
-    target = next((t for t, c in enumerate(art.class_sets) if c == omega_set), None)
-    if target is None:
-        raise ValueError("omega is not a recurrent class")
+    table = chain.class_table
+    t = _class_id(chain, omega)
     x = start if isinstance(start, int) else _as_indices(chain, [start])[0]
-    if x in omega_set:
+    s = table.class_of.get(x)
+    if s == t:
         raise ValueError("start state must lie outside omega")
-    k = len(art.classes)
-    start_class = next((t for t, c in enumerate(art.class_sets) if x in c), None)
-
-    best: int | float = math.inf
-    others = [t for t in range(k) if t != target]
-    bit_of = {t: 1 << pos for pos, t in enumerate(others)}
-
-    if start_class is None:
-        entries = []
-        direct = art.seg_from_state(chain, x, target)
-        best = min(best, direct)
-        for q1 in others:
-            c0 = art.seg_from_state(chain, x, q1)
-            if not math.isinf(c0):
-                entries.append((q1, c0))
-    else:
-        entries = [(start_class, 0)]
-
-    for q1, cost0 in entries:
-        # dp[(mask, v)] = best sequence cost q1 -> ... -> v over visited mask,
-        # with discounts applied for every class already departed except q1
-        dp = {(bit_of[q1], q1): cost0}
-        frontier = [(bit_of[q1], q1)]
-        while frontier:
-            new_frontier = []
-            for key in frontier:
-                mask, v = key
-                val = dp[key]
-                leave = val - (art.radii[v] if v != q1 else 0)
-                arrival = leave + art.rseg[v][target]
-                if arrival < best:
-                    best = arrival
-                for w in others:
-                    bw = bit_of[w]
-                    if mask & bw:
-                        continue
-                    step = art.rseg[v][w]
-                    if math.isinf(step):
-                        continue
-                    nkey = (mask | bw, w)
-                    nval = leave + step
-                    if nval < dp.get(nkey, math.inf):
-                        dp[nkey] = nval
-                        new_frontier.append(nkey)
-            frontier = new_frontier
-    return best
+    if s is not None:
+        return table.radii[s] + table.legs[s][t]
+    seg = _mistake_costs(chain, [x], stop=table.class_of.keys())
+    return min(
+        min(seg[j] for j in cls) + (0 if q == t else table.radii[q] + table.legs[q][t])
+        for q, cls in enumerate(table.classes)
+    )
 
 
 # -- extreme-equilibrium theorem -----------------------------------------------
@@ -785,9 +730,11 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
     return report
 
 
-def export_class_digraph_dot(bpop: BinaryTypePopulation, stream) -> None:
-    """DOT rendering of the recurrent-class cost digraph."""
-    chain = build_chain(bpop, Fraction(0))
+def export_class_digraph_dot(bpop: BinaryTypePopulation, stream,
+                             graph: TransitionDigraph | None = None) -> None:
+    """DOT rendering of the recurrent-class cost digraph; `graph` is the oracle
+    digraph of the population, built when not given."""
+    chain = build_chain(bpop, Fraction(0), graph)
     cg = build_class_graph(chain)
     stream.write("digraph recurrent_classes {\n")
     for i, cls in enumerate(cg.classes):

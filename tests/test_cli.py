@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -179,6 +180,20 @@ def test_stochastic_dot_export(tmp_path):
     )
     assert code == 0
     assert dot.read_text().startswith("digraph")
+
+
+def test_stochastic_dot_export_uses_the_guarded_oracle(tmp_path, monkeypatch):
+    # --max-states overrides the environment guard for the DOT export too
+    monkeypatch.setenv("POPDYN_MAX_STATES", "10")
+    dot = tmp_path / "c.dot"
+    code = run_cli(
+        "stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--max-states", "1000",
+        "--dot", str(dot), "--json", str(tmp_path / "o.json"),
+    )
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "5a198c6cae6e4ff175c73587445d0b7096eb639251cd16c60d877ad3c9f2ef21"
+    )
 
 
 def test_invariants_command(tmp_path):

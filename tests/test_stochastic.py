@@ -1,4 +1,7 @@
+import heapq
 import io
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,8 @@ from scipy.sparse.csgraph import connected_components
 
 from popdyn import stochastic
 from popdyn.errors import NotMixed, StateSpaceTooLarge
-from popdyn.model import UtilityLine
+from popdyn.fixtures import fixture_config
+from popdyn.model import UtilityLine, validate_population
 from popdyn.stochastic import (
     BinaryTypePopulation,
     BState,
@@ -376,3 +380,157 @@ def test_report_and_dot_exports(bpops):
     export_class_digraph_dot(bpops["ex7_1"], out)
     text = out.getvalue()
     assert text.startswith("digraph") and "->" in text
+
+
+# -- reference mistake costs: plain Dijkstra, per-class closures, subset DP ------
+
+
+def _dijkstra(chain, sources, targets, banned=frozenset()):
+    """Fewest mistakes from `sources` into `targets`, never entering a banned
+    state outside `targets`; math.inf when no such path exists."""
+    dist = {i: 0 for i in sources if i not in banned}
+    heap = [(0, i) for i in dist]
+    heapq.heapify(heap)
+    settled = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        if u in targets:
+            return d
+        for v in chain.support_eps[u]:
+            if v in banned and v not in targets:
+                continue
+            nd = d + (0 if v in chain.support0[u] else 1)
+            if v not in settled and nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return math.inf
+
+
+def _radii_reference(chain, classes):
+    preds = {}
+    for i in range(chain.n_states):
+        for j in chain.support0[i]:
+            preds.setdefault(j, []).append(i)
+
+    def closure(cls):
+        seen, stack = set(cls), list(cls)
+        while stack:
+            for p in preds.get(stack.pop(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return seen
+
+    closures = [closure(cls) for cls in classes]
+    radii = []
+    for a, cls in enumerate(classes):
+        inside = closures[a].difference(*(c for b, c in enumerate(closures) if b != a))
+        outside = set(range(chain.n_states)) - inside
+        radii.append(_dijkstra(chain, cls, outside) if outside else math.inf)
+    return radii
+
+
+def _modified_cost_reference(chain, starts):
+    """{(x, t): modified cost from state x to class t} for x in `starts`, by the
+    subset dynamic program over every simple sequence of classes ending at t."""
+    classes = recurrent_classes(chain)
+    class_sets = [set(c) for c in classes]
+    every = set().union(*class_sets)
+    k = len(classes)
+    radii = _radii_reference(chain, classes)
+    rseg = [
+        [_dijkstra(chain, class_sets[a], class_sets[b], every - class_sets[a] - class_sets[b])
+         if a != b else math.inf for b in range(k)]
+        for a in range(k)
+    ]
+    out = {}
+    for x in starts:
+        start_class = next((t for t, c in enumerate(class_sets) if x in c), None)
+        seg = [_dijkstra(chain, [x], c, every - c) for c in class_sets]
+        for target in range(k):
+            if target == start_class:
+                continue
+            others = [t for t in range(k) if t != target]
+            bit_of = {t: 1 << pos for pos, t in enumerate(others)}
+            if start_class is None:
+                best = seg[target]
+                entries = [(q, seg[q]) for q in others if not math.isinf(seg[q])]
+            else:
+                best = math.inf
+                entries = [(start_class, 0)]
+            for q1, cost0 in entries:
+                # dp[(mask, v)]: cheapest q1 -> ... -> v over the visited mask,
+                # every class departed so far but q1 discounted by its radius
+                dp = {(bit_of[q1], q1): cost0}
+                frontier = list(dp)
+                while frontier:
+                    new_frontier = []
+                    for mask, v in frontier:
+                        leave = dp[(mask, v)] - (radii[v] if v != q1 else 0)
+                        best = min(best, leave + rseg[v][target])
+                        for w in others:
+                            if mask & bit_of[w] or math.isinf(rseg[v][w]):
+                                continue
+                            key = (mask | bit_of[w], w)
+                            if leave + rseg[v][w] < dp.get(key, math.inf):
+                                dp[key] = leave + rseg[v][w]
+                                new_frontier.append(key)
+                    frontier = new_frontier
+            out[(x, target)] = best
+    return out
+
+
+def _doubled(name):
+    raw = fixture_config(name)
+    for group in raw["anticoordinating"] + raw["coordinating"]:
+        group["bestResponders"] *= 2
+        group["imitators"] *= 2
+    return BinaryTypePopulation.from_population_spec(validate_population(raw))
+
+
+def _assert_modified_costs_match(chain, starts):
+    classes = recurrent_classes(chain)
+    assert [radius(chain, cls) for cls in classes] == _radii_reference(chain, classes)
+    want = _modified_cost_reference(chain, starts)
+    got = {(x, t): modified_cost(chain, x, classes[t]) for x, t in want}
+    assert got == want
+    assert all(type(v) is int or v == math.inf for v in got.values())
+
+
+@pytest.mark.parametrize("name", ["ex7_1", "ex7_2", "ex7_3", "ex7_4"])
+def test_modified_cost_matches_subset_dp(chains, name):
+    chain = chains[name]
+    _assert_modified_costs_match(chain, range(chain.n_states))
+
+
+@pytest.mark.parametrize("name", ["ex7_1", "ex7_4"])
+def test_modified_cost_matches_subset_dp_doubled(name):
+    chain = build_chain(_doubled(name), 0)
+    assert len(recurrent_classes(chain)) == 4
+    starts = random.Random(11).sample(range(chain.n_states), 50)
+    _assert_modified_costs_match(chain, starts)
+
+
+def test_stop_states_are_not_crossed(chains):
+    chain = chains["ex7_1"]
+    classes = [set(c) for c in recurrent_classes(chain)]
+    every = set().union(*classes)
+    for a, cls in enumerate(classes):
+        dist = stochastic._mistake_costs(chain, cls, stop=every - cls)
+        for b, other in enumerate(classes):
+            if a == b:
+                continue
+            want = _dijkstra(chain, cls, other, every - cls - other)
+            assert min(dist[j] for j in other) == want == chain.class_table.rseg[a][b]
+    # on ex7_1 no class leg is cheaper through a third class, so also check
+    # random stop sets: each state's cost is that of the paths avoiding them
+    rng = random.Random(3)
+    for cls in classes:
+        rest = sorted(set(range(chain.n_states)) - cls)
+        for size in (5, 15, 30):
+            stop = set(rng.sample(rest, size))
+            dist = stochastic._mistake_costs(chain, cls, stop=stop)
+            assert dist == [_dijkstra(chain, cls, {v}, stop) for v in range(chain.n_states)]
