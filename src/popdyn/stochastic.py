@@ -21,6 +21,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .cells import BEST_RESPONDER, IMITATOR
 from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
@@ -38,7 +40,7 @@ from .oracle import (TransitionDigraph, build_transition_digraph, frontier_searc
                      minimal_invariant_sets)
 
 EXACT_SOLVE_LIMIT = 500
-# the float fallback holds three dense n x n float64 matrices at once
+# the stationary solve holds one dense n x n matrix of 8-byte floats or pointers
 DENSE_SOLVE_BYTES = 1 << 30
 
 
@@ -181,6 +183,14 @@ class PerturbedChain:
     def is_equilibrium(self, state: BState | int) -> bool:
         i = state if isinstance(state, int) else self.index[state]
         return self.support0[i] == frozenset((i,))
+
+    @cached_property
+    def support_matrix(self) -> csr_matrix:
+        """0/1 CSR matrix of the perturbed support `support_eps`."""
+        src = [i for i, succ in enumerate(self.support_eps) for _ in succ]
+        dst = [j for succ in self.support_eps for j in succ]
+        n = self.n_states
+        return csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
 
     @cached_property
     def class_table(self) -> ClassTable:
@@ -483,66 +493,45 @@ def stochastically_stable_set(bpop: BinaryTypePopulation,
 def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
     """Unique stationary row vector of the perturbed chain.
 
-    Exact rational state-reduction (GTH) up to EXACT_SOLVE_LIMIT states;
-    float solve with iterative refinement beyond (residual <= 1e-12).
+    One GTH (Grassmann-Taksar-Heyman) state reduction, which never subtracts,
+    over a dense n x n matrix: of exact Fractions (dtype=object) up to
+    EXACT_SOLVE_LIMIT states, of float64 above it. States are eliminated in
+    reverse Cuthill-McKee order of the support; every move changes one cell
+    by +-1, so that order keeps fill inside a narrow band, and each step
+    updates only the nonzero rows and columns of the eliminated state. An
+    irreducible chain has exactly one stationary distribution, so the exact
+    result does not depend on the order. Float results come back as
+    Fraction(float(x)).
     """
     if chain.epsilon <= 0:
         raise ValueError("stationary distribution requires epsilon > 0")
     n = chain.n_states
-    if n > EXACT_SOLVE_LIMIT:
-        return _stationary_float(chain)
-    p = [[Fraction(0)] * n for _ in range(n)]
-    for i, row in enumerate(chain.rows):
-        for j, prob in row.items():
-            p[i][j] = prob
-    scale: list[Fraction] = [Fraction(1)] * n
-    for k in range(n - 1, 0, -1):
-        s = sum(p[k][j] for j in range(k))
-        if s == 0:
-            raise SingularSystem("state-reduction hit a zero pivot; chain not irreducible")
-        scale[k] = s
-        row_k = p[k]
-        for i in range(k):
-            pik = p[i][k]
-            if pik:
-                row_i = p[i]
-                for j in range(k):
-                    if row_k[j]:
-                        row_i[j] += pik * row_k[j] / s
-    pi = [Fraction(0)] * n
-    pi[0] = Fraction(1)
-    for k in range(1, n):
-        pi[k] = sum(pi[i] * p[i][k] for i in range(k)) / scale[k]
-    total = sum(pi)
-    return [x / total for x in pi]
-
-
-def _stationary_float(chain: PerturbedChain) -> list[Fraction]:
-    n = chain.n_states
-    needed = 3 * 8 * n * n
+    needed = 8 * n * n
     if needed > DENSE_SOLVE_BYTES:
         raise StateSpaceTooLarge(
-            f"the float stationary solve of {n} states needs {needed} bytes of dense "
-            f"matrices, above the limit of {DENSE_SOLVE_BYTES}"
+            f"the stationary solve of {n} states needs {needed} bytes of dense matrix, "
+            f"above the limit of {DENSE_SOLVE_BYTES}"
         )
-    mat = np.zeros((n, n))
+    exact = n <= EXACT_SOLVE_LIMIT
+    order = reverse_cuthill_mckee(chain.support_matrix, symmetric_mode=False)
+    position = np.argsort(order)
+    p = np.zeros((n, n), dtype=object if exact else np.float64)
     for i, row in enumerate(chain.rows):
-        for j, prob in row.items():
-            mat[i, j] = float(prob)
-    a = mat.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    mu = np.linalg.solve(a, b)
-    for _ in range(10_000):
-        mu = np.clip(mu, 0, None)
-        mu = mu / mu.sum()
-        if np.abs(mu @ mat - mu).sum() <= 1e-12:
-            break
-        mu = mu @ mat
-    else:
-        raise SingularSystem("stationary refinement did not reach the residual target")
-    return [Fraction(float(x)) for x in mu]
+        p[position[i], position[list(row)]] = list(row.values())
+    # the pivot of state k goes on the diagonal, which no later step reads
+    for k in range(n - 1, 0, -1):
+        cols = np.flatnonzero(p[k, :k])
+        if not cols.size:
+            raise SingularSystem("state-reduction hit a zero pivot; chain not irreducible")
+        p[k, k] = s = p[k, cols].sum()
+        rows = np.flatnonzero(p[:k, k])
+        p[np.ix_(rows, cols)] += np.multiply.outer(p[rows, k] / s, p[k, cols])
+    pi = np.ones(n, dtype=p.dtype)
+    for k in range(1, n):
+        rows = np.flatnonzero(p[:k, k])
+        pi[k] = (pi[rows] * p[rows, k]).sum() / p[k, k]
+    mu = pi[position] / pi.sum()
+    return mu.tolist() if exact else [Fraction(float(x)) for x in mu]
 
 
 def stationary_distributions(bpop: BinaryTypePopulation, epsilons: Sequence,

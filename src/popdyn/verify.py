@@ -13,7 +13,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import equilibria as eq
@@ -227,11 +226,8 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                 if c_val != want:
                     problems.append(f"one-step cost mismatch at ({i},{j}): {c_val} vs {want}")
                     break
-        src = [i for i, succ in enumerate(chain.support_eps) for _ in succ]
-        dst = [j for succ in chain.support_eps for j in succ]
-        n = chain.n_states
-        support = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
-        if connected_components(support, directed=True, connection="strong")[0] != 1:
+        if connected_components(chain.support_matrix, directed=True,
+                                connection="strong")[0] != 1:
             problems.append(f"perturbed chain at eps={eps} is not irreducible")
         if not any(i in chain.support_eps[i] for i in range(chain.n_states)):
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")
@@ -242,12 +238,13 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                 problems.append(f"gamma disagrees with exhaustive enumeration at class {i}")
 
     # cost vs modified cost dominance over every (state, class) pair
+    # plain[t][i] = cost(state i, class t), kept for the persistence check below
+    plain: list[dict[int, int]] = []
     for t, cls in enumerate(classes):
         cls_set = set(cls)
-        for i in range(chain0.n_states):
-            if i in cls_set:
-                continue
-            c_val = st.cost(chain0, [i], cls)
+        plain.append({i: st.cost(chain0, [i], cls)
+                      for i in range(chain0.n_states) if i not in cls_set})
+        for i, c_val in plain[t].items():
             c_star = st.modified_cost(chain0, i, cls)
             if not c_val >= c_star:
                 problems.append(
@@ -285,12 +282,9 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
         )
 
     # persistence corroboration: strictly sub-radius states lose mass as eps shrinks
-    for t, cls in enumerate(classes):
-        r = result.radii[t]
-        for i in range(chain0.n_states):
-            if i in set(cls):
-                continue
-            if isinstance(r, int) and r > st.cost(chain0, [i], cls):
+    for t, r in enumerate(result.radii):
+        for i, c_val in plain[t].items():
+            if isinstance(r, int) and r > c_val:
                 series = [mus[eps][i] for eps in ordered]
                 if not all(a > b for a, b in zip(series, series[1:])):
                     problems.append(

@@ -257,6 +257,7 @@ def test_stochastic_float_fallback_scaled_ex7_1(tmp_path):
     chain = stochastic.build_chain(bpop, Fraction(1, 1000))
     mu = [Fraction(by_state[str(tuple(s))]) for s in chain.states]
     assert abs(sum(mu) - 1) <= Fraction(1, 10**12)
+    assert all(m > 0 for m in mu)  # the chain is irreducible
     assert stochastic.stationary_residual(chain, mu) <= Fraction(1, 10**12)
 
 

@@ -265,23 +265,36 @@ def test_stationary_requires_noise(chains):
         stationary_distribution(chains["ex7_1"])
 
 
-def test_float_solve_guard_precedes_allocation(bpops, monkeypatch):
+def test_stationary_guard_precedes_allocation(bpops, monkeypatch):
     chain = build_chain(bpops["ex7_2"], Fraction(1, 1000))
-    needed = 3 * 8 * chain.n_states ** 2
-    monkeypatch.setattr(stochastic, "EXACT_SOLVE_LIMIT", 10)
-    monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed - 1)
+    needed = 8 * chain.n_states ** 2
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("dense matrix allocated before the guard")
 
-    with monkeypatch.context() as m:
-        for name in ("zeros", "empty", "eye"):
-            m.setattr(stochastic.np, name, no_allocation)
-        with pytest.raises(StateSpaceTooLarge):
-            stationary_distribution(chain)
-    monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed)
-    mu = stationary_distribution(chain)
-    assert stationary_residual(chain, mu) <= Fraction(1, 10**12)
+    for limit in (10, stochastic.EXACT_SOLVE_LIMIT):  # the float path, then the exact one
+        monkeypatch.setattr(stochastic, "EXACT_SOLVE_LIMIT", limit)
+        monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed - 1)
+        with monkeypatch.context() as m:
+            for name in ("zeros", "empty", "eye", "ones", "full"):
+                m.setattr(stochastic.np, name, no_allocation)
+            with pytest.raises(StateSpaceTooLarge):
+                stationary_distribution(chain)
+        monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed)
+        mu = stationary_distribution(chain)
+        assert stationary_residual(chain, mu) <= Fraction(1, 10**12)
+
+
+def test_float_solve_matches_exact(bpops, monkeypatch):
+    for name, bpop in bpops.items():
+        chain = build_chain(bpop, Fraction(1, 10000))
+        exact = stationary_distribution(chain)
+        with monkeypatch.context() as m:
+            m.setattr(stochastic, "EXACT_SOLVE_LIMIT", 0)
+            approx = stationary_distribution(chain)
+        for i, (a, e) in enumerate(zip(approx, exact)):
+            assert a > 0, (name, i)
+            assert abs(a - e) <= e / 10**12, (name, i, float(a), float(e))
 
 
 def test_stationary_mass_concentrates_ex7_1(bpops):

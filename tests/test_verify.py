@@ -5,9 +5,12 @@ session-scoped oracle digraphs; the CLI wiring itself is covered in
 test_cli. The three large fixtures dominate the suite's runtime.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from popdyn import invariants
+from popdyn import stochastic as st
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.stochastic import BinaryTypePopulation
 from popdyn.verify import (
@@ -55,3 +58,20 @@ def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
     monkeypatch.setattr(invariants, "is_invariant_X", lambda p, idx: not real(p, idx))
     problems, _ = verify_invariants(pop, graph)
     assert any(p.startswith("X invariance disagrees") for p in problems)
+
+
+def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypatch):
+    bpop = BinaryTypePopulation.from_population_spec(pops["ex7_4"])
+    calls = []
+    real = st.cost
+
+    def counting(chain, from_set, to_set):
+        calls.append((tuple(from_set), tuple(to_set)))
+        return real(chain, from_set, to_set)
+
+    monkeypatch.setattr(st, "cost", counting)
+    assert verify_stochastic(bpop, graph=graphs("ex7_4")) == []
+    chain = st.build_chain(bpop, Fraction(0), graphs("ex7_4"))
+    classes = st.recurrent_classes(chain)
+    assert len(calls) == sum(chain.n_states - len(cls) for cls in classes)
+    assert len(set(calls)) == len(calls)
