@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import NoSuchAgent
@@ -90,7 +91,6 @@ class CellSpace:
             key: tuple(k for k, c in enumerate(cells) if (c.kind, c.type_index) == key)
             for key in self.types
         }
-        self._scaled = _ScaledTables(pop)
 
     # -- indexing ---------------------------------------------------------
 
@@ -256,9 +256,10 @@ class CellSpace:
 
     # -- integer-scaled tables for the vectorized oracle -------------------
 
-    @property
+    @cached_property
     def scaled(self) -> "_ScaledTables":
-        return self._scaled
+        """Built on first use: only the oracle build reads it."""
+        return _ScaledTables(self.pop)
 
 
 class _ScaledTables:

@@ -3,7 +3,12 @@
 Simulation runs on refined states internally (imitator groups kept separate,
 see `cells`); trajectories report the pooled state. All randomness flows
 through a named seeded generator (numpy PCG64), so trajectories are
-bit-stable for a fixed seed.
+bit-stable for a fixed seed. Random policies draw agent indices in chunks,
+which gives the same sequence as one draw per step.
+
+`simulate` memoises per visited refined state: its pooled view, and the
+state each (cell, strategy) activation leads to, so the update rules run
+once per distinct activation rather than once per step.
 """
 
 from __future__ import annotations
@@ -82,9 +87,37 @@ class ActivationPolicy:
         raise NotImplementedError
 
 
-def _ref_for(space: CellSpace, pos: int, strategy: str) -> AgentRef:
-    cell = space.cells[pos]
-    return AgentRef(cell.role, cell.kind, cell.type_index, strategy)
+_DRAW_CHUNK = 1 << 12
+
+
+def _draw_agents(rng: np.random.Generator, space: CellSpace, units: list[int]):
+    """Endless (cell, member) draws; each member of cell k weighs units[k].
+
+    Draws come `_DRAW_CHUNK` at a time, which numpy's generator makes the same
+    sequence as one `rng.integers(total)` per step.
+    """
+    blocks = [u * cap for u, cap in zip(units, space.caps)]
+    total = sum(blocks)
+    draws = rng.integers(total, size=_DRAW_CHUNK)
+    starts = np.cumsum([0] + blocks[:-1])
+    per_member = np.array(units)
+    while True:
+        cell = np.searchsorted(starts, draws, side="right") - 1
+        member = (draws - starts[cell]) // per_member[cell]
+        yield from zip(cell.tolist(), member.tolist())
+        draws = rng.integers(total, size=_DRAW_CHUNK)
+
+
+def _random_sampler(space: CellSpace, seed: int, units: list[int]):
+    agents = _draw_agents(np.random.default_rng(seed), space, units)
+    refs = [{s: AgentRef(c.role, c.kind, c.type_index, s) for s in (C, D)} for c in space.cells]
+
+    def sample(coords: Coords) -> tuple[int, str, AgentRef]:
+        pos, member = next(agents)
+        strategy = C if member < coords[pos] else D
+        return pos, strategy, refs[pos][strategy]
+
+    return sample
 
 
 @dataclass(frozen=True)
@@ -94,20 +127,7 @@ class UniformRandom(ActivationPolicy):
     seed: int
 
     def make_sampler(self, space):
-        rng = np.random.default_rng(self.seed)
-        caps = space.caps
-        n = sum(caps)
-
-        def sample(coords: Coords) -> tuple[int, str, AgentRef]:
-            r = int(rng.integers(n))
-            for pos, cap in enumerate(caps):
-                if r < cap:
-                    strategy = C if r < coords[pos] else D
-                    return pos, strategy, _ref_for(space, pos, strategy)
-                r -= cap
-            raise AssertionError("unreachable")
-
-        return sample
+        return _random_sampler(space, self.seed, [1] * len(space.cells))
 
 
 @dataclass(frozen=True)
@@ -122,7 +142,6 @@ class Weighted(ActivationPolicy):
     seed: int
 
     def make_sampler(self, space):
-        rng = np.random.default_rng(self.seed)
         per_cell = []
         denom = 1
         for cell in space.cells:
@@ -131,21 +150,7 @@ class Weighted(ActivationPolicy):
                 raise ValueError(f"weight for {cell.key} must be strictly positive")
             per_cell.append(w)
             denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        units = [int(w * denom) for w in per_cell]
-        total = sum(u * cap for u, cap in zip(units, space.caps))
-
-        def sample(coords: Coords) -> tuple[int, str, AgentRef]:
-            r = int(rng.integers(total))
-            for pos, (u, cap) in enumerate(zip(units, space.caps)):
-                block = u * cap
-                if r < block:
-                    member = r // u
-                    strategy = C if member < coords[pos] else D
-                    return pos, strategy, _ref_for(space, pos, strategy)
-                r -= block
-            raise AssertionError("unreachable")
-
-        return sample
+        return _random_sampler(space, self.seed, [int(w * denom) for w in per_cell])
 
 
 @dataclass(frozen=True)
@@ -217,16 +222,20 @@ class Trajectory:
         return cols
 
     def to_csv(self, stream) -> None:
-        stream.write(",".join(self.csv_header()) + "\n")
+        lines = [",".join(self.csv_header())]
+        tails: dict[tuple, str] = {}  # everything after t, per distinct (agent, state, n_c)
         for rec in self.records:
-            if rec.agent is None:
-                active = ["", "", ""]
-            else:
-                active = [rec.agent.role, rec.agent.kind, str(rec.agent.type_index)]
-            row = [str(rec.t), *active]
-            row += [str(v) for v in rec.state.to_tuple()]
-            row.append(str(rec.n_c))
-            stream.write(",".join(row) + "\n")
+            key = (rec.agent, rec.state, rec.n_c)
+            tail = tails.get(key)
+            if tail is None:
+                if rec.agent is None:
+                    active = ["", "", ""]
+                else:
+                    active = [rec.agent.role, rec.agent.kind, str(rec.agent.type_index)]
+                tail = tails[key] = ",".join([*active, *map(str, rec.state.to_tuple()), str(rec.n_c)])
+            lines.append(f"{rec.t},{tail}")
+        lines.append("")
+        stream.write("\n".join(lines))
 
 
 def simulate(pop: PopulationSpec, initial, policy: ActivationPolicy, steps: int) -> Trajectory:
@@ -240,11 +249,26 @@ def simulate(pop: PopulationSpec, initial, policy: ActivationPolicy, steps: int)
     space = CellSpace(pop)
     coords = space.refine(initial)
     sampler = policy.make_sampler(space)
-    records = [TrajectoryRecord(0, space.pooled(coords), sum(coords), None)]
+    # per visited refined state: its pooled State, n_c, and the visit entry
+    # each (cell, strategy) activation leads to
+    visited: dict[Coords, tuple[Coords, State, int, dict]] = {}
+
+    def visit(coords: Coords) -> tuple[Coords, State, int, dict]:
+        entry = visited.get(coords)
+        if entry is None:
+            entry = visited[coords] = (coords, space.pooled(coords), sum(coords), {})
+        return entry
+
+    here = visit(coords)
+    records = [TrajectoryRecord(0, here[1], here[2], None)]
     refined = [coords]
     for t in range(1, steps + 1):
+        coords, _, _, after = here
         pos, strategy, ref = sampler(coords)
-        coords = space.apply(coords, pos, strategy, space.intended_strategy(coords, pos, strategy))
-        records.append(TrajectoryRecord(t, space.pooled(coords), sum(coords), ref))
-        refined.append(coords)
+        here = after.get((pos, strategy))
+        if here is None:
+            new = space.apply(coords, pos, strategy, space.intended_strategy(coords, pos, strategy))
+            here = after[pos, strategy] = visit(new)
+        records.append(TrajectoryRecord(t, here[1], here[2], ref))
+        refined.append(here[0])
     return Trajectory(pop, tuple(records), tuple(refined))

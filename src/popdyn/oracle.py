@@ -6,10 +6,12 @@ positively invariant sets fall out as sink strongly-connected components.
 Construction is vectorized and chunked so desk-scale spaces (about 10^7
 states) stay within a few hundred MB.
 
-The cross-checks read decoded views (`coords`, `n_c`, `moves`) built once on
-first use, never by the build or the sink search. Every edge moves one cell by
-one agent, so closure of a state set is a check of each member's moves, and
-reachability is a numpy frontier search over the CSR arrays.
+The cross-checks and the adjacency export read decoded views (`coords`,
+`n_c`, `moves`) built once on first use, never by the build or the sink
+search. Every edge moves one cell by one agent, so closure of a state set is a
+check of each member's moves, a row of the adjacency export is its state's
+moves in a fixed order, and reachability is a numpy frontier search over the
+CSR arrays.
 """
 
 from __future__ import annotations
@@ -150,15 +152,12 @@ class TransitionDigraph:
         Cells without capacity never move and share their stride with the
         previous cell, so they are skipped.
         """
-        space = self.space
-        dtype = np.min_scalar_type((1 << 2 * len(space.cells)) - 1)
+        dtype = np.min_scalar_type((1 << 2 * len(self.space.cells)) - 1)
+        steps, bits = _move_steps(self.space)
+        bits = bits.astype(dtype)
         moves = np.zeros(self.n_states, dtype=dtype)
         for src, dst in self.iter_edge_blocks():
-            step = dst - src
-            for k, (cap, stride) in enumerate(zip(space.caps, space.strides)):
-                if cap:
-                    moves[src[step == -stride]] |= 1 << 2 * k
-                    moves[src[step == stride]] |= 1 << 2 * k + 1
+            np.bitwise_or.at(moves, src, bits[np.searchsorted(steps, dst - src)])
         return moves
 
     # -- reachability ---------------------------------------------------------
@@ -174,6 +173,18 @@ class TransitionDigraph:
             _, labels = connected_components(self.matrix, directed=True, connection="strong")
             self._labels = labels
         return self._labels
+
+
+def _move_steps(space: CellSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Every possible edge step (dst - src) in ascending order, with its `moves` bit.
+
+    The steps are -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over
+    the cells k that have capacity.
+    """
+    live = [k for k, cap in enumerate(space.caps) if cap]
+    steps = [-space.strides[k] for k in live] + [space.strides[k] for k in reversed(live)]
+    bits = [1 << 2 * k for k in live] + [1 << 2 * k + 1 for k in reversed(live)]
+    return np.array(steps, dtype=np.int64), np.array(bits, dtype=np.int64)
 
 
 def frontier_search(indptr: np.ndarray, indices: np.ndarray, starts,
@@ -390,8 +401,52 @@ def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
     return ReachableSet(graph, graph.reachable_mask(starts))
 
 
+_EXPORT_ROWS = 1 << 15
+
+
 def export_adjacency(graph: TransitionDigraph, stream) -> None:
-    """Write `index: succ1 succ2 ...` lines (self-loop listed when present)."""
-    for i in range(graph.n_states):
-        succ = graph.successors(i)
-        stream.write(f"{i}: {' '.join(str(s) for s in succ)}\n")
+    """Write `index: succ1 succ2 ...` lines (self-loop listed when present).
+
+    A state's successors are itself and its moves, so a row lists them in the
+    order of `_move_steps` with the state inserted in the middle. Rows are
+    formatted as ASCII digits with numpy, `_EXPORT_ROWS` at a time.
+    """
+    steps, bits = _move_steps(graph.space)
+    mid = len(steps) // 2
+    # slot 0 holds the row label, then come the successors in ascending order
+    offsets = np.concatenate([[0], steps[:mid], [0], steps[mid:]])
+    largest = max(graph.n_states - 1, 0)
+    index_dtype = np.min_scalar_type(largest)  # unsigned divisions are faster
+    width = len(str(largest))
+    for lo in range(0, graph.n_states, _EXPORT_ROWS):
+        hi = min(lo + _EXPORT_ROWS, graph.n_states)
+        moved = (graph.moves[lo:hi, None] & bits) != 0
+        keep = np.empty((hi - lo, len(offsets)), dtype=bool)
+        keep[:, 0] = True
+        keep[:, 1 : mid + 1] = moved[:, :mid]
+        keep[:, mid + 1] = graph.self_loop[lo:hi]
+        keep[:, mid + 2 :] = moved[:, mid:]
+        values = (np.arange(lo, hi)[:, None] + offsets)[keep].astype(index_dtype)
+        ends = np.cumsum(keep.sum(axis=1))
+        is_label = np.zeros(len(values), dtype=bool)
+        is_label[np.concatenate([[0], ends[:-1]])] = True
+        is_last = np.zeros(len(values), dtype=bool)
+        is_last[ends - 1] = True
+
+        # one token per kept slot: its digits, then ": " after a label, " "
+        # or "\n" after a successor, ": \n" after the label of an empty row
+        chars = np.empty((len(values), width + 3), dtype=np.uint8)
+        show = np.empty(chars.shape, dtype=bool)
+        rest = values
+        for col in range(width - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            chars[:, col] = digit + ord("0")
+            show[:, col] = values >= 10 ** (width - 1 - col)
+        show[:, width - 1] = True
+        chars[:, width] = np.where(is_label, ord(":"), np.where(is_last, ord("\n"), ord(" ")))
+        chars[:, width + 1] = ord(" ")
+        chars[:, width + 2] = ord("\n")
+        show[:, width] = True
+        show[:, width + 1] = is_label
+        show[:, width + 2] = is_label & is_last
+        stream.write(chars[show].tobytes().decode("ascii"))

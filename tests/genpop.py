@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from popdyn.errors import DuplicateTemper, IntegerTemper
-from popdyn.model import UtilityLine, validate_population
+from popdyn.model import PopulationSpec, UtilityLine, validate_population
 
 
 def _random_rational(rng, lo: int, hi: int, max_den: int = 8) -> Fraction:
@@ -73,3 +74,17 @@ def sample_populations(seed: int, count: int, max_agents: int = 14, max_types: i
             continue
         produced += 1
         yield pop
+
+
+def with_empty_best_responder_cell(pop):
+    """The population plus one type with no agents.
+
+    validate_population drops empty types, so the spec is built directly; the
+    empty cell is last and shares its stride with the cell before it.
+    """
+    last = pop.coordinating[-1] if pop.coordinating else pop.anticoordinating[-1]
+    empty = replace(last, temper=last.temper + 1 if last.kind == "coordinating"
+                    else last.temper - 1, best_responders=0, imitators=0)
+    if pop.coordinating:
+        return PopulationSpec(pop.anticoordinating, pop.coordinating + (empty,))
+    return PopulationSpec(pop.anticoordinating + (empty,), pop.coordinating)

@@ -99,6 +99,38 @@ def test_simulate_csv_reproducible(tmp_path):
     assert len(out1.read_text().splitlines()) == 302
 
 
+def test_simulate_csv_digests_pinned(tmp_path):
+    # written by the per-step loop and row writer, before simulate was memoised
+    pinned = [
+        "07882fdc52fd4b2b564c787a1d0ad3484ea0541407050e20fc1d0a5e0f8bf5e4",
+        "4e10c1ed3e8df45427b7df9f10381b448c8c60f96304938d014acfcbd0feae8b",
+        "4addd5d22be303c29843c2c3300477b4bdd028fa1759b641d9d0f0d53817b6c0",
+        "fcc9f165dbf5b07763452fdd323f31576527e9cd9ccc9ae46ca6f4d9cc909fbf",
+        "ad8d3d24196cec157984ed146e1f71ddea22c6eeb62b859c17d8fcc376d8b9ff",
+    ]
+    out = tmp_path / "t.csv"
+    for seed, digest in enumerate(pinned):
+        assert run_cli(
+            "simulate", "--config", str(FIXDIR / "ex2.json"),
+            "--steps", "2000", "--seed", str(seed), "--csv", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_needs_no_scaled_tables(tmp_path):
+    # this intercept overflows the oracle's int64 scaling; simulate never scales
+    from popdyn.fixtures import fixture_config
+
+    raw = fixture_config("ex1")
+    raw["anticoordinating"][0]["uD"][1] = "-768/1300000000000000000007"
+    config, out = tmp_path / "ex1_big_intercept.json", tmp_path / "t.csv"
+    config.write_text(json.dumps(raw))
+    assert run_cli(
+        "simulate", "--config", str(config), "--steps", "5", "--seed", "0", "--csv", str(out),
+    ) == 0
+    assert len(out.read_text().splitlines()) == 7
+
+
 def test_simulate_zero_steps_single_row(tmp_path):
     out = tmp_path / "t.csv"
     assert run_cli(
@@ -170,6 +202,10 @@ def test_oracle_adjacency_export(tmp_path):
     report = json.loads((tmp_path / "o.json").read_text())
     assert report["states"] == 72
     assert len(report["minimal_invariant_sets"]) == 5
+    # the per-row writer's output, before the export was built from `moves`
+    assert hashlib.sha256(adj.read_bytes()).hexdigest() == (
+        "d1b0e87d2a945d9e6a2bc9931a3c04f1fcde1c61369bdab7076f19eb994842e3"
+    )
 
 
 def test_stochastic_dot_export(tmp_path):

@@ -1,12 +1,17 @@
 import io
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from genpop import sample_populations, with_empty_best_responder_cell
 from popdyn.cells import CellSpace
 from popdyn.dynamics import (
     AgentRef,
     Scripted,
+    Trajectory,
+    TrajectoryRecord,
     UniformRandom,
     Weighted,
     best_response_next,
@@ -194,3 +199,86 @@ def test_trajectory_csv_format(pops):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[4:] == ["0", "0", "0", "0", "0", "0", "0"]
+
+
+# -- the per-step loop and row writer, as references ---------------------------
+
+
+def _reference_sampler(space, policy):
+    """One `rng.integers` draw and one scan over the cells per step."""
+    if isinstance(policy, Scripted):
+        return policy.make_sampler(space)
+    weights = policy.weights if isinstance(policy, Weighted) else {}
+    per_cell = [Fraction(weights.get(cell.key, 1)) for cell in space.cells]
+    denom = math.lcm(*(w.denominator for w in per_cell))
+    units = [int(w * denom) for w in per_cell]
+    total = sum(u * cap for u, cap in zip(units, space.caps))
+    rng = np.random.default_rng(policy.seed)
+
+    def sample(coords):
+        r = int(rng.integers(total))
+        for pos, (u, cap) in enumerate(zip(units, space.caps)):
+            if r < u * cap:
+                strategy = "C" if r // u < coords[pos] else "D"
+                cell = space.cells[pos]
+                return pos, strategy, AgentRef(cell.role, cell.kind, cell.type_index, strategy)
+            r -= u * cap
+        raise AssertionError("unreachable")
+
+    return sample
+
+
+def _reference_simulate(pop, initial, policy, steps):
+    space = CellSpace(pop)
+    coords = space.refine(initial)
+    sampler = _reference_sampler(space, policy)
+    records = [TrajectoryRecord(0, space.pooled(coords), sum(coords), None)]
+    refined = [coords]
+    for t in range(1, steps + 1):
+        pos, strategy, ref = sampler(coords)
+        coords = space.apply(coords, pos, strategy, space.intended_strategy(coords, pos, strategy))
+        records.append(TrajectoryRecord(t, space.pooled(coords), sum(coords), ref))
+        refined.append(coords)
+    return Trajectory(pop, tuple(records), tuple(refined))
+
+
+def _reference_csv(traj):
+    out = io.StringIO()
+    out.write(",".join(traj.csv_header()) + "\n")
+    for rec in traj.records:
+        if rec.agent is None:
+            active = ["", "", ""]
+        else:
+            active = [rec.agent.role, rec.agent.kind, str(rec.agent.type_index)]
+        row = [str(rec.t), *active]
+        row += [str(v) for v in rec.state.to_tuple()]
+        row.append(str(rec.n_c))
+        out.write(",".join(row) + "\n")
+    return out.getvalue()
+
+
+def _assert_same_run(pop, initial, policy, steps):
+    traj = simulate(pop, initial, policy, steps)
+    ref = _reference_simulate(pop, initial, policy, steps)
+    assert traj.records == ref.records
+    assert traj.refined == ref.refined
+    out = io.StringIO()
+    traj.to_csv(out)
+    assert out.getvalue() == _reference_csv(ref)
+    return ref
+
+
+def test_simulate_matches_per_step_reference_randomized():
+    pops = list(sample_populations(seed=71, count=12))
+    pops.append(with_empty_best_responder_cell(pops[0]))
+    fractions = [Fraction(3, 2), Fraction(2, 5), Fraction(7, 3), Fraction(1), Fraction(5, 4)]
+    rng = np.random.default_rng(71)
+    for k, pop in enumerate(pops):
+        space = CellSpace(pop)
+        initial = tuple(int(rng.integers(cap + 1)) for cap in space.caps)
+        weights = {cell.key: fractions[(k + j) % len(fractions)] for j, cell in enumerate(space.cells)}
+        # longer than one chunk of draws, with many revisits of small spaces
+        uniform = _assert_same_run(pop, initial, UniformRandom(seed=k), 5000)
+        _assert_same_run(pop, initial, Weighted(weights, seed=k + 100), 5000)
+        script = Scripted(tuple(r.agent for r in uniform.records[1:300]))
+        _assert_same_run(pop, initial, script, 299)

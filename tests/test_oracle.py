@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from genpop import sample_populations
+from genpop import sample_populations, with_empty_best_responder_cell
+from popdyn import oracle
 from popdyn.errors import NotAnEquilibrium, StateSpaceTooLarge
 from popdyn.model import State, UtilityLine, validate_population
 from popdyn.oracle import (
@@ -147,6 +148,37 @@ def test_adjacency_export_format():
     assert len(lines) == 2
     index, succs = lines[0].split(":")
     assert index == "0" and succs.strip()
+
+
+def _export_adjacency_reference(graph, stream):
+    """The per-row writer: each row's successor set, sorted and joined."""
+    for i in range(graph.n_states):
+        succ = graph.successors(i)
+        stream.write(f"{i}: {' '.join(str(s) for s in succ)}\n")
+
+
+def _adjacency_texts(graph):
+    fast, slow = io.StringIO(), io.StringIO()
+    export_adjacency(graph, fast)
+    _export_adjacency_reference(graph, slow)
+    return fast.getvalue(), slow.getvalue()
+
+
+def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
+    # a few rows per block, so that rows meet block boundaries
+    monkeypatch.setattr(oracle, "_EXPORT_ROWS", 7)
+    pops = list(sample_populations(seed=67, count=25))
+    pops.append(with_empty_best_responder_cell(pops[0]))
+    for pop in pops:
+        g = build_transition_digraph(pop, max_states=200_000)
+        fast, slow = _adjacency_texts(g)
+        assert fast == slow
+    # rows without successors: drop the self-loop of every state without edges
+    g.self_loop = g.self_loop & (np.diff(g.matrix.indptr) > 0)
+    assert not g.self_loop.all()
+    fast, slow = _adjacency_texts(g)
+    assert fast == slow
+    assert any(line.endswith(": ") for line in fast.split("\n"))
 
 
 def test_self_loop_iff_someone_keeps(graphs):

@@ -1,11 +1,10 @@
 """Randomized cross-checks beyond the fixtures."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from genpop import sample_populations
+from genpop import sample_populations, with_empty_best_responder_cell
 from popdyn import stochastic as st
 from popdyn.dynamics import UniformRandom, Weighted, simulate
 from popdyn.equilibria import enumerate_equilibria
@@ -15,7 +14,7 @@ from popdyn.invariants import (
     s_membership_mask,
     x_membership_mask,
 )
-from popdyn.model import PopulationSpec, State, validate_population
+from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.verify import _gamma_reference
 
@@ -53,17 +52,6 @@ def _closed_by_edge_scan(graph, mask):
     return not (mask[src] & ~mask[graph.matrix.indices]).any()
 
 
-def _with_empty_best_responder_cell(pop):
-    # validate_population drops empty types, so build the spec directly; the
-    # empty cell is last and shares its stride with the cell before it
-    last = pop.coordinating[-1] if pop.coordinating else pop.anticoordinating[-1]
-    empty = replace(last, temper=last.temper + 1 if last.kind == "coordinating"
-                    else last.temper - 1, best_responders=0, imitators=0)
-    if pop.coordinating:
-        return PopulationSpec(pop.anticoordinating, pop.coordinating + (empty,))
-    return PopulationSpec(pop.anticoordinating + (empty,), pop.coordinating)
-
-
 def _moves_by_edge_scan(graph):
     src = np.repeat(np.arange(graph.n_states), np.diff(graph.matrix.indptr))
     dst = graph.matrix.indices
@@ -77,7 +65,7 @@ def _moves_by_edge_scan(graph):
 
 def test_closure_check_matches_edge_scan_randomized():
     pops = list(sample_populations(seed=61, count=25))
-    pops.append(_with_empty_best_responder_cell(pops[0]))
+    pops.append(with_empty_best_responder_cell(pops[0]))
     assert 0 in build_transition_digraph(pops[-1]).space.caps
     rng = np.random.default_rng(61)
     for pop in pops:
