@@ -154,7 +154,7 @@ def cmd_oracle(args) -> int:
     sets_ = oracle.minimal_invariant_sets(graph)
     report = {
         "states": graph.n_states,
-        "transitions": int(graph.matrix.nnz),
+        "transitions": graph.n_edges,
         "minimal_invariant_sets": [
             {
                 "size": int(len(res.indices)),

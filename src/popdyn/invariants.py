@@ -337,11 +337,9 @@ def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:
     """
     rows = np.flatnonzero(mask)
     moves = graph.moves[rows]
-    for k, stride in enumerate(graph.space.strides):
-        for bit, step in ((2 * k, -stride), (2 * k + 1, stride)):
-            movers = rows[(moves & (1 << bit)) != 0]
-            if not mask[movers + step].all():
-                return False
+    for step, bit in zip(graph.steps, graph.bits):
+        if not mask[rows[(moves & bit) != 0] + step].all():
+            return False
     return True
 
 

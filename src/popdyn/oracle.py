@@ -6,12 +6,13 @@ positively invariant sets fall out as sink strongly-connected components.
 Construction is vectorized and chunked so desk-scale spaces (about 10^7
 states) stay within a few hundred MB.
 
-The cross-checks and the adjacency export read decoded views (`coords`,
-`n_c`, `moves`) built once on first use, never by the build or the sink
-search. Every edge moves one cell by one agent, so closure of a state set is a
-check of each member's moves, a row of the adjacency export is its state's
-moves in a fixed order, and reachability is a numpy frontier search over the
-CSR arrays.
+Every edge moves one cell by one agent, so the build stores the edges as a
+per-state move bitmask (`moves`, two bits per cell). Closure of a state set is
+a check of each member's moves, a row of the adjacency export is its state's
+moves in a fixed order, and reachability, forwards or backwards, is a numpy
+frontier search over the bitmask. A CSR matrix is built from it only for
+scipy's SCC routine. The cross-checks read decoded views (`coords`, `n_c`)
+built once on first use, never by the build or the sink search.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -33,6 +34,7 @@ DEFAULT_MAX_STATES = 10**6
 MAX_STATES_ENV = "POPDYN_MAX_STATES"
 
 _CHUNK = 1 << 19
+_CSR_ROWS = 1 << 16
 _NEG = np.int64(-(2**62))
 
 
@@ -79,35 +81,40 @@ class ReachableSet:
 
 
 class TransitionDigraph:
-    """Exhaustive successor relation; edges are agent switches, kept in CSR form.
+    """Exhaustive successor relation, stored as a per-state move bitmask.
 
-    Self-loops (some agent keeps her strategy) are tracked in a separate
+    Bit 2k of `moves[o]` is the edge o -> o - stride_k (cell k loses a
+    cooperator), bit 2k+1 the edge o -> o + stride_k; `n_edges` counts the set
+    bits. Self-loops (some agent keeps her strategy) are tracked in a separate
     boolean array; they do not affect SCC structure.
     """
 
-    def __init__(self, pop: PopulationSpec, space: CellSpace, matrix: csr_matrix, self_loop: np.ndarray):
+    def __init__(self, pop: PopulationSpec, space: CellSpace, moves: np.ndarray,
+                 self_loop: np.ndarray, n_edges: int):
         self.pop = pop
         self.space = space
-        self.matrix = matrix
+        self.moves = moves
         self.self_loop = self_loop
+        self.n_edges = n_edges
         self.n_states = space.n_states
+        self.steps, self.bits = _move_steps(space, moves.dtype)
         self._labels: np.ndarray | None = None
         self._sink_results: list[InvariantSetResult] | None = None
 
     # -- basic access -------------------------------------------------------
 
     def switch_successors(self, index: int) -> np.ndarray:
-        lo, hi = self.matrix.indptr[index], self.matrix.indptr[index + 1]
-        return self.matrix.indices[lo:hi]
+        """Successors by an agent switch, in ascending order."""
+        return index + self.steps[(self.moves[index] & self.bits) != 0]
 
     def successors(self, index: int) -> list[int]:
-        succ = set(int(j) for j in self.switch_successors(index))
+        succ = self.switch_successors(index).tolist()
         if self.self_loop[index]:
-            succ.add(int(index))
+            succ.append(int(index))
         return sorted(succ)
 
     def out_degree(self, index: int) -> int:
-        return int(self.matrix.indptr[index + 1] - self.matrix.indptr[index])
+        return int(np.bitwise_count(self.moves[index]))
 
     def indices_of_pooled(self, state: State) -> list[int]:
         return [self.space.index_of(c) for c in self.space.splits_of_pooled(state)]
@@ -115,17 +122,30 @@ class TransitionDigraph:
     def pooled_states_of(self, indices: Iterable[int]) -> frozenset[State]:
         return frozenset(self.space.pooled(self.space.coords_of(int(i))) for i in indices)
 
-    def iter_edge_blocks(self, rows_per_block: int = _CHUNK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (src, dst) arrays block by block; memory stays bounded."""
-        indptr, indices = self.matrix.indptr, self.matrix.indices
-        for lo in range(0, self.n_states, rows_per_block):
-            hi = min(lo + rows_per_block, self.n_states)
-            e_lo, e_hi = indptr[lo], indptr[hi]
-            if e_lo == e_hi:
-                continue
-            counts = np.diff(indptr[lo : hi + 1]).astype(np.int64)
-            src = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-            yield src, indices[e_lo:e_hi].astype(np.int64, copy=False)
+    @property
+    def matrix(self) -> csr_matrix:
+        """The switch edges as a CSR matrix, built from `moves` on every access.
+
+        Rows are filled one step at a time in `_move_steps` order, so each
+        row's indices come out sorted. The data is one read-only float64 1
+        broadcast over every edge, which scipy's csgraph routines take without
+        a copy. The matrix is not kept: on ex3 it takes 241 MB, `moves` 17 MB.
+        """
+        n = self.n_states
+        index_dtype = np.int32 if max(n, self.n_edges) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(np.bitwise_count(self.moves), out=indptr[1:])
+        indices = np.empty(self.n_edges, dtype=index_dtype)
+        for lo in range(0, n, _CSR_ROWS):
+            chunk = self.moves[lo : lo + _CSR_ROWS]
+            fill = indptr[lo : lo + len(chunk)].copy()
+            for step, bit in zip(self.steps, self.bits):
+                rows = np.flatnonzero(chunk & bit)
+                at = fill[rows]
+                indices[at] = rows + (lo + step)
+                fill[rows] = at + 1
+        data = np.broadcast_to(np.float64(1), (self.n_edges,))
+        return csr_matrix((data, indices, indptr), shape=(n, n))
 
     # -- decoded views, built on first use -----------------------------------
 
@@ -145,37 +165,22 @@ class TransitionDigraph:
         """Number of cooperators at each state."""
         return self.coords.sum(axis=0, dtype=np.min_scalar_type(self.pop.n))
 
-    @cached_property
-    def moves(self) -> np.ndarray:
-        """Per-state bitmask: bit 2k set iff cell k can lose a cooperator, 2k+1 gain one.
-
-        Cells without capacity never move and share their stride with the
-        previous cell, so they are skipped.
-        """
-        dtype = np.min_scalar_type((1 << 2 * len(self.space.cells)) - 1)
-        steps, bits = _move_steps(self.space)
-        bits = bits.astype(dtype)
-        moves = np.zeros(self.n_states, dtype=dtype)
-        for src, dst in self.iter_edge_blocks():
-            np.bitwise_or.at(moves, src, bits[np.searchsorted(steps, dst - src)])
-        return moves
-
     # -- reachability ---------------------------------------------------------
 
     def reachable_mask(self, starts: Sequence[int]) -> np.ndarray:
         """Boolean mask of states reachable from any start (starts included)."""
-        return frontier_search(self.matrix.indptr, self.matrix.indices, starts)
+        return frontier_search(self, starts)
 
     # -- condensation ----------------------------------------------------------
 
     def scc_labels(self) -> np.ndarray:
+        """Strong-component label of every state; the CSR matrix lives only for the call."""
         if self._labels is None:
-            _, labels = connected_components(self.matrix, directed=True, connection="strong")
-            self._labels = labels
+            _, self._labels = connected_components(self.matrix, directed=True, connection="strong")
         return self._labels
 
 
-def _move_steps(space: CellSpace) -> tuple[np.ndarray, np.ndarray]:
+def _move_steps(space: CellSpace, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Every possible edge step (dst - src) in ascending order, with its `moves` bit.
 
     The steps are -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over
@@ -184,26 +189,41 @@ def _move_steps(space: CellSpace) -> tuple[np.ndarray, np.ndarray]:
     live = [k for k, cap in enumerate(space.caps) if cap]
     steps = [-space.strides[k] for k in live] + [space.strides[k] for k in reversed(live)]
     bits = [1 << 2 * k for k in live] + [1 << 2 * k + 1 for k in reversed(live)]
-    return np.array(steps, dtype=np.int64), np.array(bits, dtype=np.int64)
+    return np.array(steps, dtype=np.int64), np.array(bits, dtype=dtype)
 
 
-def frontier_search(indptr: np.ndarray, indices: np.ndarray, starts,
-                    bound: np.ndarray | None = None) -> np.ndarray | None:
-    """Mask of the states reachable from `starts` (included) over CSR rows.
+def _shifted(n: int, step: int) -> tuple[slice, slice]:
+    """Slices (src, dst) of the states o and o + step that both lie in range(n)."""
+    if step > 0:
+        return slice(0, n - step), slice(step, n)
+    return slice(-step, n), slice(0, n + step)
 
-    With `bound`, returns None as soon as a state outside it is reached.
+
+def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None = None,
+                    reverse: bool = False) -> np.ndarray | None:
+    """Mask of the states reachable from `starts` (included) over the moves.
+
+    A step from o tests o's bit and adds the step. With `reverse` the search
+    runs over the predecessors: bit j is moved from o - step_j to o and the
+    steps are negated. With `bound`, returns None as soon as a state outside
+    it is reached.
     """
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    moves, steps, n = graph.moves, graph.steps, graph.n_states
+    if reverse:
+        flipped = np.zeros_like(moves)
+        for step, bit in zip(steps.tolist(), graph.bits):
+            src, dst = _shifted(n, step)
+            flipped[dst] |= moves[src] & bit
+        moves, steps = flipped, -steps
+    seen = np.zeros(n, dtype=bool)
     frontier = np.unique(np.asarray(starts, dtype=np.int64))
     seen[frontier] = True
     while frontier.size:
         if bound is not None and not bound[frontier].all():
             return None
-        lo = indptr[frontier]
-        counts = indptr[frontier + 1] - lo
-        offsets = np.cumsum(counts) - counts
-        edges = np.repeat(lo - offsets, counts) + np.arange(offsets[-1] + counts[-1])
-        found = indices[edges]
+        here = moves[frontier]
+        found = np.concatenate([frontier[(here & bit) != 0] + step
+                                for step, bit in zip(steps, graph.bits)])
         found = np.sort(found[~seen[found]])
         frontier = found[np.diff(found, prepend=-1) != 0]
         seen[frontier] = True
@@ -226,10 +246,8 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
     scaled = space.scaled
     cells = space.cells
 
-    index_dtype = np.int32 if n < 2**31 else np.int64
     self_loop = np.zeros(n, dtype=bool)
-    degrees = np.zeros(n, dtype=np.int32)
-    dst_blocks: list[np.ndarray] = []
+    moves = np.zeros(n, dtype=np.min_scalar_type((1 << 2 * len(cells)) - 1))
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
@@ -274,8 +292,7 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
             else:
                 br_wants_c[key], br_wants_d[key] = below, above
 
-        chunk_src: list[np.ndarray] = []
-        chunk_dst: list[np.ndarray] = []
+        chunk_moves = moves[lo:hi]
         keeps = np.zeros(hi - lo, dtype=bool)
         for k, cell in enumerate(cells):
             key = (cell.kind, cell.type_index)
@@ -289,33 +306,12 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
             switch_up = has_def & wants_c
             keeps |= has_coop & ~wants_d
             keeps |= has_def & ~wants_c
-            if switch_down.any():
-                src = idx[switch_down]
-                chunk_src.append(src)
-                chunk_dst.append(src - strides[k])
-            if switch_up.any():
-                src = idx[switch_up]
-                chunk_src.append(src)
-                chunk_dst.append(src + strides[k])
-
+            np.bitwise_or(chunk_moves, 1 << 2 * k, out=chunk_moves, where=switch_down)
+            np.bitwise_or(chunk_moves, 1 << 2 * k + 1, out=chunk_moves, where=switch_up)
         self_loop[lo:hi] = keeps
-        if chunk_src:
-            src_all = np.concatenate(chunk_src)
-            dst_all = np.concatenate(chunk_dst)
-            order = np.argsort(src_all, kind="stable")
-            dst_blocks.append(dst_all[order].astype(index_dtype))
-            degrees[lo:hi] += np.bincount(
-                (src_all - lo).astype(np.int64), minlength=hi - lo
-            ).astype(np.int32)
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = (
-        np.concatenate(dst_blocks) if dst_blocks else np.zeros(0, dtype=index_dtype)
-    )
-    data = np.ones(len(indices), dtype=np.int8)
-    matrix = csr_matrix((data, indices, indptr), shape=(n, n))
-    return TransitionDigraph(pop, space, matrix, self_loop)
+    n_edges = int(np.bitwise_count(moves).sum(dtype=np.int64))
+    return TransitionDigraph(pop, space, moves, self_loop, n_edges)
 
 
 def minimal_invariant_sets(graph: TransitionDigraph) -> list[InvariantSetResult]:
@@ -324,11 +320,14 @@ def minimal_invariant_sets(graph: TransitionDigraph) -> list[InvariantSetResult]
         return graph._sink_results
     labels = graph.scc_labels()
     n_comp = int(labels.max()) + 1 if graph.n_states else 0
+    # a state leaves its component if one of its moves ends in another one
+    n, moves = graph.n_states, graph.moves
+    leaves = np.zeros(n, dtype=bool)
+    for step, bit in zip(graph.steps.tolist(), graph.bits):
+        src, dst = _shifted(n, step)
+        leaves[src] |= ((moves[src] & bit) != 0) & (labels[src] != labels[dst])
     is_sink = np.ones(n_comp, dtype=bool)
-    for src, dst in graph.iter_edge_blocks():
-        cross = labels[src] != labels[dst]
-        if cross.any():
-            is_sink[labels[src[cross]]] = False
+    is_sink[labels[leaves]] = False
     sink_labels = np.flatnonzero(is_sink)
     member_mask = is_sink[labels]
     members = np.flatnonzero(member_mask)
@@ -388,7 +387,7 @@ def is_stable_oracle(graph: TransitionDigraph, eq: State) -> bool:
     starts = np.flatnonzero(dist == 1)
     if starts.size == 0:
         return True
-    reached = frontier_search(graph.matrix.indptr, graph.matrix.indices, starts, bound=dist <= 1)
+    reached = frontier_search(graph, starts, bound=dist <= 1)
     return reached is not None
 
 
@@ -411,7 +410,7 @@ def export_adjacency(graph: TransitionDigraph, stream) -> None:
     order of `_move_steps` with the state inserted in the middle. Rows are
     formatted as ASCII digits with numpy, `_EXPORT_ROWS` at a time.
     """
-    steps, bits = _move_steps(graph.space)
+    steps, bits = graph.steps, graph.bits
     mid = len(steps) // 2
     # slot 0 holds the row label, then come the successors in ascending order
     offsets = np.concatenate([[0], steps[:mid], [0], steps[mid:]])

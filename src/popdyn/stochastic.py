@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -314,6 +314,8 @@ class ClassTable:
     cheapest path from class a into class b that enters no other class.
     `legs[a][b]` is the cheapest walk over classes from a to b when a leg
     leaving class q weighs rseg[q][.] - radii[q] (0 on the diagonal).
+    `seg[x][q]`, for a state x in no class, is the cheapest path from x into
+    class q that enters no other class; it is filled on first use.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -323,6 +325,7 @@ class ClassTable:
     costs: tuple[tuple[int, ...], ...]
     rseg: tuple[tuple[int | float, ...], ...]
     legs: tuple[tuple[int | float, ...], ...]
+    seg: dict[int, tuple[int | float, ...]] = field(default_factory=dict, compare=False)
 
 
 def _class_table(chain: PerturbedChain) -> ClassTable:
@@ -331,8 +334,7 @@ def _class_table(chain: PerturbedChain) -> ClassTable:
     class_of = {i: a for a, cls in enumerate(classes) for i in cls}
     # reaches[a][i]: chain state i falls into class a without a mistake
     order = chain.oracle_index
-    rev = chain.graph.matrix.tocsc()
-    reaches = np.array([frontier_search(rev.indptr, rev.indices, order[list(cls)])[order]
+    reaches = np.array([frontier_search(chain.graph, order[list(cls)], reverse=True)[order]
                         for cls in classes])
     shared = reaches.sum(axis=0) > 1
     basins = tuple(frozenset(np.flatnonzero(r & ~shared).tolist()) for r in reaches)
@@ -378,8 +380,8 @@ def basin(chain: PerturbedChain, omega: Sequence) -> frozenset[int]:
     """States from which the unperturbed chain reaches omega with probability one,
     i.e. from which no other recurrent class is reachable.
 
-    Each class's zero-cost reverse closure is one search over the oracle's
-    reversed edges; the basin is the part of omega's closure in no other.
+    Each class's zero-cost reverse closure is one backward search over the
+    oracle's moves; the basin is the part of omega's closure in no other.
     """
     return chain.class_table.basins[_class_id(chain, omega)]
 
@@ -572,7 +574,8 @@ def modified_cost(chain: PerturbedChain, start, omega: Sequence) -> int | float:
     shortest-path table `legs` equals the minimum over simple sequences: from
     a state of class s it is R(s) + legs[s][omega], and from any other state x
     min(seg(x, omega), min_q seg(x, q) + R(q) + legs[q][omega]), where seg(x, .)
-    comes from one search from x that stops at every class state.
+    comes from one search from x that stops at every class state, made once
+    per x.
     """
     table = chain.class_table
     t = _class_id(chain, omega)
@@ -582,11 +585,11 @@ def modified_cost(chain: PerturbedChain, start, omega: Sequence) -> int | float:
         raise ValueError("start state must lie outside omega")
     if s is not None:
         return table.radii[s] + table.legs[s][t]
-    seg = _mistake_costs(chain, [x], stop=table.class_of.keys())
-    return min(
-        min(seg[j] for j in cls) + (0 if q == t else table.radii[q] + table.legs[q][t])
-        for q, cls in enumerate(table.classes)
-    )
+    if x not in table.seg:
+        dist = _mistake_costs(chain, [x], stop=table.class_of.keys())
+        table.seg[x] = tuple(min(dist[j] for j in cls) for cls in table.classes)
+    return min(seg + (0 if q == t else table.radii[q] + table.legs[q][t])
+               for q, seg in enumerate(table.seg[x]))
 
 
 # -- extreme-equilibrium theorem -----------------------------------------------

@@ -159,20 +159,18 @@ def verify_oracle(graph: TransitionDigraph) -> list[str]:
     if not sinks:
         problems.append("no minimal invariant set found; finite dynamics must have one")
 
-    indptr, indices = graph.matrix.indptr, graph.matrix.indices
     owner = np.full(graph.n_states, -1, dtype=np.int32)
     for t, res in enumerate(sinks):
         if (owner[res.indices] >= 0).any():
             problems.append("minimal invariant sets are not pairwise disjoint")
         owner[res.indices] = t
-        reached = frontier_search(indptr, indices, res.indices[:1], bound=owner == t)
+        reached = frontier_search(graph, res.indices[:1], bound=owner == t)
         if reached is None:
             problems.append(f"a transition leaves the minimal invariant set {res.cooperator_bounds}")
         elif not reached[res.indices].all():
             problems.append(f"minimal invariant set {res.cooperator_bounds} is not strongly reachable")
 
-    reverse = graph.matrix.tocsc()
-    reaches_sink = frontier_search(reverse.indptr, reverse.indices, np.flatnonzero(owner >= 0))
+    reaches_sink = frontier_search(graph, np.flatnonzero(owner >= 0), reverse=True)
     if not reaches_sink.all():
         problems.append(f"state {int(np.argmin(reaches_sink))} cannot reach any minimal invariant set")
     return problems

@@ -1,7 +1,9 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import breadth_first_order
 
 from genpop import sample_populations, with_empty_best_responder_cell
 from popdyn import oracle
@@ -54,17 +56,58 @@ def test_guard_env_override(pops, monkeypatch):
     assert resolve_max_states() == 10**6
 
 
+def _route_pops():
+    pops = list(sample_populations(seed=99, count=25))
+    pops.append(with_empty_best_responder_cell(pops[0]))
+    return pops
+
+
 def test_successors_match_pure_python_route():
-    # vectorized digraph vs the direct per-state update rules
-    for pop in sample_populations(seed=99, count=25):
+    # vectorized digraph vs the direct per-state update rules, at every state
+    for pop in _route_pops():
         g = build_transition_digraph(pop, max_states=200_000)
         space = g.space
-        rng = np.random.default_rng(7)
-        picks = rng.integers(0, g.n_states, size=min(60, g.n_states))
-        for i in picks:
-            coords = space.coords_of(int(i))
-            expected = {space.index_of(c) for c in space.successors(coords)}
-            assert set(g.successors(int(i))) == expected
+        for i in range(g.n_states):
+            coords = space.coords_of(i)
+            expected = space.successors(coords)
+            assert g.successors(i) == sorted(space.index_of(c) for c in expected)
+            assert bool(g.self_loop[i]) == (coords in expected)
+
+
+def test_moves_search_matches_csr_search():
+    rng = np.random.default_rng(5)
+    for pop in _route_pops():
+        g = build_transition_digraph(pop, max_states=200_000)
+        matrix = g.matrix
+        assert matrix.nnz == g.n_edges and matrix.has_sorted_indices
+        for i in range(g.n_states):
+            row = matrix.indices[matrix.indptr[i] : matrix.indptr[i + 1]]
+            assert row.tolist() == [j for j in g.successors(i) if j != i]
+        for start in rng.integers(0, g.n_states, size=4).tolist():
+            for csr, reverse in ((matrix, False), (matrix.T.tocsr(), True)):
+                want = np.zeros(g.n_states, dtype=bool)
+                want[breadth_first_order(csr, start, return_predecessors=False)] = True
+                assert (oracle.frontier_search(g, [start], reverse=reverse) == want).all()
+                bound = want | (rng.random(g.n_states) < 0.5)
+                assert (oracle.frontier_search(g, [start], bound, reverse) == want).all()
+                others = np.flatnonzero(want)
+                others = others[others != start]
+                if others.size:
+                    bound[rng.choice(others)] = False
+                    assert oracle.frontier_search(g, [start], bound, reverse) is None
+
+
+def test_scc_call_does_not_copy_the_graph(pops):
+    # indices (4 bytes per edge) plus indptr, labels and scipy's per-state
+    # work arrays; a float64 copy of the data adds 8 bytes per edge
+    g = build_transition_digraph(pops["ex1"], max_states=2_000_000)
+    tracemalloc.start()
+    try:
+        g.scc_labels()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * g.n_edges + 32 * g.n_states
 
 
 def test_is_equilibrium_examples(pops, graphs):
@@ -174,7 +217,7 @@ def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
         fast, slow = _adjacency_texts(g)
         assert fast == slow
     # rows without successors: drop the self-loop of every state without edges
-    g.self_loop = g.self_loop & (np.diff(g.matrix.indptr) > 0)
+    g.self_loop = g.self_loop & (g.moves > 0)
     assert not g.self_loop.all()
     fast, slow = _adjacency_texts(g)
     assert fast == slow

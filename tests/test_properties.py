@@ -52,17 +52,6 @@ def _closed_by_edge_scan(graph, mask):
     return not (mask[src] & ~mask[graph.matrix.indices]).any()
 
 
-def _moves_by_edge_scan(graph):
-    src = np.repeat(np.arange(graph.n_states), np.diff(graph.matrix.indptr))
-    dst = graph.matrix.indices
-    change = graph.coords[:, dst].astype(int) - graph.coords[:, src]
-    cell = np.argmax(change != 0, axis=0)
-    up = change[cell, np.arange(len(dst))] > 0
-    moves = np.zeros(graph.n_states, dtype=np.int64)
-    np.bitwise_or.at(moves, src, 1 << (2 * cell + up))
-    return moves
-
-
 def test_closure_check_matches_edge_scan_randomized():
     pops = list(sample_populations(seed=61, count=25))
     pops.append(with_empty_best_responder_cell(pops[0]))
@@ -73,7 +62,6 @@ def test_closure_check_matches_edge_scan_randomized():
         decoded = np.array([g.space.coords_of(i) for i in range(g.n_states)]).T
         assert (g.coords == decoded).all()
         assert (g.n_c == decoded.sum(axis=0)).all()
-        assert (g.moves == _moves_by_edge_scan(g)).all()
         masks = []
         for idx in all_benchmark_indices(pop):
             x_mask = x_membership_mask(g, idx)

@@ -75,3 +75,22 @@ def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypat
     classes = st.recurrent_classes(chain)
     assert len(calls) == sum(chain.n_states - len(cls) for cls in classes)
     assert len(set(calls)) == len(calls)
+
+
+def test_verify_stochastic_searches_once_per_modified_cost_start(pops, graphs, monkeypatch):
+    bpop = BinaryTypePopulation.from_population_spec(pops["ex7_1"])
+    calls = []
+    real = st._mistake_costs
+
+    def counting(chain, sources, stop=frozenset()):
+        calls.append((tuple(sources), frozenset(stop)))
+        return real(chain, sources, stop)
+
+    monkeypatch.setattr(st, "_mistake_costs", counting)
+    assert verify_stochastic(bpop, graph=graphs("ex7_1")) == []
+    chain = st.build_chain(bpop, Fraction(0), graphs("ex7_1"))
+    in_class = frozenset(i for cls in st.recurrent_classes(chain) for i in cls)
+    starts = [sources for sources, stop in calls if stop == in_class]
+    # every state outside the classes is a modified-cost start, searched once
+    assert sorted(starts) == [(i,) for i in range(chain.n_states) if i not in in_class]
+    assert len(set(calls)) == len(calls)
