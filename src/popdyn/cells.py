@@ -5,15 +5,21 @@ several types exist (which type lines have cooperators is then ambiguous), so
 simulation and the reachability oracle run on refined states: a cooperator
 count per cell, imitator groups kept separate. Reports collapse back to the
 pooled form.
+
+A state drives the update rules only through its cooperator count n_c and
+which types have cooperators and defectors, so `CellSpace.rules` decides both
+rules once per (type, n_c) in exact `Fraction`s; simulation and the oracle
+read that one table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import NoSuchAgent
 from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State, parse_rational
@@ -54,8 +60,19 @@ def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> s
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+class RuleTable(NamedTuple):
+    """Both update rules per (type, n_c), as (types, n + 1) arrays in `CellSpace.types` order.
+
+    A best responder of type t playing D switches iff `wants_c[t, n_c]`, one
+    playing C iff `wants_d[t, n_c]`. `rank_c` and `rank_d` are the dense ranks
+    of type t's cooperator and defector utility among the 2T utilities at n_c,
+    so comparing ranks compares the utilities exactly, ties included.
+    """
+
+    wants_c: np.ndarray
+    wants_d: np.ndarray
+    rank_c: np.ndarray
+    rank_d: np.ndarray
 
 
 class CellSpace:
@@ -76,6 +93,9 @@ class CellSpace:
             cells.append(Cell(BEST_RESPONDER, kind, idx, t.best_responders))
         self.cells: tuple[Cell, ...] = tuple(cells)
         self.caps: tuple[int, ...] = tuple(c.capacity for c in cells)
+        self.imitator_positions: tuple[int, ...] = tuple(
+            k for k, c in enumerate(cells) if c.role == IMITATOR
+        )
         strides = [1] * len(cells)
         for k in range(len(cells) - 2, -1, -1):
             strides[k] = strides[k + 1] * (self.caps[k + 1] + 1)
@@ -91,6 +111,10 @@ class CellSpace:
             key: tuple(k for k, c in enumerate(cells) if (c.kind, c.type_index) == key)
             for key in self.types
         }
+        # each cell's row in the rule table
+        self.type_row: tuple[int, ...] = tuple(
+            self.types.index((c.kind, c.type_index)) for c in cells
+        )
 
     # -- indexing ---------------------------------------------------------
 
@@ -110,9 +134,6 @@ class CellSpace:
         for v, cap in zip(coords, self.caps):
             if not 0 <= v <= cap:
                 raise ValueError(f"cell value {v} outside 0..{cap}")
-
-    def n_cooperators(self, coords: Sequence[int]) -> int:
-        return sum(coords)
 
     # -- pooled <-> refined -----------------------------------------------
 
@@ -138,10 +159,6 @@ class CellSpace:
                 else:
                     part[k] = state.xc[cell.type_index - 1]
         return part
-
-    @property
-    def imitator_positions(self) -> list[int]:
-        return [k for k, c in enumerate(self.cells) if c.role == IMITATOR]
 
     def splits_of_pooled(self, state: State) -> Iterator[Coords]:
         """All refined states projecting to the pooled state."""
@@ -187,46 +204,72 @@ class CellSpace:
 
     # -- update rules ------------------------------------------------------
 
-    def presence(self, coords: Sequence[int]) -> tuple[dict, dict]:
-        """Per type: does any member cooperate / defect at this state."""
-        coop: dict[tuple[str, int], bool] = {}
-        defect: dict[tuple[str, int], bool] = {}
-        for key, positions in self.cells_of_type.items():
-            coop[key] = any(coords[k] > 0 for k in positions)
-            defect[key] = any(coords[k] < self.caps[k] for k in positions)
+    @cached_property
+    def rules(self) -> RuleTable:
+        """The exact rule table, built on first use from the population's `Fraction`s."""
+        n = self.pop.n
+        types = [self.pop.get_type(kind, idx) for kind, idx in self.types]
+        shape = (len(types), n + 1)
+        wants_c = np.zeros(shape, dtype=bool)
+        wants_d = np.zeros(shape, dtype=bool)
+        rank_c = np.zeros(shape, dtype=np.min_scalar_type(-2 * len(types)))
+        rank_d = np.zeros_like(rank_c)
+        for n_c in range(n + 1):
+            for t, ((kind, _), typ) in enumerate(zip(self.types, types)):
+                wants_c[t, n_c] = best_response_next(kind, typ.temper, D, n_c) == C
+                wants_d[t, n_c] = best_response_next(kind, typ.temper, C, n_c) == D
+            coop = [typ.cooperator_utility(n_c) for typ in types]
+            defect = [typ.defector_utility(n_c) for typ in types]
+            dense = {v: r for r, v in enumerate(sorted(set(coop + defect)))}
+            rank_c[:, n_c] = [dense[v] for v in coop]
+            rank_d[:, n_c] = [dense[v] for v in defect]
+        return RuleTable(wants_c, wants_d, rank_c, rank_d)
+
+    def presence(self, coords: Sequence[int]) -> tuple[list[bool], list[bool]]:
+        """Per type, in `types` order: does any member cooperate / defect at this state."""
+        coop, defect = [], []
+        for positions in self.cells_of_type.values():
+            coop.append(any(coords[k] > 0 for k in positions))
+            defect.append(any(coords[k] < self.caps[k] for k in positions))
         return coop, defect
 
     def imitation_sups(self, coords: Sequence[int]) -> tuple[Fraction | float, Fraction | float]:
         """(sup of cooperating agents' utilities, sup of defecting agents')."""
         n_c = sum(coords)
-        coop_present, def_present = self.presence(coords)
+        coop, defect = self.presence(coords)
         sup_c: Fraction | float = float("-inf")
         sup_d: Fraction | float = float("-inf")
-        for (kind, idx), has_coop in coop_present.items():
+        for (kind, idx), has_coop, has_def in zip(self.types, coop, defect):
             t = self.pop.get_type(kind, idx)
             if has_coop:
-                v = t.cooperator_utility(n_c)
-                if v > sup_c:
-                    sup_c = v
-            if def_present[(kind, idx)]:
-                v = t.defector_utility(n_c)
-                if v > sup_d:
-                    sup_d = v
+                sup_c = max(sup_c, t.cooperator_utility(n_c))
+            if has_def:
+                sup_d = max(sup_d, t.defector_utility(n_c))
         return sup_c, sup_d
+
+    def imitation_next(self, coords: Sequence[int], current: str) -> str:
+        """Copy the top earner: compare the best cooperator's and the best
+        defector's utility ranks; an empty side ranks -1, a tie keeps `current`."""
+        n_c = sum(coords)
+        coop, defect = self.presence(coords)
+        ranks_c = self.rules.rank_c[:, n_c].tolist()
+        ranks_d = self.rules.rank_d[:, n_c].tolist()
+        top_c = max((r for r, has in zip(ranks_c, coop) if has), default=-1)
+        top_d = max((r for r, has in zip(ranks_d, defect) if has), default=-1)
+        if top_c > top_d:
+            return C
+        if top_c < top_d:
+            return D
+        return current
 
     def intended_strategy(self, coords: Sequence[int], cell_pos: int, current: str) -> str:
         """Next strategy of an active member of the cell playing `current`."""
-        cell = self.cells[cell_pos]
-        n_c = sum(coords)
-        if cell.role == BEST_RESPONDER:
-            tau = self.pop.get_type(cell.kind, cell.type_index).temper
-            return best_response_next(cell.kind, tau, current, n_c)
-        sup_c, sup_d = self.imitation_sups(coords)
-        if sup_c > sup_d:
-            return C
-        if sup_c < sup_d:
-            return D
-        return current
+        if self.cells[cell_pos].role == IMITATOR:
+            return self.imitation_next(coords, current)
+        t, n_c = self.type_row[cell_pos], sum(coords)
+        if current == D:
+            return C if self.rules.wants_c[t, n_c] else D
+        return D if self.rules.wants_d[t, n_c] else C
 
     def apply(self, coords: Coords, cell_pos: int, current: str, new: str) -> Coords:
         if new == current:
@@ -253,41 +296,3 @@ class CellSpace:
             if coords[k] < cap:
                 out.add(self.successor(coords, k, D))
         return out
-
-    # -- integer-scaled tables for the vectorized oracle -------------------
-
-    @cached_property
-    def scaled(self) -> "_ScaledTables":
-        """Built on first use: only the oracle build reads it."""
-        return _ScaledTables(self.pop)
-
-
-class _ScaledTables:
-    """Utility lines and tempers scaled to integers for exact numpy comparisons."""
-
-    def __init__(self, pop: PopulationSpec):
-        denom = 1
-        for t in pop.all_types():
-            for line in (t.cooperator_utility, t.defector_utility):
-                denom = _lcm(denom, line.slope.denominator)
-                denom = _lcm(denom, line.intercept.denominator)
-        self.denominator = denom
-        self.lines: dict[tuple[str, int], tuple[int, int, int, int]] = {}
-        bound = 0
-        for kind, idx, t in pop.typed():
-            ac = int(t.cooperator_utility.slope * denom)
-            bc = int(t.cooperator_utility.intercept * denom)
-            ad = int(t.defector_utility.slope * denom)
-            bd = int(t.defector_utility.intercept * denom)
-            self.lines[(kind, idx)] = (ac, bc, ad, bd)
-            bound = max(bound, abs(ac) * pop.n + abs(bc), abs(ad) * pop.n + abs(bd))
-        self.tempers: dict[tuple[str, int], tuple[int, int]] = {}
-        for kind, idx, t in pop.typed():
-            tau = t.temper
-            self.tempers[(kind, idx)] = (tau.numerator, tau.denominator)
-            bound = max(bound, pop.n * tau.denominator, abs(tau.numerator))
-        if bound >= 2**62:
-            raise OverflowError(
-                "scaled utilities exceed int64 range; use smaller rational coefficients"
-            )
-        self.value_bound = bound

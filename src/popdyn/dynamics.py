@@ -53,13 +53,7 @@ def imitation_next(pop: PopulationSpec, state, current: str) -> str:
     defector, D in the opposite case, keep the current strategy on a tie.
     Empty sides count as -inf."""
     space = CellSpace(pop)
-    coords = space.refine(state)
-    sup_c, sup_d = space.imitation_sups(coords)
-    if sup_c > sup_d:
-        return C
-    if sup_c < sup_d:
-        return D
-    return current
+    return space.imitation_next(space.refine(state), current)
 
 
 def step(pop: PopulationSpec, state, agent: AgentRef):

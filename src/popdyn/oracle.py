@@ -1,8 +1,9 @@
 """Brute-force ground truth: the full one-step transition digraph.
 
 States are refined per (role, type) cell (see `cells`), successors are
-materialized exhaustively with exact integer arithmetic, and minimal
-positively invariant sets fall out as sink strongly-connected components.
+materialized exhaustively by gathering each state's decisions from the exact
+per-n_c rule table (`CellSpace.rules`), and minimal positively invariant sets
+fall out as sink strongly-connected components.
 Construction is vectorized and chunked so desk-scale spaces (about 10^7
 states) stay within a few hundred MB.
 
@@ -28,14 +29,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .cells import BEST_RESPONDER, IMITATOR, CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
-from .model import ANTICOORDINATING, COORDINATING, PopulationSpec, State
+from .model import ANTICOORDINATING, PopulationSpec, State
 
 DEFAULT_MAX_STATES = 10**6
 MAX_STATES_ENV = "POPDYN_MAX_STATES"
 
 _CHUNK = 1 << 19
 _CSR_ROWS = 1 << 16
-_NEG = np.int64(-(2**62))
 
 
 def resolve_max_states(max_states: int | None = None) -> int:
@@ -243,8 +243,8 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
     n = space.n_states
     caps = space.caps
     strides = space.strides
-    scaled = space.scaled
     cells = space.cells
+    rules = space.rules
 
     self_loop = np.zeros(n, dtype=bool)
     moves = np.zeros(n, dtype=np.min_scalar_type((1 << 2 * len(cells)) - 1))
@@ -257,47 +257,27 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
         for arr in coords[1:]:
             n_c += arr
 
-        # per-type presence and line values
-        coop_present: dict[tuple[str, int], np.ndarray] = {}
-        def_present: dict[tuple[str, int], np.ndarray] = {}
-        for key, positions in space.cells_of_type.items():
-            cp = coords[positions[0]] > 0
-            dp = coords[positions[0]] < caps[positions[0]]
+        # imitators copy the top earner: compare the best present cooperator's
+        # utility rank with the best present defector's (-1 for an empty side)
+        top_c = np.full(hi - lo, -1, dtype=rules.rank_c.dtype)
+        top_d = np.full(hi - lo, -1, dtype=rules.rank_d.dtype)
+        for t, positions in enumerate(space.cells_of_type.values()):
+            has_c = coords[positions[0]] > 0
+            has_d = coords[positions[0]] < caps[positions[0]]
             for k in positions[1:]:
-                cp = cp | (coords[k] > 0)
-                dp = dp | (coords[k] < caps[k])
-            coop_present[key] = cp
-            def_present[key] = dp
-
-        sup_c = np.full(hi - lo, _NEG, dtype=np.int64)
-        sup_d = np.full(hi - lo, _NEG, dtype=np.int64)
-        for key in space.types:
-            ac, bc, ad, bd = scaled.lines[key]
-            val_c = ac * n_c + bc
-            np.maximum(sup_c, np.where(coop_present[key], val_c, _NEG), out=sup_c)
-            val_d = ad * n_c + bd
-            np.maximum(sup_d, np.where(def_present[key], val_d, _NEG), out=sup_d)
-        imit_wants_c = sup_c > sup_d
-        imit_wants_d = sup_d > sup_c
-
-        # per-type best-response tendencies (strict; ties keep)
-        br_wants_c: dict[tuple[str, int], np.ndarray] = {}
-        br_wants_d: dict[tuple[str, int], np.ndarray] = {}
-        for key in space.types:
-            tn, td = scaled.tempers[key]
-            above = n_c * td > tn
-            below = n_c * td < tn
-            if key[0] == COORDINATING:
-                br_wants_c[key], br_wants_d[key] = above, below
-            else:
-                br_wants_c[key], br_wants_d[key] = below, above
+                has_c |= coords[k] > 0
+                has_d |= coords[k] < caps[k]
+            np.maximum(top_c, rules.rank_c[t][n_c], out=top_c, where=has_c)
+            np.maximum(top_d, rules.rank_d[t][n_c], out=top_d, where=has_d)
+        imit_wants_c = top_c > top_d
+        imit_wants_d = top_d > top_c
 
         chunk_moves = moves[lo:hi]
         keeps = np.zeros(hi - lo, dtype=bool)
         for k, cell in enumerate(cells):
-            key = (cell.kind, cell.type_index)
             if cell.role == BEST_RESPONDER:
-                wants_c, wants_d = br_wants_c[key], br_wants_d[key]
+                t = space.type_row[k]
+                wants_c, wants_d = rules.wants_c[t][n_c], rules.wants_d[t][n_c]
             else:
                 wants_c, wants_d = imit_wants_c, imit_wants_d
             has_coop = coords[k] > 0

@@ -117,8 +117,9 @@ def test_simulate_csv_digests_pinned(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def test_simulate_needs_no_scaled_tables(tmp_path):
-    # this intercept overflows the oracle's int64 scaling; simulate never scales
+def test_big_intercept_config_simulates_and_verifies_oracle(tmp_path):
+    # utilities with 22-digit denominators: both the simulation and the oracle
+    # compare them exactly, through the rule table's ranks, so nothing overflows
     from popdyn.fixtures import fixture_config
 
     raw = fixture_config("ex1")
@@ -129,6 +130,12 @@ def test_simulate_needs_no_scaled_tables(tmp_path):
         "simulate", "--config", str(config), "--steps", "5", "--seed", "0", "--csv", str(out),
     ) == 0
     assert len(out.read_text().splitlines()) == 7
+    report = tmp_path / "eq.json"
+    assert run_cli(
+        "equilibria", "--config", str(config), "--oracle", "--verify",
+        "--max-states", "2000000", "--json", str(report),
+    ) == 0
+    assert json.loads(report.read_text())["verification"]["passed"] is True
 
 
 def test_simulate_zero_steps_single_row(tmp_path):

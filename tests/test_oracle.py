@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from genpop import sample_populations, with_empty_best_responder_cell
 from popdyn import oracle
+from popdyn.cells import BEST_RESPONDER, best_response_next
 from popdyn.errors import NotAnEquilibrium, StateSpaceTooLarge
 from popdyn.model import State, UtilityLine, validate_population
 from popdyn.oracle import (
@@ -56,22 +57,60 @@ def test_guard_env_override(pops, monkeypatch):
     assert resolve_max_states() == 10**6
 
 
+def _tied_population():
+    # at n_c = 3: uC = 100 and uD = 98.5 for the nonconformists, uC = 99.5 and
+    # uD = 100 for the conformists, so a nonconformist cooperator and a
+    # conformist defector tie for the top and imitators keep their strategy
+    return validate_population({
+        "anticoordinating": [{"uC": UtilityLine(-1, 103), "uD": UtilityLine(0, "197/2"),
+                              "bestResponders": 2, "imitators": 2}],
+        "coordinating": [{"uC": UtilityLine(1, "193/2"), "uD": UtilityLine(0, 100),
+                          "bestResponders": 2, "imitators": 1}],
+    })
+
+
 def _route_pops():
     pops = list(sample_populations(seed=99, count=25))
     pops.append(with_empty_best_responder_cell(pops[0]))
+    pops.append(_tied_population())
     return pops
 
 
+def _reference_next(space, coords, k, current):
+    """The update rules straight from the population's `Fraction`s."""
+    cell = space.cells[k]
+    if cell.role == BEST_RESPONDER:
+        tau = space.pop.get_type(cell.kind, cell.type_index).temper
+        return best_response_next(cell.kind, tau, current, sum(coords))
+    sup_c, sup_d = space.imitation_sups(coords)
+    return "C" if sup_c > sup_d else "D" if sup_c < sup_d else current
+
+
+def _reference_successors(space, coords):
+    out = set()
+    for k, cap in enumerate(space.caps):
+        for current, members in (("C", coords[k]), ("D", cap - coords[k])):
+            if members:
+                out.add(space.apply(coords, k, current, _reference_next(space, coords, k, current)))
+    return out
+
+
 def test_successors_match_pure_python_route():
-    # vectorized digraph vs the direct per-state update rules, at every state
+    # the digraph and CellSpace, both read off the rule table, vs the Fraction
+    # rules at every state
+    imitator_ties = 0
     for pop in _route_pops():
         g = build_transition_digraph(pop, max_states=200_000)
         space = g.space
         for i in range(g.n_states):
             coords = space.coords_of(i)
-            expected = space.successors(coords)
+            expected = _reference_successors(space, coords)
+            assert space.successors(coords) == expected
             assert g.successors(i) == sorted(space.index_of(c) for c in expected)
             assert bool(g.self_loop[i]) == (coords in expected)
+            sup_c, sup_d = space.imitation_sups(coords)
+            imitator_ties += bool(space.imitator_positions) and sup_c == sup_d
+    assert imitator_ties > 0
 
 
 def test_moves_search_matches_csr_search():
@@ -225,14 +264,14 @@ def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
 
 
 def test_self_loop_iff_someone_keeps(graphs):
-    g = graphs("ex7_1")
-    space = g.space
-    for i in range(g.n_states):
-        coords = space.coords_of(i)
-        keeps = False
-        for k, cap in enumerate(space.caps):
-            if coords[k] > 0 and space.intended_strategy(coords, k, "C") == "C":
-                keeps = True
-            if coords[k] < cap and space.intended_strategy(coords, k, "D") == "D":
-                keeps = True
-        assert bool(g.self_loop[i]) == keeps
+    for g in (graphs("ex7_1"), build_transition_digraph(_tied_population())):
+        space = g.space
+        for i in range(g.n_states):
+            coords = space.coords_of(i)
+            keeps = False
+            for k, cap in enumerate(space.caps):
+                if coords[k] > 0 and _reference_next(space, coords, k, "C") == "C":
+                    keeps = True
+                if coords[k] < cap and _reference_next(space, coords, k, "D") == "D":
+                    keeps = True
+            assert bool(g.self_loop[i]) == keeps
