@@ -193,6 +193,19 @@ class PerturbedChain:
         return csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
 
     @cached_property
+    def mistake_steps(self) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+        """(forward, backward) one-step mistake costs over the perturbed support:
+        forward[i] lists (j, cost) for each j in support_eps[i], and backward[j]
+        the same edges as (i, cost); a cost is 0 on support0 and 1 elsewhere."""
+        forward = [[(j, int(j not in zero)) for j in succ]
+                   for succ, zero in zip(self.support_eps, self.support0)]
+        backward: list[list[tuple[int, int]]] = [[] for _ in forward]
+        for i, edges in enumerate(forward):
+            for j, c in edges:
+                backward[j].append((i, c))
+        return forward, backward
+
+    @cached_property
     def class_table(self) -> ClassTable:
         """Recurrent classes with their basins, radii and costs, built on first use."""
         return _class_table(self)
@@ -259,13 +272,15 @@ def _as_indices(chain: PerturbedChain, group) -> list[int]:
 
 
 def _mistake_costs(chain: PerturbedChain, sources: Iterable[int],
-                   stop=frozenset()) -> list[int | float]:
+                   stop=frozenset(), reverse: bool = False) -> list[int | float]:
     """Fewest mistakes from `sources` to every state, math.inf where unreachable.
 
     A 0-1 breadth-first search over the perturbed support: a step the
     unperturbed chain takes costs 0, a tremble costs 1. States in `stop` are
-    reached but never left.
+    reached but never left. With `reverse` the search runs against the edges,
+    so dist[i] is the fewest mistakes from state i into `sources`.
     """
+    steps = chain.mistake_steps[reverse]
     dist: list[int | float] = [math.inf] * chain.n_states
     queue = deque(sources)
     for i in queue:
@@ -275,15 +290,13 @@ def _mistake_costs(chain: PerturbedChain, sources: Iterable[int],
         if u in stop:
             continue
         d = dist[u]
-        zero = chain.support0[u]
-        for v in chain.support_eps[u]:
-            if v in zero:
-                if d < dist[v]:
-                    dist[v] = d
+        for v, c in steps[u]:
+            if d + c < dist[v]:
+                dist[v] = d + c
+                if c:
+                    queue.append(v)
+                else:
                     queue.appendleft(v)
-            elif d + 1 < dist[v]:
-                dist[v] = d + 1
-                queue.append(v)
     return dist
 
 
@@ -489,24 +502,24 @@ def stochastically_stable_set(bpop: BinaryTypePopulation,
                                      table.radii, table.basins)
 
 
-# -- stationary distributions --------------------------------------------------
+# -- GTH state reduction: stationary distributions and stochastic potentials ---
 
 
-def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
-    """Unique stationary row vector of the perturbed chain.
+def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One GTH (Grassmann-Taksar-Heyman) state reduction of the chain.
 
-    One GTH (Grassmann-Taksar-Heyman) state reduction, which never subtracts,
-    over a dense n x n matrix: of exact Fractions (dtype=object) up to
-    EXACT_SOLVE_LIMIT states, of float64 above it. States are eliminated in
-    reverse Cuthill-McKee order of the support; every move changes one cell
-    by +-1, so that order keeps fill inside a narrow band, and each step
-    updates only the nonzero rows and columns of the eliminated state. An
-    irreducible chain has exactly one stationary distribution, so the exact
-    result does not depend on the order. Float results come back as
-    Fraction(float(x)).
+    States are eliminated in reverse Cuthill-McKee order of the support; every
+    move changes one cell by +-1, so that order keeps fill inside a narrow
+    band. Each step touches only the nonzero rows and columns of the
+    eliminated state, and GTH never subtracts. `kernel` supplies the algebra:
+    its dense n x n matrix of 8-byte entries (checked against
+    DENSE_SOLVE_BYTES before anything is allocated), its no-edge and unit
+    values, the elimination of one pivot, and one back-substitution step.
+
+    Returns (pi, position, pivots): pi[position[i]] is chain state i's
+    weight relative to the state at position 0, which is never eliminated,
+    and pivots[k - 1] is the pivot of the state at position k.
     """
-    if chain.epsilon <= 0:
-        raise ValueError("stationary distribution requires epsilon > 0")
     n = chain.n_states
     needed = 8 * n * n
     if needed > DENSE_SOLVE_BYTES:
@@ -514,26 +527,141 @@ def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
             f"the stationary solve of {n} states needs {needed} bytes of dense matrix, "
             f"above the limit of {DENSE_SOLVE_BYTES}"
         )
-    exact = n <= EXACT_SOLVE_LIMIT
     order = reverse_cuthill_mckee(chain.support_matrix, symmetric_mode=False)
     position = np.argsort(order)
-    p = np.zeros((n, n), dtype=object if exact else np.float64)
-    for i, row in enumerate(chain.rows):
-        p[position[i], position[list(row)]] = list(row.values())
-    # the pivot of state k goes on the diagonal, which no later step reads
+    p = kernel.matrix(chain, position)
+    none = kernel.no_edge
+    # the pivot of state k goes on the diagonal, and no later step touches
+    # column k, so the back-substitution reads both as this step left them
     for k in range(n - 1, 0, -1):
-        cols = np.flatnonzero(p[k, :k])
+        cols = np.flatnonzero(p[k, :k] != none)
         if not cols.size:
             raise SingularSystem("state-reduction hit a zero pivot; chain not irreducible")
-        p[k, k] = s = p[k, cols].sum()
-        rows = np.flatnonzero(p[:k, k])
-        p[np.ix_(rows, cols)] += np.multiply.outer(p[rows, k] / s, p[k, cols])
-    pi = np.ones(n, dtype=p.dtype)
+        kernel.pivot(p, k, np.flatnonzero(p[:k, k] != none), cols)
+    pi = np.full(n, kernel.one, dtype=p.dtype)
     for k in range(1, n):
-        rows = np.flatnonzero(p[:k, k])
-        pi[k] = (pi[rows] * p[rows, k]).sum() / p[k, k]
+        rows = np.flatnonzero(p[:k, k] != none)
+        pi[k] = kernel.back(pi[rows], p[rows, k], p[k, k])
+    return pi, position, p.diagonal()[1:].copy()
+
+
+class _FloatKernel:
+    """Probabilities as float64."""
+
+    no_edge, one = 0, 1
+
+    @staticmethod
+    def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
+        n = chain.n_states
+        p = np.zeros((n, n))
+        for i, row in enumerate(chain.rows):
+            p[position[i], position[list(row)]] = list(row.values())
+        return p
+
+    @staticmethod
+    def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        p[k, k] = s = p[k, cols].sum()
+        p[np.ix_(rows, cols)] += np.multiply.outer(p[rows, k] / s, p[k, cols])
+
+    @staticmethod
+    def back(pi, col, pivot):
+        return (pi * col).sum() / pivot
+
+
+class _ExactKernel(_FloatKernel):
+    """Exact probabilities: each working row holds Python ints over one row
+    denominator. Eliminating pivot k scales every touched row's columns below k
+    by the pivot's integer sum S, adds a[r, k] * a[k, cols] and divides the row
+    by its gcd; column k and the pivot become Fractions once, and the float
+    kernel's back-substitution runs on them."""
+
+    def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
+        n = chain.n_states
+        p = np.zeros((n, n), dtype=object)
+        self.den = np.zeros(n, dtype=object)
+        for i, row in enumerate(chain.rows):
+            self.den[position[i]] = d = math.lcm(*(x.denominator for x in row.values()))
+            p[position[i], position[list(row)]] = [x.numerator * (d // x.denominator)
+                                                   for x in row.values()]
+        return p
+
+    def pivot(self, p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        s = sum(p[k, cols].tolist())
+        col, den = p[rows, k], self.den[rows]
+        block = p[rows, :k] * s
+        block[:, cols] += np.multiply.outer(col, p[k, cols])
+        scaled = den * s
+        g = np.array([math.gcd(d, *r) for d, r in zip(scaled.tolist(), block.tolist())],
+                     dtype=object)
+        p[rows, :k] = block // g[:, None]
+        self.den[rows] = scaled // g
+        p[rows, k] = [Fraction(a, d) for a, d in zip(col.tolist(), den.tolist())]
+        p[k, k] = Fraction(s, self.den[k])
+
+
+# no-edge marker of the order kernel; never enters its arithmetic
+_NO_EDGE = np.iinfo(np.int64).max
+
+
+class _OrderKernel:
+    """Leading epsilon-orders: min-plus over one-step mistake costs. GTH never
+    subtracts, so no leading term of a sum it forms cancels: the order of a sum
+    is the least order of its terms, and the order of a product or quotient the
+    sum or difference of the orders."""
+
+    no_edge, one = _NO_EDGE, 0
+
+    @staticmethod
+    def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
+        n = chain.n_states
+        p = np.full((n, n), _NO_EDGE, dtype=np.int64)
+        for i, edges in enumerate(chain.mistake_steps[0]):
+            p[position[i], position[[j for j, _ in edges]]] = [c for _, c in edges]
+        return p
+
+    @staticmethod
+    def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        p[k, k] = s = p[k, cols].min()
+        block = np.ix_(rows, cols)
+        p[block] = np.minimum(p[block], np.add.outer(p[rows, k] - s, p[k, cols]))
+
+    @staticmethod
+    def back(pi, col, pivot):
+        return (pi + col).min() - pivot
+
+
+def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
+    """Unique stationary row vector of the perturbed chain.
+
+    One GTH state reduction (see `_gth`) over a dense n x n matrix: of Python
+    ints over per-row denominators up to EXACT_SOLVE_LIMIT states, so the
+    result is exact, and of float64 above it. An irreducible chain has
+    exactly one stationary distribution, so the exact result does not depend
+    on the elimination order. Float results come back as Fraction(float(x)).
+    """
+    if chain.epsilon <= 0:
+        raise ValueError("stationary distribution requires epsilon > 0")
+    exact = chain.n_states <= EXACT_SOLVE_LIMIT
+    pi, position, _ = _gth(chain, _ExactKernel() if exact else _FloatKernel)
     mu = pi[position] / pi.sum()
     return mu.tolist() if exact else [Fraction(float(x)) for x in mu]
+
+
+def stochastic_potential(chain: PerturbedChain) -> np.ndarray:
+    """Stochastic potential of every chain state: the fewest mistakes of a
+    spanning tree of one-step costs whose paths all lead to that state.
+
+    The same GTH state reduction over leading epsilon-orders, with 0 on
+    `support0`, 1 on the rest of `support_eps` and no edge elsewhere. By the
+    Markov chain tree theorem mu_eps(x) is proportional to the sum of the
+    x-rooted tree weights, and the product of the GTH pivots is that sum for
+    the state that is never eliminated; so the potential of x is its order
+    relative to that state plus the sum of the pivot orders. On a recurrent class it
+    equals the class's gamma, and its minimum is taken exactly on the
+    stochastically stable states. It does not depend on epsilon.
+    """
+    pi, position, pivots = _gth(chain, _OrderKernel)
+    return (pi + pivots.sum())[position]
 
 
 def stationary_distributions(bpop: BinaryTypePopulation, epsilons: Sequence,

@@ -29,9 +29,6 @@ from .oracle import (
 )
 
 DEFAULT_S_GUARD = 200_000
-# exhaustive gamma enumerates (k-1)^(k-1) parent assignments: 823,543 at k = 8,
-# 387,420,489 at k = 10
-REFERENCE_TREE_LIMIT = 8
 
 
 def iter_pooled_states(pop: PopulationSpec):
@@ -184,8 +181,14 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
 
     `graph` is the oracle digraph of `bpop.to_population_spec()`, built when not
     given. `stationary` maps an epsilon to its already solved distribution;
-    the others are solved here. Tree weights are compared with exhaustive
-    enumeration when there are at most REFERENCE_TREE_LIMIT recurrent classes.
+    the others are solved here.
+
+    Each class's gamma, found by Chu-Liu/Edmonds over class-to-class costs,
+    is checked against the stochastic potential of its states, found by a
+    min-plus GTH reduction over state-level one-step costs: the potential
+    must be constant on the class and equal its gamma, and its minimum must
+    be taken exactly on the stochastically stable states. Plain costs from
+    every state to every class come from one backward search per class.
     """
     problems: list[str] = []
     chain0 = st.build_chain(bpop, 0, graph)
@@ -230,18 +233,23 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
         if not any(i in chain.support_eps[i] for i in range(chain.n_states)):
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")
 
-    if cg.k <= REFERENCE_TREE_LIMIT:
-        for i in range(cg.k):
-            if result.gammas[i] != _gamma_reference(cg, i):
-                problems.append(f"gamma disagrees with exhaustive enumeration at class {i}")
+    potential = st.stochastic_potential(chain0)
+    for c, cls in enumerate(classes):
+        values = set(potential[list(cls)].tolist())
+        if values != {result.gammas[c]}:
+            problems.append(f"stochastic potential {sorted(values)} of class {c} "
+                            f"disagrees with its gamma {result.gammas[c]}")
+    argmin = {chain0.states[i] for i in np.flatnonzero(potential == potential.min())}
+    if argmin != result.stable_states:
+        problems.append(
+            f"stochastic potential is minimal on {sorted(map(tuple, argmin))} but gamma "
+            f"selects {sorted(map(tuple, result.stable_states))}"
+        )
 
     # cost vs modified cost dominance over every (state, class) pair
     # plain[t][i] = cost(state i, class t), kept for the persistence check below
-    plain: list[dict[int, int]] = []
+    plain = _plain_costs(chain0, classes)
     for t, cls in enumerate(classes):
-        cls_set = set(cls)
-        plain.append({i: st.cost(chain0, [i], cls)
-                      for i in range(chain0.n_states) if i not in cls_set})
         for i, c_val in plain[t].items():
             c_star = st.modified_cost(chain0, i, cls)
             if not c_val >= c_star:
@@ -296,40 +304,15 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
     return problems
 
 
-def _gamma_reference(class_graph: st.ClassGraph, root: int) -> int:
-    """Exhaustive minimum over every parent choice; the cross-check for st.gamma.
-
-    It enumerates (k-1)^(k-1) parent assignments at once, so it refuses more
-    than REFERENCE_TREE_LIMIT classes instead of allocating.
-    """
-    k = class_graph.k
-    if k > REFERENCE_TREE_LIMIT:
-        raise ValueError(
-            f"exhaustive tree enumeration is limited to {REFERENCE_TREE_LIMIT} classes, got {k}"
-        )
-    if k == 1:
-        return 0
-    non_root = [v for v in range(k) if v != root]
-    choices = [np.array([u for u in range(k) if u != v], dtype=np.int8) for v in non_root]
-    grids = np.meshgrid(*choices, indexing="ij")
-    m = grids[0].size
-    parent_full = np.empty((m, k), dtype=np.int8)
-    parent_full[:, root] = root
-    for pos, v in enumerate(non_root):
-        parent_full[:, v] = grids[pos].reshape(-1)
-    del grids
-    # pointer doubling: after ceil(log2(k)) squarings every pointer has
-    # travelled >= k steps, so valid assignments all point at the root
-    ptr = parent_full
-    hops = 1
-    while hops < k:
-        ptr = np.take_along_axis(ptr, ptr, axis=1)
-        hops *= 2
-    valid = (ptr[:, non_root] == root).all(axis=1)
-    weights = np.array(class_graph.costs, dtype=np.int64)
-    total = np.zeros(m, dtype=np.int64)
-    for v in non_root:
-        total += weights[v, parent_full[:, v]]
-    if not valid.any():
-        raise SingularSystem("no rooted spanning arborescence exists")
-    return int(total[valid].min())
+def _plain_costs(chain: st.PerturbedChain,
+                 classes: Sequence[Sequence[int]]) -> list[dict[int, int]]:
+    """plain[t][i] = st.cost(chain, [i], classes[t]) for every state i outside
+    class t, from one backward 0-1 search per class."""
+    plain = []
+    for cls in classes:
+        dist = st._mistake_costs(chain, cls, reverse=True)
+        if math.inf in dist:
+            raise SingularSystem("target unreachable; perturbed chain should be irreducible")
+        cls_set = set(cls)
+        plain.append({i: d for i, d in enumerate(dist) if i not in cls_set})
+    return plain

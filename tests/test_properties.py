@@ -16,7 +16,8 @@ from popdyn.invariants import (
 )
 from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
-from popdyn.verify import _gamma_reference
+from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
+                             _stationary_reference)
 
 
 def test_validate_population_idempotent_randomized():
@@ -124,12 +125,18 @@ def test_gamma_routes_agree_randomized():
             assert st.gamma(cg, t) == _gamma_reference(cg, t)
 
 
+def test_potential_matches_gamma_randomized():
+    for pop, bpop in _binary_pops(seed=47, count=20):
+        _assert_potential_matches_gamma(st.build_chain(bpop, 0))
+
+
 def test_stationary_exact_on_random_chain():
     for pop, bpop in _binary_pops(seed=53, count=4):
         chain = st.build_chain(bpop, Fraction(1, 128))
         mu = st.stationary_distribution(chain)
         assert sum(mu) == 1
         assert st.stationary_residual(chain, mu) == 0
+        assert mu == _stationary_reference(chain)
         # cross-check against a float eigen solve
         n = chain.n_states
         mat = np.zeros((n, n))

@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from popdyn import stochastic
-from popdyn.errors import NotMixed, StateSpaceTooLarge
+from popdyn.errors import NotMixed, SingularSystem, StateSpaceTooLarge
 from popdyn.fixtures import fixture_config
 from popdyn.model import UtilityLine, validate_population
 from popdyn.stochastic import (
@@ -30,10 +30,90 @@ from popdyn.stochastic import (
     recurrent_classes,
     stationary_distribution,
     stationary_residual,
+    stochastic_potential,
     stochastic_report,
     stochastically_stable_set,
 )
-from popdyn.verify import _gamma_reference
+
+# exhaustive gamma enumerates (k-1)^(k-1) parent assignments: 823,543 at k = 8,
+# 387,420,489 at k = 10
+REFERENCE_TREE_LIMIT = 8
+
+
+def _gamma_reference(class_graph, root):
+    """Exhaustive minimum over every parent choice; the cross-check for gamma.
+
+    It enumerates (k-1)^(k-1) parent assignments at once, so it refuses more
+    than REFERENCE_TREE_LIMIT classes instead of allocating.
+    """
+    k = class_graph.k
+    if k > REFERENCE_TREE_LIMIT:
+        raise ValueError(
+            f"exhaustive tree enumeration is limited to {REFERENCE_TREE_LIMIT} classes, got {k}"
+        )
+    if k == 1:
+        return 0
+    non_root = [v for v in range(k) if v != root]
+    choices = [np.array([u for u in range(k) if u != v], dtype=np.int8) for v in non_root]
+    grids = np.meshgrid(*choices, indexing="ij")
+    m = grids[0].size
+    parent_full = np.empty((m, k), dtype=np.int8)
+    parent_full[:, root] = root
+    for pos, v in enumerate(non_root):
+        parent_full[:, v] = grids[pos].reshape(-1)
+    del grids
+    # pointer doubling: after ceil(log2(k)) squarings every pointer has
+    # travelled >= k steps, so valid assignments all point at the root
+    ptr = parent_full
+    hops = 1
+    while hops < k:
+        ptr = np.take_along_axis(ptr, ptr, axis=1)
+        hops *= 2
+    valid = (ptr[:, non_root] == root).all(axis=1)
+    weights = np.array(class_graph.costs, dtype=np.int64)
+    total = np.zeros(m, dtype=np.int64)
+    for v in non_root:
+        total += weights[v, parent_full[:, v]]
+    if not valid.any():
+        raise SingularSystem("no rooted spanning arborescence exists")
+    return int(total[valid].min())
+
+
+def _stationary_reference(chain):
+    """Exact stationary distribution by a GTH reduction over a dense matrix of
+    Fractions; the cross-check for the integer-row kernel."""
+    n = chain.n_states
+    order = reverse_cuthill_mckee(chain.support_matrix, symmetric_mode=False)
+    position = np.argsort(order)
+    p = np.zeros((n, n), dtype=object)
+    for i, row in enumerate(chain.rows):
+        p[position[i], position[list(row)]] = list(row.values())
+    # the pivot of state k goes on the diagonal, which no later step reads
+    for k in range(n - 1, 0, -1):
+        cols = np.flatnonzero(p[k, :k])
+        if not cols.size:
+            raise SingularSystem("state-reduction hit a zero pivot; chain not irreducible")
+        p[k, k] = s = p[k, cols].sum()
+        rows = np.flatnonzero(p[:k, k])
+        p[np.ix_(rows, cols)] += np.multiply.outer(p[rows, k] / s, p[k, cols])
+    pi = np.ones(n, dtype=p.dtype)
+    for k in range(1, n):
+        rows = np.flatnonzero(p[:k, k])
+        pi[k] = (pi[rows] * p[rows, k]).sum() / p[k, k]
+    mu = pi[position] / pi.sum()
+    return mu.tolist()
+
+
+def _assert_potential_matches_gamma(chain):
+    """The state-level potential equals gamma on every class, is constant on
+    it, and is minimal exactly on the stochastically stable states."""
+    result = stochastically_stable_set(chain.bpop, chain)
+    potential = stochastic_potential(chain)
+    for cls, g in zip(result.class_graph.classes, result.gammas):
+        assert set(potential[list(cls)].tolist()) == {g}
+    argmin = np.flatnonzero(potential == potential.min())
+    assert {chain.states[i] for i in argmin} == result.stable_states
+    return result.gammas
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +313,22 @@ def test_gamma_unique_minimum_ex7_1(chains):
     assert [chain.states[i] for i in cg.classes[winners[0]]] == [BState(0, 1, 0, 0)]
 
 
+def test_potential_matches_gamma_on_fixtures(chains):
+    gammas = {name: _assert_potential_matches_gamma(chain) for name, chain in chains.items()}
+    assert gammas == {
+        "ex7_1": (8, 7, 8, 8, 8, 8, 8, 8),
+        "ex7_2": (5, 5, 5, 4, 5),
+        "ex7_3": (4, 4, 4, 4, 4),
+        "ex7_4": (2, 2, 6),
+    }
+
+
+def test_potential_matches_gamma_tripled_ex7_1():
+    chain = build_chain(_scaled("ex7_1", 3), 0)
+    assert chain.n_states == 1792
+    assert _assert_potential_matches_gamma(chain) == (18, 1)
+
+
 def test_stochastically_stable_sets(bpops, chains):
     expected = {
         "ex7_1": {BState(0, 1, 0, 0)},
@@ -272,17 +368,34 @@ def test_stationary_guard_precedes_allocation(bpops, monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("dense matrix allocated before the guard")
 
-    for limit in (10, stochastic.EXACT_SOLVE_LIMIT):  # the float path, then the exact one
+    def solved_stationary(result):
+        return stationary_residual(chain, result) <= Fraction(1, 10**12)
+
+    def solved_potential(result):
+        return min(result) == min(stochastically_stable_set(chain.bpop, chain).gammas)
+
+    # the float path, the exact one, then the epsilon-order one
+    for limit, solve, solved in ((10, stationary_distribution, solved_stationary),
+                                 (stochastic.EXACT_SOLVE_LIMIT, stationary_distribution,
+                                  solved_stationary),
+                                 (stochastic.EXACT_SOLVE_LIMIT, stochastic_potential,
+                                  solved_potential)):
         monkeypatch.setattr(stochastic, "EXACT_SOLVE_LIMIT", limit)
         monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed - 1)
         with monkeypatch.context() as m:
             for name in ("zeros", "empty", "eye", "ones", "full"):
                 m.setattr(stochastic.np, name, no_allocation)
             with pytest.raises(StateSpaceTooLarge):
-                stationary_distribution(chain)
+                solve(chain)
         monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed)
-        mu = stationary_distribution(chain)
-        assert stationary_residual(chain, mu) <= Fraction(1, 10**12)
+        assert solved(solve(chain))
+
+
+@pytest.mark.parametrize("name", ["ex7_1", "ex7_2", "ex7_3", "ex7_4"])
+def test_exact_kernel_matches_fraction_reference(bpops, name):
+    for eps in (Fraction(1, 100), Fraction(1, 10000)):
+        chain = build_chain(bpops[name], eps)
+        assert stationary_distribution(chain) == _stationary_reference(chain)
 
 
 def test_float_solve_matches_exact(bpops, monkeypatch):
@@ -496,11 +609,11 @@ def _modified_cost_reference(chain, starts):
     return out
 
 
-def _doubled(name):
+def _scaled(name, factor):
     raw = fixture_config(name)
     for group in raw["anticoordinating"] + raw["coordinating"]:
-        group["bestResponders"] *= 2
-        group["imitators"] *= 2
+        group["bestResponders"] *= factor
+        group["imitators"] *= factor
     return BinaryTypePopulation.from_population_spec(validate_population(raw))
 
 
@@ -521,7 +634,7 @@ def test_modified_cost_matches_subset_dp(chains, name):
 
 @pytest.mark.parametrize("name", ["ex7_1", "ex7_4"])
 def test_modified_cost_matches_subset_dp_doubled(name):
-    chain = build_chain(_doubled(name), 0)
+    chain = build_chain(_scaled(name, 2), 0)
     assert len(recurrent_classes(chain)) == 4
     starts = random.Random(11).sample(range(chain.n_states), 50)
     _assert_modified_costs_match(chain, starts)

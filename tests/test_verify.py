@@ -14,6 +14,7 @@ from popdyn import stochastic as st
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.stochastic import BinaryTypePopulation
 from popdyn.verify import (
+    _plain_costs,
     verify_equilibria,
     verify_invariants,
     verify_oracle,
@@ -63,18 +64,23 @@ def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
 def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypatch):
     bpop = BinaryTypePopulation.from_population_spec(pops["ex7_4"])
     calls = []
-    real = st.cost
+    real = st._mistake_costs
 
-    def counting(chain, from_set, to_set):
-        calls.append((tuple(from_set), tuple(to_set)))
-        return real(chain, from_set, to_set)
+    def counting(chain, sources, stop=frozenset(), reverse=False):
+        if reverse:
+            calls.append(tuple(sources))
+        return real(chain, sources, stop, reverse)
 
-    monkeypatch.setattr(st, "cost", counting)
+    monkeypatch.setattr(st, "_mistake_costs", counting)
     assert verify_stochastic(bpop, graph=graphs("ex7_4")) == []
     chain = st.build_chain(bpop, Fraction(0), graphs("ex7_4"))
     classes = st.recurrent_classes(chain)
-    assert len(calls) == sum(chain.n_states - len(cls) for cls in classes)
-    assert len(set(calls)) == len(calls)
+    # one backward search per class, none per (state, class) pair
+    assert sorted(calls) == sorted(classes)
+    plain = _plain_costs(chain, classes)
+    for t, cls in enumerate(classes):
+        assert plain[t] == {i: st.cost(chain, [i], cls)
+                            for i in range(chain.n_states) if i not in cls}
 
 
 def test_verify_stochastic_searches_once_per_modified_cost_start(pops, graphs, monkeypatch):
@@ -82,15 +88,29 @@ def test_verify_stochastic_searches_once_per_modified_cost_start(pops, graphs, m
     calls = []
     real = st._mistake_costs
 
-    def counting(chain, sources, stop=frozenset()):
-        calls.append((tuple(sources), frozenset(stop)))
-        return real(chain, sources, stop)
+    def counting(chain, sources, stop=frozenset(), reverse=False):
+        calls.append((tuple(sources), frozenset(stop), reverse))
+        return real(chain, sources, stop, reverse)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
     assert verify_stochastic(bpop, graph=graphs("ex7_1")) == []
     chain = st.build_chain(bpop, Fraction(0), graphs("ex7_1"))
     in_class = frozenset(i for cls in st.recurrent_classes(chain) for i in cls)
-    starts = [sources for sources, stop in calls if stop == in_class]
+    starts = [sources for sources, stop, _ in calls if stop == in_class]
     # every state outside the classes is a modified-cost start, searched once
     assert sorted(starts) == [(i,) for i in range(chain.n_states) if i not in in_class]
     assert len(set(calls)) == len(calls)
+
+
+# raising class 0's gamma by one leaves ex7_1's stable set alone, but on ex7_4
+# class 0 is one of the two stable classes, so the stable set shrinks
+@pytest.mark.parametrize("name, stable_set_moves", (("ex7_1", False), ("ex7_4", True)))
+def test_verify_stochastic_flags_gamma_off_the_potential(name, stable_set_moves, pops, graphs,
+                                                         monkeypatch):
+    bpop = BinaryTypePopulation.from_population_spec(pops[name])
+    real = st.gamma
+    monkeypatch.setattr(st, "gamma", lambda cg, root: real(cg, root) + (root == 0))
+    problems = verify_stochastic(bpop, graph=graphs(name))
+    assert any(p.startswith("stochastic potential [") and "of class 0 " in p for p in problems)
+    assert any(p.startswith("stochastic potential is minimal on") for p in problems) \
+        == stable_set_moves
