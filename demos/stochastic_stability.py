@@ -34,7 +34,7 @@ for name in ("ex7_1", "ex7_4"):
 
     for eps in (Fraction(1, 100), Fraction(1, 10000)):
         mu = stationary_distribution(build_chain(bpop, eps))
-        mass = sum((mu[chain.index[s]] for s in result.stable_states), Fraction(0))
+        mass = sum((mu[chain.index_of(s)] for s in result.stable_states), Fraction(0))
         print(f"  stationary mass on the stable set at eps={eps}: {float(mass):.6f}")
 
     verdict = check_extreme_theorem(bpop)

@@ -184,16 +184,18 @@ def cmd_stochastic(args) -> int:
         if not all(0 < eps < 1 for eps in epsilons):
             raise ValueError("--epsilon must lie strictly between 0 and 1")
     graph = _oracle_graph(pop, args)
-    stationary = stochastic.stationary_distributions(bpop, epsilons, graph)
-    report = stochastic.stochastic_report(bpop, epsilons, graph, stationary)
+    # each chain is built once, and the unperturbed one builds its class table once
+    chains = {eps: stochastic.build_chain(bpop, eps, graph) for eps in [Fraction(0), *epsilons]}
+    stationary = {eps: stochastic.stationary_distribution(chains[eps]) for eps in epsilons}
+    report = stochastic.stochastic_report(bpop, epsilons, chains[0], stationary)
     problems: list[str] = []
     if args.verify:
         eps_grid = epsilons or [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-        problems = verify.verify_stochastic(bpop, eps_grid, graph=graph, stationary=stationary)
+        problems = verify.verify_stochastic(bpop, eps_grid, stationary=stationary, chains=chains)
         report["verification"] = {"passed": not problems, "problems": problems}
     if args.dot:
         with open(args.dot, "w") as fh:
-            stochastic.export_class_digraph_dot(bpop, fh, graph)
+            stochastic.export_class_digraph_dot(bpop, fh, chains[0])
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 

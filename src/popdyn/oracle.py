@@ -200,13 +200,13 @@ def _shifted(n: int, step: int) -> tuple[slice, slice]:
 
 
 def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None = None,
-                    reverse: bool = False) -> np.ndarray | None:
+                    reverse: bool = False, stop: np.ndarray | None = None) -> np.ndarray | None:
     """Mask of the states reachable from `starts` (included) over the moves.
 
     A step from o tests o's bit and adds the step. With `reverse` the search
     runs over the predecessors: bit j is moved from o - step_j to o and the
     steps are negated. With `bound`, returns None as soon as a state outside
-    it is reached.
+    it is reached. States in the `stop` mask are reached but never left.
     """
     moves, steps, n = graph.moves, graph.steps, graph.n_states
     if reverse:
@@ -221,6 +221,8 @@ def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None =
     while frontier.size:
         if bound is not None and not bound[frontier].all():
             return None
+        if stop is not None:
+            frontier = frontier[~stop[frontier]]
         here = moves[frontier]
         found = np.concatenate([frontier[(here & bit) != 0] + step
                                 for step, bit in zip(steps, graph.bits)])

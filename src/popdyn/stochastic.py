@@ -13,12 +13,13 @@ digraph, and its recurrent classes are the oracle's minimal invariant sets.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -153,57 +154,100 @@ _BSTATE_CELLS = (
 
 @dataclass
 class PerturbedChain:
-    """Sparse exact transition matrix plus the epsilon-independent supports.
+    """The exact perturbed chain, held as arrays over its states.
 
-    Chain indices enumerate BStates lexicographically; `oracle_index[i]` is the
-    index of chain state i in the oracle digraph `graph`.
+    Chain indices enumerate BStates lexicographically (see `index_of`);
+    `oracle_index[i]` is chain state i's index in the oracle digraph `graph`.
+    Group 2f holds the cooperators and group 2f + 1 the defectors of BState
+    field f: `members[i, g]` counts them at state i, and `switch[i, g]`, read
+    off the oracle's moves, says that their rule switches their strategy.
+    Group g is activated with mass members * w_f and moves the state by one
+    agent with probability mass * (1 - epsilon) if it switches, mass * epsilon
+    if not; the rest of its mass stays on the self-loop.
     """
 
     bpop: BinaryTypePopulation
     epsilon: Fraction
     states: list[BState]
-    index: dict[BState, int]
-    rows: list[dict[int, Fraction]]
-    support0: list[frozenset[int]]
-    support_eps: list[frozenset[int]]
     graph: TransitionDigraph
     oracle_index: np.ndarray
+    members: np.ndarray
+    switch: np.ndarray
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
-    def one_step_cost(self, i: int, j: int) -> float:
-        if j in self.support0[i]:
-            return 0
-        if j in self.support_eps[i]:
-            return 1
-        return math.inf
-
-    def is_equilibrium(self, state: BState | int) -> bool:
-        i = state if isinstance(state, int) else self.index[state]
-        return self.support0[i] == frozenset((i,))
-
     @cached_property
+    def steps(self) -> np.ndarray:
+        """Chain-index step of each group's move: minus and plus the stride of
+        its field, the product of the later fields' ranges."""
+        radix = [c + 1 for c in self.bpop.caps]
+        return np.repeat([math.prod(radix[f + 1:]) for f in range(4)], 2) * np.tile([-1, 1], 4)
+
+    def index_of(self, state) -> int:
+        """Chain index of an integer index (of any integer type) or of four counts."""
+        try:
+            i = operator.index(state)
+        except TypeError:
+            counts = tuple(state)
+            if len(counts) != 4 or not all(0 <= c <= cap for c, cap in zip(counts, self.bpop.caps)):
+                raise ValueError(f"{state} is not a state of the chain") from None
+            return sum(int(c) * s for c, s in zip(counts, self.steps[1::2].tolist()))
+        if not 0 <= i < self.n_states:
+            raise ValueError(f"state index {i} out of range")
+        return i
+
+    @property
+    def denominator(self) -> int:
+        """Common denominator of every transition probability."""
+        return math.lcm(*(w.denominator for w in self.bpop.weights)) * self.epsilon.denominator
+
+    def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dst, num, mistakes), each (n, 9): column 0 is every state's
+        self-loop and column 1 + g the move of group g, with dst -1 where the
+        group is empty. `num` holds the exact probabilities as Python ints
+        over `denominator`; the self-loop is the sum of every group's part
+        that stays. `mistakes` is the one-step mistake cost: 0 where the
+        probability is positive at epsilon = 0, 1 where only a tremble makes it.
+        """
+        live = self.members > 0
+        here = np.arange(self.n_states)
+        dst = np.column_stack([here, np.where(live, here[:, None] + self.steps, -1)])
+        scale = self.denominator // self.epsilon.denominator
+        unit = [w.numerator * (scale // w.denominator) for w in self.bpop.weights]
+        mass = self.members.astype(object) * np.repeat(np.array(unit, dtype=object), 2)
+        eps = self.epsilon  # the factors epsilon and 1 - epsilon over its denominator
+        factor = np.array([eps.numerator, eps.denominator - eps.numerator], dtype=object)
+        moved = mass * factor[self.switch.astype(np.intp)]
+        stays = mass * factor[(~self.switch).astype(np.intp)]
+        num = np.column_stack([stays.sum(axis=1), moved])
+        mistakes = np.column_stack([~(live & ~self.switch).any(axis=1), ~self.switch])
+        return dst, num, mistakes.astype(np.int64)
+
+    def one_step_cost(self, i, j) -> int | float:
+        """Mistakes of the step i -> j: 0 if the unperturbed chain takes it
+        with positive probability, 1 if only a tremble does, math.inf if no
+        transition leads there."""
+        i, j = self.index_of(i), self.index_of(j)
+        live = self.members[i] > 0
+        if i == j:
+            return int(not (live & ~self.switch[i]).any())
+        g = np.flatnonzero(live & (self.steps == j - i))
+        return int(not self.switch[i, g[0]]) if g.size else math.inf
+
+    def is_equilibrium(self, state) -> bool:
+        """No group of the state switches: the unperturbed chain stays put."""
+        return not self.switch[self.index_of(state)].any()
+
+    @property
     def support_matrix(self) -> csr_matrix:
-        """0/1 CSR matrix of the perturbed support `support_eps`."""
-        src = [i for i, succ in enumerate(self.support_eps) for _ in succ]
-        dst = [j for succ in self.support_eps for j in succ]
-        n = self.n_states
-        return csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
-
-    @cached_property
-    def mistake_steps(self) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-        """(forward, backward) one-step mistake costs over the perturbed support:
-        forward[i] lists (j, cost) for each j in support_eps[i], and backward[j]
-        the same edges as (i, cost); a cost is 0 on support0 and 1 elsewhere."""
-        forward = [[(j, int(j not in zero)) for j in succ]
-                   for succ, zero in zip(self.support_eps, self.support0)]
-        backward: list[list[tuple[int, int]]] = [[] for _ in forward]
-        for i, edges in enumerate(forward):
-            for j, c in edges:
-                backward[j].append((i, c))
-        return forward, backward
+        """0/1 CSR matrix of the perturbed support: each state's self-loop and
+        its in-range +-1 moves, the same at every epsilon > 0."""
+        dst = self.transitions()[0]
+        rows = np.nonzero(dst >= 0)[0]
+        return csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, dst[dst >= 0])),
+                          shape=(self.n_states,) * 2)
 
     @cached_property
     def class_table(self) -> ClassTable:
@@ -213,15 +257,11 @@ class PerturbedChain:
 
 def build_chain(bpop: BinaryTypePopulation, epsilon,
                 graph: TransitionDigraph | None = None) -> PerturbedChain:
-    """Exact transition matrix of the perturbed dynamics at tremble rate epsilon.
+    """The perturbed dynamics of `bpop` at tremble rate epsilon.
 
-    Each of the up-to-8 (cell, strategy) groups of a state is activated with
-    mass (member count) * (per-agent weight); the active agent plays her rule's
-    choice with probability 1-epsilon and the opposite with epsilon. The rule's
-    choice comes from `graph`, the oracle digraph of `bpop.to_population_spec()`
-    (built when not given): a switch edge o -> o - stride (o + stride) moves a
-    cooperator out of (into) that cell, and a group with no such edge keeps its
-    strategy.
+    Each group's intended move comes from `graph`, the oracle digraph of
+    `bpop.to_population_spec()` (built when not given): the oracle's move bit
+    for a cell's -1 (+1) step says that its cooperators (defectors) switch.
     """
     epsilon = parse_rational(epsilon)
     if not 0 <= epsilon < 1:
@@ -229,151 +269,133 @@ def build_chain(bpop: BinaryTypePopulation, epsilon,
     if graph is None:
         graph = build_transition_digraph(bpop.to_population_spec())
     space = graph.space
-    strides = [space.strides[space.position[(role, kind, 1)]] for role, kind in _BSTATE_CELLS]
-    caps = bpop.caps
-    grid = np.indices(tuple(c + 1 for c in caps)).reshape(4, -1).T
-    oracle_index = grid @ np.array(strides, dtype=np.int64)
-    chain_of = np.argsort(oracle_index).tolist()
+    cells = [space.position[(role, kind, 1)] for role, kind in _BSTATE_CELLS]
+    caps = np.array(bpop.caps)
+    grid = np.indices(tuple(caps + 1)).reshape(4, -1).T
+    oracle_index = grid @ np.array([space.strides[k] for k in cells], dtype=np.int64)
+    members = np.column_stack([grid, caps - grid])[:, [0, 4, 1, 5, 2, 6, 3, 7]]
+    bits = np.array([1 << 2 * k + d for k in cells for d in (0, 1)], dtype=graph.moves.dtype)
+    switch = (graph.moves[oracle_index][:, None] & bits) != 0
     states = [BState(*row) for row in grid.tolist()]
-    index = {s: i for i, s in enumerate(states)}
-    weights = bpop.weights
-    keep = 1 - epsilon
-    rows: list[dict[int, Fraction]] = []
-    support0: list[frozenset[int]] = []
-    support_eps: list[frozenset[int]] = []
-    for i, (state, o) in enumerate(zip(states, oracle_index.tolist())):
-        switches = set(graph.switch_successors(o).tolist())
-        row: dict[int, Fraction] = {}
-        sup0: set[int] = set()
-        for f in range(4):
-            for members, dst in ((state[f], o - strides[f]), (caps[f] - state[f], o + strides[f])):
-                if members == 0:
-                    continue
-                mass = members * weights[f]
-                moved = chain_of[dst]
-                main, flip = (moved, i) if dst in switches else (i, moved)
-                row[main] = row.get(main, 0) + mass * keep
-                row[flip] = row.get(flip, 0) + mass * epsilon
-                sup0.add(main)
-        support_eps.append(frozenset(row))
-        if epsilon == 0:
-            row = {j: p for j, p in row.items() if p > 0}
-        rows.append(row)
-        support0.append(frozenset(sup0))
-    return PerturbedChain(bpop, epsilon, states, index, rows, support0, support_eps,
-                          graph, oracle_index)
+    return PerturbedChain(bpop, epsilon, states, graph, oracle_index, members, switch)
 
 
 # -- transition costs ---------------------------------------------------------
 
 
-def _as_indices(chain: PerturbedChain, group) -> list[int]:
-    return [s if isinstance(s, int) else chain.index[BState(*s)] for s in group]
+def _number(x) -> int | float:
+    """A search distance as a Python int, or math.inf."""
+    return int(x) if math.isfinite(x) else math.inf
 
 
-def _mistake_costs(chain: PerturbedChain, sources: Iterable[int],
-                   stop=frozenset(), reverse: bool = False) -> list[int | float]:
-    """Fewest mistakes from `sources` to every state, math.inf where unreachable.
+def _mistake_costs(chain: PerturbedChain, sources, reverse: bool = False) -> np.ndarray:
+    """Fewest mistakes from `sources` to every state, inf where unreachable.
 
-    A 0-1 breadth-first search over the perturbed support: a step the
-    unperturbed chain takes costs 0, a tremble costs 1. States in `stop` are
-    reached but never left. With `reverse` the search runs against the edges,
-    so dist[i] is the fewest mistakes from state i into `sources`.
+    A 0-1 search over the whole chain, one layer per mistake, in oracle
+    indices. Layer d is the zero-cost closure, over the oracle's switch moves
+    (`frontier_search`, which does not walk again through states already
+    settled), of the states first reached with d mistakes. A tremble reaches
+    any in-range +-1 neighbour, the same set forwards and backwards, and leads
+    to layer d + 1. With `reverse` the search runs against the edges, so
+    dist[i] is the fewest mistakes from state i into `sources`. Distances
+    come back in chain order, as floats.
     """
-    steps = chain.mistake_steps[reverse]
-    dist: list[int | float] = [math.inf] * chain.n_states
-    queue = deque(sources)
-    for i in queue:
-        dist[i] = 0
-    while queue:
-        u = queue.popleft()
-        if u in stop:
-            continue
-        d = dist[u]
-        for v, c in steps[u]:
-            if d + c < dist[v]:
-                dist[v] = d + c
-                if c:
-                    queue.append(v)
-                else:
-                    queue.appendleft(v)
-    return dist
+    order, n = chain.oracle_index, chain.n_states
+    live = np.empty((n, 8), dtype=bool)
+    live[order] = chain.members > 0
+    steps = np.sign(chain.steps) * order[np.abs(chain.steps)]
+    dist = np.full(n, np.inf)
+    layer = order[np.asarray(sources, dtype=np.int64)]
+    for d in itertools.count():
+        settled = np.isfinite(dist)
+        new = frontier_search(chain.graph, layer, reverse=reverse, stop=settled) & ~settled
+        dist[new] = d
+        left = np.flatnonzero(new)
+        tremble = (left[:, None] + steps)[live[left]]
+        layer = tremble[np.isinf(dist[tremble])]
+        if not layer.size:
+            return dist[order]
 
 
 def cost(chain: PerturbedChain, from_set, to_set) -> int:
     """Minimum mistakes over paths from `from_set` to `to_set`.
 
-    The minimum over `to_set` of one `_mistake_costs` search from `from_set`;
+    One backward `_mistake_costs` search from `to_set`, read at `from_set`;
     paths end on first entry to `to_set`, which with non-negative step costs
     enforces the no-revisit, no-passing-through rule.
     """
-    sources = _as_indices(chain, from_set)
-    targets = frozenset(_as_indices(chain, to_set))
+    sources = [chain.index_of(s) for s in from_set]
+    targets = [chain.index_of(s) for s in to_set]
     if not sources or not targets:
         raise ValueError("cost needs non-empty state sets")
-    dist = _mistake_costs(chain, sources, stop=targets)
-    best = min(dist[j] for j in targets)
+    best = _mistake_costs(chain, targets, reverse=True)[sources].min()
     if math.isinf(best):
         raise SingularSystem("target unreachable; perturbed chain should be irreducible")
-    return best
+    return int(best)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassTable:
     """Recurrent classes of a chain and their mistake-cost quantities.
 
-    Class ids are positions in `classes`; `class_of` maps each class state to
-    its id. `costs[a][b]` is cost(class a, class b) and `rseg[a][b]` the
-    cheapest path from class a into class b that enters no other class.
-    `legs[a][b]` is the cheapest walk over classes from a to b when a leg
-    leaving class q weighs rseg[q][.] - radii[q] (0 on the diagonal).
-    `seg[x][q]`, for a state x in no class, is the cheapest path from x into
-    class q that enters no other class; it is filled on first use.
+    Class ids are positions in `classes`; `class_of[i]` is state i's class id,
+    -1 outside every class. Each class t takes two whole-chain searches: a
+    backward one gives `plain[t, x]`, cost(x, class t), whose zeros are the
+    states that fall into class t without a mistake (`basins[t]` marks those
+    that fall into no other class), and a forward one gives its radius.
+    `costs[a][b]` is cost(class a, class b), and `legs[a][b]` the cheapest
+    walk over classes from a to b when a leg leaving class q weighs
+    costs[q][.] - radii[q] (0 on the diagonal).
     """
 
     classes: tuple[tuple[int, ...], ...]
-    class_of: dict[int, int]
-    basins: tuple[frozenset[int], ...]
+    class_of: np.ndarray
+    basins: np.ndarray
     radii: tuple[int | float, ...]
     costs: tuple[tuple[int, ...], ...]
-    rseg: tuple[tuple[int | float, ...], ...]
     legs: tuple[tuple[int | float, ...], ...]
-    seg: dict[int, tuple[int | float, ...]] = field(default_factory=dict, compare=False)
+    plain: np.ndarray
+
+    def modified_costs(self, t: int) -> np.ndarray:
+        """Modified cost from every state to class t (see `modified_cost`), as
+        floats; the entries on class t itself mean nothing."""
+        via = np.array([r + row[t] for r, row in zip(self.radii, self.legs)], dtype=float)
+        through = np.where(np.arange(len(via)) == t, 0, via)
+        out = (self.plain + through[:, None]).min(axis=0)
+        inside = self.class_of >= 0
+        out[inside] = via[self.class_of[inside]]
+        return out
 
 
 def _class_table(chain: PerturbedChain) -> ClassTable:
     classes = recurrent_classes(chain)
     k = len(classes)
-    class_of = {i: a for a, cls in enumerate(classes) for i in cls}
-    # reaches[a][i]: chain state i falls into class a without a mistake
-    order = chain.oracle_index
-    reaches = np.array([frontier_search(chain.graph, order[list(cls)], reverse=True)[order]
-                        for cls in classes])
-    shared = reaches.sum(axis=0) > 1
-    basins = tuple(frozenset(np.flatnonzero(r & ~shared).tolist()) for r in reaches)
-    radii, costs, rseg = [], [], []
+    class_of = np.full(chain.n_states, -1)
     for a, cls in enumerate(classes):
-        dist = _mistake_costs(chain, cls)
-        if math.inf in dist:
-            raise SingularSystem("target unreachable; perturbed chain should be irreducible")
-        radii.append(min((d for i, d in enumerate(dist) if i not in basins[a]), default=math.inf))
-        costs.append(tuple(min(dist[j] for j in other) for other in classes))
-        dist = _mistake_costs(chain, cls, stop=class_of.keys() - set(cls))
-        rseg.append(tuple(min(dist[j] for j in other) for other in classes))
-    legs = [[0 if a == b else rseg[a][b] - radii[a] for b in range(k)] for a in range(k)]
+        class_of[list(cls)] = a
+    plain = np.array([_mistake_costs(chain, cls, reverse=True) for cls in classes])
+    if np.isinf(plain).any():
+        raise SingularSystem("target unreachable; perturbed chain should be irreducible")
+    reaches = plain == 0
+    basins = reaches & (reaches.sum(axis=0) == 1)
+    radii = [_number(_mistake_costs(chain, cls)[~basins[a]].min(initial=np.inf))
+             for a, cls in enumerate(classes)]
+    costs = [[int(plain[b, list(cls)].min()) for b in range(k)] for cls in classes]
+    legs = [[0 if a == b else costs[a][b] - radii[a] for b in range(k)] for a in range(k)]
     for q in range(k):
         for a in range(k):
             for b in range(k):
                 legs[a][b] = min(legs[a][b], legs[a][q] + legs[q][b])
-    return ClassTable(tuple(classes), class_of, basins, tuple(radii), tuple(costs),
-                      tuple(rseg), tuple(map(tuple, legs)))
+    return ClassTable(tuple(classes), class_of, basins, tuple(radii), tuple(map(tuple, costs)),
+                      tuple(map(tuple, legs)), plain)
 
 
 def _class_id(chain: PerturbedChain, omega: Sequence) -> int:
-    omega_set = set(_as_indices(chain, omega))
-    for a, cls in enumerate(chain.class_table.classes):
-        if omega_set == set(cls):
-            return a
+    table = chain.class_table
+    members = np.unique([chain.index_of(s) for s in omega]).astype(np.int64)
+    a = table.class_of[members[0]] if members.size else -1
+    if a >= 0 and np.array_equal(members, table.classes[a]):
+        return int(a)
     raise ValueError("omega is not a recurrent class of the chain")
 
 
@@ -393,10 +415,10 @@ def basin(chain: PerturbedChain, omega: Sequence) -> frozenset[int]:
     """States from which the unperturbed chain reaches omega with probability one,
     i.e. from which no other recurrent class is reachable.
 
-    Each class's zero-cost reverse closure is one backward search over the
-    oracle's moves; the basin is the part of omega's closure in no other.
+    Each class's zero-cost reverse closure is the first layer of its plain
+    backward search; the basin is the part of omega's closure in no other.
     """
-    return chain.class_table.basins[_class_id(chain, omega)]
+    return frozenset(np.flatnonzero(chain.class_table.basins[_class_id(chain, omega)]).tolist())
 
 
 def radius(chain: PerturbedChain, omega: Sequence) -> int | float:
@@ -498,8 +520,9 @@ def stochastically_stable_set(bpop: BinaryTypePopulation,
     for i in stable_ids:
         states.update(chain.states[j] for j in cg.classes[i])
     table = chain.class_table
+    basins = tuple(frozenset(np.flatnonzero(b).tolist()) for b in table.basins)
     return StochasticStabilityResult(cg, gammas, stable_ids, frozenset(states),
-                                     table.radii, table.basins)
+                                     table.radii, basins)
 
 
 # -- GTH state reduction: stationary distributions and stochastic potentials ---
@@ -545,6 +568,15 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
     return pi, position, p.diagonal()[1:].copy()
 
 
+def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtype) -> np.ndarray:
+    """n x n matrix of `values` at the positions of each transition, `fill` elsewhere."""
+    n = len(position)
+    p = np.full((n, n), fill, dtype=dtype)
+    rows, cols = np.nonzero(dst >= 0)
+    p[position[rows], position[dst[rows, cols]]] = values[rows, cols]
+    return p
+
+
 class _FloatKernel:
     """Probabilities as float64."""
 
@@ -552,11 +584,9 @@ class _FloatKernel:
 
     @staticmethod
     def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        n = chain.n_states
-        p = np.zeros((n, n))
-        for i, row in enumerate(chain.rows):
-            p[position[i], position[list(row)]] = list(row.values())
-        return p
+        # int / int is correctly rounded: each entry is the float of the exact one
+        dst, num, _ = chain.transitions()
+        return _dense(position, dst, num / chain.denominator, 0, float)
 
     @staticmethod
     def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -576,14 +606,9 @@ class _ExactKernel(_FloatKernel):
     kernel's back-substitution runs on them."""
 
     def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        n = chain.n_states
-        p = np.zeros((n, n), dtype=object)
-        self.den = np.zeros(n, dtype=object)
-        for i, row in enumerate(chain.rows):
-            self.den[position[i]] = d = math.lcm(*(x.denominator for x in row.values()))
-            p[position[i], position[list(row)]] = [x.numerator * (d // x.denominator)
-                                                   for x in row.values()]
-        return p
+        dst, num, _ = chain.transitions()
+        self.den = np.full(chain.n_states, chain.denominator, dtype=object)
+        return _dense(position, dst, num, 0, object)
 
     def pivot(self, p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
         s = sum(p[k, cols].tolist())
@@ -613,11 +638,8 @@ class _OrderKernel:
 
     @staticmethod
     def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        n = chain.n_states
-        p = np.full((n, n), _NO_EDGE, dtype=np.int64)
-        for i, edges in enumerate(chain.mistake_steps[0]):
-            p[position[i], position[[j for j, _ in edges]]] = [c for _, c in edges]
-        return p
+        dst, _, mistakes = chain.transitions()
+        return _dense(position, dst, mistakes, _NO_EDGE, np.int64)
 
     @staticmethod
     def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -651,9 +673,9 @@ def stochastic_potential(chain: PerturbedChain) -> np.ndarray:
     """Stochastic potential of every chain state: the fewest mistakes of a
     spanning tree of one-step costs whose paths all lead to that state.
 
-    The same GTH state reduction over leading epsilon-orders, with 0 on
-    `support0`, 1 on the rest of `support_eps` and no edge elsewhere. By the
-    Markov chain tree theorem mu_eps(x) is proportional to the sum of the
+    The same GTH state reduction over leading epsilon-orders: each
+    transition's one-step mistake cost, and no edge elsewhere. By the Markov
+    chain tree theorem mu_eps(x) is proportional to the sum of the
     x-rooted tree weights, and the product of the GTH pivots is that sum for
     the state that is never eliminated; so the potential of x is its order
     relative to that state plus the sum of the pivot orders. On a recurrent class it
@@ -664,25 +686,19 @@ def stochastic_potential(chain: PerturbedChain) -> np.ndarray:
     return (pi + pivots.sum())[position]
 
 
-def stationary_distributions(bpop: BinaryTypePopulation, epsilons: Sequence,
-                             graph: TransitionDigraph | None = None) -> dict[Fraction, list[Fraction]]:
-    """Stationary distribution of the chain at each epsilon, keyed by the parsed rational."""
-    return {
-        eps: stationary_distribution(build_chain(bpop, eps, graph))
-        for eps in map(parse_rational, epsilons)
-    }
-
-
 def stationary_residual(chain: PerturbedChain, mu: Sequence[Fraction]) -> Fraction:
-    """L1 residual of mu P - mu; identically zero for the exact solver."""
-    n = chain.n_states
-    acc = [Fraction(0)] * n
-    for i, row in enumerate(chain.rows):
-        mi = mu[i]
-        if mi:
-            for j, prob in row.items():
-                acc[j] += mi * prob
-    return sum(abs(acc[j] - mu[j]) for j in range(n))
+    """L1 residual of mu P - mu; identically zero for the exact solver.
+
+    Exact, in Python ints over the common denominator of mu (one power of two
+    for a float solve) times the chain's, so no Fraction is formed per term.
+    """
+    dst, num, _ = chain.transitions()
+    den = math.lcm(*(x.denominator for x in mu))
+    weights = np.array([x.numerator * (den // x.denominator) for x in mu], dtype=object)
+    live = dst >= 0
+    flow = np.zeros(chain.n_states, dtype=object)
+    np.add.at(flow, dst[live], (weights[:, None] * num)[live])
+    return Fraction(sum(abs(flow - weights * chain.denominator)), den * chain.denominator)
 
 
 # -- modified costs (step-by-step evolution discounts) -------------------------
@@ -697,27 +713,23 @@ def modified_cost(chain: PerturbedChain, start, omega: Sequence) -> int | float:
     never discounted. Raw values are reported without clamping.
 
     Every path out of a class q leaves q's basin first, so each leg out of q
-    costs at least R(q) and every discounted leg weight rseg - R(q) is
-    non-negative. The cheapest walk over classes is then a simple one, so the
-    shortest-path table `legs` equals the minimum over simple sequences: from
-    a state of class s it is R(s) + legs[s][omega], and from any other state x
-    min(seg(x, omega), min_q seg(x, q) + R(q) + legs[q][omega]), where seg(x, .)
-    comes from one search from x that stops at every class state, made once
-    per x.
+    costs at least R(q) and every discounted leg weight is non-negative. A
+    path that passes through a class on its way therefore costs no less than
+    the same path counted with that class as a discounted stop, so segments
+    and legs may be plain costs, which may enter other classes, and the
+    cheapest walk over classes is a simple one. The shortest-path table
+    `legs` over the weights cost(q, .) - R(q) equals the minimum over simple
+    sequences: from a state of class s it is R(s) + legs[s][omega], and from
+    any other state x min(cost(x, omega), min_q cost(x, q) + R(q) +
+    legs[q][omega]), one vectorized minimum over q of the class table's
+    plain costs (`ClassTable.modified_costs`).
     """
     table = chain.class_table
     t = _class_id(chain, omega)
-    x = start if isinstance(start, int) else _as_indices(chain, [start])[0]
-    s = table.class_of.get(x)
-    if s == t:
+    x = chain.index_of(start)
+    if table.class_of[x] == t:
         raise ValueError("start state must lie outside omega")
-    if s is not None:
-        return table.radii[s] + table.legs[s][t]
-    if x not in table.seg:
-        dist = _mistake_costs(chain, [x], stop=table.class_of.keys())
-        table.seg[x] = tuple(min(dist[j] for j in cls) for cls in table.classes)
-    return min(seg + (0 if q == t else table.radii[q] + table.legs[q][t])
-               for q, seg in enumerate(table.seg[x]))
+    return _number(table.modified_costs(t)[x])
 
 
 # -- extreme-equilibrium theorem -----------------------------------------------
@@ -804,11 +816,12 @@ def check_extreme_theorem(bpop: BinaryTypePopulation, chain: PerturbedChain | No
 
 
 def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
-                      graph: TransitionDigraph | None = None,
+                      chain: PerturbedChain | None = None,
                       stationary: dict[Fraction, list[Fraction]] | None = None) -> dict:
-    """JSON-ready report; `graph` is the oracle digraph of the population and
-    `stationary` the distributions at `epsilons`, when already computed."""
-    chain = build_chain(bpop, Fraction(0), graph)
+    """JSON-ready report; `chain` is the unperturbed chain of the population
+    and `stationary` the distributions at `epsilons`, when already computed."""
+    if chain is None:
+        chain = build_chain(bpop, Fraction(0))
     result = stochastically_stable_set(bpop, chain)
     cg = result.class_graph
     report: dict = {
@@ -837,11 +850,12 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
     }
     if epsilons:
         if stationary is None:
-            stationary = stationary_distributions(bpop, epsilons, chain.graph)
+            stationary = {eps: stationary_distribution(build_chain(bpop, eps, chain.graph))
+                          for eps in map(parse_rational, epsilons)}
         table = {}
         for eps in map(parse_rational, epsilons):
             mu = stationary[eps]
-            ss_mass = sum((mu[chain.index[s]] for s in result.stable_states), Fraction(0))
+            ss_mass = sum((mu[chain.index_of(s)] for s in result.stable_states), Fraction(0))
             table[str(eps)] = {
                 "stable_set_mass": str(ss_mass),
                 "by_state": {str(tuple(s)): str(mu[i]) for i, s in enumerate(chain.states)},
@@ -851,10 +865,11 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
 
 
 def export_class_digraph_dot(bpop: BinaryTypePopulation, stream,
-                             graph: TransitionDigraph | None = None) -> None:
-    """DOT rendering of the recurrent-class cost digraph; `graph` is the oracle
-    digraph of the population, built when not given."""
-    chain = build_chain(bpop, Fraction(0), graph)
+                             chain: PerturbedChain | None = None) -> None:
+    """DOT rendering of the recurrent-class cost digraph; `chain` is the
+    unperturbed chain of the population, built when not given."""
+    if chain is None:
+        chain = build_chain(bpop, Fraction(0))
     cg = build_class_graph(chain)
     stream.write("digraph recurrent_classes {\n")
     for i, cls in enumerate(cg.classes):

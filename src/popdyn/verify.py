@@ -7,7 +7,6 @@ skips, not failures.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -18,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from . import equilibria as eq
 from . import invariants as inv
 from . import stochastic as st
-from .errors import AssumptionViolated, SingularSystem, StateSpaceTooLarge
+from .errors import AssumptionViolated, StateSpaceTooLarge
 from .model import PopulationSpec, State, state_space_size
 from .oracle import (
     TransitionDigraph,
@@ -176,25 +175,33 @@ def verify_oracle(graph: TransitionDigraph) -> list[str]:
 def verify_stochastic(bpop: st.BinaryTypePopulation,
                       epsilons: Sequence = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
                       graph: TransitionDigraph | None = None,
-                      stationary: dict[Fraction, list[Fraction]] | None = None) -> list[str]:
+                      stationary: dict[Fraction, list[Fraction]] | None = None,
+                      chains: dict[Fraction, st.PerturbedChain] | None = None) -> list[str]:
     """Full stochastic-stability cross-check battery on a binary-type population.
 
     `graph` is the oracle digraph of `bpop.to_population_spec()`, built when not
-    given. `stationary` maps an epsilon to its already solved distribution;
-    the others are solved here.
+    given. `chains` maps an epsilon (0 for the unperturbed chain) to its
+    already built chain, and `stationary` an epsilon to its already solved
+    distribution; the others are built and solved here.
 
     Each class's gamma, found by Chu-Liu/Edmonds over class-to-class costs,
     is checked against the stochastic potential of its states, found by a
     min-plus GTH reduction over state-level one-step costs: the potential
     must be constant on the class and equal its gamma, and its minimum must
-    be taken exactly on the stochastically stable states. Plain costs from
-    every state to every class come from one backward search per class.
+    be taken exactly on the stochastically stable states. Plain and modified
+    costs from every state to every class come from the unperturbed chain's
+    class table, two whole-chain searches per class.
     """
     problems: list[str] = []
-    chain0 = st.build_chain(bpop, 0, graph)
+    chains = dict(chains or {})
+    for eps in [Fraction(0), *epsilons]:
+        if eps not in chains:
+            chains[eps] = st.build_chain(bpop, eps, chains[0].graph if 0 in chains else graph)
+    chain0 = chains[0]
     result = st.stochastically_stable_set(bpop, chain0)
     cg = result.class_graph
     classes = cg.classes
+    table = chain0.class_table
 
     analytic = {r.state for r in eq.enumerate_equilibria(chain0.graph.pop)}
     singletons = {
@@ -207,30 +214,26 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
             f"from the closed-form equilibria {sorted(s.to_tuple() for s in analytic)}"
         )
 
-    chains = {eps: st.build_chain(bpop, eps, chain0.graph) for eps in epsilons}
-    for eps, chain in chains.items():
-        for i, row in enumerate(chain.rows):
-            if sum(row.values()) != 1:
-                problems.append(f"row {i} of the eps={eps} chain does not sum to 1")
-                break
-        for i in range(chain.n_states):
-            if not chain0.support0[i] <= chain.support_eps[i]:
-                problems.append("support of the unperturbed chain escapes the perturbed support")
-                break
+    _, num0, mistakes = chain0.transitions()
+    positive0 = num0 > 0
+    for eps in dict.fromkeys(epsilons):
+        chain = chains[eps]
+        dst, num, _ = chain.transitions()
+        positive = num > 0
+        bad = np.flatnonzero(num.sum(axis=1) != chain.denominator)
+        if bad.size:
+            problems.append(f"row {bad[0]} of the eps={eps} chain does not sum to 1")
+        if (positive0 & ~positive).any():
+            problems.append("support of the unperturbed chain escapes the perturbed support")
         # one-step mistake costs against the numeric transition rows
-        for i in range(chain.n_states):
-            positive0 = {j for j, p in chain0.rows[i].items() if p > 0}
-            positive_eps = {j for j, p in chain.rows[i].items() if p > 0}
-            for j in positive_eps | positive0:
-                c_val = chain0.one_step_cost(i, j)
-                want = 0 if j in positive0 else 1 if j in positive_eps else math.inf
-                if c_val != want:
-                    problems.append(f"one-step cost mismatch at ({i},{j}): {c_val} vs {want}")
-                    break
+        want = np.where(positive0, 0, 1)
+        for i, c in np.argwhere((positive | positive0) & (mistakes != want))[:1]:
+            problems.append(f"one-step cost mismatch at ({i},{dst[i, c]}): "
+                            f"{chain0.one_step_cost(i, dst[i, c])} vs {want[i, c]}")
         if connected_components(chain.support_matrix, directed=True,
                                 connection="strong")[0] != 1:
             problems.append(f"perturbed chain at eps={eps} is not irreducible")
-        if not any(i in chain.support_eps[i] for i in range(chain.n_states)):
+        if not positive[:, 0].any():
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")
 
     potential = st.stochastic_potential(chain0)
@@ -247,29 +250,24 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
         )
 
     # cost vs modified cost dominance over every (state, class) pair
-    # plain[t][i] = cost(state i, class t), kept for the persistence check below
-    plain = _plain_costs(chain0, classes)
-    for t, cls in enumerate(classes):
-        for i, c_val in plain[t].items():
-            c_star = st.modified_cost(chain0, i, cls)
-            if not c_val >= c_star:
-                problems.append(
-                    f"modified cost exceeds plain cost from state {i} to class {t}: "
-                    f"{c_star} > {c_val}"
-                )
+    for t in range(len(classes)):
+        c_star = table.modified_costs(t)
+        for i in np.flatnonzero((table.class_of != t) & (table.plain[t] < c_star)):
+            problems.append(
+                f"modified cost exceeds plain cost from state {i} to class {t}: "
+                f"{st._number(c_star[i])} > {st._number(table.plain[t, i])}"
+            )
 
     solved = stationary or {}
     mus = {}
-    for eps, chain in chains.items():
-        mu = solved[eps] if eps in solved else st.stationary_distribution(chain)
-        if st.stationary_residual(chain, mu) > Fraction(1, 10**12):
+    for eps in dict.fromkeys(epsilons):
+        mu = solved[eps] if eps in solved else st.stationary_distribution(chains[eps])
+        if st.stationary_residual(chains[eps], mu) > Fraction(1, 10**12):
             problems.append(f"stationary residual too large at eps={eps}")
         mus[eps] = mu
     ordered = sorted(epsilons, key=Fraction, reverse=True)  # decreasing eps
-    masses = []
-    for eps in ordered:
-        mass = sum((mus[eps][chain0.index[s]] for s in result.stable_states), Fraction(0))
-        masses.append(mass)
+    stable = [chain0.index_of(s) for s in result.stable_states]
+    masses = [sum((mus[eps][i] for i in stable), Fraction(0)) for eps in ordered]
     if not all(a < b for a, b in zip(masses, masses[1:])):
         problems.append(f"stable-set stationary mass not increasing as eps decreases: {masses}")
 
@@ -289,30 +287,15 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
 
     # persistence corroboration: strictly sub-radius states lose mass as eps shrinks
     for t, r in enumerate(result.radii):
-        for i, c_val in plain[t].items():
-            if isinstance(r, int) and r > c_val:
-                series = [mus[eps][i] for eps in ordered]
-                if not all(a > b for a, b in zip(series, series[1:])):
-                    problems.append(
-                        f"state {i} dominated by class {t} but its mass is not vanishing"
-                    )
-                    break
+        if not isinstance(r, int):
+            continue
+        for i in np.flatnonzero((table.class_of != t) & (table.plain[t] < r)):
+            series = [mus[eps][i] for eps in ordered]
+            if not all(a > b for a, b in zip(series, series[1:])):
+                problems.append(f"state {i} dominated by class {t} but its mass is not vanishing")
+                break
 
     verdict = st.check_extreme_theorem(bpop, chain0, result)
     if verdict.conclusion_status == "violated":
         problems.append("extreme-equilibrium conclusion violated despite its hypothesis")
     return problems
-
-
-def _plain_costs(chain: st.PerturbedChain,
-                 classes: Sequence[Sequence[int]]) -> list[dict[int, int]]:
-    """plain[t][i] = st.cost(chain, [i], classes[t]) for every state i outside
-    class t, from one backward 0-1 search per class."""
-    plain = []
-    for cls in classes:
-        dist = st._mistake_costs(chain, cls, reverse=True)
-        if math.inf in dist:
-            raise SingularSystem("target unreachable; perturbed chain should be irreducible")
-        cls_set = set(cls)
-        plain.append({i: d for i, d in enumerate(dist) if i not in cls_set})
-    return plain

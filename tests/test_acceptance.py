@@ -238,7 +238,7 @@ def test_criterion_9_stationary_corroboration(stochastic_artifacts):
             checks.append((f"{name}: residual exactly zero at eps={eps}", residual == 0))
             checks.append((f"{name}: residual under 1e-12 at eps={eps}",
                            residual <= Fraction(1, 10**12)))
-            mass = sum((mu[chain0.index[s]] for s in result.stable_states), Fraction(0))
+            mass = sum((mu[chain0.index_of(s)] for s in result.stable_states), Fraction(0))
             masses.append(mass)
         checks.append((f"{name}: stable-set mass strictly increases as eps decreases",
                        masses[0] < masses[1] < masses[2]))

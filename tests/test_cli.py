@@ -323,3 +323,25 @@ def test_stochastic_verify_solves_each_epsilon_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert sorted(solved) == [Fraction(1, 1000), Fraction(1, 100)]
+
+
+def test_stochastic_builds_each_chain_once(tmp_path, monkeypatch):
+    from popdyn import stochastic
+
+    built = []
+    real = stochastic.build_chain
+
+    def counting(bpop, epsilon, graph=None):
+        built.append(Fraction(epsilon))
+        return real(bpop, epsilon, graph)
+
+    monkeypatch.setattr(stochastic, "build_chain", counting)
+    code = run_cli(
+        "stochastic", "--config", str(FIXDIR / "ex7_4.json"),
+        "--epsilon", "1/100", "--epsilon", "1/1000", "--verify", "--dot", str(tmp_path / "c.dot"),
+        "--json", str(tmp_path / "st.json"),
+    )
+    assert code == 0
+    # the unperturbed chain and one chain per epsilon, shared by the report,
+    # the verification battery and the DOT export
+    assert sorted(built) == [0, Fraction(1, 1000), Fraction(1, 100)]

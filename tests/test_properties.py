@@ -17,7 +17,7 @@ from popdyn.invariants import (
 from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
-                             _stationary_reference)
+                             _rows, _stationary_reference)
 
 
 def test_validate_population_idempotent_randomized():
@@ -140,7 +140,7 @@ def test_stationary_exact_on_random_chain():
         # cross-check against a float eigen solve
         n = chain.n_states
         mat = np.zeros((n, n))
-        for i, row in enumerate(chain.rows):
+        for i, row in enumerate(_rows(chain)):
             for j, p in row.items():
                 mat[i, j] = float(p)
         w, v = np.linalg.eig(mat.T)

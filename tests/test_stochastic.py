@@ -1,7 +1,9 @@
 import heapq
 import io
+import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +81,21 @@ def _gamma_reference(class_graph, root):
     return int(total[valid].min())
 
 
+def _rows(chain):
+    """Every state's exact transition row {j: probability > 0}."""
+    dst, num, _ = chain.transitions()
+    return [{int(j): Fraction(v, chain.denominator) for j, v in zip(d, r) if j >= 0 and v > 0}
+            for d, r in zip(dst.tolist(), num.tolist())]
+
+
+def _step_costs(chain):
+    """[{j: one-step mistake cost of i -> j}] read off the exact transition
+    rows: positive at eps = 0 costs 0, positive only at eps > 0 costs 1."""
+    rows0 = _rows(build_chain(chain.bpop, 0, chain.graph))
+    rows_eps = _rows(build_chain(chain.bpop, Fraction(1, 2), chain.graph))
+    return [{j: 0 if j in r0 else 1 for j in r_eps} for r0, r_eps in zip(rows0, rows_eps)]
+
+
 def _stationary_reference(chain):
     """Exact stationary distribution by a GTH reduction over a dense matrix of
     Fractions; the cross-check for the integer-row kernel."""
@@ -86,7 +103,7 @@ def _stationary_reference(chain):
     order = reverse_cuthill_mckee(chain.support_matrix, symmetric_mode=False)
     position = np.argsort(order)
     p = np.zeros((n, n), dtype=object)
-    for i, row in enumerate(chain.rows):
+    for i, row in enumerate(_rows(chain)):
         p[position[i], position[list(row)]] = list(row.values())
     # the pivot of state k goes on the diagonal, which no later step reads
     for k in range(n - 1, 0, -1):
@@ -153,26 +170,28 @@ def test_chain_rows_sum_to_one(bpops):
     for eps in (0, Fraction(1, 100)):
         chain = build_chain(bpops["ex7_2"], eps)
         assert chain.n_states == 72
-        for row in chain.rows:
+        for row in _rows(chain):
             assert sum(row.values()) == 1
 
 
 def test_chain_support_monotone(bpops):
     chain0 = build_chain(bpops["ex7_1"], 0)
     chain_eps = build_chain(bpops["ex7_1"], Fraction(1, 50))
-    for i in range(chain0.n_states):
-        assert chain0.support0[i] <= chain_eps.support_eps[i]
-        assert chain0.support0[i] == chain_eps.support0[i]
+    for i, (row0, row_eps) in enumerate(zip(_rows(chain0), _rows(chain_eps))):
+        assert row0.keys() <= row_eps.keys()
+        assert row0.keys() == {j for j in row_eps if chain_eps.one_step_cost(i, j) == 0}
 
 
 def test_perturbed_chain_irreducible_aperiodic(bpops):
     chain = build_chain(bpops["ex7_1"], Fraction(1, 100))
-    src = [i for i, succ in enumerate(chain.support_eps) for _ in succ]
-    dst = [j for succ in chain.support_eps for j in succ]
+    rows = _rows(chain)
+    src = [i for i, row in enumerate(rows) for _ in row]
+    dst = [j for row in rows for j in row]
     n = chain.n_states
     support = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
     assert connected_components(support, directed=True, connection="strong")[0] == 1
-    assert all(i in chain.support_eps[i] for i in range(chain.n_states))
+    assert all(i in row for i, row in enumerate(rows))
+    assert (support != chain.support_matrix).nnz == 0
 
 
 def test_recurrent_classes_ex7_2(chains):
@@ -416,7 +435,7 @@ def test_stationary_mass_concentrates_ex7_1(bpops):
     for eps in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)):
         chain = build_chain(bpops["ex7_1"], eps)
         mu = stationary_distribution(chain)
-        masses.append(mu[chain.index[target]])
+        masses.append(mu[chain.index_of(target)])
     assert masses[0] < masses[1] < masses[2]
     assert masses[2] > Fraction(99, 100)
 
@@ -425,8 +444,8 @@ def test_stationary_mass_ex7_4_mixed_pair(bpops):
     chain = build_chain(bpops["ex7_4"], Fraction(1, 10000))
     mu = stationary_distribution(chain)
     x, y, z = BState(1, 1, 0, 0), BState(0, 1, 1, 0), BState(2, 0, 2, 3)
-    assert mu[chain.index[x]] + mu[chain.index[y]] > Fraction(99, 100)
-    assert mu[chain.index[z]] < Fraction(1, 10**6)
+    assert mu[chain.index_of(x)] + mu[chain.index_of(y)] > Fraction(99, 100)
+    assert mu[chain.index_of(z)] < Fraction(1, 10**6)
 
 
 def test_modified_cost_no_intermediate_class(chains):
@@ -511,9 +530,10 @@ def test_report_and_dot_exports(bpops):
 # -- reference mistake costs: plain Dijkstra, per-class closures, subset DP ------
 
 
-def _dijkstra(chain, sources, targets, banned=frozenset()):
+def _dijkstra(steps, sources, targets, banned=frozenset()):
     """Fewest mistakes from `sources` into `targets`, never entering a banned
-    state outside `targets`; math.inf when no such path exists."""
+    state outside `targets`, over the one-step costs `steps` (see
+    `_step_costs`); math.inf when no such path exists."""
     dist = {i: 0 for i in sources if i not in banned}
     heap = [(0, i) for i in dist]
     heapq.heapify(heap)
@@ -525,21 +545,22 @@ def _dijkstra(chain, sources, targets, banned=frozenset()):
         settled.add(u)
         if u in targets:
             return d
-        for v in chain.support_eps[u]:
+        for v, c in steps[u].items():
             if v in banned and v not in targets:
                 continue
-            nd = d + (0 if v in chain.support0[u] else 1)
+            nd = d + c
             if v not in settled and nd < dist.get(v, math.inf):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return math.inf
 
 
-def _radii_reference(chain, classes):
+def _radii_reference(steps, classes):
     preds = {}
-    for i in range(chain.n_states):
-        for j in chain.support0[i]:
-            preds.setdefault(j, []).append(i)
+    for i, row in enumerate(steps):
+        for j, c in row.items():
+            if c == 0:
+                preds.setdefault(j, []).append(i)
 
     def closure(cls):
         seen, stack = set(cls), list(cls)
@@ -554,8 +575,8 @@ def _radii_reference(chain, classes):
     radii = []
     for a, cls in enumerate(classes):
         inside = closures[a].difference(*(c for b, c in enumerate(closures) if b != a))
-        outside = set(range(chain.n_states)) - inside
-        radii.append(_dijkstra(chain, cls, outside) if outside else math.inf)
+        outside = set(range(len(steps))) - inside
+        radii.append(_dijkstra(steps, cls, outside) if outside else math.inf)
     return radii
 
 
@@ -566,16 +587,17 @@ def _modified_cost_reference(chain, starts):
     class_sets = [set(c) for c in classes]
     every = set().union(*class_sets)
     k = len(classes)
-    radii = _radii_reference(chain, classes)
+    steps = _step_costs(chain)
+    radii = _radii_reference(steps, classes)
     rseg = [
-        [_dijkstra(chain, class_sets[a], class_sets[b], every - class_sets[a] - class_sets[b])
+        [_dijkstra(steps, class_sets[a], class_sets[b], every - class_sets[a] - class_sets[b])
          if a != b else math.inf for b in range(k)]
         for a in range(k)
     ]
     out = {}
     for x in starts:
         start_class = next((t for t, c in enumerate(class_sets) if x in c), None)
-        seg = [_dijkstra(chain, [x], c, every - c) for c in class_sets]
+        seg = [_dijkstra(steps, [x], c, every - c) for c in class_sets]
         for target in range(k):
             if target == start_class:
                 continue
@@ -619,7 +641,7 @@ def _scaled(name, factor):
 
 def _assert_modified_costs_match(chain, starts):
     classes = recurrent_classes(chain)
-    assert [radius(chain, cls) for cls in classes] == _radii_reference(chain, classes)
+    assert [radius(chain, cls) for cls in classes] == _radii_reference(_step_costs(chain), classes)
     want = _modified_cost_reference(chain, starts)
     got = {(x, t): modified_cost(chain, x, classes[t]) for x, t in want}
     assert got == want
@@ -640,23 +662,93 @@ def test_modified_cost_matches_subset_dp_doubled(name):
     _assert_modified_costs_match(chain, starts)
 
 
-def test_stop_states_are_not_crossed(chains):
+def test_mistake_costs_match_dijkstra(chains):
+    # every state's cost from and into each class and some random state sets
     chain = chains["ex7_1"]
-    classes = [set(c) for c in recurrent_classes(chain)]
-    every = set().union(*classes)
-    for a, cls in enumerate(classes):
-        dist = stochastic._mistake_costs(chain, cls, stop=every - cls)
-        for b, other in enumerate(classes):
-            if a == b:
-                continue
-            want = _dijkstra(chain, cls, other, every - cls - other)
-            assert min(dist[j] for j in other) == want == chain.class_table.rseg[a][b]
-    # on ex7_1 no class leg is cheaper through a third class, so also check
-    # random stop sets: each state's cost is that of the paths avoiding them
+    steps = _step_costs(chain)
+    n = chain.n_states
     rng = random.Random(3)
-    for cls in classes:
-        rest = sorted(set(range(chain.n_states)) - cls)
-        for size in (5, 15, 30):
-            stop = set(rng.sample(rest, size))
-            dist = stochastic._mistake_costs(chain, cls, stop=stop)
-            assert dist == [_dijkstra(chain, cls, {v}, stop) for v in range(chain.n_states)]
+    groups = [list(c) for c in recurrent_classes(chain)] + [rng.sample(range(n), m) for m in (1, 5)]
+    for sources in groups:
+        forward = stochastic._mistake_costs(chain, sources)
+        backward = stochastic._mistake_costs(chain, sources, reverse=True)
+        assert forward.tolist() == [_dijkstra(steps, sources, {v}) for v in range(n)]
+        assert backward.tolist() == [_dijkstra(steps, [v], set(sources)) for v in range(n)]
+
+
+def _zero_one_search(steps, sources, stop):
+    """Fewest mistakes from `sources` to every state, states in `stop` reached
+    but never left: the per-start 0-1 breadth-first search that modified costs
+    were once computed with."""
+    dist = [math.inf] * len(steps)
+    queue = deque(sources)
+    for i in queue:
+        dist[i] = 0
+    while queue:
+        u = queue.popleft()
+        if u in stop:
+            continue
+        for v, c in steps[u].items():
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                if c:
+                    queue.append(v)
+                else:
+                    queue.appendleft(v)
+    return dist
+
+
+@pytest.mark.parametrize("name, factor, k", [("ex7_1", 2, 4), ("ex7_1", 3, 2)])
+def test_modified_cost_matches_per_start_search(name, factor, k):
+    # every (state, class) pair against segments and legs that enter no other
+    # class, each start outside the classes searched on its own
+    chain = build_chain(_scaled(name, factor), 0)
+    classes = [set(c) for c in recurrent_classes(chain)]
+    assert len(classes) == k
+    steps = _step_costs(chain)
+    in_class = set().union(*classes)
+    radii = _radii_reference(steps, classes)
+    legs = [[0] * k for _ in range(k)]
+    for a, cls in enumerate(classes):
+        dist = _zero_one_search(steps, cls, in_class - cls)
+        for b, other in enumerate(classes):
+            if a != b:
+                legs[a][b] = min(dist[j] for j in other) - radii[a]
+    for q, a, b in itertools.product(range(k), repeat=3):
+        legs[a][b] = min(legs[a][b], legs[a][q] + legs[q][b])
+    for x in range(chain.n_states):
+        s = next((a for a, cls in enumerate(classes) if x in cls), None)
+        if s is not None:
+            via = [radii[s] + legs[s][t] for t in range(k)]
+        else:
+            dist = _zero_one_search(steps, [x], in_class)
+            seg = [min(dist[j] for j in cls) for cls in classes]
+            via = [min(seg[q] + (0 if q == t else radii[q] + legs[q][t]) for q in range(k))
+                   for t in range(k)]
+        for t, cls in enumerate(classes):
+            if x not in cls:
+                assert modified_cost(chain, x, sorted(cls)) == via[t], (x, t)
+
+
+def test_numpy_integer_indices(chains):
+    chain = chains["ex7_1"]
+    cls = recurrent_classes(chain)[0]
+    x = next(i for i in range(chain.n_states) if i not in cls)
+
+    class Index:  # any integer, through operator.index
+        def __index__(self):
+            return x
+
+    for start in (np.int64(x), np.int32(x), np.uint8(x), Index()):
+        assert modified_cost(chain, start, cls) == modified_cost(chain, x, cls)
+        assert cost(chain, [start], cls) == cost(chain, [x], cls)
+        assert chain.is_equilibrium(start) == chain.is_equilibrium(x)
+    assert cost(chain, np.array([x]), np.array(cls)) == cost(chain, [x], cls)
+    assert radius(chain, np.array(cls)) == radius(chain, cls)
+    assert basin(chain, np.array(cls)) == basin(chain, cls)
+    assert chain.is_equilibrium(np.int64(cls[0]))
+    assert type(modified_cost(chain, np.int64(x), cls)) is int
+    with pytest.raises(ValueError):
+        chain.index_of(np.int64(chain.n_states))
+    with pytest.raises(ValueError):
+        chain.index_of(BState(0, 0, 0, 99))

@@ -5,16 +5,18 @@ session-scoped oracle digraphs; the CLI wiring itself is covered in
 test_cli. The three large fixtures dominate the suite's runtime.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from popdyn import invariants
 from popdyn import stochastic as st
+from popdyn.fixtures import fixture_config
+from popdyn.model import validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.stochastic import BinaryTypePopulation
 from popdyn.verify import (
-    _plain_costs,
     verify_equilibria,
     verify_invariants,
     verify_oracle,
@@ -66,40 +68,48 @@ def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypat
     calls = []
     real = st._mistake_costs
 
-    def counting(chain, sources, stop=frozenset(), reverse=False):
+    def counting(chain, sources, reverse=False):
         if reverse:
             calls.append(tuple(sources))
-        return real(chain, sources, stop, reverse)
+        return real(chain, sources, reverse)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
     assert verify_stochastic(bpop, graph=graphs("ex7_4")) == []
     chain = st.build_chain(bpop, Fraction(0), graphs("ex7_4"))
     classes = st.recurrent_classes(chain)
-    # one backward search per class, none per (state, class) pair
+    # one plain backward search per class, none per (state, class) pair
     assert sorted(calls) == sorted(classes)
-    plain = _plain_costs(chain, classes)
+    plain = chain.class_table.plain
     for t, cls in enumerate(classes):
-        assert plain[t] == {i: st.cost(chain, [i], cls)
-                            for i in range(chain.n_states) if i not in cls}
+        assert {i: plain[t, i] for i in range(chain.n_states) if i not in cls} \
+            == {i: st.cost(chain, [i], cls) for i in range(chain.n_states) if i not in cls}
 
 
-def test_verify_stochastic_searches_once_per_modified_cost_start(pops, graphs, monkeypatch):
+def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch):
     bpop = BinaryTypePopulation.from_population_spec(pops["ex7_1"])
     calls = []
     real = st._mistake_costs
 
-    def counting(chain, sources, stop=frozenset(), reverse=False):
-        calls.append((tuple(sources), frozenset(stop), reverse))
-        return real(chain, sources, stop, reverse)
+    def counting(chain, sources, *args, **kwargs):
+        calls.append(tuple(sources))
+        return real(chain, sources, *args, **kwargs)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
     assert verify_stochastic(bpop, graph=graphs("ex7_1")) == []
-    chain = st.build_chain(bpop, Fraction(0), graphs("ex7_1"))
-    in_class = frozenset(i for cls in st.recurrent_classes(chain) for i in cls)
-    starts = [sources for sources, stop, _ in calls if stop == in_class]
-    # every state outside the classes is a modified-cost start, searched once
-    assert sorted(starts) == [(i,) for i in range(chain.n_states) if i not in in_class]
-    assert len(set(calls)) == len(calls)
+    classes = st.recurrent_classes(st.build_chain(bpop, 0, graphs("ex7_1")))
+    assert len(classes) == 8
+    # two whole-chain searches from each class, none from any other state
+    assert Counter(calls) == {cls: 2 for cls in classes}
+
+
+def test_scaled_fixture_full_stochastic_battery():
+    # ex7_1 with every count tripled: 1,792 chain states, float stationary solves
+    raw = fixture_config("ex7_1")
+    for group in raw["anticoordinating"] + raw["coordinating"]:
+        group["bestResponders"] *= 3
+        group["imitators"] *= 3
+    bpop = BinaryTypePopulation.from_population_spec(validate_population(raw))
+    assert verify_stochastic(bpop) == []
 
 
 # raising class 0's gamma by one leaves ex7_1's stable set alone, but on ex7_4
