@@ -11,9 +11,10 @@ Every edge moves one cell by one agent, so the build stores the edges as a
 per-state move bitmask (`moves`, two bits per cell). Closure of a state set is
 a check of each member's moves, a row of the adjacency export is its state's
 moves in a fixed order, and reachability, forwards or backwards, is a numpy
-frontier search over the bitmask. A CSR matrix is built from it only for
-scipy's SCC routine. The cross-checks read decoded views (`coords`, `n_c`)
-built once on first use, never by the build or the sink search.
+frontier search over the bitmask. The sink components come from such searches
+too (`minimal_invariant_sets`), so no graph library is needed. The
+cross-checks read decoded views (`coords`, `n_c`) built once on first use,
+never by the build or the sink search.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .cells import BEST_RESPONDER, IMITATOR, CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
@@ -36,6 +35,12 @@ MAX_STATES_ENV = "POPDYN_MAX_STATES"
 
 _CHUNK = 1 << 19
 _CSR_ROWS = 1 << 16
+# labels of the sink search: untouched, in the closed set being narrowed, and
+# known to reach a sink already found
+_FREE, _OPEN, _DONE = 0, 1, 2
+# below this many states a search layer takes every step at once and sorts:
+# the ex3 sink search then takes 1.3-1.5 s (2.1 s without, 1.9 s at 1 << 14)
+_SMALL_LAYER = 1 << 11
 
 
 def resolve_max_states(max_states: int | None = None) -> int:
@@ -123,14 +128,17 @@ class TransitionDigraph:
         return frozenset(self.space.pooled(self.space.coords_of(int(i))) for i in indices)
 
     @property
-    def matrix(self) -> csr_matrix:
-        """The switch edges as a CSR matrix, built from `moves` on every access.
+    def matrix(self) -> "csr_matrix":
+        """The switch edges as a scipy CSR matrix, built from `moves` on every access.
 
-        Rows are filled one step at a time in `_move_steps` order, so each
-        row's indices come out sorted. The data is one read-only float64 1
-        broadcast over every edge, which scipy's csgraph routines take without
-        a copy. The matrix is not kept: on ex3 it takes 241 MB, `moves` 17 MB.
+        A reference for tests and tracing only: no package code path reads it,
+        and scipy is imported here, not by the package. Rows are filled one
+        step at a time in `_move_steps` order, so each row's indices come out
+        sorted. The data is one read-only float64 1 broadcast over every edge,
+        which scipy's csgraph routines take without a copy.
         """
+        from scipy.sparse import csr_matrix
+
         n = self.n_states
         index_dtype = np.int32 if max(n, self.n_edges) < 2**31 else np.int64
         indptr = np.zeros(n + 1, dtype=index_dtype)
@@ -146,6 +154,24 @@ class TransitionDigraph:
                 fill[rows] = at + 1
         data = np.broadcast_to(np.float64(1), (self.n_edges,))
         return csr_matrix((data, indices, indptr), shape=(n, n))
+
+    def oriented(self, reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (moves, steps, bits) that `search_layers` walks: the successors,
+        or with `reverse` the predecessors."""
+        if reverse:
+            return self.reverse_moves, -self.steps, self.bits
+        return self.moves, self.steps, self.bits
+
+    @cached_property
+    def reverse_moves(self) -> np.ndarray:
+        """The moves of the reversed digraph: bit j of `reverse_moves[o]` is set
+        when o - step_j has move j, so o steps by -step_j to a predecessor."""
+        n, moves = self.n_states, self.moves
+        flipped = np.zeros_like(moves)
+        for step, bit in zip(self.steps.tolist(), self.bits):
+            src, dst = _shifted(n, step)
+            flipped[dst] |= moves[src] & bit
+        return flipped
 
     # -- decoded views, built on first use -----------------------------------
 
@@ -171,10 +197,16 @@ class TransitionDigraph:
         """Boolean mask of states reachable from any start (starts included)."""
         return frontier_search(self, starts)
 
-    # -- condensation ----------------------------------------------------------
+    # -- reference condensation -----------------------------------------------
 
     def scc_labels(self) -> np.ndarray:
-        """Strong-component label of every state; the CSR matrix lives only for the call."""
+        """Strong-component label of every state, from scipy over `matrix`.
+
+        A reference for tests and tracing only; `minimal_invariant_sets` does
+        not call it.
+        """
+        from scipy.sparse.csgraph import connected_components
+
         if self._labels is None:
             _, self._labels = connected_components(self.matrix, directed=True, connection="strong")
         return self._labels
@@ -199,36 +231,49 @@ def _shifted(n: int, step: int) -> tuple[slice, slice]:
     return slice(-step, n), slice(0, n + step)
 
 
+def search_layers(moves: np.ndarray, steps: np.ndarray, bits: np.ndarray, starts: np.ndarray,
+                  label: np.ndarray, free, to):
+    """Breadth-first layers from `starts` over the `moves` bitmask.
+
+    The search enters only states whose `label` is `free` and relabels each
+    one `to` as it enters it; `starts` (distinct) are relabelled first. A
+    large layer takes the steps one at a time, each into states not yet
+    relabelled, so no state is found twice and nothing is sorted. A layer
+    below `_SMALL_LAYER` states takes every step at once and drops repeats
+    with `np.unique`, in fewer numpy calls.
+    """
+    frontier = starts
+    label[frontier] = to
+    while frontier.size:
+        yield frontier
+        here = moves[frontier]
+        if frontier.size < _SMALL_LAYER:
+            reached = np.unique((frontier[:, None] + steps)[(here[:, None] & bits) != 0])
+            frontier = reached[label[reached] == free]
+            label[frontier] = to
+            continue
+        found = []
+        for step, bit in zip(steps, bits):
+            reached = frontier[(here & bit) != 0] + step
+            reached = reached[label[reached] == free]
+            label[reached] = to
+            found.append(reached)
+        frontier = np.concatenate(found)
+
+
 def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None = None,
-                    reverse: bool = False, stop: np.ndarray | None = None) -> np.ndarray | None:
+                    reverse: bool = False) -> np.ndarray | None:
     """Mask of the states reachable from `starts` (included) over the moves.
 
-    A step from o tests o's bit and adds the step. With `reverse` the search
-    runs over the predecessors: bit j is moved from o - step_j to o and the
-    steps are negated. With `bound`, returns None as soon as a state outside
-    it is reached. States in the `stop` mask are reached but never left.
+    With `reverse` the search runs over `graph.reverse_moves`, the
+    predecessors. With `bound`, returns None as soon as a state outside it is
+    reached.
     """
-    moves, steps, n = graph.moves, graph.steps, graph.n_states
-    if reverse:
-        flipped = np.zeros_like(moves)
-        for step, bit in zip(steps.tolist(), graph.bits):
-            src, dst = _shifted(n, step)
-            flipped[dst] |= moves[src] & bit
-        moves, steps = flipped, -steps
-    seen = np.zeros(n, dtype=bool)
-    frontier = np.unique(np.asarray(starts, dtype=np.int64))
-    seen[frontier] = True
-    while frontier.size:
-        if bound is not None and not bound[frontier].all():
+    seen = np.zeros(graph.n_states, dtype=bool)
+    starts = np.unique(np.asarray(starts, dtype=np.int64))
+    for layer in search_layers(*graph.oriented(reverse), starts, seen, False, True):
+        if bound is not None and not bound[layer].all():
             return None
-        if stop is not None:
-            frontier = frontier[~stop[frontier]]
-        here = moves[frontier]
-        found = np.concatenate([frontier[(here & bit) != 0] + step
-                                for step, bit in zip(steps, graph.bits)])
-        found = np.sort(found[~seen[found]])
-        frontier = found[np.diff(found, prepend=-1) != 0]
-        seen[frontier] = True
     return seen
 
 
@@ -297,40 +342,64 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
 
 
 def minimal_invariant_sets(graph: TransitionDigraph) -> list[InvariantSetResult]:
-    """Sink SCCs of the successor digraph, in deterministic order."""
+    """Sink SCCs of the successor digraph, ordered by their smallest state.
+
+    Found by frontier searches over the moves, labelling every state once as
+    known to reach a sink (see `_sinks`).
+    """
     if graph._sink_results is not None:
         return graph._sink_results
-    labels = graph.scc_labels()
-    n_comp = int(labels.max()) + 1 if graph.n_states else 0
-    # a state leaves its component if one of its moves ends in another one
-    n, moves = graph.n_states, graph.moves
-    leaves = np.zeros(n, dtype=bool)
-    for step, bit in zip(graph.steps.tolist(), graph.bits):
-        src, dst = _shifted(n, step)
-        leaves[src] |= ((moves[src] & bit) != 0) & (labels[src] != labels[dst])
-    is_sink = np.ones(n_comp, dtype=bool)
-    is_sink[labels[leaves]] = False
-    sink_labels = np.flatnonzero(is_sink)
-    member_mask = is_sink[labels]
-    members = np.flatnonzero(member_mask)
-    member_labels = labels[members]
-
     results: list[InvariantSetResult] = []
-    for lab in sink_labels:
-        idxs = members[member_labels == lab]
+    for idxs in sorted(_sinks(graph), key=lambda s: int(s[0])):
         states = graph.pooled_states_of(idxs)
         n_cs = [s.n_cooperators for s in states]
         results.append(
             InvariantSetResult(
-                indices=np.sort(idxs),
+                indices=idxs,
                 states=states,
                 is_singleton=len(idxs) == 1,
                 cooperator_bounds=(min(n_cs), max(n_cs)),
             )
         )
-    results.sort(key=lambda r: int(r.indices[0]))
     graph._sink_results = results
     return results
+
+
+def _sinks(graph: TransitionDigraph) -> list[np.ndarray]:
+    """The sorted members of every sink SCC.
+
+    States without moves are the singleton sinks. For the rest, from the first
+    state not yet known to reach a sink: its forward closure F is closed and
+    so holds a sink. A pivot v of F is picked, the deepest in the search, and
+    the states of F that reach v are taken out of F; what is left is still
+    closed, because nothing in it reaches v. When that empties F, every state
+    of the closed set F was reaching v, so each sink inside F holds v: v lies
+    in a sink, and the sink is v's forward closure. After each find, one
+    backward search labels every state that reaches the new sinks, never
+    entering a labelled state, so every state is labelled once.
+    """
+    forward, backward = graph.oriented(), graph.oriented(reverse=True)
+    label = np.zeros(graph.n_states, dtype=np.uint8)
+    found = np.flatnonzero(graph.moves == 0)
+    sinks = [found[i : i + 1] for i in range(found.size)]
+    start = 0
+    while True:
+        for _ in search_layers(*backward, found, label, _FREE, _DONE):
+            pass
+        start += int(np.argmin(label[start:]))
+        if label[start] != _FREE:
+            return sinks
+        layers = list(search_layers(*forward, np.array([start]), label, _FREE, _OPEN))
+        while layers:
+            left = layers[-1][label[layers[-1]] == _OPEN]
+            if not left.size:
+                layers.pop()
+                continue
+            v = left[-1:]
+            for _ in search_layers(*backward, v, label, _OPEN, _FREE):
+                pass
+        found = np.sort(np.concatenate(list(search_layers(*forward, v, label, _FREE, _DONE))))
+        sinks.append(found)
 
 
 def is_equilibrium_oracle(graph: TransitionDigraph, state) -> bool:

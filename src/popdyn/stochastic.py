@@ -22,8 +22,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .cells import BEST_RESPONDER, IMITATOR
 from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
@@ -37,8 +35,8 @@ from .model import (
     temper_from_lines,
     validate_population,
 )
-from .oracle import (TransitionDigraph, build_transition_digraph, frontier_search,
-                     minimal_invariant_sets)
+from .oracle import (TransitionDigraph, build_transition_digraph, minimal_invariant_sets,
+                     search_layers)
 
 EXACT_SOLVE_LIMIT = 500
 # the stationary solve holds one dense n x n matrix of 8-byte floats or pointers
@@ -240,15 +238,6 @@ class PerturbedChain:
         """No group of the state switches: the unperturbed chain stays put."""
         return not self.switch[self.index_of(state)].any()
 
-    @property
-    def support_matrix(self) -> csr_matrix:
-        """0/1 CSR matrix of the perturbed support: each state's self-loop and
-        its in-range +-1 moves, the same at every epsilon > 0."""
-        dst = self.transitions()[0]
-        rows = np.nonzero(dst >= 0)[0]
-        return csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, dst[dst >= 0])),
-                          shape=(self.n_states,) * 2)
-
     @cached_property
     def class_table(self) -> ClassTable:
         """Recurrent classes with their basins, radii and costs, built on first use."""
@@ -293,26 +282,26 @@ def _mistake_costs(chain: PerturbedChain, sources, reverse: bool = False) -> np.
 
     A 0-1 search over the whole chain, one layer per mistake, in oracle
     indices. Layer d is the zero-cost closure, over the oracle's switch moves
-    (`frontier_search`, which does not walk again through states already
-    settled), of the states first reached with d mistakes. A tremble reaches
-    any in-range +-1 neighbour, the same set forwards and backwards, and leads
-    to layer d + 1. With `reverse` the search runs against the edges, so
-    dist[i] is the fewest mistakes from state i into `sources`. Distances
-    come back in chain order, as floats.
+    (`search_layers`, which does not enter states already settled), of the
+    states first reached with d mistakes. A tremble reaches any in-range +-1
+    neighbour, the same set forwards and backwards, and leads to layer d + 1.
+    With `reverse` the search runs against the edges, so dist[i] is the
+    fewest mistakes from state i into `sources`. Distances come back in chain
+    order, as floats.
     """
     order, n = chain.oracle_index, chain.n_states
     live = np.empty((n, 8), dtype=bool)
     live[order] = chain.members > 0
     steps = np.sign(chain.steps) * order[np.abs(chain.steps)]
+    walk = chain.graph.oriented(reverse)
     dist = np.full(n, np.inf)
-    layer = order[np.asarray(sources, dtype=np.int64)]
+    settled = np.zeros(n, dtype=bool)
+    layer = np.unique(order[np.asarray(sources, dtype=np.int64)])
     for d in itertools.count():
-        settled = np.isfinite(dist)
-        new = frontier_search(chain.graph, layer, reverse=reverse, stop=settled) & ~settled
+        new = np.concatenate(list(search_layers(*walk, layer, settled, False, True)))
         dist[new] = d
-        left = np.flatnonzero(new)
-        tremble = (left[:, None] + steps)[live[left]]
-        layer = tremble[np.isinf(dist[tremble])]
+        tremble = (new[:, None] + steps)[live[new]]
+        layer = np.unique(tremble[~settled[tremble]])
         if not layer.size:
             return dist[order]
 
@@ -531,13 +520,12 @@ def stochastically_stable_set(bpop: BinaryTypePopulation,
 def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One GTH (Grassmann-Taksar-Heyman) state reduction of the chain.
 
-    States are eliminated in reverse Cuthill-McKee order of the support; every
-    move changes one cell by +-1, so that order keeps fill inside a narrow
-    band. Each step touches only the nonzero rows and columns of the
-    eliminated state, and GTH never subtracts. `kernel` supplies the algebra:
-    its dense n x n matrix of 8-byte entries (checked against
-    DENSE_SOLVE_BYTES before anything is allocated), its no-edge and unit
-    values, the elimination of one pivot, and one back-substitution step.
+    States are eliminated in level order (`_elimination_order`), which keeps
+    fill inside a narrow band. Each step touches only the nonzero rows and
+    columns of the eliminated state, and GTH never subtracts. `kernel`
+    supplies the algebra: its dense n x n matrix of 8-byte entries (checked
+    against DENSE_SOLVE_BYTES before anything is allocated), its no-edge and
+    unit values, the elimination of one pivot, and one back-substitution step.
 
     Returns (pi, position, pivots): pi[position[i]] is chain state i's
     weight relative to the state at position 0, which is never eliminated,
@@ -550,8 +538,7 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
             f"the stationary solve of {n} states needs {needed} bytes of dense matrix, "
             f"above the limit of {DENSE_SOLVE_BYTES}"
         )
-    order = reverse_cuthill_mckee(chain.support_matrix, symmetric_mode=False)
-    position = np.argsort(order)
+    position = np.argsort(_elimination_order(chain))
     p = kernel.matrix(chain, position)
     none = kernel.no_edge
     # the pivot of state k goes on the diagonal, and no later step touches
@@ -566,6 +553,21 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
         rows = np.flatnonzero(p[:k, k] != none)
         pi[k] = kernel.back(pi[rows], p[rows, k], p[k, k])
     return pi, position, p.diagonal()[1:].copy()
+
+
+def _elimination_order(chain: PerturbedChain) -> np.ndarray:
+    """Chain states by level, their number of cooperators, and within a level
+    by their counts, the field with the most values most significant.
+
+    Every transition moves one agent, so it joins adjacent levels and a
+    level order is a breadth-first order of the support from the all-defect
+    state. The within-level tie-break is tied for the least GTH work of the
+    24 field orders on ex7_1..4, ex7_1x2 and ex7_3x2, less than reverse
+    Cuthill-McKee on each.
+    """
+    counts = chain.members[:, ::2]
+    fields = np.argsort(chain.bpop.caps, kind="stable")  # least significant first
+    return np.lexsort((*counts[:, fields].T, counts.sum(axis=1)))
 
 
 def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtype) -> np.ndarray:

@@ -12,7 +12,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from . import equilibria as eq
 from . import invariants as inv
@@ -172,6 +171,26 @@ def verify_oracle(graph: TransitionDigraph) -> list[str]:
     return problems
 
 
+def is_irreducible(dst: np.ndarray) -> bool:
+    """Whether a search forwards and a search backwards from state 0, over
+    the edges i -> dst[i, c] where dst[i, c] >= 0, each reach every state."""
+    tails, cols = np.nonzero(dst >= 0)
+    heads = dst[tails, cols]
+    for src, to in ((tails, heads), (heads, tails)):
+        seen = np.zeros(len(dst), dtype=bool)
+        frontier = seen.copy()
+        seen[0] = frontier[0] = True
+        while frontier.any():
+            reached = to[frontier[src]]
+            frontier[:] = False
+            frontier[reached] = True
+            frontier &= ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
+
+
 def verify_stochastic(bpop: st.BinaryTypePopulation,
                       epsilons: Sequence = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
                       graph: TransitionDigraph | None = None,
@@ -230,8 +249,7 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
         for i, c in np.argwhere((positive | positive0) & (mistakes != want))[:1]:
             problems.append(f"one-step cost mismatch at ({i},{dst[i, c]}): "
                             f"{chain0.one_step_cost(i, dst[i, c])} vs {want[i, c]}")
-        if connected_components(chain.support_matrix, directed=True,
-                                connection="strong")[0] != 1:
+        if not is_irreducible(dst):
             problems.append(f"perturbed chain at eps={eps} is not irreducible")
         if not positive[:, 0].any():
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")

@@ -136,6 +136,38 @@ def test_moves_search_matches_csr_search():
                     assert oracle.frontier_search(g, [start], bound, reverse) is None
 
 
+def _reference_sinks(g):
+    """Sink SCCs from scipy's strong components of the CSR matrix, by smallest state."""
+    labels = g.scc_labels()
+    matrix = g.matrix
+    src = np.repeat(np.arange(g.n_states), np.diff(matrix.indptr))
+    leaves = labels[src][labels[src] != labels[matrix.indices]]
+    sinks = np.setdiff1d(labels, leaves)
+    return sorted((np.flatnonzero(labels == lab) for lab in sinks), key=lambda idx: idx[0])
+
+
+def test_sinks_match_scipy_strong_components(pops, monkeypatch):
+    sweeps = []
+    search = oracle.search_layers
+
+    def traced(moves, steps, bits, starts, label, free, to):
+        sweeps.append((free, to))
+        return search(moves, steps, bits, starts, label, free, to)
+
+    monkeypatch.setattr(oracle, "search_layers", traced)
+    corpus = [pops["ex1"], *sample_populations(seed=1000, count=200)]
+    for pop in corpus:
+        g = build_transition_digraph(pop, max_states=2_000_000)
+        got, want = minimal_invariant_sets(g), _reference_sinks(g)
+        assert [r.indices.tolist() for r in got] == [w.tolist() for w in want]
+        assert [r.is_singleton for r in got] == [w.size == 1 for w in want]
+    # each forward closure F is followed by one backward search per pivot;
+    # a second one means the first pivot's ancestors did not cover F
+    closures = [i for i, sweep in enumerate(sweeps) if sweep == (oracle._FREE, oracle._OPEN)]
+    pivots = [sweeps[i + 1 :].index((oracle._FREE, oracle._DONE)) for i in closures]
+    assert max(pivots) > 1
+
+
 def test_scc_call_does_not_copy_the_graph(pops):
     # indices (4 bytes per edge) plus indptr, labels and scipy's per-state
     # work arrays; a float64 copy of the data adds 8 bytes per edge
@@ -147,6 +179,19 @@ def test_scc_call_does_not_copy_the_graph(pops):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * g.n_edges + 32 * g.n_states
+
+
+def test_sink_search_allocates_a_few_bytes_per_state(pops):
+    # the reversed moves (2 bytes per state here), one label byte per state
+    # and the search layers; a CSR copy of the graph would take 4 bytes per edge
+    g = build_transition_digraph(pops["ex1"], max_states=2_000_000)
+    tracemalloc.start()
+    try:
+        minimal_invariant_sets(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * g.n_states
 
 
 def test_is_equilibrium_examples(pops, graphs):

@@ -36,6 +36,7 @@ from popdyn.stochastic import (
     stochastic_report,
     stochastically_stable_set,
 )
+from popdyn.verify import is_irreducible
 
 # exhaustive gamma enumerates (k-1)^(k-1) parent assignments: 823,543 at k = 8,
 # 387,420,489 at k = 10
@@ -96,11 +97,20 @@ def _step_costs(chain):
     return [{j: 0 if j in r0 else 1 for j in r_eps} for r0, r_eps in zip(rows0, rows_eps)]
 
 
+def _support(chain):
+    """0/1 CSR matrix of the chain's support, read off the exact transition rows."""
+    rows = _rows(chain)
+    src = [i for i, row in enumerate(rows) for _ in row]
+    dst = [j for row in rows for j in row]
+    return csr_matrix((np.ones(len(src)), (src, dst)), shape=(chain.n_states,) * 2)
+
+
 def _stationary_reference(chain):
     """Exact stationary distribution by a GTH reduction over a dense matrix of
-    Fractions; the cross-check for the integer-row kernel."""
+    Fractions, eliminated in reverse Cuthill-McKee order; the cross-check for
+    the integer-row kernel and its level order."""
     n = chain.n_states
-    order = reverse_cuthill_mckee(chain.support_matrix, symmetric_mode=False)
+    order = reverse_cuthill_mckee(_support(chain), symmetric_mode=False)
     position = np.argsort(order)
     p = np.zeros((n, n), dtype=object)
     for i, row in enumerate(_rows(chain)):
@@ -184,14 +194,32 @@ def test_chain_support_monotone(bpops):
 
 def test_perturbed_chain_irreducible_aperiodic(bpops):
     chain = build_chain(bpops["ex7_1"], Fraction(1, 100))
-    rows = _rows(chain)
-    src = [i for i, row in enumerate(rows) for _ in row]
-    dst = [j for row in rows for j in row]
-    n = chain.n_states
-    support = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    support = _support(chain)
     assert connected_components(support, directed=True, connection="strong")[0] == 1
-    assert all(i in row for i, row in enumerate(rows))
-    assert (support != chain.support_matrix).nnz == 0
+    assert all(i in row for i, row in enumerate(_rows(chain)))
+    # the edges the battery's irreducibility check searches are the support
+    dst = chain.transitions()[0]
+    tails, cols = np.nonzero(dst >= 0)
+    edges = csr_matrix((np.ones(tails.size), (tails, dst[tails, cols])), shape=support.shape)
+    assert (edges != support).nnz == 0
+    assert is_irreducible(dst)
+
+
+def test_irreducibility_check_can_fail(bpops):
+    chain = build_chain(bpops["ex7_1"], Fraction(1, 100))
+    dst = chain.transitions()[0]
+    assert is_irreducible(dst)
+    # drop every edge into state 0 but its self-loop: a backward search from
+    # it reaches no other state
+    into = dst.copy()
+    into[(into == 0) & (np.arange(chain.n_states)[:, None] != 0)] = -1
+    assert not is_irreducible(into)
+    # drop one direction of one cell's moves: with no anticoordinating
+    # imitator ever switching to C, no state with x1I > 0 is reached from
+    # state 0
+    up = dst.copy()
+    up[:, 2] = -1
+    assert not is_irreducible(up)
 
 
 def test_recurrent_classes_ex7_2(chains):
