@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from popdyn.fixtures import fixture_population
 from popdyn.stochastic import (
-    BinaryTypePopulation,
     build_chain,
     check_extreme_theorem,
     stationary_distribution,
@@ -20,23 +19,25 @@ from popdyn.stochastic import (
 )
 
 for name in ("ex7_1", "ex7_4"):
-    bpop = BinaryTypePopulation.from_population_spec(fixture_population(name))
-    chain = build_chain(bpop, 0)
-    result = stochastically_stable_set(bpop, chain)
-    cg = result.class_graph
-    print(f"=== {name}: counts (ma, na, mc, nc) = {bpop.caps}, "
-          f"tempers ({bpop.tau_a}, {bpop.tau_c})")
-    for t in range(cg.k):
-        states = [tuple(chain.states[i]) for i in cg.classes[t]]
-        marker = "  <- stochastically stable" if t in result.stable_class_ids else ""
-        print(f"  class {t}: {states} radius={result.radii[t]} "
-              f"tree weight={result.gammas[t]}{marker}")
+    pop = fixture_population(name)
+    chain = build_chain(pop, 0)
+    table = chain.class_table
+    stable = stochastically_stable_set(chain)
+    ta, tc = pop.type_a(1), pop.type_c(1)
+    print(f"=== {name}: counts (ma, na, mc, nc) = "
+          f"{(ta.imitators, ta.best_responders, tc.imitators, tc.best_responders)}, "
+          f"tempers ({ta.temper}, {tc.temper})")
+    for t, cls in enumerate(table.classes):
+        states = [tuple(chain.states[i]) for i in cls]
+        marker = "  <- stochastically stable" if t in table.stable_ids else ""
+        print(f"  class {t}: {states} radius={table.radii[t]} "
+              f"tree weight={table.gammas[t]}{marker}")
 
     for eps in (Fraction(1, 100), Fraction(1, 10000)):
-        mu = stationary_distribution(build_chain(bpop, eps))
-        mass = sum((mu[chain.index_of(s)] for s in result.stable_states), Fraction(0))
+        mu = stationary_distribution(build_chain(pop, eps, chain.graph))
+        mass = sum((mu[chain.index_of(s)] for s in stable), Fraction(0))
         print(f"  stationary mass on the stable set at eps={eps}: {float(mass):.6f}")
 
-    verdict = check_extreme_theorem(bpop)
+    verdict = check_extreme_theorem(chain)
     print(f"  corresponding-extreme hypothesis holds: {verdict.hypothesis_holds} "
           f"-> {verdict.conclusion_status}\n")

@@ -179,23 +179,23 @@ def cmd_oracle(args) -> int:
 def cmd_stochastic(args) -> int:
     pop = _load_population(args.config)
     with _input():
-        bpop = stochastic.BinaryTypePopulation.from_population_spec(pop)
+        stochastic.check_binary(pop)
         epsilons = [parse_rational(e) for e in (args.epsilon or [])]
         if not all(0 < eps < 1 for eps in epsilons):
             raise ValueError("--epsilon must lie strictly between 0 and 1")
     graph = _oracle_graph(pop, args)
     # each chain is built once, and the unperturbed one builds its class table once
-    chains = {eps: stochastic.build_chain(bpop, eps, graph) for eps in [Fraction(0), *epsilons]}
+    chains = {eps: stochastic.build_chain(pop, eps, graph) for eps in [Fraction(0), *epsilons]}
     stationary = {eps: stochastic.stationary_distribution(chains[eps]) for eps in epsilons}
-    report = stochastic.stochastic_report(bpop, epsilons, chains[0], stationary)
+    report = stochastic.stochastic_report(chains[0], epsilons, stationary)
     problems: list[str] = []
     if args.verify:
         eps_grid = epsilons or [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-        problems = verify.verify_stochastic(bpop, eps_grid, stationary=stationary, chains=chains)
+        problems = verify.verify_stochastic(pop, eps_grid, stationary=stationary, chains=chains)
         report["verification"] = {"passed": not problems, "problems": problems}
     if args.dot:
         with open(args.dot, "w") as fh:
-            stochastic.export_class_digraph_dot(bpop, fh, chains[0])
+            stochastic.export_class_digraph_dot(chains[0], fh)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 

@@ -108,16 +108,6 @@ def temper_from_payoffs(matrix: PayoffMatrix, n: int) -> Fraction:
     return tau
 
 
-def temper_from_lines(coop: UtilityLine, defect: UtilityLine) -> Fraction:
-    """Crossing point of two explicit utility lines."""
-    if coop.slope == defect.slope:
-        raise DegeneratePayoff("utility lines are parallel (equivalent to R+P == T+S)")
-    tau = (defect.intercept - coop.intercept) / (coop.slope - defect.slope)
-    if tau.denominator == 1:
-        raise IntegerTemper(f"temper {tau} is an integer")
-    return tau
-
-
 @dataclass(frozen=True)
 class AgentTypeSpec:
     """One payoff-matrix type: its utility lines, temper, and member counts."""
@@ -379,7 +369,12 @@ def _build_type(kind: str, raw, n: int) -> AgentTypeSpec | None:
     else:
         raise ValueError("each type needs utility lines (uC/uD) or a payoff matrix")
 
-    tau = temper_from_lines(coop, defect)
+    # the temper is where the two lines cross
+    if coop.slope == defect.slope:
+        raise DegeneratePayoff("utility lines are parallel (equivalent to R+P == T+S)")
+    tau = (defect.intercept - coop.intercept) / (coop.slope - defect.slope)
+    if tau.denominator == 1:
+        raise IntegerTemper(f"temper {tau} is an integer")
     if "temper" in raw and raw["temper"] is not None:
         declared = parse_rational(raw["temper"])
         if declared != tau:

@@ -7,8 +7,10 @@ chain is an aperiodic irreducible Markov chain for every epsilon in (0,1);
 its epsilon->0 behavior is governed by the 0/1/infinity mistake-cost graph:
 recurrent classes, basins and radii, minimum-weight rooted spanning
 arborescences (gamma), and exact stationary distributions. The chain has no
-update rules of its own: it reads each group's intended move off the oracle
-digraph, and its recurrent classes are the oracle's minimal invariant sets.
+update rules of its own: its states are the oracle digraph's, numbered as
+the oracle numbers them, it reads each group's intended move off the
+oracle's moves, and its recurrent classes are the oracle's minimal invariant
+sets. BStates, and their lexicographic order, appear only in the output.
 """
 
 from __future__ import annotations
@@ -23,18 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cells import BEST_RESPONDER, IMITATOR
 from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
-from .model import (
-    ANTICOORDINATING,
-    COORDINATING,
-    AgentTypeSpec,
-    PopulationSpec,
-    UtilityLine,
-    parse_rational,
-    temper_from_lines,
-    validate_population,
-)
+from .model import PopulationSpec, parse_rational
 from .oracle import (TransitionDigraph, build_transition_digraph, minimal_invariant_sets,
                      search_layers)
 
@@ -53,145 +45,65 @@ class BState(NamedTuple):
     xc: int
 
 
-@dataclass(frozen=True)
-class BinaryTypePopulation:
-    """Counts, utility lines, tempers and activation weights of the four cells."""
-
-    ma: int
-    na: int
-    mc: int
-    nc: int
-    line_ca: UtilityLine
-    line_da: UtilityLine
-    line_cc: UtilityLine
-    line_dc: UtilityLine
-    tau_a: Fraction
-    tau_c: Fraction
-    weights: tuple[Fraction, Fraction, Fraction, Fraction]  # (p_Ia, p_a, p_Ic, p_c)
-
-    def __post_init__(self):
-        if min(self.ma, self.na, self.mc, self.nc) < 1:
-            raise ValueError("binary-type populations need ma, na, mc, nc >= 1")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("activation weights must be strictly positive")
-        total = (
-            self.ma * self.weights[0]
-            + self.na * self.weights[1]
-            + self.mc * self.weights[2]
-            + self.nc * self.weights[3]
-        )
-        if total != 1:
-            raise ValueError(f"activation weights must sum to 1 over agents, got {total}")
-
-    @property
-    def m(self) -> int:
-        return self.ma + self.mc
-
-    @property
-    def n(self) -> int:
-        return self.ma + self.na + self.mc + self.nc
-
-    @property
-    def caps(self) -> tuple[int, int, int, int]:
-        return (self.ma, self.na, self.mc, self.nc)
-
-    @classmethod
-    def from_lines(cls, ma, na, mc, nc, line_ca, line_da, line_cc, line_dc, weights=None):
-        tau_a = temper_from_lines(line_ca, line_da)
-        tau_c = temper_from_lines(line_cc, line_dc)
-        if line_ca.slope - line_da.slope >= 0:
-            raise ValueError("anticoordinating type needs uC - uD decreasing")
-        if line_cc.slope - line_dc.slope <= 0:
-            raise ValueError("coordinating type needs uC - uD increasing")
-        n = ma + na + mc + nc
-        if weights is None:
-            w = Fraction(1, n)
-            weights = (w, w, w, w)
-        else:
-            weights = tuple(parse_rational(x) for x in weights)
-        return cls(ma, na, mc, nc, line_ca, line_da, line_cc, line_dc, tau_a, tau_c, weights)
-
-    @classmethod
-    def from_population_spec(cls, pop: PopulationSpec, weights=None) -> "BinaryTypePopulation":
-        if pop.b != 1 or pop.bp != 1:
-            raise ValueError("binary-type analysis needs exactly one type of each kind")
-        ta, tc = pop.type_a(1), pop.type_c(1)
-        if ta.imitators < 1 or tc.imitators < 1:
-            raise ValueError("binary-type analysis needs imitators of both types")
-        return cls.from_lines(
-            ta.imitators, ta.best_responders, tc.imitators, tc.best_responders,
-            ta.cooperator_utility, ta.defector_utility,
-            tc.cooperator_utility, tc.defector_utility,
-            weights,
-        )
-
-    def to_population_spec(self) -> PopulationSpec:
-        return validate_population(
-            {
-                "anticoordinating": [
-                    AgentTypeSpec(ANTICOORDINATING, self.line_ca, self.line_da,
-                                  self.tau_a, self.na, self.ma)
-                ],
-                "coordinating": [
-                    AgentTypeSpec(COORDINATING, self.line_cc, self.line_dc,
-                                  self.tau_c, self.nc, self.mc)
-                ],
-            }
-        )
+# The CellSpace of a binary-type population has the cells (I_a, I_c, BR_a,
+# BR_c); BState field f is cell _FIELDS[f], and since the map swaps two
+# positions, cell k is BState field _FIELDS[k] as well.
+_FIELDS = [0, 2, 1, 3]
 
 
-# BState fields in order, as (role, kind) cells of the oracle's CellSpace; the
-# one place that knows (x1I, xa, x2I, xc) <-> (I_a, I_c, BR_a, BR_c).
-_BSTATE_CELLS = (
-    (IMITATOR, ANTICOORDINATING),
-    (BEST_RESPONDER, ANTICOORDINATING),
-    (IMITATOR, COORDINATING),
-    (BEST_RESPONDER, COORDINATING),
-)
+def check_binary(pop: PopulationSpec) -> None:
+    """Raise ValueError unless the population has one type of each kind, each
+    with imitators (validation already gives each type a best responder)."""
+    if pop.b != 1 or pop.bp != 1:
+        raise ValueError("binary-type analysis needs exactly one type of each kind")
+    if pop.type_a(1).imitators < 1 or pop.type_c(1).imitators < 1:
+        raise ValueError("binary-type analysis needs imitators of both types")
 
 
 @dataclass
 class PerturbedChain:
-    """The exact perturbed chain, held as arrays over its states.
+    """The exact perturbed chain, held as arrays over the states of the
+    oracle digraph `graph`: chain state i is oracle state i.
 
-    Chain indices enumerate BStates lexicographically (see `index_of`);
-    `oracle_index[i]` is chain state i's index in the oracle digraph `graph`.
-    Group 2f holds the cooperators and group 2f + 1 the defectors of BState
-    field f: `members[i, g]` counts them at state i, and `switch[i, g]`, read
-    off the oracle's moves, says that their rule switches their strategy.
-    Group g is activated with mass members * w_f and moves the state by one
-    agent with probability mass * (1 - epsilon) if it switches, mass * epsilon
-    if not; the rest of its mass stays on the self-loop.
+    Group g is the agents whose switch moves the state by `graph.steps[g]`:
+    a cell's cooperators for its negative step, its defectors for its
+    positive one. `members[i, g]` counts them at state i, and `switch[i, g]`,
+    the oracle's move bit, says that their rule switches their strategy.
+    Every agent is activated with probability 1/n; group g moves the state
+    with probability members / n * (1 - epsilon) if it switches, members / n *
+    epsilon if not, and the rest of its mass stays on the self-loop.
     """
 
-    bpop: BinaryTypePopulation
+    pop: PopulationSpec
     epsilon: Fraction
-    states: list[BState]
     graph: TransitionDigraph
-    oracle_index: np.ndarray
     members: np.ndarray
     switch: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return self.graph.n_states
+
+    @property
+    def steps(self) -> np.ndarray:
+        return self.graph.steps
 
     @cached_property
-    def steps(self) -> np.ndarray:
-        """Chain-index step of each group's move: minus and plus the stride of
-        its field, the product of the later fields' ranges."""
-        radix = [c + 1 for c in self.bpop.caps]
-        return np.repeat([math.prod(radix[f + 1:]) for f in range(4)], 2) * np.tile([-1, 1], 4)
+    def states(self) -> list[BState]:
+        """The BState of every chain state."""
+        return [BState(*row) for row in self.graph.coords[_FIELDS].T.tolist()]
 
     def index_of(self, state) -> int:
-        """Chain index of an integer index (of any integer type) or of four counts."""
+        """Chain index of an integer index (of any integer type) or of four BState counts."""
         try:
             i = operator.index(state)
         except TypeError:
             counts = tuple(state)
-            if len(counts) != 4 or not all(0 <= c <= cap for c, cap in zip(counts, self.bpop.caps)):
+            if len(counts) != 4:
                 raise ValueError(f"{state} is not a state of the chain") from None
-            return sum(int(c) * s for c, s in zip(counts, self.steps[1::2].tolist()))
+            coords = [int(counts[f]) for f in _FIELDS]
+            self.graph.space.check_coords(coords)
+            return self.graph.space.index_of(coords)
         if not 0 <= i < self.n_states:
             raise ValueError(f"state index {i} out of range")
         return i
@@ -199,7 +111,7 @@ class PerturbedChain:
     @property
     def denominator(self) -> int:
         """Common denominator of every transition probability."""
-        return math.lcm(*(w.denominator for w in self.bpop.weights)) * self.epsilon.denominator
+        return self.pop.n * self.epsilon.denominator
 
     def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dst, num, mistakes), each (n, 9): column 0 is every state's
@@ -212,9 +124,7 @@ class PerturbedChain:
         live = self.members > 0
         here = np.arange(self.n_states)
         dst = np.column_stack([here, np.where(live, here[:, None] + self.steps, -1)])
-        scale = self.denominator // self.epsilon.denominator
-        unit = [w.numerator * (scale // w.denominator) for w in self.bpop.weights]
-        mass = self.members.astype(object) * np.repeat(np.array(unit, dtype=object), 2)
+        mass = self.members.astype(object)
         eps = self.epsilon  # the factors epsilon and 1 - epsilon over its denominator
         factor = np.array([eps.numerator, eps.denominator - eps.numerator], dtype=object)
         moved = mass * factor[self.switch.astype(np.intp)]
@@ -240,33 +150,31 @@ class PerturbedChain:
 
     @cached_property
     def class_table(self) -> ClassTable:
-        """Recurrent classes with their basins, radii and costs, built on first use."""
+        """Recurrent classes with their basins, radii, costs and tree weights,
+        built on first use."""
         return _class_table(self)
 
 
-def build_chain(bpop: BinaryTypePopulation, epsilon,
+def build_chain(pop: PopulationSpec, epsilon,
                 graph: TransitionDigraph | None = None) -> PerturbedChain:
-    """The perturbed dynamics of `bpop` at tremble rate epsilon.
+    """The perturbed dynamics of the binary-type population `pop` at tremble rate epsilon.
 
     Each group's intended move comes from `graph`, the oracle digraph of
-    `bpop.to_population_spec()` (built when not given): the oracle's move bit
-    for a cell's -1 (+1) step says that its cooperators (defectors) switch.
+    `pop` (built when not given): the oracle's move bit for a cell's -1 (+1)
+    step says that its cooperators (defectors) switch.
     """
+    check_binary(pop)
     epsilon = parse_rational(epsilon)
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must lie in [0, 1)")
     if graph is None:
-        graph = build_transition_digraph(bpop.to_population_spec())
-    space = graph.space
-    cells = [space.position[(role, kind, 1)] for role, kind in _BSTATE_CELLS]
-    caps = np.array(bpop.caps)
-    grid = np.indices(tuple(caps + 1)).reshape(4, -1).T
-    oracle_index = grid @ np.array([space.strides[k] for k in cells], dtype=np.int64)
-    members = np.column_stack([grid, caps - grid])[:, [0, 4, 1, 5, 2, 6, 3, 7]]
-    bits = np.array([1 << 2 * k + d for k in cells for d in (0, 1)], dtype=graph.moves.dtype)
-    switch = (graph.moves[oracle_index][:, None] & bits) != 0
-    states = [BState(*row) for row in grid.tolist()]
-    return PerturbedChain(bpop, epsilon, states, graph, oracle_index, members, switch)
+        graph = build_transition_digraph(pop)
+    # bit 2k + d of a move is cell k's step down (d = 0) or up (d = 1)
+    cell, up = np.divmod([int(bit).bit_length() - 1 for bit in graph.bits], 2)
+    coords = graph.coords[cell].T
+    members = np.where(up == 1, np.array(graph.space.caps)[cell] - coords, coords)
+    switch = (graph.moves[:, None] & graph.bits) != 0
+    return PerturbedChain(pop, epsilon, graph, members, switch)
 
 
 # -- transition costs ---------------------------------------------------------
@@ -280,30 +188,26 @@ def _number(x) -> int | float:
 def _mistake_costs(chain: PerturbedChain, sources, reverse: bool = False) -> np.ndarray:
     """Fewest mistakes from `sources` to every state, inf where unreachable.
 
-    A 0-1 search over the whole chain, one layer per mistake, in oracle
-    indices. Layer d is the zero-cost closure, over the oracle's switch moves
-    (`search_layers`, which does not enter states already settled), of the
-    states first reached with d mistakes. A tremble reaches any in-range +-1
+    A 0-1 search over the whole chain, one layer per mistake. Layer d is the
+    zero-cost closure, over the oracle's switch moves (`search_layers`, which
+    does not enter states already settled), of the states first reached with
+    d mistakes. A tremble reaches any in-range +-1
     neighbour, the same set forwards and backwards, and leads to layer d + 1.
     With `reverse` the search runs against the edges, so dist[i] is the
-    fewest mistakes from state i into `sources`. Distances come back in chain
-    order, as floats.
+    fewest mistakes from state i into `sources`. Distances are floats.
     """
-    order, n = chain.oracle_index, chain.n_states
-    live = np.empty((n, 8), dtype=bool)
-    live[order] = chain.members > 0
-    steps = np.sign(chain.steps) * order[np.abs(chain.steps)]
+    live = chain.members > 0
     walk = chain.graph.oriented(reverse)
-    dist = np.full(n, np.inf)
-    settled = np.zeros(n, dtype=bool)
-    layer = np.unique(order[np.asarray(sources, dtype=np.int64)])
+    dist = np.full(chain.n_states, np.inf)
+    settled = np.zeros(chain.n_states, dtype=bool)
+    layer = np.unique(np.asarray(sources, dtype=np.int64))
     for d in itertools.count():
         new = np.concatenate(list(search_layers(*walk, layer, settled, False, True)))
         dist[new] = d
-        tremble = (new[:, None] + steps)[live[new]]
+        tremble = (new[:, None] + chain.steps)[live[new]]
         layer = np.unique(tremble[~settled[tremble]])
         if not layer.size:
-            return dist[order]
+            return dist
 
 
 def cost(chain: PerturbedChain, from_set, to_set) -> int:
@@ -327,14 +231,16 @@ def cost(chain: PerturbedChain, from_set, to_set) -> int:
 class ClassTable:
     """Recurrent classes of a chain and their mistake-cost quantities.
 
-    Class ids are positions in `classes`; `class_of[i]` is state i's class id,
-    -1 outside every class. Each class t takes two whole-chain searches: a
-    backward one gives `plain[t, x]`, cost(x, class t), whose zeros are the
-    states that fall into class t without a mistake (`basins[t]` marks those
-    that fall into no other class), and a forward one gives its radius.
+    Class ids are positions in `classes` (see `recurrent_classes`);
+    `class_of[i]` is state i's class id, -1 outside every class. Each class t
+    takes two whole-chain searches: a backward one gives `plain[t, x]`,
+    cost(x, class t), whose zeros are the states that fall into class t
+    without a mistake (`basins[t]` marks those that fall into no other
+    class), and a forward one gives its radius.
     `costs[a][b]` is cost(class a, class b), and `legs[a][b]` the cheapest
     walk over classes from a to b when a leg leaving class q weighs
-    costs[q][.] - radii[q] (0 on the diagonal).
+    costs[q][.] - radii[q] (0 on the diagonal). `gammas[t]` is class t's
+    tree weight over `costs` (see `gamma`).
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -344,6 +250,13 @@ class ClassTable:
     costs: tuple[tuple[int, ...], ...]
     legs: tuple[tuple[int | float, ...], ...]
     plain: np.ndarray
+    gammas: tuple[int, ...]
+
+    @property
+    def stable_ids(self) -> tuple[int, ...]:
+        """The stochastically stable classes: those of minimum tree weight."""
+        best = min(self.gammas)
+        return tuple(t for t, g in enumerate(self.gammas) if g == best)
 
     def modified_costs(self, t: int) -> np.ndarray:
         """Modified cost from every state to class t (see `modified_cost`), as
@@ -375,29 +288,33 @@ def _class_table(chain: PerturbedChain) -> ClassTable:
         for a in range(k):
             for b in range(k):
                 legs[a][b] = min(legs[a][b], legs[a][q] + legs[q][b])
+    gammas = tuple(gamma(costs, t) for t in range(k))
     return ClassTable(tuple(classes), class_of, basins, tuple(radii), tuple(map(tuple, costs)),
-                      tuple(map(tuple, legs)), plain)
+                      tuple(map(tuple, legs)), plain, gammas)
 
 
 def _class_id(chain: PerturbedChain, omega: Sequence) -> int:
     table = chain.class_table
-    members = np.unique([chain.index_of(s) for s in omega]).astype(np.int64)
-    a = table.class_of[members[0]] if members.size else -1
-    if a >= 0 and np.array_equal(members, table.classes[a]):
+    members = {chain.index_of(s) for s in omega}
+    a = table.class_of[min(members)] if members else -1
+    if a >= 0 and members == set(table.classes[a]):
         return int(a)
     raise ValueError("omega is not a recurrent class of the chain")
 
 
-def recurrent_classes(chain: PerturbedChain) -> list[tuple[int, ...]]:
-    """Sink SCCs of the unperturbed support digraph, ordered by smallest state.
+def _by_bstate(chain: PerturbedChain, indices) -> list[int]:
+    """Chain states sorted by their BStates."""
+    return sorted(map(int, indices), key=chain.states.__getitem__)
 
-    These are the oracle's minimal invariant sets in chain indices: the
-    unperturbed support is the oracle's switch edges plus self-loops.
+
+def recurrent_classes(chain: PerturbedChain) -> list[tuple[int, ...]]:
+    """Sink SCCs of the unperturbed support digraph: the oracle's minimal
+    invariant sets, since the unperturbed support is the oracle's switch
+    edges plus self-loops. Each class lists its states by BState, and the
+    classes come in the order of their smallest BState.
     """
-    chain_of = np.argsort(chain.oracle_index)
-    classes = (tuple(sorted(chain_of[res.indices].tolist()))
-               for res in minimal_invariant_sets(chain.graph))
-    return sorted(classes, key=lambda c: c[0])
+    classes = (tuple(_by_bstate(chain, res.indices)) for res in minimal_invariant_sets(chain.graph))
+    return sorted(classes, key=lambda c: chain.states[c[0]])
 
 
 def basin(chain: PerturbedChain, omega: Sequence) -> frozenset[int]:
@@ -420,35 +337,17 @@ def radius(chain: PerturbedChain, omega: Sequence) -> int | float:
 # -- rooted spanning arborescences --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassGraph:
-    """Complete digraph over recurrent classes with pairwise transition costs."""
-
-    classes: tuple[tuple[int, ...], ...]
-    costs: tuple[tuple[int, ...], ...]  # costs[i][j] = c(class_i, class_j); 0 on diagonal
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-
-def build_class_graph(chain: PerturbedChain) -> ClassGraph:
-    table = chain.class_table
-    return ClassGraph(table.classes, table.costs)
-
-
-def gamma(class_graph: ClassGraph, root: int) -> int:
-    """Minimum total weight of a spanning tree whose paths all lead to `root`.
+def gamma(costs: Sequence[Sequence[int]], root: int) -> int:
+    """Minimum total weight of a spanning tree whose paths all lead to `root`,
+    over the complete class digraph with costs[a][b] = c(class a, class b).
 
     Chu-Liu/Edmonds on the reversed class digraph: every class but the root
     takes its cheapest parent; each cycle this closes is contracted into one
     node, whose incoming weights are reduced by the choice they would replace.
     """
-    k = class_graph.k
+    k = len(costs)
     # (u, v, w): class v points at parent u at mistake cost w; nothing leaves the root
-    edges = [
-        (u, v, class_graph.costs[v][u]) for v in range(k) if v != root for u in range(k) if u != v
-    ]
+    edges = [(u, v, costs[v][u]) for v in range(k) if v != root for u in range(k) if u != v]
     total = 0
     while True:
         best = [math.inf] * k
@@ -486,32 +385,10 @@ def gamma(class_graph: ClassGraph, root: int) -> int:
         k, root = n_comp, comp[root]
 
 
-@dataclass(frozen=True)
-class StochasticStabilityResult:
-    class_graph: ClassGraph
-    gammas: tuple[int, ...]
-    stable_class_ids: tuple[int, ...]
-    stable_states: frozenset[BState]
-    radii: tuple[object, ...]
-    basins: tuple[frozenset[int], ...]
-
-
-def stochastically_stable_set(bpop: BinaryTypePopulation,
-                              chain: PerturbedChain | None = None) -> StochasticStabilityResult:
-    """Union of the recurrent classes of minimum tree weight, plus the per-class report."""
-    if chain is None:
-        chain = build_chain(bpop, Fraction(0))
-    cg = build_class_graph(chain)
-    gammas = tuple(gamma(cg, i) for i in range(cg.k))
-    best = min(gammas)
-    stable_ids = tuple(i for i, g in enumerate(gammas) if g == best)
-    states: set[BState] = set()
-    for i in stable_ids:
-        states.update(chain.states[j] for j in cg.classes[i])
+def stochastically_stable_set(chain: PerturbedChain) -> frozenset[BState]:
+    """Union of the recurrent classes of minimum tree weight."""
     table = chain.class_table
-    basins = tuple(frozenset(np.flatnonzero(b).tolist()) for b in table.basins)
-    return StochasticStabilityResult(cg, gammas, stable_ids, frozenset(states),
-                                     table.radii, basins)
+    return frozenset(chain.states[i] for t in table.stable_ids for i in table.classes[t])
 
 
 # -- GTH state reduction: stationary distributions and stochastic potentials ---
@@ -565,9 +442,12 @@ def _elimination_order(chain: PerturbedChain) -> np.ndarray:
     24 field orders on ex7_1..4, ex7_1x2 and ex7_3x2, less than reverse
     Cuthill-McKee on each.
     """
-    counts = chain.members[:, ::2]
-    fields = np.argsort(chain.bpop.caps, kind="stable")  # least significant first
-    return np.lexsort((*counts[:, fields].T, counts.sum(axis=1)))
+    counts = chain.graph.coords[_FIELDS]  # one row per BState field
+    caps = [chain.graph.space.caps[k] for k in _FIELDS]
+    # least significant first; of two fields with equal ranges the earlier
+    # BState field is the less significant, whatever the cell order
+    fields = np.argsort(caps, kind="stable")
+    return np.lexsort((*counts[fields], chain.graph.n_c))
 
 
 def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtype) -> np.ndarray:
@@ -738,23 +618,25 @@ def modified_cost(chain: PerturbedChain, start, omega: Sequence) -> int | float:
 
 
 def equilibria_of_chain(chain: PerturbedChain) -> list[BState]:
-    return [s for i, s in enumerate(chain.states) if chain.is_equilibrium(i)]
+    """The states no group of which switches, in BState order."""
+    return sorted(chain.states[i] for i in np.flatnonzero(~chain.switch.any(axis=1)))
 
 
-def is_mixed_equilibrium_state(bpop: BinaryTypePopulation, state: BState) -> bool:
+def is_mixed_equilibrium_state(pop: PopulationSpec, state: BState) -> bool:
     r = state.x1I + state.x2I
-    return 1 <= r <= bpop.m - 1
+    return 1 <= r <= pop.m - 1
 
 
-def corresponding_extreme(bpop: BinaryTypePopulation, mixed: BState) -> BState:
+def corresponding_extreme(pop: PopulationSpec, mixed: BState) -> BState:
     """The unanimity state adjacent to a mixed equilibrium's cooperator block."""
     r = mixed.x1I + mixed.x2I
-    if not 1 <= r <= bpop.m - 1:
-        raise NotMixed(f"{mixed} has r={r}, needs 1..{bpop.m - 1}")
-    if mixed.xa == bpop.na and mixed.xc == 0:
-        return BState(0, bpop.na, 0, 0)
-    if mixed.xa == 0 and mixed.xc == bpop.nc:
-        return BState(bpop.ma, 0, bpop.mc, bpop.nc)
+    if not 1 <= r <= pop.m - 1:
+        raise NotMixed(f"{mixed} has r={r}, needs 1..{pop.m - 1}")
+    na, nc = pop.n_a(1), pop.n_c(1)
+    if mixed.xa == na and mixed.xc == 0:
+        return BState(0, na, 0, 0)
+    if mixed.xa == 0 and mixed.xc == nc:
+        return BState(pop.type_a(1).imitators, 0, pop.type_c(1).imitators, nc)
     raise NotMixed(f"{mixed} is not of a mixed-equilibrium form")
 
 
@@ -768,37 +650,31 @@ class ExtremeTheoremVerdict:
     stable_equilibria: tuple[BState, ...]
 
 
-def check_extreme_theorem(bpop: BinaryTypePopulation, chain: PerturbedChain | None = None,
-                          result: StochasticStabilityResult | None = None) -> ExtremeTheoremVerdict:
+def check_extreme_theorem(chain: PerturbedChain) -> ExtremeTheoremVerdict:
     """Does stochastic stability of equilibria force an extreme equilibrium?
 
     Checks the hypothesis (each mixed equilibrium's corresponding extreme
     state is itself an equilibrium) and then the conclusion (the set of
     stochastically stable equilibria is empty or contains an extreme one).
-    `chain` and `result` are the unperturbed chain and its stability result,
-    computed when not given.
     """
-    if chain is None:
-        chain = build_chain(bpop, Fraction(0))
-    if result is None:
-        result = stochastically_stable_set(bpop, chain)
+    pop = chain.pop
+    stable = stochastically_stable_set(chain)
     eqs = equilibria_of_chain(chain)
-    mixed = tuple(s for s in eqs if is_mixed_equilibrium_state(bpop, s))
+    mixed = tuple(s for s in eqs if is_mixed_equilibrium_state(pop, s))
     extremes: dict[BState, tuple[BState, bool]] = {}
     hypothesis = True
     for s in mixed:
-        ext = corresponding_extreme(bpop, s)
+        ext = corresponding_extreme(pop, s)
         ext_is_eq = chain.is_equilibrium(ext)
         extremes[s] = (ext, ext_is_eq)
         hypothesis = hypothesis and ext_is_eq
 
-    eq_set = set(eqs)
-    stable_eqs = tuple(sorted(s for s in result.stable_states if s in eq_set))
+    stable_eqs = tuple(s for s in eqs if s in stable)
 
     if not eqs:
         status = "trivially_consistent"
     else:
-        extreme_in = any(not is_mixed_equilibrium_state(bpop, s) for s in stable_eqs)
+        extreme_in = any(not is_mixed_equilibrium_state(pop, s) for s in stable_eqs)
         conclusion = (len(stable_eqs) == 0) or extreme_in
         if hypothesis:
             status = "verified" if conclusion else "violated"
@@ -809,7 +685,7 @@ def check_extreme_theorem(bpop: BinaryTypePopulation, chain: PerturbedChain | No
         conclusion_status=status,
         mixed_equilibria=mixed,
         corresponding_extremes=extremes,
-        stable_states=result.stable_states,
+        stable_states=stable,
         stable_equilibria=stable_eqs,
     )
 
@@ -817,33 +693,31 @@ def check_extreme_theorem(bpop: BinaryTypePopulation, chain: PerturbedChain | No
 # -- reporting -----------------------------------------------------------------
 
 
-def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
-                      chain: PerturbedChain | None = None,
+def stochastic_report(chain: PerturbedChain, epsilons: Sequence = (),
                       stationary: dict[Fraction, list[Fraction]] | None = None) -> dict:
-    """JSON-ready report; `chain` is the unperturbed chain of the population
-    and `stationary` the distributions at `epsilons`, when already computed."""
-    if chain is None:
-        chain = build_chain(bpop, Fraction(0))
-    result = stochastically_stable_set(bpop, chain)
-    cg = result.class_graph
+    """JSON-ready report on the unperturbed chain `chain`, states as BStates;
+    `stationary` holds the distributions at `epsilons`, when already solved."""
+    table = chain.class_table
+    stable = stochastically_stable_set(chain)
     report: dict = {
         "states": chain.n_states,
         "classes": [
             {
-                "id": i,
-                "states": [list(chain.states[j]) for j in cg.classes[i]],
-                "singleton": len(cg.classes[i]) == 1,
-                "radius": int(result.radii[i]) if isinstance(result.radii[i], int) else None,
-                "basin": sorted(list(chain.states[j]) for j in result.basins[i]),
-                "gamma": result.gammas[i],
+                "id": t,
+                "states": [list(chain.states[j]) for j in cls],
+                "singleton": len(cls) == 1,
+                "radius": r if isinstance(r, int) else None,
+                "basin": sorted(list(chain.states[j]) for j in np.flatnonzero(basin)),
+                "gamma": g,
             }
-            for i in range(cg.k)
+            for t, (cls, r, basin, g) in enumerate(zip(table.classes, table.radii, table.basins,
+                                                        table.gammas))
         ],
-        "pairwise_costs": [list(row) for row in cg.costs],
-        "stochastically_stable_class_ids": list(result.stable_class_ids),
-        "stochastically_stable_states": sorted(list(s) for s in result.stable_states),
+        "pairwise_costs": [list(row) for row in table.costs],
+        "stochastically_stable_class_ids": list(table.stable_ids),
+        "stochastically_stable_states": sorted(list(s) for s in stable),
     }
-    verdict = check_extreme_theorem(bpop, chain, result)
+    verdict = check_extreme_theorem(chain)
     report["extreme_theorem"] = {
         "hypothesis_holds": verdict.hypothesis_holds,
         "conclusion_status": verdict.conclusion_status,
@@ -851,34 +725,32 @@ def stochastic_report(bpop: BinaryTypePopulation, epsilons: Sequence = (),
         "stable_equilibria": [list(s) for s in verdict.stable_equilibria],
     }
     if epsilons:
+        epsilons = [parse_rational(eps) for eps in epsilons]
         if stationary is None:
-            stationary = {eps: stationary_distribution(build_chain(bpop, eps, chain.graph))
-                          for eps in map(parse_rational, epsilons)}
-        table = {}
-        for eps in map(parse_rational, epsilons):
+            stationary = {eps: stationary_distribution(build_chain(chain.pop, eps, chain.graph))
+                          for eps in epsilons}
+        stable_indices = [i for t in table.stable_ids for i in table.classes[t]]
+        by_eps = {}
+        for eps in epsilons:
             mu = stationary[eps]
-            ss_mass = sum((mu[chain.index_of(s)] for s in result.stable_states), Fraction(0))
-            table[str(eps)] = {
-                "stable_set_mass": str(ss_mass),
-                "by_state": {str(tuple(s)): str(mu[i]) for i, s in enumerate(chain.states)},
+            by_eps[str(eps)] = {
+                "stable_set_mass": str(sum((mu[i] for i in stable_indices), Fraction(0))),
+                "by_state": {str(tuple(chain.states[i])): str(mu[i])
+                             for i in _by_bstate(chain, range(chain.n_states))},
             }
-        report["stationary"] = table
+        report["stationary"] = by_eps
     return report
 
 
-def export_class_digraph_dot(bpop: BinaryTypePopulation, stream,
-                             chain: PerturbedChain | None = None) -> None:
-    """DOT rendering of the recurrent-class cost digraph; `chain` is the
-    unperturbed chain of the population, built when not given."""
-    if chain is None:
-        chain = build_chain(bpop, Fraction(0))
-    cg = build_class_graph(chain)
+def export_class_digraph_dot(chain: PerturbedChain, stream) -> None:
+    """DOT rendering of the recurrent-class cost digraph of the unperturbed chain."""
+    table = chain.class_table
     stream.write("digraph recurrent_classes {\n")
-    for i, cls in enumerate(cg.classes):
+    for t, cls in enumerate(table.classes):
         label = ", ".join(str(tuple(chain.states[j])) for j in cls)
-        stream.write(f'  n{i} [label="{label}"];\n')
-    for i in range(cg.k):
-        for j in range(cg.k):
-            if i != j:
-                stream.write(f'  n{i} -> n{j} [label="{cg.costs[i][j]}"];\n')
+        stream.write(f'  n{t} [label="{label}"];\n')
+    for a, row in enumerate(table.costs):
+        for b, c in enumerate(row):
+            if a != b:
+                stream.write(f'  n{a} -> n{b} [label="{c}"];\n')
     stream.write("}\n")

@@ -17,7 +17,7 @@ from . import equilibria as eq
 from . import invariants as inv
 from . import stochastic as st
 from .errors import AssumptionViolated, StateSpaceTooLarge
-from .model import PopulationSpec, State, state_space_size
+from .model import PopulationSpec, State
 from .oracle import (
     TransitionDigraph,
     frontier_search,
@@ -29,29 +29,15 @@ from .oracle import (
 DEFAULT_S_GUARD = 200_000
 
 
-def iter_pooled_states(pop: PopulationSpec):
-    ranges = [range(pop.m + 1)]
-    ranges += [range(pop.n_a(i) + 1) for i in range(1, pop.b + 1)]
-    ranges += [range(pop.n_c(i) + 1) for i in range(1, pop.bp + 1)]
-    for values in product(*ranges):
-        yield State(values[0], values[1 : 1 + pop.b], values[1 + pop.b :])
-
-
-def _sample_pooled_states(pop: PopulationSpec, count: int, seed: int) -> list[State]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        xI = int(rng.integers(pop.m + 1))
-        xa = tuple(int(rng.integers(pop.n_a(i) + 1)) for i in range(1, pop.b + 1))
-        xc = tuple(int(rng.integers(pop.n_c(i) + 1)) for i in range(1, pop.bp + 1))
-        out.append(State(xI, xa, xc))
-    return out
-
-
-def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph,
-                      sample: int = 200, seed: int = 0) -> list[str]:
+def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str]:
     """Analytic enumeration vs oracle sinks, stability lemmas vs reachability,
-    and the cooperation-preserving-group equivalence."""
+    and the cooperation-preserving-group equivalence on every pooled state.
+
+    The closed form of the equivalence asks n < tau and n > tau at once of a
+    best-responder type split between C and D, so it is evaluated only on the
+    pooled states where no type is split. The oracle's side is the pooled
+    states all of whose refined splits have no move.
+    """
     problems: list[str] = []
     records = eq.enumerate_equilibria(pop)
     analytic = {r.state for r in records}
@@ -77,18 +63,19 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph,
                 f"analytic {verdict.status}, oracle {'stable' if oracle_stable else 'unstable'}"
             )
 
-    if state_space_size(pop) <= 5000:
-        candidates = list(iter_pooled_states(pop))
-    else:
-        candidates = list(analytic) + _sample_pooled_states(pop, sample, seed)
-    for state in candidates:
-        lhs = eq.is_exclusive_cooperation_preserving(pop, state)
-        rhs = is_equilibrium_oracle(graph, state)
-        if lhs != rhs:
-            problems.append(
-                f"cooperation-preserving mismatch at {state.to_tuple()}: "
-                f"analytic {lhs}, oracle {rhs}"
-            )
+    unsplit = product(range(pop.m + 1), *((0, t.best_responders) for t in pop.all_types()))
+    closed_form = set()
+    for xI, *br in unsplit:
+        state = State(xI, br[:pop.b], br[pop.b:])
+        if eq.is_exclusive_cooperation_preserving(pop, state):
+            closed_form.add(state)
+    still = graph.pooled_states_of(np.flatnonzero(graph.moves == 0))
+    preserved = {state for state in still if is_equilibrium_oracle(graph, state)}
+    for state in sorted(closed_form ^ preserved, key=State.to_tuple):
+        problems.append(
+            f"cooperation-preserving mismatch at {state.to_tuple()}: "
+            f"analytic {state in closed_form}, oracle {state in preserved}"
+        )
     return problems
 
 
@@ -191,42 +178,42 @@ def is_irreducible(dst: np.ndarray) -> bool:
     return True
 
 
-def verify_stochastic(bpop: st.BinaryTypePopulation,
+def verify_stochastic(pop: PopulationSpec,
                       epsilons: Sequence = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
                       graph: TransitionDigraph | None = None,
                       stationary: dict[Fraction, list[Fraction]] | None = None,
                       chains: dict[Fraction, st.PerturbedChain] | None = None) -> list[str]:
     """Full stochastic-stability cross-check battery on a binary-type population.
 
-    `graph` is the oracle digraph of `bpop.to_population_spec()`, built when not
-    given. `chains` maps an epsilon (0 for the unperturbed chain) to its
-    already built chain, and `stationary` an epsilon to its already solved
-    distribution; the others are built and solved here.
+    `graph` is the oracle digraph of `pop`, built when not given. `chains`
+    maps an epsilon (0 for the unperturbed chain) to its already built chain,
+    and `stationary` an epsilon to its already solved distribution; the
+    others are built and solved here.
 
     Each class's gamma, found by Chu-Liu/Edmonds over class-to-class costs,
     is checked against the stochastic potential of its states, found by a
     min-plus GTH reduction over state-level one-step costs: the potential
     must be constant on the class and equal its gamma, and its minimum must
-    be taken exactly on the stochastically stable states. Plain and modified
-    costs from every state to every class come from the unperturbed chain's
-    class table, two whole-chain searches per class.
+    be taken exactly on the stochastically stable states. Ellison's
+    radius-coradius theorem (Rev. Econ. Stud. 67, 2000) is checked against
+    the stable classes gamma selects: a class whose radius exceeds its
+    modified coradius, the largest modified cost into it from outside, must
+    be the only stable class. Plain and modified costs from every state to
+    every class come from the unperturbed chain's class table, two
+    whole-chain searches per class.
     """
     problems: list[str] = []
     chains = dict(chains or {})
     for eps in [Fraction(0), *epsilons]:
         if eps not in chains:
-            chains[eps] = st.build_chain(bpop, eps, chains[0].graph if 0 in chains else graph)
+            chains[eps] = st.build_chain(pop, eps, chains[0].graph if 0 in chains else graph)
     chain0 = chains[0]
-    result = st.stochastically_stable_set(bpop, chain0)
-    cg = result.class_graph
-    classes = cg.classes
     table = chain0.class_table
+    classes = table.classes
+    stable_states = st.stochastically_stable_set(chain0)
 
-    analytic = {r.state for r in eq.enumerate_equilibria(chain0.graph.pop)}
-    singletons = {
-        State(s.x1I + s.x2I, (s.xa,), (s.xc,))
-        for s in (chain0.states[cls[0]] for cls in classes if len(cls) == 1)
-    }
+    analytic = {r.state for r in eq.enumerate_equilibria(pop)}
+    singletons = chain0.graph.pooled_states_of(cls[0] for cls in classes if len(cls) == 1)
     if analytic != singletons:
         problems.append(
             f"singleton recurrent classes {sorted(s.to_tuple() for s in singletons)} differ "
@@ -257,23 +244,22 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
     potential = st.stochastic_potential(chain0)
     for c, cls in enumerate(classes):
         values = set(potential[list(cls)].tolist())
-        if values != {result.gammas[c]}:
+        if values != {table.gammas[c]}:
             problems.append(f"stochastic potential {sorted(values)} of class {c} "
-                            f"disagrees with its gamma {result.gammas[c]}")
+                            f"disagrees with its gamma {table.gammas[c]}")
     argmin = {chain0.states[i] for i in np.flatnonzero(potential == potential.min())}
-    if argmin != result.stable_states:
+    if argmin != stable_states:
         problems.append(
             f"stochastic potential is minimal on {sorted(map(tuple, argmin))} but gamma "
-            f"selects {sorted(map(tuple, result.stable_states))}"
+            f"selects {sorted(map(tuple, stable_states))}"
         )
 
-    # cost vs modified cost dominance over every (state, class) pair
-    for t in range(len(classes)):
-        c_star = table.modified_costs(t)
-        for i in np.flatnonzero((table.class_of != t) & (table.plain[t] < c_star)):
+    for t, r in enumerate(table.radii):
+        coradius = table.modified_costs(t)[table.class_of != t].max(initial=0)
+        if r > coradius and table.stable_ids != (t,):
             problems.append(
-                f"modified cost exceeds plain cost from state {i} to class {t}: "
-                f"{st._number(c_star[i])} > {st._number(table.plain[t, i])}"
+                f"class {t} has radius {r} above its modified coradius "
+                f"{st._number(coradius)}, but gamma selects classes {list(table.stable_ids)}"
             )
 
     solved = stationary or {}
@@ -284,27 +270,25 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
             problems.append(f"stationary residual too large at eps={eps}")
         mus[eps] = mu
     ordered = sorted(epsilons, key=Fraction, reverse=True)  # decreasing eps
-    stable = [chain0.index_of(s) for s in result.stable_states]
+    stable = [i for t in table.stable_ids for i in classes[t]]
     masses = [sum((mus[eps][i] for i in stable), Fraction(0)) for eps in ordered]
     if not all(a < b for a, b in zip(masses, masses[1:])):
         problems.append(f"stable-set stationary mass not increasing as eps decreases: {masses}")
 
     # class-level argmax of the smallest-eps distribution vs gamma-minimal classes
     mu_small = mus[ordered[-1]]
-    class_mass = [
-        sum((mu_small[i] for i in cls), Fraction(0)) for cls in cg.classes
-    ]
+    class_mass = [sum((mu_small[i] for i in cls), Fraction(0)) for cls in classes]
     top = max(class_mass)
     argmax_ids = {i for i, v in enumerate(class_mass) if v == top}
     # compare by dominant order of magnitude: gamma-minimal classes hold the mass
-    if not argmax_ids <= set(result.stable_class_ids):
+    if not argmax_ids <= set(table.stable_ids):
         problems.append(
             f"stationary mass concentrates on classes {sorted(argmax_ids)} "
-            f"but gamma selects {sorted(result.stable_class_ids)}"
+            f"but gamma selects {sorted(table.stable_ids)}"
         )
 
     # persistence corroboration: strictly sub-radius states lose mass as eps shrinks
-    for t, r in enumerate(result.radii):
+    for t, r in enumerate(table.radii):
         if not isinstance(r, int):
             continue
         for i in np.flatnonzero((table.class_of != t) & (table.plain[t] < r)):
@@ -313,7 +297,7 @@ def verify_stochastic(bpop: st.BinaryTypePopulation,
                 problems.append(f"state {i} dominated by class {t} but its mass is not vanishing")
                 break
 
-    verdict = st.check_extreme_theorem(bpop, chain0, result)
+    verdict = st.check_extreme_theorem(chain0)
     if verdict.conclusion_status == "violated":
         problems.append("extreme-equilibrium conclusion violated despite its hypothesis")
     return problems

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from popdyn.errors import DuplicateTemper, IntegerTemper
+from popdyn.fixtures import fixture_config
 from popdyn.model import PopulationSpec, UtilityLine, validate_population
+
+
+def population(config, factor: int = 1) -> PopulationSpec:
+    """A fixture by name, or a raw config, with every member count multiplied by `factor`."""
+    raw = fixture_config(config) if isinstance(config, str) else copy.deepcopy(config)
+    for group in raw["anticoordinating"] + raw["coordinating"]:
+        group["bestResponders"] *= factor
+        group["imitators"] *= factor
+    return validate_population(raw)
 
 
 def _random_rational(rng, lo: int, hi: int, max_den: int = 8) -> Fraction:

@@ -35,18 +35,16 @@ def _criterion(num: int, checks: list[tuple[str, bool]], note: str = "") -> None
 
 @pytest.fixture(scope="module")
 def stochastic_artifacts(pops):
-    """Chains, class graphs and stationary distributions for ex7_1..ex7_4."""
+    """Unperturbed chains, their stable sets and stationary distributions for ex7_1..ex7_4."""
     out = {}
     for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4"):
-        bpop = st.BinaryTypePopulation.from_population_spec(pops[name])
-        chain0 = st.build_chain(bpop, 0)
-        result = st.stochastically_stable_set(bpop, chain0)
+        chain0 = st.build_chain(pops[name], 0)
         mus = {}
         for eps in EPS_GRID:
-            chain = st.build_chain(bpop, eps)
+            chain = st.build_chain(pops[name], eps, chain0.graph)
             mu = st.stationary_distribution(chain)
             mus[eps] = (mu, st.stationary_residual(chain, mu))
-        out[name] = (bpop, chain0, result, mus)
+        out[name] = (chain0, st.stochastically_stable_set(chain0), mus)
     return out
 
 
@@ -116,11 +114,9 @@ def test_criterion_3_ex3_no_equilibria_and_bounds(pops, graphs):
 
 def test_criterion_4_ex7_1_costs_and_stability(pops):
     t0 = time.perf_counter()
-    bpop = st.BinaryTypePopulation.from_population_spec(pops["ex7_1"])
-    chain = st.build_chain(bpop, 0)
-    result = st.stochastically_stable_set(bpop, chain)
-    cg = result.class_graph
-    classes_states = {frozenset(chain.states[i] for i in cls) for cls in cg.classes}
+    chain = st.build_chain(pops["ex7_1"], 0)
+    stable = st.stochastically_stable_set(chain)
+    classes_states = {frozenset(chain.states[i] for i in cls) for cls in chain.class_table.classes}
     expected_eqs = {
         st.BState(0, 1, 0, 0), st.BState(1, 1, 1, 0), st.BState(2, 1, 0, 0),
         st.BState(2, 1, 1, 0), st.BState(0, 0, 0, 5), st.BState(1, 0, 1, 5),
@@ -137,23 +133,24 @@ def test_criterion_4_ex7_1_costs_and_stability(pops):
         ("R((0,0,0,5)) = 1", r_coop == 1),
         ("R((0,1,0,0)) >= 2", r_star >= 2),
         ("stochastically stable set is {(0,1,0,0)}",
-         result.stable_states == frozenset({st.BState(0, 1, 0, 0)})),
+         stable == frozenset({st.BState(0, 1, 0, 0)})),
         ("runtime under 5 s", elapsed < 5.0),
     ], note=f"{elapsed:.1f}s")
 
 
 def test_criterion_5_ex7_2_basin_and_stability(pops, stochastic_artifacts):
-    bpop, chain, result, _ = stochastic_artifacts["ex7_2"]
-    cg = result.class_graph
+    chain, stable, _ = stochastic_artifacts["ex7_2"]
+    table = chain.class_table
     omega = frozenset({st.BState(2, 0, 2, 0), st.BState(2, 1, 2, 0)})
-    classes_states = {frozenset(chain.states[i] for i in cls) for cls in cg.classes}
+    classes_states = {frozenset(chain.states[i] for i in cls) for cls in table.classes}
     expected = {
         frozenset({st.BState(0, 1, 0, 0)}), frozenset({st.BState(1, 1, 0, 0)}),
         frozenset({st.BState(0, 1, 1, 0)}), frozenset({st.BState(2, 0, 2, 3)}),
         omega,
     }
-    omega_id = next(i for i in range(cg.k) if frozenset(chain.states[j] for j in cg.classes[i]) == omega)
-    basin_states = {tuple(chain.states[i]) for i in result.basins[omega_id]}
+    omega_id = next(t for t, cls in enumerate(table.classes)
+                    if frozenset(chain.states[j] for j in cls) == omega)
+    basin_states = {tuple(chain.states[i]) for i in np.flatnonzero(table.basins[omega_id])}
     listed_18 = {
         (2, 0, 2, 0), (2, 1, 2, 0), (1, 1, 1, 0), (0, 1, 2, 0), (1, 0, 2, 0),
         (2, 0, 1, 0), (2, 1, 0, 0), (1, 1, 2, 0), (2, 1, 1, 0), (1, 1, 1, 1),
@@ -168,33 +165,30 @@ def test_criterion_5_ex7_2_basin_and_stability(pops, stochastic_artifacts):
         ("the 18 reported basin states all belong to the basin", listed_18 <= basin_states),
         ("the exact probability-one basin is those 18 plus four further feeder states",
          basin_states == exact_basin),
-        ("R(omega) >= 2", result.radii[omega_id] >= 2),
-        ("stochastically stable set is omega", result.stable_states == omega),
+        ("R(omega) >= 2", table.radii[omega_id] >= 2),
+        ("stochastically stable set is omega", stable == omega),
     ], note="exact basin supersedes the reported 18-state display; see the notes ledger")
 
 
 def test_criterion_6_ex7_3_union_of_all_sets(pops, stochastic_artifacts):
-    bpop, chain, result, _ = stochastic_artifacts["ex7_3"]
-    cg = result.class_graph
-    everything = {chain.states[i] for cls in cg.classes for i in cls}
+    chain, stable, _ = stochastic_artifacts["ex7_3"]
+    table = chain.class_table
+    everything = {chain.states[i] for cls in table.classes for i in cls}
     _criterion(6, [
-        ("five minimal invariant sets", cg.k == 5),
-        ("tree weights tie across all classes", len(set(result.gammas)) == 1),
+        ("five minimal invariant sets", len(table.classes) == 5),
+        ("tree weights tie across all classes", len(set(table.gammas)) == 1),
         ("stochastically stable set is the union of all five",
-         result.stable_states == frozenset(everything)),
+         stable == frozenset(everything)),
     ])
 
 
 def test_criterion_7_ex7_4_mixed_pair(pops, stochastic_artifacts):
-    bpop, chain, result, _ = stochastic_artifacts["ex7_4"]
-    cg = result.class_graph
+    chain, stable, _ = stochastic_artifacts["ex7_4"]
+    table = chain.class_table
     x, y, z = st.BState(1, 1, 0, 0), st.BState(0, 1, 1, 0), st.BState(2, 0, 2, 3)
     eqs = set(st.equilibria_of_chain(chain))
-    gamma_of = {
-        next(iter(frozenset(chain.states[i] for i in cg.classes[t]))): result.gammas[t]
-        for t in range(cg.k)
-    }
-    verdict = st.check_extreme_theorem(bpop)
+    gamma_of = {chain.states[cls[0]]: g for cls, g in zip(table.classes, table.gammas)}
+    verdict = st.check_extreme_theorem(chain)
     _criterion(7, [
         ("exactly the three equilibria x, y, z", eqs == {x, y, z}),
         ("c(x,y) = c(y,x) = 1",
@@ -205,8 +199,7 @@ def test_criterion_7_ex7_4_mixed_pair(pops, stochastic_artifacts):
          st.cost(chain, [x], [z]) >= 2 and st.cost(chain, [y], [z]) >= 2),
         ("gamma(x) = gamma(y) = 2", gamma_of[x] == 2 and gamma_of[y] == 2),
         ("gamma(z) >= 3", gamma_of[z] >= 3),
-        ("stochastically stable set is {x, y}",
-         result.stable_states == frozenset({x, y})),
+        ("stochastically stable set is {x, y}", stable == frozenset({x, y})),
         ("extreme-state hypothesis fails", not verdict.hypothesis_holds),
         ("verdict records the failure", verdict.conclusion_status == "not_applicable"),
     ])
@@ -231,45 +224,45 @@ def test_criterion_8_randomized_property_suite():
 
 def test_criterion_9_stationary_corroboration(stochastic_artifacts):
     checks = []
-    for name, (bpop, chain0, result, mus) in stochastic_artifacts.items():
-        cg = result.class_graph
+    for name, (chain0, stable, mus) in stochastic_artifacts.items():
+        table = chain0.class_table
         masses = []
         for eps in EPS_GRID:
             mu, residual = mus[eps]
             checks.append((f"{name}: residual exactly zero at eps={eps}", residual == 0))
             checks.append((f"{name}: residual under 1e-12 at eps={eps}",
                            residual <= Fraction(1, 10**12)))
-            mass = sum((mu[chain0.index_of(s)] for s in result.stable_states), Fraction(0))
+            mass = sum((mu[chain0.index_of(s)] for s in stable), Fraction(0))
             masses.append(mass)
         checks.append((f"{name}: stable-set mass strictly increases as eps decreases",
                        masses[0] < masses[1] < masses[2]))
         checks.append((f"{name}: mass at 1e-4 beats mass at 1e-2", masses[2] > masses[0]))
 
         mu_small, _ = mus[EPS_GRID[-1]]
-        class_mass = [sum((mu_small[i] for i in cls), Fraction(0)) for cls in cg.classes]
+        class_mass = [sum((mu_small[i] for i in cls), Fraction(0)) for cls in table.classes]
         top = max(class_mass)
         retained = {i for i, v in enumerate(class_mass) if v >= top * Fraction(1, 1000)}
         checks.append((f"{name}: mass-retaining classes equal the gamma-minimal ones",
-                       retained == set(result.stable_class_ids)))
+                       retained == set(table.stable_ids)))
     _criterion(9, checks)
 
 
 def test_criterion_10_modified_cost_dominance(stochastic_artifacts):
     checks = []
-    for name, (bpop, chain0, result, mus) in stochastic_artifacts.items():
+    for name, (chain0, _, mus) in stochastic_artifacts.items():
         # every (state, class) cost is read off the class table, one column per
         # class; a whole-chain search must agree with it at a few fixed pairs
         table = chain0.class_table
         searched = True
         dominance = True
         vanishing_ok = True
-        for t, cls in enumerate(result.class_graph.classes):
+        for t, cls in enumerate(table.classes):
             outside = np.flatnonzero(table.class_of != t)
             plain = table.plain[t, outside]
             for i in outside[[0, -1]].tolist():
                 searched &= st.cost(chain0, [i], cls) == table.plain[t, i]
             dominance &= bool((plain >= table.modified_costs(t)[outside]).all())
-            r = result.radii[t]
+            r = table.radii[t]
             if not isinstance(r, int):
                 continue
             for i in outside[plain < r].tolist():

@@ -6,7 +6,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from genpop import population
 from popdyn import cli
+from popdyn.fixtures import fixture_config
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "popdyn" / "fixtures"
 
@@ -34,11 +36,17 @@ def test_malformed_config_is_config_error(tmp_path):
         assert run_cli("equilibria", "--config", str(bad)) == cli.EXIT_CONFIG
 
 
-def test_stochastic_rejects_non_binary(tmp_path):
-    assert (
-        run_cli("stochastic", "--config", str(FIXDIR / "ex1.json"), "--json", str(tmp_path / "o.json"))
-        == cli.EXIT_CONFIG
-    )
+def test_stochastic_rejects_non_binary(tmp_path, capsys):
+    # ex1 has two nonconformist types; ex7_1 without coordinating imitators
+    # passes validation, and is refused before its oracle is built
+    no_imitators = fixture_config("ex7_1")
+    no_imitators["coordinating"][0]["imitators"] = 0
+    (tmp_path / "c.json").write_text(json.dumps(no_imitators))
+    for config in (FIXDIR / "ex1.json", tmp_path / "c.json"):
+        assert run_cli(
+            "stochastic", "--config", str(config), "--json", str(tmp_path / "o.json")
+        ) == cli.EXIT_CONFIG
+    assert "needs imitators of both types" in capsys.readouterr().err
 
 
 def test_guard_exit_code(tmp_path):
@@ -171,6 +179,16 @@ def test_simulate_scripted(tmp_path):
     assert rows[-1].split(",")[:4] == ["1", "bestResponder", "anticoordinating", "1"]
 
 
+# SHA-256 of each binary fixture's `stochastic --epsilon 1/10000 --verify`
+# report, the same pins as the benchmark's
+STOCHASTIC_VERIFY_DIGESTS = {
+    "ex7_1": "2f04e0f9f6935511ee6de90ced1a627db1c677ccc686437fcfff62afda6bbb09",
+    "ex7_2": "47e835db31733b35b22b0033d3e83902ac8419504dc2e8bdba9d947e1683b7de",
+    "ex7_3": "2cff3cb250df18ffbd6cdb3588b70e390ad3add1d015f6a76a850273f0c3ff2c",
+    "ex7_4": "d44ee2e2302673389180dbe223c1aba031c70e0ec84dbcf9abdaa34a95d2c499",
+}
+
+
 def test_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -179,6 +197,13 @@ def test_reports_byte_identical(tmp_path):
             "--epsilon", "1e-2", "--json", str(out),
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+    for name, digest in STOCHASTIC_VERIFY_DIGESTS.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(
+            "stochastic", "--config", str(FIXDIR / f"{name}.json"),
+            "--epsilon", "1/10000", "--verify", "--json", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
 def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
@@ -224,6 +249,17 @@ def test_stochastic_dot_export(tmp_path):
     )
     assert code == 0
     assert dot.read_text().startswith("digraph")
+    pinned = {
+        "ex7_2": "1b628f810bfebbcf1d04143c9509f40637fd59893910eb68fe3243e6946481a6",
+        "ex7_3": "0cc9f5379375baaffeb2c9b7d3c8419a57a36ee954d3e538060ec8bde8df6d1c",
+        "ex7_4": "f615b0f8cb0c821cd63c22881586e8384b6986b492bec5a41650b9843a2759a2",
+    }
+    for name, digest in pinned.items():
+        assert run_cli(
+            "stochastic", "--config", str(FIXDIR / f"{name}.json"),
+            "--dot", str(dot), "--json", str(tmp_path / "o.json"),
+        ) == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest, name
 
 
 def test_stochastic_dot_export_uses_the_guarded_oracle(tmp_path, monkeypatch):
@@ -283,22 +319,25 @@ def test_stochastic_verify_ex7_1(tmp_path):
 def test_stochastic_float_fallback_scaled_ex7_1(tmp_path):
     # every count of ex7_1 tripled: 1,792 chain states, above EXACT_SOLVE_LIMIT
     from popdyn import stochastic
-    from popdyn.fixtures import fixture_config
-    from popdyn.model import validate_population
 
-    raw = fixture_config("ex7_1")
-    for group in raw["anticoordinating"] + raw["coordinating"]:
-        group["bestResponders"] *= 3
-        group["imitators"] *= 3
+    pop = population("ex7_1", 3)
     config, out = tmp_path / "ex7_1x3.json", tmp_path / "st.json"
-    config.write_text(json.dumps(raw))
+    config.write_text(json.dumps(pop.to_json_dict()))
+    # the plain report is the benchmark's pin; the float masses change with
+    # the elimination order, so their pin fixes that order's sequence of states
+    assert run_cli("stochastic", "--config", str(config), "--json", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c116f526342fbe8cdeba86e73d54e3848f48a172cabaf6f6f8ddc6fd80ec80ed"
+    )
     code = run_cli("stochastic", "--config", str(config), "--epsilon", "1/1000", "--json", str(out))
     assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1b4068d19d064e4beeba95543de300647eea129d012529335ec0ea447a4ee0e3"
+    )
     report = json.loads(out.read_text())
     assert report["states"] == 1792
     by_state = report["stationary"]["1/1000"]["by_state"]
-    bpop = stochastic.BinaryTypePopulation.from_population_spec(validate_population(raw))
-    chain = stochastic.build_chain(bpop, Fraction(1, 1000))
+    chain = stochastic.build_chain(pop, Fraction(1, 1000))
     mu = [Fraction(by_state[str(tuple(s))]) for s in chain.states]
     assert abs(sum(mu) - 1) <= Fraction(1, 10**12)
     assert all(m > 0 for m in mu)  # the chain is irreducible
@@ -331,9 +370,9 @@ def test_stochastic_builds_each_chain_once(tmp_path, monkeypatch):
     built = []
     real = stochastic.build_chain
 
-    def counting(bpop, epsilon, graph=None):
+    def counting(pop, epsilon, graph=None):
         built.append(Fraction(epsilon))
-        return real(bpop, epsilon, graph)
+        return real(pop, epsilon, graph)
 
     monkeypatch.setattr(stochastic, "build_chain", counting)
     code = run_cli(

@@ -14,7 +14,7 @@ from popdyn.equilibria import (
 )
 from popdyn.errors import AssumptionViolated
 from popdyn.model import State, UtilityLine, validate_population
-from popdyn.stochastic import BinaryTypePopulation, BState
+from popdyn.stochastic import BState
 
 
 def test_sup_empty_ranges(pops):
@@ -53,10 +53,9 @@ def test_enumerate_ex3_empty(pops):
 
 def test_enumerate_ex7_1_expands_to_eight_refined(pops):
     pop = pops["ex7_1"]
-    bpop = BinaryTypePopulation.from_population_spec(pop)
     from popdyn.stochastic import build_chain, equilibria_of_chain
 
-    refined = set(equilibria_of_chain(build_chain(bpop, 0)))
+    refined = set(equilibria_of_chain(build_chain(pop, 0)))
     assert refined == {
         BState(0, 1, 0, 0), BState(1, 1, 1, 0), BState(2, 1, 0, 0), BState(2, 1, 1, 0),
         BState(0, 0, 0, 5), BState(1, 0, 1, 5), BState(2, 0, 0, 5), BState(2, 0, 1, 5),

@@ -83,21 +83,19 @@ def test_closure_check_matches_edge_scan_randomized():
 def _binary_pops(seed, count):
     produced = 0
     for pop in sample_populations(seed=seed, count=400, max_agents=11, max_types=2):
-        if pop.b != 1 or pop.bp != 1:
-            continue
         try:
-            bpop = st.BinaryTypePopulation.from_population_spec(pop)
+            st.check_binary(pop)
         except ValueError:
             continue
-        yield pop, bpop
+        yield pop
         produced += 1
         if produced >= count:
             return
 
 
 def test_singleton_classes_match_closed_form_randomized():
-    for pop, bpop in _binary_pops(seed=41, count=25):
-        chain = st.build_chain(bpop, 0)
+    for pop in _binary_pops(seed=41, count=25):
+        chain = st.build_chain(pop, 0)
         singletons = {
             State(s.x1I + s.x2I, (s.xa,), (s.xc,))
             for s in (chain.states[cls[0]] for cls in st.recurrent_classes(chain) if len(cls) == 1)
@@ -106,8 +104,8 @@ def test_singleton_classes_match_closed_form_randomized():
 
 
 def test_cost_dominates_modified_cost_randomized():
-    for pop, bpop in _binary_pops(seed=43, count=12):
-        chain = st.build_chain(bpop, 0)
+    for pop in _binary_pops(seed=43, count=12):
+        chain = st.build_chain(pop, 0)
         classes = st.recurrent_classes(chain)
         for cls in classes:
             cls_set = set(cls)
@@ -118,21 +116,20 @@ def test_cost_dominates_modified_cost_randomized():
 
 
 def test_gamma_routes_agree_randomized():
-    for pop, bpop in _binary_pops(seed=47, count=20):
-        chain = st.build_chain(bpop, 0)
-        cg = st.build_class_graph(chain)
-        for t in range(cg.k):
-            assert st.gamma(cg, t) == _gamma_reference(cg, t)
+    for pop in _binary_pops(seed=47, count=20):
+        costs = st.build_chain(pop, 0).class_table.costs
+        for t in range(len(costs)):
+            assert st.gamma(costs, t) == _gamma_reference(costs, t)
 
 
 def test_potential_matches_gamma_randomized():
-    for pop, bpop in _binary_pops(seed=47, count=20):
-        _assert_potential_matches_gamma(st.build_chain(bpop, 0))
+    for pop in _binary_pops(seed=47, count=20):
+        _assert_potential_matches_gamma(st.build_chain(pop, 0))
 
 
 def test_stationary_exact_on_random_chain():
-    for pop, bpop in _binary_pops(seed=53, count=4):
-        chain = st.build_chain(bpop, Fraction(1, 128))
+    for pop in _binary_pops(seed=53, count=4):
+        chain = st.build_chain(pop, Fraction(1, 128))
         mu = st.stationary_distribution(chain)
         assert sum(mu) == 1
         assert st.stationary_residual(chain, mu) == 0

@@ -11,16 +11,13 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
+from genpop import population
 from popdyn import stochastic
 from popdyn.errors import NotMixed, SingularSystem, StateSpaceTooLarge
-from popdyn.fixtures import fixture_config
-from popdyn.model import UtilityLine, validate_population
 from popdyn.stochastic import (
-    BinaryTypePopulation,
     BState,
     basin,
     build_chain,
-    build_class_graph,
     check_extreme_theorem,
     corresponding_extreme,
     cost,
@@ -43,13 +40,13 @@ from popdyn.verify import is_irreducible
 REFERENCE_TREE_LIMIT = 8
 
 
-def _gamma_reference(class_graph, root):
+def _gamma_reference(costs, root):
     """Exhaustive minimum over every parent choice; the cross-check for gamma.
 
     It enumerates (k-1)^(k-1) parent assignments at once, so it refuses more
     than REFERENCE_TREE_LIMIT classes instead of allocating.
     """
-    k = class_graph.k
+    k = len(costs)
     if k > REFERENCE_TREE_LIMIT:
         raise ValueError(
             f"exhaustive tree enumeration is limited to {REFERENCE_TREE_LIMIT} classes, got {k}"
@@ -73,7 +70,7 @@ def _gamma_reference(class_graph, root):
         ptr = np.take_along_axis(ptr, ptr, axis=1)
         hops *= 2
     valid = (ptr[:, non_root] == root).all(axis=1)
-    weights = np.array(class_graph.costs, dtype=np.int64)
+    weights = np.array(costs, dtype=np.int64)
     total = np.zeros(m, dtype=np.int64)
     for v in non_root:
         total += weights[v, parent_full[:, v]]
@@ -92,8 +89,8 @@ def _rows(chain):
 def _step_costs(chain):
     """[{j: one-step mistake cost of i -> j}] read off the exact transition
     rows: positive at eps = 0 costs 0, positive only at eps > 0 costs 1."""
-    rows0 = _rows(build_chain(chain.bpop, 0, chain.graph))
-    rows_eps = _rows(build_chain(chain.bpop, Fraction(1, 2), chain.graph))
+    rows0 = _rows(build_chain(chain.pop, 0, chain.graph))
+    rows_eps = _rows(build_chain(chain.pop, Fraction(1, 2), chain.graph))
     return [{j: 0 if j in r0 else 1 for j in r_eps} for r0, r_eps in zip(rows0, rows_eps)]
 
 
@@ -134,66 +131,54 @@ def _stationary_reference(chain):
 def _assert_potential_matches_gamma(chain):
     """The state-level potential equals gamma on every class, is constant on
     it, and is minimal exactly on the stochastically stable states."""
-    result = stochastically_stable_set(chain.bpop, chain)
+    table = chain.class_table
     potential = stochastic_potential(chain)
-    for cls, g in zip(result.class_graph.classes, result.gammas):
+    for cls, g in zip(table.classes, table.gammas):
         assert set(potential[list(cls)].tolist()) == {g}
     argmin = np.flatnonzero(potential == potential.min())
-    assert {chain.states[i] for i in argmin} == result.stable_states
-    return result.gammas
+    assert {chain.states[i] for i in argmin} == stochastically_stable_set(chain)
+    return table.gammas
+
+
+BINARY = ("ex7_1", "ex7_2", "ex7_3", "ex7_4")
 
 
 @pytest.fixture(scope="module")
-def bpops(pops):
-    return {
-        name: BinaryTypePopulation.from_population_spec(pops[name])
-        for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4")
-    }
-
-
-@pytest.fixture(scope="module")
-def chains(bpops):
-    return {name: build_chain(bpop, 0) for name, bpop in bpops.items()}
+def chains(pops):
+    return {name: build_chain(pops[name], 0) for name in BINARY}
 
 
 def test_binary_type_requires_all_cells(pops):
     with pytest.raises(ValueError):
-        BinaryTypePopulation.from_population_spec(pops["ex1"])  # two nonconformist types
+        build_chain(pops["ex1"], 0)  # two nonconformist types
 
 
-def test_weights_default_uniform(bpops):
-    b = bpops["ex7_1"]
-    assert b.weights == (Fraction(1, 9),) * 4
+def test_activation_is_uniform(pops):
+    # every agent is activated with probability 1/9 and trembles at 1/100
+    chain = build_chain(pops["ex7_1"], Fraction(1, 100))
+    assert chain.denominator == 9 * 100
+    _, num, _ = chain.transitions()
+    assert (num[:, 1:] == chain.members * np.where(chain.switch, 99, 1)).all()
 
 
-def test_weights_must_normalize():
-    with pytest.raises(ValueError):
-        BinaryTypePopulation.from_lines(
-            2, 1, 1, 5,
-            UtilityLine(-2, Fraction(51, 5)), UtilityLine(5, Fraction(-37, 2)),
-            UtilityLine(Fraction(33, 5), Fraction(-297, 10)), UtilityLine(Fraction(-14, 5), Fraction(63, 5)),
-            weights=(Fraction(1, 9), Fraction(1, 9), Fraction(1, 9), Fraction(1, 2)),
-        )
-
-
-def test_chain_rows_sum_to_one(bpops):
+def test_chain_rows_sum_to_one(pops):
     for eps in (0, Fraction(1, 100)):
-        chain = build_chain(bpops["ex7_2"], eps)
+        chain = build_chain(pops["ex7_2"], eps)
         assert chain.n_states == 72
         for row in _rows(chain):
             assert sum(row.values()) == 1
 
 
-def test_chain_support_monotone(bpops):
-    chain0 = build_chain(bpops["ex7_1"], 0)
-    chain_eps = build_chain(bpops["ex7_1"], Fraction(1, 50))
+def test_chain_support_monotone(pops):
+    chain0 = build_chain(pops["ex7_1"], 0)
+    chain_eps = build_chain(pops["ex7_1"], Fraction(1, 50))
     for i, (row0, row_eps) in enumerate(zip(_rows(chain0), _rows(chain_eps))):
         assert row0.keys() <= row_eps.keys()
         assert row0.keys() == {j for j in row_eps if chain_eps.one_step_cost(i, j) == 0}
 
 
-def test_perturbed_chain_irreducible_aperiodic(bpops):
-    chain = build_chain(bpops["ex7_1"], Fraction(1, 100))
+def test_perturbed_chain_irreducible_aperiodic(pops):
+    chain = build_chain(pops["ex7_1"], Fraction(1, 100))
     support = _support(chain)
     assert connected_components(support, directed=True, connection="strong")[0] == 1
     assert all(i in row for i, row in enumerate(_rows(chain)))
@@ -205,8 +190,8 @@ def test_perturbed_chain_irreducible_aperiodic(bpops):
     assert is_irreducible(dst)
 
 
-def test_irreducibility_check_can_fail(bpops):
-    chain = build_chain(bpops["ex7_1"], Fraction(1, 100))
+def test_irreducibility_check_can_fail(pops):
+    chain = build_chain(pops["ex7_1"], Fraction(1, 100))
     dst = chain.transitions()[0]
     assert is_irreducible(dst)
     # drop every edge into state 0 but its self-loop: a backward search from
@@ -215,10 +200,10 @@ def test_irreducibility_check_can_fail(bpops):
     into[(into == 0) & (np.arange(chain.n_states)[:, None] != 0)] = -1
     assert not is_irreducible(into)
     # drop one direction of one cell's moves: with no anticoordinating
-    # imitator ever switching to C, no state with x1I > 0 is reached from
-    # state 0
+    # imitator ever switching to C (the largest step), no state with x1I > 0
+    # is reached from the all-defect state 0
     up = dst.copy()
-    up[:, 2] = -1
+    up[:, 1 + np.argmax(chain.steps)] = -1
     assert not is_irreducible(up)
 
 
@@ -247,12 +232,13 @@ def test_recurrent_classes_ex7_4(chains):
 
 def test_all_defect_absorbing_single_class():
     # tempers outside [0, n] on both sides: everyone heads to defection
-    bpop = BinaryTypePopulation.from_lines(
-        1, 2, 1, 2,
-        UtilityLine(-1, 0), UtilityLine(1, 1),            # tau_a = -1/2
-        UtilityLine(1, -13), UtilityLine(-1, 0),          # tau_c = 13/2 > n = 6
-    )
-    chain = build_chain(bpop, 0)
+    pop = population({
+        "anticoordinating": [{"uC": [-1, 0], "uD": [1, 1],          # tau_a = -1/2
+                              "imitators": 1, "bestResponders": 2}],
+        "coordinating": [{"uC": [1, -13], "uD": [-1, 0],            # tau_c = 13/2 > n = 6
+                          "imitators": 1, "bestResponders": 2}],
+    })
+    chain = build_chain(pop, 0)
     classes = recurrent_classes(chain)
     assert len(classes) == 1
     (cls,) = classes
@@ -306,16 +292,14 @@ def test_basin_ex7_2_against_the_18_reported_states(chains):
 
 
 def test_gamma_singleton_graph():
-    from popdyn.stochastic import ClassGraph
-
-    cg = ClassGraph(classes=((0,),), costs=((0,),))
-    assert gamma(cg, 0) == 0
+    assert gamma(((0,),), 0) == 0
 
 
-def test_gamma_ex7_4(chains, bpops):
+def test_gamma_ex7_4(chains):
     chain = chains["ex7_4"]
-    cg = build_class_graph(chain)
-    gs = {frozenset(chain.states[i] for i in cg.classes[t]): gamma(cg, t) for t in range(cg.k)}
+    table = chain.class_table
+    gs = {frozenset(chain.states[i] for i in cls): gamma(table.costs, t)
+          for t, cls in enumerate(table.classes)}
     x, y, z = BState(1, 1, 0, 0), BState(0, 1, 1, 0), BState(2, 0, 2, 3)
     assert gs[frozenset({x})] == 2 and gs[frozenset({y})] == 2
     assert gs[frozenset({z})] >= 3
@@ -323,41 +307,38 @@ def test_gamma_ex7_4(chains, bpops):
 
 def test_gamma_brute_vs_arborescence(chains):
     for chain in chains.values():
-        cg = build_class_graph(chain)
-        for t in range(cg.k):
-            assert gamma(cg, t) == _gamma_reference(cg, t)
+        costs = chain.class_table.costs
+        for t in range(len(costs)):
+            assert gamma(costs, t) == _gamma_reference(costs, t)
 
 
 def test_gamma_matches_reference_on_random_costs():
     # small integer costs force ties and cycles nested inside contracted cycles
-    from popdyn.stochastic import ClassGraph
-
     rng = np.random.default_rng(7)
     for k in range(1, 7):
         for _ in range(40):
             costs = rng.integers(0, 5, size=(k, k))
             np.fill_diagonal(costs, 0)
-            cg = ClassGraph(tuple((i,) for i in range(k)), tuple(map(tuple, costs.tolist())))
+            costs = costs.tolist()
             for root in range(k):
-                assert gamma(cg, root) == _gamma_reference(cg, root)
+                assert gamma(costs, root) == _gamma_reference(costs, root)
 
 
 def test_gamma_reference_refuses_nine_classes():
-    from popdyn.stochastic import ClassGraph
-
-    cg = ClassGraph(tuple((i,) for i in range(9)), tuple((1,) * 9 for _ in range(9)))
     with pytest.raises(ValueError):
-        _gamma_reference(cg, 0)
+        _gamma_reference([[1] * 9] * 9, 0)
 
 
 def test_gamma_unique_minimum_ex7_1(chains):
     chain = chains["ex7_1"]
-    cg = build_class_graph(chain)
-    gammas = [gamma(cg, t) for t in range(cg.k)]
+    table = chain.class_table
+    gammas = [gamma(table.costs, t) for t in range(len(table.classes))]
+    assert tuple(gammas) == table.gammas
     best = min(gammas)
     winners = [t for t, g in enumerate(gammas) if g == best]
+    assert winners == list(table.stable_ids)
     assert len(winners) == 1
-    assert [chain.states[i] for i in cg.classes[winners[0]]] == [BState(0, 1, 0, 0)]
+    assert [chain.states[i] for i in table.classes[winners[0]]] == [BState(0, 1, 0, 0)]
 
 
 def test_potential_matches_gamma_on_fixtures(chains):
@@ -371,32 +352,31 @@ def test_potential_matches_gamma_on_fixtures(chains):
 
 
 def test_potential_matches_gamma_tripled_ex7_1():
-    chain = build_chain(_scaled("ex7_1", 3), 0)
+    chain = build_chain(population("ex7_1", 3), 0)
     assert chain.n_states == 1792
     assert _assert_potential_matches_gamma(chain) == (18, 1)
 
 
-def test_stochastically_stable_sets(bpops, chains):
+def test_stochastically_stable_sets(chains):
     expected = {
         "ex7_1": {BState(0, 1, 0, 0)},
         "ex7_2": {BState(2, 0, 2, 0), BState(2, 1, 2, 0)},
         "ex7_4": {BState(1, 1, 0, 0), BState(0, 1, 1, 0)},
     }
     for name, want in expected.items():
-        res = stochastically_stable_set(bpops[name], chains[name])
-        assert res.stable_states == frozenset(want)
+        assert stochastically_stable_set(chains[name]) == frozenset(want)
 
 
-def test_stochastically_stable_union_ex7_3(bpops, chains):
+def test_stochastically_stable_union_ex7_3(chains):
     chain = chains["ex7_3"]
-    res = stochastically_stable_set(bpops["ex7_3"], chain)
-    assert len(set(res.gammas)) == 1  # full tie
-    everything = {chain.states[i] for cls in res.class_graph.classes for i in cls}
-    assert res.stable_states == frozenset(everything)
+    table = chain.class_table
+    assert len(set(table.gammas)) == 1  # full tie
+    everything = {chain.states[i] for cls in table.classes for i in cls}
+    assert stochastically_stable_set(chain) == frozenset(everything)
 
 
-def test_stationary_distribution_exact(bpops):
-    chain = build_chain(bpops["ex7_2"], Fraction(1, 1000))
+def test_stationary_distribution_exact(pops):
+    chain = build_chain(pops["ex7_2"], Fraction(1, 1000))
     mu = stationary_distribution(chain)
     assert sum(mu) == 1
     assert all(x > 0 for x in mu)
@@ -408,8 +388,8 @@ def test_stationary_requires_noise(chains):
         stationary_distribution(chains["ex7_1"])
 
 
-def test_stationary_guard_precedes_allocation(bpops, monkeypatch):
-    chain = build_chain(bpops["ex7_2"], Fraction(1, 1000))
+def test_stationary_guard_precedes_allocation(pops, monkeypatch):
+    chain = build_chain(pops["ex7_2"], Fraction(1, 1000))
     needed = 8 * chain.n_states ** 2
 
     def no_allocation(*args, **kwargs):
@@ -419,7 +399,7 @@ def test_stationary_guard_precedes_allocation(bpops, monkeypatch):
         return stationary_residual(chain, result) <= Fraction(1, 10**12)
 
     def solved_potential(result):
-        return min(result) == min(stochastically_stable_set(chain.bpop, chain).gammas)
+        return min(result) == min(chain.class_table.gammas)
 
     # the float path, the exact one, then the epsilon-order one
     for limit, solve, solved in ((10, stationary_distribution, solved_stationary),
@@ -438,16 +418,16 @@ def test_stationary_guard_precedes_allocation(bpops, monkeypatch):
         assert solved(solve(chain))
 
 
-@pytest.mark.parametrize("name", ["ex7_1", "ex7_2", "ex7_3", "ex7_4"])
-def test_exact_kernel_matches_fraction_reference(bpops, name):
+@pytest.mark.parametrize("name", BINARY)
+def test_exact_kernel_matches_fraction_reference(pops, name):
     for eps in (Fraction(1, 100), Fraction(1, 10000)):
-        chain = build_chain(bpops[name], eps)
+        chain = build_chain(pops[name], eps)
         assert stationary_distribution(chain) == _stationary_reference(chain)
 
 
-def test_float_solve_matches_exact(bpops, monkeypatch):
-    for name, bpop in bpops.items():
-        chain = build_chain(bpop, Fraction(1, 10000))
+def test_float_solve_matches_exact(pops, monkeypatch):
+    for name in BINARY:
+        chain = build_chain(pops[name], Fraction(1, 10000))
         exact = stationary_distribution(chain)
         with monkeypatch.context() as m:
             m.setattr(stochastic, "EXACT_SOLVE_LIMIT", 0)
@@ -457,19 +437,19 @@ def test_float_solve_matches_exact(bpops, monkeypatch):
             assert abs(a - e) <= e / 10**12, (name, i, float(a), float(e))
 
 
-def test_stationary_mass_concentrates_ex7_1(bpops):
+def test_stationary_mass_concentrates_ex7_1(pops):
     target = BState(0, 1, 0, 0)
     masses = []
     for eps in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)):
-        chain = build_chain(bpops["ex7_1"], eps)
+        chain = build_chain(pops["ex7_1"], eps)
         mu = stationary_distribution(chain)
         masses.append(mu[chain.index_of(target)])
     assert masses[0] < masses[1] < masses[2]
     assert masses[2] > Fraction(99, 100)
 
 
-def test_stationary_mass_ex7_4_mixed_pair(bpops):
-    chain = build_chain(bpops["ex7_4"], Fraction(1, 10000))
+def test_stationary_mass_ex7_4_mixed_pair(pops):
+    chain = build_chain(pops["ex7_4"], Fraction(1, 10000))
     mu = stationary_distribution(chain)
     x, y, z = BState(1, 1, 0, 0), BState(0, 1, 1, 0), BState(2, 0, 2, 3)
     assert mu[chain.index_of(x)] + mu[chain.index_of(y)] > Fraction(99, 100)
@@ -496,61 +476,62 @@ def test_modified_cost_rejects_inside_start(chains):
         modified_cost(chain, x, [x])
 
 
-def test_corresponding_extreme_formulas(bpops):
-    b = bpops["ex7_1"]
+def test_corresponding_extreme_formulas(pops):
+    b = pops["ex7_1"]
     assert corresponding_extreme(b, BState(1, 1, 0, 0)) == BState(0, 1, 0, 0)
     assert corresponding_extreme(b, BState(1, 0, 1, 5)) == BState(2, 0, 1, 5)
 
 
-def test_corresponding_extreme_rejects_non_mixed(bpops):
-    b = bpops["ex7_1"]
+def test_corresponding_extreme_rejects_non_mixed(pops):
+    b = pops["ex7_1"]
     with pytest.raises(NotMixed):
         corresponding_extreme(b, BState(0, 1, 0, 0))  # r = 0
     with pytest.raises(NotMixed):
         corresponding_extreme(b, BState(1, 1, 1, 1))  # not a mixed-equilibrium form
 
 
-def test_corresponding_extreme_ex7_4_not_equilibrium(bpops, chains):
-    b = bpops["ex7_4"]
+def test_corresponding_extreme_ex7_4_not_equilibrium(pops, chains):
+    b = pops["ex7_4"]
     ext = corresponding_extreme(b, BState(1, 1, 0, 0))
     assert ext == BState(0, 1, 0, 0)
     assert not chains["ex7_4"].is_equilibrium(ext)
 
 
-def test_extreme_theorem_verdicts(bpops):
+def test_extreme_theorem_verdicts(pops, chains):
     for name in ("ex7_1", "ex7_2", "ex7_3"):
-        verdict = check_extreme_theorem(bpops[name])
+        verdict = check_extreme_theorem(chains[name])
         assert verdict.hypothesis_holds
         assert verdict.conclusion_status == "verified"
-    verdict = check_extreme_theorem(bpops["ex7_4"])
+    verdict = check_extreme_theorem(chains["ex7_4"])
     assert not verdict.hypothesis_holds
     assert verdict.conclusion_status == "not_applicable"
     assert all(
-        not (1 <= s.x1I + s.x2I <= bpops["ex7_4"].m - 1) is False
+        not (1 <= s.x1I + s.x2I <= pops["ex7_4"].m - 1) is False
         for s in verdict.stable_equilibria
     )  # the stable equilibria are all mixed here
 
 
 def test_extreme_theorem_trivial_without_equilibria():
-    bpop = BinaryTypePopulation.from_lines(
-        3, 2, 3, 3,
-        UtilityLine(Fraction(-19, 4), Fraction(1971, 56)), UtilityLine(Fraction(-1, 2), Fraction(-66, 7)),
-        UtilityLine(Fraction(9, 2), Fraction(-75, 4)), UtilityLine(-2, -9),
-    )
-    chain = build_chain(bpop, 0)
+    pop = population({
+        "anticoordinating": [{"uC": ["-19/4", "1971/56"], "uD": ["-1/2", "-66/7"],
+                              "imitators": 3, "bestResponders": 2}],
+        "coordinating": [{"uC": ["9/2", "-75/4"], "uD": [-2, -9],
+                          "imitators": 3, "bestResponders": 3}],
+    })
+    chain = build_chain(pop, 0)
     assert equilibria_of_chain(chain) == []
-    verdict = check_extreme_theorem(bpop)
+    verdict = check_extreme_theorem(chain)
     assert verdict.hypothesis_holds
     assert verdict.conclusion_status == "trivially_consistent"
 
 
-def test_report_and_dot_exports(bpops):
-    report = stochastic_report(bpops["ex7_1"], epsilons=[Fraction(1, 100)])
+def test_report_and_dot_exports(chains):
+    report = stochastic_report(chains["ex7_1"], epsilons=[Fraction(1, 100)])
     assert report["states"] == 72
     assert report["stochastically_stable_states"] == [[0, 1, 0, 0]]
     assert "1/100" in report["stationary"]
     out = io.StringIO()
-    export_class_digraph_dot(bpops["ex7_1"], out)
+    export_class_digraph_dot(chains["ex7_1"], out)
     text = out.getvalue()
     assert text.startswith("digraph") and "->" in text
 
@@ -659,14 +640,6 @@ def _modified_cost_reference(chain, starts):
     return out
 
 
-def _scaled(name, factor):
-    raw = fixture_config(name)
-    for group in raw["anticoordinating"] + raw["coordinating"]:
-        group["bestResponders"] *= factor
-        group["imitators"] *= factor
-    return BinaryTypePopulation.from_population_spec(validate_population(raw))
-
-
 def _assert_modified_costs_match(chain, starts):
     classes = recurrent_classes(chain)
     assert [radius(chain, cls) for cls in classes] == _radii_reference(_step_costs(chain), classes)
@@ -676,7 +649,7 @@ def _assert_modified_costs_match(chain, starts):
     assert all(type(v) is int or v == math.inf for v in got.values())
 
 
-@pytest.mark.parametrize("name", ["ex7_1", "ex7_2", "ex7_3", "ex7_4"])
+@pytest.mark.parametrize("name", BINARY)
 def test_modified_cost_matches_subset_dp(chains, name):
     chain = chains[name]
     _assert_modified_costs_match(chain, range(chain.n_states))
@@ -684,7 +657,7 @@ def test_modified_cost_matches_subset_dp(chains, name):
 
 @pytest.mark.parametrize("name", ["ex7_1", "ex7_4"])
 def test_modified_cost_matches_subset_dp_doubled(name):
-    chain = build_chain(_scaled(name, 2), 0)
+    chain = build_chain(population(name, 2), 0)
     assert len(recurrent_classes(chain)) == 4
     starts = random.Random(11).sample(range(chain.n_states), 50)
     _assert_modified_costs_match(chain, starts)
@@ -730,7 +703,7 @@ def _zero_one_search(steps, sources, stop):
 def test_modified_cost_matches_per_start_search(name, factor, k):
     # every (state, class) pair against segments and legs that enter no other
     # class, each start outside the classes searched on its own
-    chain = build_chain(_scaled(name, factor), 0)
+    chain = build_chain(population(name, factor), 0)
     classes = [set(c) for c in recurrent_classes(chain)]
     assert len(classes) == k
     steps = _step_costs(chain)

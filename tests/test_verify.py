@@ -5,17 +5,16 @@ session-scoped oracle digraphs; the CLI wiring itself is covered in
 test_cli. The three large fixtures dominate the suite's runtime.
 """
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from popdyn import invariants
+from genpop import population
+from popdyn import equilibria, invariants
 from popdyn import stochastic as st
-from popdyn.fixtures import fixture_config
-from popdyn.model import validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
-from popdyn.stochastic import BinaryTypePopulation
 from popdyn.verify import (
     verify_equilibria,
     verify_invariants,
@@ -33,7 +32,7 @@ def test_small_fixture_full_battery(name, pops, graphs):
     problems, skipped = verify_invariants(pop, graph)
     assert problems == [] and skipped == []
     assert verify_oracle(graph) == []
-    assert verify_stochastic(BinaryTypePopulation.from_population_spec(pop), graph=graph) == []
+    assert verify_stochastic(pop, graph=graph) == []
 
 
 @pytest.mark.parametrize("name", ("ex1", "ex2", "ex3"))
@@ -64,7 +63,7 @@ def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
 
 
 def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypatch):
-    bpop = BinaryTypePopulation.from_population_spec(pops["ex7_4"])
+    pop = pops["ex7_4"]
     calls = []
     real = st._mistake_costs
 
@@ -74,8 +73,8 @@ def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypat
         return real(chain, sources, reverse)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
-    assert verify_stochastic(bpop, graph=graphs("ex7_4")) == []
-    chain = st.build_chain(bpop, Fraction(0), graphs("ex7_4"))
+    assert verify_stochastic(pop, graph=graphs("ex7_4")) == []
+    chain = st.build_chain(pop, Fraction(0), graphs("ex7_4"))
     classes = st.recurrent_classes(chain)
     # one plain backward search per class, none per (state, class) pair
     assert sorted(calls) == sorted(classes)
@@ -86,7 +85,7 @@ def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypat
 
 
 def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch):
-    bpop = BinaryTypePopulation.from_population_spec(pops["ex7_1"])
+    pop = pops["ex7_1"]
     calls = []
     real = st._mistake_costs
 
@@ -95,8 +94,8 @@ def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch
         return real(chain, sources, *args, **kwargs)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
-    assert verify_stochastic(bpop, graph=graphs("ex7_1")) == []
-    classes = st.recurrent_classes(st.build_chain(bpop, 0, graphs("ex7_1")))
+    assert verify_stochastic(pop, graph=graphs("ex7_1")) == []
+    classes = st.recurrent_classes(st.build_chain(pop, 0, graphs("ex7_1")))
     assert len(classes) == 8
     # two whole-chain searches from each class, none from any other state
     assert Counter(calls) == {cls: 2 for cls in classes}
@@ -104,12 +103,7 @@ def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch
 
 def test_scaled_fixture_full_stochastic_battery():
     # ex7_1 with every count tripled: 1,792 chain states, float stationary solves
-    raw = fixture_config("ex7_1")
-    for group in raw["anticoordinating"] + raw["coordinating"]:
-        group["bestResponders"] *= 3
-        group["imitators"] *= 3
-    bpop = BinaryTypePopulation.from_population_spec(validate_population(raw))
-    assert verify_stochastic(bpop) == []
+    assert verify_stochastic(population("ex7_1", 3)) == []
 
 
 # raising class 0's gamma by one leaves ex7_1's stable set alone, but on ex7_4
@@ -117,10 +111,49 @@ def test_scaled_fixture_full_stochastic_battery():
 @pytest.mark.parametrize("name, stable_set_moves", (("ex7_1", False), ("ex7_4", True)))
 def test_verify_stochastic_flags_gamma_off_the_potential(name, stable_set_moves, pops, graphs,
                                                          monkeypatch):
-    bpop = BinaryTypePopulation.from_population_spec(pops[name])
     real = st.gamma
-    monkeypatch.setattr(st, "gamma", lambda cg, root: real(cg, root) + (root == 0))
-    problems = verify_stochastic(bpop, graph=graphs(name))
+    monkeypatch.setattr(st, "gamma", lambda costs, root: real(costs, root) + (root == 0))
+    problems = verify_stochastic(pops[name], graph=graphs(name))
     assert any(p.startswith("stochastic potential [") and "of class 0 " in p for p in problems)
     assert any(p.startswith("stochastic potential is minimal on") for p in problems) \
         == stable_set_moves
+
+
+def _coradius_problems(pop, graph, **changes):
+    chain = st.build_chain(pop, 0, graph)
+    chain.class_table = dataclasses.replace(chain.class_table, **changes)
+    problems = verify_stochastic(pop, graph=graph, chains={Fraction(0): chain})
+    return [p for p in problems if "modified coradius" in p]
+
+
+def test_verify_stochastic_flags_a_radius_above_the_coradius(pops, graphs):
+    # the condition R > CR* holds for no class of ex7_4; an unbounded radius
+    # of the unstable extreme class z makes it hold there
+    pop, graph = pops["ex7_4"], graphs("ex7_4")
+    table = st.build_chain(pop, 0, graph).class_table
+    assert _coradius_problems(pop, graph) == []
+    (z,) = set(range(3)) - set(table.stable_ids)
+    radii = tuple(float("inf") if t == z else r for t, r in enumerate(table.radii))
+    assert any(p.startswith(f"class {z} has radius inf")
+               for p in _coradius_problems(pop, graph, radii=radii))
+
+
+def test_verify_stochastic_flags_a_leg_discount(pops, graphs):
+    # on ex7_1 only the stable class passes R > CR*; legs into class 0 that
+    # are discounted by 100 mistakes put its modified coradius below its radius
+    pop, graph = pops["ex7_1"], graphs("ex7_1")
+    table = st.build_chain(pop, 0, graph).class_table
+    assert table.stable_ids != (0,)
+    legs = tuple(tuple(w - 100 if b == 0 and a != 0 else w for b, w in enumerate(row))
+                 for a, row in enumerate(table.legs))
+    assert any(p.startswith("class 0 has radius")
+               for p in _coradius_problems(pop, graph, legs=legs))
+
+
+def test_verify_equilibria_flags_wrong_cooperation_preserving_verdict(pops, graphs, monkeypatch):
+    pop, graph = pops["ex7_2"], graphs("ex7_2")
+    real = equilibria.is_exclusive_cooperation_preserving
+    monkeypatch.setattr(equilibria, "is_exclusive_cooperation_preserving",
+                        lambda p, state: not real(p, state))
+    problems = verify_equilibria(pop, graph)
+    assert any(p.startswith("cooperation-preserving mismatch") for p in problems)
