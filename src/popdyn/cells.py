@@ -8,8 +8,10 @@ pooled form.
 
 A state drives the update rules only through its cooperator count n_c and
 which types have cooperators and defectors, so `CellSpace.rules` decides both
-rules once per (type, n_c) in exact `Fraction`s; simulation and the oracle
-read that one table.
+rules once per (type, n_c) in exact `Fraction`s. `CellSpace.moves` is the one
+kernel that reads that table: it decides every agent's switch at a batch of
+states, and the oracle build, `dynamics.simulate` and `dynamics.step` take
+every decision from it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NoSuchAgent
 from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State, parse_rational
 
 BEST_RESPONDER = "bestResponder"
@@ -101,6 +102,8 @@ class CellSpace:
             strides[k] = strides[k + 1] * (self.caps[k + 1] + 1)
         self.strides: tuple[int, ...] = tuple(strides)
         self.n_states: int = strides[0] * (self.caps[0] + 1) if cells else 1
+        # two move bits per cell (see `moves`)
+        self.move_dtype = np.min_scalar_type((1 << 2 * len(cells)) - 1)
         self.position: dict[tuple[str, str, int], int] = {
             c.key: k for k, c in enumerate(cells)
         }
@@ -163,25 +166,27 @@ class CellSpace:
     def splits_of_pooled(self, state: State) -> Iterator[Coords]:
         """All refined states projecting to the pooled state."""
         self.pop.check_state(state)
-        base = self._br_part(state)
-        positions = self.imitator_positions
+        return self.fills(self._br_part(state), self.imitator_positions, state.xI)
 
-        def rec(pos: int, remaining: int):
-            if pos == len(positions):
+    def fills(self, base: Sequence[int], free: Sequence[int], total: int) -> Iterator[Coords]:
+        """Every state equal to `base` off the `free` cells, with `total`
+        cooperators in the free cells; lexicographic in the free cells."""
+        out = list(base)
+        tails = [0] * (len(free) + 1)  # capacity of free[pos:]
+        for pos in range(len(free) - 1, -1, -1):
+            tails[pos] = tails[pos + 1] + self.caps[free[pos]]
+
+        def rec(pos: int, remaining: int) -> Iterator[Coords]:
+            if pos == len(free):
                 if remaining == 0:
-                    yield tuple(base)
+                    yield tuple(out)
                 return
-            k = positions[pos]
-            cap = self.caps[k]
-            tail_cap = sum(self.caps[p] for p in positions[pos + 1 :])
-            lo = max(0, remaining - tail_cap)
-            hi = min(cap, remaining)
-            for v in range(lo, hi + 1):
-                base[k] = v
+            k = free[pos]
+            for v in range(max(0, remaining - tails[pos + 1]), min(self.caps[k], remaining) + 1):
+                out[k] = v
                 yield from rec(pos + 1, remaining - v)
-            base[k] = 0
 
-        yield from rec(0, state.xI)
+        return rec(0, total)
 
     def fill_refine(self, state: State) -> Coords:
         """Deterministic refinement: fill imitator groups in cell order."""
@@ -247,52 +252,46 @@ class CellSpace:
                 sup_d = max(sup_d, t.defector_utility(n_c))
         return sup_c, sup_d
 
-    def imitation_next(self, coords: Sequence[int], current: str) -> str:
-        """Copy the top earner: compare the best cooperator's and the best
-        defector's utility ranks; an empty side ranks -1, a tie keeps `current`."""
-        n_c = sum(coords)
-        coop, defect = self.presence(coords)
-        ranks_c = self.rules.rank_c[:, n_c].tolist()
-        ranks_d = self.rules.rank_d[:, n_c].tolist()
-        top_c = max((r for r, has in zip(ranks_c, coop) if has), default=-1)
-        top_d = max((r for r, has in zip(ranks_d, defect) if has), default=-1)
-        if top_c > top_d:
-            return C
-        if top_c < top_d:
-            return D
-        return current
+    def moves(self, coords: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Both update rules at a batch of states, one integer array per cell.
 
-    def intended_strategy(self, coords: Sequence[int], cell_pos: int, current: str) -> str:
-        """Next strategy of an active member of the cell playing `current`."""
-        if self.cells[cell_pos].role == IMITATOR:
-            return self.imitation_next(coords, current)
-        t, n_c = self.type_row[cell_pos], sum(coords)
-        if current == D:
-            return C if self.rules.wants_c[t, n_c] else D
-        return D if self.rules.wants_d[t, n_c] else C
+        Returns the move bitmask, in which bit 2k means a cooperator of cell k
+        switches to D and bit 2k+1 a defector of cell k switches to C, and the
+        flag of a state where some agent keeps its strategy (its self-loop).
+        Imitators copy the top earner: they compare the best present
+        cooperator's utility rank with the best present defector's (-1 for an
+        empty side), and a tie keeps their strategy.
+        """
+        caps, rules = self.caps, self.rules
+        n_c = coords[0].copy()
+        for arr in coords[1:]:
+            n_c += arr
 
-    def apply(self, coords: Coords, cell_pos: int, current: str, new: str) -> Coords:
-        if new == current:
-            return coords
-        out = list(coords)
-        out[cell_pos] += 1 if new == C else -1
-        return tuple(out)
+        top_c = np.full(n_c.shape, -1, dtype=rules.rank_c.dtype)
+        top_d = np.full(n_c.shape, -1, dtype=rules.rank_d.dtype)
+        for t, positions in enumerate(self.cells_of_type.values()):
+            has_c = coords[positions[0]] > 0
+            has_d = coords[positions[0]] < caps[positions[0]]
+            for k in positions[1:]:
+                has_c |= coords[k] > 0
+                has_d |= coords[k] < caps[k]
+            np.maximum(top_c, rules.rank_c[t][n_c], out=top_c, where=has_c)
+            np.maximum(top_d, rules.rank_d[t][n_c], out=top_d, where=has_d)
+        imit_wants_c = top_c > top_d
+        imit_wants_d = top_d > top_c
 
-    def successor(self, coords: Coords, cell_pos: int, current: str) -> Coords:
-        """One step: activate a member of the cell playing `current`."""
-        v = coords[cell_pos]
-        members = v if current == C else self.caps[cell_pos] - v
-        if members == 0:
-            cell = self.cells[cell_pos]
-            raise NoSuchAgent(f"no {current}-playing member in cell {cell.key}")
-        return self.apply(coords, cell_pos, current, self.intended_strategy(coords, cell_pos, current))
-
-    def successors(self, coords: Coords) -> set[Coords]:
-        """All one-step successors over every possible active agent."""
-        out: set[Coords] = set()
-        for k, cap in enumerate(self.caps):
-            if coords[k] > 0:
-                out.add(self.successor(coords, k, C))
-            if coords[k] < cap:
-                out.add(self.successor(coords, k, D))
-        return out
+        moves = np.zeros(n_c.shape, dtype=self.move_dtype)
+        keeps = np.zeros(n_c.shape, dtype=bool)
+        for k, cell in enumerate(self.cells):
+            if cell.role == BEST_RESPONDER:
+                t = self.type_row[k]
+                wants_c, wants_d = rules.wants_c[t][n_c], rules.wants_d[t][n_c]
+            else:
+                wants_c, wants_d = imit_wants_c, imit_wants_d
+            has_coop = coords[k] > 0
+            has_def = coords[k] < caps[k]
+            keeps |= has_coop & ~wants_d
+            keeps |= has_def & ~wants_c
+            np.bitwise_or(moves, 1 << 2 * k, out=moves, where=has_coop & wants_d)
+            np.bitwise_or(moves, 1 << 2 * k + 1, out=moves, where=has_def & wants_c)
+        return moves, keeps

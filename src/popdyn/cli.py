@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration error (the config, an option's value,
 a file that cannot be opened, or a population the command does not take),
 3 state-space guard exceeded, 4 verification failure, 5 internal error. The
 env var POPDYN_MAX_STATES overrides the default state guard; an explicit
---max-states flag overrides both.
+--max-states flag overrides both. The guard is resolved once, before the
+command runs, and must be a positive integer.
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "max_states" in args:
+            with _input():
+                args.max_states = oracle.resolve_max_states(args.max_states)
         return args.func(args)
     except StateSpaceTooLarge as exc:
         print(f"state-space guard exceeded: {exc}", file=sys.stderr)

@@ -1,14 +1,16 @@
-"""Update rules, one-step transitions, activation policies, and simulation.
+"""One-step transitions, activation policies, and simulation.
 
 Simulation runs on refined states internally (imitator groups kept separate,
-see `cells`); trajectories report the pooled state. All randomness flows
-through a named seeded generator (numpy PCG64), so trajectories are
-bit-stable for a fixed seed. Random policies draw agent indices in chunks,
-which gives the same sequence as one draw per step.
+see `cells`); trajectories report the pooled state. Every decision comes from
+the update-rule kernel `CellSpace.moves`, the one the oracle build uses: an
+activated agent switches iff her (cell, strategy) bit is set in the state's
+move bitmask. All randomness flows through a named seeded generator (numpy
+PCG64), so trajectories are bit-stable for a fixed seed. Random policies draw
+agent indices in chunks, which gives the same sequence as one draw per step.
 
-`simulate` memoises per visited refined state: its pooled view, and the
-state each (cell, strategy) activation leads to, so the update rules run
-once per distinct activation rather than once per step.
+`simulate` memoises per visited refined state: its pooled view, its move
+bitmask, and the state each (cell, strategy) activation leads to, so the
+kernel runs once per distinct state rather than once per step.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .cells import BEST_RESPONDER, IMITATOR, CellSpace, Coords, best_response_next
+from .cells import BEST_RESPONDER, IMITATOR, CellSpace, Coords
 from .errors import NoSuchAgent
 from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State, parse_rational
 
@@ -48,12 +50,30 @@ class AgentRef:
         return (self.role, self.kind, self.type_index)
 
 
-def imitation_next(pop: PopulationSpec, state, current: str) -> str:
-    """Copy the highest earner: C if the top cooperator out-earns the top
-    defector, D in the opposite case, keep the current strategy on a tie.
-    Empty sides count as -inf."""
-    space = CellSpace(pop)
-    return space.imitation_next(space.refine(state), current)
+def _active_cell(space: CellSpace, coords: Coords, agent: AgentRef, when: str = "") -> int:
+    """The agent's cell; NoSuchAgent unless it has a member playing the agent's strategy."""
+    pos = space.position.get(agent.cell_key)
+    if pos is None:
+        raise NoSuchAgent(f"population has no cell {agent.cell_key}")
+    members = coords[pos] if agent.strategy == C else space.caps[pos] - coords[pos]
+    if members == 0:
+        raise NoSuchAgent(f"cell {agent.cell_key} has no {agent.strategy}-player{when}")
+    return pos
+
+
+def _move_mask(space: CellSpace, coords: Coords) -> int:
+    """The state's move bitmask, from the update-rule kernel on one-element columns."""
+    return int(space.moves(np.array(coords, dtype=np.int64)[:, None])[0][0])
+
+
+def _activate(coords: Coords, mask: int, pos: int, strategy: str) -> Coords:
+    """The state after a `strategy` player of cell `pos` is activated: the
+    agent switches iff bit 2 pos + (strategy == D) of the state's `mask` is set."""
+    if not mask >> (2 * pos + (strategy == D)) & 1:
+        return coords
+    out = list(coords)
+    out[pos] += 1 if strategy == D else -1
+    return tuple(out)
 
 
 def step(pop: PopulationSpec, state, agent: AgentRef):
@@ -61,11 +81,8 @@ def step(pop: PopulationSpec, state, agent: AgentRef):
     (pooled State in, pooled State out; refined coords in, coords out)."""
     space = CellSpace(pop)
     coords = space.refine(state)
-    try:
-        pos = space.position[agent.cell_key]
-    except KeyError:
-        raise NoSuchAgent(f"population has no cell {agent.cell_key}") from None
-    new = space.successor(coords, pos, agent.strategy)
+    pos = _active_cell(space, coords, agent)
+    new = _activate(coords, _move_mask(space, coords), pos, agent.strategy)
     if isinstance(state, State):
         return space.pooled(new)
     return new
@@ -172,14 +189,7 @@ class Scripted(ActivationPolicy):
                 raise IndexError("scripted activation sequence exhausted")
             ref = self.agents[i % len(self.agents)]
             counter["t"] = i + 1
-            try:
-                pos = space.position[ref.cell_key]
-            except KeyError:
-                raise NoSuchAgent(f"population has no cell {ref.cell_key}") from None
-            members = coords[pos] if ref.strategy == C else space.caps[pos] - coords[pos]
-            if members == 0:
-                raise NoSuchAgent(f"cell {ref.cell_key} has no {ref.strategy}-player at step {i}")
-            return pos, ref.strategy, ref
+            return _active_cell(space, coords, ref, f" at step {i}"), ref.strategy, ref
 
         return sample
 
@@ -243,26 +253,26 @@ def simulate(pop: PopulationSpec, initial, policy: ActivationPolicy, steps: int)
     space = CellSpace(pop)
     coords = space.refine(initial)
     sampler = policy.make_sampler(space)
-    # per visited refined state: its pooled State, n_c, and the visit entry
-    # each (cell, strategy) activation leads to
-    visited: dict[Coords, tuple[Coords, State, int, dict]] = {}
+    # per visited refined state: its pooled State, n_c, move bitmask, and the
+    # visit entry each (cell, strategy) activation leads to
+    visited: dict[Coords, tuple[Coords, State, int, int, dict]] = {}
 
-    def visit(coords: Coords) -> tuple[Coords, State, int, dict]:
+    def visit(coords: Coords) -> tuple[Coords, State, int, int, dict]:
         entry = visited.get(coords)
         if entry is None:
-            entry = visited[coords] = (coords, space.pooled(coords), sum(coords), {})
+            mask = _move_mask(space, coords)
+            entry = visited[coords] = (coords, space.pooled(coords), sum(coords), mask, {})
         return entry
 
     here = visit(coords)
     records = [TrajectoryRecord(0, here[1], here[2], None)]
     refined = [coords]
     for t in range(1, steps + 1):
-        coords, _, _, after = here
+        coords, _, _, mask, after = here
         pos, strategy, ref = sampler(coords)
         here = after.get((pos, strategy))
         if here is None:
-            new = space.apply(coords, pos, strategy, space.intended_strategy(coords, pos, strategy))
-            here = after[pos, strategy] = visit(new)
+            here = after[pos, strategy] = visit(_activate(coords, mask, pos, strategy))
         records.append(TrajectoryRecord(t, here[1], here[2], ref))
         refined.append(here[0])
     return Trajectory(pop, tuple(records), tuple(refined))

@@ -170,14 +170,8 @@ def _margin_escape_realizable(pop: PopulationSpec, r: int, j1: int, j1p: int, si
     side and then activating a member of the boundary type, so it needs a
     flip source and a surviving activator.
     """
-    coop_members = r + sum(pop.n_a(i) for i in range(1, j1 + 1)) + sum(
-        pop.n_c(i) for i in range(1, j1p + 1)
-    )
-    defect_members = (
-        (pop.m - r)
-        + sum(pop.n_a(i) for i in range(j1 + 1, pop.b + 1))
-        + sum(pop.n_c(i) for i in range(j1p + 1, pop.bp + 1))
-    )
+    coop_members = candidate_cooperators(pop, r, j1, j1p)
+    defect_members = pop.n - coop_members
     if side == "a_upper":  # a cooperating type-j1 nonconformist defects at n+1
         return j1 >= 1 and defect_members >= 1
     if side == "a_lower":  # a defecting type-(j1+1) nonconformist cooperates at n-1

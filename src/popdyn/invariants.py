@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cells import BEST_RESPONDER, IMITATOR, CellSpace
+from .cells import BEST_RESPONDER, CellSpace
 from .errors import EmptySet, StateSpaceTooLarge
 from .model import ANTICOORDINATING, PopulationSpec, State
 from .oracle import InvariantSetResult, TransitionDigraph, resolve_max_states
@@ -105,13 +105,8 @@ def membership_X(pop: PopulationSpec, idx: BenchmarkIndex, state: State) -> bool
 def is_invariant_X(pop: PopulationSpec, idx: BenchmarkIndex) -> bool:
     """Closed-form invariance of X: no fixed best-responder ever switches."""
     idx.check(pop)
-    return (
-        tau_max(pop, idx) < _fixed_coop_sum(pop, idx)
-        and pop.m
-        + sum(pop.n_a(i) for i in range(1, idx.j2))
-        + sum(pop.n_c(i) for i in range(1, idx.j2p))
-        < tau_min(pop, idx)
-    )
+    return (tau_max(pop, idx) < _fixed_coop_sum(pop, idx)
+            and _free_max_sum(pop, idx) < tau_min(pop, idx))
 
 
 def membership_S(pop: PopulationSpec, idx: BenchmarkIndex, state: State) -> bool:
@@ -135,63 +130,18 @@ def s_cooperator_range(pop: PopulationSpec, idx: BenchmarkIndex) -> tuple[int, i
     return lo, hi
 
 
-def _iter_s_states_at(pop: PopulationSpec, idx: BenchmarkIndex, target_nc: int,
-                      guard: int | None = None) -> Iterator[tuple[CellSpace, tuple[int, ...]]]:
-    """Refined states of S with exactly target_nc cooperators."""
-    space = CellSpace(pop)
-    limit = resolve_max_states(guard)
-    fixed: dict[int, int] = {}
-    free: list[int] = []
+def _fixed_cells(space: CellSpace, idx: BenchmarkIndex) -> dict[int, int]:
+    """The best-responder cells that X fixes, each with its cooperator count."""
+    fixed = {}
     for k, cell in enumerate(space.cells):
-        if cell.role == IMITATOR:
-            free.append(k)
-        elif cell.kind == ANTICOORDINATING:
-            if cell.type_index <= idx.j1:
-                fixed[k] = cell.capacity
-            elif cell.type_index >= idx.j2:
-                fixed[k] = 0
-            else:
-                free.append(k)
-        else:
-            if cell.type_index <= idx.j1p:
-                fixed[k] = cell.capacity
-            elif cell.type_index >= idx.j2p:
-                fixed[k] = 0
-            else:
-                free.append(k)
-
-    base = [0] * len(space.cells)
-    for k, v in fixed.items():
-        base[k] = v
-    remaining_target = target_nc - sum(fixed.values())
-    if remaining_target < 0:
-        return
-    tail_caps = [0] * (len(free) + 1)
-    for pos in range(len(free) - 1, -1, -1):
-        tail_caps[pos] = tail_caps[pos + 1] + space.caps[free[pos]]
-
-    produced = 0
-
-    def rec(pos: int, remaining: int) -> Iterator[tuple[CellSpace, tuple[int, ...]]]:
-        nonlocal produced
-        if pos == len(free):
-            if remaining == 0:
-                produced += 1
-                if produced > limit:
-                    raise StateSpaceTooLarge(
-                        f"more than {limit} states at one cooperator count; raise the guard"
-                    )
-                yield space, tuple(base)
-            return
-        k = free[pos]
-        lo = max(0, remaining - tail_caps[pos + 1])
-        hi = min(space.caps[k], remaining)
-        for v in range(lo, hi + 1):
-            base[k] = v
-            yield from rec(pos + 1, remaining - v)
-        base[k] = 0
-
-    yield from rec(0, remaining_target)
+        if cell.role != BEST_RESPONDER:
+            continue
+        j_coop, j_def = (idx.j1, idx.j2) if cell.kind == ANTICOORDINATING else (idx.j1p, idx.j2p)
+        if cell.type_index <= j_coop:
+            fixed[k] = cell.capacity
+        elif cell.type_index >= j_def:
+            fixed[k] = 0
+    return fixed
 
 
 def is_invariant_S(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | None = None) -> bool:
@@ -220,6 +170,20 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | 
     floor_min = math.floor(t_min)
 
     details: dict = {"idx": idx, "invariant": None}
+    space = CellSpace(pop)
+    fixed = _fixed_cells(space, idx)
+    base = [fixed.get(k, 0) for k in range(len(space.cells))]
+    free = [k for k in range(len(space.cells)) if k not in fixed]
+    limit = resolve_max_states(guard)
+
+    def s_states_at(n_c: int):
+        """Refined states of S with exactly n_c cooperators, at most `limit` of them."""
+        for count, coords in enumerate(space.fills(base, free, n_c - sum(base)), 1):
+            if count > limit:
+                raise StateSpaceTooLarge(
+                    f"more than {limit} states at one cooperator count; raise the guard"
+                )
+            yield coords
 
     # the short-circuit arms are the attainable extremes of n^C inside X:
     # the fixed cooperators from below, imitators plus everyone left of the
@@ -236,7 +200,7 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | 
             # so the top-earner test quantifies over states that have one
             earner = all(
                 _coop_among_top(space, coords)
-                for space, coords in _iter_s_states_at(pop, idx, ceil_max, guard)
+                for coords in s_states_at(ceil_max)
                 if any(coords[k] >= 1 for k in space.imitator_positions)
             )
             details["cooperator_top_at_min"] = earner
@@ -254,7 +218,7 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | 
         if brackets:
             earner = all(
                 _def_among_top(space, coords)
-                for space, coords in _iter_s_states_at(pop, idx, floor_min, guard)
+                for coords in s_states_at(floor_min)
                 if any(coords[k] < space.caps[k] for k in space.imitator_positions)
             )
             details["defector_top_at_max"] = earner
@@ -306,16 +270,9 @@ def membership_I(pop: PopulationSpec, idx: BenchmarkIndex, state: State) -> bool
 def x_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex) -> np.ndarray:
     """Vectorized X membership over all refined states of the oracle digraph."""
     idx.check(graph.pop)
-    space = graph.space
     mask = np.ones(graph.n_states, dtype=bool)
-    for cell, cap, column in zip(space.cells, space.caps, graph.coords):
-        if cell.role != BEST_RESPONDER:
-            continue
-        j_coop, j_def = (idx.j1, idx.j2) if cell.kind == ANTICOORDINATING else (idx.j1p, idx.j2p)
-        if cell.type_index <= j_coop:
-            mask &= column == cap
-        elif cell.type_index >= j_def:
-            mask &= column == 0
+    for k, count in _fixed_cells(graph.space, idx).items():
+        mask &= graph.coords[k] == count
     return mask
 
 

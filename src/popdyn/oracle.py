@@ -1,9 +1,9 @@
 """Brute-force ground truth: the full one-step transition digraph.
 
 States are refined per (role, type) cell (see `cells`), successors are
-materialized exhaustively by gathering each state's decisions from the exact
-per-n_c rule table (`CellSpace.rules`), and minimal positively invariant sets
-fall out as sink strongly-connected components.
+materialized exhaustively by deciding every state's moves with the update-rule
+kernel `CellSpace.moves`, one chunk of states per call, and minimal positively
+invariant sets fall out as sink strongly-connected components.
 Construction is vectorized and chunked so desk-scale spaces (about 10^7
 states) stay within a few hundred MB.
 
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cells import BEST_RESPONDER, IMITATOR, CellSpace
+from .cells import IMITATOR, CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
 from .model import ANTICOORDINATING, PopulationSpec, State
 
@@ -44,12 +44,13 @@ _SMALL_LAYER = 1 << 11
 
 
 def resolve_max_states(max_states: int | None = None) -> int:
-    if max_states is not None:
-        return int(max_states)
-    env = os.environ.get(MAX_STATES_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_STATES
+    """The state guard: `max_states`, else `MAX_STATES_ENV`, else the default;
+    ValueError unless it is a positive integer."""
+    if max_states is None:
+        max_states = os.environ.get(MAX_STATES_ENV) or DEFAULT_MAX_STATES
+    if not str(max_states).isdecimal() or int(max_states) < 1:
+        raise ValueError(f"the state guard must be a positive integer, not {max_states!r}")
+    return int(max_states)
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,7 @@ class ReachableSet:
         self.mask = mask
 
     def __contains__(self, state) -> bool:
-        if isinstance(state, State):
-            return any(self.mask[i] for i in self.graph.indices_of_pooled(state))
-        return bool(self.mask[self.graph.space.index_of(self.graph.space.refine(state))])
+        return bool(self.mask[self.graph.indices_of(state)].any())
 
     @property
     def indices(self) -> np.ndarray:
@@ -108,21 +107,17 @@ class TransitionDigraph:
 
     # -- basic access -------------------------------------------------------
 
-    def switch_successors(self, index: int) -> np.ndarray:
-        """Successors by an agent switch, in ascending order."""
-        return index + self.steps[(self.moves[index] & self.bits) != 0]
-
     def successors(self, index: int) -> list[int]:
-        succ = self.switch_successors(index).tolist()
+        succ = (index + self.steps[(self.moves[index] & self.bits) != 0]).tolist()
         if self.self_loop[index]:
             succ.append(int(index))
         return sorted(succ)
 
-    def out_degree(self, index: int) -> int:
-        return int(np.bitwise_count(self.moves[index]))
-
-    def indices_of_pooled(self, state: State) -> list[int]:
-        return [self.space.index_of(c) for c in self.space.splits_of_pooled(state)]
+    def indices_of(self, state) -> list[int]:
+        """The refined states of a pooled State, or the one state of refined coords."""
+        if isinstance(state, State):
+            return [self.space.index_of(c) for c in self.space.splits_of_pooled(state)]
+        return [self.space.index_of(self.space.refine(state))]
 
     def pooled_states_of(self, indices: Iterable[int]) -> frozenset[State]:
         return frozenset(self.space.pooled(self.space.coords_of(int(i))) for i in indices)
@@ -288,54 +283,13 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
         )
 
     n = space.n_states
-    caps = space.caps
-    strides = space.strides
-    cells = space.cells
-    rules = space.rules
-
-    self_loop = np.zeros(n, dtype=bool)
-    moves = np.zeros(n, dtype=np.min_scalar_type((1 << 2 * len(cells)) - 1))
-
+    moves = np.empty(n, dtype=space.move_dtype)
+    self_loop = np.empty(n, dtype=bool)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         idx = np.arange(lo, hi, dtype=np.int64)
-        coords = [(idx // strides[k]) % (caps[k] + 1) for k in range(len(cells))]
-        n_c = coords[0].copy()
-        for arr in coords[1:]:
-            n_c += arr
-
-        # imitators copy the top earner: compare the best present cooperator's
-        # utility rank with the best present defector's (-1 for an empty side)
-        top_c = np.full(hi - lo, -1, dtype=rules.rank_c.dtype)
-        top_d = np.full(hi - lo, -1, dtype=rules.rank_d.dtype)
-        for t, positions in enumerate(space.cells_of_type.values()):
-            has_c = coords[positions[0]] > 0
-            has_d = coords[positions[0]] < caps[positions[0]]
-            for k in positions[1:]:
-                has_c |= coords[k] > 0
-                has_d |= coords[k] < caps[k]
-            np.maximum(top_c, rules.rank_c[t][n_c], out=top_c, where=has_c)
-            np.maximum(top_d, rules.rank_d[t][n_c], out=top_d, where=has_d)
-        imit_wants_c = top_c > top_d
-        imit_wants_d = top_d > top_c
-
-        chunk_moves = moves[lo:hi]
-        keeps = np.zeros(hi - lo, dtype=bool)
-        for k, cell in enumerate(cells):
-            if cell.role == BEST_RESPONDER:
-                t = space.type_row[k]
-                wants_c, wants_d = rules.wants_c[t][n_c], rules.wants_d[t][n_c]
-            else:
-                wants_c, wants_d = imit_wants_c, imit_wants_d
-            has_coop = coords[k] > 0
-            has_def = coords[k] < caps[k]
-            switch_down = has_coop & wants_d
-            switch_up = has_def & wants_c
-            keeps |= has_coop & ~wants_d
-            keeps |= has_def & ~wants_c
-            np.bitwise_or(chunk_moves, 1 << 2 * k, out=chunk_moves, where=switch_down)
-            np.bitwise_or(chunk_moves, 1 << 2 * k + 1, out=chunk_moves, where=switch_up)
-        self_loop[lo:hi] = keeps
+        coords = [(idx // stride) % (cap + 1) for cap, stride in zip(space.caps, space.strides)]
+        moves[lo:hi], self_loop[lo:hi] = space.moves(coords)
 
     n_edges = int(np.bitwise_count(moves).sum(dtype=np.int64))
     return TransitionDigraph(pop, space, moves, self_loop, n_edges)
@@ -404,11 +358,7 @@ def _sinks(graph: TransitionDigraph) -> list[np.ndarray]:
 
 def is_equilibrium_oracle(graph: TransitionDigraph, state) -> bool:
     """True iff every refined representative has itself as only successor."""
-    if isinstance(state, State):
-        indices = graph.indices_of_pooled(state)
-    else:
-        indices = [graph.space.index_of(graph.space.refine(state))]
-    return all(graph.out_degree(i) == 0 for i in indices)
+    return not graph.moves[graph.indices_of(state)].any()
 
 
 def _pooled_distance(graph: TransitionDigraph, eq: State) -> np.ndarray:
@@ -444,11 +394,7 @@ def is_stable_oracle(graph: TransitionDigraph, eq: State) -> bool:
 
 def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
     """Forward closure (including the start states themselves)."""
-    if isinstance(from_state, State):
-        starts = graph.indices_of_pooled(from_state)
-    else:
-        starts = [graph.space.index_of(graph.space.refine(from_state))]
-    return ReachableSet(graph, graph.reachable_mask(starts))
+    return ReachableSet(graph, graph.reachable_mask(graph.indices_of(from_state)))
 
 
 _EXPORT_ROWS = 1 << 15

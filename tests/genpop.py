@@ -1,4 +1,5 @@
-"""Seeded random small populations for the cross-check suites."""
+"""Seeded random small populations for the cross-check suites, and the
+update rules straight from a population's `Fraction`s as their reference."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from popdyn.cells import BEST_RESPONDER, best_response_next
 from popdyn.errors import DuplicateTemper, IntegerTemper
 from popdyn.fixtures import fixture_config
 from popdyn.model import PopulationSpec, UtilityLine, validate_population
@@ -99,3 +101,23 @@ def with_empty_best_responder_cell(pop):
     if pop.coordinating:
         return PopulationSpec(pop.anticoordinating, pop.coordinating + (empty,))
     return PopulationSpec(pop.anticoordinating + (empty,), pop.coordinating)
+
+
+def reference_next(space, coords, k, current):
+    """Next strategy of an active `current` player of cell k, from the `Fraction`s."""
+    cell = space.cells[k]
+    if cell.role == BEST_RESPONDER:
+        tau = space.pop.get_type(cell.kind, cell.type_index).temper
+        return best_response_next(cell.kind, tau, current, sum(coords))
+    sup_c, sup_d = space.imitation_sups(coords)
+    return "C" if sup_c > sup_d else "D" if sup_c < sup_d else current
+
+
+def reference_step(space, coords, k, current):
+    """The refined state after an active `current` player of cell k moves."""
+    new = reference_next(space, coords, k, current)
+    if new == current:
+        return tuple(coords)
+    out = list(coords)
+    out[k] += 1 if new == "C" else -1
+    return tuple(out)

@@ -123,6 +123,14 @@ def test_simulate_csv_digests_pinned(tmp_path):
             "--steps", "2000", "--seed", str(seed), "--csv", str(out),
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # the benchmark's 200,000-step run at seed 0
+    assert run_cli(
+        "simulate", "--config", str(FIXDIR / "ex2.json"),
+        "--steps", "200000", "--seed", "0", "--csv", str(out),
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "8e744ea3cec2208d97991acea1461009f043ecfc021fa3ab416417210124d902"
+    )
 
 
 def test_big_intercept_config_simulates_and_verifies_oracle(tmp_path):
@@ -189,6 +197,14 @@ STOCHASTIC_VERIFY_DIGESTS = {
 }
 
 
+# SHA-256 of ex1's `--verify --max-states 20000000` reports, the benchmark's pins
+EX1_VERIFY_DIGESTS = {
+    "equilibria": "b689089665188179ae3ee85279da90d5187e7e2cb390a701b4ceb0ad79043c23",
+    "invariants": "ea208cdb6a72e1219a1cb80b4d290ee81380a8f336579b8d21069304d2c94992",
+    "oracle": "5e4ef0e2a4c9561216fb9889189cffc1ead24b6ec4b2beccc8e1a04f6b873aed",
+}
+
+
 def test_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -204,6 +220,13 @@ def test_reports_byte_identical(tmp_path):
             "--epsilon", "1/10000", "--verify", "--json", str(out),
         ) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+    for command, digest in EX1_VERIFY_DIGESTS.items():
+        out = tmp_path / f"ex1-{command}.json"
+        assert run_cli(
+            command, "--config", str(FIXDIR / "ex1.json"), "--verify",
+            "--max-states", "20000000", "--json", str(out),
+        ) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
 
 def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
@@ -283,10 +306,32 @@ def test_invariants_command(tmp_path):
     assert "benchmark_sets" in report
 
 
-def test_env_guard_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("POPDYN_MAX_STATES", "10")
-    code = run_cli("oracle", "--config", str(FIXDIR / "ex7_1.json"), "--json", str(tmp_path / "o.json"))
-    assert code == cli.EXIT_GUARD
+def test_env_guard_override(tmp_path, monkeypatch, capsys):
+    # every guarded command: the environment's guard applies, a flag overrides
+    # it, and a guard that is not a positive integer is bad input, not an
+    # internal fault (loops rather than parameters, so the test keeps its name)
+    commands = [("oracle",), ("equilibria", "--oracle"), ("invariants", "--verify"), ("stochastic",)]
+    cases = [
+        ("10", None, cli.EXIT_GUARD),
+        ("abc", None, cli.EXIT_CONFIG),
+        ("0", None, cli.EXIT_CONFIG),
+        ("abc", "1000", cli.EXIT_OK),
+        (None, "-5", cli.EXIT_CONFIG),
+        (None, "0", cli.EXIT_CONFIG),
+    ]
+    for command in commands:
+        for env, flag, code in cases:
+            if env is None:
+                monkeypatch.delenv("POPDYN_MAX_STATES", raising=False)
+            else:
+                monkeypatch.setenv("POPDYN_MAX_STATES", env)
+            argv = [*command, "--config", str(FIXDIR / "ex7_1.json"), "--json", str(tmp_path / "o.json")]
+            if flag is not None:
+                argv += ["--max-states", flag]
+            assert run_cli(*argv) == code, (command, env, flag)
+            err = capsys.readouterr().err
+            if code == cli.EXIT_CONFIG:
+                assert "must be a positive integer" in err, (command, env, flag)
 
 
 def test_console_entry_point_subprocess(tmp_path):

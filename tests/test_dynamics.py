@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genpop import sample_populations, with_empty_best_responder_cell
-from popdyn.cells import CellSpace
+from genpop import reference_step, sample_populations, with_empty_best_responder_cell
+from popdyn.cells import CellSpace, best_response_next
 from popdyn.dynamics import (
     AgentRef,
     Scripted,
@@ -14,8 +14,6 @@ from popdyn.dynamics import (
     TrajectoryRecord,
     UniformRandom,
     Weighted,
-    best_response_next,
-    imitation_next,
     simulate,
     step,
 )
@@ -49,26 +47,34 @@ def test_best_response_monotone_in_cooperators(pops):
             assert flips <= 1
 
 
+def _imitators(pop, strategy):
+    """An active imitator of each imitator cell, playing `strategy`."""
+    return [AgentRef("imitator", cell.kind, cell.type_index, strategy)
+            for cell in CellSpace(pop).cells if cell.role == "imitator"]
+
+
 def test_imitation_all_defect_stays_defect(pops):
     pop = pops["ex2"]
     all_defect = State(0, (0, 0), (0, 0, 0))
-    assert imitation_next(pop, all_defect, "D") == "D"
+    for agent in _imitators(pop, "D"):
+        assert step(pop, all_defect, agent) == all_defect
 
 
 def test_imitation_at_ex2_equilibrium(pops):
+    # type-1 nonconformists are the top earners and they cooperate, so every
+    # (cooperating) imitator keeps cooperating
     pop = pops["ex2"]
     state = pop.state(14, 9, 0, 0, 0, 0)
-    # type-1 nonconformists are the top earners and they cooperate
-    assert imitation_next(pop, state, "C") == "C"
-    assert imitation_next(pop, state, "D") == "C"
+    for agent in _imitators(pop, "C"):
+        assert step(pop, state, agent) == state
 
 
 def test_imitation_tie_keeps_current(pops):
     # both strategies optimal at the all-cooperate equilibrium of ex7_4
     pop = pops["ex7_4"]
     z = pop.state(4, 0, 3)
-    assert imitation_next(pop, z, "C") == "C"
-    assert imitation_next(pop, z, "D") == "D"
+    for agent in _imitators(pop, "C"):
+        assert step(pop, z, agent) == z
 
 
 def test_step_fixed_at_equilibrium(pops):
@@ -236,7 +242,7 @@ def _reference_simulate(pop, initial, policy, steps):
     refined = [coords]
     for t in range(1, steps + 1):
         pos, strategy, ref = sampler(coords)
-        coords = space.apply(coords, pos, strategy, space.intended_strategy(coords, pos, strategy))
+        coords = reference_step(space, coords, pos, strategy)
         records.append(TrajectoryRecord(t, space.pooled(coords), sum(coords), ref))
         refined.append(coords)
     return Trajectory(pop, tuple(records), tuple(refined))

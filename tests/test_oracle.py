@@ -1,3 +1,4 @@
+import hashlib
 import io
 import tracemalloc
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
-from genpop import sample_populations, with_empty_best_responder_cell
+from genpop import reference_next, reference_step, sample_populations, with_empty_best_responder_cell
 from popdyn import oracle
-from popdyn.cells import BEST_RESPONDER, best_response_next
-from popdyn.errors import NotAnEquilibrium, StateSpaceTooLarge
+from popdyn.cells import CellSpace
+from popdyn.dynamics import AgentRef, step
+from popdyn.errors import NoSuchAgent, NotAnEquilibrium, StateSpaceTooLarge
 from popdyn.model import State, UtilityLine, validate_population
 from popdyn.oracle import (
     build_transition_digraph,
@@ -23,6 +25,25 @@ from popdyn.oracle import (
 
 def test_ex7_2_has_72_nodes(graphs):
     assert graphs("ex7_2").n_states == 72
+
+
+# SHA-256 of `moves.tobytes() + self_loop.tobytes()` per fixture
+MOVES_DIGESTS = {
+    "ex1": "6a71cc8226c3019130c8aad70a4b19eb1e47052e0faaa8e7cb217a16cc477bbe",
+    "ex2": "f38971969d1860d93d23ddeb1e92e899311d2a4c44318572d4142781fe856a63",
+    "ex3": "293361e2cfcd973588e5d2ef3154bf6054a60af84b1d5020eb3dea99129042af",
+    "ex7_1": "0f3fa15e45f461e89f6199c16145a19d80fa33d8130fba9c5373b011abd20687",
+    "ex7_2": "c1519e1646046ed639ce425b4dcfd13e53651364655bc404f2087dc0619bc7e6",
+    "ex7_3": "a731a9c6306d2af1836668863009232a45b2d958c95e8dba957c68092cf0413a",
+    "ex7_4": "c7e76f62f219436abc7586860d0a9515825d5a8779e1a13f5c1f5ef9a87e6dd9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVES_DIGESTS))
+def test_moves_and_self_loops_pinned(graphs, name):
+    g = graphs(name)
+    digest = hashlib.sha256(g.moves.tobytes() + g.self_loop.tobytes()).hexdigest()
+    assert digest == MOVES_DIGESTS[name]
 
 
 def test_single_best_responder_two_nodes():
@@ -55,6 +76,12 @@ def test_guard_env_override(pops, monkeypatch):
     assert resolve_max_states(50) == 50  # explicit argument wins
     monkeypatch.delenv("POPDYN_MAX_STATES")
     assert resolve_max_states() == 10**6
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="positive integer"):
+            resolve_max_states(bad)
+    monkeypatch.setenv("POPDYN_MAX_STATES", "abc")
+    with pytest.raises(ValueError, match="positive integer"):
+        resolve_max_states()
 
 
 def _tied_population():
@@ -76,28 +103,18 @@ def _route_pops():
     return pops
 
 
-def _reference_next(space, coords, k, current):
-    """The update rules straight from the population's `Fraction`s."""
-    cell = space.cells[k]
-    if cell.role == BEST_RESPONDER:
-        tau = space.pop.get_type(cell.kind, cell.type_index).temper
-        return best_response_next(cell.kind, tau, current, sum(coords))
-    sup_c, sup_d = space.imitation_sups(coords)
-    return "C" if sup_c > sup_d else "D" if sup_c < sup_d else current
-
-
 def _reference_successors(space, coords):
     out = set()
     for k, cap in enumerate(space.caps):
         for current, members in (("C", coords[k]), ("D", cap - coords[k])):
             if members:
-                out.add(space.apply(coords, k, current, _reference_next(space, coords, k, current)))
+                out.add(reference_step(space, coords, k, current))
     return out
 
 
 def test_successors_match_pure_python_route():
-    # the digraph and CellSpace, both read off the rule table, vs the Fraction
-    # rules at every state
+    # the digraph, built by the update-rule kernel, vs the Fraction rules at
+    # every state
     imitator_ties = 0
     for pop in _route_pops():
         g = build_transition_digraph(pop, max_states=200_000)
@@ -105,12 +122,27 @@ def test_successors_match_pure_python_route():
         for i in range(g.n_states):
             coords = space.coords_of(i)
             expected = _reference_successors(space, coords)
-            assert space.successors(coords) == expected
             assert g.successors(i) == sorted(space.index_of(c) for c in expected)
             assert bool(g.self_loop[i]) == (coords in expected)
             sup_c, sup_d = space.imitation_sups(coords)
             imitator_ties += bool(space.imitator_positions) and sup_c == sup_d
     assert imitator_ties > 0
+    # `step`, through the same kernel, at every state and activation of the
+    # population whose imitators tie
+    space = CellSpace(_tied_population())
+    activations = 0
+    for i in range(space.n_states):
+        coords = space.coords_of(i)
+        for k, cell in enumerate(space.cells):
+            for current, members in (("C", coords[k]), ("D", space.caps[k] - coords[k])):
+                agent = AgentRef(cell.role, cell.kind, cell.type_index, current)
+                if not members:
+                    with pytest.raises(NoSuchAgent):
+                        step(space.pop, coords, agent)
+                    continue
+                assert step(space.pop, coords, agent) == reference_step(space, coords, k, current)
+                activations += 1
+    assert space.n_states == 54 and activations > space.n_states
 
 
 def test_moves_search_matches_csr_search():
@@ -315,8 +347,8 @@ def test_self_loop_iff_someone_keeps(graphs):
             coords = space.coords_of(i)
             keeps = False
             for k, cap in enumerate(space.caps):
-                if coords[k] > 0 and _reference_next(space, coords, k, "C") == "C":
+                if coords[k] > 0 and reference_next(space, coords, k, "C") == "C":
                     keeps = True
-                if coords[k] < cap and _reference_next(space, coords, k, "D") == "D":
+                if coords[k] < cap and reference_next(space, coords, k, "D") == "D":
                     keeps = True
             assert bool(g.self_loop[i]) == keeps
