@@ -11,7 +11,9 @@ which types have cooperators and defectors, so `CellSpace.rules` decides both
 rules once per (type, n_c) in exact `Fraction`s. `CellSpace.moves` is the one
 kernel that reads that table: it decides every agent's switch at a batch of
 states, and the oracle build, `dynamics.simulate` and `dynamics.step` take
-every decision from it.
+every decision from it. The oracle build runs it on one state per class of
+states that share the cooperator count and each cell's empty/interior/full
+pattern, since the kernel reads nothing else.
 """
 
 from __future__ import annotations
@@ -261,6 +263,11 @@ class CellSpace:
         Imitators copy the top earner: they compare the best present
         cooperator's utility rank with the best present defector's (-1 for an
         empty side), and a tie keeps their strategy.
+
+        The kernel reads `coords` only through n_c = sum(coords),
+        `coords[k] > 0` and `coords[k] < caps[k]`, so states that agree on
+        these get the same moves; the oracle build relies on this. Each
+        array's dtype must hold the population size, as n_c is summed in it.
         """
         caps, rules = self.caps, self.rules
         n_c = coords[0].copy()

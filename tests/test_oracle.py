@@ -145,6 +145,68 @@ def test_successors_match_pure_python_route():
     assert space.n_states == 54 and activations > space.n_states
 
 
+@pytest.mark.parametrize("chunk", [1, 64, 4096])
+def test_build_in_small_blocks_matches_the_kernel_per_state(pops, monkeypatch, chunk):
+    # every size gives some population an outer prefix (at 4096 through the
+    # key space of a 576-state one); at 1 every inner suffix is one cell, a
+    # cap-0 cell in the population with an empty cell
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4"):
+        g = build_transition_digraph(pops[name])
+        assert hashlib.sha256(g.moves.tobytes() + g.self_loop.tobytes()).hexdigest() == MOVES_DIGESTS[name]
+    splits = []
+    for pop in _route_pops():
+        g = build_transition_digraph(pop, max_states=200_000)
+        moves, keeps = g.space.moves(list(g.coords))
+        assert (g.moves == moves).all() and (g.self_loop == keeps).all()
+        assert g.n_edges == int(np.bitwise_count(moves).sum())
+        splits.append((oracle._inner_split(g.space.caps), len(g.space.caps)))
+    assert any(split for split, _ in splits)
+    assert all(split == cells - 1 for split, cells in splits) == (chunk == 1)
+
+
+@pytest.mark.parametrize("members, types", [(1, 14), (2, 11)])
+def test_build_bounds_the_key_space(members, types):
+    # 14 one-agent cells: 16,384 states and 15 * 3^14 keys if every cell took
+    # three pattern codes; 11 two-agent cells: 177,147 states and 23 * 3^11
+    # keys in one block
+    pop = validate_population({
+        "anticoordinating": [],
+        "coordinating": [{"uC": UtilityLine(1, f"-{2 * t + 1}/2"), "uD": UtilityLine(0, 0),
+                          "bestResponders": members} for t in range(types)],
+    })
+    tracemalloc.start()
+    try:
+        g = build_transition_digraph(pop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_states == (members + 1) ** types
+    moves, keeps = g.space.moves(list(g.coords))
+    assert (g.moves == moves).all() and (g.self_loop == keeps).all()
+    assert peak <= 4 << 20
+
+
+def test_ex1_build_runs_the_kernel_once_per_state_class(pops, monkeypatch):
+    rows = []
+    kernel = CellSpace.moves
+
+    def counted(self, coords):
+        rows.append(len(coords[0]))
+        return kernel(self, coords)
+
+    monkeypatch.setattr(CellSpace, "moves", counted)
+    tracemalloc.start()
+    try:
+        g = build_transition_digraph(pops["ex1"], max_states=2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one row per state would be 1,552,320
+    assert g.n_states == 1_552_320 and sum(rows) <= 60_000
+    assert peak <= 16 << 20
+
+
 def test_moves_search_matches_csr_search():
     rng = np.random.default_rng(5)
     for pop in _route_pops():
