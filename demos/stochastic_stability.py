@@ -20,7 +20,7 @@ from popdyn.stochastic import (
 
 for name in ("ex7_1", "ex7_4"):
     pop = fixture_population(name)
-    chain = build_chain(pop, 0)
+    chain = build_chain(pop)
     table = chain.class_table
     stable = stochastically_stable_set(chain)
     ta, tc = pop.type_a(1), pop.type_c(1)
@@ -34,7 +34,7 @@ for name in ("ex7_1", "ex7_4"):
               f"tree weight={table.gammas[t]}{marker}")
 
     for eps in (Fraction(1, 100), Fraction(1, 10000)):
-        mu = stationary_distribution(build_chain(pop, eps, chain.graph))
+        mu = stationary_distribution(chain, eps)
         mass = sum((mu[chain.index_of(s)] for s in stable), Fraction(0))
         print(f"  stationary mass on the stable set at eps={eps}: {float(mass):.6f}")
 

@@ -16,11 +16,10 @@ import json
 import sys
 import traceback
 from contextlib import contextmanager
-from fractions import Fraction
 
 from . import dynamics, equilibria, invariants, oracle, stochastic, verify
 from .errors import NoSuchAgent, PopdynError, StateSpaceTooLarge
-from .model import PopulationSpec, State, parse_rational, validate_population
+from .model import PopulationSpec, State, validate_population
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,7 +130,7 @@ def cmd_invariants(args) -> int:
     problems: list[str] = []
     if args.verify:
         graph = _oracle_graph(pop, args)
-        problems, skipped = verify.verify_invariants(pop, graph)
+        problems, skipped = verify.verify_invariants(pop, graph, guard=args.max_states)
         report["verification"] = {
             "passed": not problems,
             "problems": problems,
@@ -181,22 +180,18 @@ def cmd_stochastic(args) -> int:
     pop = _load_population(args.config)
     with _input():
         stochastic.check_binary(pop)
-        epsilons = [parse_rational(e) for e in (args.epsilon or [])]
-        if not all(0 < eps < 1 for eps in epsilons):
-            raise ValueError("--epsilon must lie strictly between 0 and 1")
-    graph = _oracle_graph(pop, args)
-    # each chain is built once, and the unperturbed one builds its class table once
-    chains = {eps: stochastic.build_chain(pop, eps, graph) for eps in [Fraction(0), *epsilons]}
-    stationary = {eps: stochastic.stationary_distribution(chains[eps]) for eps in epsilons}
-    report = stochastic.stochastic_report(chains[0], epsilons, stationary)
+        epsilons = [stochastic.tremble_rate(e, solve=True) for e in args.epsilon or []]
+    # one chain serves every epsilon, and builds its class table once
+    chain = stochastic.build_chain(pop, _oracle_graph(pop, args))
+    stationary = {eps: stochastic.stationary_distribution(chain, eps) for eps in epsilons}
+    report = stochastic.stochastic_report(chain, stationary)
     problems: list[str] = []
     if args.verify:
-        eps_grid = epsilons or [Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)]
-        problems = verify.verify_stochastic(pop, eps_grid, stationary=stationary, chains=chains)
+        problems = verify.verify_stochastic(chain, epsilons, stationary)
         report["verification"] = {"passed": not problems, "problems": problems}
     if args.dot:
         with open(args.dot, "w") as fh:
-            stochastic.export_class_digraph_dot(chains[0], fh)
+            stochastic.export_class_digraph_dot(chain, fh)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 

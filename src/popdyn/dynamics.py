@@ -173,7 +173,6 @@ class Scripted(ActivationPolicy):
     """
 
     agents: tuple[AgentRef, ...]
-    cycle: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -185,8 +184,6 @@ class Scripted(ActivationPolicy):
 
         def sample(coords: Coords) -> tuple[int, str, AgentRef]:
             i = counter["t"]
-            if i >= len(self.agents) and not self.cycle:
-                raise IndexError("scripted activation sequence exhausted")
             ref = self.agents[i % len(self.agents)]
             counter["t"] = i + 1
             return _active_cell(space, coords, ref, f" at step {i}"), ref.strategy, ref

@@ -292,13 +292,13 @@ def is_exclusive_cooperation_preserving(pop: PopulationSpec, state: State) -> bo
     return True
 
 
-def equilibria_report(pop: PopulationSpec, records: Iterable[EquilibriumRecord] | None = None,
-                      verdicts: dict[int, StabilityVerdict] | None = None) -> dict:
+def equilibria_report(pop: PopulationSpec,
+                      records: Iterable[EquilibriumRecord] | None = None) -> dict:
     """JSON-ready report: records with candidate indices, counts, verdicts."""
     if records is None:
         records = enumerate_equilibria(pop)
     entries = []
-    for pos, rec in enumerate(records):
+    for rec in records:
         r, j1, j1p = rec.candidate.r, rec.candidate.j1, rec.candidate.j1p
         c_val = sup_C(pop, j1, j1p, rec.n_c)
         d_val = sup_D(pop, j1 + 1, j1p + 1, rec.n_c)
@@ -313,15 +313,11 @@ def equilibria_report(pop: PopulationSpec, records: Iterable[EquilibriumRecord] 
                 "top_defector_ok": (not r < pop.m) or c_val <= d_val,
             },
         }
-        verdict = None
-        if verdicts is not None:
-            verdict = verdicts.get(pos)
+        try:
+            verdict = classify_stability(pop, rec)
+        except AssumptionViolated as exc:
+            entry["stability"] = {"status": "assumption_violated", "reason": str(exc)}
         else:
-            try:
-                verdict = classify_stability(pop, rec)
-            except AssumptionViolated as exc:
-                entry["stability"] = {"status": "assumption_violated", "reason": str(exc)}
-        if verdict is not None:
             entry["stability"] = {
                 "status": verdict.status,
                 "failed_clause": verdict.failed_clause,

@@ -176,15 +176,6 @@ class State:
         xc = tuple(reversed(values[1 + b :]))
         return cls(values[0], xa, xc)
 
-    def distance(self, other: "State") -> int:
-        if len(self.xa) != len(other.xa) or len(self.xc) != len(other.xc):
-            raise ValueError("states have different shapes")
-        return (
-            abs(self.xI - other.xI)
-            + sum(abs(a - b) for a, b in zip(self.xa, other.xa))
-            + sum(abs(a - b) for a, b in zip(self.xc, other.xc))
-        )
-
 
 @dataclass(frozen=True)
 class PopulationSpec:

@@ -60,10 +60,19 @@ def check_binary(pop: PopulationSpec) -> None:
         raise ValueError("binary-type analysis needs imitators of both types")
 
 
+def tremble_rate(epsilon, solve: bool = False) -> Fraction:
+    """epsilon as a Fraction, checked to lie in [0, 1), and in (0, 1) for a
+    stationary solve, which needs every transition."""
+    epsilon = parse_rational(epsilon)
+    if not (0 < epsilon < 1 if solve else 0 <= epsilon < 1):
+        raise ValueError(f"epsilon must lie in {'(0, 1)' if solve else '[0, 1)'}, got {epsilon}")
+    return epsilon
+
+
 @dataclass
 class PerturbedChain:
-    """The exact perturbed chain, held as arrays over the states of the
-    oracle digraph `graph`: chain state i is oracle state i.
+    """The exact perturbed chain at every tremble rate, held as arrays over
+    the states of the oracle digraph `graph`: chain state i is oracle state i.
 
     Group g is the agents whose switch moves the state by `graph.steps[g]`:
     a cell's cooperators for its negative step, its defectors for its
@@ -71,14 +80,18 @@ class PerturbedChain:
     the oracle's move bit, says that their rule switches their strategy.
     Every agent is activated with probability 1/n; group g moves the state
     with probability members / n * (1 - epsilon) if it switches, members / n *
-    epsilon if not, and the rest of its mass stays on the self-loop.
+    epsilon if not, and the rest of its mass stays on the self-loop. Only
+    these masses depend on epsilon: the support, the mistake costs and
+    everything derived from them do not.
     """
 
-    pop: PopulationSpec
-    epsilon: Fraction
     graph: TransitionDigraph
     members: np.ndarray
     switch: np.ndarray
+
+    @property
+    def pop(self) -> PopulationSpec:
+        return self.graph.pop
 
     @property
     def n_states(self) -> int:
@@ -108,30 +121,36 @@ class PerturbedChain:
             raise ValueError(f"state index {i} out of range")
         return i
 
-    @property
-    def denominator(self) -> int:
-        """Common denominator of every transition probability."""
-        return self.pop.n * self.epsilon.denominator
-
-    def transitions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dst, num, mistakes), each (n, 9): column 0 is every state's
-        self-loop and column 1 + g the move of group g, with dst -1 where the
-        group is empty. `num` holds the exact probabilities as Python ints
-        over `denominator`; the self-loop is the sum of every group's part
-        that stays. `mistakes` is the one-step mistake cost: 0 where the
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dst, mistakes), each (n, 9): column 0 is every state's self-loop
+        and column 1 + g the move of group g, with dst -1 where the group is
+        empty. `mistakes` is the one-step mistake cost: 0 where the
         probability is positive at epsilon = 0, 1 where only a tremble makes it.
         """
         live = self.members > 0
         here = np.arange(self.n_states)
         dst = np.column_stack([here, np.where(live, here[:, None] + self.steps, -1)])
-        mass = self.members.astype(object)
-        eps = self.epsilon  # the factors epsilon and 1 - epsilon over its denominator
+        mistakes = np.column_stack([~(live & ~self.switch).any(axis=1), ~self.switch])
+        return dst, mistakes.astype(np.int64)
+
+    def denominator(self, epsilon) -> int:
+        """Common denominator of every transition probability at tremble rate epsilon."""
+        return self.pop.n * tremble_rate(epsilon).denominator
+
+    def transitions(self, epsilon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dst, num, mistakes): the `support`, and in its columns the exact
+        probabilities at tremble rate epsilon as Python ints over
+        `denominator(epsilon)`. The self-loop is the sum of every group's
+        part that stays.
+        """
+        eps = tremble_rate(epsilon)  # the factors epsilon and 1 - epsilon over its denominator
         factor = np.array([eps.numerator, eps.denominator - eps.numerator], dtype=object)
+        mass = self.members.astype(object)
         moved = mass * factor[self.switch.astype(np.intp)]
         stays = mass * factor[(~self.switch).astype(np.intp)]
-        num = np.column_stack([stays.sum(axis=1), moved])
-        mistakes = np.column_stack([~(live & ~self.switch).any(axis=1), ~self.switch])
-        return dst, num, mistakes.astype(np.int64)
+        dst, mistakes = self.support
+        return dst, np.column_stack([stays.sum(axis=1), moved]), mistakes
 
     def one_step_cost(self, i, j) -> int | float:
         """Mistakes of the step i -> j: 0 if the unperturbed chain takes it
@@ -155,18 +174,14 @@ class PerturbedChain:
         return _class_table(self)
 
 
-def build_chain(pop: PopulationSpec, epsilon,
-                graph: TransitionDigraph | None = None) -> PerturbedChain:
-    """The perturbed dynamics of the binary-type population `pop` at tremble rate epsilon.
+def build_chain(pop: PopulationSpec, graph: TransitionDigraph | None = None) -> PerturbedChain:
+    """The perturbed dynamics of the binary-type population `pop`.
 
     Each group's intended move comes from `graph`, the oracle digraph of
     `pop` (built when not given): the oracle's move bit for a cell's -1 (+1)
     step says that its cooperators (defectors) switch.
     """
     check_binary(pop)
-    epsilon = parse_rational(epsilon)
-    if not 0 <= epsilon < 1:
-        raise ValueError("epsilon must lie in [0, 1)")
     if graph is None:
         graph = build_transition_digraph(pop)
     # bit 2k + d of a move is cell k's step down (d = 0) or up (d = 1)
@@ -174,7 +189,7 @@ def build_chain(pop: PopulationSpec, epsilon,
     coords = graph.coords[cell].T
     members = np.where(up == 1, np.array(graph.space.caps)[cell] - coords, coords)
     switch = (graph.moves[:, None] & graph.bits) != 0
-    return PerturbedChain(pop, epsilon, graph, members, switch)
+    return PerturbedChain(graph, members, switch)
 
 
 # -- transition costs ---------------------------------------------------------
@@ -460,15 +475,17 @@ def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtyp
 
 
 class _FloatKernel:
-    """Probabilities as float64."""
+    """Probabilities at tremble rate `epsilon` as float64."""
 
     no_edge, one = 0, 1
 
-    @staticmethod
-    def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
+    def __init__(self, epsilon: Fraction):
+        self.epsilon = epsilon
+
+    def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
         # int / int is correctly rounded: each entry is the float of the exact one
-        dst, num, _ = chain.transitions()
-        return _dense(position, dst, num / chain.denominator, 0, float)
+        dst, num, _ = chain.transitions(self.epsilon)
+        return _dense(position, dst, num / chain.denominator(self.epsilon), 0, float)
 
     @staticmethod
     def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -481,15 +498,16 @@ class _FloatKernel:
 
 
 class _ExactKernel(_FloatKernel):
-    """Exact probabilities: each working row holds Python ints over one row
-    denominator. Eliminating pivot k scales every touched row's columns below k
-    by the pivot's integer sum S, adds a[r, k] * a[k, cols] and divides the row
-    by its gcd; column k and the pivot become Fractions once, and the float
-    kernel's back-substitution runs on them."""
+    """Exact probabilities at tremble rate `epsilon`: each working row holds
+    Python ints over one row denominator. Eliminating pivot k scales every
+    touched row's columns below k by the pivot's integer sum S, adds
+    a[r, k] * a[k, cols] and divides the row by its gcd; column k and the
+    pivot become Fractions once, and the float kernel's back-substitution
+    runs on them."""
 
     def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        dst, num, _ = chain.transitions()
-        self.den = np.full(chain.n_states, chain.denominator, dtype=object)
+        dst, num, _ = chain.transitions(self.epsilon)
+        self.den = np.full(chain.n_states, chain.denominator(self.epsilon), dtype=object)
         return _dense(position, dst, num, 0, object)
 
     def pivot(self, p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -511,17 +529,17 @@ _NO_EDGE = np.iinfo(np.int64).max
 
 
 class _OrderKernel:
-    """Leading epsilon-orders: min-plus over one-step mistake costs. GTH never
-    subtracts, so no leading term of a sum it forms cancels: the order of a sum
-    is the least order of its terms, and the order of a product or quotient the
-    sum or difference of the orders."""
+    """Leading epsilon-orders: min-plus over the one-step mistake costs, which
+    do not depend on epsilon. GTH never subtracts, so no leading term of a
+    sum it forms cancels: the order of a sum is the least order of its terms,
+    and the order of a product or quotient the sum or difference of the
+    orders."""
 
     no_edge, one = _NO_EDGE, 0
 
     @staticmethod
     def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        dst, _, mistakes = chain.transitions()
-        return _dense(position, dst, mistakes, _NO_EDGE, np.int64)
+        return _dense(position, *chain.support, _NO_EDGE, np.int64)
 
     @staticmethod
     def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
@@ -534,8 +552,9 @@ class _OrderKernel:
         return (pi + col).min() - pivot
 
 
-def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
-    """Unique stationary row vector of the perturbed chain.
+def stationary_distribution(chain: PerturbedChain, epsilon) -> list[Fraction]:
+    """Unique stationary row vector of the perturbed chain at tremble rate
+    epsilon, which must be positive.
 
     One GTH state reduction (see `_gth`) over a dense n x n matrix: of Python
     ints over per-row denominators up to EXACT_SOLVE_LIMIT states, so the
@@ -543,10 +562,9 @@ def stationary_distribution(chain: PerturbedChain) -> list[Fraction]:
     exactly one stationary distribution, so the exact result does not depend
     on the elimination order. Float results come back as Fraction(float(x)).
     """
-    if chain.epsilon <= 0:
-        raise ValueError("stationary distribution requires epsilon > 0")
+    epsilon = tremble_rate(epsilon, solve=True)
     exact = chain.n_states <= EXACT_SOLVE_LIMIT
-    pi, position, _ = _gth(chain, _ExactKernel() if exact else _FloatKernel)
+    pi, position, _ = _gth(chain, (_ExactKernel if exact else _FloatKernel)(epsilon))
     mu = pi[position] / pi.sum()
     return mu.tolist() if exact else [Fraction(float(x)) for x in mu]
 
@@ -568,19 +586,20 @@ def stochastic_potential(chain: PerturbedChain) -> np.ndarray:
     return (pi + pivots.sum())[position]
 
 
-def stationary_residual(chain: PerturbedChain, mu: Sequence[Fraction]) -> Fraction:
-    """L1 residual of mu P - mu; identically zero for the exact solver.
+def stationary_residual(chain: PerturbedChain, epsilon, mu: Sequence[Fraction]) -> Fraction:
+    """L1 residual of mu P - mu at tremble rate epsilon; identically zero for
+    the exact solver.
 
     Exact, in Python ints over the common denominator of mu (one power of two
     for a float solve) times the chain's, so no Fraction is formed per term.
     """
-    dst, num, _ = chain.transitions()
-    den = math.lcm(*(x.denominator for x in mu))
+    dst, num, _ = chain.transitions(epsilon)
+    den, chain_den = math.lcm(*(x.denominator for x in mu)), chain.denominator(epsilon)
     weights = np.array([x.numerator * (den // x.denominator) for x in mu], dtype=object)
     live = dst >= 0
     flow = np.zeros(chain.n_states, dtype=object)
     np.add.at(flow, dst[live], (weights[:, None] * num)[live])
-    return Fraction(sum(abs(flow - weights * chain.denominator)), den * chain.denominator)
+    return Fraction(sum(abs(flow - weights * chain_den)), den * chain_den)
 
 
 # -- modified costs (step-by-step evolution discounts) -------------------------
@@ -693,10 +712,11 @@ def check_extreme_theorem(chain: PerturbedChain) -> ExtremeTheoremVerdict:
 # -- reporting -----------------------------------------------------------------
 
 
-def stochastic_report(chain: PerturbedChain, epsilons: Sequence = (),
+def stochastic_report(chain: PerturbedChain,
                       stationary: dict[Fraction, list[Fraction]] | None = None) -> dict:
-    """JSON-ready report on the unperturbed chain `chain`, states as BStates;
-    `stationary` holds the distributions at `epsilons`, when already solved."""
+    """JSON-ready report on the chain, states as BStates; `stationary` maps
+    each tremble rate to report to its solved distribution
+    (`stationary_distribution`)."""
     table = chain.class_table
     stable = stochastically_stable_set(chain)
     report: dict = {
@@ -724,15 +744,10 @@ def stochastic_report(chain: PerturbedChain, epsilons: Sequence = (),
         "mixed_equilibria": [list(s) for s in verdict.mixed_equilibria],
         "stable_equilibria": [list(s) for s in verdict.stable_equilibria],
     }
-    if epsilons:
-        epsilons = [parse_rational(eps) for eps in epsilons]
-        if stationary is None:
-            stationary = {eps: stationary_distribution(build_chain(chain.pop, eps, chain.graph))
-                          for eps in epsilons}
+    if stationary:
         stable_indices = [i for t in table.stable_ids for i in table.classes[t]]
         by_eps = {}
-        for eps in epsilons:
-            mu = stationary[eps]
+        for eps, mu in stationary.items():
             by_eps[str(eps)] = {
                 "stable_set_mass": str(sum((mu[i] for i in stable_indices), Fraction(0))),
                 "by_state": {str(tuple(chain.states[i])): str(mu[i])
@@ -743,7 +758,7 @@ def stochastic_report(chain: PerturbedChain, epsilons: Sequence = (),
 
 
 def export_class_digraph_dot(chain: PerturbedChain, stream) -> None:
-    """DOT rendering of the recurrent-class cost digraph of the unperturbed chain."""
+    """DOT rendering of the chain's recurrent-class cost digraph."""
     table = chain.class_table
     stream.write("digraph recurrent_classes {\n")
     for t, cls in enumerate(table.classes):

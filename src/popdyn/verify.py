@@ -26,27 +26,29 @@ from .oracle import (
     minimal_invariant_sets,
 )
 
-DEFAULT_S_GUARD = 200_000
+DEFAULT_EPSILONS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
 
 
 def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str]:
-    """Analytic enumeration vs oracle sinks, stability lemmas vs reachability,
-    and the cooperation-preserving-group equivalence on every pooled state.
+    """Analytic enumeration vs the oracle's equilibria, stability lemmas vs
+    reachability, and the cooperation-preserving-group equivalence on every
+    pooled state.
 
-    The closed form of the equivalence asks n < tau and n > tau at once of a
-    best-responder type split between C and D, so it is evaluated only on the
-    pooled states where no type is split. The oracle's side is the pooled
-    states all of whose refined splits have no move.
+    The oracle's equilibria are the pooled states of the refined states with
+    no move, its singleton sinks. The closed form of the equivalence asks
+    n < tau and n > tau at once of a best-responder type split between C and
+    D, so it is evaluated only on the pooled states where no type is split.
+    The oracle's side is the equilibria all of whose refined splits have no
+    move.
     """
     problems: list[str] = []
     records = eq.enumerate_equilibria(pop)
     analytic = {r.state for r in records}
-    sinks = minimal_invariant_sets(graph)
-    oracle_eqs = {next(iter(s.states)) for s in sinks if s.is_singleton}
-    if analytic != oracle_eqs:
+    still = graph.pooled_states_of(np.flatnonzero(graph.moves == 0))
+    if analytic != still:
         problems.append(
             f"equilibrium sets differ: analytic {sorted(s.to_tuple() for s in analytic)} "
-            f"vs oracle {sorted(s.to_tuple() for s in oracle_eqs)}"
+            f"vs oracle {sorted(s.to_tuple() for s in still)}"
         )
 
     for rec in records:
@@ -69,7 +71,6 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
         state = State(xI, br[:pop.b], br[pop.b:])
         if eq.is_exclusive_cooperation_preserving(pop, state):
             closed_form.add(state)
-    still = graph.pooled_states_of(np.flatnonzero(graph.moves == 0))
     preserved = {state for state in still if is_equilibrium_oracle(graph, state)}
     for state in sorted(closed_form ^ preserved, key=State.to_tuple):
         problems.append(
@@ -80,9 +81,10 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
 
 
 def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
-                      s_guard: int = DEFAULT_S_GUARD) -> tuple[list[str], list[str]]:
+                      guard: int | None = None) -> tuple[list[str], list[str]]:
     """Closed-form invariance verdicts vs exhaustive one-step closure, plus the
     necessary-condition checklist on every oracle minimal invariant set.
+    `guard` bounds the S enumeration, as in `invariants.invariance_report`.
 
     Returns (problems, skipped)."""
     problems: list[str] = []
@@ -105,9 +107,9 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
         if lo > hi:
             continue
         try:
-            analytic = inv.is_invariant_S(pop, idx, guard=s_guard)
-        except StateSpaceTooLarge:
-            skipped.append(f"S check at {idx} exceeds the enumeration guard {s_guard}")
+            analytic = inv.is_invariant_S(pop, idx, guard=guard)
+        except StateSpaceTooLarge as exc:
+            skipped.append(f"S check at {idx} skipped: {exc}")
             continue
         s_mask = inv.s_membership_mask(graph, idx, x_mask)
         if s_mask.any():
@@ -178,17 +180,12 @@ def is_irreducible(dst: np.ndarray) -> bool:
     return True
 
 
-def verify_stochastic(pop: PopulationSpec,
-                      epsilons: Sequence = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)),
-                      graph: TransitionDigraph | None = None,
-                      stationary: dict[Fraction, list[Fraction]] | None = None,
-                      chains: dict[Fraction, st.PerturbedChain] | None = None) -> list[str]:
-    """Full stochastic-stability cross-check battery on a binary-type population.
-
-    `graph` is the oracle digraph of `pop`, built when not given. `chains`
-    maps an epsilon (0 for the unperturbed chain) to its already built chain,
-    and `stationary` an epsilon to its already solved distribution; the
-    others are built and solved here.
+def verify_stochastic(chain: st.PerturbedChain, epsilons: Sequence = (),
+                      stationary: dict[Fraction, list[Fraction]] | None = None) -> list[str]:
+    """Full stochastic-stability cross-check battery on the perturbed chain of
+    a binary-type population, at the tremble rates `epsilons`
+    (DEFAULT_EPSILONS when empty). `stationary` maps an epsilon to its
+    already solved distribution; the others are solved here.
 
     Each class's gamma, found by Chu-Liu/Edmonds over class-to-class costs,
     is checked against the stochastic potential of its states, found by a
@@ -199,34 +196,32 @@ def verify_stochastic(pop: PopulationSpec,
     the stable classes gamma selects: a class whose radius exceeds its
     modified coradius, the largest modified cost into it from outside, must
     be the only stable class. Plain and modified costs from every state to
-    every class come from the unperturbed chain's class table, two
+    every class come from the chain's class table, two
     whole-chain searches per class.
     """
     problems: list[str] = []
-    chains = dict(chains or {})
-    for eps in [Fraction(0), *epsilons]:
-        if eps not in chains:
-            chains[eps] = st.build_chain(pop, eps, chains[0].graph if 0 in chains else graph)
-    chain0 = chains[0]
-    table = chain0.class_table
+    epsilons = list(dict.fromkeys(st.tremble_rate(eps, solve=True)
+                                  for eps in epsilons or DEFAULT_EPSILONS))
+    table = chain.class_table
     classes = table.classes
-    stable_states = st.stochastically_stable_set(chain0)
+    stable_states = st.stochastically_stable_set(chain)
 
-    analytic = {r.state for r in eq.enumerate_equilibria(pop)}
-    singletons = chain0.graph.pooled_states_of(cls[0] for cls in classes if len(cls) == 1)
+    analytic = {r.state for r in eq.enumerate_equilibria(chain.pop)}
+    singletons = chain.graph.pooled_states_of(cls[0] for cls in classes if len(cls) == 1)
     if analytic != singletons:
         problems.append(
             f"singleton recurrent classes {sorted(s.to_tuple() for s in singletons)} differ "
             f"from the closed-form equilibria {sorted(s.to_tuple() for s in analytic)}"
         )
 
-    _, num0, mistakes = chain0.transitions()
+    _, num0, mistakes = chain.transitions(0)
     positive0 = num0 > 0
-    for eps in dict.fromkeys(epsilons):
-        chain = chains[eps]
-        dst, num, _ = chain.transitions()
+    if not is_irreducible(chain.support[0]):  # the support at every epsilon > 0
+        problems.append("the perturbed chain is not irreducible")
+    for eps in epsilons:
+        dst, num, _ = chain.transitions(eps)
         positive = num > 0
-        bad = np.flatnonzero(num.sum(axis=1) != chain.denominator)
+        bad = np.flatnonzero(num.sum(axis=1) != chain.denominator(eps))
         if bad.size:
             problems.append(f"row {bad[0]} of the eps={eps} chain does not sum to 1")
         if (positive0 & ~positive).any():
@@ -235,19 +230,17 @@ def verify_stochastic(pop: PopulationSpec,
         want = np.where(positive0, 0, 1)
         for i, c in np.argwhere((positive | positive0) & (mistakes != want))[:1]:
             problems.append(f"one-step cost mismatch at ({i},{dst[i, c]}): "
-                            f"{chain0.one_step_cost(i, dst[i, c])} vs {want[i, c]}")
-        if not is_irreducible(dst):
-            problems.append(f"perturbed chain at eps={eps} is not irreducible")
+                            f"{chain.one_step_cost(i, dst[i, c])} vs {want[i, c]}")
         if not positive[:, 0].any():
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")
 
-    potential = st.stochastic_potential(chain0)
+    potential = st.stochastic_potential(chain)
     for c, cls in enumerate(classes):
         values = set(potential[list(cls)].tolist())
         if values != {table.gammas[c]}:
             problems.append(f"stochastic potential {sorted(values)} of class {c} "
                             f"disagrees with its gamma {table.gammas[c]}")
-    argmin = {chain0.states[i] for i in np.flatnonzero(potential == potential.min())}
+    argmin = {chain.states[i] for i in np.flatnonzero(potential == potential.min())}
     if argmin != stable_states:
         problems.append(
             f"stochastic potential is minimal on {sorted(map(tuple, argmin))} but gamma "
@@ -264,12 +257,12 @@ def verify_stochastic(pop: PopulationSpec,
 
     solved = stationary or {}
     mus = {}
-    for eps in dict.fromkeys(epsilons):
-        mu = solved[eps] if eps in solved else st.stationary_distribution(chains[eps])
-        if st.stationary_residual(chains[eps], mu) > Fraction(1, 10**12):
+    for eps in epsilons:
+        mu = solved[eps] if eps in solved else st.stationary_distribution(chain, eps)
+        if st.stationary_residual(chain, eps, mu) > Fraction(1, 10**12):
             problems.append(f"stationary residual too large at eps={eps}")
         mus[eps] = mu
-    ordered = sorted(epsilons, key=Fraction, reverse=True)  # decreasing eps
+    ordered = sorted(epsilons, reverse=True)  # decreasing eps
     stable = [i for t in table.stable_ids for i in classes[t]]
     masses = [sum((mus[eps][i] for i in stable), Fraction(0)) for eps in ordered]
     if not all(a < b for a, b in zip(masses, masses[1:])):
@@ -297,7 +290,7 @@ def verify_stochastic(pop: PopulationSpec,
                 problems.append(f"state {i} dominated by class {t} but its mass is not vanishing")
                 break
 
-    verdict = st.check_extreme_theorem(chain0)
+    verdict = st.check_extreme_theorem(chain)
     if verdict.conclusion_status == "violated":
         problems.append("extreme-equilibrium conclusion violated despite its hypothesis")
     return problems

@@ -38,13 +38,12 @@ def stochastic_artifacts(pops):
     """Unperturbed chains, their stable sets and stationary distributions for ex7_1..ex7_4."""
     out = {}
     for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4"):
-        chain0 = st.build_chain(pops[name], 0)
+        chain = st.build_chain(pops[name])
         mus = {}
         for eps in EPS_GRID:
-            chain = st.build_chain(pops[name], eps, chain0.graph)
-            mu = st.stationary_distribution(chain)
-            mus[eps] = (mu, st.stationary_residual(chain, mu))
-        out[name] = (chain0, st.stochastically_stable_set(chain0), mus)
+            mu = st.stationary_distribution(chain, eps)
+            mus[eps] = (mu, st.stationary_residual(chain, eps, mu))
+        out[name] = (chain, st.stochastically_stable_set(chain), mus)
     return out
 
 
@@ -114,7 +113,7 @@ def test_criterion_3_ex3_no_equilibria_and_bounds(pops, graphs):
 
 def test_criterion_4_ex7_1_costs_and_stability(pops):
     t0 = time.perf_counter()
-    chain = st.build_chain(pops["ex7_1"], 0)
+    chain = st.build_chain(pops["ex7_1"])
     stable = st.stochastically_stable_set(chain)
     classes_states = {frozenset(chain.states[i] for i in cls) for cls in chain.class_table.classes}
     expected_eqs = {

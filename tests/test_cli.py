@@ -382,11 +382,11 @@ def test_stochastic_float_fallback_scaled_ex7_1(tmp_path):
     report = json.loads(out.read_text())
     assert report["states"] == 1792
     by_state = report["stationary"]["1/1000"]["by_state"]
-    chain = stochastic.build_chain(pop, Fraction(1, 1000))
+    chain = stochastic.build_chain(pop)
     mu = [Fraction(by_state[str(tuple(s))]) for s in chain.states]
     assert abs(sum(mu) - 1) <= Fraction(1, 10**12)
     assert all(m > 0 for m in mu)  # the chain is irreducible
-    assert stochastic.stationary_residual(chain, mu) <= Fraction(1, 10**12)
+    assert stochastic.stationary_residual(chain, Fraction(1, 1000), mu) <= Fraction(1, 10**12)
 
 
 def test_stochastic_verify_solves_each_epsilon_once(tmp_path, monkeypatch):
@@ -395,9 +395,9 @@ def test_stochastic_verify_solves_each_epsilon_once(tmp_path, monkeypatch):
     solved = []
     real = stochastic.stationary_distribution
 
-    def counting(chain):
-        solved.append(chain.epsilon)
-        return real(chain)
+    def counting(chain, epsilon):
+        solved.append(epsilon)
+        return real(chain, epsilon)
 
     monkeypatch.setattr(stochastic, "stationary_distribution", counting)
     code = run_cli(
@@ -409,15 +409,46 @@ def test_stochastic_verify_solves_each_epsilon_once(tmp_path, monkeypatch):
     assert sorted(solved) == [Fraction(1, 1000), Fraction(1, 100)]
 
 
+def test_stochastic_verify_takes_a_repeated_epsilon_once(tmp_path):
+    # 0.01 and 1/100 are one tremble rate, solved and checked once
+    code = run_cli(
+        "stochastic", "--config", str(FIXDIR / "ex7_1.json"),
+        "--epsilon", "1/100", "--epsilon", "0.01", "--epsilon", "1/1000", "--verify",
+        "--json", str(tmp_path / "st.json"),
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "st.json").read_text())
+    assert list(report["stationary"]) == ["1/100", "1/1000"]
+
+
+def test_invariants_verify_uses_the_report_guard(tmp_path, monkeypatch):
+    from popdyn import invariants
+
+    guards = []
+    real = invariants.is_invariant_S
+
+    def recording(pop, idx, guard=None):
+        guards.append(guard)
+        return real(pop, idx, guard)
+
+    monkeypatch.setattr(invariants, "is_invariant_S", recording)
+    code = run_cli(
+        "invariants", "--config", str(FIXDIR / "ex7_4.json"), "--verify",
+        "--max-states", "5000", "--json", str(tmp_path / "inv.json"),
+    )
+    assert code == 0
+    assert guards and set(guards) == {5000}
+
+
 def test_stochastic_builds_each_chain_once(tmp_path, monkeypatch):
     from popdyn import stochastic
 
     built = []
     real = stochastic.build_chain
 
-    def counting(pop, epsilon, graph=None):
-        built.append(Fraction(epsilon))
-        return real(pop, epsilon, graph)
+    def counting(pop, graph=None):
+        built.append(pop)
+        return real(pop, graph)
 
     monkeypatch.setattr(stochastic, "build_chain", counting)
     code = run_cli(
@@ -426,6 +457,6 @@ def test_stochastic_builds_each_chain_once(tmp_path, monkeypatch):
         "--json", str(tmp_path / "st.json"),
     )
     assert code == 0
-    # the unperturbed chain and one chain per epsilon, shared by the report,
-    # the verification battery and the DOT export
-    assert sorted(built) == [0, Fraction(1, 1000), Fraction(1, 100)]
+    # one chain serves every epsilon, the report, the verification battery
+    # and the DOT export
+    assert len(built) == 1

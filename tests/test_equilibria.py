@@ -55,7 +55,7 @@ def test_enumerate_ex7_1_expands_to_eight_refined(pops):
     pop = pops["ex7_1"]
     from popdyn.stochastic import build_chain, equilibria_of_chain
 
-    refined = set(equilibria_of_chain(build_chain(pop, 0)))
+    refined = set(equilibria_of_chain(build_chain(pop)))
     assert refined == {
         BState(0, 1, 0, 0), BState(1, 1, 1, 0), BState(2, 1, 0, 0), BState(2, 1, 1, 0),
         BState(0, 0, 0, 5), BState(1, 0, 1, 5), BState(2, 0, 0, 5), BState(2, 0, 1, 5),

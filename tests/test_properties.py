@@ -95,7 +95,7 @@ def _binary_pops(seed, count):
 
 def test_singleton_classes_match_closed_form_randomized():
     for pop in _binary_pops(seed=41, count=25):
-        chain = st.build_chain(pop, 0)
+        chain = st.build_chain(pop)
         singletons = {
             State(s.x1I + s.x2I, (s.xa,), (s.xc,))
             for s in (chain.states[cls[0]] for cls in st.recurrent_classes(chain) if len(cls) == 1)
@@ -105,7 +105,7 @@ def test_singleton_classes_match_closed_form_randomized():
 
 def test_cost_dominates_modified_cost_randomized():
     for pop in _binary_pops(seed=43, count=12):
-        chain = st.build_chain(pop, 0)
+        chain = st.build_chain(pop)
         classes = st.recurrent_classes(chain)
         for cls in classes:
             cls_set = set(cls)
@@ -117,27 +117,27 @@ def test_cost_dominates_modified_cost_randomized():
 
 def test_gamma_routes_agree_randomized():
     for pop in _binary_pops(seed=47, count=20):
-        costs = st.build_chain(pop, 0).class_table.costs
+        costs = st.build_chain(pop).class_table.costs
         for t in range(len(costs)):
             assert st.gamma(costs, t) == _gamma_reference(costs, t)
 
 
 def test_potential_matches_gamma_randomized():
     for pop in _binary_pops(seed=47, count=20):
-        _assert_potential_matches_gamma(st.build_chain(pop, 0))
+        _assert_potential_matches_gamma(st.build_chain(pop))
 
 
 def test_stationary_exact_on_random_chain():
     for pop in _binary_pops(seed=53, count=4):
-        chain = st.build_chain(pop, Fraction(1, 128))
-        mu = st.stationary_distribution(chain)
+        chain, eps = st.build_chain(pop), Fraction(1, 128)
+        mu = st.stationary_distribution(chain, eps)
         assert sum(mu) == 1
-        assert st.stationary_residual(chain, mu) == 0
-        assert mu == _stationary_reference(chain)
+        assert st.stationary_residual(chain, eps, mu) == 0
+        assert mu == _stationary_reference(chain, eps)
         # cross-check against a float eigen solve
         n = chain.n_states
         mat = np.zeros((n, n))
-        for i, row in enumerate(_rows(chain)):
+        for i, row in enumerate(_rows(chain, eps)):
             for j, p in row.items():
                 mat[i, j] = float(p)
         w, v = np.linalg.eig(mat.T)

@@ -79,38 +79,38 @@ def _gamma_reference(costs, root):
     return int(total[valid].min())
 
 
-def _rows(chain):
-    """Every state's exact transition row {j: probability > 0}."""
-    dst, num, _ = chain.transitions()
-    return [{int(j): Fraction(v, chain.denominator) for j, v in zip(d, r) if j >= 0 and v > 0}
+def _rows(chain, epsilon):
+    """Every state's exact transition row {j: probability > 0} at tremble rate epsilon."""
+    dst, num, _ = chain.transitions(epsilon)
+    den = chain.denominator(epsilon)
+    return [{int(j): Fraction(v, den) for j, v in zip(d, r) if j >= 0 and v > 0}
             for d, r in zip(dst.tolist(), num.tolist())]
 
 
 def _step_costs(chain):
     """[{j: one-step mistake cost of i -> j}] read off the exact transition
     rows: positive at eps = 0 costs 0, positive only at eps > 0 costs 1."""
-    rows0 = _rows(build_chain(chain.pop, 0, chain.graph))
-    rows_eps = _rows(build_chain(chain.pop, Fraction(1, 2), chain.graph))
+    rows0, rows_eps = _rows(chain, 0), _rows(chain, Fraction(1, 2))
     return [{j: 0 if j in r0 else 1 for j in r_eps} for r0, r_eps in zip(rows0, rows_eps)]
 
 
-def _support(chain):
+def _support(chain, epsilon):
     """0/1 CSR matrix of the chain's support, read off the exact transition rows."""
-    rows = _rows(chain)
+    rows = _rows(chain, epsilon)
     src = [i for i, row in enumerate(rows) for _ in row]
     dst = [j for row in rows for j in row]
     return csr_matrix((np.ones(len(src)), (src, dst)), shape=(chain.n_states,) * 2)
 
 
-def _stationary_reference(chain):
-    """Exact stationary distribution by a GTH reduction over a dense matrix of
-    Fractions, eliminated in reverse Cuthill-McKee order; the cross-check for
-    the integer-row kernel and its level order."""
+def _stationary_reference(chain, epsilon):
+    """Exact stationary distribution at tremble rate epsilon by a GTH reduction
+    over a dense matrix of Fractions, eliminated in reverse Cuthill-McKee
+    order; the cross-check for the integer-row kernel and its level order."""
     n = chain.n_states
-    order = reverse_cuthill_mckee(_support(chain), symmetric_mode=False)
+    order = reverse_cuthill_mckee(_support(chain, epsilon), symmetric_mode=False)
     position = np.argsort(order)
     p = np.zeros((n, n), dtype=object)
-    for i, row in enumerate(_rows(chain)):
+    for i, row in enumerate(_rows(chain, epsilon)):
         p[position[i], position[list(row)]] = list(row.values())
     # the pivot of state k goes on the diagonal, which no later step reads
     for k in range(n - 1, 0, -1):
@@ -145,45 +145,44 @@ BINARY = ("ex7_1", "ex7_2", "ex7_3", "ex7_4")
 
 @pytest.fixture(scope="module")
 def chains(pops):
-    return {name: build_chain(pops[name], 0) for name in BINARY}
+    return {name: build_chain(pops[name]) for name in BINARY}
 
 
 def test_binary_type_requires_all_cells(pops):
     with pytest.raises(ValueError):
-        build_chain(pops["ex1"], 0)  # two nonconformist types
+        build_chain(pops["ex1"])  # two nonconformist types
 
 
 def test_activation_is_uniform(pops):
     # every agent is activated with probability 1/9 and trembles at 1/100
-    chain = build_chain(pops["ex7_1"], Fraction(1, 100))
-    assert chain.denominator == 9 * 100
-    _, num, _ = chain.transitions()
+    chain = build_chain(pops["ex7_1"])
+    assert chain.denominator(Fraction(1, 100)) == 9 * 100
+    _, num, _ = chain.transitions(Fraction(1, 100))
     assert (num[:, 1:] == chain.members * np.where(chain.switch, 99, 1)).all()
 
 
 def test_chain_rows_sum_to_one(pops):
+    chain = build_chain(pops["ex7_2"])
+    assert chain.n_states == 72
     for eps in (0, Fraction(1, 100)):
-        chain = build_chain(pops["ex7_2"], eps)
-        assert chain.n_states == 72
-        for row in _rows(chain):
+        for row in _rows(chain, eps):
             assert sum(row.values()) == 1
 
 
 def test_chain_support_monotone(pops):
-    chain0 = build_chain(pops["ex7_1"], 0)
-    chain_eps = build_chain(pops["ex7_1"], Fraction(1, 50))
-    for i, (row0, row_eps) in enumerate(zip(_rows(chain0), _rows(chain_eps))):
+    chain = build_chain(pops["ex7_1"])
+    for i, (row0, row_eps) in enumerate(zip(_rows(chain, 0), _rows(chain, Fraction(1, 50)))):
         assert row0.keys() <= row_eps.keys()
-        assert row0.keys() == {j for j in row_eps if chain_eps.one_step_cost(i, j) == 0}
+        assert row0.keys() == {j for j in row_eps if chain.one_step_cost(i, j) == 0}
 
 
 def test_perturbed_chain_irreducible_aperiodic(pops):
-    chain = build_chain(pops["ex7_1"], Fraction(1, 100))
-    support = _support(chain)
+    chain = build_chain(pops["ex7_1"])
+    support = _support(chain, Fraction(1, 100))
     assert connected_components(support, directed=True, connection="strong")[0] == 1
-    assert all(i in row for i, row in enumerate(_rows(chain)))
+    assert all(i in row for i, row in enumerate(_rows(chain, Fraction(1, 100))))
     # the edges the battery's irreducibility check searches are the support
-    dst = chain.transitions()[0]
+    dst = chain.transitions(Fraction(1, 100))[0]
     tails, cols = np.nonzero(dst >= 0)
     edges = csr_matrix((np.ones(tails.size), (tails, dst[tails, cols])), shape=support.shape)
     assert (edges != support).nnz == 0
@@ -191,8 +190,8 @@ def test_perturbed_chain_irreducible_aperiodic(pops):
 
 
 def test_irreducibility_check_can_fail(pops):
-    chain = build_chain(pops["ex7_1"], Fraction(1, 100))
-    dst = chain.transitions()[0]
+    chain = build_chain(pops["ex7_1"])
+    dst = chain.transitions(Fraction(1, 100))[0]
     assert is_irreducible(dst)
     # drop every edge into state 0 but its self-loop: a backward search from
     # it reaches no other state
@@ -238,7 +237,7 @@ def test_all_defect_absorbing_single_class():
         "coordinating": [{"uC": [1, -13], "uD": [-1, 0],            # tau_c = 13/2 > n = 6
                           "imitators": 1, "bestResponders": 2}],
     })
-    chain = build_chain(pop, 0)
+    chain = build_chain(pop)
     classes = recurrent_classes(chain)
     assert len(classes) == 1
     (cls,) = classes
@@ -352,7 +351,7 @@ def test_potential_matches_gamma_on_fixtures(chains):
 
 
 def test_potential_matches_gamma_tripled_ex7_1():
-    chain = build_chain(population("ex7_1", 3), 0)
+    chain = build_chain(population("ex7_1", 3))
     assert chain.n_states == 1792
     assert _assert_potential_matches_gamma(chain) == (18, 1)
 
@@ -376,35 +375,51 @@ def test_stochastically_stable_union_ex7_3(chains):
 
 
 def test_stationary_distribution_exact(pops):
-    chain = build_chain(pops["ex7_2"], Fraction(1, 1000))
-    mu = stationary_distribution(chain)
+    chain = build_chain(pops["ex7_2"])
+    mu = stationary_distribution(chain, Fraction(1, 1000))
     assert sum(mu) == 1
     assert all(x > 0 for x in mu)
-    assert stationary_residual(chain, mu) == 0
+    assert stationary_residual(chain, Fraction(1, 1000), mu) == 0
 
 
 def test_stationary_requires_noise(chains):
     with pytest.raises(ValueError):
-        stationary_distribution(chains["ex7_1"])
+        stationary_distribution(chains["ex7_1"], 0)
+
+
+def test_tremble_rate_out_of_range(chains):
+    chain = chains["ex7_1"]
+    with pytest.raises(ValueError):
+        chain.transitions(Fraction(-1, 2))
+    with pytest.raises(ValueError):
+        stationary_distribution(chain, 1)
+    with pytest.raises(ValueError):
+        stationary_residual(chain, 1, [Fraction(1, chain.n_states)] * chain.n_states)
+    # the masses at epsilon = 0 are the unperturbed chain's
+    _, num, mistakes = chain.transitions(0)
+    assert ((num > 0) == (mistakes == 0)).all()
 
 
 def test_stationary_guard_precedes_allocation(pops, monkeypatch):
-    chain = build_chain(pops["ex7_2"], Fraction(1, 1000))
+    eps = Fraction(1, 1000)
+    chain = build_chain(pops["ex7_2"])
     needed = 8 * chain.n_states ** 2
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("dense matrix allocated before the guard")
 
     def solved_stationary(result):
-        return stationary_residual(chain, result) <= Fraction(1, 10**12)
+        return stationary_residual(chain, eps, result) <= Fraction(1, 10**12)
 
     def solved_potential(result):
         return min(result) == min(chain.class_table.gammas)
 
+    def stationary(chain):
+        return stationary_distribution(chain, eps)
+
     # the float path, the exact one, then the epsilon-order one
-    for limit, solve, solved in ((10, stationary_distribution, solved_stationary),
-                                 (stochastic.EXACT_SOLVE_LIMIT, stationary_distribution,
-                                  solved_stationary),
+    for limit, solve, solved in ((10, stationary, solved_stationary),
+                                 (stochastic.EXACT_SOLVE_LIMIT, stationary, solved_stationary),
                                  (stochastic.EXACT_SOLVE_LIMIT, stochastic_potential,
                                   solved_potential)):
         monkeypatch.setattr(stochastic, "EXACT_SOLVE_LIMIT", limit)
@@ -420,18 +435,18 @@ def test_stationary_guard_precedes_allocation(pops, monkeypatch):
 
 @pytest.mark.parametrize("name", BINARY)
 def test_exact_kernel_matches_fraction_reference(pops, name):
+    chain = build_chain(pops[name])
     for eps in (Fraction(1, 100), Fraction(1, 10000)):
-        chain = build_chain(pops[name], eps)
-        assert stationary_distribution(chain) == _stationary_reference(chain)
+        assert stationary_distribution(chain, eps) == _stationary_reference(chain, eps)
 
 
 def test_float_solve_matches_exact(pops, monkeypatch):
     for name in BINARY:
-        chain = build_chain(pops[name], Fraction(1, 10000))
-        exact = stationary_distribution(chain)
+        chain = build_chain(pops[name])
+        exact = stationary_distribution(chain, Fraction(1, 10000))
         with monkeypatch.context() as m:
             m.setattr(stochastic, "EXACT_SOLVE_LIMIT", 0)
-            approx = stationary_distribution(chain)
+            approx = stationary_distribution(chain, Fraction(1, 10000))
         for i, (a, e) in enumerate(zip(approx, exact)):
             assert a > 0, (name, i)
             assert abs(a - e) <= e / 10**12, (name, i, float(a), float(e))
@@ -440,17 +455,17 @@ def test_float_solve_matches_exact(pops, monkeypatch):
 def test_stationary_mass_concentrates_ex7_1(pops):
     target = BState(0, 1, 0, 0)
     masses = []
+    chain = build_chain(pops["ex7_1"])
     for eps in (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000)):
-        chain = build_chain(pops["ex7_1"], eps)
-        mu = stationary_distribution(chain)
+        mu = stationary_distribution(chain, eps)
         masses.append(mu[chain.index_of(target)])
     assert masses[0] < masses[1] < masses[2]
     assert masses[2] > Fraction(99, 100)
 
 
 def test_stationary_mass_ex7_4_mixed_pair(pops):
-    chain = build_chain(pops["ex7_4"], Fraction(1, 10000))
-    mu = stationary_distribution(chain)
+    chain = build_chain(pops["ex7_4"])
+    mu = stationary_distribution(chain, Fraction(1, 10000))
     x, y, z = BState(1, 1, 0, 0), BState(0, 1, 1, 0), BState(2, 0, 2, 3)
     assert mu[chain.index_of(x)] + mu[chain.index_of(y)] > Fraction(99, 100)
     assert mu[chain.index_of(z)] < Fraction(1, 10**6)
@@ -518,7 +533,7 @@ def test_extreme_theorem_trivial_without_equilibria():
         "coordinating": [{"uC": ["9/2", "-75/4"], "uD": [-2, -9],
                           "imitators": 3, "bestResponders": 3}],
     })
-    chain = build_chain(pop, 0)
+    chain = build_chain(pop)
     assert equilibria_of_chain(chain) == []
     verdict = check_extreme_theorem(chain)
     assert verdict.hypothesis_holds
@@ -526,7 +541,8 @@ def test_extreme_theorem_trivial_without_equilibria():
 
 
 def test_report_and_dot_exports(chains):
-    report = stochastic_report(chains["ex7_1"], epsilons=[Fraction(1, 100)])
+    mu = stationary_distribution(chains["ex7_1"], Fraction(1, 100))
+    report = stochastic_report(chains["ex7_1"], {Fraction(1, 100): mu})
     assert report["states"] == 72
     assert report["stochastically_stable_states"] == [[0, 1, 0, 0]]
     assert "1/100" in report["stationary"]
@@ -657,7 +673,7 @@ def test_modified_cost_matches_subset_dp(chains, name):
 
 @pytest.mark.parametrize("name", ["ex7_1", "ex7_4"])
 def test_modified_cost_matches_subset_dp_doubled(name):
-    chain = build_chain(population(name, 2), 0)
+    chain = build_chain(population(name, 2))
     assert len(recurrent_classes(chain)) == 4
     starts = random.Random(11).sample(range(chain.n_states), 50)
     _assert_modified_costs_match(chain, starts)
@@ -703,7 +719,7 @@ def _zero_one_search(steps, sources, stop):
 def test_modified_cost_matches_per_start_search(name, factor, k):
     # every (state, class) pair against segments and legs that enter no other
     # class, each start outside the classes searched on its own
-    chain = build_chain(population(name, factor), 0)
+    chain = build_chain(population(name, factor))
     classes = [set(c) for c in recurrent_classes(chain)]
     assert len(classes) == k
     steps = _step_costs(chain)

@@ -7,12 +7,11 @@ test_cli. The three large fixtures dominate the suite's runtime.
 
 import dataclasses
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from genpop import population
-from popdyn import equilibria, invariants
+from popdyn import equilibria, invariants, oracle, verify
 from popdyn import stochastic as st
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.verify import (
@@ -32,7 +31,7 @@ def test_small_fixture_full_battery(name, pops, graphs):
     problems, skipped = verify_invariants(pop, graph)
     assert problems == [] and skipped == []
     assert verify_oracle(graph) == []
-    assert verify_stochastic(pop, graph=graph) == []
+    assert verify_stochastic(st.build_chain(pop, graph)) == []
 
 
 @pytest.mark.parametrize("name", ("ex1", "ex2", "ex3"))
@@ -73,8 +72,8 @@ def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypat
         return real(chain, sources, reverse)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
-    assert verify_stochastic(pop, graph=graphs("ex7_4")) == []
-    chain = st.build_chain(pop, Fraction(0), graphs("ex7_4"))
+    chain = st.build_chain(pop, graphs("ex7_4"))
+    assert verify_stochastic(chain) == []
     classes = st.recurrent_classes(chain)
     # one plain backward search per class, none per (state, class) pair
     assert sorted(calls) == sorted(classes)
@@ -94,8 +93,9 @@ def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch
         return real(chain, sources, *args, **kwargs)
 
     monkeypatch.setattr(st, "_mistake_costs", counting)
-    assert verify_stochastic(pop, graph=graphs("ex7_1")) == []
-    classes = st.recurrent_classes(st.build_chain(pop, 0, graphs("ex7_1")))
+    chain = st.build_chain(pop, graphs("ex7_1"))
+    assert verify_stochastic(chain) == []
+    classes = st.recurrent_classes(chain)
     assert len(classes) == 8
     # two whole-chain searches from each class, none from any other state
     assert Counter(calls) == {cls: 2 for cls in classes}
@@ -103,7 +103,7 @@ def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch
 
 def test_scaled_fixture_full_stochastic_battery():
     # ex7_1 with every count tripled: 1,792 chain states, float stationary solves
-    assert verify_stochastic(population("ex7_1", 3)) == []
+    assert verify_stochastic(st.build_chain(population("ex7_1", 3))) == []
 
 
 # raising class 0's gamma by one leaves ex7_1's stable set alone, but on ex7_4
@@ -113,16 +113,16 @@ def test_verify_stochastic_flags_gamma_off_the_potential(name, stable_set_moves,
                                                          monkeypatch):
     real = st.gamma
     monkeypatch.setattr(st, "gamma", lambda costs, root: real(costs, root) + (root == 0))
-    problems = verify_stochastic(pops[name], graph=graphs(name))
+    problems = verify_stochastic(st.build_chain(pops[name], graphs(name)))
     assert any(p.startswith("stochastic potential [") and "of class 0 " in p for p in problems)
     assert any(p.startswith("stochastic potential is minimal on") for p in problems) \
         == stable_set_moves
 
 
 def _coradius_problems(pop, graph, **changes):
-    chain = st.build_chain(pop, 0, graph)
+    chain = st.build_chain(pop, graph)
     chain.class_table = dataclasses.replace(chain.class_table, **changes)
-    problems = verify_stochastic(pop, graph=graph, chains={Fraction(0): chain})
+    problems = verify_stochastic(chain)
     return [p for p in problems if "modified coradius" in p]
 
 
@@ -130,7 +130,7 @@ def test_verify_stochastic_flags_a_radius_above_the_coradius(pops, graphs):
     # the condition R > CR* holds for no class of ex7_4; an unbounded radius
     # of the unstable extreme class z makes it hold there
     pop, graph = pops["ex7_4"], graphs("ex7_4")
-    table = st.build_chain(pop, 0, graph).class_table
+    table = st.build_chain(pop, graph).class_table
     assert _coradius_problems(pop, graph) == []
     (z,) = set(range(3)) - set(table.stable_ids)
     radii = tuple(float("inf") if t == z else r for t, r in enumerate(table.radii))
@@ -142,12 +142,25 @@ def test_verify_stochastic_flags_a_leg_discount(pops, graphs):
     # on ex7_1 only the stable class passes R > CR*; legs into class 0 that
     # are discounted by 100 mistakes put its modified coradius below its radius
     pop, graph = pops["ex7_1"], graphs("ex7_1")
-    table = st.build_chain(pop, 0, graph).class_table
+    table = st.build_chain(pop, graph).class_table
     assert table.stable_ids != (0,)
     legs = tuple(tuple(w - 100 if b == 0 and a != 0 else w for b, w in enumerate(row))
                  for a, row in enumerate(table.legs))
     assert any(p.startswith("class 0 has radius")
                for p in _coradius_problems(pop, graph, legs=legs))
+
+
+def test_verify_equilibria_runs_no_sink_search(pops, monkeypatch):
+    # the oracle's equilibria are its states with no move; no sink search is needed
+    graph = build_transition_digraph(pops["ex7_4"])
+
+    def no_search(graph):
+        raise AssertionError("verify_equilibria ran a sink search")
+
+    for module in (oracle, verify):
+        monkeypatch.setattr(module, "minimal_invariant_sets", no_search)
+    monkeypatch.setattr(oracle, "_sinks", no_search)
+    assert verify_equilibria(pops["ex7_4"], graph) == []
 
 
 def test_verify_equilibria_flags_wrong_cooperation_preserving_verdict(pops, graphs, monkeypatch):
