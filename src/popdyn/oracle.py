@@ -14,9 +14,13 @@ per-state move bitmask (`moves`, two bits per cell). Closure of a state set is
 a check of each member's moves, a row of the adjacency export is its state's
 moves in a fixed order, and reachability, forwards or backwards, is a numpy
 frontier search over the bitmask. The sink components come from such searches
-too (`minimal_invariant_sets`), so no graph library is needed. The
+too (`minimal_invariant_sets`), so no graph library is needed. Each search
+for a sink starts where a short walk along the moves ends (`_walk`), which on
+the bundled fixtures is inside the sink, so the search reads about as many
+states as the sink holds. The stability search likewise starts at the
+neighbours of the equilibrium and decodes only the states it visits. The
 cross-checks read decoded views (`coords`, `n_c`) built once on first use,
-never by the build or the sink search.
+never by the build, the sink search or the stability search.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .cells import IMITATOR, CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
-from .model import ANTICOORDINATING, PopulationSpec, State
+from .model import PopulationSpec, State
 
 DEFAULT_MAX_STATES = 10**6
 MAX_STATES_ENV = "POPDYN_MAX_STATES"
@@ -43,8 +47,10 @@ _CSR_ROWS = 1 << 16
 # labels of the sink search: untouched, in the closed set being narrowed, and
 # known to reach a sink already found
 _FREE, _OPEN, _DONE = 0, 1, 2
-# below this many states a search layer takes every step at once and sorts:
-# the ex3 sink search then takes 1.3-1.5 s (2.1 s without, 1.9 s at 1 << 14)
+# below this many states a search layer takes every step at once and sorts.
+# Since the sink search walks into a sink first (`_walk`), few of its layers
+# are small: the ex3 sink search takes 0.4-0.6 s at any threshold from 0 to
+# 1 << 12, 0.5-0.7 s at 1 << 14 and 0.8-1.2 s at 1 << 16 (2 vCPUs)
 _SMALL_LAYER = 1 << 11
 
 
@@ -398,14 +404,16 @@ def _sinks(graph: TransitionDigraph) -> list[np.ndarray]:
     """The sorted members of every sink SCC.
 
     States without moves are the singleton sinks. For the rest, from the first
-    state not yet known to reach a sink: its forward closure F is closed and
-    so holds a sink. A pivot v of F is picked, the deepest in the search, and
-    the states of F that reach v are taken out of F; what is left is still
-    closed, because nothing in it reaches v. When that empties F, every state
-    of the closed set F was reaching v, so each sink inside F holds v: v lies
-    in a sink, and the sink is v's forward closure. After each find, one
-    backward search labels every state that reaches the new sinks, never
-    entering a labelled state, so every state is labelled once.
+    state not yet known to reach a sink: a `_walk` from it ends at a state
+    whose forward closure F is closed and so holds a sink. The walk stays in
+    such states, since a state with a successor known to reach a sink is
+    known to reach one itself. A pivot v of F is picked, the deepest in the
+    search, and the states of F that reach v are taken out of F; what is left
+    is still closed, because nothing in it reaches v. When that empties F,
+    every state of the closed set F was reaching v, so each sink inside F
+    holds v: v lies in a sink, and the sink is v's forward closure. After each
+    find, one backward search labels every state that reaches the new sinks,
+    never entering a labelled state, so every state is labelled once.
     """
     forward, backward = graph.oriented(), graph.oriented(reverse=True)
     label = np.zeros(graph.n_states, dtype=np.uint8)
@@ -418,7 +426,8 @@ def _sinks(graph: TransitionDigraph) -> list[np.ndarray]:
         start += int(np.argmin(label[start:]))
         if label[start] != _FREE:
             return sinks
-        layers = list(search_layers(*forward, np.array([start]), label, _FREE, _OPEN))
+        end = _walk(graph, start)[-1]
+        layers = list(search_layers(*forward, np.array([end]), label, _FREE, _OPEN))
         while layers:
             left = layers[-1][label[layers[-1]] == _OPEN]
             if not left.size:
@@ -431,40 +440,79 @@ def _sinks(graph: TransitionDigraph) -> list[np.ndarray]:
         sinks.append(found)
 
 
+def _walk(graph: TransitionDigraph, start: int) -> list[int]:
+    """The states of a walk along the moves from `start`, `start` first.
+
+    It takes at most 4 n steps (n agents) and ends early at a state without
+    moves. Step i takes the (i mod m)-th of the state's m moves in
+    `_move_steps` order, so the walk is deterministic but does not keep one
+    direction: always taking the first move ends, on ex3, at a state that
+    still reaches all 3,626,359 states that state 0 reaches. On the bundled
+    fixtures this walk ends inside a sink, so the closure `_sinks` takes
+    from its end is the sink itself (1,427 states on ex3).
+    """
+    steps, bits = graph.steps.tolist(), graph.bits.tolist()
+    path = [int(start)]
+    for i in range(4 * graph.pop.n):
+        here = int(graph.moves[path[-1]])
+        options = [step for step, bit in zip(steps, bits) if here & bit]
+        if not options:
+            break
+        path.append(path[-1] + options[i % len(options)])
+    return path
+
+
 def is_equilibrium_oracle(graph: TransitionDigraph, state) -> bool:
     """True iff every refined representative has itself as only successor."""
     return not graph.moves[graph.indices_of(state)].any()
 
 
-def _pooled_distance(graph: TransitionDigraph, eq: State) -> np.ndarray:
-    """Pooled L1 distance of every refined state from eq."""
-    space = graph.space
-    dist = np.zeros(graph.n_states, dtype=np.int32)
-    imit_total = np.zeros(graph.n_states, dtype=np.int32)
-    for cell, column in zip(space.cells, graph.coords):
-        if cell.role == IMITATOR:
-            imit_total += column
-        else:
-            target = (
-                eq.xa[cell.type_index - 1]
-                if cell.kind == ANTICOORDINATING
-                else eq.xc[cell.type_index - 1]
-            )
-            dist += np.abs(column.astype(np.int32) - target)
-    dist += np.abs(imit_total - eq.xI)
-    return dist
-
-
 def is_stable_oracle(graph: TransitionDigraph, eq: State) -> bool:
-    """Discrete stability: no trajectory from pooled distance 1 ever exceeds it."""
+    """Discrete stability: no trajectory from pooled distance 1 ever exceeds it.
+
+    The search starts at the states at pooled distance 1 (`_stability_starts`)
+    and decodes only the states of each layer it visits, so it costs what the
+    ball around eq holds, not the whole state space.
+    """
     if not is_equilibrium_oracle(graph, eq):
         raise NotAnEquilibrium(f"{eq} is not an equilibrium")
-    dist = _pooled_distance(graph, eq)
-    starts = np.flatnonzero(dist == 1)
-    if starts.size == 0:
-        return True
-    reached = frontier_search(graph, starts, bound=dist <= 1)
-    return reached is not None
+    split = next(graph.space.splits_of_pooled(eq))
+    seen = np.zeros(graph.n_states, dtype=bool)
+    for layer in search_layers(*graph.oriented(), _stability_starts(graph, eq), seen, False, True):
+        if (_distance_from(graph.space, split, layer) > 1).any():
+            return False
+    return True
+
+
+def _stability_starts(graph: TransitionDigraph, eq: State) -> np.ndarray:
+    """The states at pooled distance 1 from eq, sorted: the grid neighbours
+    (one cell one agent off, within its capacity) of eq's refined splits.
+
+    Such a neighbour has one best responder's count off its target or the
+    imitator total off by one, so it lies at distance 1; and every state at
+    distance 1 is one such move away from a split.
+    """
+    space = graph.space
+    splits = np.array(graph.indices_of(eq), dtype=np.int64)
+    starts = []
+    for cap, stride in zip(space.caps, space.strides):
+        digit = splits // stride % (cap + 1)
+        starts += [splits[digit > 0] - stride, splits[digit < cap] + stride]
+    return np.unique(np.concatenate(starts))
+
+
+def _distance_from(space: CellSpace, split: Sequence[int], indices: np.ndarray) -> np.ndarray:
+    """Pooled L1 distance of the states `indices` from the pooled state of the
+    refined coords `split`, read off their digits."""
+    dist = np.zeros(indices.size, dtype=np.int64)
+    imitated = np.zeros(indices.size, dtype=np.int64)
+    for cell, value, cap, stride in zip(space.cells, split, space.caps, space.strides):
+        digit = indices // stride % (cap + 1)
+        if cell.role == IMITATOR:
+            imitated += digit - value
+        else:
+            dist += np.abs(digit - value)
+    return dist + np.abs(imitated)
 
 
 def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:

@@ -243,6 +243,12 @@ def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
     code = run_cli("oracle", "--config", str(FIXDIR / "ex7_2.json"), "--verify",
                    "--json", str(tmp_path / "o.json"))
     assert code == 0
+    # the stability search decodes only the states it visits
+    code = run_cli("equilibria", "--config", str(FIXDIR / "ex7_2.json"), "--oracle",
+                   "--json", str(tmp_path / "e.json"))
+    assert code == 0
+    verdicts = [e["oracle_stable"] for e in json.loads((tmp_path / "e.json").read_text())["equilibria"]]
+    assert verdicts == [True, False, False]
 
 
 def test_oracle_adjacency_export(tmp_path):

@@ -8,10 +8,11 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from genpop import reference_next, reference_step, sample_populations, with_empty_best_responder_cell
 from popdyn import oracle
-from popdyn.cells import CellSpace
+from popdyn.cells import IMITATOR, CellSpace
 from popdyn.dynamics import AgentRef, step
+from popdyn.equilibria import enumerate_equilibria
 from popdyn.errors import NoSuchAgent, NotAnEquilibrium, StateSpaceTooLarge
-from popdyn.model import State, UtilityLine, validate_population
+from popdyn.model import ANTICOORDINATING, State, UtilityLine, validate_population
 from popdyn.oracle import (
     build_transition_digraph,
     export_adjacency,
@@ -240,6 +241,13 @@ def _reference_sinks(g):
     return sorted((np.flatnonzero(labels == lab) for lab in sinks), key=lambda idx: idx[0])
 
 
+def _pivots_per_closure(sweeps):
+    """The backward searches after each forward closure F in a trace of
+    `search_layers` calls: one per pivot, up to the sink's forward search."""
+    closures = [i for i, sweep in enumerate(sweeps) if sweep == (oracle._FREE, oracle._OPEN)]
+    return [sweeps[i + 1 :].index((oracle._FREE, oracle._DONE)) for i in closures]
+
+
 def test_sinks_match_scipy_strong_components(pops, monkeypatch):
     sweeps = []
     search = oracle.search_layers
@@ -250,16 +258,96 @@ def test_sinks_match_scipy_strong_components(pops, monkeypatch):
 
     monkeypatch.setattr(oracle, "search_layers", traced)
     corpus = [pops["ex1"], *sample_populations(seed=1000, count=200)]
+    pivots = []
     for pop in corpus:
         g = build_transition_digraph(pop, max_states=2_000_000)
         got, want = minimal_invariant_sets(g), _reference_sinks(g)
         assert [r.indices.tolist() for r in got] == [w.tolist() for w in want]
         assert [r.is_singleton for r in got] == [w.size == 1 for w in want]
-    # each forward closure F is followed by one backward search per pivot;
-    # a second one means the first pivot's ancestors did not cover F
-    closures = [i for i, sweep in enumerate(sweeps) if sweep == (oracle._FREE, oracle._OPEN)]
-    pivots = [sweeps[i + 1 :].index((oracle._FREE, oracle._DONE)) for i in closures]
+        # without the walk each closure F is all that its start reaches, so
+        # the narrowing gets large closed sets that hold transient states
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_walk", lambda graph, start: [start])
+            sweeps.clear()
+            unwalked = sorted(oracle._sinks(g), key=lambda s: int(s[0]))
+        assert [s.tolist() for s in unwalked] == [w.tolist() for w in want]
+        pivots += _pivots_per_closure(sweeps)
+    # a second pivot means the first pivot's ancestors did not cover F
     assert max(pivots) > 1
+
+
+@pytest.mark.parametrize("name, sink_size", [("ex1", 2), ("ex2", 1), ("ex3", 1427)])
+def test_walk_ends_in_a_sink_on_free_states(graphs, monkeypatch, name, sink_size):
+    g = graphs(name)
+    path = oracle._walk(g, 0)
+    assert all(j in g.successors(i) for i, j in zip(path, path[1:]))
+    closure = np.flatnonzero(oracle.frontier_search(g, path[-1:]))
+    assert closure.size == sink_size
+    assert any(np.array_equal(closure, s.indices) for s in minimal_invariant_sets(g))
+    # every walk the sink search takes steps only onto states it has labelled
+    # free: states not yet known to reach a sink
+    labels, walks = [], []
+    search, walk = oracle.search_layers, oracle._walk
+
+    def traced(moves, steps, bits, starts, label, free, to):
+        labels.append(label)
+        return search(moves, steps, bits, starts, label, free, to)
+
+    def checked(graph, start):
+        path = walk(graph, start)
+        walks.append(path)
+        assert (labels[-1][path] == oracle._FREE).all()
+        return path
+
+    monkeypatch.setattr(oracle, "search_layers", traced)
+    monkeypatch.setattr(oracle, "_walk", checked)
+    sinks = oracle._sinks(g)
+    assert walks and len(walks) == sum(s.size > 1 for s in sinks)
+
+
+def _pooled_distance(graph, eq):
+    """Pooled L1 distance of every refined state from eq, from the decoded view."""
+    space = graph.space
+    dist = np.zeros(graph.n_states, dtype=np.int32)
+    imit_total = np.zeros(graph.n_states, dtype=np.int32)
+    for cell, column in zip(space.cells, graph.coords):
+        if cell.role == IMITATOR:
+            imit_total += column
+        else:
+            target = (
+                eq.xa[cell.type_index - 1]
+                if cell.kind == ANTICOORDINATING
+                else eq.xc[cell.type_index - 1]
+            )
+            dist += np.abs(column.astype(np.int32) - target)
+    dist += np.abs(imit_total - eq.xI)
+    return dist
+
+
+def _is_stable_full_mask(graph, dist):
+    """Stability from every state at pooled distance 1, bounded by a mask of
+    the states at distance at most 1; `dist` is `_pooled_distance`."""
+    starts = np.flatnonzero(dist == 1)
+    return not starts.size or oracle.frontier_search(graph, starts, bound=dist <= 1) is not None
+
+
+def test_stability_matches_full_mask_reference(pops):
+    corpus = [pops[name] for name in sorted(pops)]
+    corpus += sample_populations(seed=314, count=60)
+    corpus.append(with_empty_best_responder_cell(corpus[-1]))
+    verdicts = set()
+    for pop in corpus:
+        g = build_transition_digraph(pop, max_states=20_000_000)
+        states = [rec.state for rec in enumerate_equilibria(pop)]
+        got = [is_stable_oracle(g, eq) for eq in states]
+        starts = [oracle._stability_starts(g, eq) for eq in states]
+        assert "coords" not in g.__dict__
+        for eq, verdict, start in zip(states, got, starts):
+            dist = _pooled_distance(g, eq)
+            assert verdict == _is_stable_full_mask(g, dist)
+            assert start.tolist() == np.flatnonzero(dist == 1).tolist()
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_scc_call_does_not_copy_the_graph(pops):
