@@ -6,13 +6,15 @@ a file that cannot be opened, or a population the command does not take),
 3 state-space guard exceeded, 4 verification failure, 5 internal error. The
 env var POPDYN_MAX_STATES overrides the default state guard; an explicit
 --max-states flag overrides both. The guard is resolved once, before the
-command runs, and must be a positive integer.
+command runs, and must be a positive integer. Output paths are checked then
+too: one that cannot be written is a configuration error before any work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from contextlib import contextmanager
@@ -44,6 +46,24 @@ def _input(errors=(PopdynError, ValueError, KeyError, TypeError)):
 def _load_population(path: str) -> PopulationSpec:
     with _input(), open(path) as fh:
         return validate_population(json.load(fh))
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path that cannot be written, before any work starts."""
+    for option in ("json", "csv", "adjacency", "dot"):
+        path = getattr(args, option, None)
+        if path is None or path == "-":
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            problem = f"directory {folder} does not exist"
+        elif os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            problem = "is not writable"
+        else:
+            continue
+        raise _InputError(f"--{option} {path}: {problem}")
 
 
 def _open_out(path: str | None):
@@ -251,6 +271,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         if "max_states" in args:
             with _input():
                 args.max_states = oracle.resolve_max_states(args.max_states)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from genpop import population
 from popdyn import cli
 from popdyn.fixtures import fixture_config
@@ -133,6 +134,40 @@ def test_simulate_csv_digests_pinned(tmp_path):
     )
 
 
+def test_simulate_csv_matches_benchmark_pins(tmp_path):
+    # the benchmark's 200,000-step ex2 runs, against the pins it gates on
+    spec = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "spec.json").read_text())
+    out = tmp_path / "t.csv"
+    for seed in (0, 3):
+        assert run_cli(
+            "simulate", "--config", str(FIXDIR / "ex2.json"),
+            "--steps", "200000", "--seed", str(seed), "--csv", str(out),
+        ) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == spec["digests"][f"ex2.simulate@seed={seed}"]["csv"], seed
+
+
+def test_simulate_command_builds_no_trajectory_records(tmp_path, monkeypatch):
+    from popdyn import dynamics
+
+    def refuse(*args):
+        raise AssertionError("per-step record built by the simulate command")
+
+    monkeypatch.setattr(dynamics, "TrajectoryRecord", refuse)
+    out = tmp_path / "t.csv"
+    assert run_cli(
+        "simulate", "--config", str(FIXDIR / "ex2.json"),
+        "--steps", "5000", "--seed", "3", "--csv", str(out),
+    ) == 0
+    assert len(out.read_text().splitlines()) == 5002
+    script = tmp_path / "seq.txt"
+    script.write_text("bestResponder,anticoordinating,1,D\n")
+    assert run_cli(
+        "simulate", "--config", str(FIXDIR / "ex7_1.json"),
+        "--steps", "1", "--script", str(script), "--csv", str(out),
+    ) == 0
+
+
 def test_big_intercept_config_simulates_and_verifies_oracle(tmp_path):
     # utilities with 22-digit denominators: both the simulation and the oracle
     # compare them exactly, through the rule table's ranks, so nothing overflows
@@ -249,6 +284,32 @@ def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
     assert code == 0
     verdicts = [e["oracle_stable"] for e in json.loads((tmp_path / "e.json").read_text())["equilibria"]]
     assert verdicts == [True, False, False]
+
+
+@pytest.mark.parametrize("command, config, flags, option, work", [
+    ("simulate", "ex2", ["--steps", "200000", "--seed", "0"], "--csv", "dynamics.simulate"),
+    ("equilibria", "ex7_2", [], "--json", "equilibria.enumerate_equilibria"),
+    ("oracle", "ex1", ["--max-states", "20000000"], "--adjacency", "oracle.build_transition_digraph"),
+    ("stochastic", "ex7_2", [], "--dot", "stochastic.build_chain"),
+])
+def test_unwritable_output_path_fails_before_any_work(
+    tmp_path, monkeypatch, capsys, command, config, flags, option, work,
+):
+    import importlib
+
+    module, name = work.split(".")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(importlib.import_module(f"popdyn.{module}"), name, refuse)
+    missing = tmp_path / "missing" / "out.txt"
+    for path in (missing, tmp_path):  # a missing directory; a directory as the file
+        code = run_cli(command, "--config", str(FIXDIR / f"{config}.json"), *flags, option, str(path))
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and option in err, err
+    assert not missing.parent.exists()
 
 
 def test_oracle_adjacency_export(tmp_path):

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,6 @@ from popdyn.cells import CellSpace, best_response_next
 from popdyn.dynamics import (
     AgentRef,
     Scripted,
-    Trajectory,
     TrajectoryRecord,
     UniformRandom,
     Weighted,
@@ -175,7 +176,7 @@ def test_scripted_cycles(pops):
     pop = pops["ex7_1"]
     script = Scripted((AgentRef("bestResponder", "anticoordinating", 1, "D"),))
     # first activation flips her to C; the next cycle finds no defector left
-    with pytest.raises(NoSuchAgent):
+    with pytest.raises(NoSuchAgent, match="has no D-player at step 1"):
         simulate(pop, State(0, (0,), (0,)), script, 2)
 
 
@@ -184,6 +185,14 @@ def test_weighted_policy_requires_positive_weights(pops):
     policy = Weighted({("bestResponder", "coordinating", 1): 0}, seed=1)
     with pytest.raises(ValueError):
         simulate(pop, State(0, (0,), (0,)), policy, 1)
+
+
+def test_weighted_policy_rejects_unknown_cell(pops):
+    # ex2 has no best-responder cell of coordinating type 99
+    pop = pops["ex2"]
+    policy = Weighted({("bestResponder", "coordinating", 99): 5}, seed=1)
+    with pytest.raises(ValueError, match="'coordinating', 99"):
+        simulate(pop, State(0, (0, 0), (0, 0, 0)), policy, 10)
 
 
 def test_weighted_policy_runs_deterministically(pops):
@@ -211,9 +220,22 @@ def test_trajectory_csv_format(pops):
 
 
 def _reference_sampler(space, policy):
-    """One `rng.integers` draw and one scan over the cells per step."""
+    """One `rng.integers` draw and one scan over the cells per step; a script
+    is replayed ref by ref, checking that the ref's cell has such a player."""
     if isinstance(policy, Scripted):
-        return policy.make_sampler(space)
+        turns = itertools.count()
+
+        def replay(coords):
+            i = next(turns)
+            ref = policy.agents[i % len(policy.agents)]
+            pos = space.position.get(ref.cell_key)
+            if pos is None:
+                raise NoSuchAgent(ref.cell_key)
+            if (coords[pos] if ref.strategy == "C" else space.caps[pos] - coords[pos]) == 0:
+                raise NoSuchAgent(f"{ref} at step {i}")
+            return pos, ref.strategy, ref
+
+        return replay
     weights = policy.weights if isinstance(policy, Weighted) else {}
     per_cell = [Fraction(weights.get(cell.key, 1)) for cell in space.cells]
     denom = math.lcm(*(w.denominator for w in per_cell))
@@ -234,6 +256,13 @@ def _reference_sampler(space, policy):
     return sample
 
 
+@dataclass(frozen=True)
+class _ReferenceRun:
+    pop: object
+    records: tuple
+    refined: tuple
+
+
 def _reference_simulate(pop, initial, policy, steps):
     space = CellSpace(pop)
     coords = space.refine(initial)
@@ -245,13 +274,16 @@ def _reference_simulate(pop, initial, policy, steps):
         coords = reference_step(space, coords, pos, strategy)
         records.append(TrajectoryRecord(t, space.pooled(coords), sum(coords), ref))
         refined.append(coords)
-    return Trajectory(pop, tuple(records), tuple(refined))
+    return _ReferenceRun(pop, tuple(records), tuple(refined))
 
 
-def _reference_csv(traj):
+def _reference_csv(run):
+    header = ["t", "active_role", "active_kind", "active_type", "xI"]
+    header += [f"xa_{i}" for i in range(1, run.pop.b + 1)]
+    header += [f"xc_{i}" for i in range(run.pop.bp, 0, -1)] + ["nC"]
     out = io.StringIO()
-    out.write(",".join(traj.csv_header()) + "\n")
-    for rec in traj.records:
+    out.write(",".join(header) + "\n")
+    for rec in run.records:
         if rec.agent is None:
             active = ["", "", ""]
         else:
