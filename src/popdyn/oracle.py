@@ -11,16 +11,18 @@ a fraction of a second.
 
 Every edge moves one cell by one agent, so the build stores the edges as a
 per-state move bitmask (`moves`, two bits per cell). Closure of a state set is
-a check of each member's moves, a row of the adjacency export is its state's
-moves in a fixed order, and reachability, forwards or backwards, is a numpy
-frontier search over the bitmask. The sink components come from such searches
-too (`minimal_invariant_sets`), so no graph library is needed. Each search
-for a sink starts where a short walk along the moves ends (`_walk`), which on
-the bundled fixtures is inside the sink, so the search reads about as many
-states as the sink holds. The stability search likewise starts at the
+a check of each member's moves, and reachability, forwards or backwards, is a
+numpy frontier search over the bitmask. The sink components come from such
+searches too (`minimal_invariant_sets`), so no graph library is needed. Each
+search for a sink starts where a short walk along the moves ends (`_walk`),
+which on the bundled fixtures is inside the sink, so the search reads about as
+many states as the sink holds. The stability search likewise starts at the
 neighbours of the equilibrium and decodes only the states it visits. The
 cross-checks read decoded views (`coords`, `n_c`) built once on first use,
-never by the build, the sink search or the stability search.
+never by the build, the sink search or the stability search. A row of the
+adjacency export is its state's moves in a fixed order, so in a block of rows
+each successor slot reads one contiguous range of indices; the export formats
+each index once and fills the slots by slice copies.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -520,52 +522,113 @@ def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
     return ReachableSet(graph, graph.reachable_mask(graph.indices_of(from_state)))
 
 
-_EXPORT_ROWS = 1 << 15
+# rows per block of the export. On ex1 (2 vCPUs) 2^12 to 2^13 rows are the
+# fastest, and a block of 2^15 rows was 20% slower and held 13 MB
+_EXPORT_ROWS = 1 << 13
+
+
+@cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of 0..9999, zero-padded, one uint32 word each; built
+    on first use."""
+    table = np.empty((10_000, 4), dtype=np.uint8)
+    rest = np.arange(10_000, dtype=np.uint16)
+    for col in range(3, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        table[:, col] = digit + ord("0")
+    words = table.view(np.uint32)[:, 0]
+    words.flags.writeable = False
+    return words
+
+
+def _digit_runs(lo: int, hi: int):
+    """(start, stop, digits) for each run of indices in range(lo, hi) that
+    have the same number of digits."""
+    for d in range(len(str(lo)), len(str(hi - 1)) + 1):
+        yield max(lo, 10 ** (d - 1) if d > 1 else 0), min(hi, 10**d), d
+
+
+def _index_tokens(lo: int, out: np.ndarray) -> None:
+    """Fill row r of `out` (uint8, one row per index) with the token `" " +
+    str(lo + r)`, right-aligned and NUL-padded on the left.
+
+    A row's width must be a multiple of 4 and longer than the largest index's
+    digits. The digits come four at a time from `_digit_groups`; the zeros
+    before the leading digit are then blanked per run of equal digit counts.
+    """
+    hi = lo + len(out)
+    size = out.shape[1]
+    groups = out.view(np.uint32)[:, ::-1]  # the last four digits first
+    rest = np.arange(lo, hi, dtype=np.promote_types(np.min_scalar_type(hi - 1), np.uint16))
+    for col in range(-(-len(str(hi - 1)) // 4)):
+        rest, group = np.divmod(rest, 10_000)
+        groups[:, col] = _digit_groups()[group]
+    for a, b, d in _digit_runs(lo, hi):
+        out[a - lo : b - lo, : size - d] = 0
+        out[a - lo : b - lo, size - d - 1] = ord(" ")
 
 
 def export_adjacency(graph: TransitionDigraph, stream) -> None:
     """Write `index: succ1 succ2 ...` lines (self-loop listed when present).
 
     A state's successors are itself and its moves, so a row lists them in the
-    order of `_move_steps` with the state inserted in the middle. Rows are
-    formatted as ASCII digits with numpy, `_EXPORT_ROWS` at a time.
+    order of `_move_steps` with the state in the middle, and in a block of
+    rows [lo, hi) successor slot j holds the indices [lo + offset_j, hi +
+    offset_j). Each index is formatted once, as the token `" " + digits`
+    right-aligned in whole uint64 words and NUL-padded on the left, into a
+    window over [lo - reach, hi + reach) that slides with the blocks (reach
+    is the largest stride). A block of `_EXPORT_ROWS` rows is one word array:
+    a label (`digits + ":"`), one slice copy of the window per slot, and a
+    newline token. The tokens that the moves and self-loops keep are selected
+    whole, and the padding is dropped in one pass.
     """
-    steps, bits = graph.steps, graph.bits
+    n, steps, bits = graph.n_states, graph.steps, graph.bits
     mid = len(steps) // 2
-    # slot 0 holds the row label, then come the successors in ascending order
-    offsets = np.concatenate([[0], steps[:mid], [0], steps[mid:]])
-    largest = max(graph.n_states - 1, 0)
-    index_dtype = np.min_scalar_type(largest)  # unsigned divisions are faster
-    width = len(str(largest))
-    for lo in range(0, graph.n_states, _EXPORT_ROWS):
-        hi = min(lo + _EXPORT_ROWS, graph.n_states)
-        moved = (graph.moves[lo:hi, None] & bits) != 0
-        keep = np.empty((hi - lo, len(offsets)), dtype=bool)
-        keep[:, 0] = True
-        keep[:, 1 : mid + 1] = moved[:, :mid]
-        keep[:, mid + 1] = graph.self_loop[lo:hi]
-        keep[:, mid + 2 :] = moved[:, mid:]
-        values = (np.arange(lo, hi)[:, None] + offsets)[keep].astype(index_dtype)
-        ends = np.cumsum(keep.sum(axis=1))
-        is_label = np.zeros(len(values), dtype=bool)
-        is_label[np.concatenate([[0], ends[:-1]])] = True
-        is_last = np.zeros(len(values), dtype=bool)
-        is_last[ends - 1] = True
+    # the successor slots: the moves in ascending order, the state itself in the middle
+    offsets = np.insert(steps, mid, 0).tolist()
+    slot_bits = np.insert(bits, mid, 0)
+    reach = max((abs(s) for s in offsets), default=0)
+    words = -(-(len(str(n - 1)) + 1) // 8)
+    size = 8 * words
+    block = min(_EXPORT_ROWS, n)
+    # twice the span a block reads, so the window moves back to the front of
+    # the buffer at most once every span / block blocks
+    span = block + 2 * reach
+    window = np.zeros((min(2 * span, n + 2 * reach), words), dtype=np.uint64)
+    chars = window.view(np.uint8)
+    first, done = -reach, 0  # the index at window[0], and the first index not yet formatted
 
-        # one token per kept slot: its digits, then ": " after a label, " "
-        # or "\n" after a successor, ": \n" after the label of an empty row
-        chars = np.empty((len(values), width + 3), dtype=np.uint8)
-        show = np.empty(chars.shape, dtype=bool)
-        rest = values
-        for col in range(width - 1, -1, -1):
-            rest, digit = np.divmod(rest, 10)
-            chars[:, col] = digit + ord("0")
-            show[:, col] = values >= 10 ** (width - 1 - col)
-        show[:, width - 1] = True
-        chars[:, width] = np.where(is_label, ord(":"), np.where(is_last, ord("\n"), ord(" ")))
-        chars[:, width + 1] = ord(" ")
-        chars[:, width + 2] = ord("\n")
-        show[:, width] = True
-        show[:, width + 1] = is_label
-        show[:, width + 2] = is_label & is_last
-        stream.write(chars[show].tobytes().decode("ascii"))
+    newline = np.zeros((2, size), dtype=np.uint8)
+    newline[:, -1] = ord("\n")
+    newline[1, -2] = ord(" ")  # a row without successors reads "i: "
+    newline = newline.view(np.uint64)
+    # a row's tokens: its label, its successors in ascending order, a newline
+    table = np.empty((block, len(offsets) + 2, words), dtype=np.uint64)
+    keep = np.ones((block, len(offsets) + 2), dtype=bool)  # label and newline always
+    for lo in range(0, n, _EXPORT_ROWS):
+        hi = min(lo + _EXPORT_ROWS, n)
+        rows = hi - lo
+        if hi + reach - first > len(window):
+            start = lo - reach
+            window[: done - start] = window[start - first : done - first]
+            first = start
+        stop = min(hi + reach, n)
+        if stop > done:
+            _index_tokens(done, chars[done - first : stop - first])
+            done = stop
+
+        for slot, offset in enumerate(offsets, 1):
+            table[:rows, slot] = window[lo + offset - first : hi + offset - first]
+        # the row's own token one byte to the left, ":" after it, its space blanked
+        label = table[:rows, 0].view(np.uint8)
+        label[:, :-1] = chars[lo - first : hi - first, 1:]
+        label[:, -1] = ord(":")
+        for a, b, d in _digit_runs(lo, hi):
+            label[a - lo : b - lo, : size - 1 - d] = 0
+        here, loops = graph.moves[lo:hi], graph.self_loop[lo:hi]
+        np.not_equal(here[:, None] & slot_bits, 0, out=keep[:rows, 1:-1])
+        keep[:rows, mid + 1] = loops
+        table[:rows, -1] = newline[0]
+        table[np.flatnonzero((here == 0) & ~loops), -1] = newline[1]
+        kept = np.compress(keep[:rows].ravel(), table[:rows].reshape(-1, words), axis=0)
+        stream.write(kept.tobytes().translate(None, b"\0").decode("ascii"))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from genpop import population
-from popdyn import cli
+from popdyn import cli, oracle
 from popdyn.fixtures import fixture_config
 
 FIXDIR = Path(__file__).resolve().parents[1] / "src" / "popdyn" / "fixtures"
@@ -145,6 +145,22 @@ def test_simulate_csv_matches_benchmark_pins(tmp_path):
         ) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == spec["digests"][f"ex2.simulate@seed={seed}"]["csv"], seed
+
+
+def test_adjacency_export_matches_benchmark_pin(graphs):
+    # the benchmark's ex1 adjacency export, built in process, against its pin
+    spec = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "spec.json").read_text())
+
+    class Digest:
+        def __init__(self):
+            self.sha = hashlib.sha256()
+
+        def write(self, text):
+            self.sha.update(text.encode("ascii"))
+
+    out = Digest()
+    oracle.export_adjacency(graphs("ex1"), out)
+    assert out.sha.hexdigest() == spec["digests"]["ex1.oracle-adjacency"]["adjacency"]
 
 
 def test_simulate_command_builds_no_trajectory_records(tmp_path, monkeypatch):

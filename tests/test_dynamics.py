@@ -114,6 +114,30 @@ def test_step_no_such_agent(pops):
         step(pop, all_defect, AgentRef("bestResponder", "anticoordinating", 1, "C"))
 
 
+def test_step_reuses_one_space_per_population(pops, monkeypatch):
+    from popdyn import dynamics
+
+    built = []
+
+    class CountingSpace(CellSpace):
+        def __init__(self, pop):
+            built.append(pop)
+            super().__init__(pop)
+
+    monkeypatch.setattr(dynamics, "CellSpace", CountingSpace)
+    dynamics._space.cache_clear()
+    pop = pops["ex1"]
+    all_defect = State(0, (0, 0), (0, 0, 0))
+    ref = AgentRef("bestResponder", "anticoordinating", 1, "D")
+    try:
+        for _ in range(5):
+            assert step(pop, all_defect, ref) == pop.state(0, 1, 0, 0, 0, 0)
+        assert step(pop, pop.state(0, 1, 0, 0, 0, 0), ref) == pop.state(0, 2, 0, 0, 0, 0)
+        assert len(built) == 1
+    finally:
+        dynamics._space.cache_clear()
+
+
 def test_simulate_zero_steps(pops):
     pop = pops["ex2"]
     traj = simulate(pop, State(0, (0, 0), (0, 0, 0)), UniformRandom(seed=1), 0)

@@ -490,6 +490,31 @@ def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
     assert any(line.endswith(": ") for line in fast.split("\n"))
 
 
+def test_index_tokens_match_str_across_powers_of_ten():
+    # ranges that straddle each power of ten, and the uint16 and uint32 limits
+    edges = [10**k for k in range(11)] + [2**16, 2**32]
+    for edge in edges:
+        lo, hi = max(edge - 37, 0), edge + 37
+        size = 8 * -(-(len(str(hi - 1)) + 1) // 8)
+        for width in (size, size + 8):
+            out = np.full((hi - lo, width), 0xFF, dtype=np.uint8)
+            oracle._index_tokens(lo, out)
+            expected = "".join(f" {i}".rjust(width, "\0") for i in range(lo, hi))
+            assert out.tobytes() == expected.encode("ascii"), (edge, width)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 11])
+def test_adjacency_export_window_slides_across_blocks(monkeypatch, graphs, rows):
+    # ex7_1's largest stride (24) exceeds the block, and the window a block
+    # needs, twice over, is shorter than the state space: the window moves
+    monkeypatch.setattr(oracle, "_EXPORT_ROWS", rows)
+    g = graphs("ex7_1")
+    reach = int(np.abs(g.steps).max())
+    assert rows < reach and 2 * (rows + 2 * reach) < g.n_states + 2 * reach
+    fast, slow = _adjacency_texts(g)
+    assert fast == slow
+
+
 def test_self_loop_iff_someone_keeps(graphs):
     for g in (graphs("ex7_1"), build_transition_digraph(_tied_population())):
         space = g.space
