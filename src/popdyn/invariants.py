@@ -11,6 +11,14 @@ defectors, and wandering agents:
 Invariance of X and S is decidable in closed form; every minimal invariant
 set found by the oracle must satisfy the necessary conditions checked by
 `verify_necessary_conditions`.
+
+The oracle's side of the X and S verdicts visits their members only. X fixes
+some best-responder cells and leaves the rest free, so its members are a
+constant offset plus a mixed-radix sub-grid of the free cells, walked in
+blocks (`member_blocks`); S is the same walk cut to its cooperator window.
+A move changes one cell by one agent, so `is_closed_on_members` reads three
+bit masks of the moves at each block: the fixed cells' moves, and for S the
+moves down at the window's lowest count and up at its highest.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -267,37 +276,82 @@ def membership_I(pop: PopulationSpec, idx: BenchmarkIndex, state: State) -> bool
 # -- oracle-facing sweeps -----------------------------------------------------
 
 
-def x_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex) -> np.ndarray:
-    """Vectorized X membership over all refined states of the oracle digraph."""
-    idx.check(graph.pop)
-    mask = np.ones(graph.n_states, dtype=bool)
-    for k, count in _fixed_cells(graph.space, idx).items():
-        mask &= graph.coords[k] == count
-    return mask
+_MEMBER_BLOCK = 1 << 16  # the most states in one block of `member_blocks`
 
 
-def s_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex,
-                      x_mask: np.ndarray | None = None) -> np.ndarray:
-    """X membership (`x_mask` when already computed) within the open temper window."""
-    if x_mask is None:
-        x_mask = x_membership_mask(graph, idx)
-    lo = math.floor(tau_max(graph.pop, idx)) + 1
-    hi = math.ceil(tau_min(graph.pop, idx)) - 1
-    return x_mask & (graph.n_c >= lo) & (graph.n_c <= hi)
+def member_blocks(space: CellSpace, idx: BenchmarkIndex,
+                  window: tuple[int, int] | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The members of X, or with `window` = (lo, hi) of S, as blocks of
+    (indices, cooperator counts), each block sorted by count.
 
-
-def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:
-    """True iff no one-step transition leaves the masked set.
-
-    Each edge moves one cell by one agent, so a member whose cell k can move
-    down (up) must have its neighbour at -stride_k (+stride_k) in the set.
+    X fixes some best-responder cells (`_fixed_cells`) and leaves the others
+    free, so its members are a constant offset plus a mixed-radix sub-grid over
+    the free cells' strides. The free cells of smallest stride span an inner
+    grid of at most `_MEMBER_BLOCK` states, built once and sorted by count;
+    each combination of the other free cells shifts it by its offset and
+    count. S keeps, of each shift, the one run of the inner grid whose count
+    falls in [lo, hi]. No array as long as the state space is built.
     """
-    rows = np.flatnonzero(mask)
-    moves = graph.moves[rows]
-    for step, bit in zip(graph.steps, graph.bits):
-        if not mask[rows[(moves & bit) != 0] + step].all():
+    idx.check(space.pop)
+    fixed = _fixed_cells(space, idx)
+    free = [k for k in reversed(range(len(space.cells))) if k not in fixed and space.caps[k]]
+    inner_index = inner_count = np.zeros(1, dtype=np.int64)
+    while free and inner_index.size * (space.caps[free[0]] + 1) <= _MEMBER_BLOCK:
+        k = free.pop(0)
+        digits = np.arange(space.caps[k] + 1)
+        inner_index = (inner_index[:, None] + digits * space.strides[k]).ravel()
+        inner_count = (inner_count[:, None] + digits).ravel()
+    # a stable sort of a narrow integer type is a radix sort
+    order = np.argsort(inner_count.astype(np.min_scalar_type(space.pop.n)), kind="stable")
+    inner_index, inner_count = inner_index[order], inner_count[order]
+    lo, hi = window or (0, space.pop.n)
+    offset = sum(count * space.strides[k] for k, count in fixed.items())
+    fixed_count = sum(fixed.values())
+    # the outer cells, the one of smallest stride varying fastest
+    for digits in product(*(range(space.caps[k] + 1) for k in reversed(free))):
+        start = offset + sum(v * space.strides[k] for v, k in zip(digits, reversed(free)))
+        count = fixed_count + sum(digits)
+        a, b = np.searchsorted(inner_count, (lo - count, hi - count + 1))
+        if a < b:
+            yield start + inner_index[a:b], count + inner_count[a:b]
+
+
+def _leaving_bits(space: CellSpace, idx: BenchmarkIndex) -> tuple[int, int, int]:
+    """The move bits of the fixed cells, and of every cell's moves down and up."""
+    fixed = sum(3 << 2 * k for k in _fixed_cells(space, idx))
+    down = sum(1 << 2 * k for k in range(len(space.cells)))
+    return fixed, down, down << 1
+
+
+def is_closed_on_members(graph: TransitionDigraph, idx: BenchmarkIndex,
+                         window: tuple[int, int] | None = None) -> bool:
+    """True iff no one-step transition of the oracle leaves X, or with
+    `window` = `s_cooperator_range` S, read from the move bits at its members.
+
+    A move changes one cell by one agent. So a member leaves X exactly when a
+    fixed cell has a move bit set, and leaves S by such a move or by any move
+    down at count lo or up at count hi. Returns at the first block that leaves.
+    """
+    fixed, down, up = _leaving_bits(graph.space, idx)
+    for members, counts in member_blocks(graph.space, idx, window):
+        moves = graph.moves[members]
+        if np.bitwise_or.reduce(moves) & fixed:
             return False
+        if window is not None:
+            at_lo = np.searchsorted(counts, window[0], side="right")
+            at_hi = np.searchsorted(counts, window[1])
+            if (np.bitwise_or.reduce(moves[:at_lo]) & down
+                    or np.bitwise_or.reduce(moves[at_hi:]) & up):
+                return False
     return True
+
+
+def in_x(space: CellSpace, idx: BenchmarkIndex, indices: np.ndarray) -> np.ndarray:
+    """Whether each state of `indices` lies in X, from its fixed cells' digits."""
+    inside = np.ones(len(indices), dtype=bool)
+    for k, count in _fixed_cells(space, idx).items():
+        inside &= indices // space.strides[k] % (space.caps[k] + 1) == count
+    return inside
 
 
 def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult,

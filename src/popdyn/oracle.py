@@ -17,12 +17,13 @@ searches too (`minimal_invariant_sets`), so no graph library is needed. Each
 search for a sink starts where a short walk along the moves ends (`_walk`),
 which on the bundled fixtures is inside the sink, so the search reads about as
 many states as the sink holds. The stability search likewise starts at the
-neighbours of the equilibrium and decodes only the states it visits. The
-cross-checks read decoded views (`coords`, `n_c`) built once on first use,
-never by the build, the sink search or the stability search. A row of the
-adjacency export is its state's moves in a fixed order, so in a block of rows
-each successor slot reads one contiguous range of indices; the export formats
-each index once and fills the slots by slice copies.
+neighbours of the equilibrium and decodes only the states it visits. Only the
+stochastic layer and the tests read the decoded views (`coords`, `n_c`),
+built once on first use: the X and S checks read the moves at their members
+(`invariants.is_closed_on_members`). A row of the adjacency export is its
+state's moves in a fixed order, so in a block of rows each successor slot
+reads one contiguous range of indices; the export formats each index once
+and fills the slots by slice copies.
 """
 
 from __future__ import annotations

@@ -86,21 +86,24 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
     necessary-condition checklist on every oracle minimal invariant set.
     `guard` bounds the S enumeration, as in `invariants.invariance_report`.
 
+    Closure of X and S reads the move bits at their members only
+    (`invariants.is_closed_on_members`), and whether a sink lies in X reads
+    its members' fixed digits, so no decoded view or whole-space mask is
+    built.
+
     Returns (problems, skipped)."""
     problems: list[str] = []
     skipped: list[str] = []
 
     sinks = minimal_invariant_sets(graph)
     for idx in inv.all_benchmark_indices(pop):
-        x_mask = inv.x_membership_mask(graph, idx)
         analytic = inv.is_invariant_X(pop, idx)
-        if x_mask.any():
-            oracle = inv.is_closed_under_step(graph, x_mask)
-            if analytic != oracle:
-                problems.append(
-                    f"X invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
-                )
-        if analytic and not any(x_mask[res.indices].all() for res in sinks):
+        oracle = inv.is_closed_on_members(graph, idx)
+        if analytic != oracle:
+            problems.append(
+                f"X invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
+            )
+        if analytic and not any(inv.in_x(graph.space, idx, res.indices).all() for res in sinks):
             problems.append(f"invariant X at {idx} holds no minimal invariant set")
 
         lo, hi = inv.s_cooperator_range(pop, idx)
@@ -111,13 +114,11 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
         except StateSpaceTooLarge as exc:
             skipped.append(f"S check at {idx} skipped: {exc}")
             continue
-        s_mask = inv.s_membership_mask(graph, idx, x_mask)
-        if s_mask.any():
-            oracle = inv.is_closed_under_step(graph, s_mask)
-            if analytic != oracle:
-                problems.append(
-                    f"S invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
-                )
+        oracle = inv.is_closed_on_members(graph, idx, (lo, hi))
+        if analytic != oracle:
+            problems.append(
+                f"S invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
+            )
 
     for inv_set in sinks:
         if inv_set.is_singleton:

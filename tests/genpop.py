@@ -1,9 +1,12 @@
-"""Seeded random small populations for the cross-check suites, and the
-update rules straight from a population's `Fraction`s as their reference."""
+"""Seeded random small populations for the cross-check suites, the update
+rules straight from a population's `Fraction`s as their reference, and
+whole-space membership masks with a generic closure test as the reference for
+the X and S checks."""
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +15,9 @@ import numpy as np
 from popdyn.cells import BEST_RESPONDER, best_response_next
 from popdyn.errors import DuplicateTemper, IntegerTemper
 from popdyn.fixtures import fixture_config
+from popdyn.invariants import BenchmarkIndex, _fixed_cells, tau_max, tau_min
 from popdyn.model import PopulationSpec, UtilityLine, validate_population
+from popdyn.oracle import TransitionDigraph
 
 
 def population(config, factor: int = 1) -> PopulationSpec:
@@ -121,3 +126,36 @@ def reference_step(space, coords, k, current):
     out = list(coords)
     out[k] += 1 if new == "C" else -1
     return tuple(out)
+
+
+def x_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex) -> np.ndarray:
+    """X membership over all refined states of the oracle digraph."""
+    idx.check(graph.pop)
+    mask = np.ones(graph.n_states, dtype=bool)
+    for k, count in _fixed_cells(graph.space, idx).items():
+        mask &= graph.coords[k] == count
+    return mask
+
+
+def s_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex,
+                      x_mask: np.ndarray | None = None) -> np.ndarray:
+    """X membership (`x_mask` when already computed) within the open temper window."""
+    if x_mask is None:
+        x_mask = x_membership_mask(graph, idx)
+    lo = math.floor(tau_max(graph.pop, idx)) + 1
+    hi = math.ceil(tau_min(graph.pop, idx)) - 1
+    return x_mask & (graph.n_c >= lo) & (graph.n_c <= hi)
+
+
+def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:
+    """True iff no one-step transition leaves the masked set.
+
+    Each edge moves one cell by one agent, so a member whose cell k can move
+    down (up) must have its neighbour at -stride_k (+stride_k) in the set.
+    """
+    rows = np.flatnonzero(mask)
+    moves = graph.moves[rows]
+    for step, bit in zip(graph.steps, graph.bits):
+        if not mask[rows[(moves & bit) != 0] + step].all():
+            return False
+    return True

@@ -300,6 +300,10 @@ def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
     assert code == 0
     verdicts = [e["oracle_stable"] for e in json.loads((tmp_path / "e.json").read_text())["equilibria"]]
     assert verdicts == [True, False, False]
+    # the X and S checks read the moves at their members only
+    code = run_cli("invariants", "--config", str(FIXDIR / "ex7_2.json"), "--verify",
+                   "--json", str(tmp_path / "i.json"))
+    assert code == 0
 
 
 @pytest.mark.parametrize("command, config, flags, option, work", [

@@ -1,29 +1,34 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from genpop import (is_closed_under_step, s_membership_mask, sample_populations,
+                    with_empty_best_responder_cell, x_membership_mask)
+from popdyn import invariants
 from popdyn.errors import EmptySet
 from popdyn.invariants import (
     BenchmarkIndex,
     all_benchmark_indices,
     benchmark_types_from_bounds,
     invariance_report,
-    is_closed_under_step,
+    is_closed_on_members,
     is_invariant_S,
     is_invariant_X,
     membership_I,
     membership_S,
     membership_X,
+    member_blocks,
     s_cooperator_range,
-    s_membership_mask,
     s_nonemptiness_conditions,
     tau_max,
     tau_min,
     verify_necessary_conditions,
-    x_membership_mask,
 )
 from popdyn.model import State
-from popdyn.oracle import minimal_invariant_sets
+from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 
 
 def test_benchmarks_at_zero_bounds(pops):
@@ -147,6 +152,87 @@ def test_s_invariance_matches_closure_on_fixtures(pops, graphs):
             assert is_invariant_S(pop, idx) == (
                 is_closed_under_step(g, mask) and bool(mask.any())
             )
+
+
+def _walks_the_mask(graph, idx, mask, window=None) -> bool:
+    """Whether `member_blocks` yields each state of `mask` once, with its
+    cooperator count, each block sorted by count."""
+    seen = np.zeros(graph.n_states, dtype=bool)
+    total = 0
+    for members, counts in member_blocks(graph.space, idx, window):
+        if not ((counts == graph.n_c[members]).all() and (np.diff(counts) >= 0).all()):
+            return False
+        seen[members] = True
+        total += members.size
+    return total == mask.sum() and np.array_equal(seen, mask)
+
+
+def _member_closure_check(pop, graph, cases: Counter) -> list:
+    """The benchmark indices where the member walk's X or S verdict, or its
+    members, differ from the whole-space masks and `is_closed_under_step`;
+    `cases` counts the kinds of index met."""
+    wrong = []
+    for idx in all_benchmark_indices(pop):
+        x_mask = x_membership_mask(graph, idx)
+        closed = is_closed_under_step(graph, x_mask)
+        cases[f"X closed {closed}"] += 1
+        # every fixed cell takes a count in its range and the free cells are
+        # unconstrained, so X always has members
+        if not (x_mask.any() and _walks_the_mask(graph, idx, x_mask)
+                and is_closed_on_members(graph, idx) == closed):
+            wrong.append(("X", idx))
+        s_mask = s_membership_mask(graph, idx, x_mask)
+        lo, hi = s_cooperator_range(pop, idx)
+        if lo > hi:
+            cases["S empty"] += 1
+            if s_mask.any():
+                wrong.append(("S empty", idx))
+            continue
+        if (lo > math.floor(tau_max(pop, idx)) + 1 or hi < math.ceil(tau_min(pop, idx)) - 1):
+            cases["S window clamped by X's extremes"] += 1
+        closed = is_closed_under_step(graph, s_mask)
+        cases[f"S closed {closed}"] += 1
+        if not (s_mask.any() and _walks_the_mask(graph, idx, s_mask, (lo, hi))
+                and is_closed_on_members(graph, idx, (lo, hi)) == closed):
+            wrong.append(("S", idx))
+    return wrong
+
+
+def _closure_corpus(pops, graphs, with_ex1=True):
+    corpus = [(pops[name], graphs(name)) for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4")]
+    if with_ex1:
+        corpus.append((pops["ex1"], graphs("ex1")))
+    randomized = list(sample_populations(seed=19, count=40))
+    randomized.append(with_empty_best_responder_cell(randomized[0]))
+    corpus += [(pop, build_transition_digraph(pop, max_states=200_000)) for pop in randomized]
+    assert 0 in corpus[-1][1].space.caps
+    return corpus
+
+
+def test_member_closure_matches_masks_randomized(pops, graphs):
+    cases = Counter()
+    for pop, graph in _closure_corpus(pops, graphs):
+        assert _member_closure_check(pop, graph, cases) == []
+    for case in ("X closed True", "X closed False", "S closed True", "S closed False",
+                 "S empty", "S window clamped by X's extremes"):
+        assert cases[case], case
+
+
+@pytest.mark.parametrize("skip", ["edge levels", "fixed cells"])
+def test_member_closure_check_catches_mutants(pops, graphs, monkeypatch, skip):
+    real = invariants._leaving_bits
+
+    def mutant(space, idx):
+        fixed, down, up = real(space, idx)
+        return (fixed, 0, 0) if skip == "edge levels" else (0, down, up)
+
+    monkeypatch.setattr(invariants, "_leaving_bits", mutant)
+    cases = Counter()
+    wrong = [w for pop, graph in _closure_corpus(pops, graphs, with_ex1=False)
+             for w in _member_closure_check(pop, graph, cases)]
+    # inside S's window every fixed best responder already plays its fixed
+    # strategy, so only X's verdicts show the fixed-cell test missing
+    assert {kind for kind, _ in wrong} == ({"S"} if skip == "edge levels" else {"X"})
 
 
 def test_s_invariance_covers_ex7_2_omega(pops, graphs):

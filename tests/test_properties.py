@@ -4,16 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from genpop import sample_populations, with_empty_best_responder_cell
+from genpop import (is_closed_under_step, s_membership_mask, sample_populations,
+                    with_empty_best_responder_cell, x_membership_mask)
 from popdyn import stochastic as st
 from popdyn.dynamics import UniformRandom, Weighted, simulate
 from popdyn.equilibria import enumerate_equilibria
-from popdyn.invariants import (
-    all_benchmark_indices,
-    is_closed_under_step,
-    s_membership_mask,
-    x_membership_mask,
-)
+from popdyn.invariants import all_benchmark_indices
 from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,

@@ -6,6 +6,7 @@ test_cli. The three large fixtures dominate the suite's runtime.
 """
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -59,6 +60,27 @@ def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
     monkeypatch.setattr(invariants, "is_invariant_X", lambda p, idx: not real(p, idx))
     problems, _ = verify_invariants(pop, graph)
     assert any(p.startswith("X invariance disagrees") for p in problems)
+
+
+def test_verify_invariants_builds_no_decoded_view(pops, graphs, monkeypatch):
+    pop, graph = pops["ex1"], graphs("ex1")
+    minimal_invariant_sets(graph)  # cached; the sink search is not measured here
+
+    def refuse(self):
+        raise AssertionError("verify_invariants built a decoded view")
+
+    # a data descriptor on the class wins over a view cached by another test
+    for name in ("coords", "n_c"):
+        monkeypatch.setattr(oracle.TransitionDigraph, name, property(refuse))
+    tracemalloc.start()
+    try:
+        assert verify_invariants(pop, graph) == ([], [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays of one block of members (about 2 MB here), whatever the
+    # state count; one int64 row array over ex1's 1,552,320 states takes 12 MB
+    assert peak < 4 << 20
 
 
 def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypatch):
