@@ -150,7 +150,8 @@ def cmd_invariants(args) -> int:
     problems: list[str] = []
     if args.verify:
         graph = _oracle_graph(pop, args)
-        problems, skipped = verify.verify_invariants(pop, graph, guard=args.max_states)
+        problems, skipped = verify.verify_invariants(pop, graph, guard=args.max_states,
+                                                     report=report)
         report["verification"] = {
             "passed": not problems,
             "problems": problems,

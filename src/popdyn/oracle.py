@@ -239,6 +239,15 @@ def _move_steps(space: CellSpace, dtype) -> tuple[np.ndarray, np.ndarray]:
     return np.array(steps, dtype=np.int64), np.array(bits, dtype=dtype)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of an array, sorted: `np.unique` of it, which in
+    numpy 2.4 imports `numpy.ma` (about 10-20 ms) on its first call."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _shifted(n: int, step: int) -> tuple[slice, slice]:
     """Slices (src, dst) of the states o and o + step that both lie in range(n)."""
     if step > 0:
@@ -255,7 +264,7 @@ def search_layers(moves: np.ndarray, steps: np.ndarray, bits: np.ndarray, starts
     large layer takes the steps one at a time, each into states not yet
     relabelled, so no state is found twice and nothing is sorted. A layer
     below `_SMALL_LAYER` states takes every step at once and drops repeats
-    with `np.unique`, in fewer numpy calls.
+    with `sorted_unique`, in fewer numpy calls.
     """
     frontier = starts
     label[frontier] = to
@@ -263,7 +272,7 @@ def search_layers(moves: np.ndarray, steps: np.ndarray, bits: np.ndarray, starts
         yield frontier
         here = moves[frontier]
         if frontier.size < _SMALL_LAYER:
-            reached = np.unique((frontier[:, None] + steps)[(here[:, None] & bits) != 0])
+            reached = sorted_unique((frontier[:, None] + steps)[(here[:, None] & bits) != 0])
             frontier = reached[label[reached] == free]
             label[frontier] = to
             continue
@@ -285,7 +294,7 @@ def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None =
     reached.
     """
     seen = np.zeros(graph.n_states, dtype=bool)
-    starts = np.unique(np.asarray(starts, dtype=np.int64))
+    starts = sorted_unique(np.asarray(starts, dtype=np.int64))
     for layer in search_layers(*graph.oriented(reverse), starts, seen, False, True):
         if bound is not None and not bound[layer].all():
             return None
@@ -501,7 +510,7 @@ def _stability_starts(graph: TransitionDigraph, eq: State) -> np.ndarray:
     for cap, stride in zip(space.caps, space.strides):
         digit = splits // stride % (cap + 1)
         starts += [splits[digit > 0] - stride, splits[digit < cap] + stride]
-    return np.unique(np.concatenate(starts))
+    return sorted_unique(np.concatenate(starts))
 
 
 def _distance_from(space: CellSpace, split: Sequence[int], indices: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
 from .model import PopulationSpec, parse_rational
 from .oracle import (TransitionDigraph, build_transition_digraph, minimal_invariant_sets,
-                     search_layers)
+                     search_layers, sorted_unique)
 
 EXACT_SOLVE_LIMIT = 500
 # the stationary solve holds one dense n x n matrix of 8-byte floats or pointers
@@ -215,12 +215,12 @@ def _mistake_costs(chain: PerturbedChain, sources, reverse: bool = False) -> np.
     walk = chain.graph.oriented(reverse)
     dist = np.full(chain.n_states, np.inf)
     settled = np.zeros(chain.n_states, dtype=bool)
-    layer = np.unique(np.asarray(sources, dtype=np.int64))
+    layer = sorted_unique(np.asarray(sources, dtype=np.int64))
     for d in itertools.count():
         new = np.concatenate(list(search_layers(*walk, layer, settled, False, True)))
         dist[new] = d
         tremble = (new[:, None] + chain.steps)[live[new]]
-        layer = np.unique(tremble[~settled[tremble]])
+        layer = sorted_unique(tremble[~settled[tremble]])
         if not layer.size:
             return dist
 
@@ -416,12 +416,13 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
     fill inside a narrow band. Each step touches only the nonzero rows and
     columns of the eliminated state, and GTH never subtracts. `kernel`
     supplies the algebra: its dense n x n matrix of 8-byte entries (checked
-    against DENSE_SOLVE_BYTES before anything is allocated), its no-edge and
-    unit values, the elimination of one pivot, and one back-substitution step.
+    against DENSE_SOLVE_BYTES before anything is allocated), its no-edge
+    value, the elimination of one pivot, the weight `root` of the state at
+    position 0, which is never eliminated, and one back-substitution step.
 
     Returns (pi, position, pivots): pi[position[i]] is chain state i's
-    weight relative to the state at position 0, which is never eliminated,
-    and pivots[k - 1] is the pivot of the state at position k.
+    weight, on the scale where the root weighs `root`, and pivots[k - 1] is
+    the pivot of the state at position k.
     """
     n = chain.n_states
     needed = 8 * n * n
@@ -440,7 +441,7 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
         if not cols.size:
             raise SingularSystem("state-reduction hit a zero pivot; chain not irreducible")
         kernel.pivot(p, k, np.flatnonzero(p[:k, k] != none), cols)
-    pi = np.full(n, kernel.one, dtype=p.dtype)
+    pi = np.full(n, kernel.root, dtype=p.dtype)
     for k in range(1, n):
         rows = np.flatnonzero(p[:k, k] != none)
         pi[k] = kernel.back(pi[rows], p[rows, k], p[k, k])
@@ -477,7 +478,7 @@ def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtyp
 class _FloatKernel:
     """Probabilities at tremble rate `epsilon` as float64."""
 
-    no_edge, one = 0, 1
+    no_edge, root = 0, 1
 
     def __init__(self, epsilon: Fraction):
         self.epsilon = epsilon
@@ -498,30 +499,57 @@ class _FloatKernel:
 
 
 class _ExactKernel(_FloatKernel):
-    """Exact probabilities at tremble rate `epsilon`: each working row holds
-    Python ints over one row denominator. Eliminating pivot k scales every
-    touched row's columns below k by the pivot's integer sum S, adds
-    a[r, k] * a[k, cols] and divides the row by its gcd; column k and the
-    pivot become Fractions once, and the float kernel's back-substitution
-    runs on them."""
+    """Exact probabilities at tremble rate `epsilon`: a fraction-free
+    (Bareiss) elimination of A = N(I - P) in Python ints, N the chain's
+    `denominator(epsilon)`, on B = N P, which is -A off the diagonal.
+
+    Eliminating k takes the GTH pivot S, the sum of B[k, :k], which is also
+    A's Bareiss pivot because A's rows sum to zero. Bareiss sets each row r
+    that k touches to (B[r, :k] S + B[r, k] B[k, :k]) // root, `root` the
+    previous pivot (1 before the first): by Sylvester's identity every entry
+    is then a minor of A, so the division is exact and no row gcd is needed.
+    A pivot only scales the rows it does not touch, by S / root, so that is
+    done lazily: `at[r]` is the pivot of row r's last update, and row r holds
+    its minors times at[r] / root. The pivot row is brought up to root
+    (B[k] root // at[k]) before it is read; a touched row is updated from its
+    own scale, dividing by at[r] instead of root, and its entry in column k,
+    which the back-substitution reads, is brought up to root. The diagonal is
+    never read: it starts N above -A's (the self-loop) and stays N at[r]
+    above what a minor would give there, so its divisions are exact as well.
+
+    The last pivot is A's tree sum for the root, the state at position 0;
+    the back-substitution then gives every state's tree sum, an integer, by
+    n divisions, and a remainder there means a fault in the elimination."""
 
     def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
         dst, num, _ = chain.transitions(self.epsilon)
-        self.den = np.full(chain.n_states, chain.denominator(self.epsilon), dtype=object)
+        self.root = 1
+        self.at = np.full(chain.n_states, 1, dtype=object)
         return _dense(position, dst, num, 0, object)
 
+    @staticmethod
+    def divide(block: np.ndarray, divisor) -> np.ndarray:
+        """block // divisor, which the elimination only asks when it is exact."""
+        return block // divisor
+
     def pivot(self, p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        prev, at = self.root, self.at[rows]
+        if self.at[k] != prev:
+            p[k, :k] = self.divide(p[k, :k] * prev, self.at[k])
         s = sum(p[k, cols].tolist())
-        col, den = p[rows, k], self.den[rows]
         block = p[rows, :k] * s
-        block[:, cols] += np.multiply.outer(col, p[k, cols])
-        scaled = den * s
-        g = np.array([math.gcd(d, *r) for d, r in zip(scaled.tolist(), block.tolist())],
-                     dtype=object)
-        p[rows, :k] = block // g[:, None]
-        self.den[rows] = scaled // g
-        p[rows, k] = [Fraction(a, d) for a, d in zip(col.tolist(), den.tolist())]
-        p[k, k] = Fraction(s, self.den[k])
+        block[:, cols] += np.multiply.outer(p[rows, k], p[k, cols])
+        p[rows, :k] = self.divide(block, at[:, None])
+        stale = rows[at != prev]
+        p[stale, k] = self.divide(p[stale, k] * prev, self.at[stale])
+        self.at[rows] = p[k, k] = self.root = s
+
+    @staticmethod
+    def back(pi, col, pivot):
+        weight, rest = divmod(sum((pi * col).tolist()), pivot)
+        if rest:
+            raise SingularSystem("inexact back-substitution in the exact state reduction")
+        return weight
 
 
 # no-edge marker of the order kernel; never enters its arithmetic
@@ -535,7 +563,7 @@ class _OrderKernel:
     and the order of a product or quotient the sum or difference of the
     orders."""
 
-    no_edge, one = _NO_EDGE, 0
+    no_edge, root = _NO_EDGE, 0
 
     @staticmethod
     def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
@@ -556,17 +584,20 @@ def stationary_distribution(chain: PerturbedChain, epsilon) -> list[Fraction]:
     """Unique stationary row vector of the perturbed chain at tremble rate
     epsilon, which must be positive.
 
-    One GTH state reduction (see `_gth`) over a dense n x n matrix: of Python
-    ints over per-row denominators up to EXACT_SOLVE_LIMIT states, so the
-    result is exact, and of float64 above it. An irreducible chain has
+    One GTH state reduction (see `_gth`) over a dense n x n matrix: a
+    fraction-free one in Python ints up to EXACT_SOLVE_LIMIT states, whose
+    weights are the states' rooted tree sums, so mu(x) is x's tree sum over
+    their total, exactly; of float64 above it. An irreducible chain has
     exactly one stationary distribution, so the exact result does not depend
     on the elimination order. Float results come back as Fraction(float(x)).
     """
     epsilon = tremble_rate(epsilon, solve=True)
-    exact = chain.n_states <= EXACT_SOLVE_LIMIT
-    pi, position, _ = _gth(chain, (_ExactKernel if exact else _FloatKernel)(epsilon))
-    mu = pi[position] / pi.sum()
-    return mu.tolist() if exact else [Fraction(float(x)) for x in mu]
+    if chain.n_states <= EXACT_SOLVE_LIMIT:
+        pi, position, _ = _gth(chain, _ExactKernel(epsilon))
+        total = sum(pi.tolist())
+        return [Fraction(w, total) for w in pi[position].tolist()]
+    pi, position, _ = _gth(chain, _FloatKernel(epsilon))
+    return [Fraction(float(x)) for x in pi[position] / pi.sum()]
 
 
 def stochastic_potential(chain: PerturbedChain) -> np.ndarray:

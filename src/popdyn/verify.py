@@ -80,11 +80,13 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
     return problems
 
 
-def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
-                      guard: int | None = None) -> tuple[list[str], list[str]]:
+def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, guard: int | None = None,
+                      report: dict | None = None) -> tuple[list[str], list[str]]:
     """Closed-form invariance verdicts vs exhaustive one-step closure, plus the
     necessary-condition checklist on every oracle minimal invariant set.
-    `guard` bounds the S enumeration, as in `invariants.invariance_report`.
+    `guard` bounds the S enumeration, as in `invariants.invariance_report`;
+    `report`, that report of `pop`, supplies the S verdicts it has already
+    decided, so none is decided twice.
 
     Closure of X and S reads the move bits at their members only
     (`invariants.is_closed_on_members`), and whether a sink lies in X reads
@@ -96,6 +98,8 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
     skipped: list[str] = []
 
     sinks = minimal_invariant_sets(graph)
+    decided = {tuple(entry["idx"]): entry["S_invariant"]
+               for entry in (report["benchmark_sets"] if report else ()) if "S_invariant" in entry}
     for idx in inv.all_benchmark_indices(pop):
         analytic = inv.is_invariant_X(pop, idx)
         oracle = inv.is_closed_on_members(graph, idx)
@@ -109,11 +113,13 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph,
         lo, hi = inv.s_cooperator_range(pop, idx)
         if lo > hi:
             continue
-        try:
-            analytic = inv.is_invariant_S(pop, idx, guard=guard)
-        except StateSpaceTooLarge as exc:
-            skipped.append(f"S check at {idx} skipped: {exc}")
-            continue
+        analytic = decided.get((idx.j1, idx.j2, idx.j2p, idx.j1p))
+        if analytic is None:
+            try:
+                analytic = inv.is_invariant_S(pop, idx, guard=guard)
+            except StateSpaceTooLarge as exc:
+                skipped.append(f"S check at {idx} skipped: {exc}")
+                continue
         oracle = inv.is_closed_on_members(graph, idx, (lo, hi))
         if analytic != oracle:
             problems.append(

@@ -436,6 +436,34 @@ def test_console_entry_point_subprocess(tmp_path):
     assert json.loads(out.read_text())["count"] == 6
 
 
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma in numpy 2.4; a fresh process shows whether
+    # any command still reaches it
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    ex1, ex7_1 = str(FIXDIR / "ex1.json"), str(FIXDIR / "ex7_1.json")
+    runs = [["oracle", "--config", ex1], ["equilibria", "--oracle", "--config", ex1],
+            ["invariants", "--verify", "--config", ex1],
+            ["stochastic", "--verify", "--epsilon", "1/10000", "--config", ex7_1]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from popdyn import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main([*argv, '--max-states', '20000000']))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m == 'numpy.ma' or m.startswith('numpy.ma.'))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
+
+
 def test_stochastic_verify_ex7_1(tmp_path):
     out = tmp_path / "st.json"
     code = run_cli(
@@ -509,22 +537,26 @@ def test_stochastic_verify_takes_a_repeated_epsilon_once(tmp_path):
 
 
 def test_invariants_verify_uses_the_report_guard(tmp_path, monkeypatch):
+    # the report decides each S verdict under the command's guard, and the
+    # verification reuses it instead of deciding it again
     from popdyn import invariants
 
-    guards = []
-    real = invariants.is_invariant_S
+    calls = []
+    real = invariants.s_invariance_details
 
     def recording(pop, idx, guard=None):
-        guards.append(guard)
+        calls.append((idx, guard))
         return real(pop, idx, guard)
 
-    monkeypatch.setattr(invariants, "is_invariant_S", recording)
+    monkeypatch.setattr(invariants, "s_invariance_details", recording)
     code = run_cli(
         "invariants", "--config", str(FIXDIR / "ex7_4.json"), "--verify",
         "--max-states", "5000", "--json", str(tmp_path / "inv.json"),
     )
     assert code == 0
-    assert guards and set(guards) == {5000}
+    assert calls and {guard for _, guard in calls} == {5000}
+    decided = [idx for idx, _ in calls]
+    assert len(decided) == len(set(decided))
 
 
 def test_stochastic_builds_each_chain_once(tmp_path, monkeypatch):

@@ -527,3 +527,15 @@ def test_self_loop_iff_someone_keeps(graphs):
                 if coords[k] < cap and reference_next(space, coords, k, "D") == "D":
                     keeps = True
             assert bool(g.self_loop[i]) == keeps
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(20)
+    cases = [np.zeros(0, dtype=np.int64), np.array([7]), np.array([3, 3, 3]),
+             rng.integers(-5, 5, size=(4, 6))]
+    cases += [rng.integers(0, high, size=size, dtype=dtype)
+              for high, size in ((3, 50), (1000, 200), (1 << 40, 500))
+              for dtype in (np.int64, np.intp, np.int32) if high < np.iinfo(dtype).max]
+    for values in cases:
+        expected, got = np.unique(values), oracle.sorted_unique(values)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)

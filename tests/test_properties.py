@@ -13,7 +13,7 @@ from popdyn.invariants import all_benchmark_indices
 from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
-                             _rows, _stationary_reference)
+                             _rows, _stationary_reference, divided_exactly)
 
 
 def test_validate_population_idempotent_randomized():
@@ -76,9 +76,9 @@ def test_closure_check_matches_edge_scan_randomized():
         assert [is_closed_under_step(g, m) for m in masks] == verdicts
 
 
-def _binary_pops(seed, count):
+def _binary_pops(seed, count, max_agents=11, samples=400):
     produced = 0
-    for pop in sample_populations(seed=seed, count=400, max_agents=11, max_types=2):
+    for pop in sample_populations(seed=seed, count=samples, max_agents=max_agents, max_types=2):
         try:
             st.check_binary(pop)
         except ValueError:
@@ -121,6 +121,16 @@ def test_gamma_routes_agree_randomized():
 def test_potential_matches_gamma_randomized():
     for pop in _binary_pops(seed=47, count=20):
         _assert_potential_matches_gamma(st.build_chain(pop))
+
+
+def test_exact_kernel_divides_exactly_randomized():
+    # up to 7 agents, so the Fraction reference stays quick: 16 to 54 states
+    chains = [st.build_chain(pop)
+              for pop in _binary_pops(seed=59, count=30, max_agents=7, samples=4000)]
+    assert len(chains) == 30
+    for chain in chains:
+        for eps in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 10000)):
+            assert divided_exactly(chain, eps) == _stationary_reference(chain, eps)
 
 
 def test_stationary_exact_on_random_chain():

@@ -105,7 +105,7 @@ def _support(chain, epsilon):
 def _stationary_reference(chain, epsilon):
     """Exact stationary distribution at tremble rate epsilon by a GTH reduction
     over a dense matrix of Fractions, eliminated in reverse Cuthill-McKee
-    order; the cross-check for the integer-row kernel and its level order."""
+    order; the cross-check for the fraction-free kernel and its level order."""
     n = chain.n_states
     order = reverse_cuthill_mckee(_support(chain, epsilon), symmetric_mode=False)
     position = np.argsort(order)
@@ -433,11 +433,150 @@ def test_stationary_guard_precedes_allocation(pops, monkeypatch):
         assert solved(solve(chain))
 
 
+class InexactDivision(AssertionError):
+    pass
+
+
+class CheckedKernel(stochastic._ExactKernel):
+    """The exact kernel with every division checked by `divmod`: each one in
+    the elimination and the back-substitution must leave no remainder."""
+
+    def __init__(self, epsilon):
+        super().__init__(epsilon)
+        self.divisions = self.back_steps = self.stale_pivots = 0
+
+    def pivot(self, p, k, rows, cols):
+        self.stale_pivots += self.at[k] != self.root
+        super().pivot(p, k, rows, cols)
+
+    def divide(self, block, divisor):
+        quotient, rest = np.frompyfunc(divmod, 2, 2)(block, divisor)
+        if np.count_nonzero(rest):
+            raise InexactDivision(f"remainder in {np.count_nonzero(rest)} of {rest.size}")
+        self.divisions += 1
+        return quotient
+
+    def back(self, pi, col, pivot):
+        weight, rest = divmod(sum((pi * col).tolist()), pivot)
+        if rest:
+            raise InexactDivision("remainder in the back-substitution")
+        self.back_steps += 1
+        return weight
+
+
+def checked_stationary(chain, epsilon, kernel=CheckedKernel):
+    """The exact stationary distribution through `kernel`, which counts its
+    divisions; returns (mu, kernel)."""
+    made = []
+
+    def making(eps):
+        made.append(kernel(eps))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stochastic, "_ExactKernel", making)
+        mu = stationary_distribution(chain, epsilon)
+    return mu, made[0]
+
+
+def divided_exactly(chain, epsilon):
+    """mu through CheckedKernel, which fails on any remainder, after checking
+    that it took every back-substitution step."""
+    mu, kernel = checked_stationary(chain, epsilon)
+    assert kernel.back_steps == chain.n_states - 1
+    assert kernel.divisions >= chain.n_states - 1
+    return mu
+
+
 @pytest.mark.parametrize("name", BINARY)
-def test_exact_kernel_matches_fraction_reference(pops, name):
-    chain = build_chain(pops[name])
-    for eps in (Fraction(1, 100), Fraction(1, 10000)):
-        assert stationary_distribution(chain, eps) == _stationary_reference(chain, eps)
+def test_exact_kernel_matches_fraction_reference(chains, name):
+    for eps in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 10000)):
+        expected = _stationary_reference(chains[name], eps)
+        assert stationary_distribution(chains[name], eps) == expected
+        assert divided_exactly(chains[name], eps) == expected
+
+
+def test_exact_kernel_divides_exactly_in_any_order(chains, monkeypatch):
+    # the level order never eliminates a row that the previous pivot left
+    # untouched; random orders do, so the pivot row's catch-up runs too
+    rng = np.random.default_rng(20)
+    for name in BINARY:
+        chain, eps = chains[name], Fraction(1, 100)
+        expected = stationary_distribution(chain, eps)
+        with monkeypatch.context() as m:
+            m.setattr(stochastic, "_elimination_order",
+                      lambda chain: rng.permutation(chain.n_states))
+            mu, kernel = checked_stationary(chain, eps)
+        assert kernel.stale_pivots > 0
+        assert mu == expected
+
+
+class NoCatchUp(CheckedKernel):
+    """Mutant: every row passes for current, so no row is caught up."""
+
+    def pivot(self, p, k, rows, cols):
+        self.at[:] = self.root
+        super().pivot(p, k, rows, cols)
+
+
+class DividesByPivot(CheckedKernel):
+    """Mutant: the touched rows are divided by the new pivot, not by their scale."""
+
+    def pivot(self, p, k, rows, cols):
+        prev, at = self.root, self.at[rows]
+        if self.at[k] != prev:
+            p[k, :k] = self.divide(p[k, :k] * prev, self.at[k])
+        s = sum(p[k, cols].tolist())
+        block = p[rows, :k] * s
+        block[:, cols] += np.multiply.outer(p[rows, k], p[k, cols])
+        p[rows, :k] = self.divide(block, s)
+        stale = rows[at != prev]
+        p[stale, k] = self.divide(p[stale, k] * prev, self.at[stale])
+        self.at[rows] = p[k, k] = self.root = s
+
+
+class Unchecked:
+    """A mutant's divisions as the kernel makes them, floored with no check,
+    so only the kernel's own back-substitution check can catch it."""
+
+    divide = staticmethod(stochastic._ExactKernel.divide)
+    back = staticmethod(stochastic._ExactKernel.back)
+
+
+@pytest.mark.parametrize("mutant", [NoCatchUp, DividesByPivot], ids=["no catch-up", "by pivot"])
+def test_exact_kernel_catches_mutants(chains, mutant):
+    unchecked = type("Unchecked" + mutant.__name__, (Unchecked, mutant), {})
+    for name in BINARY:
+        with pytest.raises(InexactDivision):
+            checked_stationary(chains[name], Fraction(1, 100), mutant)
+        # unchecked, the mutant fails the back-substitution's remainder check,
+        # divides by a pivot it floored to zero, or gives a wrong mu
+        try:
+            mu, _ = checked_stationary(chains[name], Fraction(1, 100), unchecked)
+        except (SingularSystem, ZeroDivisionError):
+            continue
+        assert mu != _stationary_reference(chains[name], Fraction(1, 100))
+
+
+def test_exact_solve_builds_no_fraction_before_mu(chains, monkeypatch):
+    eps = Fraction(1, 10000)
+    chain = chains["ex7_3"]
+    expected = stationary_distribution(chain, eps)
+    gth, weights = stochastic._gth, []
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("Fraction built inside the exact state reduction")
+
+    def guarded(chain, kernel):
+        with monkeypatch.context() as m:
+            m.setattr(stochastic, "Fraction", no_fraction)
+            pi, position, pivots = gth(chain, kernel)
+        weights.extend(pi.tolist())
+        return pi, position, pivots
+
+    monkeypatch.setattr(stochastic, "_gth", guarded)
+    assert stationary_distribution(chain, eps) == expected
+    assert weights and all(type(w) is int for w in weights)
 
 
 def test_float_solve_matches_exact(pops, monkeypatch):

@@ -62,6 +62,27 @@ def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
     assert any(p.startswith("X invariance disagrees") for p in problems)
 
 
+def test_verify_invariants_reuses_the_report_s_verdicts(pops, graphs, monkeypatch):
+    pop, graph = pops["ex7_4"], graphs("ex7_4")
+    report = invariants.invariance_report(pop)
+    decided = [e for e in report["benchmark_sets"] if "S_invariant" in e]
+    assert decided
+    expected = verify_invariants(pop, graph)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an S verdict was decided again")
+
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "s_invariance_details", refuse)
+        assert verify_invariants(pop, graph, report=report) == expected
+        # the report's verdict is the one checked against the oracle
+        decided[0]["S_invariant"] = not decided[0]["S_invariant"]
+        problems, _ = verify_invariants(pop, graph, report=report)
+    assert [p for p in problems if p.startswith("S invariance disagrees")] == [
+        f"S invariance disagrees at {invariants.BenchmarkIndex(*decided[0]['idx'])}: "
+        f"analytic {decided[0]['S_invariant']}, oracle {not decided[0]['S_invariant']}"]
+
+
 def test_verify_invariants_builds_no_decoded_view(pops, graphs, monkeypatch):
     pop, graph = pops["ex1"], graphs("ex1")
     minimal_invariant_sets(graph)  # cached; the sink search is not measured here
