@@ -441,3 +441,10 @@ def invariance_report(pop: PopulationSpec, guard: int | None = None) -> dict:
             }
         entries.append(entry)
     return {"benchmark_sets": entries}
+
+
+def s_verdicts(report: dict) -> dict[BenchmarkIndex, bool]:
+    """The S invariance verdicts of an `invariance_report`, by index; an
+    index whose S is empty has none."""
+    return {BenchmarkIndex(*entry["idx"]): entry["S_invariant"]
+            for entry in report["benchmark_sets"] if not entry["S_empty"]}

@@ -1,8 +1,7 @@
 """Analytic-vs-oracle cross-checks shared by the CLI --verify flag and the tests.
 
 Each verifier returns a list of problem strings; an empty list means every
-cross-check agreed. Checks that would exceed the state guard are reported as
-skips, not failures.
+cross-check agreed.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 from . import equilibria as eq
 from . import invariants as inv
 from . import stochastic as st
-from .errors import AssumptionViolated, StateSpaceTooLarge
+from .errors import AssumptionViolated
 from .model import PopulationSpec, State
 from .oracle import (
     TransitionDigraph,
@@ -80,26 +79,20 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
     return problems
 
 
-def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, guard: int | None = None,
-                      report: dict | None = None) -> tuple[list[str], list[str]]:
+def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, report: dict) -> list[str]:
     """Closed-form invariance verdicts vs exhaustive one-step closure, plus the
     necessary-condition checklist on every oracle minimal invariant set.
-    `guard` bounds the S enumeration, as in `invariants.invariance_report`;
-    `report`, that report of `pop`, supplies the S verdicts it has already
-    decided, so none is decided twice.
+    `report` is `invariants.invariance_report(pop)`; its S verdicts are the
+    ones checked, so none is decided twice.
 
     Closure of X and S reads the move bits at their members only
     (`invariants.is_closed_on_members`), and whether a sink lies in X reads
     its members' fixed digits, so no decoded view or whole-space mask is
-    built.
-
-    Returns (problems, skipped)."""
+    built."""
     problems: list[str] = []
-    skipped: list[str] = []
 
     sinks = minimal_invariant_sets(graph)
-    decided = {tuple(entry["idx"]): entry["S_invariant"]
-               for entry in (report["benchmark_sets"] if report else ()) if "S_invariant" in entry}
+    s_invariant = inv.s_verdicts(report)
     for idx in inv.all_benchmark_indices(pop):
         analytic = inv.is_invariant_X(pop, idx)
         oracle = inv.is_closed_on_members(graph, idx)
@@ -110,17 +103,10 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, guard: int 
         if analytic and not any(inv.in_x(graph.space, idx, res.indices).all() for res in sinks):
             problems.append(f"invariant X at {idx} holds no minimal invariant set")
 
-        lo, hi = inv.s_cooperator_range(pop, idx)
-        if lo > hi:
+        if idx not in s_invariant:
             continue
-        analytic = decided.get((idx.j1, idx.j2, idx.j2p, idx.j1p))
-        if analytic is None:
-            try:
-                analytic = inv.is_invariant_S(pop, idx, guard=guard)
-            except StateSpaceTooLarge as exc:
-                skipped.append(f"S check at {idx} skipped: {exc}")
-                continue
-        oracle = inv.is_closed_on_members(graph, idx, (lo, hi))
+        analytic = s_invariant[idx]
+        oracle = inv.is_closed_on_members(graph, idx, inv.s_cooperator_range(pop, idx))
         if analytic != oracle:
             problems.append(
                 f"S invariance disagrees at {idx}: analytic {analytic}, oracle {oracle}"
@@ -129,13 +115,13 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, guard: int 
     for inv_set in sinks:
         if inv_set.is_singleton:
             continue
-        report = inv.verify_necessary_conditions(pop, inv_set, graph)
-        if not report["all_pass"]:
+        conditions = inv.verify_necessary_conditions(pop, inv_set, graph)
+        if not conditions["all_pass"]:
             problems.append(
                 f"necessary conditions fail on the invariant set with bounds "
-                f"{inv_set.cooperator_bounds}: {report}"
+                f"{inv_set.cooperator_bounds}: {conditions}"
             )
-    return problems, skipped
+    return problems
 
 
 def verify_oracle(graph: TransitionDigraph) -> list[str]:

@@ -14,6 +14,7 @@ from genpop import sample_populations
 from popdyn import stochastic as st
 from popdyn.equilibria import classify_stability, enumerate_equilibria
 from popdyn.fixtures import fixture_config
+from popdyn.invariants import invariance_report
 from popdyn.oracle import (
     build_transition_digraph,
     is_equilibrium_oracle,
@@ -211,9 +212,7 @@ def test_criterion_8_randomized_property_suite():
     for k, pop in enumerate(sample_populations(seed=20260810, count=count)):
         graph = build_transition_digraph(pop, max_states=400_000)
         problems += verify_equilibria(pop, graph)
-        inv_problems, skipped = verify_invariants(pop, graph)
-        problems += inv_problems
-        problems += [f"skipped: {s}" for s in skipped]
+        problems += verify_invariants(pop, graph, invariance_report(pop))
     elapsed = time.perf_counter() - t0
     _criterion(8, [
         (f"all cross-checks agree on {count} random populations", problems == []),

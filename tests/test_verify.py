@@ -29,8 +29,7 @@ SMALL = ("ex7_1", "ex7_2", "ex7_3", "ex7_4")
 def test_small_fixture_full_battery(name, pops, graphs):
     pop, graph = pops[name], graphs(name)
     assert verify_equilibria(pop, graph) == []
-    problems, skipped = verify_invariants(pop, graph)
-    assert problems == [] and skipped == []
+    assert verify_invariants(pop, graph, invariants.invariance_report(pop)) == []
     assert verify_oracle(graph) == []
     assert verify_stochastic(st.build_chain(pop, graph)) == []
 
@@ -39,9 +38,7 @@ def test_small_fixture_full_battery(name, pops, graphs):
 def test_large_fixture_full_battery(name, pops, graphs):
     pop, graph = pops[name], graphs(name)
     assert verify_equilibria(pop, graph) == []
-    problems, skipped = verify_invariants(pop, graph)
-    assert problems == []
-    assert skipped == []
+    assert verify_invariants(pop, graph, invariants.invariance_report(pop)) == []
     assert verify_oracle(graph) == []
 
 
@@ -58,27 +55,28 @@ def test_verify_invariants_flags_wrong_x_verdict(pops, graphs, monkeypatch):
     pop, graph = pops["ex7_4"], graphs("ex7_4")
     real = invariants.is_invariant_X
     monkeypatch.setattr(invariants, "is_invariant_X", lambda p, idx: not real(p, idx))
-    problems, _ = verify_invariants(pop, graph)
+    problems = verify_invariants(pop, graph, invariants.invariance_report(pop))
     assert any(p.startswith("X invariance disagrees") for p in problems)
 
 
 def test_verify_invariants_reuses_the_report_s_verdicts(pops, graphs, monkeypatch):
     pop, graph = pops["ex7_4"], graphs("ex7_4")
     report = invariants.invariance_report(pop)
-    decided = [e for e in report["benchmark_sets"] if "S_invariant" in e]
+    decided = [e for e in report["benchmark_sets"] if not e["S_empty"]]
     assert decided
-    expected = verify_invariants(pop, graph)
+    assert invariants.s_verdicts(report) == {
+        invariants.BenchmarkIndex(*e["idx"]): e["S_invariant"] for e in decided}
 
     def refuse(*args, **kwargs):
         raise AssertionError("an S verdict was decided again")
 
     with monkeypatch.context() as m:
         m.setattr(invariants, "s_invariance_details", refuse)
-        assert verify_invariants(pop, graph, report=report) == expected
+        assert verify_invariants(pop, graph, report) == []
         # the report's verdict is the one checked against the oracle
         decided[0]["S_invariant"] = not decided[0]["S_invariant"]
-        problems, _ = verify_invariants(pop, graph, report=report)
-    assert [p for p in problems if p.startswith("S invariance disagrees")] == [
+        problems = verify_invariants(pop, graph, report)
+    assert problems == [
         f"S invariance disagrees at {invariants.BenchmarkIndex(*decided[0]['idx'])}: "
         f"analytic {decided[0]['S_invariant']}, oracle {not decided[0]['S_invariant']}"]
 
@@ -86,6 +84,7 @@ def test_verify_invariants_reuses_the_report_s_verdicts(pops, graphs, monkeypatc
 def test_verify_invariants_builds_no_decoded_view(pops, graphs, monkeypatch):
     pop, graph = pops["ex1"], graphs("ex1")
     minimal_invariant_sets(graph)  # cached; the sink search is not measured here
+    report = invariants.invariance_report(pop)
 
     def refuse(self):
         raise AssertionError("verify_invariants built a decoded view")
@@ -95,7 +94,7 @@ def test_verify_invariants_builds_no_decoded_view(pops, graphs, monkeypatch):
         monkeypatch.setattr(oracle.TransitionDigraph, name, property(refuse))
     tracemalloc.start()
     try:
-        assert verify_invariants(pop, graph) == ([], [])
+        assert verify_invariants(pop, graph, report) == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
