@@ -7,11 +7,12 @@ count per cell, imitator groups kept separate. Reports collapse back to the
 pooled form.
 
 A state drives the update rules only through its cooperator count n_c and
-which types have cooperators and defectors, so `CellSpace.rules` decides both
-rules once per (type, n_c) in exact `Fraction`s. `CellSpace.moves` is the one
-kernel that reads that table: it decides every agent's switch at a batch of
-states, and the oracle build, `dynamics.simulate` and `dynamics.step` take
-every decision from it. The oracle build runs it on one state per class of
+which types have cooperators and defectors, so `CellSpace.rules` ranks each
+type's two utilities once per (type, n_c), exactly, from the population's
+`Fraction`s. `CellSpace.moves` is the one kernel that reads that table: it
+decides every agent's switch at a batch of states by comparing two ranks,
+and the oracle build, `dynamics.simulate` and `dynamics.step` take every
+decision from it. The oracle build runs it on one state per class of
 states that share the cooperator count and each cell's empty/interior/full
 pattern, since the kernel reads nothing else.
 """
@@ -25,7 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ANTICOORDINATING, C, COORDINATING, D, PopulationSpec, State, parse_rational
+from .model import ANTICOORDINATING, PopulationSpec, State
 
 BEST_RESPONDER = "bestResponder"
 IMITATOR = "imitator"
@@ -45,35 +46,16 @@ class Cell:
         return (self.role, self.kind, self.type_index)
 
 
-def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> str:
-    """Threshold rule; the tie branch is unreachable for non-integer tempers."""
-    temper = parse_rational(temper)
-    if kind == COORDINATING:
-        if n_c > temper:
-            return C
-        if n_c < temper:
-            return D
-        return current
-    if kind == ANTICOORDINATING:
-        if n_c < temper:
-            return C
-        if n_c > temper:
-            return D
-        return current
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 class RuleTable(NamedTuple):
-    """Both update rules per (type, n_c), as (types, n + 1) arrays in `CellSpace.types` order.
+    """Exact utility ranks per (type, n_c), as (types, n + 1) arrays in `CellSpace.types` order.
 
-    A best responder of type t playing D switches iff `wants_c[t, n_c]`, one
-    playing C iff `wants_d[t, n_c]`. `rank_c` and `rank_d` are the dense ranks
-    of type t's cooperator and defector utility among the 2T utilities at n_c,
-    so comparing ranks compares the utilities exactly, ties included.
+    `rank_c` and `rank_d` are the dense ranks of type t's cooperator and
+    defector utility among the 2T utilities at n_c, so comparing ranks
+    compares the utilities exactly, ties included. Both update rules read
+    only these: a best responder compares its own type's two ranks, an
+    imitator the top present cooperator's and defector's.
     """
 
-    wants_c: np.ndarray
-    wants_d: np.ndarray
     rank_c: np.ndarray
     rank_d: np.ndarray
 
@@ -213,44 +195,29 @@ class CellSpace:
 
     @cached_property
     def rules(self) -> RuleTable:
-        """The exact rule table, built on first use from the population's `Fraction`s."""
+        """The exact utility-rank table, built on first use from the population's `Fraction`s."""
         n = self.pop.n
         types = [self.pop.get_type(kind, idx) for kind, idx in self.types]
-        shape = (len(types), n + 1)
-        wants_c = np.zeros(shape, dtype=bool)
-        wants_d = np.zeros(shape, dtype=bool)
-        rank_c = np.zeros(shape, dtype=np.min_scalar_type(-2 * len(types)))
+        rank_c = np.zeros((len(types), n + 1), dtype=np.min_scalar_type(-2 * len(types)))
         rank_d = np.zeros_like(rank_c)
         for n_c in range(n + 1):
-            for t, ((kind, _), typ) in enumerate(zip(self.types, types)):
-                wants_c[t, n_c] = best_response_next(kind, typ.temper, D, n_c) == C
-                wants_d[t, n_c] = best_response_next(kind, typ.temper, C, n_c) == D
             coop = [typ.cooperator_utility(n_c) for typ in types]
             defect = [typ.defector_utility(n_c) for typ in types]
             dense = {v: r for r, v in enumerate(sorted(set(coop + defect)))}
             rank_c[:, n_c] = [dense[v] for v in coop]
             rank_d[:, n_c] = [dense[v] for v in defect]
-        return RuleTable(wants_c, wants_d, rank_c, rank_d)
-
-    def presence(self, coords: Sequence[int]) -> tuple[list[bool], list[bool]]:
-        """Per type, in `types` order: does any member cooperate / defect at this state."""
-        coop, defect = [], []
-        for positions in self.cells_of_type.values():
-            coop.append(any(coords[k] > 0 for k in positions))
-            defect.append(any(coords[k] < self.caps[k] for k in positions))
-        return coop, defect
+        return RuleTable(rank_c, rank_d)
 
     def imitation_sups(self, coords: Sequence[int]) -> tuple[Fraction | float, Fraction | float]:
         """(sup of cooperating agents' utilities, sup of defecting agents')."""
         n_c = sum(coords)
-        coop, defect = self.presence(coords)
         sup_c: Fraction | float = float("-inf")
         sup_d: Fraction | float = float("-inf")
-        for (kind, idx), has_coop, has_def in zip(self.types, coop, defect):
+        for (kind, idx), positions in self.cells_of_type.items():
             t = self.pop.get_type(kind, idx)
-            if has_coop:
+            if any(coords[k] > 0 for k in positions):
                 sup_c = max(sup_c, t.cooperator_utility(n_c))
-            if has_def:
+            if any(coords[k] < self.caps[k] for k in positions):
                 sup_d = max(sup_d, t.defector_utility(n_c))
         return sup_c, sup_d
 
@@ -260,9 +227,11 @@ class CellSpace:
         Returns the move bitmask, in which bit 2k means a cooperator of cell k
         switches to D and bit 2k+1 a defector of cell k switches to C, and the
         flag of a state where some agent keeps its strategy (its self-loop).
-        Imitators copy the top earner: they compare the best present
-        cooperator's utility rank with the best present defector's (-1 for an
-        empty side), and a tie keeps their strategy.
+        Every switch is one comparison of exact utility ranks at n_c, and a
+        tie keeps the strategy. A best responder compares its own type's
+        cooperator and defector ranks. An imitator copies the top earner: it
+        compares the best present cooperator's rank with the best present
+        defector's (-1 for an empty side).
 
         The kernel reads `coords` only through n_c = sum(coords),
         `coords[k] > 0` and `coords[k] < caps[k]`, so states that agree on
@@ -284,17 +253,16 @@ class CellSpace:
                 has_d |= coords[k] < caps[k]
             np.maximum(top_c, rules.rank_c[t][n_c], out=top_c, where=has_c)
             np.maximum(top_d, rules.rank_d[t][n_c], out=top_d, where=has_d)
-        imit_wants_c = top_c > top_d
-        imit_wants_d = top_d > top_c
 
         moves = np.zeros(n_c.shape, dtype=self.move_dtype)
         keeps = np.zeros(n_c.shape, dtype=bool)
         for k, cell in enumerate(self.cells):
             if cell.role == BEST_RESPONDER:
                 t = self.type_row[k]
-                wants_c, wants_d = rules.wants_c[t][n_c], rules.wants_d[t][n_c]
+                own_c, own_d = rules.rank_c[t][n_c], rules.rank_d[t][n_c]
             else:
-                wants_c, wants_d = imit_wants_c, imit_wants_d
+                own_c, own_d = top_c, top_d
+            wants_c, wants_d = own_c > own_d, own_d > own_c
             has_coop = coords[k] > 0
             has_def = coords[k] < caps[k]
             keeps |= has_coop & ~wants_d

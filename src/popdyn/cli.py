@@ -128,6 +128,18 @@ def _oracle_graph(pop: PopulationSpec, args) -> oracle.TransitionDigraph:
     return oracle.build_transition_digraph(pop, max_states=args.max_states)
 
 
+def _verification(problems: list[str]) -> dict:
+    return {"passed": not problems, "problems": problems}
+
+
+def _sink_entry(res: oracle.InvariantSetResult) -> dict:
+    return {
+        "states": sorted(list(s.to_tuple()) for s in res.states),
+        "singleton": res.is_singleton,
+        "cooperator_bounds": list(res.cooperator_bounds),
+    }
+
+
 def cmd_equilibria(args) -> int:
     pop = _load_population(args.config)
     records = equilibria.enumerate_equilibria(pop)
@@ -139,7 +151,7 @@ def cmd_equilibria(args) -> int:
             entry["oracle_stable"] = oracle.is_stable_oracle(graph, rec.state)
         if args.verify:
             problems = verify.verify_equilibria(pop, graph)
-            report["verification"] = {"passed": not problems, "problems": problems}
+            report["verification"] = _verification(problems)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 
@@ -153,18 +165,9 @@ def cmd_invariants(args) -> int:
         problems = verify.verify_invariants(pop, graph, report=report)
         # the report above already raised on an S enumeration over the guard,
         # so no check is left to skip
-        report["verification"] = {
-            "passed": not problems,
-            "problems": problems,
-            "skipped": [],
-        }
+        report["verification"] = {**_verification(problems), "skipped": []}
         report["oracle_minimal_invariant_sets"] = [
-            {
-                "states": sorted(list(s.to_tuple()) for s in res.states),
-                "singleton": res.is_singleton,
-                "cooperator_bounds": list(res.cooperator_bounds),
-            }
-            for res in oracle.minimal_invariant_sets(graph)
+            _sink_entry(res) for res in oracle.minimal_invariant_sets(graph)
         ]
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
@@ -178,19 +181,13 @@ def cmd_oracle(args) -> int:
         "states": graph.n_states,
         "transitions": graph.n_edges,
         "minimal_invariant_sets": [
-            {
-                "size": int(len(res.indices)),
-                "states": sorted(list(s.to_tuple()) for s in res.states),
-                "singleton": res.is_singleton,
-                "cooperator_bounds": list(res.cooperator_bounds),
-            }
-            for res in sets_
+            {"size": int(len(res.indices)), **_sink_entry(res)} for res in sets_
         ],
     }
     problems: list[str] = []
     if args.verify:
         problems = verify.verify_oracle(graph)
-        report["verification"] = {"passed": not problems, "problems": problems}
+        report["verification"] = _verification(problems)
     if args.adjacency:
         with open(args.adjacency, "w") as fh:
             oracle.export_adjacency(graph, fh)
@@ -210,7 +207,7 @@ def cmd_stochastic(args) -> int:
     problems: list[str] = []
     if args.verify:
         problems = verify.verify_stochastic(chain, epsilons, stationary)
-        report["verification"] = {"passed": not problems, "problems": problems}
+        report["verification"] = _verification(problems)
     if args.dot:
         with open(args.dot, "w") as fh:
             stochastic.export_class_digraph_dot(chain, fh)

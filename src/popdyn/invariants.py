@@ -207,11 +207,12 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | 
         if brackets:
             # only a cooperating imitator can pull the count below the floor,
             # so the top-earner test quantifies over states that have one
-            earner = all(
-                _coop_among_top(space, coords)
+            tops = (
+                space.imitation_sups(coords)
                 for coords in s_states_at(ceil_max)
                 if any(coords[k] >= 1 for k in space.imitator_positions)
             )
+            earner = all(sup_c >= sup_d for sup_c, sup_d in tops)
             details["cooperator_top_at_min"] = earner
             low_ok = earner
         else:
@@ -225,11 +226,12 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | 
         brackets = pop.tau_a(idx.j1 + 1) < floor_min < pop.tau_c(idx.j1p + 1)
         details["high_temper_bracket"] = brackets
         if brackets:
-            earner = all(
-                _def_among_top(space, coords)
+            tops = (
+                space.imitation_sups(coords)
                 for coords in s_states_at(floor_min)
                 if any(coords[k] < space.caps[k] for k in space.imitator_positions)
             )
+            earner = all(sup_d >= sup_c for sup_c, sup_d in tops)
             details["defector_top_at_max"] = earner
             high_ok = earner
         else:
@@ -237,16 +239,6 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | 
 
     details["invariant"] = low_ok and high_ok
     return details
-
-
-def _coop_among_top(space: CellSpace, coords) -> bool:
-    sup_c, sup_d = space.imitation_sups(coords)
-    return sup_c >= sup_d
-
-
-def _def_among_top(space: CellSpace, coords) -> bool:
-    sup_c, sup_d = space.imitation_sups(coords)
-    return sup_d >= sup_c
 
 
 def membership_I(pop: PopulationSpec, idx: BenchmarkIndex, state: State) -> bool:

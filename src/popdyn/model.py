@@ -132,6 +132,10 @@ class AgentTypeSpec:
             raise ValueError("anticoordinating type needs uC - uD strictly decreasing in nC")
         if self.kind == COORDINATING and slope_gap <= 0:
             raise ValueError("coordinating type needs uC - uD strictly increasing in nC")
+        # the update rules read the lines and the closed forms the temper
+        crossing = (self.defector_utility.intercept - self.cooperator_utility.intercept) / slope_gap
+        if self.temper != crossing:
+            raise ValueError(f"temper {self.temper} != crossing of the utility lines {crossing}")
 
     @property
     def count(self) -> int:

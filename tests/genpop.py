@@ -1,7 +1,7 @@
 """Seeded random small populations for the cross-check suites, the update
-rules straight from a population's `Fraction`s as their reference, and
-whole-space membership masks with a generic closure test as the reference for
-the X and S checks."""
+rules straight from a population's tempers and `Fraction`s as their
+reference, and whole-space membership masks with a generic closure test as
+the reference for the X and S checks."""
 
 from __future__ import annotations
 
@@ -12,11 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from popdyn.cells import BEST_RESPONDER, best_response_next
+from popdyn.cells import BEST_RESPONDER
 from popdyn.errors import DuplicateTemper, IntegerTemper
 from popdyn.fixtures import fixture_config
 from popdyn.invariants import BenchmarkIndex, _fixed_cells, tau_max, tau_min
-from popdyn.model import PopulationSpec, UtilityLine, validate_population
+from popdyn.model import (
+    ANTICOORDINATING, COORDINATING, C, D, PopulationSpec, UtilityLine, parse_rational,
+    validate_population,
+)
 from popdyn.oracle import TransitionDigraph
 
 
@@ -98,18 +101,47 @@ def with_empty_best_responder_cell(pop):
     """The population plus one type with no agents.
 
     validate_population drops empty types, so the spec is built directly; the
-    empty cell is last and shares its stride with the cell before it.
+    empty cell is last and shares its stride with the cell before it. Its
+    temper is one past the last type's, outward of the sort order, and its
+    cooperator line is shifted so the two lines cross there.
     """
     last = pop.coordinating[-1] if pop.coordinating else pop.anticoordinating[-1]
-    empty = replace(last, temper=last.temper + 1 if last.kind == "coordinating"
-                    else last.temper - 1, best_responders=0, imitators=0)
+    shift = 1 if last.kind == "coordinating" else -1
+    coop, defect = last.cooperator_utility, last.defector_utility
+    # uC - uD = (sC - sD)(n - temper), so moving the temper moves uC's intercept
+    coop = UtilityLine(coop.slope, coop.intercept - (coop.slope - defect.slope) * shift)
+    empty = replace(last, cooperator_utility=coop, temper=last.temper + shift,
+                    best_responders=0, imitators=0)
     if pop.coordinating:
         return PopulationSpec(pop.anticoordinating, pop.coordinating + (empty,))
     return PopulationSpec(pop.anticoordinating + (empty,), pop.coordinating)
 
 
+def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> str:
+    """The best responders' threshold rule, read from the temper alone.
+
+    The kernel compares utility ranks instead; the tie branch is unreachable
+    for non-integer tempers.
+    """
+    temper = parse_rational(temper)
+    if kind == COORDINATING:
+        if n_c > temper:
+            return C
+        if n_c < temper:
+            return D
+        return current
+    if kind == ANTICOORDINATING:
+        if n_c < temper:
+            return C
+        if n_c > temper:
+            return D
+        return current
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def reference_next(space, coords, k, current):
-    """Next strategy of an active `current` player of cell k, from the `Fraction`s."""
+    """Next strategy of an active `current` player of cell k, from the temper
+    (best responders) or the `Fraction` utilities (imitators)."""
     cell = space.cells[k]
     if cell.role == BEST_RESPONDER:
         tau = space.pop.get_type(cell.kind, cell.type_index).temper

@@ -3,12 +3,19 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genpop import reference_step, sample_populations, with_empty_best_responder_cell
-from popdyn.cells import CellSpace, best_response_next
+from genpop import (
+    best_response_next,
+    reference_step,
+    sample_populations,
+    with_empty_best_responder_cell,
+)
+import popdyn
+from popdyn.cells import CellSpace, RuleTable
 from popdyn.dynamics import (
     AgentRef,
     Scripted,
@@ -46,6 +53,30 @@ def test_best_response_monotone_in_cooperators(pops):
             values = [best_response_next(kind, t.temper, current, k) for k in range(pop.n + 1)]
             flips = sum(1 for a, b in zip(values, values[1:]) if a != b)
             assert flips <= 1
+
+
+def test_best_responders_rank_comparison_is_the_threshold_rule(pops):
+    # the kernel switches a best responder on its own type's utility ranks,
+    # never its temper; validation makes the lines cross at the temper
+    generated = [*sample_populations(seed=41, count=30), *sample_populations(seed=43, count=30)]
+    checked = 0
+    for pop in [*pops.values(), *generated, *map(with_empty_best_responder_cell, generated)]:
+        space = CellSpace(pop)
+        rank_c, rank_d = space.rules
+        for t, (kind, idx) in enumerate(space.types):
+            temper = pop.get_type(kind, idx).temper
+            for n_c in range(pop.n + 1):
+                wants_c, wants_d = rank_c[t, n_c] > rank_d[t, n_c], rank_d[t, n_c] > rank_c[t, n_c]
+                assert ("C" if wants_c else "D") == best_response_next(kind, temper, "D", n_c)
+                assert ("D" if wants_d else "C") == best_response_next(kind, temper, "C", n_c)
+                checked += 1
+    assert checked > 4000
+
+
+def test_the_kernel_reads_no_threshold_rule():
+    for path in Path(popdyn.__file__).parent.glob("*.py"):
+        assert "best_response_next" not in path.read_text(), path.name
+    assert RuleTable._fields == ("rank_c", "rank_d")
 
 
 def _imitators(pop, strategy):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from genpop import sample_populations, with_empty_best_responder_cell
 from popdyn.errors import (
     DegeneratePayoff,
     DuplicateTemper,
@@ -181,6 +182,22 @@ def test_validate_population_payoff_line_agreement():
     }
     with pytest.raises(ValueError):
         validate_population(raw)
+
+
+def test_type_spec_temper_must_be_the_line_crossing():
+    # the update rules read the lines and the closed forms the temper
+    coop, defect = UtilityLine(1, 0), UtilityLine(0, Fraction(5, 2))
+    AgentTypeSpec("coordinating", coop, defect, Fraction(5, 2), best_responders=1)
+    with pytest.raises(ValueError, match="crossing"):
+        AgentTypeSpec("coordinating", coop, defect, Fraction(7, 2), best_responders=1)
+
+
+def test_fixtures_and_generated_populations_validate_unchanged(pops):
+    generated = [*sample_populations(seed=41, count=30), *sample_populations(seed=43, count=30)]
+    for pop in [*pops.values(), *generated]:
+        assert validate_population(pop) == pop
+        # built directly, so it raises unless its lines cross at its temper
+        with_empty_best_responder_cell(pop)
 
 
 def test_validate_population_payoff_only():
