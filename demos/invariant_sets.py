@@ -32,7 +32,7 @@ for res in minimal_invariant_sets(graph):
     xi = benchmark_types_from_bounds(pop, s_min, l_max)
     print(f"  benchmark types (j1, j2, j2', j1') = "
           f"({xi.j1}, {xi.j2}, {xi.j2p}, {xi.j1p})")
-    report = verify_necessary_conditions(pop, res, graph)
+    report = verify_necessary_conditions(pop, res)
     print(f"  contained in X: {report['contained_in_X']}, in I: {report['contained_in_I']}")
     print(f"  wandering conformists defect at the minimum: "
           f"{report['wandering_conformists_defect_at_min']}, "

@@ -14,7 +14,9 @@ decides every agent's switch at a batch of states by comparing two ranks,
 and the oracle build, `dynamics.simulate` and `dynamics.step` take every
 decision from it. The oracle build runs it on one state per class of
 states that share the cooperator count and each cell's empty/interior/full
-pattern, since the kernel reads nothing else.
+pattern, since the kernel reads nothing else. Its move bitmask is its whole
+result: a state keeps itself (a self-loop) exactly when some present (cell,
+strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`).
 """
 
 from __future__ import annotations
@@ -221,12 +223,13 @@ class CellSpace:
                 sup_d = max(sup_d, t.defector_utility(n_c))
         return sup_c, sup_d
 
-    def moves(self, coords: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def moves(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Both update rules at a batch of states, one integer array per cell.
 
-        Returns the move bitmask, in which bit 2k means a cooperator of cell k
-        switches to D and bit 2k+1 a defector of cell k switches to C, and the
-        flag of a state where some agent keeps its strategy (its self-loop).
+        Returns the move bitmask, in which bit 2k is set iff cell k has
+        cooperators and they switch to D, and bit 2k+1 iff it has defectors
+        and they switch to C. A present group whose bit is unset keeps its
+        strategy, so the bitmask also says which states have a self-loop.
         Every switch is one comparison of exact utility ranks at n_c, and a
         tie keeps the strategy. A best responder compares its own type's
         cooperator and defector ranks. An imitator copies the top earner: it
@@ -255,7 +258,6 @@ class CellSpace:
             np.maximum(top_d, rules.rank_d[t][n_c], out=top_d, where=has_d)
 
         moves = np.zeros(n_c.shape, dtype=self.move_dtype)
-        keeps = np.zeros(n_c.shape, dtype=bool)
         for k, cell in enumerate(self.cells):
             if cell.role == BEST_RESPONDER:
                 t = self.type_row[k]
@@ -263,10 +265,6 @@ class CellSpace:
             else:
                 own_c, own_d = top_c, top_d
             wants_c, wants_d = own_c > own_d, own_d > own_c
-            has_coop = coords[k] > 0
-            has_def = coords[k] < caps[k]
-            keeps |= has_coop & ~wants_d
-            keeps |= has_def & ~wants_c
-            np.bitwise_or(moves, 1 << 2 * k, out=moves, where=has_coop & wants_d)
-            np.bitwise_or(moves, 1 << 2 * k + 1, out=moves, where=has_def & wants_c)
-        return moves, keeps
+            np.bitwise_or(moves, 1 << 2 * k, out=moves, where=(coords[k] > 0) & wants_d)
+            np.bitwise_or(moves, 1 << 2 * k + 1, out=moves, where=(coords[k] < caps[k]) & wants_c)
+        return moves

@@ -66,20 +66,20 @@ def _check_outputs(args) -> None:
         raise _InputError(f"--{option} {path}: {problem}")
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The stream of an output option: stdout for None or "-", else the opened file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    stream, close = _open_out(path)
-    try:
+    with _output(path) as stream:
         json.dump(payload, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
 
 
 def _parse_initial(pop: PopulationSpec, text: str | None) -> State:
@@ -115,12 +115,8 @@ def cmd_simulate(args) -> int:
     # simulate checks --steps, and the script against the population as it runs
     with _input((NoSuchAgent, ValueError)):
         trajectory = dynamics.simulate(pop, initial, policy, args.steps)
-    stream, close = _open_out(args.csv)
-    try:
+    with _output(args.csv) as stream:
         trajectory.to_csv(stream)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -189,8 +185,8 @@ def cmd_oracle(args) -> int:
         problems = verify.verify_oracle(graph)
         report["verification"] = _verification(problems)
     if args.adjacency:
-        with open(args.adjacency, "w") as fh:
-            oracle.export_adjacency(graph, fh)
+        with _output(args.adjacency) as stream:
+            oracle.export_adjacency(graph, stream)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 
@@ -209,8 +205,8 @@ def cmd_stochastic(args) -> int:
         problems = verify.verify_stochastic(chain, epsilons, stationary)
         report["verification"] = _verification(problems)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            stochastic.export_class_digraph_dot(chain, fh)
+        with _output(args.dot) as stream:
+            stochastic.export_class_digraph_dot(chain, stream)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 
@@ -222,14 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, verify_flag: bool = True):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--config", required=True, help="population spec JSON")
         p.add_argument("--max-states", type=int, default=None,
                        help="state-space guard (default 10^6 or POPDYN_MAX_STATES)")
         p.add_argument("--json", default=None, help="report path (default stdout)")
-        if verify_flag:
-            p.add_argument("--verify", action="store_true",
-                           help="run analytic-vs-oracle cross-checks; exit 4 on disagreement")
+        p.add_argument("--verify", action="store_true",
+                       help="run analytic-vs-oracle cross-checks; exit 4 on disagreement")
 
     p = sub.add_parser("simulate", help="run one seeded trajectory, emit CSV")
     p.add_argument("--config", required=True)

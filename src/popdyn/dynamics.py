@@ -68,11 +68,6 @@ def _agent_id(space: CellSpace, agent: AgentRef) -> int:
     return 2 * pos + (agent.strategy == D)
 
 
-def _move_mask(space: CellSpace, coords: Coords) -> int:
-    """The state's move bitmask, from the update-rule kernel on one-element columns."""
-    return int(space.moves(np.array(coords, dtype=np.int64)[:, None])[0][0])
-
-
 # -- runs ---------------------------------------------------------------------
 
 _UNSEEN = -1  # a successor not yet taken
@@ -104,7 +99,7 @@ class _Walk:
         if s is None:
             s = self.ids[coords] = len(self.visited)
             self.visited.append(coords)
-            mask = _move_mask(self.space, coords)
+            mask = int(self.space.moves(np.array(coords, dtype=np.int64)[:, None])[0])
             row = []
             for pos, (v, cap) in enumerate(zip(coords, self.space.caps)):
                 for a, present in ((2 * pos, v > 0), (2 * pos + 1, v < cap)):

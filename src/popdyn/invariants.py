@@ -346,8 +346,7 @@ def in_x(space: CellSpace, idx: BenchmarkIndex, indices: np.ndarray) -> np.ndarr
     return inside
 
 
-def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult,
-                                graph: TransitionDigraph) -> dict:
+def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult) -> dict:
     """Check every necessary condition against an oracle minimal invariant set.
 
     Returns a report dict; `all_pass` False would falsify the implementation,
@@ -355,7 +354,6 @@ def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult
     """
     if inv_set.is_singleton:
         raise ValueError("necessary-condition checks apply to non-singleton sets")
-    space = graph.space
     s_min, l_max = inv_set.cooperator_bounds
     xi = benchmark_types_from_bounds(pop, s_min, l_max)
     report: dict = {
@@ -363,7 +361,7 @@ def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult
         "cooperator_bounds": [s_min, l_max],
     }
 
-    pooled = [space.pooled(space.coords_of(int(i))) for i in inv_set.indices]
+    pooled = sorted(inv_set.states, key=State.to_tuple)
 
     contained_x = all(membership_X(pop, xi, st) for st in pooled)
     report["contained_in_X"] = contained_x

@@ -10,9 +10,11 @@ block from the class results; desk-scale spaces (about 10^7 states) build in
 a fraction of a second.
 
 Every edge moves one cell by one agent, so the build stores the edges as a
-per-state move bitmask (`moves`, two bits per cell). Closure of a state set is
-a check of each member's moves, and reachability, forwards or backwards, is a
-numpy frontier search over the bitmask. The sink components come from such
+per-state move bitmask (`moves`, two bits per cell) and nothing else: a
+state has a self-loop exactly when a present (cell, strategy) group's bit is
+unset (`TransitionDigraph.self_loops`). Closure of a state set is a check of
+each member's moves, and reachability, forwards or backwards, is a numpy
+frontier search over the bitmask. The sink components come from such
 searches too (`minimal_invariant_sets`), so no graph library is needed. Each
 search for a sink starts where a short walk along the moves ends (`_walk`),
 which on the bundled fixtures is inside the sink, so the search reads about as
@@ -94,25 +96,20 @@ class ReachableSet:
     def pooled_states(self) -> frozenset[State]:
         return self.graph.pooled_states_of(self.indices)
 
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
 
 class TransitionDigraph:
     """Exhaustive successor relation, stored as a per-state move bitmask.
 
     Bit 2k of `moves[o]` is the edge o -> o - stride_k (cell k loses a
     cooperator), bit 2k+1 the edge o -> o + stride_k; `n_edges` counts the set
-    bits. Self-loops (some agent keeps her strategy) are tracked in a separate
-    boolean array; they do not affect SCC structure.
+    bits. It is the whole graph: the self-loops (some agent keeps its strategy)
+    are derived from it (`self_loops`); they do not affect SCC structure.
     """
 
-    def __init__(self, pop: PopulationSpec, space: CellSpace, moves: np.ndarray,
-                 self_loop: np.ndarray, n_edges: int):
+    def __init__(self, pop: PopulationSpec, space: CellSpace, moves: np.ndarray, n_edges: int):
         self.pop = pop
         self.space = space
         self.moves = moves
-        self.self_loop = self_loop
         self.n_edges = n_edges
         self.n_states = space.n_states
         self.steps, self.bits = _move_steps(space, moves.dtype)
@@ -123,9 +120,20 @@ class TransitionDigraph:
 
     def successors(self, index: int) -> list[int]:
         succ = (index + self.steps[(self.moves[index] & self.bits) != 0]).tolist()
-        if self.self_loop[index]:
+        if self.self_loops(index, index + 1)[0]:
             succ.append(int(index))
         return sorted(succ)
+
+    def self_loops(self, lo: int, hi: int) -> np.ndarray:
+        """Whether each state of range(lo, hi) has a self-loop: fewer of its move
+        bits are set than it has present (cell, strategy) groups, two in a cell at
+        an interior count and one in an empty or full cell with capacity."""
+        present = np.zeros(hi - lo, dtype=np.uint8)
+        for cap, stride in zip(self.space.caps, self.space.strides):
+            count = np.arange(cap + 1)
+            groups = np.add(count > 0, count < cap, dtype=np.uint8)
+            present += _digit_column(groups, stride, lo, hi)
+        return np.bitwise_count(self.moves[lo:hi]) < present
 
     def indices_of(self, state) -> list[int]:
         """The refined states of a pooled State, or the one state of refined coords."""
@@ -191,7 +199,7 @@ class TransitionDigraph:
         dtype = np.min_scalar_type(max(space.caps))
         table = np.empty((len(space.cells), self.n_states), dtype=dtype)
         for k, (cap, stride) in enumerate(zip(space.caps, space.strides)):
-            table[k] = _digit_column(np.arange(cap + 1, dtype=dtype), stride, self.n_states)
+            table[k] = _digit_column(np.arange(cap + 1, dtype=dtype), stride, 0, self.n_states)
         return table
 
     @cached_property
@@ -220,11 +228,17 @@ class TransitionDigraph:
         return self._labels
 
 
-def _digit_column(values: np.ndarray, stride: int, size: int) -> np.ndarray:
-    """`values[(i // stride) % len(values)]` for i in range(size): a cell's
-    digit, or a function of it, at the first `size` states, where `size` is a
-    multiple of `stride * len(values)`."""
-    return np.tile(np.repeat(values, stride), size // (values.size * stride))
+def _digit_column(values: np.ndarray, stride: int, lo: int, hi: int) -> np.ndarray:
+    """`values[(i // stride) % len(values)]` for i in range(lo, hi): a cell's
+    digit, or a function of it, on runs of `stride` states (the end runs cut)."""
+    first, stop = lo // stride, -(-hi // stride)
+    digits = np.tile(np.roll(values, -first), -(-(stop - first) // values.size))[: stop - first]
+    if lo % stride == 0 and hi % stride == 0:  # whole runs only
+        return np.repeat(digits, stride)
+    runs = np.full(digits.size, stride)
+    runs[0] -= lo - first * stride
+    runs[-1] -= stop * stride - hi
+    return np.repeat(digits, runs)
 
 
 def _move_steps(space: CellSpace, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +340,14 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
     cls, size, rep_digits = _inner_classes(space, split, dtype)
     block = cls.size
     moves = np.empty(n, dtype=space.move_dtype)
-    self_loop = np.empty(n, dtype=bool)
     n_edges = 0
     for lo in range(0, n, block):
         outer = [np.full(size.size, v, dtype=dtype) for v in space.coords_of(lo)[:split]]
-        rep_moves, rep_keeps = space.moves(outer + rep_digits)
+        rep_moves = space.moves(outer + rep_digits)
         # every class index is in range; "clip" lets `take` write into `out` unbuffered
         np.take(rep_moves, cls, out=moves[lo : lo + block], mode="clip")
-        np.take(rep_keeps, cls, out=self_loop[lo : lo + block], mode="clip")
         n_edges += int(np.bitwise_count(rep_moves) @ size)
-    return TransitionDigraph(pop, space, moves, self_loop, n_edges)
+    return TransitionDigraph(pop, space, moves, n_edges)
 
 
 def _inner_classes(space: CellSpace, split: int, dtype) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -346,11 +358,11 @@ def _inner_classes(space: CellSpace, split: int, dtype) -> tuple[np.ndarray, np.
     """
     inner = list(zip(space.caps[split:], space.strides[split:]))
     block = space.strides[split] * (space.caps[split] + 1)
-    digits = [_digit_column(np.arange(cap + 1, dtype=dtype), stride, block) for cap, stride in inner]
+    digits = [_digit_column(np.arange(cap + 1, dtype=dtype), stride, 0, block) for cap, stride in inner]
     key = sum(digits, np.zeros(block, dtype=np.int64))
     for cap, stride in inner:
         key *= min(cap, 2) + 1
-        key += _digit_column(_pattern(cap), stride, block)
+        key += _digit_column(_pattern(cap), stride, 0, block)
     occurs = np.zeros(_key_space(space.caps[split:]), dtype=bool)
     occurs[key] = True
     cls = np.searchsorted(np.flatnonzero(occurs), key)
@@ -579,7 +591,8 @@ def _index_tokens(lo: int, out: np.ndarray) -> None:
 
 
 def export_adjacency(graph: TransitionDigraph, stream) -> None:
-    """Write `index: succ1 succ2 ...` lines (self-loop listed when present).
+    """Write `index: succ1 succ2 ...` lines (self-loop listed when present, see
+    `TransitionDigraph.self_loops`).
 
     A state's successors are itself and its moves, so a row lists them in the
     order of `_move_steps` with the state in the middle, and in a block of
@@ -615,9 +628,12 @@ def export_adjacency(graph: TransitionDigraph, stream) -> None:
     # a row's tokens: its label, its successors in ascending order, a newline
     table = np.empty((block, len(offsets) + 2, words), dtype=np.uint64)
     keep = np.ones((block, len(offsets) + 2), dtype=bool)  # label and newline always
+    ahead = 8 * _EXPORT_ROWS  # rows per `self_loops` call, which costs mostly per cell, not per row
     for lo in range(0, n, _EXPORT_ROWS):
         hi = min(lo + _EXPORT_ROWS, n)
         rows = hi - lo
+        if lo % ahead == 0:
+            loops_ahead = graph.self_loops(lo, min(lo + ahead, n))
         if hi + reach - first > len(window):
             start = lo - reach
             window[: done - start] = window[start - first : done - first]
@@ -635,7 +651,7 @@ def export_adjacency(graph: TransitionDigraph, stream) -> None:
         label[:, -1] = ord(":")
         for a, b, d in _digit_runs(lo, hi):
             label[a - lo : b - lo, : size - 1 - d] = 0
-        here, loops = graph.moves[lo:hi], graph.self_loop[lo:hi]
+        here, loops = graph.moves[lo:hi], loops_ahead[lo % ahead : lo % ahead + rows]
         np.not_equal(here[:, None] & slot_bits, 0, out=keep[:rows, 1:-1])
         keep[:rows, mid + 1] = loops
         table[:rows, -1] = newline[0]

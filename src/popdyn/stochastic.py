@@ -128,10 +128,9 @@ class PerturbedChain:
         empty. `mistakes` is the one-step mistake cost: 0 where the
         probability is positive at epsilon = 0, 1 where only a tremble makes it.
         """
-        live = self.members > 0
         here = np.arange(self.n_states)
-        dst = np.column_stack([here, np.where(live, here[:, None] + self.steps, -1)])
-        mistakes = np.column_stack([~(live & ~self.switch).any(axis=1), ~self.switch])
+        dst = np.column_stack([here, np.where(self.members > 0, here[:, None] + self.steps, -1)])
+        mistakes = np.column_stack([~self.graph.self_loops(0, self.n_states), ~self.switch])
         return dst, mistakes.astype(np.int64)
 
     def denominator(self, epsilon) -> int:
@@ -157,10 +156,9 @@ class PerturbedChain:
         with positive probability, 1 if only a tremble does, math.inf if no
         transition leads there."""
         i, j = self.index_of(i), self.index_of(j)
-        live = self.members[i] > 0
         if i == j:
-            return int(not (live & ~self.switch[i]).any())
-        g = np.flatnonzero(live & (self.steps == j - i))
+            return int(not self.graph.self_loops(i, i + 1)[0])
+        g = np.flatnonzero((self.members[i] > 0) & (self.steps == j - i))
         return int(not self.switch[i, g[0]]) if g.size else math.inf
 
     def is_equilibrium(self, state) -> bool:

@@ -115,7 +115,7 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, report: dic
     for inv_set in sinks:
         if inv_set.is_singleton:
             continue
-        conditions = inv.verify_necessary_conditions(pop, inv_set, graph)
+        conditions = inv.verify_necessary_conditions(pop, inv_set)
         if not conditions["all_pass"]:
             problems.append(
                 f"necessary conditions fail on the invariant set with bounds "

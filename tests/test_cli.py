@@ -351,6 +351,24 @@ def test_oracle_adjacency_export(tmp_path):
     )
 
 
+def test_dash_writes_every_output_to_stdout(tmp_path, monkeypatch, capsys):
+    # "-" is stdout for --adjacency and --dot as for --json and --csv, and no
+    # file named "-" appears
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "o.json"
+    code = run_cli("oracle", "--config", str(FIXDIR / "ex7_2.json"), "--adjacency", "-",
+                   "--json", str(report))
+    assert code == 0 and json.loads(report.read_text())["states"] == 72
+    # the pinned export of `test_oracle_adjacency_export`
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "d1b0e87d2a945d9e6a2bc9931a3c04f1fcde1c61369bdab7076f19eb994842e3"
+    )
+    code = run_cli("stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--dot", "-",
+                   "--json", str(report))
+    assert code == 0 and capsys.readouterr().out.startswith("digraph")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.json"]
+
+
 def test_stochastic_dot_export(tmp_path):
     dot = tmp_path / "g.dot"
     code = run_cli(

@@ -272,7 +272,7 @@ def test_membership_i_on_oracle_sets(pops, graphs):
 def test_verify_necessary_conditions_ex2(pops, graphs):
     pop, g = pops["ex2"], graphs("ex2")
     fluct = next(s for s in minimal_invariant_sets(g) if not s.is_singleton)
-    report = verify_necessary_conditions(pop, fluct, g)
+    report = verify_necessary_conditions(pop, fluct)
     assert report["all_pass"]
     assert report["cooperator_bounds"] == [26, 27]
 
@@ -281,7 +281,7 @@ def test_verify_necessary_conditions_rejects_singleton(pops, graphs):
     pop, g = pops["ex2"], graphs("ex2")
     singleton = next(s for s in minimal_invariant_sets(g) if s.is_singleton)
     with pytest.raises(ValueError):
-        verify_necessary_conditions(pop, singleton, g)
+        verify_necessary_conditions(pop, singleton)
 
 
 def test_invariance_report_shape(pops):

@@ -12,7 +12,15 @@ from popdyn.cells import IMITATOR, CellSpace
 from popdyn.dynamics import AgentRef, step
 from popdyn.equilibria import enumerate_equilibria
 from popdyn.errors import NoSuchAgent, NotAnEquilibrium, StateSpaceTooLarge
-from popdyn.model import ANTICOORDINATING, State, UtilityLine, validate_population
+from popdyn.model import (
+    ANTICOORDINATING,
+    COORDINATING,
+    AgentTypeSpec,
+    PopulationSpec,
+    State,
+    UtilityLine,
+    validate_population,
+)
 from popdyn.oracle import (
     build_transition_digraph,
     export_adjacency,
@@ -28,7 +36,12 @@ def test_ex7_2_has_72_nodes(graphs):
     assert graphs("ex7_2").n_states == 72
 
 
-# SHA-256 of `moves.tobytes() + self_loop.tobytes()` per fixture
+def _moves_digest(g):
+    """SHA-256 of the move bitmask and the self-loop flags derived from it."""
+    return hashlib.sha256(g.moves.tobytes() + g.self_loops(0, g.n_states).tobytes()).hexdigest()
+
+
+# `_moves_digest` per fixture
 MOVES_DIGESTS = {
     "ex1": "6a71cc8226c3019130c8aad70a4b19eb1e47052e0faaa8e7cb217a16cc477bbe",
     "ex2": "f38971969d1860d93d23ddeb1e92e899311d2a4c44318572d4142781fe856a63",
@@ -42,9 +55,7 @@ MOVES_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(MOVES_DIGESTS))
 def test_moves_and_self_loops_pinned(graphs, name):
-    g = graphs(name)
-    digest = hashlib.sha256(g.moves.tobytes() + g.self_loop.tobytes()).hexdigest()
-    assert digest == MOVES_DIGESTS[name]
+    assert _moves_digest(graphs(name)) == MOVES_DIGESTS[name]
 
 
 def test_single_best_responder_two_nodes():
@@ -119,12 +130,12 @@ def test_successors_match_pure_python_route():
     imitator_ties = 0
     for pop in _route_pops():
         g = build_transition_digraph(pop, max_states=200_000)
-        space = g.space
+        space, loops = g.space, g.self_loops(0, g.n_states)
         for i in range(g.n_states):
             coords = space.coords_of(i)
             expected = _reference_successors(space, coords)
             assert g.successors(i) == sorted(space.index_of(c) for c in expected)
-            assert bool(g.self_loop[i]) == (coords in expected)
+            assert bool(loops[i]) == (coords in expected)
             sup_c, sup_d = space.imitation_sups(coords)
             imitator_ties += bool(space.imitator_positions) and sup_c == sup_d
     assert imitator_ties > 0
@@ -154,12 +165,12 @@ def test_build_in_small_blocks_matches_the_kernel_per_state(pops, monkeypatch, c
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4"):
         g = build_transition_digraph(pops[name])
-        assert hashlib.sha256(g.moves.tobytes() + g.self_loop.tobytes()).hexdigest() == MOVES_DIGESTS[name]
+        assert _moves_digest(g) == MOVES_DIGESTS[name]
     splits = []
     for pop in _route_pops():
         g = build_transition_digraph(pop, max_states=200_000)
-        moves, keeps = g.space.moves(list(g.coords))
-        assert (g.moves == moves).all() and (g.self_loop == keeps).all()
+        moves = g.space.moves(list(g.coords))
+        assert (g.moves == moves).all()
         assert g.n_edges == int(np.bitwise_count(moves).sum())
         splits.append((oracle._inner_split(g.space.caps), len(g.space.caps)))
     assert any(split for split, _ in splits)
@@ -183,8 +194,7 @@ def test_build_bounds_the_key_space(members, types):
     finally:
         tracemalloc.stop()
     assert g.n_states == (members + 1) ** types
-    moves, keeps = g.space.moves(list(g.coords))
-    assert (g.moves == moves).all() and (g.self_loop == keeps).all()
+    assert (g.moves == g.space.moves(list(g.coords))).all()
     assert peak <= 4 << 20
 
 
@@ -482,12 +492,13 @@ def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
         g = build_transition_digraph(pop, max_states=200_000)
         fast, slow = _adjacency_texts(g)
         assert fast == slow
-    # rows without successors: drop the self-loop of every state without edges
-    g.self_loop = g.self_loop & (g.moves > 0)
-    assert not g.self_loop.all()
-    fast, slow = _adjacency_texts(g)
-    assert fast == slow
-    assert any(line.endswith(": ") for line in fast.split("\n"))
+    # a row without successors: the one state of a population with no agents,
+    # built directly, since validation refuses it
+    empty = PopulationSpec((), (AgentTypeSpec(COORDINATING, UtilityLine(1, 0), UtilityLine(0, "1/2"),
+                                              "1/2", 0),))
+    g = build_transition_digraph(empty)
+    assert g.n_states == 1 and not g.self_loops(0, 1)[0]
+    assert _adjacency_texts(g) == ("0: \n", "0: \n")
 
 
 def test_index_tokens_match_str_across_powers_of_ten():
@@ -515,9 +526,11 @@ def test_adjacency_export_window_slides_across_blocks(monkeypatch, graphs, rows)
     assert fast == slow
 
 
-def test_self_loop_iff_someone_keeps(graphs):
-    for g in (graphs("ex7_1"), build_transition_digraph(_tied_population())):
-        space = g.space
+def test_self_loop_iff_someone_keeps():
+    # over populations with an empty cell and with tied imitators
+    for pop in _route_pops():
+        g = build_transition_digraph(pop, max_states=200_000)
+        space, loops = g.space, g.self_loops(0, g.n_states)
         for i in range(g.n_states):
             coords = space.coords_of(i)
             keeps = False
@@ -526,7 +539,21 @@ def test_self_loop_iff_someone_keeps(graphs):
                     keeps = True
                 if coords[k] < cap and reference_next(space, coords, k, "D") == "D":
                     keeps = True
-            assert bool(g.self_loop[i]) == keeps
+            assert bool(loops[i]) == keeps
+            assert g.self_loops(i, i + 1)[0] == keeps
+
+
+def test_the_move_bitmask_is_the_whole_graph(graphs):
+    # the kernel returns the bitmask alone, and the graph stores no flags
+    g = graphs("ex7_3")
+    moves = g.space.moves(list(g.coords))
+    assert isinstance(moves, np.ndarray) and moves.dtype == g.space.move_dtype
+    assert not hasattr(g, "self_loop")
+    assert [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.dtype == bool] == []
+    # a range's flags are the whole space's flags over that range
+    loops = g.self_loops(0, g.n_states)
+    for lo, hi in ((0, 1), (7, 52), (44, 90), (89, 90)):
+        assert (g.self_loops(lo, hi) == loops[lo:hi]).all()
 
 
 def test_sorted_unique_matches_np_unique():
