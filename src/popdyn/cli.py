@@ -8,6 +8,11 @@ env var POPDYN_MAX_STATES overrides the default state guard; an explicit
 --max-states flag overrides both. The guard is resolved once, before the
 command runs, and must be a positive integer. Output paths are checked then
 too: one that cannot be written is a configuration error before any work.
+
+A command imports the analysis modules it runs when it runs, and `verify`
+only under --verify, so each process loads and compiles no other popdyn
+code: `import popdyn.cli` itself loads only `errors` and `model`, and no
+numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +21,8 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from contextlib import contextmanager
 
-from . import dynamics, equilibria, invariants, oracle, stochastic, verify
 from .errors import NoSuchAgent, PopdynError, StateSpaceTooLarge
 from .model import PopulationSpec, State, validate_population
 
@@ -91,6 +94,8 @@ def _parse_initial(pop: PopulationSpec, text: str | None) -> State:
 
 
 def _parse_script(path: str) -> dynamics.Scripted:
+    from . import dynamics
+
     refs = []
     with _input(), open(path) as fh:
         for line in fh:
@@ -103,14 +108,15 @@ def _parse_script(path: str) -> dynamics.Scripted:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
+    if not args.script and args.seed is None:
+        raise _InputError("--seed is required for random activation")
     pop = _load_population(args.config)
     initial = _parse_initial(pop, args.initial)
     if args.script:
         policy: dynamics.ActivationPolicy = _parse_script(args.script)
     else:
-        if args.seed is None:
-            print("simulate: --seed is required for random activation", file=sys.stderr)
-            return EXIT_CONFIG
         policy = dynamics.UniformRandom(seed=args.seed)
     # simulate checks --steps, and the script against the population as it runs
     with _input((NoSuchAgent, ValueError)):
@@ -121,6 +127,8 @@ def cmd_simulate(args) -> int:
 
 
 def _oracle_graph(pop: PopulationSpec, args) -> oracle.TransitionDigraph:
+    from . import oracle
+
     return oracle.build_transition_digraph(pop, max_states=args.max_states)
 
 
@@ -137,6 +145,8 @@ def _sink_entry(res: oracle.InvariantSetResult) -> dict:
 
 
 def cmd_equilibria(args) -> int:
+    from . import equilibria, oracle
+
     pop = _load_population(args.config)
     records = equilibria.enumerate_equilibria(pop)
     report = equilibria.equilibria_report(pop, records)
@@ -146,6 +156,8 @@ def cmd_equilibria(args) -> int:
         for entry, rec in zip(report["equilibria"], records):
             entry["oracle_stable"] = oracle.is_stable_oracle(graph, rec.state)
         if args.verify:
+            from . import verify
+
             problems = verify.verify_equilibria(pop, graph)
             report["verification"] = _verification(problems)
     _emit(report, args.json)
@@ -153,10 +165,14 @@ def cmd_equilibria(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from . import invariants
+
     pop = _load_population(args.config)
     report = invariants.invariance_report(pop, guard=args.max_states)
     problems: list[str] = []
     if args.verify:
+        from . import oracle, verify
+
         graph = _oracle_graph(pop, args)
         problems = verify.verify_invariants(pop, graph, report=report)
         # the report above already raised on an S enumeration over the guard,
@@ -170,6 +186,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     pop = _load_population(args.config)
     graph = _oracle_graph(pop, args)
     sets_ = oracle.minimal_invariant_sets(graph)
@@ -182,6 +200,8 @@ def cmd_oracle(args) -> int:
     }
     problems: list[str] = []
     if args.verify:
+        from . import verify
+
         problems = verify.verify_oracle(graph)
         report["verification"] = _verification(problems)
     if args.adjacency:
@@ -192,6 +212,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_stochastic(args) -> int:
+    from . import stochastic
+
     pop = _load_population(args.config)
     with _input():
         stochastic.check_binary(pop)
@@ -202,6 +224,8 @@ def cmd_stochastic(args) -> int:
     report = stochastic.stochastic_report(chain, stationary)
     problems: list[str] = []
     if args.verify:
+        from . import verify
+
         problems = verify.verify_stochastic(chain, epsilons, stationary)
         report["verification"] = _verification(problems)
     if args.dot:
@@ -267,6 +291,8 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         if "max_states" in args:
+            from . import oracle
+
             with _input():
                 args.max_states = oracle.resolve_max_states(args.max_states)
         return args.func(args)
@@ -278,6 +304,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,7 +1,9 @@
 """Analytic-vs-oracle cross-checks shared by the CLI --verify flag and the tests.
 
 Each verifier returns a list of problem strings; an empty list means every
-cross-check agreed.
+cross-check agreed. Each battery imports the analysis modules it calls when
+it runs, so `oracle --verify` loads no `equilibria`, `invariants` or
+`stochastic`, and `stochastic --verify` no `invariants`.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import equilibria as eq
-from . import invariants as inv
-from . import stochastic as st
 from .errors import AssumptionViolated
 from .model import PopulationSpec, State
 from .oracle import (
@@ -40,6 +39,8 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
     The oracle's side is the equilibria all of whose refined splits have no
     move.
     """
+    from . import equilibria as eq
+
     problems: list[str] = []
     records = eq.enumerate_equilibria(pop)
     analytic = {r.state for r in records}
@@ -89,6 +90,8 @@ def verify_invariants(pop: PopulationSpec, graph: TransitionDigraph, report: dic
     (`invariants.is_closed_on_members`), and whether a sink lies in X reads
     its members' fixed digits, so no decoded view or whole-space mask is
     built."""
+    from . import invariants as inv
+
     problems: list[str] = []
 
     sinks = minimal_invariant_sets(graph)
@@ -192,6 +195,9 @@ def verify_stochastic(chain: st.PerturbedChain, epsilons: Sequence = (),
     every class come from the chain's class table, two
     whole-chain searches per class.
     """
+    from . import equilibria as eq
+    from . import stochastic as st
+
     problems: list[str] = []
     epsilons = list(dict.fromkeys(st.tremble_rate(eps, solve=True)
                                   for eps in epsilons or DEFAULT_EPSILONS))

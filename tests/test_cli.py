@@ -83,7 +83,9 @@ def test_internal_fault_exit_code(tmp_path, monkeypatch, capsys):
         "--verify", "--json", str(tmp_path / "o.json"),
     )
     assert code == cli.EXIT_INTERNAL
-    assert "internal error: ValueError('forced fault')" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "internal error: ValueError('forced fault')" in err
 
 
 def test_bad_epsilon_is_config_error(tmp_path):
@@ -214,11 +216,12 @@ def test_simulate_zero_steps_single_row(tmp_path):
     assert len(out.read_text().splitlines()) == 2  # header + initial row
 
 
-def test_simulate_requires_seed(tmp_path):
-    assert (
-        run_cli("simulate", "--config", str(FIXDIR / "ex2.json"), "--steps", "5")
-        == cli.EXIT_CONFIG
-    )
+def test_simulate_requires_seed(tmp_path, capsys):
+    # refused like any other bad option, and before the config is read
+    for config in (FIXDIR / "ex2.json", tmp_path / "missing.json"):
+        assert run_cli("simulate", "--config", str(config), "--steps", "5") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "--seed" in err, err
 
 
 def test_simulate_scripted(tmp_path):
@@ -439,16 +442,20 @@ def test_env_guard_override(tmp_path, monkeypatch, capsys):
                 assert "must be a positive integer" in err, (command, env, flag)
 
 
+def _child_env() -> dict:
+    """The environment of a child that finds popdyn where this process did,
+    installed or not."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_console_entry_point_subprocess(tmp_path):
     out = tmp_path / "o.json"
-    # the child finds popdyn where this process did, installed or not
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "popdyn.cli", "equilibria",
          "--config", str(FIXDIR / "ex7_1.json"), "--json", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["count"] == 6
@@ -457,29 +464,70 @@ def test_console_entry_point_subprocess(tmp_path):
 def test_commands_leave_numpy_ma_unloaded(tmp_path):
     # np.unique imports numpy.ma in numpy 2.4; a fresh process shows whether
     # any command still reaches it
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
-    ex1, ex7_1 = str(FIXDIR / "ex1.json"), str(FIXDIR / "ex7_1.json")
-    runs = [["oracle", "--config", ex1], ["equilibria", "--oracle", "--config", ex1],
-            ["invariants", "--verify", "--config", ex1],
-            ["stochastic", "--verify", "--epsilon", "1/10000", "--config", ex7_1]]
+    ex1, ex2, ex7_1 = (str(FIXDIR / f"{name}.json") for name in ("ex1", "ex2", "ex7_1"))
+    big = ["--max-states", "20000000"]
+    runs = [["oracle", "--config", ex1, *big], ["oracle", "--verify", "--config", ex1, *big],
+            ["equilibria", "--oracle", "--config", ex1, *big],
+            ["invariants", "--verify", "--config", ex1, *big],
+            ["stochastic", "--verify", "--epsilon", "1/10000", "--config", ex7_1],
+            ["simulate", "--steps", "2000", "--seed", "0", "--config", ex2]]
     script = (
         "import contextlib, io, json, sys\n"
         "from popdyn import cli\n"
         "codes = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(cli.main([*argv, '--max-states', '20000000']))\n"
+        "        codes.append(cli.main(argv))\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules\n"
         "                                if m == 'numpy.ma' or m.startswith('numpy.ma.'))]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+                          capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout)
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * len(runs)
     assert loaded == []
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    # every process imports, and where no bytecode cache is written compiles,
+    # each module it loads, so a command loads only the modules it runs
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from popdyn import cli\n"
+        "code = None\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code] + [sorted(m for m in sys.modules if m.split('.')[0] == p)\n"
+        "                           for p in ('popdyn', 'numpy')]))\n"
+    )
+
+    def child(*argv):
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    base = {"popdyn", "popdyn.cli", "popdyn.errors", "popdyn.model"}
+    assert child() == [None, sorted(base), []]
+    graph = base | {"popdyn.cells", "popdyn.oracle"}
+    expected = {
+        ("simulate", "--steps", "10", "--seed", "0"): base | {"popdyn.cells", "popdyn.dynamics"},
+        ("equilibria",): graph | {"popdyn.equilibria"},
+        ("equilibria", "--oracle"): graph | {"popdyn.equilibria"},
+        ("equilibria", "--verify"): graph | {"popdyn.equilibria", "popdyn.verify"},
+        ("invariants",): graph | {"popdyn.invariants"},
+        ("invariants", "--verify"): graph | {"popdyn.invariants", "popdyn.verify"},
+        ("oracle",): graph,
+        ("oracle", "--verify"): graph | {"popdyn.verify"},
+        ("stochastic",): graph | {"popdyn.stochastic"},
+        ("stochastic", "--verify"):
+            graph | {"popdyn.stochastic", "popdyn.verify", "popdyn.equilibria"},
+    }
+    for form, modules in expected.items():
+        code, loaded, _ = child(*form, "--config", str(FIXDIR / "ex7_1.json"))
+        assert (code, loaded) == (0, sorted(modules)), form
 
 
 def test_stochastic_verify_ex7_1(tmp_path):
