@@ -8,7 +8,7 @@ so nothing in this package ever compares floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -45,7 +45,10 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot parse rational from {value!r}")
 
 
@@ -61,16 +64,6 @@ class PayoffMatrix:
     def __post_init__(self):
         for name in ("R", "S", "T", "P"):
             object.__setattr__(self, name, parse_rational(getattr(self, name)))
-        if self.R + self.P == self.T + self.S:
-            raise DegeneratePayoff(
-                f"R+P == T+S ({self.R}+{self.P} == {self.T}+{self.S}); "
-                "encode the dominant-strategy agent via an explicit sentinel temper instead"
-            )
-
-    @property
-    def gap(self) -> Fraction:
-        """R+P-T-S; negative for anticoordination, positive for coordination games."""
-        return self.R + self.P - self.T - self.S
 
 
 @dataclass(frozen=True)
@@ -96,46 +89,52 @@ class UtilityLine:
         return cls(matrix.T - matrix.P, n * matrix.P)
 
 
-def temper_from_payoffs(matrix: PayoffMatrix, n: int) -> Fraction:
-    """Crossing point of the two payoff-derived utility lines: n(P-S)/(R+P-S-T)."""
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    if matrix.gap == 0:
-        raise DegeneratePayoff("R+P == T+S")
-    tau = Fraction(n) * (matrix.P - matrix.S) / matrix.gap
+def _crossing(coop: UtilityLine, defect: UtilityLine) -> Fraction:
+    """The temper: the cooperator count at which the two utility lines cross."""
+    if coop.slope == defect.slope:
+        raise DegeneratePayoff("utility lines are parallel (equivalent to R+P == T+S)")
+    tau = (defect.intercept - coop.intercept) / (coop.slope - defect.slope)
     if tau.denominator == 1:
         raise IntegerTemper(f"temper {tau} is an integer")
     return tau
 
 
+def temper_from_payoffs(matrix: PayoffMatrix, n: int) -> Fraction:
+    """Crossing point of the two payoff-derived utility lines: n(P-S)/(R+P-S-T)."""
+    if n < 1:
+        raise ValueError("population size must be >= 1")
+    return _crossing(UtilityLine.cooperator(matrix, n), UtilityLine.defector(matrix, n))
+
+
+def _count(value) -> int:
+    """A member count: a non-negative int, so neither a bool nor a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"member counts must be non-negative integers, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class AgentTypeSpec:
-    """One payoff-matrix type: its utility lines, temper, and member counts."""
+    """One payoff-matrix type: its utility lines, their crossing (the temper,
+    derived), and its member counts."""
 
     kind: str
     cooperator_utility: UtilityLine
     defector_utility: UtilityLine
-    temper: Fraction
+    temper: Fraction = field(init=False)
     best_responders: int
     imitators: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "temper", parse_rational(self.temper))
-        if self.temper.denominator == 1:
-            raise IntegerTemper(f"temper {self.temper} is an integer")
-        if self.best_responders < 0 or self.imitators < 0:
-            raise ValueError("member counts must be non-negative")
-        slope_gap = self.cooperator_utility.slope - self.defector_utility.slope
-        if self.kind == ANTICOORDINATING and slope_gap >= 0:
-            raise ValueError("anticoordinating type needs uC - uD strictly decreasing in nC")
-        if self.kind == COORDINATING and slope_gap <= 0:
-            raise ValueError("coordinating type needs uC - uD strictly increasing in nC")
-        # the update rules read the lines and the closed forms the temper
-        crossing = (self.defector_utility.intercept - self.cooperator_utility.intercept) / slope_gap
-        if self.temper != crossing:
-            raise ValueError(f"temper {self.temper} != crossing of the utility lines {crossing}")
+        _count(self.best_responders)
+        _count(self.imitators)
+        object.__setattr__(self, "temper", _crossing(self.cooperator_utility, self.defector_utility))
+        falling = self.cooperator_utility.slope < self.defector_utility.slope
+        if falling != (self.kind == ANTICOORDINATING):
+            trend = "decreasing" if self.kind == ANTICOORDINATING else "increasing"
+            raise ValueError(f"{self.kind} type needs uC - uD strictly {trend} in nC")
 
     @property
     def count(self) -> int:
@@ -312,120 +311,95 @@ def _parse_line(raw) -> UtilityLine:
     if isinstance(raw, UtilityLine):
         return raw
     if isinstance(raw, Mapping):
-        return UtilityLine(parse_rational(raw["slope"]), parse_rational(raw["intercept"]))
+        return UtilityLine(raw["slope"], raw["intercept"])
     slope, intercept = raw
-    return UtilityLine(parse_rational(slope), parse_rational(intercept))
+    return UtilityLine(slope, intercept)
 
 
-def _parse_payoff(raw) -> "PayoffMatrix":
+def _parse_payoff(raw) -> PayoffMatrix:
     if isinstance(raw, PayoffMatrix):
         return raw
     if isinstance(raw, Mapping):
-        return PayoffMatrix(*(parse_rational(raw[k]) for k in ("R", "S", "T", "P")))
+        return PayoffMatrix(*(raw[k] for k in ("R", "S", "T", "P")))
     r, s, t, p = raw
-    return PayoffMatrix(parse_rational(r), parse_rational(s), parse_rational(t), parse_rational(p))
+    return PayoffMatrix(r, s, t, p)
 
 
-def _build_type(kind: str, raw, n: int) -> AgentTypeSpec | None:
-    """Resolve one raw type entry once the total population size n is known."""
-    if isinstance(raw, AgentTypeSpec):
-        raw = {
-            "uC": raw.cooperator_utility,
-            "uD": raw.defector_utility,
-            "temper": raw.temper,
-            "bestResponders": raw.best_responders,
-            "imitators": raw.imitators,
-        }
-    best = int(raw.get("bestResponders", 0))
-    imit = int(raw.get("imitators", 0))
-    if best < 0 or imit < 0:
-        raise ValueError("member counts must be non-negative")
-    if best == 0:
-        if imit > 0:
-            raise ImitatorWithoutMatchingType(
-                f"{imit} imitators assigned to a {kind} type with no best-responders"
-            )
-        return None
-
-    payoff = _parse_payoff(raw["payoff"]) if "payoff" in raw else None
+def _build_type(kind: str, raw: Mapping, n: int) -> AgentTypeSpec:
+    """Read one JSON type entry in a population of n agents."""
+    lines = None
+    if "payoff" in raw:
+        payoff = _parse_payoff(raw["payoff"])
+        lines = UtilityLine.cooperator(payoff, n), UtilityLine.defector(payoff, n)
     if "uC" in raw or "uD" in raw:
         if not ("uC" in raw and "uD" in raw):
             raise ValueError("uC and uD must be given together")
-        coop = _parse_line(raw["uC"])
-        defect = _parse_line(raw["uD"])
-        if payoff is not None:
-            if coop != UtilityLine.cooperator(payoff, n) or defect != UtilityLine.defector(
-                payoff, n
-            ):
-                raise ValueError("payoff matrix and utility lines disagree")
-    elif payoff is not None:
-        coop = UtilityLine.cooperator(payoff, n)
-        defect = UtilityLine.defector(payoff, n)
-    else:
+        given = _parse_line(raw["uC"]), _parse_line(raw["uD"])
+        if lines is not None and given != lines:
+            raise ValueError("payoff matrix and utility lines disagree")
+        lines = given
+    if lines is None:
         raise ValueError("each type needs utility lines (uC/uD) or a payoff matrix")
-
-    # the temper is where the two lines cross
-    if coop.slope == defect.slope:
-        raise DegeneratePayoff("utility lines are parallel (equivalent to R+P == T+S)")
-    tau = (defect.intercept - coop.intercept) / (coop.slope - defect.slope)
-    if tau.denominator == 1:
-        raise IntegerTemper(f"temper {tau} is an integer")
-    if "temper" in raw and raw["temper"] is not None:
+    spec = AgentTypeSpec(kind, *lines, raw.get("bestResponders", 0), raw.get("imitators", 0))
+    if raw.get("temper") is not None:
         declared = parse_rational(raw["temper"])
-        if declared != tau:
-            raise ValueError(f"declared temper {declared} != derived temper {tau}")
-    return AgentTypeSpec(
-        kind=kind,
-        cooperator_utility=coop,
-        defector_utility=defect,
-        temper=tau,
-        best_responders=best,
-        imitators=imit,
-    )
-
-
-def _counts_of(raw) -> tuple[int, int]:
-    if isinstance(raw, AgentTypeSpec):
-        return raw.best_responders, raw.imitators
-    return int(raw.get("bestResponders", 0)), int(raw.get("imitators", 0))
+        if declared != spec.temper:
+            raise ValueError(f"declared temper {declared} != derived temper {spec.temper}")
+    return spec
 
 
 def validate_population(raw) -> PopulationSpec:
     """Normalize a raw specification into a PopulationSpec.
 
     Accepts the JSON schema dict ({"anticoordinating": [...], "coordinating":
-    [...]}, entries may also be AgentTypeSpec objects) or an existing
-    PopulationSpec; the operation is idempotent. Types are sorted into the
-    canonical temper order and relabelled.
+    [...]}, entries may also be AgentTypeSpec objects, taken as they are) or an
+    existing PopulationSpec; the operation is idempotent. Types without best
+    responders are dropped, and the rest sorted into the canonical temper
+    order and relabelled.
     """
     if isinstance(raw, PopulationSpec):
-        raw = {"anticoordinating": list(raw.anticoordinating), "coordinating": list(raw.coordinating)}
+        raw = {ANTICOORDINATING: raw.anticoordinating, COORDINATING: raw.coordinating}
     if not isinstance(raw, dict):
         raise ValueError("a population spec is an object holding the two type lists")
-    raw_a = list(raw.get("anticoordinating", ()))
-    raw_c = list(raw.get("coordinating", ()))
-    if not all(isinstance(t, (dict, AgentTypeSpec)) for t in raw_a + raw_c):
+    entries = [(kind, t) for kind in KINDS for t in raw.get(kind, ())]
+    if not all(isinstance(t, (dict, AgentTypeSpec)) for _, t in entries):
         raise ValueError("every type entry must be an object")
 
-    n = sum(sum(_counts_of(t)) for t in raw_a + raw_c)
+    counts = [
+        (t.best_responders, t.imitators) if isinstance(t, AgentTypeSpec)
+        else (_count(t.get("bestResponders", 0)), _count(t.get("imitators", 0)))
+        for _, t in entries
+    ]
+    n = sum(best + imit for best, imit in counts)
     if n == 0:
         raise EmptyPopulation("population has no agents")
 
-    types_a = [t for t in (_build_type(ANTICOORDINATING, r, n) for r in raw_a) if t is not None]
-    types_c = [t for t in (_build_type(COORDINATING, r, n) for r in raw_c) if t is not None]
-    if not types_a and not types_c:
+    types: dict[str, list[AgentTypeSpec]] = {kind: [] for kind in KINDS}
+    for (kind, t), (best, imit) in zip(entries, counts):
+        if best == 0:
+            if imit > 0:
+                raise ImitatorWithoutMatchingType(
+                    f"{imit} imitators assigned to a {kind} type with no best-responders"
+                )
+            continue
+        if isinstance(t, dict):
+            t = _build_type(kind, t, n)
+        elif t.kind != kind:
+            raise ValueError(f"a {t.kind} type is listed as {kind}")
+        types[kind].append(t)
+    if not any(types.values()):
         raise EmptyPopulation("population has no best-responder types")
 
-    for group, label in ((types_a, "anticoordinating"), (types_c, "coordinating")):
+    for kind, group in types.items():
         seen: set[Fraction] = set()
         for t in group:
             if t.temper in seen:
-                raise DuplicateTemper(f"two {label} types share temper {t.temper}")
+                raise DuplicateTemper(f"two {kind} types share temper {t.temper}")
             seen.add(t.temper)
 
-    types_a.sort(key=lambda t: t.temper, reverse=True)
-    types_c.sort(key=lambda t: t.temper)
-    return PopulationSpec(anticoordinating=tuple(types_a), coordinating=tuple(types_c))
+    types[ANTICOORDINATING].sort(key=lambda t: t.temper, reverse=True)
+    types[COORDINATING].sort(key=lambda t: t.temper)
+    return PopulationSpec(*(tuple(types[kind]) for kind in KINDS))
 
 
 def state_space_size(pop: PopulationSpec) -> int:

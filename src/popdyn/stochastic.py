@@ -77,7 +77,8 @@ class PerturbedChain:
     Group g is the agents whose switch moves the state by `graph.steps[g]`:
     a cell's cooperators for its negative step, its defectors for its
     positive one. `members[i, g]` counts them at state i, and `switch[i, g]`,
-    the oracle's move bit, says that their rule switches their strategy.
+    the oracle's move bit, says that their rule switches their strategy; both
+    are read off `graph` on first use.
     Every agent is activated with probability 1/n; group g moves the state
     with probability members / n * (1 - epsilon) if it switches, members / n *
     epsilon if not, and the rest of its mass stays on the self-loop. Only
@@ -86,12 +87,21 @@ class PerturbedChain:
     """
 
     graph: TransitionDigraph
-    members: np.ndarray
-    switch: np.ndarray
 
     @property
     def pop(self) -> PopulationSpec:
         return self.graph.pop
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        # bit 2k + d of a move is cell k's step down (d = 0) or up (d = 1)
+        cell, up = np.divmod([int(bit).bit_length() - 1 for bit in self.graph.bits], 2)
+        coords = self.graph.coords[cell].T
+        return np.where(up == 1, np.array(self.graph.space.caps)[cell] - coords, coords)
+
+    @cached_property
+    def switch(self) -> np.ndarray:
+        return (self.graph.moves[:, None] & self.graph.bits) != 0
 
     @property
     def n_states(self) -> int:
@@ -182,12 +192,7 @@ def build_chain(pop: PopulationSpec, graph: TransitionDigraph | None = None) -> 
     check_binary(pop)
     if graph is None:
         graph = build_transition_digraph(pop)
-    # bit 2k + d of a move is cell k's step down (d = 0) or up (d = 1)
-    cell, up = np.divmod([int(bit).bit_length() - 1 for bit in graph.bits], 2)
-    coords = graph.coords[cell].T
-    members = np.where(up == 1, np.array(graph.space.caps)[cell] - coords, coords)
-    switch = (graph.moves[:, None] & graph.bits) != 0
-    return PerturbedChain(graph, members, switch)
+    return PerturbedChain(graph)
 
 
 # -- transition costs ---------------------------------------------------------
@@ -693,8 +698,6 @@ class ExtremeTheoremVerdict:
     hypothesis_holds: bool
     conclusion_status: str  # "verified" | "trivially_consistent" | "not_applicable" | "violated"
     mixed_equilibria: tuple[BState, ...]
-    corresponding_extremes: dict
-    stable_states: frozenset[BState]
     stable_equilibria: tuple[BState, ...]
 
 
@@ -709,14 +712,8 @@ def check_extreme_theorem(chain: PerturbedChain) -> ExtremeTheoremVerdict:
     stable = stochastically_stable_set(chain)
     eqs = equilibria_of_chain(chain)
     mixed = tuple(s for s in eqs if is_mixed_equilibrium_state(pop, s))
-    extremes: dict[BState, tuple[BState, bool]] = {}
-    hypothesis = True
-    for s in mixed:
-        ext = corresponding_extreme(pop, s)
-        ext_is_eq = chain.is_equilibrium(ext)
-        extremes[s] = (ext, ext_is_eq)
-        hypothesis = hypothesis and ext_is_eq
-
+    # a list, so that corresponding_extreme checks the form of every mixed equilibrium
+    hypothesis = all([chain.is_equilibrium(corresponding_extreme(pop, s)) for s in mixed])
     stable_eqs = tuple(s for s in eqs if s in stable)
 
     if not eqs:
@@ -732,8 +729,6 @@ def check_extreme_theorem(chain: PerturbedChain) -> ExtremeTheoremVerdict:
         hypothesis_holds=hypothesis,
         conclusion_status=status,
         mixed_equilibria=mixed,
-        corresponding_extremes=extremes,
-        stable_states=stable,
         stable_equilibria=stable_eqs,
     )
 

@@ -102,16 +102,15 @@ def with_empty_best_responder_cell(pop):
 
     validate_population drops empty types, so the spec is built directly; the
     empty cell is last and shares its stride with the cell before it. Its
-    temper is one past the last type's, outward of the sort order, and its
-    cooperator line is shifted so the two lines cross there.
+    cooperator line is shifted so that the lines cross one past the last
+    type's temper, outward of the sort order.
     """
     last = pop.coordinating[-1] if pop.coordinating else pop.anticoordinating[-1]
     shift = 1 if last.kind == "coordinating" else -1
     coop, defect = last.cooperator_utility, last.defector_utility
     # uC - uD = (sC - sD)(n - temper), so moving the temper moves uC's intercept
     coop = UtilityLine(coop.slope, coop.intercept - (coop.slope - defect.slope) * shift)
-    empty = replace(last, cooperator_utility=coop, temper=last.temper + shift,
-                    best_responders=0, imitators=0)
+    empty = replace(last, cooperator_utility=coop, best_responders=0, imitators=0)
     if pop.coordinating:
         return PopulationSpec(pop.anticoordinating, pop.coordinating + (empty,))
     return PopulationSpec(pop.anticoordinating + (empty,), pop.coordinating)

@@ -30,11 +30,25 @@ def test_missing_config_is_config_error(tmp_path):
     assert run_cli("equilibria", "--config", str(tmp_path / "nope.json")) == cli.EXIT_CONFIG
 
 
-def test_malformed_config_is_config_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    for text in ("{not json", "[1, 2]", '{"anticoordinating": [1]}'):
+def test_malformed_config_is_config_error(tmp_path, capsys):
+    bad, out = tmp_path / "bad.json", str(tmp_path / "o.json")
+    texts = ["{not json", "[1, 2]", '{"anticoordinating": [1]}']
+    # a zero denominator anywhere a rational is read, and counts that are not
+    # non-negative integers
+    entry = fixture_config("ex7_1")["anticoordinating"][0]
+    for change in ({"uC": ["1/0", "0"]}, {"uD": ["5", "1/0"]},
+                   {"payoff": ["1/0", "0", "1", "1"]}, {"temper": "1/0"},
+                   {"bestResponders": 1.5}, {"imitators": True}):
+        config = fixture_config("ex7_1")
+        config["anticoordinating"][0] = {**entry, **change}
+        texts.append(json.dumps(config))
+    for text in texts:
         bad.write_text(text)
-        assert run_cli("equilibria", "--config", str(bad)) == cli.EXIT_CONFIG
+        assert run_cli("equilibria", "--config", str(bad), "--json", out) == cli.EXIT_CONFIG, text
+        assert "Traceback" not in capsys.readouterr().err
+    assert run_cli("stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--epsilon", "1/0",
+                   "--json", out) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_stochastic_rejects_non_binary(tmp_path, capsys):

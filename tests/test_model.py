@@ -50,8 +50,11 @@ def test_temper_zero_numerator_rejected():
 
 
 def test_degenerate_payoff_rejected():
+    m = PayoffMatrix(1, 0, 2, 1)  # R+P == T+S: parallel utility lines
     with pytest.raises(DegeneratePayoff):
-        PayoffMatrix(1, 0, 2, 1)  # R+P == T+S
+        temper_from_payoffs(m, 7)
+    with pytest.raises(DegeneratePayoff):
+        validate_population({"coordinating": [{"payoff": m, "bestResponders": 7}]})
 
 
 def test_temper_is_line_crossing():
@@ -69,20 +72,20 @@ def test_utilities_examples():
         "anticoordinating",
         UtilityLine(Fraction(-40, 13), Fraction(1655, 13)),
         UtilityLine(Fraction(36, 13), Fraction(-378, 13)),
-        Fraction(107, 4),
         best_responders=9,
         imitators=4,
     )
+    assert t.temper == Fraction(107, 4)
     assert utilities(t, 22) == (Fraction(775, 13), Fraction(414, 13))
 
     conformist = AgentTypeSpec(
         "coordinating",
         UtilityLine(Fraction(33, 5), Fraction(-297, 10)),
         UtilityLine(Fraction(-14, 5), Fraction(63, 5)),
-        Fraction(9, 2),
         best_responders=5,
         imitators=1,
     )
+    assert conformist.temper == Fraction(9, 2)
     assert utilities(conformist, 5) == (Fraction(33, 10), Fraction(-7, 5))
 
 
@@ -93,9 +96,9 @@ def test_utilities_intercept_case():
         "coordinating",
         UtilityLine.cooperator(m, n),
         UtilityLine.defector(m, n),
-        temper_from_payoffs(m, n),
         best_responders=3,
     )
+    assert t.temper == temper_from_payoffs(m, n)
     assert utilities(t, 0)[1] == n * m.P
 
 
@@ -185,19 +188,65 @@ def test_validate_population_payoff_line_agreement():
 
 
 def test_type_spec_temper_must_be_the_line_crossing():
-    # the update rules read the lines and the closed forms the temper
+    # the update rules read the lines and the closed forms the temper, so the
+    # temper is derived from the lines and cannot be given
     coop, defect = UtilityLine(1, 0), UtilityLine(0, Fraction(5, 2))
-    AgentTypeSpec("coordinating", coop, defect, Fraction(5, 2), best_responders=1)
-    with pytest.raises(ValueError, match="crossing"):
-        AgentTypeSpec("coordinating", coop, defect, Fraction(7, 2), best_responders=1)
+    assert AgentTypeSpec("coordinating", coop, defect, best_responders=1).temper == Fraction(5, 2)
+    with pytest.raises(TypeError):
+        AgentTypeSpec("coordinating", coop, defect, temper=Fraction(7, 2), best_responders=1)
+
+
+@pytest.mark.parametrize("kind, coop, defect, error", [
+    ("coordinating", UtilityLine(1, 0), UtilityLine(1, 3), DegeneratePayoff),
+    ("coordinating", UtilityLine(1, -3), UtilityLine(0, 0), IntegerTemper),
+    ("coordinating", UtilityLine(-1, "5/2"), UtilityLine(0, 0), ValueError),
+    ("anticoordinating", UtilityLine(1, "-5/2"), UtilityLine(0, 0), ValueError),
+    # an integer crossing is refused before a wrong slope sign
+    ("anticoordinating", UtilityLine(1, -3), UtilityLine(0, 0), IntegerTemper),
+])
+def test_invalid_lines_raise_alike_built_or_validated(kind, coop, defect, error):
+    with pytest.raises(error) as built:
+        AgentTypeSpec(kind, coop, defect, best_responders=2)
+    with pytest.raises(error) as validated:
+        validate_population({kind: [{"uC": coop, "uD": defect, "bestResponders": 2}]})
+    assert type(built.value) is type(validated.value) is error
+
+
+@pytest.mark.parametrize("count", [-1, 1.5, True, "2", None])
+def test_member_counts_are_non_negative_integers(count):
+    coop, defect = UtilityLine(1, 0), UtilityLine(0, Fraction(5, 2))
+    with pytest.raises(ValueError, match="non-negative integers"):
+        AgentTypeSpec("coordinating", coop, defect, best_responders=1, imitators=count)
+    for key in ("bestResponders", "imitators"):
+        entry = {"uC": coop, "uD": defect, "bestResponders": 1, key: count}
+        with pytest.raises(ValueError, match="non-negative integers"):
+            validate_population({"coordinating": [entry]})
+
+
+def test_declared_temper_is_checked_against_the_crossing():
+    entry = {"uC": ["1", "-5/2"], "uD": ["0", "0"], "bestResponders": 2}
+    pop = validate_population({"coordinating": [{**entry, "temper": "5/2"}]})
+    assert pop.type_c(1).temper == Fraction(5, 2)
+    with pytest.raises(ValueError, match="declared temper 7/2"):
+        validate_population({"coordinating": [{**entry, "temper": "7/2"}]})
+
+
+def test_validate_population_takes_type_specs_as_they_are(pops):
+    pop = pops["ex7_1"]
+    raw = {"anticoordinating": list(pop.anticoordinating), "coordinating": list(pop.coordinating)}
+    assert validate_population(raw) == pop
+    with pytest.raises(ValueError, match="listed as"):
+        validate_population({"anticoordinating": list(pop.coordinating)})
 
 
 def test_fixtures_and_generated_populations_validate_unchanged(pops):
     generated = [*sample_populations(seed=41, count=30), *sample_populations(seed=43, count=30)]
     for pop in [*pops.values(), *generated]:
         assert validate_population(pop) == pop
-        # built directly, so it raises unless its lines cross at its temper
-        with_empty_best_responder_cell(pop)
+        # built directly: the empty type's shifted lines cross one past the last temper
+        grown = with_empty_best_responder_cell(pop)
+        last, empty = list(grown.all_types())[-2:]
+        assert empty.temper == last.temper + (1 if empty.kind == "coordinating" else -1)
 
 
 def test_validate_population_payoff_only():
@@ -217,7 +266,7 @@ def test_state_space_size_empty_product():
     # formula edge: a lone zero-count type gives the empty product
     t = AgentTypeSpec(
         "coordinating", UtilityLine(1, 0), UtilityLine(0, Fraction(5, 2)),
-        Fraction(5, 2), best_responders=0, imitators=0,
+        best_responders=0, imitators=0,
     )
     pop = PopulationSpec(anticoordinating=(), coordinating=(t,))
     assert state_space_size(pop) == 1

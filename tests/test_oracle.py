@@ -495,7 +495,7 @@ def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
     # a row without successors: the one state of a population with no agents,
     # built directly, since validation refuses it
     empty = PopulationSpec((), (AgentTypeSpec(COORDINATING, UtilityLine(1, 0), UtilityLine(0, "1/2"),
-                                              "1/2", 0),))
+                                              0),))
     g = build_transition_digraph(empty)
     assert g.n_states == 1 and not g.self_loops(0, 1)[0]
     assert _adjacency_texts(g) == ("0: \n", "0: \n")
