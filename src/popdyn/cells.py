@@ -87,7 +87,7 @@ class CellSpace:
         for k in range(len(cells) - 2, -1, -1):
             strides[k] = strides[k + 1] * (self.caps[k + 1] + 1)
         self.strides: tuple[int, ...] = tuple(strides)
-        self.n_states: int = strides[0] * (self.caps[0] + 1) if cells else 1
+        self.n_states: int = strides[0] * (self.caps[0] + 1)
         # two move bits per cell (see `moves`)
         self.move_dtype = np.min_scalar_type((1 << 2 * len(cells)) - 1)
         self.position: dict[tuple[str, str, int], int] = {

@@ -22,9 +22,13 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 from .errors import NoSuchAgent, PopdynError, StateSpaceTooLarge
 from .model import PopulationSpec, State, validate_population
+
+if TYPE_CHECKING:
+    from . import dynamics, oracle
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     DegeneratePayoff,
@@ -182,15 +182,35 @@ class State:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Validated population: types sorted by temper, sentinels attached.
+    """A population: its types of each kind, in canonical temper order.
 
-    Anticoordinating types are labelled 1..b in descending temper order and
-    coordinating types 1..b' in ascending order, so construct instances via
-    `validate_population` rather than directly.
+    The constructor sorts the types it is given: anticoordinating types are
+    labelled 1..b in descending temper order, coordinating types 1..b' in
+    ascending order. It refuses a type listed under the other kind
+    (ValueError), imitators of a type with no best responders, a population
+    with no agents, and two types of one kind with one temper.
     """
 
     anticoordinating: tuple[AgentTypeSpec, ...]
     coordinating: tuple[AgentTypeSpec, ...]
+
+    def __post_init__(self):
+        for kind, t in ((kind, t) for kind in KINDS for t in getattr(self, kind)):
+            if t.kind != kind:
+                raise ValueError(f"a {t.kind} type is listed as {kind}")
+            if t.imitators and not t.best_responders:
+                raise ImitatorWithoutMatchingType(
+                    f"{t.imitators} imitators assigned to a {kind} type with no best-responders"
+                )
+        if self.n == 0:
+            raise EmptyPopulation("population has no agents")
+        for kind in KINDS:
+            group = sorted(getattr(self, kind), key=lambda t: t.temper,
+                           reverse=kind == ANTICOORDINATING)
+            for a, b in zip(group, group[1:]):
+                if a.temper == b.temper:
+                    raise DuplicateTemper(f"two {kind} types share temper {a.temper}")
+            object.__setattr__(self, kind, tuple(group))
 
     @property
     def b(self) -> int:
@@ -202,15 +222,11 @@ class PopulationSpec:
 
     @property
     def m(self) -> int:
-        return sum(t.imitators for t in self.anticoordinating) + sum(
-            t.imitators for t in self.coordinating
-        )
+        return sum(t.imitators for t in self.all_types())
 
     @property
     def n(self) -> int:
-        return sum(t.count for t in self.anticoordinating) + sum(
-            t.count for t in self.coordinating
-        )
+        return sum(t.count for t in self.all_types())
 
     def type_a(self, i: int) -> AgentTypeSpec:
         return self.anticoordinating[i - 1]
@@ -231,17 +247,13 @@ class PopulationSpec:
         Sits 3/2 beyond the bound so that even the one-tightened stability
         margins can never bind on a sentinel.
         """
-        bound = self.n
-        for t in self.all_types():
-            bound = max(bound, math.ceil(t.temper))
+        bound = max([self.n, *(math.ceil(t.temper) for t in self.all_types())])
         return Fraction(bound) + Fraction(3, 2)
 
     @property
     def sentinel_low(self) -> Fraction:
         """tau_{b+1}^a = tau_0^c: below 0 and every temper, non-integer."""
-        bound = 0
-        for t in self.all_types():
-            bound = min(bound, math.floor(t.temper))
+        bound = min([0, *(math.floor(t.temper) for t in self.all_types())])
         return Fraction(bound) - Fraction(3, 2)
 
     def tau_a(self, j: int) -> Fraction:
@@ -307,40 +319,38 @@ class PopulationSpec:
         }
 
 
-def _parse_line(raw) -> UtilityLine:
-    if isinstance(raw, UtilityLine):
+def _parse_array(raw, cls: type, size: int):
+    """A `cls` value as it is, or one read from a JSON array of `size` rationals."""
+    if isinstance(raw, cls):
         return raw
-    if isinstance(raw, Mapping):
-        return UtilityLine(raw["slope"], raw["intercept"])
-    slope, intercept = raw
-    return UtilityLine(slope, intercept)
+    if not isinstance(raw, list):
+        raise TypeError(f"a {cls.__name__} is an array of {size} rationals, got {raw!r}")
+    if len(raw) != size:
+        raise ValueError(f"a {cls.__name__} is an array of {size} rationals, got {raw!r}")
+    return cls(*raw)
 
 
-def _parse_payoff(raw) -> PayoffMatrix:
-    if isinstance(raw, PayoffMatrix):
-        return raw
-    if isinstance(raw, Mapping):
-        return PayoffMatrix(*(raw[k] for k in ("R", "S", "T", "P")))
-    r, s, t, p = raw
-    return PayoffMatrix(r, s, t, p)
+# the free-text keys beside the two kinds, and the keys of a type entry
+_POPULATION_KEYS = (*KINDS, "name", "description", "notes")
+_ENTRY_KEYS = ("payoff", "uC", "uD", "bestResponders", "imitators", "temper")
 
 
-def _build_type(kind: str, raw: Mapping, n: int) -> AgentTypeSpec:
+def _build_type(kind: str, raw: dict, n: int) -> AgentTypeSpec:
     """Read one JSON type entry in a population of n agents."""
     lines = None
     if "payoff" in raw:
-        payoff = _parse_payoff(raw["payoff"])
+        payoff = _parse_array(raw["payoff"], PayoffMatrix, 4)
         lines = UtilityLine.cooperator(payoff, n), UtilityLine.defector(payoff, n)
     if "uC" in raw or "uD" in raw:
         if not ("uC" in raw and "uD" in raw):
             raise ValueError("uC and uD must be given together")
-        given = _parse_line(raw["uC"]), _parse_line(raw["uD"])
+        given = _parse_array(raw["uC"], UtilityLine, 2), _parse_array(raw["uD"], UtilityLine, 2)
         if lines is not None and given != lines:
             raise ValueError("payoff matrix and utility lines disagree")
         lines = given
     if lines is None:
         raise ValueError("each type needs utility lines (uC/uD) or a payoff matrix")
-    spec = AgentTypeSpec(kind, *lines, raw.get("bestResponders", 0), raw.get("imitators", 0))
+    spec = AgentTypeSpec(kind, *lines, raw["bestResponders"], raw.get("imitators", 0))
     if raw.get("temper") is not None:
         declared = parse_rational(raw["temper"])
         if declared != spec.temper:
@@ -349,64 +359,41 @@ def _build_type(kind: str, raw: Mapping, n: int) -> AgentTypeSpec:
 
 
 def validate_population(raw) -> PopulationSpec:
-    """Normalize a raw specification into a PopulationSpec.
+    """A PopulationSpec as it is, or one read from the population JSON.
 
-    Accepts the JSON schema dict ({"anticoordinating": [...], "coordinating":
-    [...]}, entries may also be AgentTypeSpec objects, taken as they are) or an
-    existing PopulationSpec; the operation is idempotent. Types without best
-    responders are dropped, and the rest sorted into the canonical temper
-    order and relabelled.
+    The JSON keys are the ones README.md documents; any other is refused.
+    Entries with no agents are dropped, and the `PopulationSpec` constructor
+    sorts and checks the rest.
     """
     if isinstance(raw, PopulationSpec):
-        raw = {ANTICOORDINATING: raw.anticoordinating, COORDINATING: raw.coordinating}
+        return raw
     if not isinstance(raw, dict):
         raise ValueError("a population spec is an object holding the two type lists")
-    entries = [(kind, t) for kind in KINDS for t in raw.get(kind, ())]
-    if not all(isinstance(t, (dict, AgentTypeSpec)) for _, t in entries):
-        raise ValueError("every type entry must be an object")
+    entries = []
+    for kind in KINDS:
+        group = raw.get(kind, [])
+        if not isinstance(group, list) or not all(isinstance(t, dict) for t in group):
+            raise ValueError(f"{kind} is a list of type objects")
+        entries += [(kind, t) for t in group]
+    for keys, known in [(raw, _POPULATION_KEYS), *((t, _ENTRY_KEYS) for _, t in entries)]:
+        unknown = [k for k in keys if k not in known]
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; the known ones are {list(known)}")
+    if not all("bestResponders" in t for _, t in entries):
+        raise ValueError("every type entry needs bestResponders")
 
-    counts = [
-        (t.best_responders, t.imitators) if isinstance(t, AgentTypeSpec)
-        else (_count(t.get("bestResponders", 0)), _count(t.get("imitators", 0)))
-        for _, t in entries
-    ]
-    n = sum(best + imit for best, imit in counts)
-    if n == 0:
-        raise EmptyPopulation("population has no agents")
-
+    counts = [_count(t["bestResponders"]) + _count(t.get("imitators", 0)) for _, t in entries]
+    n = sum(counts)
     types: dict[str, list[AgentTypeSpec]] = {kind: [] for kind in KINDS}
-    for (kind, t), (best, imit) in zip(entries, counts):
-        if best == 0:
-            if imit > 0:
-                raise ImitatorWithoutMatchingType(
-                    f"{imit} imitators assigned to a {kind} type with no best-responders"
-                )
-            continue
-        if isinstance(t, dict):
-            t = _build_type(kind, t, n)
-        elif t.kind != kind:
-            raise ValueError(f"a {t.kind} type is listed as {kind}")
-        types[kind].append(t)
-    if not any(types.values()):
-        raise EmptyPopulation("population has no best-responder types")
-
-    for kind, group in types.items():
-        seen: set[Fraction] = set()
-        for t in group:
-            if t.temper in seen:
-                raise DuplicateTemper(f"two {kind} types share temper {t.temper}")
-            seen.add(t.temper)
-
-    types[ANTICOORDINATING].sort(key=lambda t: t.temper, reverse=True)
-    types[COORDINATING].sort(key=lambda t: t.temper)
+    for (kind, t), count in zip(entries, counts):
+        if count:
+            types[kind].append(_build_type(kind, t, n))
     return PopulationSpec(*(tuple(types[kind]) for kind in KINDS))
 
 
 def state_space_size(pop: PopulationSpec) -> int:
     """Size of the pooled-imitator state space: (m+1) * prod(n_i^a+1) * prod(n_i^c+1)."""
     size = pop.m + 1
-    for t in pop.anticoordinating:
-        size *= t.best_responders + 1
-    for t in pop.coordinating:
+    for t in pop.all_types():
         size *= t.best_responders + 1
     return size

@@ -34,13 +34,16 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .cells import IMITATOR, CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
 from .model import PopulationSpec, State
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 DEFAULT_MAX_STATES = 10**6
 MAX_STATES_ENV = "POPDYN_MAX_STATES"
@@ -145,7 +148,7 @@ class TransitionDigraph:
         return frozenset(self.space.pooled(self.space.coords_of(int(i))) for i in indices)
 
     @property
-    def matrix(self) -> "csr_matrix":
+    def matrix(self) -> csr_matrix:
         """The switch edges as a scipy CSR matrix, built from `moves` on every access.
 
         A reference for tests and tracing only: no package code path reads it,
@@ -621,9 +624,8 @@ def export_adjacency(graph: TransitionDigraph, stream) -> None:
     chars = window.view(np.uint8)
     first, done = -reach, 0  # the index at window[0], and the first index not yet formatted
 
-    newline = np.zeros((2, size), dtype=np.uint8)
-    newline[:, -1] = ord("\n")
-    newline[1, -2] = ord(" ")  # a row without successors reads "i: "
+    newline = np.zeros(size, dtype=np.uint8)
+    newline[-1] = ord("\n")
     newline = newline.view(np.uint64)
     # a row's tokens: its label, its successors in ascending order, a newline
     table = np.empty((block, len(offsets) + 2, words), dtype=np.uint64)
@@ -654,7 +656,6 @@ def export_adjacency(graph: TransitionDigraph, stream) -> None:
         here, loops = graph.moves[lo:hi], loops_ahead[lo % ahead : lo % ahead + rows]
         np.not_equal(here[:, None] & slot_bits, 0, out=keep[:rows, 1:-1])
         keep[:rows, mid + 1] = loops
-        table[:rows, -1] = newline[0]
-        table[np.flatnonzero((here == 0) & ~loops), -1] = newline[1]
+        table[:rows, -1] = newline
         kept = np.compress(keep[:rows].ravel(), table[:rows].reshape(-1, words), axis=0)
         stream.write(kept.tobytes().translate(None, b"\0").decode("ascii"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .oracle import (
     is_stable_oracle,
     minimal_invariant_sets,
 )
+
+if TYPE_CHECKING:
+    from . import stochastic as st
 
 DEFAULT_EPSILONS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
 

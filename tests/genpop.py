@@ -103,7 +103,7 @@ def with_empty_best_responder_cell(pop):
     validate_population drops empty types, so the spec is built directly; the
     empty cell is last and shares its stride with the cell before it. Its
     cooperator line is shifted so that the lines cross one past the last
-    type's temper, outward of the sort order.
+    type's temper, so the constructor's sort keeps it last.
     """
     last = pop.coordinating[-1] if pop.coordinating else pop.anticoordinating[-1]
     shift = 1 if last.kind == "coordinating" else -1

@@ -42,6 +42,24 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
         config = fixture_config("ex7_1")
         config["anticoordinating"][0] = {**entry, **change}
         texts.append(json.dumps(config))
+    # inputs once read as another population: a type without bestResponders
+    # (or with the key misspelled) as no type, a misspelled kind as no types,
+    # strings as the arrays of their characters, and {"slope", "intercept"}
+    # lines; bestResponders is required, and lines and payoffs are arrays
+    first, second = fixture_config("ex1")["anticoordinating"]
+    without_best = {k: v for k, v in second.items() if k != "bestResponders"}
+    for kind, i, replaced in (
+            ("anticoordinating", 1, without_best),
+            ("anticoordinating", 1, {**without_best, "bestresponders": 20}),
+            ("anticoordinating", 1, {**second, "uC": {"slope": "-80/79", "intercept": "4375/79"}}),
+            ("anticoordinating", 0, {**first, "uC": "12"}),
+            ("coordinating", 1, {"payoff": "3122", "bestResponders": 1})):
+        config = fixture_config("ex1")
+        config[kind][i] = replaced
+        texts.append(json.dumps(config))
+    config = fixture_config("ex1")
+    config["cordinating"] = config.pop("coordinating")
+    texts.append(json.dumps(config))
     for text in texts:
         bad.write_text(text)
         assert run_cli("equilibria", "--config", str(bad), "--json", out) == cli.EXIT_CONFIG, text

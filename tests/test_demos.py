@@ -1,6 +1,8 @@
 """Every narrative script under demos/, and every Python block of
-README.md, runs to completion."""
+README.md, runs to completion; every JSON block of README.md is a valid
+population spec."""
 
+import json
 import os
 import re
 import subprocess
@@ -13,8 +15,9 @@ import popdyn
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                           re.DOTALL | re.MULTILINE)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
+README_JSON = re.findall(r"^```json\n(.*?)^```", README, re.DOTALL | re.MULTILINE)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -32,3 +35,9 @@ def test_readme_python_blocks_run():
     assert README_BLOCKS
     for block in README_BLOCKS:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_json_blocks_validate():
+    assert README_JSON
+    for block in README_JSON:
+        popdyn.validate_population(json.loads(block))

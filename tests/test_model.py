@@ -231,12 +231,75 @@ def test_declared_temper_is_checked_against_the_crossing():
         validate_population({"coordinating": [{**entry, "temper": "7/2"}]})
 
 
-def test_validate_population_takes_type_specs_as_they_are(pops):
-    pop = pops["ex7_1"]
-    raw = {"anticoordinating": list(pop.anticoordinating), "coordinating": list(pop.coordinating)}
-    assert validate_population(raw) == pop
+def test_population_spec_sorts_its_types(pops):
+    for pop in pops.values():
+        shuffled = PopulationSpec(pop.anticoordinating[::-1], pop.coordinating[::-1])
+        assert shuffled == pop
+        assert validate_population(shuffled) is shuffled
     with pytest.raises(ValueError, match="listed as"):
-        validate_population({"anticoordinating": list(pop.coordinating)})
+        PopulationSpec(pops["ex7_1"].coordinating, ())
+
+
+def _spec_and_entry(kind, tau, best, imitators=0):
+    coop, defect = _line_pair(tau, kind)
+    spec = AgentTypeSpec(kind, coop, defect, best_responders=best, imitators=imitators)
+    return spec, {"uC": coop, "uD": defect, "bestResponders": best, "imitators": imitators}
+
+
+@pytest.mark.parametrize("types, error", [
+    ([], EmptyPopulation),
+    ([("coordinating", Fraction(5, 2), 0)], EmptyPopulation),
+    ([("coordinating", Fraction(5, 2), 0, 3)], ImitatorWithoutMatchingType),
+    ([("coordinating", Fraction(5, 2), 2), ("anticoordinating", Fraction(7, 2), 0, 1)],
+     ImitatorWithoutMatchingType),
+    ([("anticoordinating", Fraction(5, 2), 2), ("anticoordinating", Fraction(5, 2), 1)],
+     DuplicateTemper),
+])
+def test_invalid_population_raises_alike_built_or_validated(types, error):
+    specs = {"anticoordinating": [], "coordinating": []}
+    raw = {"anticoordinating": [], "coordinating": []}
+    for kind, *rest in types:
+        spec, entry = _spec_and_entry(kind, *rest)
+        specs[kind].append(spec)
+        raw[kind].append(entry)
+    with pytest.raises(error) as built:
+        PopulationSpec(tuple(specs["anticoordinating"]), tuple(specs["coordinating"]))
+    with pytest.raises(error) as validated:
+        validate_population(raw)
+    assert type(built.value) is type(validated.value) is error
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("uC", "12", TypeError), ("uC", {"slope": "1", "intercept": "2"}, TypeError),
+    ("uC", ("1", "2"), TypeError), ("uD", None, TypeError), ("uC", ["1", "2", "3"], ValueError),
+    ("payoff", "3122", TypeError), ("payoff", ["3", "1", "2"], ValueError),
+])
+def test_lines_and_payoffs_are_arrays(key, value, error):
+    # the README's two types
+    kind, entry = (("coordinating", {"payoff": ["3", "1", "2", "2"], "bestResponders": 5})
+                   if key == "payoff" else ("anticoordinating", {
+                       "uC": ["-16/13", "623/13"], "uD": ["36/13", "-768/13"], "bestResponders": 9}))
+    validate_population({kind: [entry]})
+    with pytest.raises(error, match="is an array of"):
+        validate_population({kind: [{**entry, key: value}]})
+
+
+def test_population_json_keys_are_the_documented_ones():
+    # each was read silently as a smaller population: a misspelled kind or
+    # bestResponders key as no types there
+    from popdyn.fixtures import fixture_config
+
+    raw = fixture_config("ex1")
+    first, second = raw["anticoordinating"]
+    misspelled = {**second, "bestresponders": second.pop("bestResponders")}
+    renamed = {k: v for k, v in raw.items() if k != "coordinating"}
+    for config in ({**renamed, "cordinating": raw["coordinating"]},
+                   {**raw, "anticoordinating": [first, misspelled]},
+                   {**raw, "anticoordinating": [first, {**second, "bestResponders": 1, "count": 2}]}):
+        with pytest.raises(ValueError, match="unknown keys"):
+            validate_population(config)
+    with pytest.raises(ValueError, match="needs bestResponders"):
+        validate_population({**raw, "anticoordinating": [first, second]})
 
 
 def test_fixtures_and_generated_populations_validate_unchanged(pops):
@@ -260,16 +323,6 @@ def test_validate_population_payoff_only():
 def test_state_space_size_pooled(pops):
     pop = pops["ex1"]
     assert state_space_size(pop) == 21 * 10 * 21 * 16 * 2 * 11
-
-
-def test_state_space_size_empty_product():
-    # formula edge: a lone zero-count type gives the empty product
-    t = AgentTypeSpec(
-        "coordinating", UtilityLine(1, 0), UtilityLine(0, Fraction(5, 2)),
-        best_responders=0, imitators=0,
-    )
-    pop = PopulationSpec(anticoordinating=(), coordinating=(t,))
-    assert state_space_size(pop) == 1
 
 
 def test_refined_space_size_ex7_2(pops):

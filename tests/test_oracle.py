@@ -14,9 +14,6 @@ from popdyn.equilibria import enumerate_equilibria
 from popdyn.errors import NoSuchAgent, NotAnEquilibrium, StateSpaceTooLarge
 from popdyn.model import (
     ANTICOORDINATING,
-    COORDINATING,
-    AgentTypeSpec,
-    PopulationSpec,
     State,
     UtilityLine,
     validate_population,
@@ -492,13 +489,6 @@ def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
         g = build_transition_digraph(pop, max_states=200_000)
         fast, slow = _adjacency_texts(g)
         assert fast == slow
-    # a row without successors: the one state of a population with no agents,
-    # built directly, since validation refuses it
-    empty = PopulationSpec((), (AgentTypeSpec(COORDINATING, UtilityLine(1, 0), UtilityLine(0, "1/2"),
-                                              0),))
-    g = build_transition_digraph(empty)
-    assert g.n_states == 1 and not g.self_loops(0, 1)[0]
-    assert _adjacency_texts(g) == ("0: \n", "0: \n")
 
 
 def test_index_tokens_match_str_across_powers_of_ten():

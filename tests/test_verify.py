@@ -14,6 +14,7 @@ import pytest
 from genpop import population
 from popdyn import equilibria, invariants, oracle, verify
 from popdyn import stochastic as st
+from popdyn.model import PopulationSpec
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.verify import (
     verify_equilibria,
@@ -40,6 +41,16 @@ def test_large_fixture_full_battery(name, pops, graphs):
     assert verify_equilibria(pop, graph) == []
     assert verify_invariants(pop, graph, invariants.invariance_report(pop)) == []
     assert verify_oracle(graph) == []
+
+
+def test_population_built_in_any_type_order_verifies(pops):
+    # every closed form indexes types by temper order, which the constructor sets
+    pop = pops["ex1"]
+    direct = PopulationSpec(pop.anticoordinating[::-1], pop.coordinating[::-1])
+    graph = build_transition_digraph(direct, max_states=20_000_000)
+    assert verify_equilibria(direct, graph) == []
+    assert verify_invariants(direct, graph, invariants.invariance_report(direct)) == []
+    assert direct == pop
 
 
 def test_verify_oracle_flags_states_missing_their_sink(pops):
