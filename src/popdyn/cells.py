@@ -16,7 +16,9 @@ decision from it. The oracle build runs it on one state per class of
 states that share the cooperator count and each cell's empty/interior/full
 pattern, since the kernel reads nothing else. Its move bitmask is its whole
 result: a state keeps itself (a self-loop) exactly when some present (cell,
-strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`).
+strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`). The
+closed forms' quantifiers over states (S invariance, cooperation preservation)
+likewise run over presence patterns (`CellSpace.presence_patterns`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -210,19 +213,6 @@ class CellSpace:
             rank_d[:, n_c] = [dense[v] for v in defect]
         return RuleTable(rank_c, rank_d)
 
-    def imitation_sups(self, coords: Sequence[int]) -> tuple[Fraction | float, Fraction | float]:
-        """(sup of cooperating agents' utilities, sup of defecting agents')."""
-        n_c = sum(coords)
-        sup_c: Fraction | float = float("-inf")
-        sup_d: Fraction | float = float("-inf")
-        for (kind, idx), positions in self.cells_of_type.items():
-            t = self.pop.get_type(kind, idx)
-            if any(coords[k] > 0 for k in positions):
-                sup_c = max(sup_c, t.cooperator_utility(n_c))
-            if any(coords[k] < self.caps[k] for k in positions):
-                sup_d = max(sup_d, t.defector_utility(n_c))
-        return sup_c, sup_d
-
     def moves(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Both update rules at a batch of states, one integer array per cell.
 
@@ -268,3 +258,35 @@ class CellSpace:
             np.bitwise_or(moves, 1 << 2 * k, out=moves, where=(coords[k] > 0) & wants_d)
             np.bitwise_or(moves, 1 << 2 * k + 1, out=moves, where=(coords[k] < caps[k]) & wants_c)
         return moves
+
+    def presence_patterns(self, ranges: Sequence[tuple[int, int]],
+                          n_c: int) -> Iterator[tuple[tuple[bool, bool], ...]]:
+        """Each tuple of a (has cooperators, has defectors) pair per type, in
+        `types` order, that some state with n_c cooperators and cell k's count
+        in the inclusive ranges[k] (a fixed cell [v, v], a free one [0, cap])
+        realises; once each.
+
+        A type has cooperators iff its cells' sum is above 0 and defectors
+        iff it is below their capacity. Integer ranges add to a range, so the
+        sum takes every value of its cells' summed range, which cut to empty
+        [0, 0], interior [1, cap - 1] or full [cap, cap] gives its patterns; a
+        choice of one per type is realised iff the ranges' sums bracket n_c.
+        """
+        options = []
+        for positions in self.cells_of_type.values():
+            lo, hi = (sum(ranges[k][end] for k in positions) for end in (0, 1))
+            cap = sum(self.caps[k] for k in positions)
+            cut = dict.fromkeys((max(a, lo), min(b, hi)) for a, b in ((0, 0), (1, cap - 1), (cap, cap)))
+            options.append([(a, b, (b > 0, a < cap)) for a, b in cut if a <= b])
+        for choice in product(*options):
+            if sum(a for a, _, _ in choice) <= n_c <= sum(b for _, b, _ in choice):
+                yield tuple(present for _, _, present in choice)
+
+    def top_utilities(self, ranges: Sequence[tuple[int, int]],
+                      n_c: int) -> Iterator[tuple[Fraction | float, Fraction | float]]:
+        """Each of the `presence_patterns`' exact top cooperator and defector
+        utility at n_c, -inf for an empty side; imitators copy the higher."""
+        utils = [(t.cooperator_utility(n_c), t.defector_utility(n_c)) for t in self.pop.all_types()]
+        for pattern in self.presence_patterns(ranges, n_c):
+            yield tuple(max((u[side] for u, has in zip(utils, pattern) if has[side]),
+                            default=float("-inf")) for side in (0, 1))

@@ -4,10 +4,11 @@ Commands: simulate | equilibria | invariants | oracle | stochastic.
 Exit codes: 0 success, 2 configuration error (the config, an option's value,
 a file that cannot be opened, or a population the command does not take),
 3 state-space guard exceeded, 4 verification failure, 5 internal error. The
-env var POPDYN_MAX_STATES overrides the default state guard; an explicit
---max-states flag overrides both. The guard is resolved once, before the
-command runs, and must be a positive integer. Output paths are checked then
-too: one that cannot be written is a configuration error before any work.
+guard applies only where an oracle or a dense stationary solve is built, not
+in plain `invariants` or `equilibria`. POPDYN_MAX_STATES overrides the
+oracle's default guard, and --max-states both; the guard is resolved once,
+before the command runs, and must be a positive integer. Output paths are
+checked then too: an unwritable one is a configuration error before any work.
 
 A command imports the analysis modules it runs when it runs, and `verify`
 only under --verify, so each process loads and compiles no other popdyn
@@ -172,15 +173,13 @@ def cmd_invariants(args) -> int:
     from . import invariants
 
     pop = _load_population(args.config)
-    report = invariants.invariance_report(pop, guard=args.max_states)
+    report = invariants.invariance_report(pop)
     problems: list[str] = []
     if args.verify:
         from . import oracle, verify
 
         graph = _oracle_graph(pop, args)
         problems = verify.verify_invariants(pop, graph, report=report)
-        # the report above already raised on an S enumeration over the guard,
-        # so no check is left to skip
         report["verification"] = {**_verification(problems), "skipped": []}
         report["oracle_minimal_invariant_sets"] = [
             _sink_entry(res) for res in oracle.minimal_invariant_sets(graph)

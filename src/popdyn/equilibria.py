@@ -17,7 +17,7 @@ from typing import Iterable, Union
 
 from .cells import CellSpace
 from .errors import AssumptionViolated
-from .model import PopulationSpec, State
+from .model import ANTICOORDINATING, PopulationSpec, State
 
 NEG_INF = float("-inf")
 Sup = Union[Fraction, float]
@@ -268,23 +268,21 @@ def is_exclusive_cooperation_preserving(pop: PopulationSpec, state: State) -> bo
     count, no defecting best-responder tends to cooperate, a group member is
     a top earner whenever the group contains an imitator, and an outsider is
     a top earner whenever some imitator is outside. Quantified over every way
-    of splitting the pooled imitator count across imitator groups.
+    of splitting the pooled imitator count across imitator groups, through
+    the presence patterns of those splits (`CellSpace.top_utilities`).
     """
     pop.check_state(state)
     n = state.n_cooperators
-    for i in range(1, pop.b + 1):
-        if state.xa[i - 1] >= 1 and not n < pop.tau_a(i):
+    for (kind, _, t), x in zip(pop.typed(), state.xa + state.xc):
+        # best responders cooperate below an anticoordinating temper, above a coordinating one
+        cooperates = (n < t.temper) == (kind == ANTICOORDINATING)
+        if (x >= 1 and not cooperates) or (x < t.best_responders and cooperates):
             return False
-        if state.xa[i - 1] < pop.n_a(i) and not n > pop.tau_a(i):
-            return False
-    for i in range(1, pop.bp + 1):
-        if state.xc[i - 1] >= 1 and not n > pop.tau_c(i):
-            return False
-        if state.xc[i - 1] < pop.n_c(i) and not n < pop.tau_c(i):
-            return False
+    # the splits fix every best-responder cell and share xI among the imitator cells
     space = CellSpace(pop)
-    for coords in space.splits_of_pooled(state):
-        sup_coop, sup_def = space.imitation_sups(coords)
+    ranges = [(0, cap) if k in space.imitator_positions else (v, v)
+              for k, (v, cap) in enumerate(zip(space.fill_refine(state), space.caps))]
+    for sup_coop, sup_def in space.top_utilities(ranges, n):
         if state.xI >= 1 and not sup_coop >= sup_def:
             return False
         if state.xI < pop.m and not sup_def >= sup_coop:

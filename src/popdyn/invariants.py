@@ -32,9 +32,9 @@ from typing import Iterator
 import numpy as np
 
 from .cells import BEST_RESPONDER, CellSpace
-from .errors import EmptySet, StateSpaceTooLarge
+from .errors import EmptySet
 from .model import ANTICOORDINATING, PopulationSpec, State
-from .oracle import InvariantSetResult, TransitionDigraph, resolve_max_states
+from .oracle import InvariantSetResult, TransitionDigraph
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def _fixed_cells(space: CellSpace, idx: BenchmarkIndex) -> dict[int, int]:
     return fixed
 
 
-def is_invariant_S(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | None = None) -> bool:
+def is_invariant_S(pop: PopulationSpec, idx: BenchmarkIndex) -> bool:
     """Closed-form invariance of S (raises EmptySet when S has no states).
 
     Each side short-circuits when the attainable extreme of the cooperator
@@ -164,78 +164,47 @@ def is_invariant_S(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | None =
     matches the exhaustive one-step closure exactly (tested against the
     oracle), including populations where some types carry no imitators.
     """
-    details = s_invariance_details(pop, idx, guard)
-    return details["invariant"]
+    return s_invariance_details(pop, idx)["invariant"]
 
 
-def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex, guard: int | None = None) -> dict:
+def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex) -> dict:
+    """`is_invariant_S` with the outcome of each test it made."""
     idx.check(pop)
     lo, hi = s_cooperator_range(pop, idx)
     if lo > hi:
         raise EmptySet(f"S_{(idx.j1, idx.j2, idx.j2p, idx.j1p)} is empty")
-    t_max = tau_max(pop, idx)
-    t_min = tau_min(pop, idx)
-    ceil_max = math.ceil(t_max)
-    floor_min = math.floor(t_min)
-
-    details: dict = {"idx": idx, "invariant": None}
+    ceil_max, floor_min = math.ceil(tau_max(pop, idx)), math.floor(tau_min(pop, idx))
+    details: dict = {}
     space = CellSpace(pop)
     fixed = _fixed_cells(space, idx)
-    base = [fixed.get(k, 0) for k in range(len(space.cells))]
-    free = [k for k in range(len(space.cells)) if k not in fixed]
-    limit = resolve_max_states(guard)
+    box = [(fixed[k],) * 2 if k in fixed else (0, cap) for k, cap in enumerate(space.caps)]
 
-    def s_states_at(n_c: int):
-        """Refined states of S with exactly n_c cooperators, at most `limit` of them."""
-        for count, coords in enumerate(space.fills(base, free, n_c - sum(base)), 1):
-            if count > limit:
-                raise StateSpaceTooLarge(
-                    f"more than {limit} states at one cooperator count; raise the guard"
-                )
-            yield coords
+    def top_earner_everywhere(n_c: int, coop_side: bool) -> bool:
+        # the S states at n_c with an imitator on `coop_side`: that imitator's
+        # cell narrows its range by one
+        for k in space.imitator_positions:
+            ranges = box.copy()
+            ranges[k] = (1, space.caps[k]) if coop_side else (0, space.caps[k] - 1)
+            for sup_c, sup_d in space.top_utilities(ranges, n_c):
+                if (sup_c < sup_d) if coop_side else (sup_d < sup_c):
+                    return False
+        return True
 
     # the short-circuit arms are the attainable extremes of n^C inside X:
     # the fixed cooperators from below, imitators plus everyone left of the
     # defector blocks from above
-    low_pinned = _fixed_coop_sum(pop, idx) >= ceil_max
-    details["low_pinned_by_fixed_cooperators"] = low_pinned
-    if low_pinned:
-        low_ok = True
-    else:
-        brackets = pop.tau_c(idx.j2p - 1) < ceil_max < pop.tau_a(idx.j2 - 1)
-        details["low_temper_bracket"] = brackets
-        if brackets:
-            # only a cooperating imitator can pull the count below the floor,
-            # so the top-earner test quantifies over states that have one
-            tops = (
-                space.imitation_sups(coords)
-                for coords in s_states_at(ceil_max)
-                if any(coords[k] >= 1 for k in space.imitator_positions)
-            )
-            earner = all(sup_c >= sup_d for sup_c, sup_d in tops)
-            details["cooperator_top_at_min"] = earner
-            low_ok = earner
-        else:
-            low_ok = False
+    low_ok = details["low_pinned_by_fixed_cooperators"] = _fixed_coop_sum(pop, idx) >= ceil_max
+    if not low_ok:
+        details["low_temper_bracket"] = pop.tau_c(idx.j2p - 1) < ceil_max < pop.tau_a(idx.j2 - 1)
+        if details["low_temper_bracket"]:
+            # only a cooperating imitator can pull the count below the floor
+            low_ok = details["cooperator_top_at_min"] = top_earner_everywhere(ceil_max, True)
 
-    high_pinned = _free_max_sum(pop, idx) <= floor_min
-    details["high_pinned_by_population"] = high_pinned
-    if high_pinned:
-        high_ok = True
-    else:
-        brackets = pop.tau_a(idx.j1 + 1) < floor_min < pop.tau_c(idx.j1p + 1)
-        details["high_temper_bracket"] = brackets
-        if brackets:
-            tops = (
-                space.imitation_sups(coords)
-                for coords in s_states_at(floor_min)
-                if any(coords[k] < space.caps[k] for k in space.imitator_positions)
-            )
-            earner = all(sup_d >= sup_c for sup_c, sup_d in tops)
-            details["defector_top_at_max"] = earner
-            high_ok = earner
-        else:
-            high_ok = False
+    high_ok = details["high_pinned_by_population"] = _free_max_sum(pop, idx) <= floor_min
+    if not high_ok:
+        details["high_temper_bracket"] = pop.tau_a(idx.j1 + 1) < floor_min < pop.tau_c(idx.j1p + 1)
+        if details["high_temper_bracket"]:
+            high_ok = details["defector_top_at_max"] = top_earner_everywhere(floor_min, False)
 
     details["invariant"] = low_ok and high_ok
     return details
@@ -413,22 +382,19 @@ def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult
     return report
 
 
-def invariance_report(pop: PopulationSpec, guard: int | None = None) -> dict:
+def invariance_report(pop: PopulationSpec) -> dict:
     """Per-benchmark-index verdicts for the X and S families."""
     entries = []
     for idx in all_benchmark_indices(pop):
         entry: dict = {"idx": [idx.j1, idx.j2, idx.j2p, idx.j1p]}
-        cond1, cond2 = s_nonemptiness_conditions(pop, idx)
         lo, hi = s_cooperator_range(pop, idx)
         entry["X_invariant"] = is_invariant_X(pop, idx)
-        entry["S_nonemptiness_conditions"] = [cond1, cond2]
+        entry["S_nonemptiness_conditions"] = list(s_nonemptiness_conditions(pop, idx))
         entry["S_empty"] = lo > hi
         if lo <= hi:
-            details = s_invariance_details(pop, idx, guard)
-            entry["S_invariant"] = details["invariant"]
-            entry["S_details"] = {
-                k: v for k, v in details.items() if k not in ("idx", "invariant")
-            }
+            details = s_invariance_details(pop, idx)
+            entry["S_invariant"] = details.pop("invariant")
+            entry["S_details"] = details
         entries.append(entry)
     return {"benchmark_sets": entries}
 

@@ -736,6 +736,20 @@ def check_extreme_theorem(chain: PerturbedChain) -> ExtremeTheoremVerdict:
 # -- reporting -----------------------------------------------------------------
 
 
+def exact_str(q: Fraction) -> str:
+    """`str(q)` at any size: a stationary mass can have more digits than
+    Python's int-to-str limit allows (4,300), so ints go 1,000 at a time."""
+    def digits(n: int) -> str:
+        chunks = []
+        while n >= 10 ** 1000:
+            n, low = divmod(n, 10 ** 1000)
+            chunks.append(f"{low:01000d}")
+        return str(n) + "".join(reversed(chunks))
+
+    num, den = digits(abs(q.numerator)), digits(q.denominator)
+    return ("-" if q < 0 else "") + (num if q.denominator == 1 else f"{num}/{den}")
+
+
 def stochastic_report(chain: PerturbedChain,
                       stationary: dict[Fraction, list[Fraction]] | None = None) -> dict:
     """JSON-ready report on the chain, states as BStates; `stationary` maps
@@ -772,9 +786,9 @@ def stochastic_report(chain: PerturbedChain,
         stable_indices = [i for t in table.stable_ids for i in table.classes[t]]
         by_eps = {}
         for eps, mu in stationary.items():
-            by_eps[str(eps)] = {
-                "stable_set_mass": str(sum((mu[i] for i in stable_indices), Fraction(0))),
-                "by_state": {str(tuple(chain.states[i])): str(mu[i])
+            by_eps[exact_str(eps)] = {
+                "stable_set_mass": exact_str(sum((mu[i] for i in stable_indices), Fraction(0))),
+                "by_state": {str(tuple(chain.states[i])): exact_str(mu[i])
                              for i in _by_bstate(chain, range(chain.n_states))},
             }
         report["stationary"] = by_eps

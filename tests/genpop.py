@@ -1,7 +1,8 @@
 """Seeded random small populations for the cross-check suites, the update
 rules straight from a population's tempers and `Fraction`s as their
-reference, and whole-space membership masks with a generic closure test as
-the reference for the X and S checks."""
+reference, the top earners of every listed state as the reference for the
+presence-pattern quantifier, and whole-space membership masks with a generic
+closure test as the reference for the X and S checks."""
 
 from __future__ import annotations
 
@@ -138,6 +139,31 @@ def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> s
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def reference_sups(space, coords):
+    """(top utility of a cooperating agent, of a defecting agent) at a
+    refined state, from the `Fraction`s; -inf for a side with no agent."""
+    n_c = sum(coords)
+    sup_c = sup_d = float("-inf")
+    for (kind, idx), positions in space.cells_of_type.items():
+        t = space.pop.get_type(kind, idx)
+        if any(coords[k] > 0 for k in positions):
+            sup_c = max(sup_c, t.cooperator_utility(n_c))
+        if any(coords[k] < space.caps[k] for k in positions):
+            sup_d = max(sup_d, t.defector_utility(n_c))
+    return sup_c, sup_d
+
+
+def reference_top_utilities(space, ranges, n_c):
+    """`CellSpace.top_utilities` by enumeration: the `reference_sups` of
+    every state with n_c cooperators and cell k's count in ranges[k], listed
+    by `fills` over the cells whose range holds more than one count."""
+    base = [lo if lo == hi else 0 for lo, hi in ranges]
+    free = [k for k, (lo, hi) in enumerate(ranges) if lo < hi]
+    for coords in space.fills(base, free, n_c - sum(base)):
+        if all(lo <= v <= hi for v, (lo, hi) in zip(coords, ranges)):
+            yield reference_sups(space, coords)
+
+
 def reference_next(space, coords, k, current):
     """Next strategy of an active `current` player of cell k, from the temper
     (best responders) or the `Fraction` utilities (imitators)."""
@@ -145,7 +171,7 @@ def reference_next(space, coords, k, current):
     if cell.role == BEST_RESPONDER:
         tau = space.pop.get_type(cell.kind, cell.type_index).temper
         return best_response_next(cell.kind, tau, current, sum(coords))
-    sup_c, sup_d = space.imitation_sups(coords)
+    sup_c, sup_d = reference_sups(space, coords)
     return "C" if sup_c > sup_d else "D" if sup_c < sup_d else current
 
 

@@ -634,27 +634,55 @@ def test_stochastic_verify_takes_a_repeated_epsilon_once(tmp_path):
     assert list(report["stationary"]) == ["1/100", "1/1000"]
 
 
-def test_invariants_verify_uses_the_report_guard(tmp_path, monkeypatch):
-    # the report decides each S verdict under the command's guard, and the
-    # verification reuses it instead of deciding it again
+def test_invariants_verify_decides_each_s_verdict_once(tmp_path, monkeypatch):
+    # the verification reuses the report's S verdicts instead of deciding them again
     from popdyn import invariants
 
-    calls = []
+    decided = []
     real = invariants.s_invariance_details
 
-    def recording(pop, idx, guard=None):
-        calls.append((idx, guard))
-        return real(pop, idx, guard)
+    def recording(pop, idx):
+        decided.append(idx)
+        return real(pop, idx)
 
     monkeypatch.setattr(invariants, "s_invariance_details", recording)
     code = run_cli(
         "invariants", "--config", str(FIXDIR / "ex7_4.json"), "--verify",
-        "--max-states", "5000", "--json", str(tmp_path / "inv.json"),
+        "--json", str(tmp_path / "inv.json"),
     )
     assert code == 0
-    assert calls and {guard for _, guard in calls} == {5000}
-    decided = [idx for idx, _ in calls]
-    assert len(decided) == len(set(decided))
+    assert decided and len(decided) == len(set(decided))
+
+
+def test_invariants_report_takes_no_state_guard(tmp_path, monkeypatch):
+    # without --verify nothing as large as the state space is built, so the
+    # guard does not apply: the report is the one made under the default guard
+    for name in ("ex1", "ex2", "ex3"):
+        argv = ["invariants", "--config", str(FIXDIR / f"{name}.json"), "--json"]
+        monkeypatch.delenv("POPDYN_MAX_STATES", raising=False)
+        assert run_cli(*argv, str(tmp_path / "default.json")) == cli.EXIT_OK
+        monkeypatch.setenv("POPDYN_MAX_STATES", "1")
+        assert run_cli(*argv, str(tmp_path / "guarded.json")) == cli.EXIT_OK, name
+        assert (tmp_path / "guarded.json").read_text() == (tmp_path / "default.json").read_text()
+
+
+def test_stochastic_reports_masses_of_any_size(tmp_path):
+    # at epsilon 1e-80 the exact masses have more digits than Python writes
+    # or reads by default; the report writes them whole, and they sum to 1
+    out = tmp_path / "st.json"
+    code = run_cli("stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--epsilon", "1e-80",
+                   "--json", str(out))
+    assert code == cli.EXIT_OK
+    (solved,) = json.loads(out.read_text())["stationary"].values()
+    limit = sys.get_int_max_str_digits()
+    assert max(len(mass) for mass in solved["by_state"].values()) > 2 * limit
+    sys.set_int_max_str_digits(0)
+    try:
+        masses = [Fraction(mass) for mass in solved["by_state"].values()]
+        stable_mass = Fraction(solved["stable_set_mass"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sum(masses) == 1 and 0 < stable_mass <= 1
 
 
 def test_stochastic_builds_each_chain_once(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
-from genpop import reference_next, reference_step, sample_populations, with_empty_best_responder_cell
+from genpop import (reference_next, reference_step, reference_sups, sample_populations,
+                    with_empty_best_responder_cell)
 from popdyn import oracle
 from popdyn.cells import IMITATOR, CellSpace
 from popdyn.dynamics import AgentRef, step
@@ -133,7 +134,7 @@ def test_successors_match_pure_python_route():
             expected = _reference_successors(space, coords)
             assert g.successors(i) == sorted(space.index_of(c) for c in expected)
             assert bool(loops[i]) == (coords in expected)
-            sup_c, sup_d = space.imitation_sups(coords)
+            sup_c, sup_d = reference_sups(space, coords)
             imitator_ties += bool(space.imitator_positions) and sup_c == sup_d
     assert imitator_ties > 0
     # `step`, through the same kernel, at every state and activation of the

@@ -1,15 +1,19 @@
 """Randomized cross-checks beyond the fixtures."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
+import pytest
 
-from genpop import (is_closed_under_step, s_membership_mask, sample_populations,
-                    with_empty_best_responder_cell, x_membership_mask)
+from genpop import (is_closed_under_step, reference_top_utilities, s_membership_mask,
+                    sample_populations, with_empty_best_responder_cell, x_membership_mask)
 from popdyn import stochastic as st
+from popdyn.cells import CellSpace
 from popdyn.dynamics import UniformRandom, Weighted, simulate
-from popdyn.equilibria import enumerate_equilibria
-from popdyn.invariants import all_benchmark_indices
+from popdyn.equilibria import enumerate_equilibria, is_exclusive_cooperation_preserving
+from popdyn.fixtures import FIXTURE_NAMES, fixture_population
+from popdyn.invariants import all_benchmark_indices, s_cooperator_range, s_invariance_details
 from popdyn.model import State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
@@ -42,6 +46,52 @@ def test_trajectory_locality_randomized():
         )
         for prev, cur in zip(traj.refined, traj.refined[1:]):
             assert sum(abs(a - b) for a, b in zip(prev, cur)) <= 1
+
+
+def _top_earner_decisions(pops) -> tuple[list[dict], list[bool]]:
+    """Every nonempty S's `s_invariance_details`, and the cooperation-preserving
+    verdict at every pooled state where no best-responder type is split (the
+    states `verify_equilibria` checks)."""
+    details, verdicts = [], []
+    for pop in pops:
+        for idx in all_benchmark_indices(pop):
+            lo, hi = s_cooperator_range(pop, idx)
+            if lo <= hi:
+                details.append(s_invariance_details(pop, idx))
+        for xI, *br in product(range(pop.m + 1), *((0, t.best_responders) for t in pop.all_types())):
+            state = State(xI, tuple(br[:pop.b]), tuple(br[pop.b:]))
+            verdicts.append(is_exclusive_cooperation_preserving(pop, state))
+    return details, verdicts
+
+
+@pytest.fixture(scope="module")
+def enumerated():
+    """The populations of the quantifier comparison, and their decisions with
+    each quantification made over the listed states instead."""
+    pops = [fixture_population(name) for name in FIXTURE_NAMES]
+    pops += [pop for seed in (23, 29, 5) for pop in sample_populations(seed=seed, count=150)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CellSpace, "top_utilities", reference_top_utilities)
+        return pops, _top_earner_decisions(pops)
+
+
+def test_presence_patterns_match_the_enumeration(enumerated):
+    pops, (details, verdicts) = enumerated
+    assert _top_earner_decisions(pops) == (details, verdicts)
+    # both top-earner tests and both cooperation-preserving outcomes occur
+    outcomes = {(key, d[key]) for d in details
+                for key in ("cooperator_top_at_min", "defector_top_at_max") if key in d}
+    assert len(outcomes) == 4 and set(verdicts) == {True, False}
+
+
+def test_enumeration_catches_a_quantifier_without_interior(enumerated, monkeypatch):
+    # a type whose agents play both strategies is the interior pattern
+    pops, (details, verdicts) = enumerated
+    real = CellSpace.presence_patterns
+    monkeypatch.setattr(CellSpace, "presence_patterns", lambda self, ranges, n_c: (
+        pattern for pattern in real(self, ranges, n_c) if (True, True) not in pattern))
+    mutant_details, mutant_verdicts = _top_earner_decisions(pops)
+    assert mutant_details != details and mutant_verdicts != verdicts
 
 
 def _closed_by_edge_scan(graph, mask):
