@@ -34,7 +34,6 @@ from .model import (
     parse_rational,
     state_space_size,
     temper_from_payoffs,
-    utilities,
     validate_population,
 )
 

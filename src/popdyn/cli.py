@@ -4,11 +4,11 @@ Commands: simulate | equilibria | invariants | oracle | stochastic.
 Exit codes: 0 success, 2 configuration error (the config, an option's value,
 a file that cannot be opened, or a population the command does not take),
 3 state-space guard exceeded, 4 verification failure, 5 internal error. The
-guard applies only where an oracle or a dense stationary solve is built, not
-in plain `invariants` or `equilibria`. POPDYN_MAX_STATES overrides the
-oracle's default guard, and --max-states both; the guard is resolved once,
-before the command runs, and must be a positive integer. Output paths are
-checked then too: an unwritable one is a configuration error before any work.
+state guard, --max-states (default 10^6 refined states), is read only where an
+oracle is built: `oracle`, `stochastic`, `equilibria --oracle` or --verify,
+and `invariants --verify`; there it must be a positive integer. The stationary
+solve has its own guard on its dense matrix. Output paths are checked before
+the command runs: an unwritable one is a configuration error before any work.
 
 A command imports the analysis modules it runs when it runs, and `verify`
 only under --verify, so each process loads and compiles no other popdyn
@@ -134,7 +134,10 @@ def cmd_simulate(args) -> int:
 def _oracle_graph(pop: PopulationSpec, args) -> oracle.TransitionDigraph:
     from . import oracle
 
-    return oracle.build_transition_digraph(pop, max_states=args.max_states)
+    guard = oracle.DEFAULT_MAX_STATES if args.max_states is None else args.max_states
+    if guard < 1:
+        raise _InputError(f"--max-states must be a positive integer, not {guard}")
+    return oracle.build_transition_digraph(pop, max_states=guard)
 
 
 def _verification(problems: list[str]) -> dict:
@@ -150,13 +153,15 @@ def _sink_entry(res: oracle.InvariantSetResult) -> dict:
 
 
 def cmd_equilibria(args) -> int:
-    from . import equilibria, oracle
+    from . import equilibria
 
     pop = _load_population(args.config)
     records = equilibria.enumerate_equilibria(pop)
     report = equilibria.equilibria_report(pop, records)
     problems: list[str] = []
     if args.verify or args.oracle:
+        from . import oracle
+
         graph = _oracle_graph(pop, args)
         for entry, rec in zip(report["equilibria"], records):
             entry["oracle_stable"] = oracle.is_stable_oracle(graph, rec.state)
@@ -248,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--config", required=True, help="population spec JSON")
         p.add_argument("--max-states", type=int, default=None,
-                       help="state-space guard (default 10^6 or POPDYN_MAX_STATES)")
+                       help="state guard of the oracle (default 10^6), read only by oracle, "
+                            "stochastic, equilibria --oracle/--verify and invariants --verify")
         p.add_argument("--json", default=None, help="report path (default stdout)")
         p.add_argument("--verify", action="store_true",
                        help="run analytic-vs-oracle cross-checks; exit 4 on disagreement")
@@ -293,11 +299,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
-        if "max_states" in args:
-            from . import oracle
-
-            with _input():
-                args.max_states = oracle.resolve_max_states(args.max_states)
         return args.func(args)
     except StateSpaceTooLarge as exc:
         print(f"state-space guard exceeded: {exc}", file=sys.stderr)

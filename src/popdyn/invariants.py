@@ -27,14 +27,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .cells import BEST_RESPONDER, CellSpace
 from .errors import EmptySet
 from .model import ANTICOORDINATING, PopulationSpec, State
-from .oracle import InvariantSetResult, TransitionDigraph
+
+if TYPE_CHECKING:
+    from .oracle import InvariantSetResult, TransitionDigraph
 
 
 @dataclass(frozen=True)

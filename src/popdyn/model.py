@@ -141,11 +141,6 @@ class AgentTypeSpec:
         return self.best_responders + self.imitators
 
 
-def utilities(type_spec: AgentTypeSpec, n_c: int) -> tuple[Fraction, Fraction]:
-    """Exact (uC, uD) of the type's lines at cooperator count n_c."""
-    return type_spec.cooperator_utility(n_c), type_spec.defector_utility(n_c)
-
-
 @dataclass(frozen=True)
 class State:
     """Cooperator counts: pooled imitators, then per-type best-responders.

@@ -31,7 +31,6 @@ and fills the slots by slice copies.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -46,7 +45,6 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 DEFAULT_MAX_STATES = 10**6
-MAX_STATES_ENV = "POPDYN_MAX_STATES"
 
 # the most states in one block of the build, and the most keys of its state
 # classes (see `_inner_split`)
@@ -60,16 +58,6 @@ _FREE, _OPEN, _DONE = 0, 1, 2
 # are small: the ex3 sink search takes 0.4-0.6 s at any threshold from 0 to
 # 1 << 12, 0.5-0.7 s at 1 << 14 and 0.8-1.2 s at 1 << 16 (2 vCPUs)
 _SMALL_LAYER = 1 << 11
-
-
-def resolve_max_states(max_states: int | None = None) -> int:
-    """The state guard: `max_states`, else `MAX_STATES_ENV`, else the default;
-    ValueError unless it is a positive integer."""
-    if max_states is None:
-        max_states = os.environ.get(MAX_STATES_ENV) or DEFAULT_MAX_STATES
-    if not str(max_states).isdecimal() or int(max_states) < 1:
-        raise ValueError(f"the state guard must be a positive integer, not {max_states!r}")
-    return int(max_states)
 
 
 @dataclass(frozen=True)
@@ -318,7 +306,8 @@ def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None =
     return seen
 
 
-def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None) -> TransitionDigraph:
+def build_transition_digraph(pop: PopulationSpec,
+                             max_states: int = DEFAULT_MAX_STATES) -> TransitionDigraph:
     """Materialize the multivalued one-step dynamics of the population.
 
     The kernel reads a state only through its cooperator count and whether
@@ -331,11 +320,9 @@ def build_transition_digraph(pop: PopulationSpec, max_states: int | None = None)
     moves from its key's representative.
     """
     space = CellSpace(pop)
-    guard = resolve_max_states(max_states)
-    if space.n_states > guard:
+    if space.n_states > max_states:
         raise StateSpaceTooLarge(
-            f"{space.n_states} refined states exceed the guard of {guard}; "
-            f"raise max_states or {MAX_STATES_ENV}"
+            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
         )
 
     n, split = space.n_states, _inner_split(space.caps)

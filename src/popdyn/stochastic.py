@@ -62,11 +62,13 @@ def check_binary(pop: PopulationSpec) -> None:
 
 def tremble_rate(epsilon, solve: bool = False) -> Fraction:
     """epsilon as a Fraction, checked to lie in [0, 1), and in (0, 1) for a
-    stationary solve, which needs every transition."""
-    epsilon = parse_rational(epsilon)
-    if not (0 < epsilon < 1 if solve else 0 <= epsilon < 1):
-        raise ValueError(f"epsilon must lie in {'(0, 1)' if solve else '[0, 1)'}, got {epsilon}")
-    return epsilon
+    stationary solve, which needs every transition. A refused epsilon is
+    named as written, or by `exact_str`, which writes one of any size."""
+    rate = parse_rational(epsilon)
+    if not (0 < rate < 1 if solve else 0 <= rate < 1):
+        shown = epsilon if isinstance(epsilon, str) else exact_str(rate)
+        raise ValueError(f"epsilon must lie in {'(0, 1)' if solve else '[0, 1)'}, got {shown}")
+    return rate
 
 
 @dataclass
@@ -583,6 +585,12 @@ class _OrderKernel:
         return (pi + col).min() - pivot
 
 
+def solves_exactly(chain: PerturbedChain) -> bool:
+    """Whether `stationary_distribution` solves the chain exactly, so that its
+    residual (`stationary_residual`) is 0, rather than in float64."""
+    return chain.n_states <= EXACT_SOLVE_LIMIT
+
+
 def stationary_distribution(chain: PerturbedChain, epsilon) -> list[Fraction]:
     """Unique stationary row vector of the perturbed chain at tremble rate
     epsilon, which must be positive.
@@ -595,7 +603,7 @@ def stationary_distribution(chain: PerturbedChain, epsilon) -> list[Fraction]:
     on the elimination order. Float results come back as Fraction(float(x)).
     """
     epsilon = tremble_rate(epsilon, solve=True)
-    if chain.n_states <= EXACT_SOLVE_LIMIT:
+    if solves_exactly(chain):
         pi, position, _ = _gth(chain, _ExactKernel(epsilon))
         total = sum(pi.tolist())
         return [Fraction(w, total) for w in pi[position].tolist()]

@@ -196,7 +196,8 @@ def verify_stochastic(chain: st.PerturbedChain, epsilons: Sequence = (),
     modified coradius, the largest modified cost into it from outside, must
     be the only stable class. Plain and modified costs from every state to
     every class come from the chain's class table, two
-    whole-chain searches per class.
+    whole-chain searches per class. The stationary residual must be 0 for
+    an exact solve and at most 10^-12 for a float one.
     """
     from . import equilibria as eq
     from . import stochastic as st
@@ -259,10 +260,11 @@ def verify_stochastic(chain: st.PerturbedChain, epsilons: Sequence = (),
 
     solved = stationary or {}
     mus = {}
+    tolerance = 0 if st.solves_exactly(chain) else Fraction(1, 10**12)
     for eps in epsilons:
         mu = solved[eps] if eps in solved else st.stationary_distribution(chain, eps)
-        if st.stationary_residual(chain, eps, mu) > Fraction(1, 10**12):
-            problems.append(f"stationary residual too large at eps={eps}")
+        if st.stationary_residual(chain, eps, mu) > tolerance:
+            problems.append(f"stationary residual above {tolerance} at eps={eps}")
         mus[eps] = mu
     ordered = sorted(epsilons, reverse=True)  # decreasing eps
     stable = [i for t in table.stable_ids for i in classes[t]]

@@ -67,6 +67,11 @@ def test_malformed_config_is_config_error(tmp_path, capsys):
     assert run_cli("stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--epsilon", "1/0",
                    "--json", out) == cli.EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+    # an epsilon with more digits than Python writes by default is named as written
+    assert run_cli("stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--epsilon", "1e5000",
+                   "--json", out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: epsilon must lie in (0, 1), got 1e5000\n")
 
 
 def test_stochastic_rejects_non_binary(tmp_path, capsys):
@@ -426,17 +431,19 @@ def test_stochastic_dot_export(tmp_path):
 
 
 def test_stochastic_dot_export_uses_the_guarded_oracle(tmp_path, monkeypatch):
-    # --max-states overrides the environment guard for the DOT export too
+    # the DOT export comes from the oracle built under --max-states: a guard
+    # below ex7_1's 72 states writes none, and the environment sets no guard
     monkeypatch.setenv("POPDYN_MAX_STATES", "10")
     dot = tmp_path / "c.dot"
-    code = run_cli(
-        "stochastic", "--config", str(FIXDIR / "ex7_1.json"), "--max-states", "1000",
-        "--dot", str(dot), "--json", str(tmp_path / "o.json"),
-    )
-    assert code == 0
-    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
-        "5a198c6cae6e4ff175c73587445d0b7096eb639251cd16c60d877ad3c9f2ef21"
-    )
+    argv = ["stochastic", "--config", str(FIXDIR / "ex7_1.json"),
+            "--dot", str(dot), "--json", str(tmp_path / "o.json")]
+    assert run_cli(*argv, "--max-states", "10") == cli.EXIT_GUARD
+    assert not dot.exists()
+    for guard in ([], ["--max-states", "1000"]):
+        assert run_cli(*argv, *guard) == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+            "5a198c6cae6e4ff175c73587445d0b7096eb639251cd16c60d877ad3c9f2ef21"
+        )
 
 
 def test_invariants_command(tmp_path):
@@ -446,32 +453,37 @@ def test_invariants_command(tmp_path):
     assert "benchmark_sets" in report
 
 
-def test_env_guard_override(tmp_path, monkeypatch, capsys):
-    # every guarded command: the environment's guard applies, a flag overrides
-    # it, and a guard that is not a positive integer is bad input, not an
-    # internal fault (loops rather than parameters, so the test keeps its name)
-    commands = [("oracle",), ("equilibria", "--oracle"), ("invariants", "--verify"), ("stochastic",)]
-    cases = [
-        ("10", None, cli.EXIT_GUARD),
-        ("abc", None, cli.EXIT_CONFIG),
-        ("0", None, cli.EXIT_CONFIG),
-        ("abc", "1000", cli.EXIT_OK),
-        (None, "-5", cli.EXIT_CONFIG),
-        (None, "0", cli.EXIT_CONFIG),
-    ]
-    for command in commands:
-        for env, flag, code in cases:
-            if env is None:
-                monkeypatch.delenv("POPDYN_MAX_STATES", raising=False)
-            else:
-                monkeypatch.setenv("POPDYN_MAX_STATES", env)
-            argv = [*command, "--config", str(FIXDIR / "ex7_1.json"), "--json", str(tmp_path / "o.json")]
-            if flag is not None:
-                argv += ["--max-states", flag]
-            assert run_cli(*argv) == code, (command, env, flag)
+def test_state_guard_is_read_only_where_an_oracle_is_built(tmp_path, monkeypatch, capsys):
+    # --max-states is the guard, else 10^6; POPDYN_MAX_STATES is not read.
+    # A command that builds an oracle refuses a guard that is not positive
+    # (exit 2) and a space above it (exit 3)
+    ex7_1 = str(FIXDIR / "ex7_1.json")
+    out = str(tmp_path / "o.json")
+    for command in [("oracle",), ("equilibria", "--oracle"), ("invariants", "--verify"),
+                    ("stochastic",)]:
+        argv = [*command, "--config", ex7_1, "--json", out]
+        for flag, code in (("0", cli.EXIT_CONFIG), ("-5", cli.EXIT_CONFIG),
+                           ("10", cli.EXIT_GUARD)):
+            assert run_cli(*argv, "--max-states", flag) == code, (command, flag)
             err = capsys.readouterr().err
-            if code == cli.EXIT_CONFIG:
-                assert "must be a positive integer" in err, (command, env, flag)
+            refused = "must be a positive integer" in err
+            assert refused == (code == cli.EXIT_CONFIG), (command, flag)
+        monkeypatch.setenv("POPDYN_MAX_STATES", "abc")
+        assert run_cli(*argv) == cli.EXIT_OK, command
+        monkeypatch.delenv("POPDYN_MAX_STATES")
+    # plain equilibria and invariants build no oracle: they read no guard,
+    # whatever its value, and write the same report
+    for command in ("equilibria", "invariants"):
+        for name in ("ex1", "ex7_1"):
+            argv = [command, "--config", str(FIXDIR / f"{name}.json"), "--json", out]
+            assert run_cli(*argv) == cli.EXIT_OK
+            report = Path(out).read_bytes()
+            assert run_cli(*argv, "--max-states", "0") == cli.EXIT_OK, (command, name)
+            assert Path(out).read_bytes() == report
+            monkeypatch.setenv("POPDYN_MAX_STATES", "abc")
+            assert run_cli(*argv) == cli.EXIT_OK, (command, name)
+            assert Path(out).read_bytes() == report
+            monkeypatch.delenv("POPDYN_MAX_STATES")
 
 
 def _child_env() -> dict:
@@ -546,10 +558,10 @@ def test_commands_load_only_their_modules(tmp_path):
     graph = base | {"popdyn.cells", "popdyn.oracle"}
     expected = {
         ("simulate", "--steps", "10", "--seed", "0"): base | {"popdyn.cells", "popdyn.dynamics"},
-        ("equilibria",): graph | {"popdyn.equilibria"},
+        ("equilibria",): base | {"popdyn.cells", "popdyn.equilibria"},
         ("equilibria", "--oracle"): graph | {"popdyn.equilibria"},
         ("equilibria", "--verify"): graph | {"popdyn.equilibria", "popdyn.verify"},
-        ("invariants",): graph | {"popdyn.invariants"},
+        ("invariants",): base | {"popdyn.cells", "popdyn.invariants"},
         ("invariants", "--verify"): graph | {"popdyn.invariants", "popdyn.verify"},
         ("oracle",): graph,
         ("oracle", "--verify"): graph | {"popdyn.verify"},
@@ -654,15 +666,14 @@ def test_invariants_verify_decides_each_s_verdict_once(tmp_path, monkeypatch):
     assert decided and len(decided) == len(set(decided))
 
 
-def test_invariants_report_takes_no_state_guard(tmp_path, monkeypatch):
+def test_invariants_report_takes_no_state_guard(tmp_path):
     # without --verify nothing as large as the state space is built, so the
-    # guard does not apply: the report is the one made under the default guard
+    # guard does not apply: the report is the one made without a guard given
     for name in ("ex1", "ex2", "ex3"):
         argv = ["invariants", "--config", str(FIXDIR / f"{name}.json"), "--json"]
-        monkeypatch.delenv("POPDYN_MAX_STATES", raising=False)
         assert run_cli(*argv, str(tmp_path / "default.json")) == cli.EXIT_OK
-        monkeypatch.setenv("POPDYN_MAX_STATES", "1")
-        assert run_cli(*argv, str(tmp_path / "guarded.json")) == cli.EXIT_OK, name
+        assert run_cli(*argv, str(tmp_path / "guarded.json"), "--max-states", "1") \
+            == cli.EXIT_OK, name
         assert (tmp_path / "guarded.json").read_text() == (tmp_path / "default.json").read_text()
 
 

@@ -20,7 +20,6 @@ from popdyn.model import (
     parse_rational,
     state_space_size,
     temper_from_payoffs,
-    utilities,
     validate_population,
 )
 
@@ -76,7 +75,8 @@ def test_utilities_examples():
         imitators=4,
     )
     assert t.temper == Fraction(107, 4)
-    assert utilities(t, 22) == (Fraction(775, 13), Fraction(414, 13))
+    assert (t.cooperator_utility(22), t.defector_utility(22)) == (
+        Fraction(775, 13), Fraction(414, 13))
 
     conformist = AgentTypeSpec(
         "coordinating",
@@ -86,7 +86,8 @@ def test_utilities_examples():
         imitators=1,
     )
     assert conformist.temper == Fraction(9, 2)
-    assert utilities(conformist, 5) == (Fraction(33, 10), Fraction(-7, 5))
+    assert (conformist.cooperator_utility(5), conformist.defector_utility(5)) == (
+        Fraction(33, 10), Fraction(-7, 5))
 
 
 def test_utilities_intercept_case():
@@ -99,7 +100,7 @@ def test_utilities_intercept_case():
         best_responders=3,
     )
     assert t.temper == temper_from_payoffs(m, n)
-    assert utilities(t, 0)[1] == n * m.P
+    assert t.defector_utility(0) == n * m.P
 
 
 def test_validate_population_ex1():
@@ -343,10 +344,10 @@ def test_utility_gap_monotone(pops):
     # uC - uD strictly decreasing for anticoordinating types, increasing for coordinating
     pop = pops["ex1"]
     for t in pop.anticoordinating:
-        gaps = [utilities(t, k)[0] - utilities(t, k)[1] for k in range(pop.n + 1)]
+        gaps = [t.cooperator_utility(k) - t.defector_utility(k) for k in range(pop.n + 1)]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
     for t in pop.coordinating:
-        gaps = [utilities(t, k)[0] - utilities(t, k)[1] for k in range(pop.n + 1)]
+        gaps = [t.cooperator_utility(k) - t.defector_utility(k) for k in range(pop.n + 1)]
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
 

@@ -26,7 +26,6 @@ from popdyn.oracle import (
     is_stable_oracle,
     minimal_invariant_sets,
     reachable_set,
-    resolve_max_states,
 )
 
 
@@ -78,20 +77,16 @@ def test_guard_refuses_large_spaces(pops):
         build_transition_digraph(pops["ex1"], max_states=1000)
 
 
-def test_guard_env_override(pops, monkeypatch):
-    monkeypatch.setenv("POPDYN_MAX_STATES", "10")
-    assert resolve_max_states() == 10
-    with pytest.raises(StateSpaceTooLarge):
-        build_transition_digraph(pops["ex7_1"], max_states=None)
-    assert resolve_max_states(50) == 50  # explicit argument wins
-    monkeypatch.delenv("POPDYN_MAX_STATES")
-    assert resolve_max_states() == 10**6
-    for bad in (0, -5):
-        with pytest.raises(ValueError, match="positive integer"):
-            resolve_max_states(bad)
-    monkeypatch.setenv("POPDYN_MAX_STATES", "abc")
-    with pytest.raises(ValueError, match="positive integer"):
-        resolve_max_states()
+def test_guard_ignores_the_environment(pops, monkeypatch):
+    # the guard is the max_states argument, else 10^6; POPDYN_MAX_STATES is not read
+    for env in ("10", "abc"):
+        monkeypatch.setenv("POPDYN_MAX_STATES", env)
+        assert build_transition_digraph(pops["ex7_1"]).n_states == 72
+        with pytest.raises(StateSpaceTooLarge, match="guard of 1000000;"):
+            build_transition_digraph(pops["ex1"])
+    for guard in (71, 0, -5):
+        with pytest.raises(StateSpaceTooLarge, match=f"guard of {guard};"):
+            build_transition_digraph(pops["ex7_1"], max_states=guard)
 
 
 def _tied_population():

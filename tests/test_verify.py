@@ -8,6 +8,7 @@ test_cli. The three large fixtures dominate the suite's runtime.
 import dataclasses
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -201,6 +202,24 @@ def test_verify_stochastic_flags_a_leg_discount(pops, graphs):
                  for a, row in enumerate(table.legs))
     assert any(p.startswith("class 0 has radius")
                for p in _coradius_problems(pop, graph, legs=legs))
+
+
+def test_verify_stochastic_requires_a_zero_residual_from_an_exact_solve(pops, graphs,
+                                                                        monkeypatch):
+    # 10^-15 of mass moved between two states of ex7_1's exact distribution
+    # leaves a residual of about 6.7e-16: within a float solve's tolerance, but
+    # no exact solve leaves any
+    chain = st.build_chain(pops["ex7_1"], graphs("ex7_1"))
+    eps = Fraction(1, 10000)
+    mu = st.stationary_distribution(chain, eps)
+    assert st.solves_exactly(chain) and st.stationary_residual(chain, eps, mu) == 0
+    moved = Fraction(1, 10**15)
+    mu = [mu[0] - moved, mu[1] + moved, *mu[2:]]
+    assert 0 < st.stationary_residual(chain, eps, mu) < Fraction(1, 10**15)
+    assert verify_stochastic(chain, [eps], {eps: mu}) == [
+        f"stationary residual above 0 at eps={eps}"]
+    monkeypatch.setattr(st, "EXACT_SOLVE_LIMIT", 0)
+    assert verify_stochastic(chain, [eps], {eps: mu}) == []
 
 
 def test_verify_equilibria_runs_no_sink_search(pops, monkeypatch):
