@@ -15,10 +15,14 @@ state has a self-loop exactly when a present (cell, strategy) group's bit is
 unset (`TransitionDigraph.self_loops`). Closure of a state set is a check of
 each member's moves, and reachability, forwards or backwards, is a numpy
 frontier search over the bitmask. The sink components come from such
-searches too (`minimal_invariant_sets`), so no graph library is needed. Each
-search for a sink starts where a short walk along the moves ends (`_walk`),
-which on the bundled fixtures is inside the sink, so the search reads about as
-many states as the sink holds. The stability search likewise starts at the
+searches too (`minimal_invariant_sets`), so no graph library is needed. A
+state's chosen move, its move of largest step, maps each sink into itself,
+so every sink holds a cycle of that map; on ex1 / ex2 / ex3 the cycles hold
+26 / 3 / 2 states, found from the states without up moves alone
+(`_choice_cycles`). Each search for a sink starts where a short walk from a
+cycle state ends (`_walk`), which on the bundled fixtures is inside the sink,
+so the search reads about as many states as the sink holds and no search
+runs over the whole space. The stability search likewise starts at the
 neighbours of the equilibrium and decodes only the states it visits. Only the
 stochastic layer and the tests read the decoded views (`coords`, `n_c`),
 built once on first use: the X and S checks read the moves at their members
@@ -49,14 +53,16 @@ DEFAULT_MAX_STATES = 10**6
 # the most states in one block of the build, and the most keys of its state
 # classes (see `_inner_split`)
 _CHUNK = 1 << 19
-_CSR_ROWS = 1 << 16
+# states per block of the passes over every state: the CSR fill, the
+# reversed moves and the sink search's scan for states without up moves
+_BLOCK = 1 << 16
 # labels of the sink search: untouched, in the closed set being narrowed, and
-# known to reach a sink already found
+# in a sink already found
 _FREE, _OPEN, _DONE = 0, 1, 2
 # below this many states a search layer takes every step at once and sorts.
-# Since the sink search walks into a sink first (`_walk`), few of its layers
-# are small: the ex3 sink search takes 0.4-0.6 s at any threshold from 0 to
-# 1 << 12, 0.5-0.7 s at 1 << 14 and 0.8-1.2 s at 1 << 16 (2 vCPUs)
+# The largest searches are `verify_oracle`'s, one of them backward over
+# every state: on ex3 it takes 0.54-0.57 s at any threshold from 0 to 1 << 13
+# and 0.60 s at 1 << 16 (one core, medians of 3)
 _SMALL_LAYER = 1 << 11
 
 
@@ -152,8 +158,8 @@ class TransitionDigraph:
         indptr = np.zeros(n + 1, dtype=index_dtype)
         np.cumsum(np.bitwise_count(self.moves), out=indptr[1:])
         indices = np.empty(self.n_edges, dtype=index_dtype)
-        for lo in range(0, n, _CSR_ROWS):
-            chunk = self.moves[lo : lo + _CSR_ROWS]
+        for lo in range(0, n, _BLOCK):
+            chunk = self.moves[lo : lo + _BLOCK]
             fill = indptr[lo : lo + len(chunk)].copy()
             for step, bit in zip(self.steps, self.bits):
                 rows = np.flatnonzero(chunk & bit)
@@ -173,12 +179,24 @@ class TransitionDigraph:
     @cached_property
     def reverse_moves(self) -> np.ndarray:
         """The moves of the reversed digraph: bit j of `reverse_moves[o]` is set
-        when o - step_j has move j, so o steps by -step_j to a predecessor."""
+        when o - step_j has move j, so o steps by -step_j to a predecessor.
+
+        Filled `_BLOCK` states at a time, every step per block, through one
+        reused buffer, so no temporary is as large as `moves`. The sink search
+        does not build it (`_free_ancestors`).
+        """
         n, moves = self.n_states, self.moves
         flipped = np.zeros_like(moves)
-        for step, bit in zip(self.steps.tolist(), self.bits):
-            src, dst = _shifted(n, step)
-            flipped[dst] |= moves[src] & bit
+        buffer = np.empty(_BLOCK, dtype=moves.dtype)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            for step, bit in zip(self.steps.tolist(), self.bits):
+                # the states o of the block whose o - step lies in range(n)
+                first, stop = max(lo, step), min(hi, n + step)
+                if first < stop:
+                    part = np.bitwise_and(moves[first - step : stop - step], bit,
+                                          out=buffer[: stop - first])
+                    flipped[first:stop] |= part
         return flipped
 
     # -- decoded views, built on first use -----------------------------------
@@ -251,13 +269,6 @@ def sorted_unique(values) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
-
-
-def _shifted(n: int, step: int) -> tuple[slice, slice]:
-    """Slices (src, dst) of the states o and o + step that both lie in range(n)."""
-    if step > 0:
-        return slice(0, n - step), slice(step, n)
-    return slice(-step, n), slice(0, n + step)
 
 
 def search_layers(moves: np.ndarray, steps: np.ndarray, bits: np.ndarray, starts: np.ndarray,
@@ -393,8 +404,8 @@ def _inner_split(caps: Sequence[int]) -> int:
 def minimal_invariant_sets(graph: TransitionDigraph) -> list[InvariantSetResult]:
     """Sink SCCs of the successor digraph, ordered by their smallest state.
 
-    Found by frontier searches over the moves, labelling every state once as
-    known to reach a sink (see `_sinks`).
+    Found from the cycles of the chosen-move map, with a short walk and a
+    sink-sized frontier search from each cycle state (see `_sinks`).
     """
     if graph._sink_results is not None:
         return graph._sink_results
@@ -417,41 +428,123 @@ def minimal_invariant_sets(graph: TransitionDigraph) -> list[InvariantSetResult]
 def _sinks(graph: TransitionDigraph) -> list[np.ndarray]:
     """The sorted members of every sink SCC.
 
-    States without moves are the singleton sinks. For the rest, from the first
-    state not yet known to reach a sink: a `_walk` from it ends at a state
-    whose forward closure F is closed and so holds a sink. The walk stays in
-    such states, since a state with a successor known to reach a sink is
-    known to reach one itself. A pivot v of F is picked, the deepest in the
+    A sink is closed, so the chosen-move map keeps it inside itself, and it
+    holds one of the map's cycles (`_choice_cycles`). Each cycle state not in
+    a sink found so far is a start. A `_walk` from it ends at a state whose
+    forward closure F over the states outside the found sinks is taken. If
+    the walk's end, or a move out of F, lands in a found sink, the start
+    reaches that sink, so it lies in no other and is skipped. Otherwise F is
+    closed and so holds a sink. A pivot v of F is picked, the deepest in the
     search, and the states of F that reach v are taken out of F; what is left
     is still closed, because nothing in it reaches v. When that empties F,
     every state of the closed set F was reaching v, so each sink inside F
-    holds v: v lies in a sink, and the sink is v's forward closure. After each
-    find, one backward search labels every state that reaches the new sinks,
-    never entering a labelled state, so every state is labelled once.
+    holds v: v lies in a sink, and the sink is v's forward closure. A start
+    inside a sink reaches only that sink, so the sink is the one found from
+    it, and every sink is found.
     """
-    forward, backward = graph.oriented(), graph.oriented(reverse=True)
+    forward = graph.oriented()
     label = np.zeros(graph.n_states, dtype=np.uint8)
-    found = np.flatnonzero(graph.moves == 0)
-    sinks = [found[i : i + 1] for i in range(found.size)]
-    start = 0
-    while True:
-        for _ in search_layers(*backward, found, label, _FREE, _DONE):
-            pass
-        start += int(np.argmin(label[start:]))
-        if label[start] != _FREE:
-            return sinks
+    sinks = []
+    for start in _choice_cycles(graph).tolist():
+        if label[start] == _DONE:
+            continue
         end = _walk(graph, start)[-1]
+        if label[end] == _DONE:
+            continue
         layers = list(search_layers(*forward, np.array([end]), label, _FREE, _OPEN))
+        if _lands_on(graph, np.concatenate(layers), label, _DONE):
+            for layer in layers:
+                label[layer] = _FREE
+            continue
         while layers:
             left = layers[-1][label[layers[-1]] == _OPEN]
             if not left.size:
                 layers.pop()
                 continue
             v = left[-1:]
-            for _ in search_layers(*backward, v, label, _OPEN, _FREE):
-                pass
-        found = np.sort(np.concatenate(list(search_layers(*forward, v, label, _FREE, _DONE))))
-        sinks.append(found)
+            _free_ancestors(graph, v, label)
+        sinks.append(np.sort(np.concatenate(list(search_layers(*forward, v, label, _FREE, _DONE)))))
+    return sinks
+
+
+def _choice_cycles(graph: TransitionDigraph) -> np.ndarray:
+    """The sorted states on the cycles of the chosen-move map.
+
+    A state's chosen move is its move of largest step: the first up move in
+    cell order, else the last down move; a state without moves maps to
+    itself. Any choice of one move per state keeps each sink inside itself,
+    but each cycle state can cost the sink search a walk and a closure: this
+    rule leaves 26 / 3 / 2 cycle states on ex1 / ex2 / ex3, where taking each
+    state's lowest move bit leaves 5,758 / 186,231 / 410,474.
+
+    Up moves raise the index, so every cycle passes through a top, a state
+    without up moves (9,919 / 69,240 / 90,898 of 1.6 / 4.1 / 8.4 million
+    states), and only the tops are kept over the search. From each top the
+    map makes one move and then climbs by up moves, each adding a
+    cooperator, to the next top. The image of this top map taken m or more
+    times (m tops; by repeated squaring) is exactly the tops on its cycles,
+    and the climbs from them are the rest of the cycles.
+    """
+    n, moves = graph.n_states, graph.moves
+    up = np.bitwise_or.reduce(graph.bits[graph.steps > 0])
+    tops = np.concatenate([np.flatnonzero((moves[lo : lo + _BLOCK] & up) == 0) + lo
+                           for lo in range(0, n, _BLOCK)])
+    after = _chosen(graph, tops)
+    climbing = np.flatnonzero(moves[after] & up)
+    while climbing.size:
+        after[climbing] = _chosen(graph, after[climbing])
+        climbing = climbing[(moves[after[climbing]] & up) != 0]
+    power = np.searchsorted(tops, after)
+    for _ in range(tops.size.bit_length()):
+        power = power[power]
+    path = tops[sorted_unique(power)]
+    cycles = [path]
+    while path.size:
+        path = _chosen(graph, path)
+        path = path[(moves[path] & up) != 0]
+        cycles.append(path)
+    return sorted_unique(np.concatenate(cycles))
+
+
+def _chosen(graph: TransitionDigraph, states: np.ndarray) -> np.ndarray:
+    """The chosen-move map (`_choice_cycles`) at `states`."""
+    here = graph.moves[states]
+    image = states.copy()
+    # move j is the chosen one when no move of a larger step is set
+    larger = np.bitwise_or.accumulate(graph.bits[::-1])[::-1]
+    for step, bit, mask in zip(graph.steps.tolist(), graph.bits, larger):
+        image[(here & mask) == bit] += step
+    return image
+
+
+def _lands_on(graph: TransitionDigraph, states: np.ndarray, label: np.ndarray, value) -> bool:
+    """Whether a move out of `states` lands on a state labelled `value`."""
+    here = graph.moves[states]
+    return any((label[states[(here & bit) != 0] + step] == value).any()
+               for step, bit in zip(graph.steps.tolist(), graph.bits))
+
+
+def _free_ancestors(graph: TransitionDigraph, v: np.ndarray, label: np.ndarray) -> None:
+    """Relabel `_FREE` the states v and every `_OPEN` state that reaches them
+    through `_OPEN` states.
+
+    A predecessor o - step of o is read from `moves` at the candidate: it
+    lies in range and has the move of that step. The sets searched are
+    sink-sized, so one gather per step beats building `reverse_moves`.
+    """
+    n = graph.n_states
+    frontier = v
+    label[frontier] = _FREE
+    while frontier.size:
+        found = []
+        for step, bit in zip(graph.steps.tolist(), graph.bits):
+            pred = frontier - step
+            pred = pred[(pred >= 0) & (pred < n)]
+            pred = pred[label[pred] == _OPEN]
+            pred = pred[(graph.moves[pred] & bit) != 0]
+            label[pred] = _FREE
+            found.append(pred)
+        frontier = np.concatenate(found)
 
 
 def _walk(graph: TransitionDigraph, start: int) -> list[int]:
@@ -461,9 +554,12 @@ def _walk(graph: TransitionDigraph, start: int) -> list[int]:
     moves. Step i takes the (i mod m)-th of the state's m moves in
     `_move_steps` order, so the walk is deterministic but does not keep one
     direction: always taking the first move ends, on ex3, at a state that
-    still reaches all 3,626,359 states that state 0 reaches. On the bundled
-    fixtures this walk ends inside a sink, so the closure `_sinks` takes
-    from its end is the sink itself (1,427 states on ex3).
+    still reaches all 3,626,359 states that state 0 reaches, and always
+    taking the chosen move (`_choice_cycles`) goes round the start's cycle,
+    which on ex1 lies in no sink for 20 of the 26 cycle states. `_sinks`
+    walks from those cycle states; on the bundled fixtures every walk ends
+    inside a sink, so the closure taken from its end is the sink itself
+    (1,427 states on ex3).
     """
     steps, bits = graph.steps.tolist(), graph.bits.tolist()
     path = [int(start)]

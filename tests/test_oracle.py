@@ -234,6 +234,19 @@ def test_moves_search_matches_csr_search():
                     assert oracle.frontier_search(g, [start], bound, reverse) is None
 
 
+@pytest.mark.parametrize("block", [7, 64])
+def test_reverse_moves_in_small_blocks_match_the_transpose(monkeypatch, block):
+    # the CSR fill and the reversed moves both run in blocks of `_BLOCK` states
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for pop in _route_pops()[::3]:
+        g = build_transition_digraph(pop, max_states=200_000)
+        t = g.matrix.T.tocsr()
+        flipped = g.reverse_moves
+        for o in range(g.n_states):
+            preds = o - g.steps[(flipped[o] & g.bits) != 0]
+            assert sorted(preds.tolist()) == t.indices[t.indptr[o] : t.indptr[o + 1]].tolist()
+
+
 def _reference_sinks(g):
     """Sink SCCs from scipy's strong components of the CSR matrix, by smallest state."""
     labels = g.scc_labels()
@@ -244,24 +257,25 @@ def _reference_sinks(g):
     return sorted((np.flatnonzero(labels == lab) for lab in sinks), key=lambda idx: idx[0])
 
 
-def _pivots_per_closure(sweeps):
-    """The backward searches after each forward closure F in a trace of
-    `search_layers` calls: one per pivot, up to the sink's forward search."""
-    closures = [i for i, sweep in enumerate(sweeps) if sweep == (oracle._FREE, oracle._OPEN)]
-    return [sweeps[i + 1 :].index((oracle._FREE, oracle._DONE)) for i in closures]
-
-
 def test_sinks_match_scipy_strong_components(pops, monkeypatch):
-    sweeps = []
-    search = oracle.search_layers
+    # the number of pivots taken after each closure F, traced over the
+    # closures' forward searches and the narrowing's ancestor searches
+    pivots = []
+    search, ancestors = oracle.search_layers, oracle._free_ancestors
 
-    def traced(moves, steps, bits, starts, label, free, to):
-        sweeps.append((free, to))
+    def traced_search(moves, steps, bits, starts, label, free, to):
+        if (free, to) == (oracle._FREE, oracle._OPEN):
+            pivots.append(0)
         return search(moves, steps, bits, starts, label, free, to)
 
-    monkeypatch.setattr(oracle, "search_layers", traced)
+    def traced_ancestors(graph, v, label):
+        pivots[-1] += 1
+        return ancestors(graph, v, label)
+
+    monkeypatch.setattr(oracle, "search_layers", traced_search)
+    monkeypatch.setattr(oracle, "_free_ancestors", traced_ancestors)
     corpus = [pops["ex1"], *sample_populations(seed=1000, count=200)]
-    pivots = []
+    unwalked_pivots = []
     for pop in corpus:
         g = build_transition_digraph(pop, max_states=2_000_000)
         got, want = minimal_invariant_sets(g), _reference_sinks(g)
@@ -271,41 +285,88 @@ def test_sinks_match_scipy_strong_components(pops, monkeypatch):
         # the narrowing gets large closed sets that hold transient states
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_walk", lambda graph, start: [start])
-            sweeps.clear()
+            pivots.clear()
             unwalked = sorted(oracle._sinks(g), key=lambda s: int(s[0]))
         assert [s.tolist() for s in unwalked] == [w.tolist() for w in want]
-        pivots += _pivots_per_closure(sweeps)
+        unwalked_pivots += pivots
     # a second pivot means the first pivot's ancestors did not cover F
-    assert max(pivots) > 1
+    assert max(unwalked_pivots) > 1
+
+
+def test_sinks_skip_starts_that_reach_a_found_sink():
+    # 4,608 states and one 19-state sink. Without the found-sink check some
+    # start's closure runs into the sink found before, and the narrowing of
+    # that open set reports a set that is not a sink
+    pop = list(sample_populations(23, 80, max_agents=40, max_types=4))[66]
+    g = build_transition_digraph(pop)
+    want = _reference_sinks(g)
+    assert g.n_states == 4608 and [w.size for w in want] == [19]
+    assert [r.indices.tolist() for r in minimal_invariant_sets(g)] == [w.tolist() for w in want]
+
+
+def _brute_force_cycles(g):
+    """The states on the cycles of the chosen-move map, following the map
+    from every state until a state repeats. The chosen move leads to the
+    largest successor other than the state itself."""
+    image = [max((j for j in g.successors(i) if j != i), default=i) for i in range(g.n_states)]
+    status = [0] * g.n_states  # 0 unvisited, 1 on the current path, 2 done
+    cycles = set()
+    for state in range(g.n_states):
+        path = []
+        while status[state] == 0:
+            status[state] = 1
+            path.append(state)
+            state = image[state]
+        if status[state] == 1:
+            cycles.update(path[path.index(state) :])
+        for visited in path:
+            status[visited] = 2
+    return sorted(cycles)
+
+
+def test_choice_cycles_match_brute_force(pops):
+    corpus = list(sample_populations(seed=77, count=40))
+    corpus += [with_empty_best_responder_cell(corpus[0]), pops["ex7_2"], pops["ex7_4"]]
+    without_moves = 0
+    for pop in corpus:
+        g = build_transition_digraph(pop, max_states=200_000)
+        assert oracle._choice_cycles(g).tolist() == _brute_force_cycles(g)
+        without_moves += int((g.moves == 0).any())
+    assert without_moves
+
+
+@pytest.mark.parametrize("name, cycles", [("ex1", 26), ("ex2", 3), ("ex3", 2)])
+def test_choice_cycles_are_few_on_the_fixtures(graphs, name, cycles):
+    assert oracle._choice_cycles(graphs(name)).size == cycles
+
+
+# the sink search's walks per fixture
+WALKS = {"ex1": 25, "ex2": 2, "ex3": 1}
 
 
 @pytest.mark.parametrize("name, sink_size", [("ex1", 2), ("ex2", 1), ("ex3", 1427)])
-def test_walk_ends_in_a_sink_on_free_states(graphs, monkeypatch, name, sink_size):
+def test_walk_ends_in_a_sink(graphs, monkeypatch, name, sink_size):
     g = graphs(name)
     path = oracle._walk(g, 0)
     assert all(j in g.successors(i) for i, j in zip(path, path[1:]))
     closure = np.flatnonzero(oracle.frontier_search(g, path[-1:]))
     assert closure.size == sink_size
     assert any(np.array_equal(closure, s.indices) for s in minimal_invariant_sets(g))
-    # every walk the sink search takes steps only onto states it has labelled
-    # free: states not yet known to reach a sink
-    labels, walks = [], []
-    search, walk = oracle.search_layers, oracle._walk
+    # the sink search walks only from cycle states of the chosen-move map
+    # that lie in no sink found before, and on the fixtures every such walk
+    # ends inside a sink
+    paths, walk = [], oracle._walk
 
-    def traced(moves, steps, bits, starts, label, free, to):
-        labels.append(label)
-        return search(moves, steps, bits, starts, label, free, to)
+    def traced(graph, start):
+        paths.append(walk(graph, start))
+        return paths[-1]
 
-    def checked(graph, start):
-        path = walk(graph, start)
-        walks.append(path)
-        assert (labels[-1][path] == oracle._FREE).all()
-        return path
-
-    monkeypatch.setattr(oracle, "search_layers", traced)
-    monkeypatch.setattr(oracle, "_walk", checked)
+    monkeypatch.setattr(oracle, "_walk", traced)
     sinks = oracle._sinks(g)
-    assert walks and len(walks) == sum(s.size > 1 for s in sinks)
+    in_sinks = np.concatenate(sinks)
+    assert len(paths) == WALKS[name]
+    assert np.isin([p[0] for p in paths], oracle._choice_cycles(g)).all()
+    assert np.isin([p[-1] for p in paths], in_sinks).all()
 
 
 def _pooled_distance(graph, eq):
@@ -367,8 +428,9 @@ def test_scc_call_does_not_copy_the_graph(pops):
 
 
 def test_sink_search_allocates_a_few_bytes_per_state(pops):
-    # the reversed moves (2 bytes per state here), one label byte per state
-    # and the search layers; a CSR copy of the graph would take 4 bytes per edge
+    # one label byte per state, the states without up moves and one block's
+    # temporaries: about 1.2 bytes per state on ex1. The reversed moves would
+    # add 2 bytes per state here, a CSR copy of the graph 4 bytes per edge
     g = build_transition_digraph(pops["ex1"], max_states=2_000_000)
     tracemalloc.start()
     try:
@@ -376,7 +438,8 @@ def test_sink_search_allocates_a_few_bytes_per_state(pops):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * g.n_states
+    assert peak <= 1.5 * g.n_states
+    assert "reverse_moves" not in g.__dict__
 
 
 def test_is_equilibrium_examples(pops, graphs):
