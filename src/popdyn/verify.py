@@ -210,7 +210,7 @@ def verify_stochastic(chain: st.PerturbedChain, epsilons: Sequence = (),
     stable_states = st.stochastically_stable_set(chain)
 
     analytic = {r.state for r in eq.enumerate_equilibria(chain.pop)}
-    singletons = chain.graph.pooled_states_of(cls[0] for cls in classes if len(cls) == 1)
+    singletons = chain.graph.pooled_states_of([cls[0] for cls in classes if len(cls) == 1])
     if analytic != singletons:
         problems.append(
             f"singleton recurrent classes {sorted(s.to_tuple() for s in singletons)} differ "

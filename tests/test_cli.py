@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -503,6 +505,139 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["count"] == 6
+
+
+def test_run_entry_freezes_the_collector_before_exit(tmp_path):
+    # `python -m popdyn.cli` runs the module as __main__ through runpy, as
+    # here; the hook runs after run() returned control to the interpreter.
+    # The collector stays on for the command, so the garbage of its imports
+    # is freed before the command's peak RSS
+    seen, out = tmp_path / "seen.json", tmp_path / "o.json"
+    script = (
+        "import atexit, gc, json, runpy, sys\n"
+        "seen = sys.argv[1]\n"
+        "def hook():\n"
+        "    with open(seen, 'w') as fh:\n"
+        "        json.dump([gc.isenabled(), gc.get_freeze_count()], fh)\n"
+        "atexit.register(hook)\n"
+        "sys.argv = ['popdyn', *sys.argv[2:]]\n"
+        "runpy.run_module('popdyn.cli', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(seen), "equilibria",
+         "--config", str(FIXDIR / "ex7_1.json"), "--json", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text())["count"] == 6
+    enabled, frozen = json.loads(seen.read_text())
+    assert enabled and frozen > 0
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    for argv in (["equilibria", "--config", str(FIXDIR / "ex7_1.json")],
+                 ["equilibria", "--config", str(tmp_path / "nope.json")]):
+        run_cli(*argv, "--json", str(tmp_path / "o.json"))
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_exit_freeze_skips_no_open_file(tmp_path):
+    # after run() freezes, the interpreter never collects what a command left
+    # in cycles. Each benchmark command, and a failing one, leaves a few
+    # hundred such objects, and no file among them waits for a collection to
+    # be flushed and closed: every output is closed by its `with` block
+    scaled = fixture_config("ex7_1")
+    for group in scaled["anticoordinating"] + scaled["coordinating"]:
+        group["bestResponders"] *= 3
+        group["imitators"] *= 3
+    (tmp_path / "ex7_1x3.json").write_text(json.dumps(scaled))
+    fx = {name: str(FIXDIR / f"{name}.json") for name in ("ex1", "ex2", "ex3")}
+    fx.update({f"ex7_{i}": str(FIXDIR / f"ex7_{i}.json") for i in range(1, 5)})
+    fx["ex7_1x3"] = str(tmp_path / "ex7_1x3.json")
+    big, out = ["--max-states", "20000000"], str(tmp_path / "out")
+    runs = [["oracle", "--config", fx["ex3"], *big, "--json", out],
+            ["equilibria", "--oracle", "--config", fx["ex2"], *big, "--json", out],
+            ["equilibria", "--verify", "--config", fx["ex1"], *big, "--json", out],
+            ["invariants", "--verify", "--config", fx["ex1"], *big, "--json", out],
+            ["oracle", "--verify", "--config", fx["ex1"], *big, "--json", out],
+            *(["stochastic", "--epsilon", "1/10000", "--verify", "--config", fx[f"ex7_{i}"],
+               "--json", out] for i in range(1, 5)),
+            ["stochastic", "--config", fx["ex7_1x3"], "--json", out],
+            ["stochastic", "--epsilon", "1/1000", "--config", fx["ex7_1x3"], "--json", out],
+            ["simulate", "--steps", "200000", "--seed", "0", "--config", fx["ex2"],
+             "--csv", out],
+            ["oracle", "--config", fx["ex1"], *big, "--adjacency", out, "--json", out],
+            ["equilibria", "--config", str(tmp_path / "nope.json")]]
+    script = (
+        "import gc, io, json, sys\n"
+        "from popdyn import cli\n"
+        "left = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    cli.main(argv)\n"
+        "    gc.set_debug(gc.DEBUG_SAVEALL)\n"
+        "    gc.collect()\n"
+        "    gc.set_debug(0)\n"
+        "    files = [repr(o) for o in gc.garbage if isinstance(o, io.IOBase)]\n"
+        "    left.append([len(gc.garbage), files])\n"
+        "    gc.garbage.clear()\n"
+        "    gc.collect()\n"
+        "print(json.dumps(left))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    left = json.loads(proc.stdout)
+    assert len(left) == len(runs)
+    assert max(count for count, _ in left) < 2000, left
+    assert [files for _, files in left] == [[]] * len(runs)
+
+
+def test_module_entry_matches_main(tmp_path, monkeypatch, capsys):
+    # exit 0, 2, 3 and 4, each with its report on stdout or its message on
+    # stderr. The exit-4 child patches a battery and then runs the module as
+    # `python -m` does, through runpy
+    from popdyn import verify
+
+    cases = [
+        (cli.EXIT_OK, ["equilibria", "--config", str(FIXDIR / "ex7_1.json")]),
+        (cli.EXIT_CONFIG, ["equilibria", "--config", str(tmp_path / "nope.json")]),
+        (cli.EXIT_GUARD, ["oracle", "--config", str(FIXDIR / "ex1.json"), "--max-states", "1000"]),
+        (cli.EXIT_VERIFY, ["equilibria", "--verify", "--config", str(FIXDIR / "ex7_2.json")]),
+    ]
+    forced = (
+        "import runpy, sys\n"
+        "from popdyn import verify\n"
+        "verify.verify_equilibria = lambda pop, graph, **kw: ['forced problem']\n"
+        "sys.argv = ['popdyn', *sys.argv[1:]]\n"
+        "runpy.run_module('popdyn.cli', run_name='__main__')\n"
+    )
+    monkeypatch.setattr(verify, "verify_equilibria", lambda pop, graph, **kw: ["forced problem"])
+    for code, argv in cases:
+        entry = ["-c", forced] if code == cli.EXIT_VERIFY else ["-m", "popdyn.cli"]
+        proc = subprocess.run([sys.executable, *entry, *argv],
+                              capture_output=True, text=True, env=_child_env())
+        capsys.readouterr()
+        assert run_cli(*argv) == code
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_process_by_sigpipe():
+    # about 600 KB of CSV, more than a pipe holds, so the child is still
+    # writing when its reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "popdyn.cli", "simulate", "--config", str(FIXDIR / "ex2.json"),
+         "--steps", "20000", "--seed", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert proc.stdout.readline().startswith(b"t,active_role,")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == -signal.SIGPIPE
+    assert "configuration error" not in stderr
 
 
 def test_commands_leave_numpy_ma_unloaded(tmp_path):

@@ -304,6 +304,29 @@ def test_sinks_skip_starts_that_reach_a_found_sink():
     assert [r.indices.tolist() for r in minimal_invariant_sets(g)] == [w.tolist() for w in want]
 
 
+def test_pooled_states_match_the_per_index_reference(graphs):
+    def reference(g, indices):
+        return frozenset(g.space.pooled(g.space.coords_of(int(i))) for i in indices)
+
+    for name in ("ex1", "ex2", "ex3"):
+        g = graphs(name)
+        for res in minimal_invariant_sets(g):
+            assert g.pooled_states_of(res.indices) == reference(g, res.indices), name
+    rng = np.random.default_rng(5)
+    pops = list(sample_populations(seed=5, count=40))
+    pops.append(with_empty_best_responder_cell(pops[0]))
+    imitator_cells = set()
+    for pop in pops:
+        g = build_transition_digraph(pop, max_states=200_000)
+        imitator_cells.add(len(g.space.imitator_positions))
+        every = np.arange(g.n_states)
+        drawn = rng.integers(0, g.n_states, size=min(g.n_states, 50)).tolist()
+        for indices in (every, drawn, [], *(r.indices for r in minimal_invariant_sets(g))):
+            assert g.pooled_states_of(indices) == reference(g, indices)
+    # with no imitator cell, and with one and with several to sum
+    assert {0, 1} < imitator_cells and max(imitator_cells) > 1
+
+
 def _brute_force_cycles(g):
     """The states on the cycles of the chosen-move map, following the map
     from every state until a state repeats. The chosen move leads to the
