@@ -19,6 +19,11 @@ result: a state keeps itself (a self-loop) exactly when some present (cell,
 strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`). The
 closed forms' quantifiers over states (S invariance, cooperation preservation)
 likewise run over presence patterns (`CellSpace.presence_patterns`).
+
+`CellSpace` is the one owner of the state encoding: the mixed radix of a
+state index, its decode at a batch of indices (`digits`, and `column` over a
+range), the pooled projection (`pooled_columns`), and the move table that
+lays out the bits of `moves` (`steps`, `bits`, `move_cell`, `move_up`).
 """
 
 from __future__ import annotations
@@ -93,6 +98,17 @@ class CellSpace:
         self.n_states: int = strides[0] * (self.caps[0] + 1)
         # two move bits per cell (see `moves`)
         self.move_dtype = np.min_scalar_type((1 << 2 * len(cells)) - 1)
+        # The move table, one entry per possible move in ascending order of
+        # step: -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over
+        # the cells k with capacity. Move j moves cell `move_cell[j]` down
+        # (a cooperator switches to D) or, where `move_up[j]`, up, by
+        # `steps[j]` in the index, and is bit `bits[j]` of `moves`.
+        live = [k for k, cap in enumerate(self.caps) if cap]
+        table = [(k, False) for k in live] + [(k, True) for k in reversed(live)]
+        self.move_cell = np.array([k for k, _ in table], dtype=np.intp)
+        self.move_up = np.array([up for _, up in table], dtype=bool)
+        self.steps = np.array([strides[k] if up else -strides[k] for k, up in table], dtype=np.int64)
+        self.bits = np.array([1 << 2 * k + up for k, up in table], dtype=self.move_dtype)
         self.position: dict[tuple[str, str, int], int] = {
             c.key: k for k, c in enumerate(cells)
         }
@@ -119,6 +135,43 @@ class CellSpace:
             v, index = divmod(index, stride)
             out.append(v)
         return tuple(out)
+
+    def digits(self, indices) -> np.ndarray:
+        """Every cell's count at each state of `indices`, one int64 row per cell."""
+        idx = np.asarray(indices, dtype=np.int64)
+        return idx // np.array(self.strides)[:, None] % (np.array(self.caps)[:, None] + 1)
+
+    def column(self, k: int, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """`values[digit]` at each state of range(lo, hi), digit being cell k's
+        count (`values` has one entry per count 0..cap_k). The digit is
+        constant on runs of stride_k states, so the column is built by
+        repeating runs (the end runs cut), not by dividing every index."""
+        stride = self.strides[k]
+        first, stop = lo // stride, -(-hi // stride)
+        runs = stop - first
+        digits = np.tile(np.roll(values, -first), -(-runs // values.size))[:runs]
+        if lo % stride == 0 and hi % stride == 0:  # whole runs only
+            return np.repeat(digits, stride)
+        lengths = np.full(runs, stride)
+        lengths[0] -= lo - first * stride
+        lengths[-1] -= stop * stride - hi
+        return np.repeat(digits, lengths)
+
+    def group_sizes(self, indices) -> np.ndarray:
+        """(moves, len(indices)): at each state, the number of agents whose
+        switch makes move j: cell `move_cell[j]`'s cooperators for a step
+        down, its defectors for a step up."""
+        counts = self.digits(indices)[self.move_cell]
+        caps = np.array(self.caps)[self.move_cell][:, None]
+        return np.where(self.move_up[:, None], caps - counts, counts)
+
+    def pooled_columns(self, indices) -> np.ndarray:
+        """The pooled state of each state of `indices` as a column: its
+        cooperating imitators, then each best-responder cell's count, which
+        in cell order are a `State`'s xa followed by its xc."""
+        digits = self.digits(indices)
+        m = len(self.imitator_positions)  # the imitator cells come first
+        return np.vstack([digits[:m].sum(axis=0), digits[m:]])
 
     def check_coords(self, coords: Sequence[int]) -> None:
         if len(coords) != len(self.cells):

@@ -281,9 +281,11 @@ def member_blocks(space: CellSpace, idx: BenchmarkIndex,
 
 def _leaving_bits(space: CellSpace, idx: BenchmarkIndex) -> tuple[int, int, int]:
     """The move bits of the fixed cells, and of every cell's moves down and up."""
-    fixed = sum(3 << 2 * k for k in _fixed_cells(space, idx))
-    down = sum(1 << 2 * k for k in range(len(space.cells)))
-    return fixed, down, down << 1
+    fixed = _fixed_cells(space, idx)
+    bits = space.bits.tolist()
+    down = sum(bit for bit, up in zip(bits, space.move_up) if not up)
+    fixed_bits = sum(bit for bit, k in zip(bits, space.move_cell.tolist()) if k in fixed)
+    return fixed_bits, down, sum(bits) - down
 
 
 def is_closed_on_members(graph: TransitionDigraph, idx: BenchmarkIndex,
@@ -311,10 +313,9 @@ def is_closed_on_members(graph: TransitionDigraph, idx: BenchmarkIndex,
 
 def in_x(space: CellSpace, idx: BenchmarkIndex, indices: np.ndarray) -> np.ndarray:
     """Whether each state of `indices` lies in X, from its fixed cells' digits."""
-    inside = np.ones(len(indices), dtype=bool)
-    for k, count in _fixed_cells(space, idx).items():
-        inside &= indices // space.strides[k] % (space.caps[k] + 1) == count
-    return inside
+    fixed = _fixed_cells(space, idx)
+    counts = np.array(list(fixed.values()), dtype=np.int64)[:, None]
+    return (space.digits(indices)[list(fixed)] == counts).all(axis=0)
 
 
 def verify_necessary_conditions(pop: PopulationSpec, inv_set: InvariantSetResult) -> dict:

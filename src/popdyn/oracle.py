@@ -23,13 +23,13 @@ so every sink holds a cycle of that map; on ex1 / ex2 / ex3 the cycles hold
 cycle state ends (`_walk`), which on the bundled fixtures is inside the sink,
 so the search reads about as many states as the sink holds and no search
 runs over the whole space. The stability search likewise starts at the
-neighbours of the equilibrium and decodes only the states it visits. Only the
-stochastic layer and the tests read the decoded views (`coords`, `n_c`),
-built once on first use: the X and S checks read the moves at their members
-(`invariants.is_closed_on_members`). A row of the adjacency export is its
-state's moves in a fixed order, so in a block of rows each successor slot
-reads one contiguous range of indices; the export formats each index once
-and fills the slots by slice copies.
+neighbours of the equilibrium and decodes only the states it visits, and the
+X and S checks read the moves at their members
+(`invariants.is_closed_on_members`), so the graph holds no decoded view of
+every state; the decode and the move table are `CellSpace`'s. A row of the
+adjacency export is its state's moves in a fixed order, so in a block of rows
+each successor slot reads one contiguous range of indices; the export
+formats each index once and fills the slots by slice copies.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cells import IMITATOR, CellSpace
+from .cells import CellSpace
 from .errors import NotAnEquilibrium, StateSpaceTooLarge
 from .model import PopulationSpec, State
 
@@ -97,10 +97,10 @@ class ReachableSet:
 class TransitionDigraph:
     """Exhaustive successor relation, stored as a per-state move bitmask.
 
-    Bit 2k of `moves[o]` is the edge o -> o - stride_k (cell k loses a
-    cooperator), bit 2k+1 the edge o -> o + stride_k; `n_edges` counts the set
-    bits. It is the whole graph: the self-loops (some agent keeps its strategy)
-    are derived from it (`self_loops`); they do not affect SCC structure.
+    Bit `bits[j]` of `moves[o]` is the edge o -> o + `steps[j]`, the space's
+    move j (`CellSpace.steps`); `n_edges` counts the set bits. It is the
+    whole graph: the self-loops (some agent keeps its strategy) are derived
+    from it (`self_loops`); they do not affect SCC structure.
     """
 
     def __init__(self, pop: PopulationSpec, space: CellSpace, moves: np.ndarray, n_edges: int):
@@ -109,7 +109,7 @@ class TransitionDigraph:
         self.moves = moves
         self.n_edges = n_edges
         self.n_states = space.n_states
-        self.steps, self.bits = _move_steps(space, moves.dtype)
+        self.steps, self.bits = space.steps, space.bits
         self._labels: np.ndarray | None = None
         self._sink_results: list[InvariantSetResult] | None = None
 
@@ -126,10 +126,9 @@ class TransitionDigraph:
         bits are set than it has present (cell, strategy) groups, two in a cell at
         an interior count and one in an empty or full cell with capacity."""
         present = np.zeros(hi - lo, dtype=np.uint8)
-        for cap, stride in zip(self.space.caps, self.space.strides):
+        for k, cap in enumerate(self.space.caps):
             count = np.arange(cap + 1)
-            groups = np.add(count > 0, count < cap, dtype=np.uint8)
-            present += _digit_column(groups, stride, lo, hi)
+            present += self.space.column(k, np.add(count > 0, count < cap, dtype=np.uint8), lo, hi)
         return np.bitwise_count(self.moves[lo:hi]) < present
 
     def indices_of(self, state) -> list[int]:
@@ -141,22 +140,11 @@ class TransitionDigraph:
     def pooled_states_of(self, indices: np.ndarray | Sequence[int]) -> frozenset[State]:
         """The pooled states of refined state indices, one `State` per distinct one.
 
-        The imitator cells come first in cell order, so an index below their
-        stride is the best-responder digits' own mixed radix: the pooled key
-        of an index is its summed imitator digits above that part. The keys
-        are deduplicated before any `State` is built (ex3's 1,427-state sink
-        pools to 376 states)."""
-        space = self.space
-        idx = np.asarray(indices, dtype=np.int64)
-        m = len(space.imitator_positions)
-        span = space.strides[m - 1] if m else space.n_states
-        x_i = sum(idx // space.strides[k] % (space.caps[k] + 1) for k in range(m))
-        keys = sorted_unique(x_i * span + idx % span)
-        columns = [keys // span] + [keys // stride % (cap + 1) for cap, stride
-                                    in zip(space.caps[m:], space.strides[m:])]
+        The pooled columns are deduplicated before any `State` is built
+        (ex3's 1,427-state sink pools to 376 states)."""
         b = self.pop.b
-        return frozenset(State(x, tuple(br[:b]), tuple(br[b:]))
-                         for x, *br in zip(*(c.tolist() for c in columns)))
+        distinct = set(zip(*self.space.pooled_columns(indices).tolist()))
+        return frozenset(State(x, tuple(br[:b]), tuple(br[b:])) for x, *br in distinct)
 
     @property
     def matrix(self) -> csr_matrix:
@@ -164,9 +152,10 @@ class TransitionDigraph:
 
         A reference for tests and tracing only: no package code path reads it,
         and scipy is imported here, not by the package. Rows are filled one
-        step at a time in `_move_steps` order, so each row's indices come out
-        sorted. The data is one read-only float64 1 broadcast over every edge,
-        which scipy's csgraph routines take without a copy.
+        step at a time in ascending order of step (`CellSpace.steps`), so each
+        row's indices come out sorted. The data is one read-only float64 1
+        broadcast over every edge, which scipy's csgraph routines take without
+        a copy.
         """
         from scipy.sparse import csr_matrix
 
@@ -216,23 +205,6 @@ class TransitionDigraph:
                     flipped[first:stop] |= part
         return flipped
 
-    # -- decoded views, built on first use -----------------------------------
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """(cells, states) table of cooperator counts; row k is cell k's column."""
-        space = self.space
-        dtype = np.min_scalar_type(max(space.caps))
-        table = np.empty((len(space.cells), self.n_states), dtype=dtype)
-        for k, (cap, stride) in enumerate(zip(space.caps, space.strides)):
-            table[k] = _digit_column(np.arange(cap + 1, dtype=dtype), stride, 0, self.n_states)
-        return table
-
-    @cached_property
-    def n_c(self) -> np.ndarray:
-        """Number of cooperators at each state."""
-        return self.coords.sum(axis=0, dtype=np.min_scalar_type(self.pop.n))
-
     # -- reachability ---------------------------------------------------------
 
     def reachable_mask(self, starts: Sequence[int]) -> np.ndarray:
@@ -252,31 +224,6 @@ class TransitionDigraph:
         if self._labels is None:
             _, self._labels = connected_components(self.matrix, directed=True, connection="strong")
         return self._labels
-
-
-def _digit_column(values: np.ndarray, stride: int, lo: int, hi: int) -> np.ndarray:
-    """`values[(i // stride) % len(values)]` for i in range(lo, hi): a cell's
-    digit, or a function of it, on runs of `stride` states (the end runs cut)."""
-    first, stop = lo // stride, -(-hi // stride)
-    digits = np.tile(np.roll(values, -first), -(-(stop - first) // values.size))[: stop - first]
-    if lo % stride == 0 and hi % stride == 0:  # whole runs only
-        return np.repeat(digits, stride)
-    runs = np.full(digits.size, stride)
-    runs[0] -= lo - first * stride
-    runs[-1] -= stop * stride - hi
-    return np.repeat(digits, runs)
-
-
-def _move_steps(space: CellSpace, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Every possible edge step (dst - src) in ascending order, with its `moves` bit.
-
-    The steps are -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over
-    the cells k that have capacity.
-    """
-    live = [k for k, cap in enumerate(space.caps) if cap]
-    steps = [-space.strides[k] for k in live] + [space.strides[k] for k in reversed(live)]
-    bits = [1 << 2 * k for k in live] + [1 << 2 * k + 1 for k in reversed(live)]
-    return np.array(steps, dtype=np.int64), np.array(bits, dtype=dtype)
 
 
 def sorted_unique(values) -> np.ndarray:
@@ -374,13 +321,13 @@ def _inner_classes(space: CellSpace, split: int, dtype) -> tuple[np.ndarray, np.
     Returns each state's class index (classes in key order), each class's
     size, and the inner cells' digits at one representative per class.
     """
-    inner = list(zip(space.caps[split:], space.strides[split:]))
+    inner = list(enumerate(space.caps))[split:]
     block = space.strides[split] * (space.caps[split] + 1)
-    digits = [_digit_column(np.arange(cap + 1, dtype=dtype), stride, 0, block) for cap, stride in inner]
+    digits = [space.column(k, np.arange(cap + 1, dtype=dtype), 0, block) for k, cap in inner]
     key = sum(digits, np.zeros(block, dtype=np.int64))
-    for cap, stride in inner:
+    for k, cap in inner:
         key *= min(cap, 2) + 1
-        key += _digit_column(_pattern(cap), stride, 0, block)
+        key += space.column(k, _pattern(cap), 0, block)
     occurs = np.zeros(_key_space(space.caps[split:]), dtype=bool)
     occurs[key] = True
     cls = np.searchsorted(np.flatnonzero(occurs), key)
@@ -503,7 +450,7 @@ def _choice_cycles(graph: TransitionDigraph) -> np.ndarray:
     and the climbs from them are the rest of the cycles.
     """
     n, moves = graph.n_states, graph.moves
-    up = np.bitwise_or.reduce(graph.bits[graph.steps > 0])
+    up = np.bitwise_or.reduce(graph.bits[graph.space.move_up])
     tops = np.concatenate([np.flatnonzero((moves[lo : lo + _BLOCK] & up) == 0) + lo
                            for lo in range(0, n, _BLOCK)])
     after = _chosen(graph, tops)
@@ -511,9 +458,9 @@ def _choice_cycles(graph: TransitionDigraph) -> np.ndarray:
     while climbing.size:
         after[climbing] = _chosen(graph, after[climbing])
         climbing = climbing[(moves[after[climbing]] & up) != 0]
-    power = np.searchsorted(tops, after)
-    for _ in range(tops.size.bit_length()):
-        power = power[power]
+    power, taken = np.searchsorted(tops, after), 1  # the top map, taken `taken` times
+    while taken < tops.size:
+        power, taken = power[power], 2 * taken
     path = tops[sorted_unique(power)]
     cycles = [path]
     while path.size:
@@ -569,7 +516,7 @@ def _walk(graph: TransitionDigraph, start: int) -> list[int]:
 
     It takes at most 4 n steps (n agents) and ends early at a state without
     moves. Step i takes the (i mod m)-th of the state's m moves in
-    `_move_steps` order, so the walk is deterministic but does not keep one
+    ascending order of step, so the walk is deterministic but does not keep one
     direction: always taking the first move ends, on ex3, at a state that
     still reaches all 3,626,359 states that state 0 reaches, and always
     taking the chosen move (`_choice_cycles`) goes round the start's cycle,
@@ -603,10 +550,10 @@ def is_stable_oracle(graph: TransitionDigraph, eq: State) -> bool:
     """
     if not is_equilibrium_oracle(graph, eq):
         raise NotAnEquilibrium(f"{eq} is not an equilibrium")
-    split = next(graph.space.splits_of_pooled(eq))
+    pooled = np.array([eq.xI, *eq.xa, *eq.xc])[:, None]  # as `CellSpace.pooled_columns`
     seen = np.zeros(graph.n_states, dtype=bool)
     for layer in search_layers(*graph.oriented(), _stability_starts(graph, eq), seen, False, True):
-        if (_distance_from(graph.space, split, layer) > 1).any():
+        if (np.abs(graph.space.pooled_columns(layer) - pooled).sum(axis=0) > 1).any():
             return False
     return True
 
@@ -619,27 +566,9 @@ def _stability_starts(graph: TransitionDigraph, eq: State) -> np.ndarray:
     imitator total off by one, so it lies at distance 1; and every state at
     distance 1 is one such move away from a split.
     """
-    space = graph.space
     splits = np.array(graph.indices_of(eq), dtype=np.int64)
-    starts = []
-    for cap, stride in zip(space.caps, space.strides):
-        digit = splits // stride % (cap + 1)
-        starts += [splits[digit > 0] - stride, splits[digit < cap] + stride]
-    return sorted_unique(np.concatenate(starts))
-
-
-def _distance_from(space: CellSpace, split: Sequence[int], indices: np.ndarray) -> np.ndarray:
-    """Pooled L1 distance of the states `indices` from the pooled state of the
-    refined coords `split`, read off their digits."""
-    dist = np.zeros(indices.size, dtype=np.int64)
-    imitated = np.zeros(indices.size, dtype=np.int64)
-    for cell, value, cap, stride in zip(space.cells, split, space.caps, space.strides):
-        digit = indices // stride % (cap + 1)
-        if cell.role == IMITATOR:
-            imitated += digit - value
-        else:
-            dist += np.abs(digit - value)
-    return dist + np.abs(imitated)
+    neighbours = splits + graph.steps[:, None]
+    return sorted_unique(neighbours[graph.space.group_sizes(splits) > 0])
 
 
 def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
@@ -697,8 +626,8 @@ def export_adjacency(graph: TransitionDigraph, stream) -> None:
     """Write `index: succ1 succ2 ...` lines (self-loop listed when present, see
     `TransitionDigraph.self_loops`).
 
-    A state's successors are itself and its moves, so a row lists them in the
-    order of `_move_steps` with the state in the middle, and in a block of
+    A state's successors are itself and its moves, so a row lists them in
+    ascending order of step with the state in the middle, and in a block of
     rows [lo, hi) successor slot j holds the indices [lo + offset_j, hi +
     offset_j). Each index is formatted once, as the token `" " + digits`
     right-aligned in whole uint64 words and NUL-padded on the left, into a

@@ -25,8 +25,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .cells import BEST_RESPONDER, IMITATOR
 from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
-from .model import PopulationSpec, parse_rational
+from .model import ANTICOORDINATING, COORDINATING, PopulationSpec, parse_rational
 from .oracle import (TransitionDigraph, build_transition_digraph, minimal_invariant_sets,
                      search_layers, sorted_unique)
 
@@ -45,10 +46,9 @@ class BState(NamedTuple):
     xc: int
 
 
-# The CellSpace of a binary-type population has the cells (I_a, I_c, BR_a,
-# BR_c); BState field f is cell _FIELDS[f], and since the map swaps two
-# positions, cell k is BState field _FIELDS[k] as well.
-_FIELDS = [0, 2, 1, 3]
+# the key of each BState field's cell (`CellSpace.position`)
+_FIELD_CELLS = ((IMITATOR, ANTICOORDINATING, 1), (BEST_RESPONDER, ANTICOORDINATING, 1),
+                (IMITATOR, COORDINATING, 1), (BEST_RESPONDER, COORDINATING, 1))
 
 
 def check_binary(pop: PopulationSpec) -> None:
@@ -96,10 +96,7 @@ class PerturbedChain:
 
     @cached_property
     def members(self) -> np.ndarray:
-        # bit 2k + d of a move is cell k's step down (d = 0) or up (d = 1)
-        cell, up = np.divmod([int(bit).bit_length() - 1 for bit in self.graph.bits], 2)
-        coords = self.graph.coords[cell].T
-        return np.where(up == 1, np.array(self.graph.space.caps)[cell] - coords, coords)
+        return self.graph.space.group_sizes(np.arange(self.n_states)).T
 
     @cached_property
     def switch(self) -> np.ndarray:
@@ -114,9 +111,15 @@ class PerturbedChain:
         return self.graph.steps
 
     @cached_property
+    def fields(self) -> list[int]:
+        """The cell of each BState field."""
+        return [self.graph.space.position[key] for key in _FIELD_CELLS]
+
+    @cached_property
     def states(self) -> list[BState]:
         """The BState of every chain state."""
-        return [BState(*row) for row in self.graph.coords[_FIELDS].T.tolist()]
+        counts = self.graph.space.digits(np.arange(self.n_states))[self.fields]
+        return [BState(*row) for row in counts.T.tolist()]
 
     def index_of(self, state) -> int:
         """Chain index of an integer index (of any integer type) or of four BState counts."""
@@ -126,7 +129,7 @@ class PerturbedChain:
             counts = tuple(state)
             if len(counts) != 4:
                 raise ValueError(f"{state} is not a state of the chain") from None
-            coords = [int(counts[f]) for f in _FIELDS]
+            coords = [int(counts[self.fields.index(k)]) for k in range(4)]
             self.graph.space.check_coords(coords)
             return self.graph.space.index_of(coords)
         if not 0 <= i < self.n_states:
@@ -463,12 +466,11 @@ def _elimination_order(chain: PerturbedChain) -> np.ndarray:
     24 field orders on ex7_1..4, ex7_1x2 and ex7_3x2, less than reverse
     Cuthill-McKee on each.
     """
-    counts = chain.graph.coords[_FIELDS]  # one row per BState field
-    caps = [chain.graph.space.caps[k] for k in _FIELDS]
+    counts = np.array(chain.states).T  # one row per BState field
     # least significant first; of two fields with equal ranges the earlier
     # BState field is the less significant, whatever the cell order
-    fields = np.argsort(caps, kind="stable")
-    return np.lexsort((*counts[fields], chain.graph.n_c))
+    fields = np.argsort(np.array(chain.graph.space.caps)[chain.fields], kind="stable")
+    return np.lexsort((*counts[fields], counts.sum(axis=0)))
 
 
 def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtype) -> np.ndarray:

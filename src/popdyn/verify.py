@@ -142,7 +142,10 @@ def verify_oracle(graph: TransitionDigraph) -> list[str]:
     if not sinks:
         problems.append("no minimal invariant set found; finite dynamics must have one")
 
-    owner = np.full(graph.n_states, -1, dtype=np.int32)
+    # each state's sink number, -1 outside every sink, in the smallest signed
+    # type that holds them (int8 on every bundled fixture): this array is live
+    # at the command's peak RSS
+    owner = np.full(graph.n_states, -1, dtype=np.min_scalar_type(-1 - len(sinks)))
     for t, res in enumerate(sinks):
         if (owner[res.indices] >= 0).any():
             problems.append("minimal invariant sets are not pairwise disjoint")

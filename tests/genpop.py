@@ -1,8 +1,9 @@
 """Seeded random small populations for the cross-check suites, the update
 rules straight from a population's tempers and `Fraction`s as their
 reference, the top earners of every listed state as the reference for the
-presence-pattern quantifier, and whole-space membership masks with a generic
-closure test as the reference for the X and S checks."""
+presence-pattern quantifier, and whole-space membership masks, decoded
+through the space's column builder, with a generic closure test as the
+reference for the X and S checks."""
 
 from __future__ import annotations
 
@@ -185,12 +186,24 @@ def reference_step(space, coords, k, current):
     return tuple(out)
 
 
+def cell_counts(graph: TransitionDigraph, k: int) -> np.ndarray:
+    """Cell k's count at every state of the oracle digraph, one byte each."""
+    values = np.arange(graph.space.caps[k] + 1, dtype=np.uint8)
+    return graph.space.column(k, values, 0, graph.n_states)
+
+
+def cooperators(graph: TransitionDigraph) -> np.ndarray:
+    """The cooperator count n_c at every state of the oracle digraph."""
+    return sum((cell_counts(graph, k) for k in range(len(graph.space.cells))),
+               np.zeros(graph.n_states, dtype=np.int32))
+
+
 def x_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex) -> np.ndarray:
     """X membership over all refined states of the oracle digraph."""
     idx.check(graph.pop)
     mask = np.ones(graph.n_states, dtype=bool)
     for k, count in _fixed_cells(graph.space, idx).items():
-        mask &= graph.coords[k] == count
+        mask &= cell_counts(graph, k) == count
     return mask
 
 
@@ -201,7 +214,8 @@ def s_membership_mask(graph: TransitionDigraph, idx: BenchmarkIndex,
         x_mask = x_membership_mask(graph, idx)
     lo = math.floor(tau_max(graph.pop, idx)) + 1
     hi = math.ceil(tau_min(graph.pop, idx)) - 1
-    return x_mask & (graph.n_c >= lo) & (graph.n_c <= hi)
+    n_c = cooperators(graph)
+    return x_mask & (n_c >= lo) & (n_c <= hi)
 
 
 def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:

@@ -323,14 +323,17 @@ def test_reports_byte_identical(tmp_path):
 
 
 def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
-    from popdyn.oracle import TransitionDigraph
+    from popdyn.cells import CellSpace
 
-    def refuse(self):
-        raise AssertionError("decoded view built without --verify")
+    real = CellSpace.digits
 
-    # the build sets `moves` itself; the decoded per-cell views stay unbuilt
-    for name in ("coords", "n_c"):
-        monkeypatch.setattr(TransitionDigraph, name, property(refuse))
+    def digits(self, indices):
+        if len(indices) == self.n_states:
+            raise AssertionError("every state decoded")
+        return real(self, indices)
+
+    # the build sets `moves` itself; only the stochastic chain decodes every state
+    monkeypatch.setattr(CellSpace, "digits", digits)
     code = run_cli("oracle", "--config", str(FIXDIR / "ex7_2.json"), "--json", str(tmp_path / "o.json"))
     assert code == 0
     code = run_cli("oracle", "--config", str(FIXDIR / "ex7_2.json"), "--verify",

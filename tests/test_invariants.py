@@ -160,7 +160,8 @@ def _walks_the_mask(graph, idx, mask, window=None) -> bool:
     seen = np.zeros(graph.n_states, dtype=bool)
     total = 0
     for members, counts in member_blocks(graph.space, idx, window):
-        if not ((counts == graph.n_c[members]).all() and (np.diff(counts) >= 0).all()):
+        if not ((counts == graph.space.digits(members).sum(axis=0)).all()
+                and (np.diff(counts) >= 0).all()):
             return False
         seen[members] = True
         total += members.size

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
-from genpop import (reference_next, reference_step, reference_sups, sample_populations,
-                    with_empty_best_responder_cell)
+from genpop import (cell_counts, reference_next, reference_step, reference_sups,
+                    sample_populations, with_empty_best_responder_cell)
 from popdyn import oracle
 from popdyn.cells import IMITATOR, CellSpace
 from popdyn.dynamics import AgentRef, step
@@ -162,7 +162,7 @@ def test_build_in_small_blocks_matches_the_kernel_per_state(pops, monkeypatch, c
     splits = []
     for pop in _route_pops():
         g = build_transition_digraph(pop, max_states=200_000)
-        moves = g.space.moves(list(g.coords))
+        moves = g.space.moves(list(g.space.digits(np.arange(g.n_states))))
         assert (g.moves == moves).all()
         assert g.n_edges == int(np.bitwise_count(moves).sum())
         splits.append((oracle._inner_split(g.space.caps), len(g.space.caps)))
@@ -187,7 +187,7 @@ def test_build_bounds_the_key_space(members, types):
     finally:
         tracemalloc.stop()
     assert g.n_states == (members + 1) ** types
-    assert (g.moves == g.space.moves(list(g.coords))).all()
+    assert (g.moves == g.space.moves(list(g.space.digits(np.arange(g.n_states))))).all()
     assert peak <= 4 << 20
 
 
@@ -393,11 +393,12 @@ def test_walk_ends_in_a_sink(graphs, monkeypatch, name, sink_size):
 
 
 def _pooled_distance(graph, eq):
-    """Pooled L1 distance of every refined state from eq, from the decoded view."""
+    """Pooled L1 distance of every refined state from eq, from every cell's counts."""
     space = graph.space
     dist = np.zeros(graph.n_states, dtype=np.int32)
     imit_total = np.zeros(graph.n_states, dtype=np.int32)
-    for cell, column in zip(space.cells, graph.coords):
+    for k, cell in enumerate(space.cells):
+        column = cell_counts(graph, k)
         if cell.role == IMITATOR:
             imit_total += column
         else:
@@ -425,10 +426,12 @@ def test_stability_matches_full_mask_reference(pops):
     verdicts = set()
     for pop in corpus:
         g = build_transition_digraph(pop, max_states=20_000_000)
+        built = set(vars(g))
         states = [rec.state for rec in enumerate_equilibria(pop)]
         got = [is_stable_oracle(g, eq) for eq in states]
         starts = [oracle._stability_starts(g, eq) for eq in states]
-        assert "coords" not in g.__dict__
+        # the search decodes only the states it visits, and caches no view on the graph
+        assert set(vars(g)) == built
         for eq, verdict, start in zip(states, got, starts):
             dist = _pooled_distance(g, eq)
             assert verdict == _is_stable_full_mask(g, dist)
@@ -618,7 +621,7 @@ def test_self_loop_iff_someone_keeps():
 def test_the_move_bitmask_is_the_whole_graph(graphs):
     # the kernel returns the bitmask alone, and the graph stores no flags
     g = graphs("ex7_3")
-    moves = g.space.moves(list(g.coords))
+    moves = g.space.moves(list(g.space.digits(np.arange(g.n_states))))
     assert isinstance(moves, np.ndarray) and moves.dtype == g.space.move_dtype
     assert not hasattr(g, "self_loop")
     assert [k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.dtype == bool] == []

@@ -6,15 +6,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from genpop import (is_closed_under_step, reference_top_utilities, s_membership_mask,
-                    sample_populations, with_empty_best_responder_cell, x_membership_mask)
+from genpop import (cooperators, is_closed_under_step, reference_top_utilities,
+                    s_membership_mask, sample_populations, with_empty_best_responder_cell,
+                    x_membership_mask)
 from popdyn import stochastic as st
-from popdyn.cells import CellSpace
+from popdyn.cells import BEST_RESPONDER, IMITATOR, CellSpace
 from popdyn.dynamics import UniformRandom, Weighted, simulate
 from popdyn.equilibria import enumerate_equilibria, is_exclusive_cooperation_preserving
 from popdyn.fixtures import FIXTURE_NAMES, fixture_population
 from popdyn.invariants import all_benchmark_indices, s_cooperator_range, s_invariance_details
-from popdyn.model import State, validate_population
+from popdyn.model import ANTICOORDINATING, COORDINATING, State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
                              _rows, _stationary_reference, divided_exactly)
@@ -94,6 +95,64 @@ def test_enumeration_catches_a_quantifier_without_interior(enumerated, monkeypat
     assert mutant_details != details and mutant_verdicts != verdicts
 
 
+# the cell of each BState field, by role, kind and type index
+_BSTATE_CELLS = {"x1I": (IMITATOR, ANTICOORDINATING, 1),
+                 "xa": (BEST_RESPONDER, ANTICOORDINATING, 1),
+                 "x2I": (IMITATOR, COORDINATING, 1),
+                 "xc": (BEST_RESPONDER, COORDINATING, 1)}
+
+
+def test_cell_space_encoding_randomized():
+    pops = [fixture_population(name) for name in FIXTURE_NAMES]
+    pops += sample_populations(seed=37, count=30)
+    pops.append(with_empty_best_responder_cell(pops[-1]))
+    assert 0 in CellSpace(pops[-1]).caps
+    rng = np.random.default_rng(37)
+    for pop in pops:
+        space = CellSpace(pop)
+        n = space.n_states
+        indices = np.unique(np.append(rng.integers(0, n, size=min(n, 500)), [0, n - 1]))
+        digits = space.digits(indices)
+        assert digits.T.tolist() == [list(space.coords_of(i)) for i in indices.tolist()]
+
+        # a range from state 0 (all of a small space), and ranges that start and end inside runs
+        starts = rng.integers(0, n, size=4)
+        stops = np.minimum(n, starts + rng.integers(1, 1000, size=4))
+        cuts = [(0, min(n, 1000)), *zip(starts.tolist(), stops.tolist())]
+        for k, cap in enumerate(space.caps):
+            values = rng.permutation(cap + 1)  # any function of the count
+            for lo, hi in cuts:
+                want = values[space.digits(np.arange(lo, hi))[k]]
+                assert np.array_equal(space.column(k, values, lo, hi), want)
+
+        # the table lists both moves of every cell with capacity, ascending
+        live = [k for k, cap in enumerate(space.caps) if cap]
+        assert sorted(space.move_cell.tolist()) == sorted(2 * live)
+        assert (np.diff(space.steps) > 0).all()
+        moves = space.moves(list(digits))
+        assert not (moves & ~np.bitwise_or.reduce(space.bits, initial=0)).any()
+        sizes = space.group_sizes(indices)
+        for j, (step, bit, k, up) in enumerate(zip(space.steps, space.bits, space.move_cell,
+                                                   space.move_up)):
+            has = (moves & bit) != 0
+            assert (sizes[j][has] > 0).all()
+            want = digits[:, has].copy()
+            want[k] += 1 if up else -1
+            assert np.array_equal(space.digits(indices[has] + step), want)
+
+        pooled = space.pooled_columns(indices)
+        assert [State(x, tuple(br[:pop.b]), tuple(br[pop.b:])) for x, *br in pooled.T.tolist()] \
+            == [space.pooled(space.coords_of(i)) for i in indices.tolist()]
+
+        if pop.b == pop.bp == 1 and all(t.imitators for t in pop.all_types()):
+            chain = st.build_chain(pop, build_transition_digraph(pop))
+            for i in indices.tolist():
+                coords = space.coords_of(i)
+                fields = {f: coords[space.position[key]] for f, key in _BSTATE_CELLS.items()}
+                assert chain.states[i] == st.BState(**fields)
+                assert chain.index_of(chain.states[i]) == i
+
+
 def _closed_by_edge_scan(graph, mask):
     src = np.repeat(np.arange(graph.n_states), np.diff(graph.matrix.indptr))
     return not (mask[src] & ~mask[graph.matrix.indices]).any()
@@ -107,8 +166,7 @@ def test_closure_check_matches_edge_scan_randomized():
     for pop in pops:
         g = build_transition_digraph(pop, max_states=200_000)
         decoded = np.array([g.space.coords_of(i) for i in range(g.n_states)]).T
-        assert (g.coords == decoded).all()
-        assert (g.n_c == decoded.sum(axis=0)).all()
+        assert (cooperators(g) == decoded.sum(axis=0)).all()
         masks = []
         for idx in all_benchmark_indices(pop):
             x_mask = x_membership_mask(g, idx)

@@ -15,6 +15,7 @@ import pytest
 from genpop import population
 from popdyn import equilibria, invariants, oracle, verify
 from popdyn import stochastic as st
+from popdyn.cells import CellSpace
 from popdyn.model import PopulationSpec
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.verify import (
@@ -98,12 +99,14 @@ def test_verify_invariants_builds_no_decoded_view(pops, graphs, monkeypatch):
     minimal_invariant_sets(graph)  # cached; the sink search is not measured here
     report = invariants.invariance_report(pop)
 
-    def refuse(self):
-        raise AssertionError("verify_invariants built a decoded view")
+    real = CellSpace.digits
 
-    # a data descriptor on the class wins over a view cached by another test
-    for name in ("coords", "n_c"):
-        monkeypatch.setattr(oracle.TransitionDigraph, name, property(refuse))
+    def digits(self, indices):
+        if len(indices) == self.n_states:
+            raise AssertionError("verify_invariants decoded every state")
+        return real(self, indices)
+
+    monkeypatch.setattr(CellSpace, "digits", digits)
     tracemalloc.start()
     try:
         assert verify_invariants(pop, graph, report) == []
