@@ -18,25 +18,24 @@ pattern, since the kernel reads nothing else. Its move bitmask is its whole
 result: a state keeps itself (a self-loop) exactly when some present (cell,
 strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`). The
 closed forms' quantifiers over states (S invariance, cooperation preservation)
-likewise run over presence patterns (`CellSpace.presence_patterns`).
+ask whether a side can be out-earned, in O(types²) (`CellSpace.outearns`).
 
 `CellSpace` is the one owner of the state encoding: the mixed radix of a
 state index, its decode at a batch of indices (`digits`, and `column` over a
 range), the pooled projection (`pooled_columns`), and the move table that
-lays out the bits of `moves` (`steps`, `bits`, `move_cell`, `move_up`).
+lays out the bits of `moves` (`steps`, `bits`, `move_cell`, `move_up`, built
+on first use, so only a space that an oracle is built on needs int64 steps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ANTICOORDINATING, PopulationSpec, State
+from .model import ANTICOORDINATING, C, D, PopulationSpec, State
 
 BEST_RESPONDER = "bestResponder"
 IMITATOR = "imitator"
@@ -96,19 +95,7 @@ class CellSpace:
             strides[k] = strides[k + 1] * (self.caps[k + 1] + 1)
         self.strides: tuple[int, ...] = tuple(strides)
         self.n_states: int = strides[0] * (self.caps[0] + 1)
-        # two move bits per cell (see `moves`)
-        self.move_dtype = np.min_scalar_type((1 << 2 * len(cells)) - 1)
-        # The move table, one entry per possible move in ascending order of
-        # step: -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over
-        # the cells k with capacity. Move j moves cell `move_cell[j]` down
-        # (a cooperator switches to D) or, where `move_up[j]`, up, by
-        # `steps[j]` in the index, and is bit `bits[j]` of `moves`.
-        live = [k for k, cap in enumerate(self.caps) if cap]
-        table = [(k, False) for k in live] + [(k, True) for k in reversed(live)]
-        self.move_cell = np.array([k for k, _ in table], dtype=np.intp)
-        self.move_up = np.array([up for _, up in table], dtype=bool)
-        self.steps = np.array([strides[k] if up else -strides[k] for k, up in table], dtype=np.int64)
-        self.bits = np.array([1 << 2 * k + up for k, up in table], dtype=self.move_dtype)
+        self._ranks: dict[int, list[np.ndarray]] = {}  # the `ranks` that `outearns` asked for
         self.position: dict[tuple[str, str, int], int] = {
             c.key: k for k, c in enumerate(cells)
         }
@@ -130,11 +117,7 @@ class CellSpace:
         return sum(v * s for v, s in zip(coords, self.strides))
 
     def coords_of(self, index: int) -> Coords:
-        out = []
-        for cap, stride in zip(self.caps, self.strides):
-            v, index = divmod(index, stride)
-            out.append(v)
-        return tuple(out)
+        return tuple(index // stride % (cap + 1) for cap, stride in zip(self.caps, self.strides))
 
     def digits(self, indices) -> np.ndarray:
         """Every cell's count at each state of `indices`, one int64 row per cell."""
@@ -251,20 +234,47 @@ class CellSpace:
 
     # -- update rules ------------------------------------------------------
 
+    def ranks(self, n_c: int) -> tuple[list[int], list[int]]:
+        """Each type's cooperator and defector utility at n_c, in `types` order, as its
+        dense rank among all 2·types of them, so that ranks compare exactly."""
+        types = list(self.pop.all_types())
+        coop = [t.cooperator_utility(n_c) for t in types]
+        defect = [t.defector_utility(n_c) for t in types]
+        dense = {v: r for r, v in enumerate(sorted(set(coop + defect)))}
+        return [dense[v] for v in coop], [dense[v] for v in defect]
+
     @cached_property
     def rules(self) -> RuleTable:
-        """The exact utility-rank table, built on first use from the population's `Fraction`s."""
-        n = self.pop.n
-        types = [self.pop.get_type(kind, idx) for kind, idx in self.types]
-        rank_c = np.zeros((len(types), n + 1), dtype=np.min_scalar_type(-2 * len(types)))
-        rank_d = np.zeros_like(rank_c)
-        for n_c in range(n + 1):
-            coop = [typ.cooperator_utility(n_c) for typ in types]
-            defect = [typ.defector_utility(n_c) for typ in types]
-            dense = {v: r for r, v in enumerate(sorted(set(coop + defect)))}
-            rank_c[:, n_c] = [dense[v] for v in coop]
-            rank_d[:, n_c] = [dense[v] for v in defect]
-        return RuleTable(rank_c, rank_d)
+        """The `ranks` at every n_c, built on first use."""
+        column = np.dtype((np.min_scalar_type(-2 * len(self.types)), (2, len(self.types))))
+        table = np.fromiter(map(self.ranks, range(self.pop.n + 1)), dtype=column, count=self.pop.n + 1)
+        return RuleTable(*np.ascontiguousarray(table.transpose(1, 2, 0)))
+
+    # The move table, one entry per possible move in ascending order of step:
+    # -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over the cells k
+    # with capacity. Move j moves cell `move_cell[j]` down (a cooperator
+    # switches to D) or, where `move_up[j]`, up, by `steps[j]` in the index,
+    # and is bit `bits[j]` of `moves`, which has two bits per cell.
+    @cached_property
+    def move_dtype(self) -> np.dtype:
+        return np.min_scalar_type((1 << 2 * len(self.cells)) - 1)
+
+    @cached_property
+    def move_cell(self) -> np.ndarray:
+        live = [k for k, cap in enumerate(self.caps) if cap]
+        return np.array(live + live[::-1], dtype=np.intp)
+
+    @cached_property
+    def move_up(self) -> np.ndarray:
+        return np.arange(self.move_cell.size) >= self.move_cell.size // 2
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        return np.where(self.move_up, 1, -1) * np.array(self.strides, dtype=np.int64)[self.move_cell]
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        return np.array([1 << int(s) for s in 2 * self.move_cell + self.move_up], dtype=self.move_dtype)
 
     def moves(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Both update rules at a batch of states, one integer array per cell.
@@ -312,34 +322,27 @@ class CellSpace:
             np.bitwise_or(moves, 1 << 2 * k + 1, out=moves, where=(coords[k] < caps[k]) & wants_c)
         return moves
 
-    def presence_patterns(self, ranges: Sequence[tuple[int, int]],
-                          n_c: int) -> Iterator[tuple[tuple[bool, bool], ...]]:
-        """Each tuple of a (has cooperators, has defectors) pair per type, in
-        `types` order, that some state with n_c cooperators and cell k's count
-        in the inclusive ranges[k] (a fixed cell [v, v], a free one [0, cap])
-        realises; once each.
+    def outearns(self, ranges: Sequence[tuple[int, int]], n_c: int, side: str) -> bool:
+        """Is there a state with n_c cooperators and cell k's count in the
+        inclusive ranges[k] in which an agent on `side` (C or D) earns strictly
+        more than every agent on the other side?
 
-        A type has cooperators iff its cells' sum is above 0 and defectors
-        iff it is below their capacity. Integer ranges add to a range, so the
-        sum takes every value of its cells' summed range, which cut to empty
-        [0, 0], interior [1, cap - 1] or full [cap, cap] gives its patterns; a
-        choice of one per type is realised iff the ranges' sums bracket n_c.
+        Exactly when some type b has agents on `side` and every type whose
+        other-side utility at n_c is at least b's has none on the other side:
+        floors of 1 and of the capacity under a type's count on `side`, which
+        takes every value of its cells' summed range. So b qualifies iff no
+        floor exceeds its type's range and the floored sums bracket the total.
         """
-        options = []
-        for positions in self.cells_of_type.values():
-            lo, hi = (sum(ranges[k][end] for k in positions) for end in (0, 1))
-            cap = sum(self.caps[k] for k in positions)
-            cut = dict.fromkeys((max(a, lo), min(b, hi)) for a, b in ((0, 0), (1, cap - 1), (cap, cap)))
-            options.append([(a, b, (b > 0, a < cap)) for a, b in cut if a <= b])
-        for choice in product(*options):
-            if sum(a for a, _, _ in choice) <= n_c <= sum(b for _, b, _ in choice):
-                yield tuple(present for _, _, present in choice)
-
-    def top_utilities(self, ranges: Sequence[tuple[int, int]],
-                      n_c: int) -> Iterator[tuple[Fraction | float, Fraction | float]]:
-        """Each of the `presence_patterns`' exact top cooperator and defector
-        utility at n_c, -inf for an empty side; imitators copy the higher."""
-        utils = [(t.cooperator_utility(n_c), t.defector_utility(n_c)) for t in self.pop.all_types()]
-        for pattern in self.presence_patterns(ranges, n_c):
-            yield tuple(max((u[side] for u, has in zip(utils, pattern) if has[side]),
-                            default=float("-inf")) for side in (0, 1))
+        coop, n = side == C, sum(self.caps)
+        if n_c not in self._ranks:
+            self._ranks[n_c] = [np.array(r) for r in self.ranks(n_c)]
+        own, rival = self._ranks[n_c][::1 if coop else -1]
+        # each type's least and most agents on `side`, from its cells' ranges, and its capacity
+        by_cell = np.array([*zip(*ranges), self.caps], dtype=np.int64 if n < 2 ** 63 else object)
+        lo, hi, cap = by_cell @ np.equal.outer(self.type_row, range(len(self.types)))
+        lo, hi, total = (lo, hi, n_c) if coop else (cap - hi, cap - lo, n - n_c)
+        # row b: each type's floor when b is the top earner on `side`
+        floors = np.maximum(lo, np.where(rival >= own[:, None], cap, 0))
+        np.fill_diagonal(floors, np.maximum(floors.diagonal(), 1))
+        fits = (floors <= hi).all(axis=1) & (floors.sum(axis=1) <= total)
+        return bool(fits.any()) and total <= hi.sum()

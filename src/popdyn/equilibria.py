@@ -17,7 +17,7 @@ from typing import Iterable, Union
 
 from .cells import CellSpace
 from .errors import AssumptionViolated
-from .model import ANTICOORDINATING, PopulationSpec, State
+from .model import ANTICOORDINATING, C, D, PopulationSpec, State
 
 NEG_INF = float("-inf")
 Sup = Union[Fraction, float]
@@ -268,8 +268,8 @@ def is_exclusive_cooperation_preserving(pop: PopulationSpec, state: State) -> bo
     count, no defecting best-responder tends to cooperate, a group member is
     a top earner whenever the group contains an imitator, and an outsider is
     a top earner whenever some imitator is outside. Quantified over every way
-    of splitting the pooled imitator count across imitator groups, through
-    the presence patterns of those splits (`CellSpace.top_utilities`).
+    of splitting the pooled imitator count across imitator groups, in
+    O(types²) per side (`CellSpace.outearns`).
     """
     pop.check_state(state)
     n = state.n_cooperators
@@ -282,12 +282,8 @@ def is_exclusive_cooperation_preserving(pop: PopulationSpec, state: State) -> bo
     space = CellSpace(pop)
     ranges = [(0, cap) if k in space.imitator_positions else (v, v)
               for k, (v, cap) in enumerate(zip(space.fill_refine(state), space.caps))]
-    for sup_coop, sup_def in space.top_utilities(ranges, n):
-        if state.xI >= 1 and not sup_coop >= sup_def:
-            return False
-        if state.xI < pop.m and not sup_def >= sup_coop:
-            return False
-    return True
+    return not ((state.xI >= 1 and space.outearns(ranges, n, D))
+                or (state.xI < pop.m and space.outearns(ranges, n, C)))
 
 
 def equilibria_report(pop: PopulationSpec,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cells import BEST_RESPONDER, CellSpace
 from .errors import EmptySet
-from .model import ANTICOORDINATING, PopulationSpec, State
+from .model import ANTICOORDINATING, C, D, PopulationSpec, State
 
 if TYPE_CHECKING:
     from .oracle import InvariantSetResult, TransitionDigraph
@@ -182,14 +182,13 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex) -> dict:
     box = [(fixed[k],) * 2 if k in fixed else (0, cap) for k, cap in enumerate(space.caps)]
 
     def top_earner_everywhere(n_c: int, coop_side: bool) -> bool:
-        # the S states at n_c with an imitator on `coop_side`: that imitator's
-        # cell narrows its range by one
+        # no S state at n_c with an imitator on `coop_side` (that imitator's
+        # cell narrows its range by one) has the other side out-earn its own
         for k in space.imitator_positions:
             ranges = box.copy()
             ranges[k] = (1, space.caps[k]) if coop_side else (0, space.caps[k] - 1)
-            for sup_c, sup_d in space.top_utilities(ranges, n_c):
-                if (sup_c < sup_d) if coop_side else (sup_d < sup_c):
-                    return False
+            if space.outearns(ranges, n_c, D if coop_side else C):
+                return False
         return True
 
     # the short-circuit arms are the attainable extremes of n^C inside X:

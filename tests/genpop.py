@@ -1,9 +1,9 @@
 """Seeded random small populations for the cross-check suites, the update
 rules straight from a population's tempers and `Fraction`s as their
 reference, the top earners of every listed state as the reference for the
-presence-pattern quantifier, and whole-space membership masks, decoded
-through the space's column builder, with a generic closure test as the
-reference for the X and S checks."""
+top-earner test (`CellSpace.outearns`), and whole-space membership masks,
+decoded through the space's column builder, with a generic closure test as
+the reference for the X and S checks."""
 
 from __future__ import annotations
 
@@ -32,6 +32,14 @@ def population(config, factor: int = 1) -> PopulationSpec:
         group["bestResponders"] *= factor
         group["imitators"] *= factor
     return validate_population(raw)
+
+
+def probe_population(k: int) -> PopulationSpec:
+    """k anticoordinating types, type i with one best responder, one imitator
+    and temper i + 1/2: the smallest population with k imitator cells."""
+    return validate_population({"anticoordinating": [
+        {"uC": ["-1", f"{2 * i + 1}/2"], "uD": ["0", "0"], "bestResponders": 1, "imitators": 1}
+        for i in range(1, k + 1)], "coordinating": []})
 
 
 def _random_rational(rng, lo: int, hi: int, max_den: int = 8) -> Fraction:
@@ -155,14 +163,28 @@ def reference_sups(space, coords):
 
 
 def reference_top_utilities(space, ranges, n_c):
-    """`CellSpace.top_utilities` by enumeration: the `reference_sups` of
-    every state with n_c cooperators and cell k's count in ranges[k], listed
-    by `fills` over the cells whose range holds more than one count."""
-    base = [lo if lo == hi else 0 for lo, hi in ranges]
-    free = [k for k, (lo, hi) in enumerate(ranges) if lo < hi]
-    for coords in space.fills(base, free, n_c - sum(base)):
-        if all(lo <= v <= hi for v, (lo, hi) in zip(coords, ranges)):
-            yield reference_sups(space, coords)
+    """The `reference_sups` of every state with n_c cooperators and cell k's
+    count in ranges[k], listed cell by cell in lexicographic order."""
+    least = [sum(lo for lo, _ in ranges[k:]) for k in range(len(ranges) + 1)]
+    most = [sum(hi for _, hi in ranges[k:]) for k in range(len(ranges) + 1)]
+
+    def states(coords, remaining):
+        k = len(coords)
+        if k == len(ranges):
+            yield coords
+            return
+        lo, hi = ranges[k]
+        for v in range(max(lo, remaining - most[k + 1]), min(hi, remaining - least[k + 1]) + 1):
+            yield from states(coords + (v,), remaining - v)
+
+    return (reference_sups(space, coords) for coords in states((), n_c))
+
+
+def reference_outearns(space, ranges, n_c, side):
+    """`CellSpace.outearns` by enumeration: does one of the
+    `reference_top_utilities` have `side`'s top utility above the other's?"""
+    own = 0 if side == C else 1
+    return any(sups[own] > sups[1 - own] for sups in reference_top_utilities(space, ranges, n_c))
 
 
 def reference_next(space, coords, k, current):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from genpop import population
+from genpop import population, probe_population
 from popdyn import cli, oracle
 from popdyn.fixtures import fixture_config
 
@@ -813,6 +813,28 @@ def test_invariants_report_takes_no_state_guard(tmp_path):
         assert run_cli(*argv, str(tmp_path / "guarded.json"), "--max-states", "1") \
             == cli.EXIT_OK, name
         assert (tmp_path / "guarded.json").read_text() == (tmp_path / "default.json").read_text()
+
+
+@pytest.mark.parametrize("name, size", [("probe", 17), ("probe", 31), ("probe", 32),
+                                        ("ex1", 10), ("ex1", 100), ("ex1", 1000)])
+def test_every_analysis_runs_or_refuses_at_any_size(name, size):
+    # the probe has 2k cells of capacity 1, so from k = 32 its refined states
+    # reach 2^64; ex1 with every count x1000 has a 79-bit state count
+    from popdyn.cells import CellSpace
+    from popdyn.dynamics import UniformRandom, simulate
+    from popdyn.equilibria import equilibria_report
+    from popdyn.errors import StateSpaceTooLarge
+    from popdyn.invariants import invariance_report
+
+    pop = probe_population(size) if name == "probe" else population(name, size)
+    assert CellSpace(pop).n_states > oracle.DEFAULT_MAX_STATES
+    invariance_report(pop)
+    equilibria_report(pop)
+    with pytest.raises(StateSpaceTooLarge):
+        oracle.build_transition_digraph(pop)
+    if (name, size) == ("probe", 32):
+        start = pop.state(*(0 for _ in range(1 + pop.b + pop.bp)))
+        assert len(simulate(pop, start, UniformRandom(seed=0), 1000)) == 1001
 
 
 def test_stochastic_reports_masses_of_any_size(tmp_path):

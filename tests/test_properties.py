@@ -1,21 +1,24 @@
 """Randomized cross-checks beyond the fixtures."""
 
+import inspect
+import textwrap
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from genpop import (cooperators, is_closed_under_step, reference_top_utilities,
+from genpop import (cooperators, is_closed_under_step, reference_outearns,
                     s_membership_mask, sample_populations, with_empty_best_responder_cell,
                     x_membership_mask)
+from popdyn import cells
 from popdyn import stochastic as st
 from popdyn.cells import BEST_RESPONDER, IMITATOR, CellSpace
 from popdyn.dynamics import UniformRandom, Weighted, simulate
 from popdyn.equilibria import enumerate_equilibria, is_exclusive_cooperation_preserving
 from popdyn.fixtures import FIXTURE_NAMES, fixture_population
 from popdyn.invariants import all_benchmark_indices, s_cooperator_range, s_invariance_details
-from popdyn.model import ANTICOORDINATING, COORDINATING, State, validate_population
+from popdyn.model import ANTICOORDINATING, COORDINATING, C, D, State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
                              _rows, _stationary_reference, divided_exactly)
@@ -72,11 +75,11 @@ def enumerated():
     pops = [fixture_population(name) for name in FIXTURE_NAMES]
     pops += [pop for seed in (23, 29, 5) for pop in sample_populations(seed=seed, count=150)]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(CellSpace, "top_utilities", reference_top_utilities)
+        m.setattr(CellSpace, "outearns", reference_outearns)
         return pops, _top_earner_decisions(pops)
 
 
-def test_presence_patterns_match_the_enumeration(enumerated):
+def test_outearns_matches_the_enumeration(enumerated):
     pops, (details, verdicts) = enumerated
     assert _top_earner_decisions(pops) == (details, verdicts)
     # both top-earner tests and both cooperation-preserving outcomes occur
@@ -85,14 +88,62 @@ def test_presence_patterns_match_the_enumeration(enumerated):
     assert len(outcomes) == 4 and set(verdicts) == {True, False}
 
 
-def test_enumeration_catches_a_quantifier_without_interior(enumerated, monkeypatch):
-    # a type whose agents play both strategies is the interior pattern
-    pops, (details, verdicts) = enumerated
-    real = CellSpace.presence_patterns
-    monkeypatch.setattr(CellSpace, "presence_patterns", lambda self, ranges, n_c: (
-        pattern for pattern in real(self, ranges, n_c) if (True, True) not in pattern))
-    mutant_details, mutant_verdicts = _top_earner_decisions(pops)
-    assert mutant_details != details and mutant_verdicts != verdicts
+@pytest.fixture(scope="module")
+def top_earner_queries():
+    """Top-earner questions with their answers by enumeration: for each
+    fixture and sample population, 20 random per-cell sub-ranges, each with a
+    random n_c inside their summed range, asked for both sides."""
+    pops = [fixture_population(name) for name in FIXTURE_NAMES]
+    pops += [pop for seed in (23, 29) for pop in sample_populations(seed=seed, count=150)]
+    rng = np.random.default_rng(43)
+    queries = []
+    for pop in pops:
+        space = CellSpace(pop)
+        for _ in range(20):
+            ranges = [tuple(sorted(rng.integers(0, cap + 1, size=2).tolist())) for cap in space.caps]
+            n_c = int(rng.integers(sum(lo for lo, _ in ranges), sum(hi for _, hi in ranges) + 1))
+            queries += [(space, ranges, n_c, side, reference_outearns(space, ranges, n_c, side))
+                        for side in (C, D)]
+    return queries
+
+
+def test_outearns_matches_the_enumeration_per_query(top_earner_queries):
+    answers = [space.outearns(ranges, n_c, side) for space, ranges, n_c, side, _ in top_earner_queries]
+    assert answers == [want for *_, want in top_earner_queries]
+    assert 0 < sum(answers) < len(answers)
+
+
+def _outearns_with(old: str, new: str):
+    """`CellSpace.outearns` with the one occurrence of `old` in its source replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(CellSpace.outearns))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(cells))
+    exec(source.replace(old, new), namespace)
+    return namespace["outearns"]
+
+
+def test_outearns_on_object_arrays_matches_per_query(top_earner_queries, monkeypatch):
+    # a population of 2^63 agents or more counts in object arrays, not int64
+    monkeypatch.setattr(CellSpace, "outearns", _outearns_with("np.int64 if n < 2 ** 63 else object", "object"))
+    answers = [space.outearns(ranges, n_c, side) for space, ranges, n_c, side, _ in top_earner_queries]
+    assert answers == [want for *_, want in top_earner_queries]
+
+
+# each a one-token change to `CellSpace.outearns` that the decisions of
+# `test_outearns_matches_the_enumeration` alone need not catch
+_OUTEARNS_MUTANTS = (
+    ("np.maximum(floors.diagonal(), 1)", "floors.diagonal()"),  # the top earner's type may be absent
+    ("rival >= own[:, None]", "rival > own[:, None]"),  # a tie on the other side no longer counts
+    ("np.where(rival >= own[:, None], cap, 0)", "np.where(rival >= own[:, None], 0, 0)"),
+)
+
+
+def test_per_query_comparison_catches_outearns_mutants(top_earner_queries):
+    for old, new in _OUTEARNS_MUTANTS:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(CellSpace, "outearns", _outearns_with(old, new))
+            assert any(space.outearns(ranges, n_c, side) != want
+                       for space, ranges, n_c, side, want in top_earner_queries), new
 
 
 # the cell of each BState field, by role, kind and type index
