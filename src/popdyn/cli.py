@@ -6,9 +6,11 @@ a file that cannot be opened, or a population the command does not take),
 3 state-space guard exceeded, 4 verification failure, 5 internal error. The
 state guard, --max-states (default 10^6 refined states), is read only where an
 oracle is built: `oracle`, `stochastic`, `equilibria --oracle` or --verify,
-and `invariants --verify`; there it must be a positive integer. The stationary
-solve has its own guard on its dense matrix. Output paths are checked before
-the command runs: an unwritable one is a configuration error before any work.
+and `invariants --verify`; there it must be a positive integer, and it is
+checked against the population's refined states before any other work. The
+stationary solve has its own guard, on the bytes of its band matrix. Output
+paths are checked before the command runs: an unwritable one is a
+configuration error before any work.
 
 A command imports the analysis modules it runs when it runs, and `verify`
 only under --verify, so each process loads and compiles no other popdyn
@@ -145,13 +147,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _oracle_graph(pop: PopulationSpec, args) -> oracle.TransitionDigraph:
+def _max_states(args) -> int:
+    """The oracle's state guard: --max-states, else its default, checked to be
+    a positive integer."""
     from . import oracle
 
     guard = oracle.DEFAULT_MAX_STATES if args.max_states is None else args.max_states
     if guard < 1:
         raise _InputError(f"--max-states must be a positive integer, not {guard}")
-    return oracle.build_transition_digraph(pop, max_states=guard)
+    return guard
+
+
+def _check_state_guard(pop: PopulationSpec, args) -> None:
+    """Refuse a population above the state guard before any other work: the
+    commands that build their oracle after a report of their own call this
+    first, so a refusal does not wait for the report."""
+    from . import oracle
+    from .cells import CellSpace
+
+    oracle.check_state_guard(CellSpace(pop), _max_states(args))
+
+
+def _oracle_graph(pop: PopulationSpec, args) -> oracle.TransitionDigraph:
+    from . import oracle
+
+    return oracle.build_transition_digraph(pop, max_states=_max_states(args))
 
 
 def _verification(problems: list[str]) -> dict:
@@ -170,6 +190,8 @@ def cmd_equilibria(args) -> int:
     from . import equilibria
 
     pop = _load_population(args.config)
+    if args.verify or args.oracle:
+        _check_state_guard(pop, args)
     records = equilibria.enumerate_equilibria(pop)
     report = equilibria.equilibria_report(pop, records)
     problems: list[str] = []
@@ -192,6 +214,8 @@ def cmd_invariants(args) -> int:
     from . import invariants
 
     pop = _load_population(args.config)
+    if args.verify:
+        _check_state_guard(pop, args)
     report = invariants.invariance_report(pop)
     problems: list[str] = []
     if args.verify:

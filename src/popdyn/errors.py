@@ -51,3 +51,7 @@ class NotMixed(PopdynError):
 
 class SingularSystem(PopdynError):
     """The stationary-distribution solve hit a singular system (internal error)."""
+
+
+class CertificateFailed(PopdynError):
+    """An exact result failed its exact certificate (internal error)."""

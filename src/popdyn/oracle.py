@@ -281,6 +281,14 @@ def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None =
     return seen
 
 
+def check_state_guard(space: CellSpace, max_states: int) -> None:
+    """Refuse a refined state space of more than `max_states` states."""
+    if space.n_states > max_states:
+        raise StateSpaceTooLarge(
+            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
+        )
+
+
 def build_transition_digraph(pop: PopulationSpec,
                              max_states: int = DEFAULT_MAX_STATES) -> TransitionDigraph:
     """Materialize the multivalued one-step dynamics of the population.
@@ -295,10 +303,7 @@ def build_transition_digraph(pop: PopulationSpec,
     moves from its key's representative.
     """
     space = CellSpace(pop)
-    if space.n_states > max_states:
-        raise StateSpaceTooLarge(
-            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
-        )
+    check_state_guard(space, max_states)
 
     n, split = space.n_states, _inner_split(space.caps)
     dtype = np.min_scalar_type(pop.n)

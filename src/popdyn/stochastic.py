@@ -26,13 +26,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cells import BEST_RESPONDER, IMITATOR
-from .errors import NotMixed, SingularSystem, StateSpaceTooLarge
+from .errors import CertificateFailed, NotMixed, SingularSystem, StateSpaceTooLarge
 from .model import ANTICOORDINATING, COORDINATING, PopulationSpec, parse_rational
 from .oracle import (TransitionDigraph, build_transition_digraph, minimal_invariant_sets,
                      search_layers, sorted_unique)
 
 EXACT_SOLVE_LIMIT = 500
-# the stationary solve holds one dense n x n matrix of 8-byte floats or pointers
+# the stationary solve holds one band of n x (2w + 1) entries, w the support's
+# bandwidth in level order: 8-byte floats, or one 4-byte residue per prime
 DENSE_SOLVE_BYTES = 1 << 30
 
 
@@ -420,40 +421,45 @@ def stochastically_stable_set(chain: PerturbedChain) -> frozenset[BState]:
 def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One GTH (Grassmann-Taksar-Heyman) state reduction of the chain.
 
-    States are eliminated in level order (`_elimination_order`), which keeps
-    fill inside a narrow band. Each step touches only the nonzero rows and
-    columns of the eliminated state, and GTH never subtracts. `kernel`
-    supplies the algebra: its dense n x n matrix of 8-byte entries (checked
-    against DENSE_SOLVE_BYTES before anything is allocated), its no-edge
-    value, the elimination of one pivot, the weight `root` of the state at
-    position 0, which is never eliminated, and one back-substitution step.
+    States are eliminated from the last position of the level order
+    (`_level_band`), so each step touches only the band of width w around
+    the diagonal: state k's pivot is the sum of its row in positions
+    k - w .. k - 1, and it updates the block of those rows and columns.
+    Fill stays inside that band, and GTH never subtracts. The matrix is held
+    as the band alone, n x (2w + 1) entries (`_band`), and each step reads
+    and writes slices of it (`_square`). `kernel` supplies the algebra: its
+    `entry_bytes` (the band's bytes are checked against DENSE_SOLVE_BYTES
+    before anything is allocated), its band, the elimination of one pivot,
+    which returns False when the state has none, the weight `root` of the
+    state at position 0, which is never eliminated, and one
+    back-substitution step. Each step takes the whole slice, so no entry's
+    value, such as a residue that vanishes modulo a prime, decides which
+    entries it works on.
 
     Returns (pi, position, pivots): pi[position[i]] is chain state i's
     weight, on the scale where the root weighs `root`, and pivots[k - 1] is
     the pivot of the state at position k.
     """
     n = chain.n_states
-    needed = 8 * n * n
+    position, w = _level_band(chain)
+    needed = n * (2 * w + 1) * kernel.entry_bytes
     if needed > DENSE_SOLVE_BYTES:
         raise StateSpaceTooLarge(
-            f"the stationary solve of {n} states needs {needed} bytes of dense matrix, "
+            f"the stationary solve of {n} states needs {needed} bytes of band storage, "
             f"above the limit of {DENSE_SOLVE_BYTES}"
         )
-    position = np.argsort(_elimination_order(chain))
-    p = kernel.matrix(chain, position)
-    none = kernel.no_edge
+    band = kernel.band(chain, position, w)
+    p = _square(band)
     # the pivot of state k goes on the diagonal, and no later step touches
     # column k, so the back-substitution reads both as this step left them
     for k in range(n - 1, 0, -1):
-        cols = np.flatnonzero(p[k, :k] != none)
-        if not cols.size:
+        if not kernel.pivot(p, k, max(k - w, 0)):
             raise SingularSystem("state-reduction hit a zero pivot; chain not irreducible")
-        kernel.pivot(p, k, np.flatnonzero(p[:k, k] != none), cols)
-    pi = np.full(n, kernel.root, dtype=p.dtype)
+    pi = np.full(band[:, w].shape, kernel.root, dtype=band.dtype)
     for k in range(1, n):
-        rows = np.flatnonzero(p[:k, k] != none)
-        pi[k] = kernel.back(pi[rows], p[rows, k], p[k, k])
-    return pi, position, p.diagonal()[1:].copy()
+        lo = max(k - w, 0)
+        pi[k] = kernel.back(pi[lo:k], p[lo:k, k], p[k, k])
+    return pi, position, band[1:, w].copy()
 
 
 def _elimination_order(chain: PerturbedChain) -> np.ndarray:
@@ -473,118 +479,243 @@ def _elimination_order(chain: PerturbedChain) -> np.ndarray:
     return np.lexsort((*counts[fields], counts.sum(axis=0)))
 
 
-def _dense(position: np.ndarray, dst: np.ndarray, values: np.ndarray, fill, dtype) -> np.ndarray:
-    """n x n matrix of `values` at the positions of each transition, `fill` elsewhere."""
-    n = len(position)
-    p = np.full((n, n), fill, dtype=dtype)
+def _level_band(chain: PerturbedChain) -> tuple[np.ndarray, int]:
+    """(position, w): each state's position in `_elimination_order`, and the
+    bandwidth of the support there, the farthest any move carries a state."""
+    position = np.argsort(_elimination_order(chain))
+    dst = chain.support[0][:, 1:]
+    live = dst >= 0
+    here = np.broadcast_to(position[:, None], dst.shape)[live]
+    return position, int(np.abs(position[dst[live]] - here).max(initial=0))
+
+
+def _band(position: np.ndarray, w: int, dst: np.ndarray, values: np.ndarray, fill,
+          dtype) -> np.ndarray:
+    """The moves' `values` (n x 8, each entry perhaps a vector) at the
+    positions of their transitions, `fill` elsewhere, in band storage: row r
+    holds positions r - w .. r + w, entry (r, c) in its column w + c - r. The
+    self-loops lie on the diagonal, where each pivot goes, and are not stored."""
     rows, cols = np.nonzero(dst >= 0)
-    p[position[rows], position[dst[rows, cols]]] = values[rows, cols]
-    return p
+    r, c = position[rows], position[dst[rows, cols]]
+    band = np.full((len(position), 2 * w + 1, *values.shape[2:]), fill, dtype=dtype)
+    band[r, w + c - r] = values[rows, cols]
+    return band
+
+
+def _square(band: np.ndarray) -> np.ndarray:
+    """The n x n matrix that `band` stores, as a view: entry (r, c) is
+    band[r, w + c - r] while |c - r| <= w, and every entry farther out
+    aliases one of the band's, so only the band may be read or written.
+
+    Entry (r, c) lies r (2w + 1) + w + c - r = w + 2w r + c entries into the
+    band, so the view steps 2w entries a row and one a column, and all of
+    it lies inside the band: its last entry, (n - 1, n - 1), is w entries
+    before the band's last."""
+    n, width = band.shape[:2]
+    row, entry = band.strides[:2]
+    flat = band.reshape(n * width, *band.shape[2:])
+    return np.lib.stride_tricks.as_strided(flat[width // 2:], (n, n, *band.shape[2:]),
+                                           (row - entry, entry, *band.strides[2:]))
 
 
 class _FloatKernel:
-    """Probabilities at tremble rate `epsilon` as float64."""
+    """Probabilities at tremble rate `epsilon` as float64. Each sum runs over
+    the nonzero entries of its slice only, in position order, so that it adds
+    the same terms in the same grouping whatever the band's width: numpy
+    sums in pairs, and a zero among the terms would move the pairs."""
 
-    no_edge, root = 0, 1
+    root, entry_bytes = 1, 8
 
     def __init__(self, epsilon: Fraction):
         self.epsilon = epsilon
 
-    def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
+    def band(self, chain: PerturbedChain, position: np.ndarray, w: int) -> np.ndarray:
         # int / int is correctly rounded: each entry is the float of the exact one
         dst, num, _ = chain.transitions(self.epsilon)
-        return _dense(position, dst, num / chain.denominator(self.epsilon), 0, float)
+        return _band(position, w, dst[:, 1:], num[:, 1:] / chain.denominator(self.epsilon),
+                     0, float)
 
     @staticmethod
-    def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
-        p[k, k] = s = p[k, cols].sum()
-        p[np.ix_(rows, cols)] += np.multiply.outer(p[rows, k] / s, p[k, cols])
-
-    @staticmethod
-    def back(pi, col, pivot):
-        return (pi * col).sum() / pivot
-
-
-class _ExactKernel(_FloatKernel):
-    """Exact probabilities at tremble rate `epsilon`: a fraction-free
-    (Bareiss) elimination of A = N(I - P) in Python ints, N the chain's
-    `denominator(epsilon)`, on B = N P, which is -A off the diagonal.
-
-    Eliminating k takes the GTH pivot S, the sum of B[k, :k], which is also
-    A's Bareiss pivot because A's rows sum to zero. Bareiss sets each row r
-    that k touches to (B[r, :k] S + B[r, k] B[k, :k]) // root, `root` the
-    previous pivot (1 before the first): by Sylvester's identity every entry
-    is then a minor of A, so the division is exact and no row gcd is needed.
-    A pivot only scales the rows it does not touch, by S / root, so that is
-    done lazily: `at[r]` is the pivot of row r's last update, and row r holds
-    its minors times at[r] / root. The pivot row is brought up to root
-    (B[k] root // at[k]) before it is read; a touched row is updated from its
-    own scale, dividing by at[r] instead of root, and its entry in column k,
-    which the back-substitution reads, is brought up to root. The diagonal is
-    never read: it starts N above -A's (the self-loop) and stays N at[r]
-    above what a minor would give there, so its divisions are exact as well.
-
-    The last pivot is A's tree sum for the root, the state at position 0;
-    the back-substitution then gives every state's tree sum, an integer, by
-    n divisions, and a remainder there means a fault in the elimination."""
-
-    def matrix(self, chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        dst, num, _ = chain.transitions(self.epsilon)
-        self.root = 1
-        self.at = np.full(chain.n_states, 1, dtype=object)
-        return _dense(position, dst, num, 0, object)
-
-    @staticmethod
-    def divide(block: np.ndarray, divisor) -> np.ndarray:
-        """block // divisor, which the elimination only asks when it is exact."""
-        return block // divisor
-
-    def pivot(self, p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
-        prev, at = self.root, self.at[rows]
-        if self.at[k] != prev:
-            p[k, :k] = self.divide(p[k, :k] * prev, self.at[k])
-        s = sum(p[k, cols].tolist())
-        block = p[rows, :k] * s
-        block[:, cols] += np.multiply.outer(p[rows, k], p[k, cols])
-        p[rows, :k] = self.divide(block, at[:, None])
-        stale = rows[at != prev]
-        p[stale, k] = self.divide(p[stale, k] * prev, self.at[stale])
-        self.at[rows] = p[k, k] = self.root = s
+    def pivot(p: np.ndarray, k: int, lo: int) -> bool:
+        row = p[k, lo:k]
+        p[k, k] = s = row[row != 0].sum()
+        if not s:
+            return False
+        block = p[lo:k, lo:k]
+        block += np.multiply.outer(p[lo:k, k] / s, row)
+        return True
 
     @staticmethod
     def back(pi, col, pivot):
-        weight, rest = divmod(sum((pi * col).tolist()), pivot)
-        if rest:
-            raise SingularSystem("inexact back-substitution in the exact state reduction")
-        return weight
-
-
-# no-edge marker of the order kernel; never enters its arithmetic
-_NO_EDGE = np.iinfo(np.int64).max
+        live = col != 0
+        return (pi[live] * col[live]).sum() / pivot
 
 
 class _OrderKernel:
     """Leading epsilon-orders: min-plus over the one-step mistake costs, which
-    do not depend on epsilon. GTH never subtracts, so no leading term of a
-    sum it forms cancels: the order of a sum is the least order of its terms,
-    and the order of a product or quotient the sum or difference of the
-    orders."""
+    do not depend on epsilon, with inf where there is no edge. GTH never
+    subtracts, so no leading term of a sum it forms cancels: the order of a
+    sum is the least order of its terms, and the order of a product or
+    quotient the sum or difference of the orders. The orders are small
+    integers, which float64 holds exactly."""
 
-    no_edge, root = _NO_EDGE, 0
-
-    @staticmethod
-    def matrix(chain: PerturbedChain, position: np.ndarray) -> np.ndarray:
-        return _dense(position, *chain.support, _NO_EDGE, np.int64)
+    root, entry_bytes = 0, 8
 
     @staticmethod
-    def pivot(p: np.ndarray, k: int, rows: np.ndarray, cols: np.ndarray) -> None:
-        p[k, k] = s = p[k, cols].min()
-        block = np.ix_(rows, cols)
-        p[block] = np.minimum(p[block], np.add.outer(p[rows, k] - s, p[k, cols]))
+    def band(chain: PerturbedChain, position: np.ndarray, w: int) -> np.ndarray:
+        dst, mistakes = chain.support
+        return _band(position, w, dst[:, 1:], mistakes[:, 1:], np.inf, float)
+
+    @staticmethod
+    def pivot(p: np.ndarray, k: int, lo: int) -> bool:
+        row = p[k, lo:k]
+        p[k, k] = s = row.min()
+        if s == np.inf:
+            return False
+        block = p[lo:k, lo:k]
+        np.minimum(block, np.add.outer(p[lo:k, k] - s, row), out=block)
+        return True
 
     @staticmethod
     def back(pi, col, pivot):
         return (pi + col).min() - pivot
+
+
+# every residue lies below 2^31, so the product of two fits in an int64
+_WORD_PRIME_LIMIT = 1 << 31
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, which decide every odd n from
+    63 to 4,759,123,140."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# the odd primes below 50: a candidate that shares none of them takes the full test
+_SMALL_PRIME_PRODUCT = math.prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
+
+def _word_primes():
+    """The primes below 2^31, largest first."""
+    for n in range(_WORD_PRIME_LIMIT - 1, 62, -2):
+        if math.gcd(n, _SMALL_PRIME_PRODUCT) == 1 and _is_prime(n):
+            yield n
+
+
+class _ResidueKernel:
+    """Exact GTH modulo each of `primes`: the band holds the residues of each
+    entry of B = N P, N the chain's `denominator(epsilon)`, one int32 per
+    prime on its last axis, and a pivot's update multiplies by the pivot's
+    inverse modulo each prime, in int64. Every value the reduction forms
+    over the rationals is a ratio whose denominator is a product of pivots,
+    so while no pivot vanishes modulo a prime, the residues are those of the
+    rational values.
+
+    A pivot that vanishes modulo some primes marks them `lost`; their
+    residues mean nothing from then on. `bound` is the tree-sum bound
+    (`_tree_sums`), which bounds every product of leading pivots, a sum of
+    spanning forests, as well: a pivot that vanishes modulo every prime not
+    yet lost, whose product exceeds the bound, is zero, and the state has
+    none.
+
+    The update stores column k divided by the pivot, which the
+    back-substitution then reads, and leaves the pivot on the diagonal."""
+
+    root = 1
+
+    def __init__(self, epsilon: Fraction, primes: Sequence[int], bound):
+        self.epsilon = epsilon
+        self.primes = list(primes)
+        self.modulus = np.array(self.primes, dtype=np.int64)
+        self.entry_bytes = 4 * len(self.primes)
+        self.bound = bound
+        self.lost = np.array([False] * len(self.primes))
+
+    def band(self, chain: PerturbedChain, position: np.ndarray, w: int) -> np.ndarray:
+        dst, num, _ = chain.transitions(self.epsilon)
+        moves = num[:, 1:].ravel().tolist()
+        # each distinct integer is reduced once: a move's mass is its group's
+        # size times epsilon's numerator or its complement
+        values = sorted(set(moves))
+        code = {v: i for i, v in enumerate(values)}
+        table = np.array([[v % q for q in self.primes] for v in values], dtype=np.int64)
+        residues = table[[code[v] for v in moves]].reshape(*num[:, 1:].shape, len(self.primes))
+        return _band(position, w, dst[:, 1:], residues, 0, np.int32)
+
+    def pivot(self, p: np.ndarray, k: int, lo: int) -> bool:
+        q = self.modulus
+        row = p[k, lo:k].astype(np.int64)
+        p[k, k] = s = row.sum(axis=0) % q
+        vanished = s == 0
+        if vanished.any():
+            live = ~self.lost
+            if vanished[live].all() and \
+                    math.prod(itertools.compress(self.primes, live)) > self.bound:
+                return False
+            self.lost |= vanished
+        inverse = [pow(a, -1, m) if a else 0 for a, m in zip(s.tolist(), self.primes)]
+        p[lo:k, k] = col = p[lo:k, k] * np.array(inverse) % q
+        block = p[lo:k, lo:k]
+        update = col[:, None] * row
+        update += block
+        np.remainder(update, q, out=block)
+        return True
+
+    def back(self, pi, col, pivot):
+        return (np.multiply(pi, col, dtype=np.int64) % self.modulus).sum(axis=0) % self.modulus
+
+
+def _tree_sums(chain: PerturbedChain, epsilon: Fraction) -> list[int]:
+    """Every chain state's rooted tree sum W of B = N P, N the chain's
+    `denominator(epsilon)`: the total weight of the spanning trees whose
+    paths all lead to that state, a non-negative integer. By the Markov
+    chain tree theorem mu(x) is W[x] / sum(W).
+
+    A tree takes one move out of every other state, so W[x] is at most the
+    product of those states' off-diagonal row sums of B, and every W at most
+    the product of all row sums but the smallest: the bound. `_ResidueKernel`
+    finds W modulo the fewest largest primes below 2^31 whose product exceeds
+    the bound: W is the product of the pivots times the back-substituted
+    weight, with the root weighing 1. The next primes replace those at which
+    a pivot vanished, and the Chinese remainder theorem, with coefficients
+    computed once per prime set, rebuilds W.
+    """
+    _, num, _ = chain.transitions(epsilon)
+    bound = math.prod(sorted(num[:, 1:].sum(axis=1).tolist())[1:])
+    supply = _word_primes()
+    primes: list[int] = []
+    residues = []
+    modulus = 1
+    while modulus <= bound:
+        batch, reach = [], modulus
+        while reach <= bound:
+            batch.append(next(supply))
+            reach *= batch[-1]
+        kernel = _ResidueKernel(epsilon, batch, bound)
+        pi, position, pivots = _gth(chain, kernel)
+        tree = np.ones(len(batch), dtype=np.int64)
+        for s in pivots:
+            tree = tree * s % kernel.modulus
+        kept = ~kernel.lost
+        residues.append((pi[position] * tree % kernel.modulus)[:, kept])
+        primes += [q for q, keep in zip(batch, kept.tolist()) if keep]
+        modulus = math.prod(primes)
+    coeffs = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    return [sum(map(operator.mul, row, coeffs)) % modulus
+            for row in np.concatenate(residues, axis=1).tolist()]
 
 
 def solves_exactly(chain: PerturbedChain) -> bool:
@@ -597,18 +728,22 @@ def stationary_distribution(chain: PerturbedChain, epsilon) -> list[Fraction]:
     """Unique stationary row vector of the perturbed chain at tremble rate
     epsilon, which must be positive.
 
-    One GTH state reduction (see `_gth`) over a dense n x n matrix: a
-    fraction-free one in Python ints up to EXACT_SOLVE_LIMIT states, whose
-    weights are the states' rooted tree sums, so mu(x) is x's tree sum over
+    One GTH state reduction in band storage (see `_gth`): up to
+    EXACT_SOLVE_LIMIT states, modulo word-size primes, which gives every
+    state's rooted tree sum (`_tree_sums`), so mu(x) is x's tree sum over
     their total, exactly; of float64 above it. An irreducible chain has
     exactly one stationary distribution, so the exact result does not depend
-    on the elimination order. Float results come back as Fraction(float(x)).
+    on the elimination order or the primes, and a zero residual proves it:
+    every exact solve is checked so, and any other residual raises
+    CertificateFailed. Float results come back as Fraction(float(x)).
     """
     epsilon = tremble_rate(epsilon, solve=True)
     if solves_exactly(chain):
-        pi, position, _ = _gth(chain, _ExactKernel(epsilon))
-        total = sum(pi.tolist())
-        return [Fraction(w, total) for w in pi[position].tolist()]
+        weights = _tree_sums(chain, epsilon)
+        if _flow_residual(chain, epsilon, weights):
+            raise CertificateFailed("the exact stationary solve left a non-zero residual")
+        total = sum(weights)
+        return [Fraction(w, total) for w in weights]
     pi, position, _ = _gth(chain, _FloatKernel(epsilon))
     return [Fraction(float(x)) for x in pi[position] / pi.sum()]
 
@@ -627,7 +762,18 @@ def stochastic_potential(chain: PerturbedChain) -> np.ndarray:
     stochastically stable states. It does not depend on epsilon.
     """
     pi, position, pivots = _gth(chain, _OrderKernel)
-    return (pi + pivots.sum())[position]
+    return (pi + pivots.sum())[position].astype(np.int64)
+
+
+def _flow_residual(chain: PerturbedChain, epsilon, weights: Sequence[int]) -> int:
+    """The L1 norm of w (N P) - N w for integer weights w, N the chain's
+    `denominator(epsilon)`: 0 exactly when w is stationary."""
+    dst, num, _ = chain.transitions(epsilon)
+    weights = np.array(weights, dtype=object)
+    live = dst >= 0
+    flow = np.zeros(chain.n_states, dtype=object)
+    np.add.at(flow, dst[live], (weights[:, None] * num)[live])
+    return sum(abs(flow - weights * chain.denominator(epsilon)))
 
 
 def stationary_residual(chain: PerturbedChain, epsilon, mu: Sequence[Fraction]) -> Fraction:
@@ -637,13 +783,9 @@ def stationary_residual(chain: PerturbedChain, epsilon, mu: Sequence[Fraction]) 
     Exact, in Python ints over the common denominator of mu (one power of two
     for a float solve) times the chain's, so no Fraction is formed per term.
     """
-    dst, num, _ = chain.transitions(epsilon)
-    den, chain_den = math.lcm(*(x.denominator for x in mu)), chain.denominator(epsilon)
-    weights = np.array([x.numerator * (den // x.denominator) for x in mu], dtype=object)
-    live = dst >= 0
-    flow = np.zeros(chain.n_states, dtype=object)
-    np.add.at(flow, dst[live], (weights[:, None] * num)[live])
-    return Fraction(sum(abs(flow - weights * chain_den)), den * chain_den)
+    den = math.lcm(*(x.denominator for x in mu))
+    weights = [x.numerator * (den // x.denominator) for x in mu]
+    return Fraction(_flow_residual(chain, epsilon, weights), den * chain.denominator(epsilon))
 
 
 # -- modified costs (step-by-step evolution discounts) -------------------------

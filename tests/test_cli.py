@@ -491,6 +491,28 @@ def test_state_guard_is_read_only_where_an_oracle_is_built(tmp_path, monkeypatch
             monkeypatch.delenv("POPDYN_MAX_STATES")
 
 
+def test_guard_refuses_before_the_report(tmp_path, monkeypatch, capsys):
+    # ex1 with every count x1000 has a 79-bit state count: a command that
+    # builds an oracle refuses it on the guard before it builds the plain
+    # report, which takes seconds at that size
+    from popdyn import equilibria, invariants
+
+    def report(*args, **kwargs):
+        raise AssertionError("report built before the guard")
+
+    monkeypatch.setattr(equilibria, "enumerate_equilibria", report)
+    monkeypatch.setattr(invariants, "invariance_report", report)
+    config = tmp_path / "ex1x1000.json"
+    config.write_text(json.dumps(population("ex1", 1000).to_json_dict()))
+    for command in (("equilibria", "--oracle"), ("equilibria", "--verify"),
+                    ("invariants", "--verify")):
+        argv = [*command, "--config", str(config), "--json", str(tmp_path / "r.json")]
+        assert run_cli(*argv) == cli.EXIT_GUARD, command
+        assert "state-space guard exceeded" in capsys.readouterr().err
+        assert run_cli(*argv, "--max-states", "0") == cli.EXIT_CONFIG, command
+        assert "must be a positive integer" in capsys.readouterr().err
+
+
 def _child_env() -> dict:
     """The environment of a child that finds popdyn where this process did,
     installed or not."""

@@ -20,8 +20,8 @@ from popdyn.fixtures import FIXTURE_NAMES, fixture_population
 from popdyn.invariants import all_benchmark_indices, s_cooperator_range, s_invariance_details
 from popdyn.model import ANTICOORDINATING, COORDINATING, C, D, State, validate_population
 from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
-from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference,
-                             _rows, _stationary_reference, divided_exactly)
+from test_stochastic import (_assert_potential_matches_gamma, _gamma_reference, _rows,
+                             _stationary_reference)
 
 
 def test_validate_population_idempotent_randomized():
@@ -282,14 +282,14 @@ def test_potential_matches_gamma_randomized():
         _assert_potential_matches_gamma(st.build_chain(pop))
 
 
-def test_exact_kernel_divides_exactly_randomized():
+def test_exact_solve_matches_reference_randomized():
     # up to 7 agents, so the Fraction reference stays quick: 16 to 54 states
     chains = [st.build_chain(pop)
               for pop in _binary_pops(seed=59, count=30, max_agents=7, samples=4000)]
     assert len(chains) == 30
     for chain in chains:
         for eps in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 10000)):
-            assert divided_exactly(chain, eps) == _stationary_reference(chain, eps)
+            assert st.stationary_distribution(chain, eps) == _stationary_reference(chain, eps)
 
 
 def test_stationary_exact_on_random_chain():

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from genpop import population
 from popdyn import stochastic
-from popdyn.errors import NotMixed, SingularSystem, StateSpaceTooLarge
+from popdyn.errors import CertificateFailed, NotMixed, SingularSystem, StateSpaceTooLarge
 from popdyn.stochastic import (
     BState,
     basin,
@@ -105,7 +105,7 @@ def _support(chain, epsilon):
 def _stationary_reference(chain, epsilon):
     """Exact stationary distribution at tremble rate epsilon by a GTH reduction
     over a dense matrix of Fractions, eliminated in reverse Cuthill-McKee
-    order; the cross-check for the fraction-free kernel and its level order."""
+    order; the cross-check for the residue kernel and its level order."""
     n = chain.n_states
     order = reverse_cuthill_mckee(_support(chain, epsilon), symmetric_mode=False)
     position = np.argsort(order)
@@ -400,13 +400,36 @@ def test_tremble_rate_out_of_range(chains):
     assert ((num > 0) == (mistakes == 0)).all()
 
 
+def _band_bytes(chain, epsilon):
+    """(float, exact) bytes of the stationary solve's band, found apart from
+    `_gth`: n (2w + 1) entries, w the farthest any move carries a state in
+    the level order, of 8 bytes, or for the exact solve of 4 bytes per prime
+    of the fewest largest primes below 2^31 whose product exceeds the
+    tree-sum bound."""
+    position = np.argsort(stochastic._elimination_order(chain))
+    dst, num, _ = chain.transitions(epsilon)
+    w = max(abs(int(position[i]) - int(position[j]))
+            for i, row in enumerate(dst.tolist()) for j in row[1:] if j >= 0)
+    sums = sorted(sum(row[1:]) for row in num.tolist())
+    bound, modulus, primes = math.prod(sums[1:]), 1, 0
+    for q in itertools.count(2**31 - 1, -1):
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            modulus, primes = modulus * q, primes + 1
+            if modulus > bound:
+                break
+    entries = chain.n_states * (2 * w + 1)
+    return 8 * entries, 4 * entries * primes
+
+
 def test_stationary_guard_precedes_allocation(pops, monkeypatch):
     eps = Fraction(1, 1000)
     chain = build_chain(pops["ex7_2"])
-    needed = 8 * chain.n_states ** 2
+    float_bytes, exact_bytes = _band_bytes(chain, eps)
+    # the band is far smaller than the dense n x n matrix of 8-byte entries
+    assert float_bytes < 8 * chain.n_states ** 2 / 2
 
     def no_allocation(*args, **kwargs):
-        raise AssertionError("dense matrix allocated before the guard")
+        raise AssertionError("band allocated before the guard")
 
     def solved_stationary(result):
         return stationary_residual(chain, eps, result) <= Fraction(1, 10**12)
@@ -418,144 +441,154 @@ def test_stationary_guard_precedes_allocation(pops, monkeypatch):
         return stationary_distribution(chain, eps)
 
     # the float path, the exact one, then the epsilon-order one
-    for limit, solve, solved in ((10, stationary, solved_stationary),
-                                 (stochastic.EXACT_SOLVE_LIMIT, stationary, solved_stationary),
-                                 (stochastic.EXACT_SOLVE_LIMIT, stochastic_potential,
-                                  solved_potential)):
+    for limit, solve, solved, needed in (
+            (10, stationary, solved_stationary, float_bytes),
+            (stochastic.EXACT_SOLVE_LIMIT, stationary, solved_stationary, exact_bytes),
+            (stochastic.EXACT_SOLVE_LIMIT, stochastic_potential, solved_potential, float_bytes)):
         monkeypatch.setattr(stochastic, "EXACT_SOLVE_LIMIT", limit)
         monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed - 1)
         with monkeypatch.context() as m:
             for name in ("zeros", "empty", "eye", "ones", "full"):
                 m.setattr(stochastic.np, name, no_allocation)
-            with pytest.raises(StateSpaceTooLarge):
+            with pytest.raises(StateSpaceTooLarge, match=f"needs {needed} bytes"):
                 solve(chain)
         monkeypatch.setattr(stochastic, "DENSE_SOLVE_BYTES", needed)
         assert solved(solve(chain))
 
 
-class InexactDivision(AssertionError):
-    pass
+class Kernels:
+    """Records every residue kernel that `_tree_sums` makes, of class `kind`."""
+
+    def __init__(self, kind=stochastic._ResidueKernel):
+        self.kind, self.made = kind, []
+
+    def __call__(self, *args):
+        self.made.append(self.kind(*args))
+        return self.made[-1]
 
 
-class CheckedKernel(stochastic._ExactKernel):
-    """The exact kernel with every division checked by `divmod`: each one in
-    the elimination and the back-substitution must leave no remainder."""
-
-    def __init__(self, epsilon):
-        super().__init__(epsilon)
-        self.divisions = self.back_steps = self.stale_pivots = 0
-
-    def pivot(self, p, k, rows, cols):
-        self.stale_pivots += self.at[k] != self.root
-        super().pivot(p, k, rows, cols)
-
-    def divide(self, block, divisor):
-        quotient, rest = np.frompyfunc(divmod, 2, 2)(block, divisor)
-        if np.count_nonzero(rest):
-            raise InexactDivision(f"remainder in {np.count_nonzero(rest)} of {rest.size}")
-        self.divisions += 1
-        return quotient
-
-    def back(self, pi, col, pivot):
-        weight, rest = divmod(sum((pi * col).tolist()), pivot)
-        if rest:
-            raise InexactDivision("remainder in the back-substitution")
-        self.back_steps += 1
-        return weight
-
-
-def checked_stationary(chain, epsilon, kernel=CheckedKernel):
-    """The exact stationary distribution through `kernel`, which counts its
-    divisions; returns (mu, kernel)."""
-    made = []
-
-    def making(eps):
-        made.append(kernel(eps))
-        return made[-1]
-
+def solved_with(chain, epsilon, kernels, primes=None):
+    """mu through `kernels`, and through `primes` when given, a list that
+    the largest primes below 2^31 follow."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(stochastic, "_ExactKernel", making)
-        mu = stationary_distribution(chain, epsilon)
-    return mu, made[0]
-
-
-def divided_exactly(chain, epsilon):
-    """mu through CheckedKernel, which fails on any remainder, after checking
-    that it took every back-substitution step."""
-    mu, kernel = checked_stationary(chain, epsilon)
-    assert kernel.back_steps == chain.n_states - 1
-    assert kernel.divisions >= chain.n_states - 1
-    return mu
+        m.setattr(stochastic, "_ResidueKernel", kernels)
+        if primes is not None:
+            supply = stochastic._word_primes
+            m.setattr(stochastic, "_word_primes", lambda: itertools.chain(primes, supply()))
+        return stationary_distribution(chain, epsilon)
 
 
 @pytest.mark.parametrize("name", BINARY)
 def test_exact_kernel_matches_fraction_reference(chains, name):
     for eps in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 10000)):
-        expected = _stationary_reference(chains[name], eps)
-        assert stationary_distribution(chains[name], eps) == expected
-        assert divided_exactly(chains[name], eps) == expected
+        chain = chains[name]
+        assert stationary_distribution(chain, eps) == _stationary_reference(chain, eps)
 
 
-def test_exact_kernel_divides_exactly_in_any_order(chains, monkeypatch):
-    # the level order never eliminates a row that the previous pivot left
-    # untouched; random orders do, so the pivot row's catch-up runs too
+def test_residue_kernel_in_any_order(chains, monkeypatch):
+    # a random elimination order widens the band to nearly every position,
+    # and the residues still give the one stationary distribution
     rng = np.random.default_rng(20)
     for name in BINARY:
         chain, eps = chains[name], Fraction(1, 100)
         expected = stationary_distribution(chain, eps)
+        level_width = stochastic._level_band(chain)[1]
         with monkeypatch.context() as m:
             m.setattr(stochastic, "_elimination_order",
                       lambda chain: rng.permutation(chain.n_states))
-            mu, kernel = checked_stationary(chain, eps)
-        assert kernel.stale_pivots > 0
-        assert mu == expected
+            assert stochastic._level_band(chain)[1] > 2 * level_width
+            assert stationary_distribution(chain, eps) == expected
 
 
-class NoCatchUp(CheckedKernel):
-    """Mutant: every row passes for current, so no row is caught up."""
-
-    def pivot(self, p, k, rows, cols):
-        self.at[:] = self.root
-        super().pivot(p, k, rows, cols)
-
-
-class DividesByPivot(CheckedKernel):
-    """Mutant: the touched rows are divided by the new pivot, not by their scale."""
-
-    def pivot(self, p, k, rows, cols):
-        prev, at = self.root, self.at[rows]
-        if self.at[k] != prev:
-            p[k, :k] = self.divide(p[k, :k] * prev, self.at[k])
-        s = sum(p[k, cols].tolist())
-        block = p[rows, :k] * s
-        block[:, cols] += np.multiply.outer(p[rows, k], p[k, cols])
-        p[rows, :k] = self.divide(block, s)
-        stale = rows[at != prev]
-        p[stale, k] = self.divide(p[stale, k] * prev, self.at[stale])
-        self.at[rows] = p[k, k] = self.root = s
+def _zeroing_prime(chain, epsilon):
+    """The least odd prime modulo which a pivot of the residue reduction vanishes."""
+    for q in itertools.count(3, 2):
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            kernel = stochastic._ResidueKernel(epsilon, [q], math.inf)
+            stochastic._gth(chain, kernel)
+            if kernel.lost.any():
+                return q
 
 
-class Unchecked:
-    """A mutant's divisions as the kernel makes them, floored with no check,
-    so only the kernel's own back-substitution check can catch it."""
+@pytest.mark.parametrize("name", BINARY)
+def test_residue_kernel_replaces_a_prime_that_zeroes_a_pivot(chains, name):
+    chain, eps = chains[name], Fraction(1, 100)
+    q = _zeroing_prime(chain, eps)
+    kernels = Kernels()
+    assert solved_with(chain, eps, kernels, [q]) == _stationary_reference(chain, eps)
+    first = kernels.made[0]
+    assert first.primes[0] == q
+    assert first.lost.tolist() == [True] + [False] * (len(first.primes) - 1)
 
-    divide = staticmethod(stochastic._ExactKernel.divide)
-    back = staticmethod(stochastic._ExactKernel.back)
+
+class CorruptedResidue(stochastic._ResidueKernel):
+    """Mutant: one move's residue modulo the last prime is off by one."""
+
+    def band(self, chain, position, w):
+        band = super().band(chain, position, w)
+        r, c = np.argwhere(band[..., -1] != 0)[0]
+        band[r, c, -1] = (band[r, c, -1] + 1) % self.primes[-1]
+        return band
 
 
-@pytest.mark.parametrize("mutant", [NoCatchUp, DividesByPivot], ids=["no catch-up", "by pivot"])
-def test_exact_kernel_catches_mutants(chains, mutant):
-    unchecked = type("Unchecked" + mutant.__name__, (Unchecked, mutant), {})
+class PatternFromResidues(stochastic._ResidueKernel):
+    """Mutant: a pivot updates only the columns whose residue modulo the
+    first prime is nonzero, for every prime."""
+
+    def pivot(self, p, k, lo):
+        row = p[k, lo:k]
+        live = row[:, 0] != 0
+        held = p[lo:k, lo:k][:, ~live].copy()
+        ok = super().pivot(p, k, lo)
+        p[lo:k, lo:k][:, ~live] = held
+        return ok
+
+
+class ZeroPivotFromResidues(stochastic._ResidueKernel):
+    """Mutant: a pivot that vanishes modulo any prime is taken for none."""
+
+    def pivot(self, p, k, lo):
+        return super().pivot(p, k, lo) and bool(p[k, k].all())
+
+
+def test_certificate_catches_a_corrupted_residue(chains):
     for name in BINARY:
-        with pytest.raises(InexactDivision):
-            checked_stationary(chains[name], Fraction(1, 100), mutant)
-        # unchecked, the mutant fails the back-substitution's remainder check,
-        # divides by a pivot it floored to zero, or gives a wrong mu
-        try:
-            mu, _ = checked_stationary(chains[name], Fraction(1, 100), unchecked)
-        except (SingularSystem, ZeroDivisionError):
-            continue
-        assert mu != _stationary_reference(chains[name], Fraction(1, 100))
+        with pytest.raises(CertificateFailed):
+            solved_with(chains[name], Fraction(1, 100), Kernels(CorruptedResidue))
+
+
+@pytest.mark.parametrize("mutant, caught", [(PatternFromResidues, CertificateFailed),
+                                             (ZeroPivotFromResidues, SingularSystem)],
+                         ids=["pattern", "zero pivot"])
+def test_residue_kernel_catches_mutants(chains, mutant, caught):
+    # both take the pivot's pattern from the residues modulo one prime, which
+    # a prime that zeroes an entry or a pivot belies: the first mutant's tree
+    # sums fail the certificate, and the second refuses an irreducible chain
+    for name in BINARY:
+        chain, eps = chains[name], Fraction(1, 100)
+        with pytest.raises(caught):
+            solved_with(chain, eps, Kernels(mutant), [_zeroing_prime(chain, eps)])
+
+
+def test_residue_kernel_refuses_a_reducible_chain(chains, monkeypatch):
+    # with every move out of the last state of the level order dropped, its
+    # pivot, the first, vanishes modulo every prime of a set whose product
+    # exceeds the tree-sum bound: the solve refuses, and replaces no prime
+    chain, eps = chains["ex7_1"], Fraction(1, 100)
+    last = int(np.argmax(stochastic._level_band(chain)[0]))
+    transitions = chain.transitions
+
+    def cut(epsilon):
+        dst, num, mistakes = transitions(epsilon)
+        num = num.copy()
+        num[last, 1:] = 0
+        return dst, num, mistakes
+
+    monkeypatch.setattr(chain, "transitions", cut)
+    kernels = Kernels()
+    with pytest.raises(SingularSystem, match="zero pivot"):
+        solved_with(chain, eps, kernels)
+    assert len(kernels.made) == 1
 
 
 def test_exact_solve_builds_no_fraction_before_mu(chains, monkeypatch):
@@ -571,12 +604,12 @@ def test_exact_solve_builds_no_fraction_before_mu(chains, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(stochastic, "Fraction", no_fraction)
             pi, position, pivots = gth(chain, kernel)
-        weights.extend(pi.tolist())
+        weights.append(pi)
         return pi, position, pivots
 
     monkeypatch.setattr(stochastic, "_gth", guarded)
     assert stationary_distribution(chain, eps) == expected
-    assert weights and all(type(w) is int for w in weights)
+    assert weights and all(pi.dtype.kind == "i" for pi in weights)
 
 
 def test_float_solve_matches_exact(pops, monkeypatch):
