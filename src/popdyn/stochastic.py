@@ -432,9 +432,9 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
     before anything is allocated), its band, the elimination of one pivot,
     which returns False when the state has none, the weight `root` of the
     state at position 0, which is never eliminated, and one
-    back-substitution step. Each step takes the whole slice, so no entry's
-    value, such as a residue that vanishes modulo a prime, decides which
-    entries it works on.
+    back-substitution step. The skeleton hands every step the whole slice,
+    so no entry's value, such as a residue that vanishes modulo a prime,
+    decides which rows and columns a step updates.
 
     Returns (pi, position, pivots): pi[position[i]] is chain state i's
     weight, on the scale where the root weighs `root`, and pivots[k - 1] is
