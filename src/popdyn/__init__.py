@@ -32,8 +32,6 @@ from .model import (
     State,
     UtilityLine,
     parse_rational,
-    state_space_size,
-    temper_from_payoffs,
     validate_population,
 )
 

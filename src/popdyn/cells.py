@@ -11,10 +11,10 @@ which types have cooperators and defectors, so `CellSpace.rules` ranks each
 type's two utilities once per (type, n_c), exactly, from the population's
 `Fraction`s. `CellSpace.moves` is the one kernel that reads that table: it
 decides every agent's switch at a batch of states by comparing two ranks,
-and the oracle build, `dynamics.simulate` and `dynamics.step` take every
-decision from it. The oracle build runs it on one state per class of
-states that share the cooperator count and each cell's empty/interior/full
-pattern, since the kernel reads nothing else. Its move bitmask is its whole
+and the oracle build and `dynamics.simulate` take every decision from
+it. The oracle build runs it on one state per class of states that share
+the cooperator count and each cell's empty/interior/full pattern, since
+the kernel reads nothing else. Its move bitmask is its whole
 result: a state keeps itself (a self-loop) exactly when some present (cell,
 strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`). The
 closed forms' quantifiers over states (S invariance, cooperation preservation)

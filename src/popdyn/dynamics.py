@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -127,22 +127,6 @@ class _Walk:
             nxt = self.take(here, a)
         self.agents.append(a)
         self.states.append(nxt)
-
-
-@lru_cache(maxsize=8)
-def _space(pop: PopulationSpec) -> CellSpace:
-    """One `CellSpace`, and so one exact rule table, per population `step` is given."""
-    return CellSpace(pop)
-
-
-def step(pop: PopulationSpec, state, agent: AgentRef):
-    """Apply one activation. Returns the same flavor of state it was given
-    (pooled State in, pooled State out; refined coords in, coords out)."""
-    space = _space(pop)
-    walk = _Walk(space, space.refine(state))
-    walk.step(_agent_id(space, agent))
-    new = walk.visited[walk.states[-1]]
-    return space.pooled(new) if isinstance(state, State) else new
 
 
 # -- activation policies ----------------------------------------------------

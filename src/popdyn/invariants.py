@@ -120,12 +120,6 @@ def is_invariant_X(pop: PopulationSpec, idx: BenchmarkIndex) -> bool:
             and _free_max_sum(pop, idx) < tau_min(pop, idx))
 
 
-def membership_S(pop: PopulationSpec, idx: BenchmarkIndex, state: State) -> bool:
-    return membership_X(pop, idx, state) and tau_max(pop, idx) < state.n_cooperators < tau_min(
-        pop, idx
-    )
-
-
 def s_nonemptiness_conditions(pop: PopulationSpec, idx: BenchmarkIndex) -> tuple[bool, bool]:
     """The two necessary nonemptiness inequalities for S."""
     return (

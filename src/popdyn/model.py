@@ -99,13 +99,6 @@ def _crossing(coop: UtilityLine, defect: UtilityLine) -> Fraction:
     return tau
 
 
-def temper_from_payoffs(matrix: PayoffMatrix, n: int) -> Fraction:
-    """Crossing point of the two payoff-derived utility lines: n(P-S)/(R+P-S-T)."""
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    return _crossing(UtilityLine.cooperator(matrix, n), UtilityLine.defector(matrix, n))
-
-
 def _count(value) -> int:
     """A member count: a non-negative int, so neither a bool nor a float."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -277,9 +270,6 @@ class PopulationSpec:
         for i, t in enumerate(self.coordinating, start=1):
             yield COORDINATING, i, t
 
-    def get_type(self, kind: str, index: int) -> AgentTypeSpec:
-        return self.type_a(index) if kind == ANTICOORDINATING else self.type_c(index)
-
     def check_state(self, state: State) -> None:
         if len(state.xa) != self.b or len(state.xc) != self.bp:
             raise ValueError("state shape does not match population")
@@ -297,21 +287,6 @@ class PopulationSpec:
         s = State.from_tuple(values, self.b, self.bp)
         self.check_state(s)
         return s
-
-    def to_json_dict(self) -> dict:
-        def type_dict(t: AgentTypeSpec) -> dict:
-            return {
-                "uC": [str(t.cooperator_utility.slope), str(t.cooperator_utility.intercept)],
-                "uD": [str(t.defector_utility.slope), str(t.defector_utility.intercept)],
-                "temper": str(t.temper),
-                "bestResponders": t.best_responders,
-                "imitators": t.imitators,
-            }
-
-        return {
-            "anticoordinating": [type_dict(t) for t in self.anticoordinating],
-            "coordinating": [type_dict(t) for t in self.coordinating],
-        }
 
 
 def _parse_array(raw, cls: type, size: int):
@@ -385,10 +360,3 @@ def validate_population(raw) -> PopulationSpec:
             types[kind].append(_build_type(kind, t, n))
     return PopulationSpec(*(tuple(types[kind]) for kind in KINDS))
 
-
-def state_space_size(pop: PopulationSpec) -> int:
-    """Size of the pooled-imitator state space: (m+1) * prod(n_i^a+1) * prod(n_i^c+1)."""
-    size = pop.m + 1
-    for t in pop.all_types():
-        size *= t.best_responders + 1
-    return size

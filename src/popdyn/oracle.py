@@ -76,24 +76,6 @@ class InvariantSetResult:
     cooperator_bounds: tuple[int, int]
 
 
-class ReachableSet:
-    """Forward closure of a state; supports membership tests without materializing."""
-
-    def __init__(self, graph: "TransitionDigraph", mask: np.ndarray):
-        self.graph = graph
-        self.mask = mask
-
-    def __contains__(self, state) -> bool:
-        return bool(self.mask[self.graph.indices_of(state)].any())
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def pooled_states(self) -> frozenset[State]:
-        return self.graph.pooled_states_of(self.indices)
-
-
 class TransitionDigraph:
     """Exhaustive successor relation, stored as a per-state move bitmask.
 
@@ -114,12 +96,6 @@ class TransitionDigraph:
         self._sink_results: list[InvariantSetResult] | None = None
 
     # -- basic access -------------------------------------------------------
-
-    def successors(self, index: int) -> list[int]:
-        succ = (index + self.steps[(self.moves[index] & self.bits) != 0]).tolist()
-        if self.self_loops(index, index + 1)[0]:
-            succ.append(int(index))
-        return sorted(succ)
 
     def self_loops(self, lo: int, hi: int) -> np.ndarray:
         """Whether each state of range(lo, hi) has a self-loop: fewer of its move
@@ -574,11 +550,6 @@ def _stability_starts(graph: TransitionDigraph, eq: State) -> np.ndarray:
     splits = np.array(graph.indices_of(eq), dtype=np.int64)
     neighbours = splits + graph.steps[:, None]
     return sorted_unique(neighbours[graph.space.group_sizes(splits) > 0])
-
-
-def reachable_set(graph: TransitionDigraph, from_state) -> ReachableSet:
-    """Forward closure (including the start states themselves)."""
-    return ReachableSet(graph, graph.reachable_mask(graph.indices_of(from_state)))
 
 
 # rows per block of the export. On ex1 (2 vCPUs) 2^12 to 2^13 rows are the

@@ -167,16 +167,6 @@ class PerturbedChain:
         dst, mistakes = self.support
         return dst, np.column_stack([stays.sum(axis=1), moved]), mistakes
 
-    def one_step_cost(self, i, j) -> int | float:
-        """Mistakes of the step i -> j: 0 if the unperturbed chain takes it
-        with positive probability, 1 if only a tremble does, math.inf if no
-        transition leads there."""
-        i, j = self.index_of(i), self.index_of(j)
-        if i == j:
-            return int(not self.graph.self_loops(i, i + 1)[0])
-        g = np.flatnonzero((self.members[i] > 0) & (self.steps == j - i))
-        return int(not self.switch[i, g[0]]) if g.size else math.inf
-
     def is_equilibrium(self, state) -> bool:
         """No group of the state switches: the unperturbed chain stays put."""
         return not self.switch[self.index_of(state)].any()
@@ -234,23 +224,6 @@ def _mistake_costs(chain: PerturbedChain, sources, reverse: bool = False) -> np.
             return dist
 
 
-def cost(chain: PerturbedChain, from_set, to_set) -> int:
-    """Minimum mistakes over paths from `from_set` to `to_set`.
-
-    One backward `_mistake_costs` search from `to_set`, read at `from_set`;
-    paths end on first entry to `to_set`, which with non-negative step costs
-    enforces the no-revisit, no-passing-through rule.
-    """
-    sources = [chain.index_of(s) for s in from_set]
-    targets = [chain.index_of(s) for s in to_set]
-    if not sources or not targets:
-        raise ValueError("cost needs non-empty state sets")
-    best = _mistake_costs(chain, targets, reverse=True)[sources].min()
-    if math.isinf(best):
-        raise SingularSystem("target unreachable; perturbed chain should be irreducible")
-    return int(best)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassTable:
     """Recurrent classes of a chain and their mistake-cost quantities.
@@ -258,9 +231,12 @@ class ClassTable:
     Class ids are positions in `classes` (see `recurrent_classes`);
     `class_of[i]` is state i's class id, -1 outside every class. Each class t
     takes two whole-chain searches: a backward one gives `plain[t, x]`,
-    cost(x, class t), whose zeros are the states that fall into class t
-    without a mistake (`basins[t]` marks those that fall into no other
-    class), and a forward one gives its radius.
+    cost(x, class t), the fewest mistakes over paths from x into the class,
+    whose zeros are the states that fall into class t without a mistake.
+    `basins[t]` marks those that fall into no other class: the states from
+    which the unperturbed chain reaches class t with probability one. A
+    forward search gives `radii[t]`, the fewest mistakes from class t to a
+    state outside its basin, math.inf when the basin is every state.
     `costs[a][b]` is cost(class a, class b), and `legs[a][b]` the cheapest
     walk over classes from a to b when a leg leaving class q weighs
     costs[q][.] - radii[q] (0 on the diagonal). `gammas[t]` is class t's
@@ -283,8 +259,27 @@ class ClassTable:
         return tuple(t for t, g in enumerate(self.gammas) if g == best)
 
     def modified_costs(self, t: int) -> np.ndarray:
-        """Modified cost from every state to class t (see `modified_cost`), as
-        floats; the entries on class t itself mean nothing."""
+        """Modified cost from every state to class t, as floats; the entries on
+        class t itself mean nothing.
+
+        The modified cost is the path cost to class t minus the radii of the
+        intermediate recurrent classes, minimized over sequences of classes
+        ending at t. Segments are shortest paths entering no other class, and
+        each strictly intermediate class contributes minus its radius; a
+        path's first class is never discounted. Raw values, not clamped.
+
+        Every path out of a class q leaves q's basin first, so each leg out of
+        q costs at least R(q) and every discounted leg weight is non-negative.
+        A path that passes through a class on its way therefore costs no less
+        than the same path counted with that class as a discounted stop, so
+        segments and legs may be plain costs, which may enter other classes,
+        and the cheapest walk over classes is a simple one. So the table
+        `legs` over the weights cost(q, .) - R(q) equals the minimum over
+        simple sequences: from a state of class s the modified cost is
+        R(s) + legs[s][t], and from any other state x min(cost(x, t), min_q
+        cost(x, q) + R(q) + legs[q][t]), one vectorized minimum over q of
+        the plain costs.
+        """
         via = np.array([r + row[t] for r, row in zip(self.radii, self.legs)], dtype=float)
         through = np.where(np.arange(len(via)) == t, 0, via)
         out = (self.plain + through[:, None]).min(axis=0)
@@ -317,15 +312,6 @@ def _class_table(chain: PerturbedChain) -> ClassTable:
                       tuple(map(tuple, legs)), plain, gammas)
 
 
-def _class_id(chain: PerturbedChain, omega: Sequence) -> int:
-    table = chain.class_table
-    members = {chain.index_of(s) for s in omega}
-    a = table.class_of[min(members)] if members else -1
-    if a >= 0 and members == set(table.classes[a]):
-        return int(a)
-    raise ValueError("omega is not a recurrent class of the chain")
-
-
 def _by_bstate(chain: PerturbedChain, indices) -> list[int]:
     """Chain states sorted by their BStates."""
     return sorted(map(int, indices), key=chain.states.__getitem__)
@@ -339,23 +325,6 @@ def recurrent_classes(chain: PerturbedChain) -> list[tuple[int, ...]]:
     """
     classes = (tuple(_by_bstate(chain, res.indices)) for res in minimal_invariant_sets(chain.graph))
     return sorted(classes, key=lambda c: chain.states[c[0]])
-
-
-def basin(chain: PerturbedChain, omega: Sequence) -> frozenset[int]:
-    """States from which the unperturbed chain reaches omega with probability one,
-    i.e. from which no other recurrent class is reachable.
-
-    Each class's zero-cost reverse closure is the first layer of its plain
-    backward search; the basin is the part of omega's closure in no other.
-    """
-    return frozenset(np.flatnonzero(chain.class_table.basins[_class_id(chain, omega)]).tolist())
-
-
-def radius(chain: PerturbedChain, omega: Sequence) -> int | float:
-    """Mistakes needed to leave the basin of attraction, starting inside omega:
-    the fewest mistakes from omega to a state outside its basin, math.inf when
-    the basin is every state."""
-    return chain.class_table.radii[_class_id(chain, omega)]
 
 
 # -- rooted spanning arborescences --------------------------------------------
@@ -432,7 +401,8 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
     before anything is allocated), its band, the elimination of one pivot,
     which returns False when the state has none, the weight `root` of the
     state at position 0, which is never eliminated, and one
-    back-substitution step. The skeleton hands every step the whole slice,
+    back-substitution step, which reads the weights in positions lo .. k - 1
+    of the weights so far. The skeleton hands every step the whole slice,
     so no entry's value, such as a residue that vanishes modulo a prime,
     decides which rows and columns a step updates.
 
@@ -458,7 +428,7 @@ def _gth(chain: PerturbedChain, kernel) -> tuple[np.ndarray, np.ndarray, np.ndar
     pi = np.full(band[:, w].shape, kernel.root, dtype=band.dtype)
     for k in range(1, n):
         lo = max(k - w, 0)
-        pi[k] = kernel.back(pi[lo:k], p[lo:k, k], p[k, k])
+        pi[k] = kernel.back(pi[:k], lo, p[lo:k, k], p[k, k])
     return pi, position, band[1:, w].copy()
 
 
@@ -518,11 +488,19 @@ def _square(band: np.ndarray) -> np.ndarray:
                                            (row - entry, entry, *band.strides[2:]))
 
 
+_FLOAT_WEIGHT_LIMIT, _FLOAT_RESCALE = 2.0**256, 2.0**-256
+
+
 class _FloatKernel:
     """Probabilities at tremble rate `epsilon` as float64. Each sum runs over
     the nonzero entries of its slice only, in position order, so that it adds
     the same terms in the same grouping whatever the band's width: numpy
-    sums in pairs, and a zero among the terms would move the pairs."""
+    sums in pairs, and a zero among the terms would move the pairs.
+
+    The weights, on the scale where the root weighs 1, grow like a power of
+    1/epsilon. They count only up to a common factor, so a weight above
+    _FLOAT_WEIGHT_LIMIT rescales every weight so far by a power of two,
+    which is exact: a solve that never rescales is unchanged by the check."""
 
     root, entry_bytes = 1, 8
 
@@ -546,9 +524,13 @@ class _FloatKernel:
         return True
 
     @staticmethod
-    def back(pi, col, pivot):
+    def back(pi, lo, col, pivot):
         live = col != 0
-        return (pi[live] * col[live]).sum() / pivot
+        x = (pi[lo:][live] * col[live]).sum() / pivot
+        if x > _FLOAT_WEIGHT_LIMIT:
+            pi *= _FLOAT_RESCALE
+            x = (pi[lo:][live] * col[live]).sum() / pivot
+        return x
 
 
 class _OrderKernel:
@@ -577,8 +559,8 @@ class _OrderKernel:
         return True
 
     @staticmethod
-    def back(pi, col, pivot):
-        return (pi + col).min() - pivot
+    def back(pi, lo, col, pivot):
+        return (pi[lo:] + col).min() - pivot
 
 
 # every residue lies below 2^31, so the product of two fits in an int64
@@ -674,8 +656,9 @@ class _ResidueKernel:
         np.remainder(update, q, out=block)
         return True
 
-    def back(self, pi, col, pivot):
-        return (np.multiply(pi, col, dtype=np.int64) % self.modulus).sum(axis=0) % self.modulus
+    def back(self, pi, lo, col, pivot):
+        q = self.modulus
+        return (np.multiply(pi[lo:], col, dtype=np.int64) % q).sum(axis=0) % q
 
 
 def _tree_sums(chain: PerturbedChain, epsilon: Fraction) -> list[int]:
@@ -786,37 +769,6 @@ def stationary_residual(chain: PerturbedChain, epsilon, mu: Sequence[Fraction]) 
     den = math.lcm(*(x.denominator for x in mu))
     weights = [x.numerator * (den // x.denominator) for x in mu]
     return Fraction(_flow_residual(chain, epsilon, weights), den * chain.denominator(epsilon))
-
-
-# -- modified costs (step-by-step evolution discounts) -------------------------
-
-
-def modified_cost(chain: PerturbedChain, start, omega: Sequence) -> int | float:
-    """Path cost to omega minus the radii of intermediate recurrent classes.
-
-    Minimized over sequences of recurrent classes ending at omega; segment
-    costs are shortest paths entering no other class, and each strictly
-    intermediate class contributes minus its radius. A path's first class is
-    never discounted. Raw values are reported without clamping.
-
-    Every path out of a class q leaves q's basin first, so each leg out of q
-    costs at least R(q) and every discounted leg weight is non-negative. A
-    path that passes through a class on its way therefore costs no less than
-    the same path counted with that class as a discounted stop, so segments
-    and legs may be plain costs, which may enter other classes, and the
-    cheapest walk over classes is a simple one. The shortest-path table
-    `legs` over the weights cost(q, .) - R(q) equals the minimum over simple
-    sequences: from a state of class s it is R(s) + legs[s][omega], and from
-    any other state x min(cost(x, omega), min_q cost(x, q) + R(q) +
-    legs[q][omega]), one vectorized minimum over q of the class table's
-    plain costs (`ClassTable.modified_costs`).
-    """
-    table = chain.class_table
-    t = _class_id(chain, omega)
-    x = chain.index_of(start)
-    if table.class_of[x] == t:
-        raise ValueError("start state must lie outside omega")
-    return _number(table.modified_costs(t)[x])
 
 
 # -- extreme-equilibrium theorem -----------------------------------------------

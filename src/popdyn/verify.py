@@ -236,7 +236,7 @@ def verify_stochastic(chain: st.PerturbedChain, epsilons: Sequence = (),
         want = np.where(positive0, 0, 1)
         for i, c in np.argwhere((positive | positive0) & (mistakes != want))[:1]:
             problems.append(f"one-step cost mismatch at ({i},{dst[i, c]}): "
-                            f"{chain.one_step_cost(i, dst[i, c])} vs {want[i, c]}")
+                            f"{mistakes[i, c]} vs {want[i, c]}")
         if not positive[:, 0].any():
             problems.append(f"perturbed chain at eps={eps} has no positive self-loop")
 

@@ -1,14 +1,16 @@
 """Seeded random small populations for the cross-check suites, the update
 rules straight from a population's tempers and `Fraction`s as their
 reference, the top earners of every listed state as the reference for the
-top-earner test (`CellSpace.outearns`), and whole-space membership masks,
+top-earner test (`CellSpace.outearns`), whole-space membership masks,
 decoded through the space's column builder, with a generic closure test as
-the reference for the X and S checks."""
+the reference for the X and S checks, and a plain 0-1 search over the
+perturbed chain's support as the reference for its mistake costs."""
 
 from __future__ import annotations
 
 import copy
 import math
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,13 +27,19 @@ from popdyn.model import (
 from popdyn.oracle import TransitionDigraph
 
 
-def population(config, factor: int = 1) -> PopulationSpec:
-    """A fixture by name, or a raw config, with every member count multiplied by `factor`."""
+def scaled_config(config, factor: int = 1) -> dict:
+    """The JSON config of a fixture by name, or of a raw config, with every
+    member count multiplied by `factor`."""
     raw = fixture_config(config) if isinstance(config, str) else copy.deepcopy(config)
     for group in raw["anticoordinating"] + raw["coordinating"]:
         group["bestResponders"] *= factor
         group["imitators"] *= factor
-    return validate_population(raw)
+    return raw
+
+
+def population(config, factor: int = 1) -> PopulationSpec:
+    """A fixture by name, or a raw config, with every member count multiplied by `factor`."""
+    return validate_population(scaled_config(config, factor))
 
 
 def probe_population(k: int) -> PopulationSpec:
@@ -148,13 +156,19 @@ def best_response_next(kind: str, temper: Fraction, current: str, n_c: int) -> s
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def type_specs(pop) -> dict:
+    """Each type's `AgentTypeSpec` by (kind, index), the key of `CellSpace.cells_of_type`."""
+    return {(kind, idx): t for kind, idx, t in pop.typed()}
+
+
 def reference_sups(space, coords):
     """(top utility of a cooperating agent, of a defecting agent) at a
     refined state, from the `Fraction`s; -inf for a side with no agent."""
     n_c = sum(coords)
     sup_c = sup_d = float("-inf")
-    for (kind, idx), positions in space.cells_of_type.items():
-        t = space.pop.get_type(kind, idx)
+    types = type_specs(space.pop)
+    for key, positions in space.cells_of_type.items():
+        t = types[key]
         if any(coords[k] > 0 for k in positions):
             sup_c = max(sup_c, t.cooperator_utility(n_c))
         if any(coords[k] < space.caps[k] for k in positions):
@@ -192,7 +206,7 @@ def reference_next(space, coords, k, current):
     (best responders) or the `Fraction` utilities (imitators)."""
     cell = space.cells[k]
     if cell.role == BEST_RESPONDER:
-        tau = space.pop.get_type(cell.kind, cell.type_index).temper
+        tau = type_specs(space.pop)[cell.kind, cell.type_index].temper
         return best_response_next(cell.kind, tau, current, sum(coords))
     sup_c, sup_d = reference_sups(space, coords)
     return "C" if sup_c > sup_d else "D" if sup_c < sup_d else current
@@ -252,3 +266,30 @@ def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:
         if not mask[rows[(moves & bit) != 0] + step].all():
             return False
     return True
+
+
+def mistake_cost(chain, sources, targets) -> int | float:
+    """Fewest mistakes over paths of the perturbed chain from `sources` into
+    `targets` (chain indices or BStates), math.inf when none leads there.
+
+    A plain 0-1 breadth-first search over `chain.support`, one state at a
+    time: a step the unperturbed chain takes costs 0, a tremble costs 1.
+    """
+    dst, mistakes = chain.support
+    targets = {chain.index_of(s) for s in targets}
+    queue = deque((0, chain.index_of(s)) for s in sources)
+    settled = set()
+    while queue:
+        d, u = queue.popleft()
+        if u in settled:
+            continue
+        if u in targets:
+            return d
+        settled.add(u)
+        for v, c in zip(dst[u].tolist(), mistakes[u].tolist()):
+            if v >= 0 and v not in settled:
+                if c:
+                    queue.append((d + 1, v))
+                else:
+                    queue.appendleft((d, v))
+    return math.inf

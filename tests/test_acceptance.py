@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from genpop import sample_populations
+from genpop import mistake_cost, sample_populations
 from popdyn import stochastic as st
 from popdyn.equilibria import classify_stability, enumerate_equilibria
 from popdyn.fixtures import fixture_config
@@ -122,9 +122,11 @@ def test_criterion_4_ex7_1_costs_and_stability(pops):
         st.BState(2, 1, 1, 0), st.BState(0, 0, 0, 5), st.BState(1, 0, 1, 5),
         st.BState(2, 0, 0, 5), st.BState(2, 0, 1, 5),
     }
-    c_value = st.cost(chain, [st.BState(0, 0, 0, 5)], [st.BState(0, 1, 0, 0)])
-    r_coop = st.radius(chain, [st.BState(0, 0, 0, 5)])
-    r_star = st.radius(chain, [st.BState(0, 1, 0, 0)])
+    table = chain.class_table
+    coop, star = (int(table.class_of[chain.index_of(s)])
+                  for s in (st.BState(0, 0, 0, 5), st.BState(0, 1, 0, 0)))
+    c_value = table.costs[coop][star]
+    r_coop, r_star = table.radii[coop], table.radii[star]
     elapsed = time.perf_counter() - t0
     _criterion(4, [
         ("recurrent classes are the eight equilibria",
@@ -188,15 +190,16 @@ def test_criterion_7_ex7_4_mixed_pair(pops, stochastic_artifacts):
     x, y, z = st.BState(1, 1, 0, 0), st.BState(0, 1, 1, 0), st.BState(2, 0, 2, 3)
     eqs = set(st.equilibria_of_chain(chain))
     gamma_of = {chain.states[cls[0]]: g for cls, g in zip(table.classes, table.gammas)}
+
+    def c(a, b):
+        return table.costs[table.class_of[chain.index_of(a)]][table.class_of[chain.index_of(b)]]
+
     verdict = st.check_extreme_theorem(chain)
     _criterion(7, [
         ("exactly the three equilibria x, y, z", eqs == {x, y, z}),
-        ("c(x,y) = c(y,x) = 1",
-         st.cost(chain, [x], [y]) == 1 and st.cost(chain, [y], [x]) == 1),
-        ("c(z,x) = c(z,y) = 1",
-         st.cost(chain, [z], [x]) == 1 and st.cost(chain, [z], [y]) == 1),
-        ("c(x,z) >= 2 and c(y,z) >= 2",
-         st.cost(chain, [x], [z]) >= 2 and st.cost(chain, [y], [z]) >= 2),
+        ("c(x,y) = c(y,x) = 1", c(x, y) == 1 and c(y, x) == 1),
+        ("c(z,x) = c(z,y) = 1", c(z, x) == 1 and c(z, y) == 1),
+        ("c(x,z) >= 2 and c(y,z) >= 2", c(x, z) >= 2 and c(y, z) >= 2),
         ("gamma(x) = gamma(y) = 2", gamma_of[x] == 2 and gamma_of[y] == 2),
         ("gamma(z) >= 3", gamma_of[z] >= 3),
         ("stochastically stable set is {x, y}", stable == frozenset({x, y})),
@@ -258,7 +261,7 @@ def test_criterion_10_modified_cost_dominance(stochastic_artifacts):
             outside = np.flatnonzero(table.class_of != t)
             plain = table.plain[t, outside]
             for i in outside[[0, -1]].tolist():
-                searched &= st.cost(chain0, [i], cls) == table.plain[t, i]
+                searched &= mistake_cost(chain0, [i], cls) == table.plain[t, i]
             dominance &= bool((plain >= table.modified_costs(t)[outside]).all())
             r = table.radii[t]
             if not isinstance(r, int):

@@ -12,6 +12,7 @@ from genpop import (
     best_response_next,
     reference_step,
     sample_populations,
+    type_specs,
     with_empty_best_responder_cell,
 )
 import popdyn
@@ -23,7 +24,6 @@ from popdyn.dynamics import (
     UniformRandom,
     Weighted,
     simulate,
-    step,
 )
 from popdyn.errors import NoSuchAgent
 from popdyn.model import State
@@ -63,8 +63,9 @@ def test_best_responders_rank_comparison_is_the_threshold_rule(pops):
     for pop in [*pops.values(), *generated, *map(with_empty_best_responder_cell, generated)]:
         space = CellSpace(pop)
         rank_c, rank_d = space.rules
+        types = type_specs(pop)
         for t, (kind, idx) in enumerate(space.types):
-            temper = pop.get_type(kind, idx).temper
+            temper = types[kind, idx].temper
             for n_c in range(pop.n + 1):
                 wants_c, wants_d = rank_c[t, n_c] > rank_d[t, n_c], rank_d[t, n_c] > rank_c[t, n_c]
                 assert ("C" if wants_c else "D") == best_response_next(kind, temper, "D", n_c)
@@ -89,7 +90,7 @@ def test_imitation_all_defect_stays_defect(pops):
     pop = pops["ex2"]
     all_defect = State(0, (0, 0), (0, 0, 0))
     for agent in _imitators(pop, "D"):
-        assert step(pop, all_defect, agent) == all_defect
+        assert simulate(pop, all_defect, Scripted((agent,)), 1).final_state == all_defect
 
 
 def test_imitation_at_ex2_equilibrium(pops):
@@ -98,7 +99,7 @@ def test_imitation_at_ex2_equilibrium(pops):
     pop = pops["ex2"]
     state = pop.state(14, 9, 0, 0, 0, 0)
     for agent in _imitators(pop, "C"):
-        assert step(pop, state, agent) == state
+        assert simulate(pop, state, Scripted((agent,)), 1).final_state == state
 
 
 def test_imitation_tie_keeps_current(pops):
@@ -106,7 +107,7 @@ def test_imitation_tie_keeps_current(pops):
     pop = pops["ex7_4"]
     z = pop.state(4, 0, 3)
     for agent in _imitators(pop, "C"):
-        assert step(pop, z, agent) == z
+        assert simulate(pop, z, Scripted((agent,)), 1).final_state == z
 
 
 def test_step_fixed_at_equilibrium(pops):
@@ -128,45 +129,23 @@ def test_step_fixed_at_equilibrium(pops):
         members = coords[pos] if ref.strategy == "C" else space.caps[pos] - coords[pos]
         if members == 0:
             continue
-        assert step(pop, eq, ref) == eq
+        assert simulate(pop, eq, Scripted((ref,)), 1).final_state == eq
 
 
 def test_step_all_defect_cooperates(pops):
     pop = pops["ex1"]
     all_defect = State(0, (0, 0), (0, 0, 0))
     ref = AgentRef("bestResponder", "anticoordinating", 1, "D")
-    assert step(pop, all_defect, ref) == pop.state(0, 1, 0, 0, 0, 0)
+    after = simulate(pop, all_defect, Scripted((ref,)), 1).final_state
+    assert after == pop.state(0, 1, 0, 0, 0, 0)
 
 
 def test_step_no_such_agent(pops):
     pop = pops["ex1"]
     all_defect = State(0, (0, 0), (0, 0, 0))
+    ref = AgentRef("bestResponder", "anticoordinating", 1, "C")
     with pytest.raises(NoSuchAgent):
-        step(pop, all_defect, AgentRef("bestResponder", "anticoordinating", 1, "C"))
-
-
-def test_step_reuses_one_space_per_population(pops, monkeypatch):
-    from popdyn import dynamics
-
-    built = []
-
-    class CountingSpace(CellSpace):
-        def __init__(self, pop):
-            built.append(pop)
-            super().__init__(pop)
-
-    monkeypatch.setattr(dynamics, "CellSpace", CountingSpace)
-    dynamics._space.cache_clear()
-    pop = pops["ex1"]
-    all_defect = State(0, (0, 0), (0, 0, 0))
-    ref = AgentRef("bestResponder", "anticoordinating", 1, "D")
-    try:
-        for _ in range(5):
-            assert step(pop, all_defect, ref) == pop.state(0, 1, 0, 0, 0, 0)
-        assert step(pop, pop.state(0, 1, 0, 0, 0, 0), ref) == pop.state(0, 2, 0, 0, 0, 0)
-        assert len(built) == 1
-    finally:
-        dynamics._space.cache_clear()
+        simulate(pop, all_defect, Scripted((ref,)), 1)
 
 
 def test_simulate_zero_steps(pops):

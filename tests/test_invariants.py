@@ -18,7 +18,6 @@ from popdyn.invariants import (
     is_invariant_S,
     is_invariant_X,
     membership_I,
-    membership_S,
     membership_X,
     member_blocks,
     s_cooperator_range,
@@ -103,10 +102,12 @@ def test_s_membership(pops):
     idx = BenchmarkIndex(0, 2, 2, 1)
     # the count window is (tau_1^c, tau_2^c) = (23.5, 31.5)
     state = pop.state(8, 9, 0, 0, 0, 15)  # 32 cooperators
+    lo, hi = s_cooperator_range(pop, idx)
+    assert (lo, hi) == (24, 31)
     assert membership_X(pop, idx, state)
-    assert not membership_S(pop, idx, state)
+    assert not lo <= state.n_cooperators <= hi
     inside = pop.state(3, 9, 0, 0, 0, 15)  # 27 cooperators
-    assert membership_S(pop, idx, inside)
+    assert membership_X(pop, idx, inside) and lo <= inside.n_cooperators <= hi
 
 
 def test_s_empty_set_raises(pops):

@@ -18,8 +18,6 @@ from popdyn.model import (
     State,
     UtilityLine,
     parse_rational,
-    state_space_size,
-    temper_from_payoffs,
     validate_population,
 )
 
@@ -33,33 +31,48 @@ def test_parse_rational_forms():
         parse_rational(None)
 
 
+def _closed_form_temper(m: PayoffMatrix, n: int) -> Fraction:
+    """The temper of payoffs m among n agents, written out: n(P - S)/(R + P - S - T)."""
+    return Fraction(n * (m.P - m.S), m.R + m.P - m.S - m.T)
+
+
+def _payoff_temper(m: PayoffMatrix, n: int) -> Fraction:
+    """The temper that validation derives for a type of n coordinating best
+    responders given by its payoffs alone."""
+    raw = {"coordinating": [{"payoff": m, "bestResponders": n}]}
+    return validate_population(raw).type_c(1).temper
+
+
 def test_temper_from_payoffs_integer_rejected():
+    assert _closed_form_temper(PayoffMatrix(2, 0, 1, 1), 10) == 5
     with pytest.raises(IntegerTemper):
-        temper_from_payoffs(PayoffMatrix(2, 0, 1, 1), 10)  # 10/2 = 5
+        _payoff_temper(PayoffMatrix(2, 0, 1, 1), 10)
 
 
 def test_temper_from_payoffs_value():
-    assert temper_from_payoffs(PayoffMatrix(2, 0, 1, 1), 9) == Fraction(9, 2)
+    m = PayoffMatrix(2, 0, 1, 1)
+    assert _payoff_temper(m, 9) == _closed_form_temper(m, 9) == Fraction(9, 2)
 
 
 def test_temper_zero_numerator_rejected():
     # P == S makes the temper 0, an integer
     with pytest.raises(IntegerTemper):
-        temper_from_payoffs(PayoffMatrix(2, 1, 0, 1), 7)
+        _payoff_temper(PayoffMatrix(2, 1, 0, 1), 7)
 
 
 def test_degenerate_payoff_rejected():
     m = PayoffMatrix(1, 0, 2, 1)  # R+P == T+S: parallel utility lines
     with pytest.raises(DegeneratePayoff):
-        temper_from_payoffs(m, 7)
+        _payoff_temper(m, 7)
     with pytest.raises(DegeneratePayoff):
-        validate_population({"coordinating": [{"payoff": m, "bestResponders": 7}]})
+        AgentTypeSpec("coordinating", UtilityLine.cooperator(m, 7), UtilityLine.defector(m, 7), 7)
 
 
 def test_temper_is_line_crossing():
     m = PayoffMatrix(3, 1, 2, 2)
     n = 11
-    tau = temper_from_payoffs(m, n)
+    tau = _payoff_temper(m, n)
+    assert tau == _closed_form_temper(m, n)
     coop = UtilityLine.cooperator(m, n)
     defect = UtilityLine.defector(m, n)
     assert coop(0) - defect(0) != 0
@@ -99,7 +112,7 @@ def test_utilities_intercept_case():
         UtilityLine.defector(m, n),
         best_responders=3,
     )
-    assert t.temper == temper_from_payoffs(m, n)
+    assert t.temper == _closed_form_temper(m, n)
     assert t.defector_utility(0) == n * m.P
 
 
@@ -318,12 +331,13 @@ def test_validate_population_payoff_only():
     pop = validate_population({"coordinating": [{"payoff": m, "bestResponders": 5}]})
     t = pop.type_c(1)
     assert t.cooperator_utility == UtilityLine.cooperator(m, 5)
-    assert t.temper == temper_from_payoffs(m, 5)
+    assert t.temper == _closed_form_temper(m, 5)
 
 
 def test_state_space_size_pooled(pops):
-    pop = pops["ex1"]
-    assert state_space_size(pop) == 21 * 10 * 21 * 16 * 2 * 11
+    # one imitator group, so the refined space is the pooled one:
+    # (m + 1) * prod(n_i^a + 1) * prod(n_i^c + 1)
+    assert CellSpace(pops["ex1"]).n_states == 21 * 10 * 21 * 16 * 2 * 11
 
 
 def test_refined_space_size_ex7_2(pops):

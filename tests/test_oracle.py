@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from genpop import (cell_counts, reference_next, reference_step, reference_sups,
                     sample_populations, with_empty_best_responder_cell)
 from popdyn import oracle
 from popdyn.cells import IMITATOR, CellSpace
-from popdyn.dynamics import AgentRef, step
+from popdyn.dynamics import AgentRef, Scripted, simulate
 from popdyn.equilibria import enumerate_equilibria
 from popdyn.errors import NoSuchAgent, NotAnEquilibrium, StateSpaceTooLarge
 from popdyn.model import (
@@ -25,12 +26,16 @@ from popdyn.oracle import (
     is_equilibrium_oracle,
     is_stable_oracle,
     minimal_invariant_sets,
-    reachable_set,
 )
 
 
 def test_ex7_2_has_72_nodes(graphs):
     assert graphs("ex7_2").n_states == 72
+
+
+def _moved_to(g, i):
+    """The states that one switch moves state i to, read off its move bits."""
+    return sorted((i + g.steps[(g.moves[i] & g.bits) != 0]).tolist())
 
 
 def _moves_digest(g):
@@ -62,14 +67,16 @@ def test_single_best_responder_two_nodes():
     )
     g = build_transition_digraph(pop)
     assert g.n_states == 2
-    assert all(len(g.successors(i)) == 1 for i in range(2))
+    # each state has one successor: a switch, or else a self-loop
+    assert all(len(_moved_to(g, i)) + g.self_loops(i, i + 1)[0] == 1 for i in range(2))
 
 
 def test_ex1_node_count_matches_closed_form(pops, graphs):
     # single imitator group, so the refined space equals the pooled product
-    from popdyn.model import state_space_size
-
-    assert graphs("ex1").n_states == state_space_size(pops["ex1"])
+    # (m + 1) * prod(n_i^a + 1) * prod(n_i^c + 1)
+    pop = pops["ex1"]
+    pooled = (pop.m + 1) * math.prod(t.best_responders + 1 for t in pop.all_types())
+    assert graphs("ex1").n_states == pooled
 
 
 def test_guard_refuses_large_spaces(pops):
@@ -127,25 +134,26 @@ def test_successors_match_pure_python_route():
         for i in range(g.n_states):
             coords = space.coords_of(i)
             expected = _reference_successors(space, coords)
-            assert g.successors(i) == sorted(space.index_of(c) for c in expected)
+            assert _moved_to(g, i) == sorted(space.index_of(c) for c in expected - {coords})
             assert bool(loops[i]) == (coords in expected)
             sup_c, sup_d = reference_sups(space, coords)
             imitator_ties += bool(space.imitator_positions) and sup_c == sup_d
     assert imitator_ties > 0
-    # `step`, through the same kernel, at every state and activation of the
-    # population whose imitators tie
+    # a one-step scripted `simulate`, through the same kernel, at every state
+    # and activation of the population whose imitators tie
     space = CellSpace(_tied_population())
     activations = 0
     for i in range(space.n_states):
         coords = space.coords_of(i)
         for k, cell in enumerate(space.cells):
             for current, members in (("C", coords[k]), ("D", space.caps[k] - coords[k])):
-                agent = AgentRef(cell.role, cell.kind, cell.type_index, current)
+                policy = Scripted((AgentRef(cell.role, cell.kind, cell.type_index, current),))
                 if not members:
                     with pytest.raises(NoSuchAgent):
-                        step(space.pop, coords, agent)
+                        simulate(space.pop, coords, policy, 1)
                     continue
-                assert step(space.pop, coords, agent) == reference_step(space, coords, k, current)
+                after = simulate(space.pop, coords, policy, 1).refined[-1]
+                assert after == reference_step(space, coords, k, current)
                 activations += 1
     assert space.n_states == 54 and activations > space.n_states
 
@@ -219,7 +227,7 @@ def test_moves_search_matches_csr_search():
         assert matrix.nnz == g.n_edges and matrix.has_sorted_indices
         for i in range(g.n_states):
             row = matrix.indices[matrix.indptr[i] : matrix.indptr[i + 1]]
-            assert row.tolist() == [j for j in g.successors(i) if j != i]
+            assert row.tolist() == _moved_to(g, i)
         for start in rng.integers(0, g.n_states, size=4).tolist():
             for csr, reverse in ((matrix, False), (matrix.T.tocsr(), True)):
                 want = np.zeros(g.n_states, dtype=bool)
@@ -331,7 +339,7 @@ def _brute_force_cycles(g):
     """The states on the cycles of the chosen-move map, following the map
     from every state until a state repeats. The chosen move leads to the
     largest successor other than the state itself."""
-    image = [max((j for j in g.successors(i) if j != i), default=i) for i in range(g.n_states)]
+    image = [max(_moved_to(g, i), default=i) for i in range(g.n_states)]
     status = [0] * g.n_states  # 0 unvisited, 1 on the current path, 2 done
     cycles = set()
     for state in range(g.n_states):
@@ -371,7 +379,7 @@ WALKS = {"ex1": 25, "ex2": 2, "ex3": 1}
 def test_walk_ends_in_a_sink(graphs, monkeypatch, name, sink_size):
     g = graphs(name)
     path = oracle._walk(g, 0)
-    assert all(j in g.successors(i) for i, j in zip(path, path[1:]))
+    assert all(j in _moved_to(g, i) for i, j in zip(path, path[1:]))
     closure = np.flatnonzero(oracle.frontier_search(g, path[-1:]))
     assert closure.size == sink_size
     assert any(np.array_equal(closure, s.indices) for s in minimal_invariant_sets(g))
@@ -510,16 +518,16 @@ def test_stability_oracle_ex7_1(pops):
 def test_reachable_set_from_equilibrium(pops, graphs):
     pop, g = pops["ex1"], graphs("ex1")
     eq = pop.state(0, 9, 0, 0, 0, 15)
-    closure = reachable_set(g, eq)
-    assert closure.pooled_states() == frozenset({eq})
+    closure = oracle.frontier_search(g, g.indices_of(eq))
+    assert g.pooled_states_of(np.flatnonzero(closure)) == frozenset({eq})
 
 
 def test_reachable_set_ex2_covers_both_outcomes(pops, graphs):
     pop, g = pops["ex2"], graphs("ex2")
-    closure = reachable_set(g, State(0, (0, 0), (0, 0, 0)))
-    assert pop.state(14, 9, 0, 0, 0, 0) in closure
+    closure = oracle.frontier_search(g, g.indices_of(State(0, (0, 0), (0, 0, 0))))
+    assert closure[g.indices_of(pop.state(14, 9, 0, 0, 0, 0))].any()
     fluctuation = next(s for s in minimal_invariant_sets(g) if not s.is_singleton)
-    assert all(st in closure for st in fluctuation.states)
+    assert closure[fluctuation.indices].all()
 
 
 def test_minimal_invariant_sets_ex7_2(pops, graphs):
@@ -553,8 +561,9 @@ def test_adjacency_export_format():
 
 def _export_adjacency_reference(graph, stream):
     """The per-row writer: each row's successor set, sorted and joined."""
+    loops = graph.self_loops(0, graph.n_states)
     for i in range(graph.n_states):
-        succ = graph.successors(i)
+        succ = sorted(_moved_to(graph, i) + [i] * int(loops[i]))
         stream.write(f"{i}: {' '.join(str(s) for s in succ)}\n")
 
 

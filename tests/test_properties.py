@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from genpop import (cooperators, is_closed_under_step, reference_outearns,
+from genpop import (cooperators, is_closed_under_step, mistake_cost, reference_outearns,
                     s_membership_mask, sample_populations, with_empty_best_responder_cell,
                     x_membership_mask)
 from popdyn import cells
@@ -261,13 +261,11 @@ def test_singleton_classes_match_closed_form_randomized():
 def test_cost_dominates_modified_cost_randomized():
     for pop in _binary_pops(seed=43, count=12):
         chain = st.build_chain(pop)
-        classes = st.recurrent_classes(chain)
-        for cls in classes:
-            cls_set = set(cls)
-            for i in range(chain.n_states):
-                if i in cls_set:
-                    continue
-                assert st.cost(chain, [i], cls) >= st.modified_cost(chain, i, cls)
+        table = chain.class_table
+        for t, cls in enumerate(table.classes):
+            modified = table.modified_costs(t)
+            for i in np.flatnonzero(table.class_of != t).tolist():
+                assert mistake_cost(chain, [i], cls) == table.plain[t, i] >= modified[i]
 
 
 def test_gamma_routes_agree_randomized():

@@ -11,21 +11,17 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from genpop import population
+from genpop import mistake_cost, population
 from popdyn import stochastic
 from popdyn.errors import CertificateFailed, NotMixed, SingularSystem, StateSpaceTooLarge
 from popdyn.stochastic import (
     BState,
-    basin,
     build_chain,
     check_extreme_theorem,
     corresponding_extreme,
-    cost,
     equilibria_of_chain,
     export_class_digraph_dot,
     gamma,
-    modified_cost,
-    radius,
     recurrent_classes,
     stationary_distribution,
     stationary_residual,
@@ -85,6 +81,11 @@ def _rows(chain, epsilon):
     den = chain.denominator(epsilon)
     return [{int(j): Fraction(v, den) for j, v in zip(d, r) if j >= 0 and v > 0}
             for d, r in zip(dst.tolist(), num.tolist())]
+
+
+def _class_of(chain, state):
+    """The id of the recurrent class that holds `state`."""
+    return int(chain.class_table.class_of[chain.index_of(state)])
 
 
 def _step_costs(chain):
@@ -171,9 +172,12 @@ def test_chain_rows_sum_to_one(pops):
 
 def test_chain_support_monotone(pops):
     chain = build_chain(pops["ex7_1"])
+    dst, mistakes = chain.support
     for i, (row0, row_eps) in enumerate(zip(_rows(chain, 0), _rows(chain, Fraction(1, 50)))):
         assert row0.keys() <= row_eps.keys()
-        assert row0.keys() == {j for j in row_eps if chain.one_step_cost(i, j) == 0}
+        assert row_eps.keys() == {j for j in dst[i].tolist() if j >= 0}
+        assert row0.keys() == {j for j, c in zip(dst[i].tolist(), mistakes[i].tolist())
+                               if j >= 0 and c == 0}
 
 
 def test_perturbed_chain_irreducible_aperiodic(pops):
@@ -244,24 +248,36 @@ def test_all_defect_absorbing_single_class():
     assert [chain.states[i] for i in cls] == [BState(0, 0, 0, 0)]
 
 
+def _class_costs(chain, states):
+    """{(a, b): costs[a][b]} between the singleton classes of `states`, from
+    the class table, checked against the reference search."""
+    costs = {}
+    for a, b in itertools.product(states, repeat=2):
+        costs[a, b] = chain.class_table.costs[_class_of(chain, a)][_class_of(chain, b)]
+        assert costs[a, b] == mistake_cost(chain, [a], [b]), (a, b)
+    return costs
+
+
 def test_cost_examples_ex7_1(chains):
-    chain = chains["ex7_1"]
-    assert cost(chain, [BState(0, 0, 0, 5)], [BState(0, 1, 0, 0)]) == 1
-    assert cost(chain, [BState(0, 1, 0, 0)], [BState(0, 1, 0, 0)]) == 0
+    x, y = BState(0, 0, 0, 5), BState(0, 1, 0, 0)
+    costs = _class_costs(chains["ex7_1"], [x, y])
+    assert costs[x, y] == 1
+    assert costs[y, y] == 0
 
 
 def test_cost_mixed_to_extreme_ex7_4(chains):
-    chain = chains["ex7_4"]
     x, y, z = BState(1, 1, 0, 0), BState(0, 1, 1, 0), BState(2, 0, 2, 3)
-    assert cost(chain, [x], [y]) == 1 and cost(chain, [y], [x]) == 1
-    assert cost(chain, [z], [x]) == 1 and cost(chain, [z], [y]) == 1
-    assert cost(chain, [x], [z]) >= 2 and cost(chain, [y], [z]) >= 2
+    costs = _class_costs(chains["ex7_4"], [x, y, z])
+    assert costs[x, y] == 1 and costs[y, x] == 1
+    assert costs[z, x] == 1 and costs[z, y] == 1
+    assert costs[x, z] >= 2 and costs[y, z] >= 2
 
 
 def test_basin_and_radius_ex7_1(chains):
     chain = chains["ex7_1"]
-    assert radius(chain, [BState(0, 0, 0, 5)]) == 1
-    assert radius(chain, [BState(0, 1, 0, 0)]) >= 2
+    radii = chain.class_table.radii
+    assert radii[_class_of(chain, BState(0, 0, 0, 5))] == 1
+    assert radii[_class_of(chain, BState(0, 1, 0, 0))] >= 2
 
 
 def test_basin_ex7_2_against_the_18_reported_states(chains):
@@ -279,15 +295,19 @@ def test_basin_ex7_2_against_the_18_reported_states(chains):
     one_mistake = {
         tuple(chain.states[i])
         for i in range(chain.n_states)
-        if cost(chain, omega, [i]) == 1
+        if mistake_cost(chain, omega, [i]) == 1
     }
     assert one_mistake == listed - {(2, 0, 2, 0), (2, 1, 2, 0), (2, 1, 0, 0), (2, 1, 0, 1)}
-    computed = {tuple(chain.states[i]) for i in basin(chain, omega)}
+    table = chain.class_table
+    t = _class_of(chain, omega[0])
+    assert sorted(chain.states[i] for i in table.classes[t]) == omega
+    basin = np.flatnonzero(table.basins[t])
+    computed = {tuple(chain.states[i]) for i in basin}
     assert listed <= computed
     assert computed == listed | {(1, 0, 1, 0), (1, 0, 1, 1), (2, 0, 0, 0), (2, 0, 0, 1)}
     # every extra member still funnels into omega without a single mistake
-    assert all(cost(chain, [BState(*s)], omega) == 0 for s in computed)
-    assert radius(chain, omega) >= 2
+    assert all(mistake_cost(chain, [i], omega) == table.plain[t, i] == 0 for i in basin)
+    assert table.radii[t] >= 2
 
 
 def test_gamma_singleton_graph():
@@ -645,22 +665,19 @@ def test_stationary_mass_ex7_4_mixed_pair(pops):
 
 def test_modified_cost_no_intermediate_class(chains):
     chain = chains["ex7_4"]
+    table = chain.class_table
     x, y = BState(1, 1, 0, 0), BState(0, 1, 1, 0)
+    i, t = chain.index_of(x), _class_of(chain, y)
     # adjacent mixed equilibria: the only stop is the target itself
-    assert modified_cost(chain, x, [y]) == cost(chain, [x], [y]) == 1
+    assert table.modified_costs(t)[i] == table.plain[t, i] == 1
 
 
 def test_modified_cost_ex7_4_discount(chains):
     chain = chains["ex7_4"]
+    table = chain.class_table
     x, z = BState(1, 1, 0, 0), BState(2, 0, 2, 3)
-    assert modified_cost(chain, z, [x]) <= cost(chain, [z], [x]) == 1
-
-
-def test_modified_cost_rejects_inside_start(chains):
-    chain = chains["ex7_4"]
-    x = BState(1, 1, 0, 0)
-    with pytest.raises(ValueError):
-        modified_cost(chain, x, [x])
+    i, t = chain.index_of(z), _class_of(chain, x)
+    assert table.modified_costs(t)[i] <= table.plain[t, i] == 1
 
 
 def test_corresponding_extreme_formulas(pops):
@@ -829,12 +846,11 @@ def _modified_cost_reference(chain, starts):
 
 
 def _assert_modified_costs_match(chain, starts):
-    classes = recurrent_classes(chain)
-    assert [radius(chain, cls) for cls in classes] == _radii_reference(_step_costs(chain), classes)
+    table = chain.class_table
+    assert list(table.radii) == _radii_reference(_step_costs(chain), table.classes)
     want = _modified_cost_reference(chain, starts)
-    got = {(x, t): modified_cost(chain, x, classes[t]) for x, t in want}
-    assert got == want
-    assert all(type(v) is int or v == math.inf for v in got.values())
+    modified = [table.modified_costs(t) for t in range(len(table.classes))]
+    assert {(x, t): modified[t][x] for x, t in want} == want
 
 
 @pytest.mark.parametrize("name", BINARY)
@@ -905,6 +921,7 @@ def test_modified_cost_matches_per_start_search(name, factor, k):
                 legs[a][b] = min(dist[j] for j in other) - radii[a]
     for q, a, b in itertools.product(range(k), repeat=3):
         legs[a][b] = min(legs[a][b], legs[a][q] + legs[q][b])
+    modified = [chain.class_table.modified_costs(t) for t in range(k)]
     for x in range(chain.n_states):
         s = next((a for a, cls in enumerate(classes) if x in cls), None)
         if s is not None:
@@ -916,7 +933,7 @@ def test_modified_cost_matches_per_start_search(name, factor, k):
                    for t in range(k)]
         for t, cls in enumerate(classes):
             if x not in cls:
-                assert modified_cost(chain, x, sorted(cls)) == via[t], (x, t)
+                assert modified[t][x] == via[t], (x, t)
 
 
 def test_numpy_integer_indices(chains):
@@ -929,14 +946,9 @@ def test_numpy_integer_indices(chains):
             return x
 
     for start in (np.int64(x), np.int32(x), np.uint8(x), Index()):
-        assert modified_cost(chain, start, cls) == modified_cost(chain, x, cls)
-        assert cost(chain, [start], cls) == cost(chain, [x], cls)
+        assert chain.index_of(start) == x and type(chain.index_of(start)) is int
         assert chain.is_equilibrium(start) == chain.is_equilibrium(x)
-    assert cost(chain, np.array([x]), np.array(cls)) == cost(chain, [x], cls)
-    assert radius(chain, np.array(cls)) == radius(chain, cls)
-    assert basin(chain, np.array(cls)) == basin(chain, cls)
     assert chain.is_equilibrium(np.int64(cls[0]))
-    assert type(modified_cost(chain, np.int64(x), cls)) is int
     with pytest.raises(ValueError):
         chain.index_of(np.int64(chain.n_states))
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from genpop import population
+from genpop import mistake_cost, population
 from popdyn import equilibria, invariants, oracle, verify
 from popdyn import stochastic as st
 from popdyn.cells import CellSpace
@@ -137,7 +137,7 @@ def test_verify_stochastic_computes_each_plain_cost_once(pops, graphs, monkeypat
     plain = chain.class_table.plain
     for t, cls in enumerate(classes):
         assert {i: plain[t, i] for i in range(chain.n_states) if i not in cls} \
-            == {i: st.cost(chain, [i], cls) for i in range(chain.n_states) if i not in cls}
+            == {i: mistake_cost(chain, [i], cls) for i in range(chain.n_states) if i not in cls}
 
 
 def test_verify_stochastic_runs_two_searches_per_class(pops, graphs, monkeypatch):
