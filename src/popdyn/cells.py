@@ -7,12 +7,13 @@ count per cell, imitator groups kept separate. Reports collapse back to the
 pooled form.
 
 A state drives the update rules only through its cooperator count n_c and
-which types have cooperators and defectors, so `CellSpace.rules` ranks each
-type's two utilities once per (type, n_c), exactly, from the population's
-`Fraction`s. `CellSpace.moves` is the one kernel that reads that table: it
-decides every agent's switch at a batch of states by comparing two ranks,
-and the oracle build and `dynamics.simulate` take every decision from
-it. The oracle build runs it on one state per class of states that share
+which types have cooperators and defectors, so `CellSpace.ranks` ranks the
+types' utilities at n_c, exactly, from the population's `Fraction`s, on
+first use of each n_c: each population has one space (`PopulationSpec.space`)
+and so ranks each count once. `CellSpace.moves` is the one kernel that reads
+the ranks: it decides every agent's switch at a batch of states by comparing
+two ranks, and the oracle build and `dynamics.simulate` take every decision
+from it. The oracle build runs it on one state per class of states that share
 the cooperator count and each cell's empty/interior/full pattern, since
 the kernel reads nothing else. Its move bitmask is its whole
 result: a state keeps itself (a self-loop) exactly when some present (cell,
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,20 +54,6 @@ class Cell:
     @property
     def key(self) -> tuple[str, str, int]:
         return (self.role, self.kind, self.type_index)
-
-
-class RuleTable(NamedTuple):
-    """Exact utility ranks per (type, n_c), as (types, n + 1) arrays in `CellSpace.types` order.
-
-    `rank_c` and `rank_d` are the dense ranks of type t's cooperator and
-    defector utility among the 2T utilities at n_c, so comparing ranks
-    compares the utilities exactly, ties included. Both update rules read
-    only these: a best responder compares its own type's two ranks, an
-    imitator the top present cooperator's and defector's.
-    """
-
-    rank_c: np.ndarray
-    rank_d: np.ndarray
 
 
 class CellSpace:
@@ -95,7 +82,7 @@ class CellSpace:
             strides[k] = strides[k + 1] * (self.caps[k + 1] + 1)
         self.strides: tuple[int, ...] = tuple(strides)
         self.n_states: int = strides[0] * (self.caps[0] + 1)
-        self._ranks: dict[int, list[np.ndarray]] = {}  # the `ranks` that `outearns` asked for
+        self._ranks: dict[int, np.ndarray] = {}  # `ranks` by n_c
         self.position: dict[tuple[str, str, int], int] = {
             c.key: k for k, c in enumerate(cells)
         }
@@ -106,10 +93,11 @@ class CellSpace:
             key: tuple(k for k, c in enumerate(cells) if (c.kind, c.type_index) == key)
             for key in self.types
         }
-        # each cell's row in the rule table
+        # each cell's type, its column in `ranks`
         self.type_row: tuple[int, ...] = tuple(
             self.types.index((c.kind, c.type_index)) for c in cells
         )
+        self.of_type = np.equal.outer(self.type_row, range(len(self.types)))  # (cells, types)
 
     # -- indexing ---------------------------------------------------------
 
@@ -234,21 +222,17 @@ class CellSpace:
 
     # -- update rules ------------------------------------------------------
 
-    def ranks(self, n_c: int) -> tuple[list[int], list[int]]:
-        """Each type's cooperator and defector utility at n_c, in `types` order, as its
-        dense rank among all 2·types of them, so that ranks compare exactly."""
-        types = list(self.pop.all_types())
-        coop = [t.cooperator_utility(n_c) for t in types]
-        defect = [t.defector_utility(n_c) for t in types]
-        dense = {v: r for r, v in enumerate(sorted(set(coop + defect)))}
-        return [dense[v] for v in coop], [dense[v] for v in defect]
-
-    @cached_property
-    def rules(self) -> RuleTable:
-        """The `ranks` at every n_c, built on first use."""
-        column = np.dtype((np.min_scalar_type(-2 * len(self.types)), (2, len(self.types))))
-        table = np.fromiter(map(self.ranks, range(self.pop.n + 1)), dtype=column, count=self.pop.n + 1)
-        return RuleTable(*np.ascontiguousarray(table.transpose(1, 2, 0)))
+    def ranks(self, n_c: int) -> np.ndarray:
+        """(2, types): each type's cooperator, then defector, utility at n_c, in
+        `types` order, as its dense rank among all 2·types of them, so that
+        ranks compare exactly, ties included. Computed on first use of n_c."""
+        if n_c not in self._ranks:
+            types = list(self.pop.all_types())
+            values = [t.cooperator_utility(n_c) for t in types] + [t.defector_utility(n_c) for t in types]
+            dense = {v: r for r, v in enumerate(sorted(set(values)))}
+            ranks = np.array([dense[v] for v in values], dtype=np.min_scalar_type(-2 * len(types)))
+            self._ranks[n_c] = ranks.reshape(2, len(types))
+        return self._ranks[n_c]
 
     # The move table, one entry per possible move in ascending order of step:
     # -stride_0 < ... < -stride_K < stride_K < ... < stride_0 over the cells k
@@ -294,27 +278,31 @@ class CellSpace:
         these get the same moves; the oracle build relies on this. Each
         array's dtype must hold the population size, as n_c is summed in it.
         """
-        caps, rules = self.caps, self.rules
+        caps = self.caps
         n_c = coords[0].copy()
         for arr in coords[1:]:
             n_c += arr
+        # the ranks at each n_c of the batch, by type: (types, n_c - lo)
+        lo = int(n_c.min())
+        rank_c, rank_d = np.stack([self.ranks(v) for v in range(lo, int(n_c.max()) + 1)], axis=-1)
+        at = n_c - lo
 
-        top_c = np.full(n_c.shape, -1, dtype=rules.rank_c.dtype)
-        top_d = np.full(n_c.shape, -1, dtype=rules.rank_d.dtype)
+        top_c = np.full(n_c.shape, -1, dtype=rank_c.dtype)
+        top_d = top_c.copy()
         for t, positions in enumerate(self.cells_of_type.values()):
             has_c = coords[positions[0]] > 0
             has_d = coords[positions[0]] < caps[positions[0]]
             for k in positions[1:]:
                 has_c |= coords[k] > 0
                 has_d |= coords[k] < caps[k]
-            np.maximum(top_c, rules.rank_c[t][n_c], out=top_c, where=has_c)
-            np.maximum(top_d, rules.rank_d[t][n_c], out=top_d, where=has_d)
+            np.maximum(top_c, rank_c[t][at], out=top_c, where=has_c)
+            np.maximum(top_d, rank_d[t][at], out=top_d, where=has_d)
 
         moves = np.zeros(n_c.shape, dtype=self.move_dtype)
         for k, cell in enumerate(self.cells):
             if cell.role == BEST_RESPONDER:
                 t = self.type_row[k]
-                own_c, own_d = rules.rank_c[t][n_c], rules.rank_d[t][n_c]
+                own_c, own_d = rank_c[t][at], rank_d[t][at]
             else:
                 own_c, own_d = top_c, top_d
             wants_c, wants_d = own_c > own_d, own_d > own_c
@@ -334,12 +322,10 @@ class CellSpace:
         floor exceeds its type's range and the floored sums bracket the total.
         """
         coop, n = side == C, sum(self.caps)
-        if n_c not in self._ranks:
-            self._ranks[n_c] = [np.array(r) for r in self.ranks(n_c)]
-        own, rival = self._ranks[n_c][::1 if coop else -1]
+        own, rival = self.ranks(n_c)[::1 if coop else -1]
         # each type's least and most agents on `side`, from its cells' ranges, and its capacity
         by_cell = np.array([*zip(*ranges), self.caps], dtype=np.int64 if n < 2 ** 63 else object)
-        lo, hi, cap = by_cell @ np.equal.outer(self.type_row, range(len(self.types)))
+        lo, hi, cap = by_cell @ self.of_type
         lo, hi, total = (lo, hi, n_c) if coop else (cap - hi, cap - lo, n - n_c)
         # row b: each type's floor when b is the top earner on `side`
         floors = np.maximum(lo, np.where(rival >= own[:, None], cap, 0))

@@ -158,16 +158,6 @@ def _max_states(args) -> int:
     return guard
 
 
-def _check_state_guard(pop: PopulationSpec, args) -> None:
-    """Refuse a population above the state guard before any other work: the
-    commands that build their oracle after a report of their own call this
-    first, so a refusal does not wait for the report."""
-    from . import oracle
-    from .cells import CellSpace
-
-    oracle.check_state_guard(CellSpace(pop), _max_states(args))
-
-
 def _oracle_graph(pop: PopulationSpec, args) -> oracle.TransitionDigraph:
     from . import oracle
 
@@ -190,15 +180,14 @@ def cmd_equilibria(args) -> int:
     from . import equilibria
 
     pop = _load_population(args.config)
-    if args.verify or args.oracle:
-        _check_state_guard(pop, args)
+    # the oracle, and its guard, come before the report, so a refusal does not wait for it
+    graph = _oracle_graph(pop, args) if args.verify or args.oracle else None
     records = equilibria.enumerate_equilibria(pop)
     report = equilibria.equilibria_report(pop, records)
     problems: list[str] = []
-    if args.verify or args.oracle:
+    if graph is not None:
         from . import oracle
 
-        graph = _oracle_graph(pop, args)
         for entry, rec in zip(report["equilibria"], records):
             entry["oracle_stable"] = oracle.is_stable_oracle(graph, rec.state)
         if args.verify:
@@ -214,14 +203,13 @@ def cmd_invariants(args) -> int:
     from . import invariants
 
     pop = _load_population(args.config)
-    if args.verify:
-        _check_state_guard(pop, args)
+    # the oracle, and its guard, come before the report, so a refusal does not wait for it
+    graph = _oracle_graph(pop, args) if args.verify else None
     report = invariants.invariance_report(pop)
     problems: list[str] = []
-    if args.verify:
+    if graph is not None:
         from . import oracle, verify
 
-        graph = _oracle_graph(pop, args)
         problems = verify.verify_invariants(pop, graph, report=report)
         report["verification"] = {**_verification(problems), "skipped": []}
         report["oracle_minimal_invariant_sets"] = [

@@ -331,7 +331,7 @@ def simulate(pop: PopulationSpec, initial, policy: ActivationPolicy, steps: int)
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    space = CellSpace(pop)
+    space = pop.space
     walk = _Walk(space, space.refine(initial))
     policy.extend(walk, steps)
     return Trajectory(space, tuple(walk.visited), walk.agents, walk.states)

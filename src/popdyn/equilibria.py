@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .cells import CellSpace
 from .errors import AssumptionViolated
 from .model import ANTICOORDINATING, C, D, PopulationSpec, State
 
@@ -103,11 +102,8 @@ def candidate_cooperators(pop: PopulationSpec, r: int, j1: int, j1p: int) -> int
     )
 
 
-def _temper_brackets(pop: PopulationSpec, j1: int, j1p: int, n: int, margin: int) -> bool:
-    return (
-        pop.tau_a(j1 + 1) + margin < n < pop.tau_a(j1) - margin
-        and pop.tau_c(j1p) + margin < n < pop.tau_c(j1p + 1) - margin
-    )
+def _temper_brackets(pop: PopulationSpec, j1: int, j1p: int, n: int) -> bool:
+    return pop.tau_a(j1 + 1) < n < pop.tau_a(j1) and pop.tau_c(j1p) < n < pop.tau_c(j1p + 1)
 
 
 def enumerate_equilibria(pop: PopulationSpec) -> list[EquilibriumRecord]:
@@ -118,7 +114,7 @@ def enumerate_equilibria(pop: PopulationSpec) -> list[EquilibriumRecord]:
         for j1 in range(pop.b + 1):
             for j1p in range(pop.bp + 1):
                 n = candidate_cooperators(pop, r, j1, j1p)
-                if not _temper_brackets(pop, j1, j1p, n, margin=0):
+                if not _temper_brackets(pop, j1, j1p, n):
                     continue
                 c_val = sup_C(pop, j1, j1p, n)
                 d_val = sup_D(pop, j1 + 1, j1p + 1, n)
@@ -279,7 +275,7 @@ def is_exclusive_cooperation_preserving(pop: PopulationSpec, state: State) -> bo
         if (x >= 1 and not cooperates) or (x < t.best_responders and cooperates):
             return False
     # the splits fix every best-responder cell and share xI among the imitator cells
-    space = CellSpace(pop)
+    space = pop.space
     ranges = [(0, cap) if k in space.imitator_positions else (v, v)
               for k, (v, cap) in enumerate(zip(space.fill_refine(state), space.caps))]
     return not ((state.xI >= 1 and space.outearns(ranges, n, D))
@@ -302,7 +298,7 @@ def equilibria_report(pop: PopulationSpec,
             "nC": rec.n_c,
             "kind": rec.kind,
             "conditions": {
-                "temper_window": _temper_brackets(pop, j1, j1p, rec.n_c, margin=0),
+                "temper_window": _temper_brackets(pop, j1, j1p, rec.n_c),
                 "top_cooperator_ok": (not r > 0) or c_val >= d_val,
                 "top_defector_ok": (not r < pop.m) or c_val <= d_val,
             },

@@ -171,7 +171,7 @@ def s_invariance_details(pop: PopulationSpec, idx: BenchmarkIndex) -> dict:
         raise EmptySet(f"S_{(idx.j1, idx.j2, idx.j2p, idx.j1p)} is empty")
     ceil_max, floor_min = math.ceil(tau_max(pop, idx)), math.floor(tau_min(pop, idx))
     details: dict = {}
-    space = CellSpace(pop)
+    space = pop.space
     fixed = _fixed_cells(space, idx)
     box = [(fixed[k],) * 2 if k in fixed else (0, cap) for k, cap in enumerate(space.caps)]
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .errors import (
     DegeneratePayoff,
@@ -19,6 +20,9 @@ from .errors import (
     ImitatorWithoutMatchingType,
     IntegerTemper,
 )
+
+if TYPE_CHECKING:
+    from .cells import CellSpace
 
 ANTICOORDINATING = "anticoordinating"
 COORDINATING = "coordinating"
@@ -228,7 +232,7 @@ class PopulationSpec:
     def n_c(self, i: int) -> int:
         return self.coordinating[i - 1].best_responders
 
-    @property
+    @cached_property
     def sentinel_high(self) -> Fraction:
         """tau_0^a = tau_{b'+1}^c: above n and every temper, non-integer.
 
@@ -238,11 +242,20 @@ class PopulationSpec:
         bound = max([self.n, *(math.ceil(t.temper) for t in self.all_types())])
         return Fraction(bound) + Fraction(3, 2)
 
-    @property
+    @cached_property
     def sentinel_low(self) -> Fraction:
         """tau_{b+1}^a = tau_0^c: below 0 and every temper, non-integer."""
         bound = min([0, *(math.floor(t.temper) for t in self.all_types())])
         return Fraction(bound) - Fraction(3, 2)
+
+    @cached_property
+    def space(self) -> CellSpace:
+        """The refined state space, built on first use: the population's one
+        `CellSpace`, so its ranks are computed once. `cells` (and numpy) load
+        only then."""
+        from .cells import CellSpace
+
+        return CellSpace(self)
 
     def tau_a(self, j: int) -> Fraction:
         """Anticoordinating temper with sentinels: j in 0..b+1."""

@@ -85,9 +85,9 @@ class TransitionDigraph:
     from it (`self_loops`); they do not affect SCC structure.
     """
 
-    def __init__(self, pop: PopulationSpec, space: CellSpace, moves: np.ndarray, n_edges: int):
+    def __init__(self, pop: PopulationSpec, moves: np.ndarray, n_edges: int):
         self.pop = pop
-        self.space = space
+        self.space = space = pop.space
         self.moves = moves
         self.n_edges = n_edges
         self.n_states = space.n_states
@@ -257,14 +257,6 @@ def frontier_search(graph: TransitionDigraph, starts, bound: np.ndarray | None =
     return seen
 
 
-def check_state_guard(space: CellSpace, max_states: int) -> None:
-    """Refuse a refined state space of more than `max_states` states."""
-    if space.n_states > max_states:
-        raise StateSpaceTooLarge(
-            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
-        )
-
-
 def build_transition_digraph(pop: PopulationSpec,
                              max_states: int = DEFAULT_MAX_STATES) -> TransitionDigraph:
     """Materialize the multivalued one-step dynamics of the population.
@@ -276,10 +268,14 @@ def build_transition_digraph(pop: PopulationSpec,
     with the same inner cooperator count and inner pattern have the same
     moves. The inner digits are decoded once and keyed; each block runs the
     kernel on one representative per key that occurs, and takes every state's
-    moves from its key's representative.
+    moves from its key's representative. A space of more than `max_states`
+    refined states is refused before any of this.
     """
-    space = CellSpace(pop)
-    check_state_guard(space, max_states)
+    space = pop.space
+    if space.n_states > max_states:
+        raise StateSpaceTooLarge(
+            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
+        )
 
     n, split = space.n_states, _inner_split(space.caps)
     dtype = np.min_scalar_type(pop.n)
@@ -293,7 +289,7 @@ def build_transition_digraph(pop: PopulationSpec,
         # every class index is in range; "clip" lets `take` write into `out` unbuffered
         np.take(rep_moves, cls, out=moves[lo : lo + block], mode="clip")
         n_edges += int(np.bitwise_count(rep_moves) @ size)
-    return TransitionDigraph(pop, space, moves, n_edges)
+    return TransitionDigraph(pop, moves, n_edges)
 
 
 def _inner_classes(space: CellSpace, split: int, dtype) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -718,7 +719,8 @@ def test_commands_load_only_their_modules(tmp_path):
     graph = base | {"popdyn.cells", "popdyn.oracle"}
     expected = {
         ("simulate", "--steps", "10", "--seed", "0"): base | {"popdyn.cells", "popdyn.dynamics"},
-        ("equilibria",): base | {"popdyn.cells", "popdyn.equilibria"},
+        # the closed forms alone read no refined space, so no numpy
+        ("equilibria",): base | {"popdyn.equilibria"},
         ("equilibria", "--oracle"): graph | {"popdyn.equilibria"},
         ("equilibria", "--verify"): graph | {"popdyn.equilibria", "popdyn.verify"},
         ("invariants",): base | {"popdyn.cells", "popdyn.invariants"},
@@ -730,8 +732,9 @@ def test_commands_load_only_their_modules(tmp_path):
             graph | {"popdyn.stochastic", "popdyn.verify", "popdyn.equilibria"},
     }
     for form, modules in expected.items():
-        code, loaded, _ = child(*form, "--config", str(FIXDIR / "ex7_1.json"))
+        code, loaded, numpy = child(*form, "--config", str(FIXDIR / "ex7_1.json"))
         assert (code, loaded) == (0, sorted(modules)), form
+        assert bool(numpy) == ("popdyn.cells" in modules), form
 
 
 def test_stochastic_verify_ex7_1(tmp_path):
@@ -853,26 +856,76 @@ def test_invariants_report_takes_no_state_guard(tmp_path):
         assert (tmp_path / "guarded.json").read_text() == (tmp_path / "default.json").read_text()
 
 
+# the time budget of each analysis on a rung of the ladder below, in process,
+# as CI's command-line run of the ladder allows each command 10 s; the
+# slowest, plain equilibria on ex1 x1000, takes about 1.2 s on 2 vCPUs
+LADDER_BUDGET_S = 10
+
+
 @pytest.mark.parametrize("name, size", [("probe", 17), ("probe", 31), ("probe", 32), ("probe", 40),
                                         ("ex1", 10), ("ex1", 100), ("ex1", 1000)])
 def test_every_analysis_runs_or_refuses_at_any_size(name, size):
     # the probe has 2k cells of capacity 1, so from k = 32 its refined states
-    # reach 2^64; ex1 with every count x1000 has a 79-bit state count
-    from popdyn.cells import CellSpace
+    # reach 2^64; ex1 with every count x1000 has a 79-bit state count. Plain
+    # invariants, plain equilibria and a 1,000-step simulate run within the
+    # budget, and the oracle build refuses on the guard
     from popdyn.dynamics import UniformRandom, simulate
     from popdyn.equilibria import equilibria_report
     from popdyn.errors import StateSpaceTooLarge
     from popdyn.invariants import invariance_report
 
     pop = probe_population(size) if name == "probe" else population(name, size)
-    assert CellSpace(pop).n_states > oracle.DEFAULT_MAX_STATES
-    invariance_report(pop)
-    equilibria_report(pop)
+    assert pop.space.n_states > oracle.DEFAULT_MAX_STATES
+    start = pop.state(*(0 for _ in range(1 + pop.b + pop.bp)))
+    analyses = {"invariants": lambda: invariance_report(pop),
+                "equilibria": lambda: equilibria_report(pop),
+                "simulate": lambda: simulate(pop, start, UniformRandom(seed=0), 1000)}
+    for label, analysis in analyses.items():
+        began = time.perf_counter()
+        result = analysis()
+        assert time.perf_counter() - began < LADDER_BUDGET_S, label
+    assert len(result) == 1001
     with pytest.raises(StateSpaceTooLarge):
         oracle.build_transition_digraph(pop)
-    if name == "probe" and size >= 32:
-        start = pop.state(*(0 for _ in range(1 + pop.b + pop.bp)))
-        assert len(simulate(pop, start, UniformRandom(seed=0), 1000)) == 1001
+
+
+def test_each_population_ranks_each_count_once(monkeypatch):
+    # a population has one refined space (`pop.space`), which ranks the
+    # utilities at a cooperator count when first asked: the S verdicts of
+    # the plain invariants report share it, and a run ranks only the counts
+    # of the states it visits, not all n + 1
+    from popdyn import cells, model
+    from popdyn.dynamics import UniformRandom, simulate
+    from popdyn.invariants import invariance_report
+
+    spaces, ranked = [], []
+    init, line = cells.CellSpace.__init__, model.UtilityLine.__call__
+
+    def counting_init(self, pop):
+        spaces.append(pop)
+        init(self, pop)
+
+    def counting_line(self, n_c):
+        # a utility evaluated for the ranks, by line and count
+        if sys._getframe(1).f_globals["__name__"] == cells.__name__:
+            ranked.append((id(self), n_c))
+        return line(self, n_c)
+
+    monkeypatch.setattr(cells.CellSpace, "__init__", counting_init)
+    monkeypatch.setattr(model.UtilityLine, "__call__", counting_line)
+
+    invariance_report(probe_population(17))
+    assert len(spaces) == 1
+    assert ranked and len(ranked) == len(set(ranked))
+
+    spaces.clear()
+    ranked.clear()
+    pop = population("ex1", 1000)
+    run = simulate(pop, pop.state(*(0 for _ in range(1 + pop.b + pop.bp))), UniformRandom(seed=0),
+                   1000)
+    assert len(spaces) == 1
+    assert ranked and len(ranked) == len(set(ranked))
+    assert len({n_c for _, n_c in ranked}) <= len(run.visited)
 
 
 def test_stochastic_reports_masses_of_any_size(tmp_path):

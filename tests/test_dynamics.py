@@ -16,7 +16,7 @@ from genpop import (
     with_empty_best_responder_cell,
 )
 import popdyn
-from popdyn.cells import CellSpace, RuleTable
+from popdyn.cells import CellSpace
 from popdyn.dynamics import (
     AgentRef,
     Scripted,
@@ -62,12 +62,12 @@ def test_best_responders_rank_comparison_is_the_threshold_rule(pops):
     checked = 0
     for pop in [*pops.values(), *generated, *map(with_empty_best_responder_cell, generated)]:
         space = CellSpace(pop)
-        rank_c, rank_d = space.rules
         types = type_specs(pop)
         for t, (kind, idx) in enumerate(space.types):
             temper = types[kind, idx].temper
             for n_c in range(pop.n + 1):
-                wants_c, wants_d = rank_c[t, n_c] > rank_d[t, n_c], rank_d[t, n_c] > rank_c[t, n_c]
+                rank_c, rank_d = space.ranks(n_c)[:, t]
+                wants_c, wants_d = rank_c > rank_d, rank_d > rank_c
                 assert ("C" if wants_c else "D") == best_response_next(kind, temper, "D", n_c)
                 assert ("D" if wants_d else "C") == best_response_next(kind, temper, "C", n_c)
                 checked += 1
@@ -77,7 +77,6 @@ def test_best_responders_rank_comparison_is_the_threshold_rule(pops):
 def test_the_kernel_reads_no_threshold_rule():
     for path in Path(popdyn.__file__).parent.glob("*.py"):
         assert "best_response_next" not in path.read_text(), path.name
-    assert RuleTable._fields == ("rank_c", "rank_d")
 
 
 def _imitators(pop, strategy):
