@@ -11,12 +11,16 @@ agent indices in chunks, which gives the same sequence as one draw per step.
 A run is stored as integers. Each distinct refined state gets an id in order
 of first visit, and each agent an id, 2 cell + (strategy == D), which is also
 its bit in a state's move bitmask. Per visited state `simulate` keeps one
-successor-id row, indexed by agent id and filled from one kernel call, so the
-kernel runs once per distinct state and a step is two list lookups. Per step
-the run stores only the agent id and the new state id, in typed arrays.
-`Trajectory.records`, `refined` and `final_state` are built from them on
-request; `Trajectory.to_csv` formats one row tail per distinct (agent, state)
-pair and writes the rows in fixed-size chunks.
+successor-id row, indexed by agent id and filled from the state's bitmask.
+The kernel reads a state only through n_c and each cell's empty/interior/full
+pattern, so it runs once per such key, not per state. A step is two list
+lookups, until the run stands on a still state, whose bitmask is 0: no
+present agent switches, so the state is never left, and a random policy
+records the rest of the run a chunk of draws at a time, in numpy. Per step
+the run stores only the agent id and the new state id, in the smallest typed
+arrays that hold them. `Trajectory.records`, `refined` and `final_state` are
+built from them on request; `Trajectory.to_csv` formats one row tail per
+distinct (agent, state) pair and writes each chunk of rows as one byte array.
 """
 
 from __future__ import annotations
@@ -79,11 +83,13 @@ class _Walk:
 
     `visited[s]` holds state s's coords and `rows[s][a]` the id of the state
     that activating agent a leads to: `_UNSEEN` until first taken, `_ABSENT`
-    when the state has no such agent. `agents[t - 1]` is step t's agent id and
-    `states[t]` the state id after step t.
+    when the state has no such agent. `still[s]` says that no present agent
+    switches at s, so that every step from s keeps it. `agents[t - 1]` is step
+    t's agent id and `states[t]` the state id after step t, each in the
+    smallest typecode that holds the ids a run of `steps` steps can reach.
     """
 
-    def __init__(self, space: CellSpace, coords: Coords):
+    def __init__(self, space: CellSpace, coords: Coords, steps: int):
         # not imported with the module: the CLI's other commands never load it
         from array import array
 
@@ -91,17 +97,27 @@ class _Walk:
         self.visited: list[Coords] = []
         self.ids: dict[Coords, int] = {}
         self.rows: list[list[int]] = []
-        self.agents = array("q")
-        self.states = array("q", [self.visit(coords)])
+        self.still: list[bool] = []
+        # the kernel's move bitmask by (n_c, each cell's count > 0, each cell's count < cap)
+        self.masks: dict[tuple, int] = {}
+        # each in the smallest unsigned type that holds its ids, which numpy and array name alike
+        self.agents = array(np.min_scalar_type(2 * len(space.cells) - 1).char)
+        self.states = array(np.min_scalar_type(min(space.n_states, steps + 1) - 1).char, [self.visit(coords)])
 
     def visit(self, coords: Coords) -> int:
         s = self.ids.get(coords)
         if s is None:
             s = self.ids[coords] = len(self.visited)
             self.visited.append(coords)
-            mask = int(self.space.moves(np.array(coords, dtype=np.int64)[:, None])[0])
+            caps = self.space.caps
+            # all the kernel reads of a state (see `CellSpace.moves`)
+            key = (sum(coords), *(v > 0 for v in coords), *(v < cap for v, cap in zip(coords, caps)))
+            mask = self.masks.get(key)
+            if mask is None:
+                mask = self.masks[key] = int(self.space.moves(np.array(coords, dtype=np.int64)[:, None])[0])
+            self.still.append(mask == 0)
             row = []
-            for pos, (v, cap) in enumerate(zip(coords, self.space.caps)):
+            for pos, (v, cap) in enumerate(zip(coords, caps)):
                 for a, present in ((2 * pos, v > 0), (2 * pos + 1, v < cap)):
                     row.append(_ABSENT if not present else _UNSEEN if mask >> a & 1 else s)
             self.rows.append(row)
@@ -128,6 +144,12 @@ class _Walk:
         self.agents.append(a)
         self.states.append(nxt)
 
+    def stay(self, agents: np.ndarray) -> None:
+        """Record one step per entry of `agents`, all at the current state,
+        which must be still."""
+        self.agents.frombytes(agents.astype(self.agents.typecode).tobytes())
+        self.states.extend(self.states[-1:] * len(agents))
+
 
 # -- activation policies ----------------------------------------------------
 
@@ -143,8 +165,9 @@ class ActivationPolicy:
 _DRAW_CHUNK = 1 << 12
 
 
-def _draw_agents(rng: np.random.Generator, space: CellSpace, units: list[int]):
-    """Endless chunks of (cells, members) draws; each member of cell k weighs units[k].
+def _draw_agents(rng: np.random.Generator, space: CellSpace, units: list[int], steps: int):
+    """(cells, members) of `steps` draws, in int64 arrays of up to
+    `_DRAW_CHUNK`; each member of cell k weighs units[k].
 
     Draws come `_DRAW_CHUNK` at a time, which numpy's generator makes the same
     sequence as one `rng.integers(total)` per step.
@@ -153,31 +176,47 @@ def _draw_agents(rng: np.random.Generator, space: CellSpace, units: list[int]):
     total = sum(blocks)
     starts = np.cumsum([0] + blocks[:-1])
     per_member = np.array(units)
-    while True:
-        draws = rng.integers(total, size=_DRAW_CHUNK)
+    for done in range(0, steps, _DRAW_CHUNK):
+        draws = rng.integers(total, size=min(_DRAW_CHUNK, steps - done))
         cell = np.searchsorted(starts, draws, side="right") - 1
         member = (draws - starts[cell]) // per_member[cell]
-        yield cell.tolist(), member.tolist()
+        yield cell, member
 
 
 def _extend_random(walk: _Walk, seed: int, units: list[int], steps: int) -> None:
-    """Record `steps` steps whose agents are drawn at random, member by member."""
-    visited, rows, take = walk.visited, walk.rows, walk.take
-    add_agent, add_state = walk.agents.append, walk.states.append
+    """Record `steps` steps whose agents are drawn at random, member by member.
+
+    A still state is never left, and the run can reach one only at its start
+    or by a move taken for the first time, so only those are tested: from the
+    first still state on, the steps are recorded in bulk, a chunk of draws at
+    a time.
+    """
+    visited, rows, take, still = walk.visited, walk.rows, walk.take, walk.still
+    agents = walk.agents
+    add_agent, add_state = agents.append, walk.states.append
     here = walk.states[-1]
-    draws = _draw_agents(np.random.default_rng(seed), walk.space, units)
-    while steps > 0:
-        cells, members = next(draws)
-        for cell, member in zip(cells[:steps], members[:steps]):
-            # a drawn member plays C iff her index is below the cell's cooperator count
-            a = 2 * cell + (member >= visited[here][cell])
-            nxt = rows[here][a]
-            if nxt < 0:
-                nxt = take(here, a)
+    for cell, member in _draw_agents(np.random.default_rng(seed), walk.space, units, steps):
+        if not still[here]:
+            before = len(agents)
+            for c, m in zip(cell.tolist(), member.tolist()):
+                # a drawn member plays C iff her index is below the cell's cooperator count
+                a = 2 * c + (m >= visited[here][c])
+                nxt = rows[here][a]
+                if nxt < 0:
+                    nxt = take(here, a)
+                    if still[nxt]:
+                        break
+                add_agent(a)
+                add_state(nxt)
+                here = nxt
+            else:
+                continue
+            # the step onto the still state, then the rest of the chunk in bulk
             add_agent(a)
             add_state(nxt)
             here = nxt
-        steps -= len(cells)
+            cell, member = cell[len(agents) - before:], member[len(agents) - before:]
+        walk.stay(2 * cell + (member >= np.array(visited[here])[cell]))
 
 
 @dataclass(frozen=True)
@@ -215,7 +254,14 @@ class Weighted(ActivationPolicy):
                 raise ValueError(f"weight for {cell.key} must be strictly positive")
             per_cell.append(w)
             denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        _extend_random(walk, self.seed, [int(w * denom) for w in per_cell], steps)
+        units = [int(w * denom) for w in per_cell]
+        total = sum(u * cap for u, cap in zip(units, space.caps))
+        if total >= 1 << 63:  # each draw is one int64 below the total
+            raise ValueError(
+                f"weights {dict(self.weights)}: the agents' weights sum to {total} units of "
+                f"1/{denom}, above the limit of 2^63 - 1 units that one draw takes"
+            )
+        _extend_random(walk, self.seed, units, steps)
 
 
 @dataclass(frozen=True)
@@ -300,27 +346,48 @@ class Trajectory:
         return cols
 
     def to_csv(self, stream) -> None:
-        # everything after t, per distinct (agent id, state id); agent id
-        # `width - 1` stands for the absent agent of row 0
+        """Write the header and one row per step, `_CSV_CHUNK` rows at a time.
+
+        A row is `t` and a tail, everything after `t`, which depends only on
+        the row's (agent id, state id) pair and is formatted once per pair.
+        A chunk of rows is one byte array: the digits of `t`, then the row's
+        tail from a NUL-padded table over the chunk's distinct pairs; the
+        padding is dropped in one pass.
+        """
+        # agent id `width - 1` stands for the absent agent of row 0
         width = 2 * len(self.space.cells) + 1
         active = [f"{r.role},{r.kind},{r.type_index}" for r in self._agent_refs()] + [",,"]
-        tails: dict[int, str] = {}
+        tails: dict[int, bytes] = {}
 
-        def tail(a: int, s: int) -> str:
+        def tail(key: int) -> bytes:
+            s, a = divmod(key, width)
             coords = self.visited[s]
             pooled = ",".join(map(str, self.space.pooled(coords).to_tuple()))
-            text = tails[s * width + a] = f"{active[a]},{pooled},{sum(coords)}"
+            text = tails[key] = f",{active[a]},{pooled},{sum(coords)}\n".encode("ascii")
             return text
 
-        stream.write(f"{','.join(self.csv_header())}\n0,{tail(width - 1, self.states[0])}\n")
         n = len(self.states)
+        first = tail(self.states[0] * width + width - 1).decode("ascii")
+        stream.write(f"{','.join(self.csv_header())}\n0{first}")
+        agents = np.frombuffer(self.agents, dtype=self.agents.typecode)
+        states = np.frombuffer(self.states, dtype=self.states.typecode)
+        digits = len(str(n - 1))
         for lo in range(1, n, _CSV_CHUNK):
             hi = min(lo + _CSV_CHUNK, n)
-            rows = []
-            for t, a, s in zip(range(lo, hi), self.agents[lo - 1:hi - 1], self.states[lo:hi]):
-                text = tails.get(s * width + a)
-                rows.append(f"{t},{text if text is not None else tail(a, s)}\n")
-            stream.write("".join(rows))
+            keys = states[lo:hi].astype(np.int64) * width + agents[lo - 1 : hi - 1]
+            # the distinct keys, sorted (`oracle.sorted_unique`: simulate loads no `oracle`)
+            pairs = np.sort(keys)
+            pairs = pairs[np.insert(pairs[1:] != pairs[:-1], 0, True)]
+            texts = [tails.get(key) or tail(key) for key in pairs.tolist()]
+            table = np.array(texts)  # NUL-padded to the longest
+            rows = np.empty((hi - lo, digits + table.itemsize), dtype=np.uint8)
+            # t's digits right-aligned, the places above its leading digit NUL
+            t = rest = np.arange(lo, hi)
+            for place in range(digits):
+                rest, digit = np.divmod(rest, 10)
+                rows[:, digits - 1 - place] = np.where(t >= 10**place, digit + ord("0"), 0)
+            rows[:, digits:] = table.view(np.uint8).reshape(len(texts), -1)[np.searchsorted(pairs, keys)]
+            stream.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def simulate(pop: PopulationSpec, initial, policy: ActivationPolicy, steps: int) -> Trajectory:
@@ -332,6 +399,6 @@ def simulate(pop: PopulationSpec, initial, policy: ActivationPolicy, steps: int)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     space = pop.space
-    walk = _Walk(space, space.refine(initial))
+    walk = _Walk(space, space.refine(initial), steps)
     policy.extend(walk, steps)
     return Trajectory(space, tuple(walk.visited), walk.agents, walk.states)

@@ -10,6 +10,7 @@ import pytest
 
 from genpop import (
     best_response_next,
+    reference_next,
     reference_step,
     sample_populations,
     type_specs,
@@ -17,6 +18,7 @@ from genpop import (
 )
 import popdyn
 from popdyn.cells import CellSpace
+from popdyn import dynamics
 from popdyn.dynamics import (
     AgentRef,
     Scripted,
@@ -328,9 +330,13 @@ def _reference_csv(run):
     return out.getvalue()
 
 
-def _assert_same_run(pop, initial, policy, steps):
+def _assert_same_run(pop, initial, policy, steps, ref=None):
+    """simulate against the per-step reference; `ref` is a reference run of at
+    least `steps` steps from the same start, cut to `steps`."""
     traj = simulate(pop, initial, policy, steps)
-    ref = _reference_simulate(pop, initial, policy, steps)
+    if ref is None:
+        ref = _reference_simulate(pop, initial, policy, steps)
+    ref = _ReferenceRun(pop, ref.records[: steps + 1], ref.refined[: steps + 1])
     assert traj.records == ref.records
     assert traj.refined == ref.refined
     out = io.StringIO()
@@ -339,17 +345,82 @@ def _assert_same_run(pop, initial, policy, steps):
     return ref
 
 
+def _still(space, coords):
+    """Does no present agent switch at the state, by the reference rules?"""
+    return all(reference_next(space, coords, k, s) == s
+               for k, cap in enumerate(space.caps)
+               for s, present in (("C", coords[k] > 0), ("D", coords[k] < cap)) if present)
+
+
+def _run_kind(space, refined):
+    still = {}
+    for t, coords in enumerate(refined):
+        if coords not in still:
+            still[coords] = _still(space, coords)
+        if still[coords]:
+            return "starts still" if t == 0 else "settles mid-chunk" if t % dynamics._DRAW_CHUNK else "settles"
+    return "never settles"
+
+
 def test_simulate_matches_per_step_reference_randomized():
+    # from a random start and from a still state, where no present agent
+    # switches; each run is cut at the step counts around a chunk of draws
+    chunk = dynamics._DRAW_CHUNK
+    counts = (0, 1, chunk - 1, chunk, chunk + 1)
     pops = list(sample_populations(seed=71, count=12))
     pops.append(with_empty_best_responder_cell(pops[0]))
     fractions = [Fraction(3, 2), Fraction(2, 5), Fraction(7, 3), Fraction(1), Fraction(5, 4)]
     rng = np.random.default_rng(71)
+    kinds = {UniformRandom: set(), Weighted: set()}
     for k, pop in enumerate(pops):
         space = CellSpace(pop)
         initial = tuple(int(rng.integers(cap + 1)) for cap in space.caps)
+        still = [c for c in map(space.coords_of, range(space.n_states)) if _still(space, c)]
         weights = {cell.key: fractions[(k + j) % len(fractions)] for j, cell in enumerate(space.cells)}
-        # longer than one chunk of draws, with many revisits of small spaces
-        uniform = _assert_same_run(pop, initial, UniformRandom(seed=k), 5000)
-        _assert_same_run(pop, initial, Weighted(weights, seed=k + 100), 5000)
+        for start in [initial, *still[:1]]:
+            for policy in (UniformRandom(seed=k), Weighted(weights, seed=k + 100)):
+                ref = _reference_simulate(pop, start, policy, counts[-1])
+                kinds[type(policy)].add(_run_kind(space, ref.refined))
+                for steps in counts:
+                    _assert_same_run(pop, start, policy, steps, ref)
+        uniform = _reference_simulate(pop, initial, UniformRandom(seed=k), 300)
         script = Scripted(tuple(r.agent for r in uniform.records[1:300]))
         _assert_same_run(pop, initial, script, 299)
+    for found in kinds.values():
+        assert found == {"starts still", "settles mid-chunk", "never settles"}
+
+
+def test_to_csv_matches_row_writer_across_digit_counts(pops):
+    # t crosses 9,999 -> 10,000 and 99,999 -> 100,000 inside a chunk of rows;
+    # seed 0 settles at an equilibrium, seed 3 keeps fluctuating
+    assert 10_000 % dynamics._CSV_CHUNK != 1 and 100_000 % dynamics._CSV_CHUNK != 1
+    for seed in (0, 3):
+        traj = simulate(pops["ex2"], State(0, (0, 0), (0, 0, 0)), UniformRandom(seed=seed), 120_000)
+        out = io.StringIO()
+        traj.to_csv(out)
+        assert out.getvalue() == _reference_csv(traj)
+
+
+def test_fluctuating_run_calls_the_kernel_once_per_kernel_input(pops, monkeypatch):
+    # the kernel reads a state only through n_c and each cell's
+    # empty/interior/full pattern, so states that share these share one call
+    pop = pops["ex2"]
+    space = pop.space
+    calls = []
+    kernel = space.moves
+    monkeypatch.setattr(space, "moves", lambda coords: calls.append(coords) or kernel(coords))
+    traj = simulate(pop, State(0, (0, 0), (0, 0, 0)), UniformRandom(seed=3), 20_000)
+    assert _run_kind(space, traj.refined) == "never settles"
+    keys = {(sum(c), *(v > 0 for v in c), *(v < cap for v, cap in zip(c, space.caps)))
+            for c in traj.visited}
+    assert len(calls) <= len(keys) < len(traj.visited)
+
+
+def test_weighted_policy_refuses_weights_beyond_one_draw(pops):
+    # the agents' weights, over their common denominator, must sum below 2^63
+    pop = pops["ex7_1"]
+    key = ("bestResponder", "coordinating", 1)
+    ok = simulate(pop, State(0, (0,), (0,)), Weighted({key: Fraction(1, 2**40)}, seed=1), 100)
+    assert len(ok) == 101
+    with pytest.raises(ValueError, match=r"weights \{\('bestResponder', 'coordinating', 1\).*limit of 2\^63 - 1"):
+        simulate(pop, State(0, (0,), (0,)), Weighted({key: Fraction(1, 2**70)}, seed=1), 100)
