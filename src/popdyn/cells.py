@@ -8,16 +8,19 @@ pooled form.
 
 A state drives the update rules only through its cooperator count n_c and
 which types have cooperators and defectors, so `CellSpace.ranks` ranks the
-types' utilities at n_c, exactly, from the population's `Fraction`s, on
-first use of each n_c: each population has one space (`PopulationSpec.space`)
-and so ranks each count once. `CellSpace.moves` is the one kernel that reads
-the ranks: it decides every agent's switch at a batch of states by comparing
-two ranks, and the oracle build and `dynamics.simulate` take every decision
-from it. The oracle build runs it on one state per class of states that share
-the cooperator count and each cell's empty/interior/full pattern, since
-the kernel reads nothing else. Its move bitmask is its whole
-result: a state keeps itself (a self-loop) exactly when some present (cell,
-strategy) group's bit is unset (`oracle.TransitionDigraph.self_loops`). The
+types' utilities at n_c, on first use of each n_c: each population has one
+space (`PopulationSpec.space`) and so ranks each count once. The ranks are
+exact: the space scales the population's `Fraction` utility lines once, by
+the lcm of their denominators, into integer lines, and evaluates those.
+`CellSpace.moves` is the one kernel that reads the ranks: it decides every
+agent's switch at a batch of states by comparing two ranks, in unmasked
+numpy operations over one gather of the ranks, and the oracle build and
+`dynamics.simulate` take every decision from it. The oracle build runs it on
+one state per class of states that share the cooperator count and each
+cell's empty/interior/full pattern, since the kernel reads nothing else. Its
+move bitmask is its whole result: a state keeps itself (a self-loop) exactly
+when some present (cell, strategy) group's bit is unset
+(`oracle.TransitionDigraph.self_loops`). The
 closed forms' quantifiers over states (S invariance, cooperation preservation)
 ask whether a side can be out-earned, in O(types²) (`CellSpace.outearns`).
 
@@ -30,6 +33,7 @@ on first use, so only a space that an oracle is built on needs int64 steps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -83,6 +87,13 @@ class CellSpace:
         self.strides: tuple[int, ...] = tuple(strides)
         self.n_states: int = strides[0] * (self.caps[0] + 1)
         self._ranks: dict[int, np.ndarray] = {}  # `ranks` by n_c
+        # the types' cooperator, then defector, utility lines times the lcm of
+        # every denominator: exact integer (slope, intercept) pairs in the same
+        # order, as the scale is positive
+        types = list(pop.all_types())
+        lines = [t.cooperator_utility for t in types] + [t.defector_utility for t in types]
+        scale = math.lcm(*(v.denominator for line in lines for v in (line.slope, line.intercept)))
+        self._lines = [(int(line.slope * scale), int(line.intercept * scale)) for line in lines]
         self.position: dict[tuple[str, str, int], int] = {
             c.key: k for k, c in enumerate(cells)
         }
@@ -225,13 +236,14 @@ class CellSpace:
     def ranks(self, n_c: int) -> np.ndarray:
         """(2, types): each type's cooperator, then defector, utility at n_c, in
         `types` order, as its dense rank among all 2·types of them, so that
-        ranks compare exactly, ties included. Computed on first use of n_c."""
+        ranks compare exactly, ties included. The utilities are the integer
+        lines over one denominator, evaluated at n_c; computed on first use
+        of n_c."""
         if n_c not in self._ranks:
-            types = list(self.pop.all_types())
-            values = [t.cooperator_utility(n_c) for t in types] + [t.defector_utility(n_c) for t in types]
+            values = [slope * n_c + intercept for slope, intercept in self._lines]
             dense = {v: r for r, v in enumerate(sorted(set(values)))}
-            ranks = np.array([dense[v] for v in values], dtype=np.min_scalar_type(-2 * len(types)))
-            self._ranks[n_c] = ranks.reshape(2, len(types))
+            ranks = np.array([dense[v] for v in values], dtype=np.min_scalar_type(-len(values)))
+            self._ranks[n_c] = ranks.reshape(2, -1)
         return self._ranks[n_c]
 
     # The move table, one entry per possible move in ascending order of step:
@@ -271,43 +283,48 @@ class CellSpace:
         tie keeps the strategy. A best responder compares its own type's
         cooperator and defector ranks. An imitator copies the top earner: it
         compares the best present cooperator's rank with the best present
-        defector's (-1 for an empty side).
+        defector's. The ranks are shifted up by one, so that 0 stands for an
+        empty side, and a type's rank counts toward a top times its presence.
 
         The kernel reads `coords` only through n_c = sum(coords),
         `coords[k] > 0` and `coords[k] < caps[k]`, so states that agree on
         these get the same moves; the oracle build relies on this. Each
         array's dtype must hold the population size, as n_c is summed in it.
         """
-        caps = self.caps
         n_c = coords[0].copy()
         for arr in coords[1:]:
             n_c += arr
-        # the ranks at each n_c of the batch, by type: (types, n_c - lo)
-        lo = int(n_c.min())
-        rank_c, rank_d = np.stack([self.ranks(v) for v in range(lo, int(n_c.max()) + 1)], axis=-1)
-        at = n_c - lo
+        # one gather of the shifted ranks (1 to 2·types, so in a type that holds
+        # 2·types) at each n_c of the batch: row t holds type t's cooperators,
+        # row types + t its defectors
+        lo, types = int(n_c.min()), len(self.types)
+        table = np.array([self.ranks(v) for v in range(lo, int(n_c.max()) + 1)],
+                         dtype=np.min_scalar_type(2 * types)).reshape(-1, 2 * types).T + 1
+        ranks = np.take(table, np.subtract(n_c, lo, dtype=np.intp), axis=1)
 
-        top_c = np.full(n_c.shape, -1, dtype=rank_c.dtype)
+        has_c = [arr > 0 for arr in coords]
+        has_d = [arr < cap for arr, cap in zip(coords, self.caps)]
+        top_c = np.zeros(n_c.shape, dtype=ranks.dtype)
         top_d = top_c.copy()
         for t, positions in enumerate(self.cells_of_type.values()):
-            has_c = coords[positions[0]] > 0
-            has_d = coords[positions[0]] < caps[positions[0]]
+            type_c, type_d = has_c[positions[0]], has_d[positions[0]]
             for k in positions[1:]:
-                has_c |= coords[k] > 0
-                has_d |= coords[k] < caps[k]
-            np.maximum(top_c, rank_c[t][at], out=top_c, where=has_c)
-            np.maximum(top_d, rank_d[t][at], out=top_d, where=has_d)
+                type_c, type_d = type_c | has_c[k], type_d | has_d[k]
+            np.maximum(top_c, ranks[t] * type_c, out=top_c)
+            np.maximum(top_d, ranks[types + t] * type_d, out=top_d)
 
+        # each bit is a mask cast to the move dtype and shifted: from 33 cells
+        # that dtype is object, whose Python ints do not overflow
         moves = np.zeros(n_c.shape, dtype=self.move_dtype)
         for k, cell in enumerate(self.cells):
             if cell.role == BEST_RESPONDER:
                 t = self.type_row[k]
-                own_c, own_d = rank_c[t][at], rank_d[t][at]
+                own_c, own_d = ranks[t], ranks[types + t]
             else:
                 own_c, own_d = top_c, top_d
             wants_c, wants_d = own_c > own_d, own_d > own_c
-            np.bitwise_or(moves, 1 << 2 * k, out=moves, where=(coords[k] > 0) & wants_d)
-            np.bitwise_or(moves, 1 << 2 * k + 1, out=moves, where=(coords[k] < caps[k]) & wants_c)
+            moves |= (has_c[k] & wants_d).astype(self.move_dtype) << 2 * k
+            moves |= (has_d[k] & wants_c).astype(self.move_dtype) << 2 * k + 1
         return moves
 
     def outearns(self, ranges: Sequence[tuple[int, int]], n_c: int, side: str) -> bool:

@@ -12,10 +12,10 @@ stationary solve has its own guard, on the bytes of its band matrix. Output
 paths are checked before the command runs: an unwritable one is a
 configuration error before any work.
 
-A command imports the analysis modules it runs when it runs, and `verify`
-only under --verify, so each process loads and compiles no other popdyn
-code: `import popdyn.cli` itself loads only `errors` and `model`, and no
-numpy.
+A command imports the analysis modules it runs when it runs, `verify` only
+under --verify and `adjacency` only under `oracle --adjacency`, so each
+process loads and compiles no other popdyn code: `import popdyn.cli` itself
+loads only `errors` and `model`, and no numpy.
 
 Each process runs a command through `run()`, which freezes every object once
 the command has returned, so the interpreter's last collection at exit

@@ -1,6 +1,7 @@
 """Seeded random small populations for the cross-check suites, the update
 rules straight from a population's tempers and `Fraction`s as their
-reference, the top earners of every listed state as the reference for the
+reference (bit by bit for the kernel's moves, and as dense ranks for its
+utility ranks), the top earners of every listed state as the reference for the
 top-earner test (`CellSpace.outearns`), whole-space membership masks,
 decoded through the space's column builder, with a generic closure test as
 the reference for the X and S checks, and a plain 0-1 search over the
@@ -199,6 +200,27 @@ def reference_outearns(space, ranges, n_c, side):
     `reference_top_utilities` have `side`'s top utility above the other's?"""
     own = 0 if side == C else 1
     return any(sups[own] > sups[1 - own] for sups in reference_top_utilities(space, ranges, n_c))
+
+
+def reference_ranks(pop, n_c) -> list[list[int]]:
+    """`CellSpace.ranks` from the `Fraction`s: each type's cooperator, then
+    defector, utility at n_c, as its dense rank among all of them."""
+    types = list(pop.all_types())
+    values = [t.cooperator_utility(n_c) for t in types] + [t.defector_utility(n_c) for t in types]
+    order = sorted(set(values))
+    ranks = [order.index(v) for v in values]
+    return [ranks[: len(types)], ranks[len(types) :]]
+
+
+def reference_moves(space, coords) -> int:
+    """`CellSpace.moves` at one refined state, bit by bit from `reference_next`."""
+    moves = 0
+    for k, cap in enumerate(space.caps):
+        if coords[k] > 0 and reference_next(space, coords, k, C) == D:
+            moves |= 1 << 2 * k
+        if coords[k] < cap and reference_next(space, coords, k, D) == C:
+            moves |= 1 << 2 * k + 1
+    return moves
 
 
 def reference_next(space, coords, k, current):

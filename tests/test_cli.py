@@ -727,6 +727,7 @@ def test_commands_load_only_their_modules(tmp_path):
         ("invariants", "--verify"): graph | {"popdyn.invariants", "popdyn.verify"},
         ("oracle",): graph,
         ("oracle", "--verify"): graph | {"popdyn.verify"},
+        ("oracle", "--adjacency", str(tmp_path / "adj.txt")): graph | {"popdyn.adjacency"},
         ("stochastic",): graph | {"popdyn.stochastic"},
         ("stochastic", "--verify"):
             graph | {"popdyn.stochastic", "popdyn.verify", "popdyn.equilibria"},
@@ -735,6 +736,8 @@ def test_commands_load_only_their_modules(tmp_path):
         code, loaded, numpy = child(*form, "--config", str(FIXDIR / "ex7_1.json"))
         assert (code, loaded) == (0, sorted(modules)), form
         assert bool(numpy) == ("popdyn.cells" in modules), form
+        # the export's formatter is compiled only where the export is written
+        assert ("popdyn.adjacency" in loaded) == ("--adjacency" in form), form
 
 
 def test_stochastic_verify_ex7_1(tmp_path):
@@ -894,25 +897,25 @@ def test_each_population_ranks_each_count_once(monkeypatch):
     # utilities at a cooperator count when first asked: the S verdicts of
     # the plain invariants report share it, and a run ranks only the counts
     # of the states it visits, not all n + 1
-    from popdyn import cells, model
+    from popdyn import cells
     from popdyn.dynamics import UniformRandom, simulate
     from popdyn.invariants import invariance_report
 
     spaces, ranked = [], []
-    init, line = cells.CellSpace.__init__, model.UtilityLine.__call__
+    init, ranks = cells.CellSpace.__init__, cells.CellSpace.ranks
 
     def counting_init(self, pop):
         spaces.append(pop)
         init(self, pop)
 
-    def counting_line(self, n_c):
-        # a utility evaluated for the ranks, by line and count
-        if sys._getframe(1).f_globals["__name__"] == cells.__name__:
-            ranked.append((id(self), n_c))
-        return line(self, n_c)
+    def counting_ranks(self, n_c):
+        # a count not yet in its space's cache is ranked now, by population and count
+        if n_c not in self._ranks:
+            ranked.append((id(self.pop), n_c))
+        return ranks(self, n_c)
 
     monkeypatch.setattr(cells.CellSpace, "__init__", counting_init)
-    monkeypatch.setattr(model.UtilityLine, "__call__", counting_line)
+    monkeypatch.setattr(cells.CellSpace, "ranks", counting_ranks)
 
     invariance_report(probe_population(17))
     assert len(spaces) == 1

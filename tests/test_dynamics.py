@@ -10,6 +10,10 @@ import pytest
 
 from genpop import (
     best_response_next,
+    population,
+    probe_population,
+    reference_moves,
+    reference_ranks,
     reference_next,
     reference_step,
     sample_populations,
@@ -28,7 +32,7 @@ from popdyn.dynamics import (
     simulate,
 )
 from popdyn.errors import NoSuchAgent
-from popdyn.model import State
+from popdyn.model import State, UtilityLine, validate_population
 
 
 def test_best_response_threshold_rule():
@@ -79,6 +83,102 @@ def test_best_responders_rank_comparison_is_the_threshold_rule(pops):
 def test_the_kernel_reads_no_threshold_rule():
     for path in Path(popdyn.__file__).parent.glob("*.py"):
         assert "best_response_next" not in path.read_text(), path.name
+
+
+def _tied_population():
+    """A cooperator line of one type and the defector line of another tie at
+    an integer count (1), and another pair at 0."""
+    return validate_population({
+        "anticoordinating": [{"uC": UtilityLine(-1, Fraction(7, 2)), "uD": UtilityLine(0, 0),
+                              "bestResponders": 3, "imitators": 2}],
+        "coordinating": [{"uC": UtilityLine(1, 0), "uD": UtilityLine(0, Fraction(5, 2)),
+                          "bestResponders": 2, "imitators": 2}],
+    })
+
+
+def _large_denominator_population():
+    """Utility lines whose denominators' lcm exceeds 2^64: two cooperator
+    lines that differ by less than 2^-30 at every count, and one that exceeds
+    a third type's defector line by 2^-61, which a float does not hold."""
+    p1, p2, p3 = 2**61 - 1, 2**31 - 1, 2**32 - 5  # primes
+    return validate_population({"anticoordinating": [], "coordinating": [
+        {"uC": UtilityLine(1, Fraction(1, p1)), "uD": UtilityLine(0, Fraction(5, 2)),
+         "bestResponders": 2, "imitators": 1},
+        {"uC": UtilityLine(1, Fraction(1, p2)), "uD": UtilityLine(0, Fraction(7, 2) + Fraction(1, p3)),
+         "bestResponders": 1, "imitators": 2},
+        {"uC": UtilityLine(2, Fraction(-9, 2)), "uD": UtilityLine(1, 0), "bestResponders": 1},
+    ]})
+
+
+def _distinct_population():
+    """64 types of one best responder whose 128 utility lines take distinct
+    values at every count, so the ranks run up to 127."""
+    return validate_population({"coordinating": [], "anticoordinating": [
+        {"uC": UtilityLine(-1, Fraction(2 * i + 1, 2)), "uD": UtilityLine(0, Fraction(i, 1000)),
+         "bestResponders": 1} for i in range(1, 65)]})
+
+
+def _counts_to_rank(pop):
+    """Every count 0..n; past 10,000 agents, the counts next to each crossing
+    of two utility lines, and 0 and n. The lines' order, and so the ranks, is
+    the same at every count between two consecutive crossings, and each run
+    of such counts holds one next to a crossing, so these counts cover every
+    ranking that occurs."""
+    if pop.n <= 10_000:
+        return range(pop.n + 1)
+    lines = [line for t in pop.all_types() for line in (t.cooperator_utility, t.defector_utility)]
+    counts = {0, pop.n}
+    for a, b in itertools.combinations(lines, 2):
+        if a.slope != b.slope:
+            x = (b.intercept - a.intercept) / (a.slope - b.slope)
+            counts.update(v for v in range(math.floor(x) - 1, math.ceil(x) + 2) if 0 <= v <= pop.n)
+    return sorted(counts)
+
+
+def test_ranks_match_the_fraction_reference(pops):
+    # the integer lines over one denominator rank exactly as the Fractions do:
+    # ties at an integer count, lines a tiny fraction apart, and a common
+    # denominator past 2^64
+    tied, large, distinct = _tied_population(), _large_denominator_population(), _distinct_population()
+    lines = [line for t in large.all_types() for line in (t.cooperator_utility, t.defector_utility)]
+    assert math.lcm(*(v.denominator for line in lines for v in (line.slope, line.intercept))) > 2**64
+    ladder = [*map(probe_population, (17, 31, 32, 40)), *(population("ex1", f) for f in (10, 100, 1000))]
+    generated = [*sample_populations(seed=23, count=150), *sample_populations(seed=29, count=150)]
+    checked = 0
+    for pop in [*pops.values(), *generated, *ladder, tied, large, distinct]:
+        space = CellSpace(pop)
+        for n_c in _counts_to_rank(pop):
+            ranks = space.ranks(n_c)
+            assert ranks.tolist() == reference_ranks(pop, n_c), n_c
+            assert ranks.dtype == np.min_scalar_type(-2 * len(space.types))
+            checked += 1
+    assert checked > 10_000
+    assert tied.space.ranks(1)[0, 0] == tied.space.ranks(1)[1, 1]  # the tie at 1
+    assert distinct.space.ranks(0).max() == 127
+
+
+@pytest.mark.parametrize("name, size, states", [("probe", 17, 40), ("probe", 32, 30), ("probe", 40, 30),
+                                                ("probe", 64, 10), ("ex1", 10, 300), ("ex1", 100, 300),
+                                                ("tied", 1, 300), ("large", 1, 300),
+                                                ("distinct", 1, 100)])
+def test_moves_match_the_reference_at_random_states(name, size, states):
+    # each cell empty, full or at a uniform count, so that every pattern occurs
+    pop = {"probe": lambda: probe_population(size), "ex1": lambda: population("ex1", size),
+           "tied": _tied_population, "large": _large_denominator_population,
+           "distinct": _distinct_population}[name]()
+    space = pop.space
+    # from 33 cells the bitmask takes Python ints, which the kernel must not
+    # overflow; at 64 types the shifted ranks reach 128 (the probe's defector
+    # lines tie, so its ranks stay lower)
+    assert (space.move_dtype == object) == (len(space.cells) >= 33)
+    rng = np.random.default_rng(size)
+    caps = np.array(space.caps)
+    coords = np.select([rng.random((states, caps.size)) < p for p in (1 / 3, 2 / 3)],
+                       [0, caps], rng.integers(0, caps + 1, size=(states, caps.size)))
+    moves = space.moves(list(coords.T))
+    assert moves.dtype == space.move_dtype
+    for row, got in zip(coords.tolist(), moves.tolist()):
+        assert got == reference_moves(space, row), row
 
 
 def _imitators(pop, strategy):

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from genpop import (cell_counts, reference_next, reference_step, reference_sups,
                     sample_populations, with_empty_best_responder_cell)
-from popdyn import oracle
+from popdyn import adjacency, oracle
 from popdyn.cells import IMITATOR, CellSpace
 from popdyn.dynamics import AgentRef, Scripted, simulate
 from popdyn.equilibria import enumerate_equilibria
@@ -576,7 +576,7 @@ def _adjacency_texts(graph):
 
 def test_adjacency_export_matches_row_writer_randomized(monkeypatch):
     # a few rows per block, so that rows meet block boundaries
-    monkeypatch.setattr(oracle, "_EXPORT_ROWS", 7)
+    monkeypatch.setattr(adjacency, "_EXPORT_ROWS", 7)
     pops = list(sample_populations(seed=67, count=25))
     pops.append(with_empty_best_responder_cell(pops[0]))
     for pop in pops:
@@ -593,7 +593,7 @@ def test_index_tokens_match_str_across_powers_of_ten():
         size = 8 * -(-(len(str(hi - 1)) + 1) // 8)
         for width in (size, size + 8):
             out = np.full((hi - lo, width), 0xFF, dtype=np.uint8)
-            oracle._index_tokens(lo, out)
+            adjacency._index_tokens(lo, out)
             expected = "".join(f" {i}".rjust(width, "\0") for i in range(lo, hi))
             assert out.tobytes() == expected.encode("ascii"), (edge, width)
 
@@ -602,7 +602,7 @@ def test_index_tokens_match_str_across_powers_of_ten():
 def test_adjacency_export_window_slides_across_blocks(monkeypatch, graphs, rows):
     # ex7_1's largest stride (24) exceeds the block, and the window a block
     # needs, twice over, is shorter than the state space: the window moves
-    monkeypatch.setattr(oracle, "_EXPORT_ROWS", rows)
+    monkeypatch.setattr(adjacency, "_EXPORT_ROWS", rows)
     g = graphs("ex7_1")
     reach = int(np.abs(g.steps).max())
     assert rows < reach and 2 * (rows + 2 * reach) < g.n_states + 2 * reach
@@ -650,3 +650,29 @@ def test_sorted_unique_matches_np_unique():
     for values in cases:
         expected, got = np.unique(values), oracle.sorted_unique(values)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_sparse_zeros_allocate_without_huge_pages_and_restore_the_setting(monkeypatch):
+    # numpy's huge-page advice is off while the array is allocated, and its
+    # previous setting comes back, also when the allocation raises
+    advise = np._core.multiarray._set_madvise_hugepage
+    zeros, during = np.zeros, []
+
+    def recording(*args, **kwargs):
+        during.append(advise(False))  # the setting while allocating
+        return zeros(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording)
+    previous = advise(True)
+    try:
+        for setting in (True, False, True):
+            advise(setting)
+            label = oracle._sparse_zeros(5, np.uint8)
+            assert label.dtype == np.uint8 and not label.any()
+            assert advise(setting) is setting
+            with pytest.raises(ValueError):
+                oracle._sparse_zeros(-1, np.uint8)
+            assert advise(setting) is setting
+    finally:
+        advise(previous)
+    assert during == [False] * 6
