@@ -9,7 +9,8 @@ the complete equilibrium set; the reachability oracle confirms it.
 from popdyn.equilibria import classify_stability, enumerate_equilibria
 from popdyn.errors import AssumptionViolated
 from popdyn.fixtures import fixture_population
-from popdyn.oracle import build_transition_digraph, is_stable_oracle, minimal_invariant_sets
+from popdyn.local import is_stable_oracle
+from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 
 pop = fixture_population("ex1")
 print(f"population: n={pop.n}, m={pop.m} imitators, "
@@ -25,7 +26,7 @@ for rec in records:
         verdict = classify_stability(pop, rec).status
     except AssumptionViolated as exc:
         verdict = f"deferred ({exc})"
-    oracle_verdict = "stable" if is_stable_oracle(graph, rec.state) else "unstable"
+    oracle_verdict = "stable" if is_stable_oracle(pop, rec.state) else "unstable"
     print(f"  {rec.state.to_tuple()}  nC={rec.n_c:3d}  {rec.kind:11s} "
           f"closed-form: {verdict:8s} oracle: {oracle_verdict}")
 

@@ -283,8 +283,8 @@ class CellSpace:
         tie keeps the strategy. A best responder compares its own type's
         cooperator and defector ranks. An imitator copies the top earner: it
         compares the best present cooperator's rank with the best present
-        defector's. The ranks are shifted up by one, so that 0 stands for an
-        empty side, and a type's rank counts toward a top times its presence.
+        defector's. A type's rank counts toward a top times its presence, so an
+        empty side's top is 0, the lowest rank, and no imitator switches to it.
 
         The kernel reads `coords` only through n_c = sum(coords),
         `coords[k] > 0` and `coords[k] < caps[k]`, so states that agree on
@@ -294,13 +294,11 @@ class CellSpace:
         n_c = coords[0].copy()
         for arr in coords[1:]:
             n_c += arr
-        # one gather of the shifted ranks (1 to 2·types, so in a type that holds
-        # 2·types) at each n_c of the batch: row t holds type t's cooperators,
-        # row types + t its defectors
+        # one gather of the ranks, in their own type, at each n_c of the batch:
+        # row t holds type t's cooperators, row types + t its defectors
         lo, types = int(n_c.min()), len(self.types)
-        table = np.array([self.ranks(v) for v in range(lo, int(n_c.max()) + 1)],
-                         dtype=np.min_scalar_type(2 * types)).reshape(-1, 2 * types).T + 1
-        ranks = np.take(table, np.subtract(n_c, lo, dtype=np.intp), axis=1)
+        table = np.array([self.ranks(v) for v in range(lo, int(n_c.max()) + 1)])
+        ranks = np.take(table.reshape(-1, 2 * types).T, np.subtract(n_c, lo, dtype=np.intp), axis=1)
 
         has_c = [arr > 0 for arr in coords]
         has_d = [arr < cap for arr, cap in zip(coords, self.caps)]

@@ -4,18 +4,19 @@ Commands: simulate | equilibria | invariants | oracle | stochastic.
 Exit codes: 0 success, 2 configuration error (the config, an option's value,
 a file that cannot be opened, or a population the command does not take),
 3 state-space guard exceeded, 4 verification failure, 5 internal error. The
-state guard, --max-states (default 10^6 refined states), is read only where an
-oracle is built: `oracle`, `stochastic`, `equilibria --oracle` or --verify,
-and `invariants --verify`; there it must be a positive integer, and it is
-checked against the population's refined states before any other work. The
-stationary solve has its own guard, on the bytes of its band matrix. Output
-paths are checked before the command runs: an unwritable one is a
-configuration error before any work.
+state guard, --max-states (default 10^6 refined states), is read only by
+`oracle`, `stochastic`, `equilibria --oracle` or --verify, and `invariants
+--verify`, which all build an oracle but `equilibria --oracle`; there it must
+be a positive integer, and it is checked against the population's refined
+states before any other work. The stationary solve has its own guard, on the
+bytes of its band matrix. Output paths are checked before the command runs:
+an unwritable one is a configuration error before any work.
 
 A command imports the analysis modules it runs when it runs, `verify` only
-under --verify and `adjacency` only under `oracle --adjacency`, so each
-process loads and compiles no other popdyn code: `import popdyn.cli` itself
-loads only `errors` and `model`, and no numpy.
+under --verify, `local` only under `equilibria --oracle` or --verify and
+`adjacency` only under `oracle --adjacency`, so each process loads and
+compiles no other popdyn code: `import popdyn.cli` itself loads only
+`errors` and `model`, and no numpy.
 
 Each process runs a command through `run()`, which freezes every object once
 the command has returned, so the interpreter's last collection at exit
@@ -180,21 +181,27 @@ def cmd_equilibria(args) -> int:
     from . import equilibria
 
     pop = _load_population(args.config)
-    # the oracle, and its guard, come before the report, so a refusal does not wait for it
-    graph = _oracle_graph(pop, args) if args.verify or args.oracle else None
+    # the guard, and the oracle of --verify, come before the report, so a
+    # refusal does not wait for it; the stability searches read no oracle
+    if args.verify:
+        graph = _oracle_graph(pop, args)
+    elif args.oracle:
+        from . import oracle
+
+        oracle.check_state_guard(pop.space, _max_states(args))
     records = equilibria.enumerate_equilibria(pop)
     report = equilibria.equilibria_report(pop, records)
     problems: list[str] = []
-    if graph is not None:
+    if args.oracle or args.verify:
         from . import oracle
 
         for entry, rec in zip(report["equilibria"], records):
-            entry["oracle_stable"] = oracle.is_stable_oracle(graph, rec.state)
-        if args.verify:
-            from . import verify
+            entry["oracle_stable"] = oracle.is_stable_oracle(pop, rec.state)
+    if args.verify:
+        from . import verify
 
-            problems = verify.verify_equilibria(pop, graph)
-            report["verification"] = _verification(problems)
+        problems = verify.verify_equilibria(pop, graph, records=records)
+        report["verification"] = _verification(problems)
     _emit(report, args.json)
     return EXIT_VERIFY if problems else EXIT_OK
 

@@ -22,12 +22,12 @@ so every sink holds a cycle of that map; on ex1 / ex2 / ex3 the cycles hold
 (`_choice_cycles`). Each search for a sink starts where a short walk from a
 cycle state ends (`_walk`), which on the bundled fixtures is inside the sink,
 so the search reads about as many states as the sink holds and no search
-runs over the whole space. The stability search likewise starts at the
-neighbours of the equilibrium and decodes only the states it visits, and the
-X and S checks read the moves at their members
-(`invariants.is_closed_on_members`), so the graph holds no decoded view of
-every state; the decode and the move table are `CellSpace`'s. The adjacency
-export lives in `adjacency`, which only `oracle --adjacency` loads.
+runs over the whole space. The X and S checks read the moves at their
+members (`invariants.is_closed_on_members`), so the graph holds no decoded
+view of every state; the decode and the move table are `CellSpace`'s. The
+stability search needs no graph: `local` runs the kernel at the states it
+visits. The adjacency export lives in `adjacency`, which only `oracle
+--adjacency` loads.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .cells import CellSpace
-from .errors import NotAnEquilibrium, StateSpaceTooLarge
+from .errors import StateSpaceTooLarge
 from .model import PopulationSpec, State
 
 if TYPE_CHECKING:
@@ -104,12 +104,6 @@ class TransitionDigraph:
             count = np.arange(cap + 1)
             present += self.space.column(k, np.add(count > 0, count < cap, dtype=np.uint8), lo, hi)
         return np.bitwise_count(self.moves[lo:hi]) < present
-
-    def indices_of(self, state) -> list[int]:
-        """The refined states of a pooled State, or the one state of refined coords."""
-        if isinstance(state, State):
-            return [self.space.index_of(c) for c in self.space.splits_of_pooled(state)]
-        return [self.space.index_of(self.space.refine(state))]
 
     def pooled_states_of(self, indices: np.ndarray | Sequence[int]) -> frozenset[State]:
         """The pooled states of refined state indices, one `State` per distinct one.
@@ -290,11 +284,7 @@ def build_transition_digraph(pop: PopulationSpec,
     refined states is refused before any of this.
     """
     space = pop.space
-    if space.n_states > max_states:
-        raise StateSpaceTooLarge(
-            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
-        )
-
+    check_state_guard(space, max_states)
     n, split = space.n_states, _inner_split(space.caps)
     dtype = np.min_scalar_type(pop.n)
     cls, size, rep_digits = _inner_classes(space, split, dtype)
@@ -308,6 +298,14 @@ def build_transition_digraph(pop: PopulationSpec,
         np.take(rep_moves, cls, out=moves[lo : lo + block], mode="clip")
         n_edges += int(np.bitwise_count(rep_moves) @ size)
     return TransitionDigraph(pop, moves, n_edges)
+
+
+def check_state_guard(space: CellSpace, max_states: int) -> None:
+    """Refuse a space of more than `max_states` refined states."""
+    if space.n_states > max_states:
+        raise StateSpaceTooLarge(
+            f"{space.n_states} refined states exceed the guard of {max_states}; raise max_states"
+        )
 
 
 def _inner_classes(space: CellSpace, split: int, dtype) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -531,39 +529,12 @@ def _walk(graph: TransitionDigraph, start: int) -> list[int]:
     return path
 
 
-def is_equilibrium_oracle(graph: TransitionDigraph, state) -> bool:
-    """True iff every refined representative has itself as only successor."""
-    return not graph.moves[graph.indices_of(state)].any()
+def is_stable_oracle(pop: PopulationSpec, eq: State) -> bool:
+    """Whether the equilibrium eq is stable, from the kernel at the states its
+    search visits (see `local`, which this loads)."""
+    from .local import is_stable_oracle
 
-
-def is_stable_oracle(graph: TransitionDigraph, eq: State) -> bool:
-    """Discrete stability: no trajectory from pooled distance 1 ever exceeds it.
-
-    The search starts at the states at pooled distance 1 (`_stability_starts`)
-    and decodes only the states of each layer it visits, so it costs what the
-    ball around eq holds, not the whole state space.
-    """
-    if not is_equilibrium_oracle(graph, eq):
-        raise NotAnEquilibrium(f"{eq} is not an equilibrium")
-    pooled = np.array([eq.xI, *eq.xa, *eq.xc])[:, None]  # as `CellSpace.pooled_columns`
-    seen = np.zeros(graph.n_states, dtype=bool)
-    for layer in search_layers(*graph.oriented(), _stability_starts(graph, eq), seen, False, True):
-        if (np.abs(graph.space.pooled_columns(layer) - pooled).sum(axis=0) > 1).any():
-            return False
-    return True
-
-
-def _stability_starts(graph: TransitionDigraph, eq: State) -> np.ndarray:
-    """The states at pooled distance 1 from eq, sorted: the grid neighbours
-    (one cell one agent off, within its capacity) of eq's refined splits.
-
-    Such a neighbour has one best responder's count off its target or the
-    imitator total off by one, so it lies at distance 1; and every state at
-    distance 1 is one such move away from a split.
-    """
-    splits = np.array(graph.indices_of(eq), dtype=np.int64)
-    neighbours = splits + graph.steps[:, None]
-    return sorted_unique(neighbours[graph.space.group_sizes(splits) > 0])
+    return is_stable_oracle(pop, eq)
 
 
 def export_adjacency(graph: TransitionDigraph, stream) -> None:

@@ -2,8 +2,8 @@
 
 Each verifier returns a list of problem strings; an empty list means every
 cross-check agreed. Each battery imports the analysis modules it calls when
-it runs, so `oracle --verify` loads no `equilibria`, `invariants` or
-`stochastic`, and `stochastic --verify` no `invariants`.
+it runs, so `oracle --verify` loads no `equilibria`, `invariants`,
+`stochastic` or `local`, and `stochastic --verify` no `invariants`.
 """
 
 from __future__ import annotations
@@ -16,36 +16,32 @@ import numpy as np
 
 from .errors import AssumptionViolated
 from .model import PopulationSpec, State
-from .oracle import (
-    TransitionDigraph,
-    frontier_search,
-    is_equilibrium_oracle,
-    is_stable_oracle,
-    minimal_invariant_sets,
-)
+from .oracle import TransitionDigraph, frontier_search, minimal_invariant_sets
 
 if TYPE_CHECKING:
     from . import stochastic as st
+    from .equilibria import EquilibriumRecord
 
 DEFAULT_EPSILONS = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
 
 
-def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str]:
+def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph,
+                      records: list[EquilibriumRecord]) -> list[str]:
     """Analytic enumeration vs the oracle's equilibria, stability lemmas vs
     reachability, and the cooperation-preserving-group equivalence on every
-    pooled state.
+    pooled state. `records` is `equilibria.enumerate_equilibria(pop)`.
 
     The oracle's equilibria are the pooled states of the refined states with
     no move, its singleton sinks. The closed form of the equivalence asks
     n < tau and n > tau at once of a best-responder type split between C and
     D, so it is evaluated only on the pooled states where no type is split.
     The oracle's side is the equilibria all of whose refined splits have no
-    move.
+    move. Both oracle verdicts per state are `local`'s.
     """
     from . import equilibria as eq
+    from .local import is_equilibrium_oracle, is_stable_oracle
 
     problems: list[str] = []
-    records = eq.enumerate_equilibria(pop)
     analytic = {r.state for r in records}
     still = graph.pooled_states_of(np.flatnonzero(graph.moves == 0))
     if analytic != still:
@@ -61,7 +57,7 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
             continue
         if verdict.is_stable is None:
             continue
-        oracle_stable = is_stable_oracle(graph, rec.state)
+        oracle_stable = is_stable_oracle(pop, rec.state)
         if oracle_stable != verdict.is_stable:
             problems.append(
                 f"stability disagrees at {rec.state.to_tuple()}: "
@@ -74,7 +70,7 @@ def verify_equilibria(pop: PopulationSpec, graph: TransitionDigraph) -> list[str
         state = State(xI, br[:pop.b], br[pop.b:])
         if eq.is_exclusive_cooperation_preserving(pop, state):
             closed_form.add(state)
-    preserved = {state for state in still if is_equilibrium_oracle(graph, state)}
+    preserved = {state for state in still if is_equilibrium_oracle(pop, state)}
     for state in sorted(closed_form ^ preserved, key=State.to_tuple):
         problems.append(
             f"cooperation-preserving mismatch at {state.to_tuple()}: "
@@ -156,7 +152,10 @@ def verify_oracle(graph: TransitionDigraph) -> list[str]:
         elif not reached[res.indices].all():
             problems.append(f"minimal invariant set {res.cooperator_bounds} is not strongly reachable")
 
-    reaches_sink = frontier_search(graph, np.flatnonzero(owner >= 0), reverse=True)
+    # the label is not read again: releasing it lowers the backward search's peak
+    members = np.flatnonzero(owner >= 0)
+    del owner
+    reaches_sink = frontier_search(graph, members, reverse=True)
     if not reaches_sink.all():
         problems.append(f"state {int(np.argmin(reaches_sink))} cannot reach any minimal invariant set")
     return problems

@@ -4,8 +4,9 @@ reference (bit by bit for the kernel's moves, and as dense ranks for its
 utility ranks), the top earners of every listed state as the reference for the
 top-earner test (`CellSpace.outearns`), whole-space membership masks,
 decoded through the space's column builder, with a generic closure test as
-the reference for the X and S checks, and a plain 0-1 search over the
-perturbed chain's support as the reference for its mistake costs."""
+the reference for the X and S checks, the dense oracle's equilibrium test and
+stability search as the references for `local`'s, and a plain 0-1 search over
+the perturbed chain's support as the reference for its mistake costs."""
 
 from __future__ import annotations
 
@@ -288,6 +289,56 @@ def is_closed_under_step(graph: TransitionDigraph, mask: np.ndarray) -> bool:
         if not mask[rows[(moves & bit) != 0] + step].all():
             return False
     return True
+
+
+def _split_indices(graph: TransitionDigraph, state) -> list[int]:
+    """The refined states of a pooled state, as indices of the oracle digraph."""
+    return [graph.space.index_of(c) for c in graph.space.splits_of_pooled(state)]
+
+
+def dense_is_equilibrium(graph: TransitionDigraph, state) -> bool:
+    """The dense oracle's equilibrium test: no refined split of the pooled
+    state has a move in `graph.moves`."""
+    return not graph.moves[_split_indices(graph, state)].any()
+
+
+def dense_stability(graph: TransitionDigraph, eq) -> tuple[bool, list[int]]:
+    """The stability search over the dense oracle, and the states it read.
+
+    A breadth-first search over `graph.moves`, one state at a time, starts at
+    the grid neighbours of eq's refined splits (the states at pooled distance
+    1) and fails at the first layer that holds a state past distance 1.
+    Returns the verdict and the sorted states whose moves the search read:
+    every layer before the one that fails, each state once. The distance is
+    read from each state's decoded coords, and the layers from Python sets,
+    so that a fault in `CellSpace.pooled_columns` or `oracle.search_layers`
+    shows against it.
+    """
+    space = graph.space
+    target = (eq.xI, *eq.xa, *eq.xc)
+
+    def far(index):
+        state = space.pooled(space.coords_of(index))
+        return sum(abs(a - b) for a, b in zip((state.xI, *state.xa, *state.xc), target)) > 1
+
+    layer = set()
+    for index in _split_indices(graph, eq):
+        for count, cap, stride in zip(space.coords_of(index), space.caps, space.strides):
+            if count > 0:
+                layer.add(index - stride)
+            if count < cap:
+                layer.add(index + stride)
+    steps = list(zip(graph.steps.tolist(), graph.bits.tolist()))
+    seen, read = set(layer), []
+    while layer:
+        if any(map(far, layer)):
+            return False, sorted(read)
+        read += layer
+        here = {index: int(graph.moves[index]) for index in layer}
+        layer = {index + step for index, moves in here.items()
+                 for step, bit in steps if moves & bit} - seen
+        seen |= layer
+    return True, sorted(read)
 
 
 def mistake_cost(chain, sources, targets) -> int | float:

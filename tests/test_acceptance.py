@@ -15,12 +15,8 @@ from popdyn import stochastic as st
 from popdyn.equilibria import classify_stability, enumerate_equilibria
 from popdyn.fixtures import fixture_config
 from popdyn.invariants import invariance_report
-from popdyn.oracle import (
-    build_transition_digraph,
-    is_equilibrium_oracle,
-    is_stable_oracle,
-    minimal_invariant_sets,
-)
+from popdyn.local import is_equilibrium_oracle, is_stable_oracle
+from popdyn.oracle import build_transition_digraph, minimal_invariant_sets
 from popdyn.verify import verify_equilibria, verify_invariants
 
 EPS_GRID = (Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10000))
@@ -75,7 +71,7 @@ def test_criterion_2_ex2_equilibrium_and_fluctuation(pops, graphs):
     eq = pop.state(14, 9, 0, 0, 0, 0)
     records = enumerate_equilibria(pop)
     analytic_eq = len(records) == 1 and records[0].state == eq
-    oracle_eq = is_equilibrium_oracle(graph, eq)
+    oracle_eq = is_equilibrium_oracle(pop, eq)
 
     multis = [s for s in minimal_invariant_sets(graph) if not s.is_singleton]
     pattern_ok = False
@@ -87,7 +83,7 @@ def test_criterion_2_ex2_equilibrium_and_fluctuation(pops, graphs):
             pattern_ok = True
 
     verdict = classify_stability(pop, records[0])
-    oracle_stable = is_stable_oracle(graph, eq)
+    oracle_stable = is_stable_oracle(pop, eq)
     _criterion(2, [
         ("analytic equilibrium is exactly (14,9,0,0,0,0)", analytic_eq),
         ("oracle confirms it", oracle_eq),
@@ -214,7 +210,7 @@ def test_criterion_8_randomized_property_suite():
     problems = []
     for k, pop in enumerate(sample_populations(seed=20260810, count=count)):
         graph = build_transition_digraph(pop, max_states=400_000)
-        problems += verify_equilibria(pop, graph)
+        problems += verify_equilibria(pop, graph, enumerate_equilibria(pop))
         problems += verify_invariants(pop, graph, invariance_report(pop))
     elapsed = time.perf_counter() - t0
     _criterion(8, [

@@ -352,6 +352,23 @@ def test_oracle_command_builds_no_decoded_views(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_equilibria_oracle_builds_no_oracle(tmp_path, monkeypatch):
+    # the stability searches read the kernel at the states they visit; the
+    # report is the benchmark's pin, which the dense oracle's searches wrote
+    from popdyn import oracle
+
+    def build(*args, **kwargs):
+        raise AssertionError("dense oracle built")
+
+    monkeypatch.setattr(oracle, "build_transition_digraph", build)
+    out = tmp_path / "e.json"
+    assert run_cli("equilibria", "--oracle", "--config", str(FIXDIR / "ex2.json"),
+                   "--max-states", "20000000", "--json", str(out)) == cli.EXIT_OK
+    spec = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "spec.json").read_text())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        spec["digests"]["ex2.equilibria-oracle"]["json"])
+
+
 @pytest.mark.parametrize("command, config, flags, option, work", [
     ("simulate", "ex2", ["--steps", "200000", "--seed", "0"], "--csv", "dynamics.simulate"),
     ("equilibria", "ex7_2", [], "--json", "equilibria.enumerate_equilibria"),
@@ -721,8 +738,8 @@ def test_commands_load_only_their_modules(tmp_path):
         ("simulate", "--steps", "10", "--seed", "0"): base | {"popdyn.cells", "popdyn.dynamics"},
         # the closed forms alone read no refined space, so no numpy
         ("equilibria",): base | {"popdyn.equilibria"},
-        ("equilibria", "--oracle"): graph | {"popdyn.equilibria"},
-        ("equilibria", "--verify"): graph | {"popdyn.equilibria", "popdyn.verify"},
+        ("equilibria", "--oracle"): graph | {"popdyn.equilibria", "popdyn.local"},
+        ("equilibria", "--verify"): graph | {"popdyn.equilibria", "popdyn.verify", "popdyn.local"},
         ("invariants",): base | {"popdyn.cells", "popdyn.invariants"},
         ("invariants", "--verify"): graph | {"popdyn.invariants", "popdyn.verify"},
         ("oracle",): graph,
@@ -736,8 +753,11 @@ def test_commands_load_only_their_modules(tmp_path):
         code, loaded, numpy = child(*form, "--config", str(FIXDIR / "ex7_1.json"))
         assert (code, loaded) == (0, sorted(modules)), form
         assert bool(numpy) == ("popdyn.cells" in modules), form
-        # the export's formatter is compiled only where the export is written
+        # the export's formatter is compiled only where the export is written,
+        # and the kernel-backed stability search only where equilibria reads it
         assert ("popdyn.adjacency" in loaded) == ("--adjacency" in form), form
+        assert ("popdyn.local" in loaded) == (form[:2] in {("equilibria", "--oracle"),
+                                                          ("equilibria", "--verify")}), form
 
 
 def test_stochastic_verify_ex7_1(tmp_path):

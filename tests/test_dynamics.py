@@ -168,8 +168,8 @@ def test_moves_match_the_reference_at_random_states(name, size, states):
            "distinct": _distinct_population}[name]()
     space = pop.space
     # from 33 cells the bitmask takes Python ints, which the kernel must not
-    # overflow; at 64 types the shifted ranks reach 128 (the probe's defector
-    # lines tie, so its ranks stay lower)
+    # overflow; at 64 types the ranks reach 127, the most an int8 holds (the
+    # probe's defector lines tie, so its ranks stay lower)
     assert (space.move_dtype == object) == (len(space.cells) >= 33)
     rng = np.random.default_rng(size)
     caps = np.array(space.caps)

@@ -126,11 +126,11 @@ def test_classify_all_cooperate_defers_with_both_readings():
     assert "reading_n_gt_tau_c_bprime_plus_1" in verdict.details
     assert "reading_n_gt_tau_c_b_plus_1" in verdict.details
 
-    from popdyn.oracle import build_transition_digraph, is_stable_oracle
+    from popdyn.local import is_stable_oracle
 
     # both readings say yes here (n = 6 > tau_c + 1), and the oracle concurs
     assert verdict.details["reading_n_gt_tau_c_bprime_plus_1"] is True
-    assert is_stable_oracle(build_transition_digraph(pop), top.state)
+    assert is_stable_oracle(pop, top.state)
 
 
 def test_classify_requires_lemma_assumptions(pops):
@@ -160,9 +160,9 @@ def test_classify_stable_instance():
     rec = next(r for r in recs if r.candidate.r == 0 and r.candidate.j1 == 1)
     assert classify_stability(pop, rec).status == "stable"
 
-    from popdyn.oracle import build_transition_digraph, is_stable_oracle
+    from popdyn.local import is_stable_oracle
 
-    assert is_stable_oracle(build_transition_digraph(pop), rec.state)
+    assert is_stable_oracle(pop, rec.state)
 
 
 def test_cooperation_preserving_on_fixture_equilibria(pops):

@@ -2,14 +2,17 @@ import hashlib
 import io
 import math
 import tracemalloc
+from collections import Counter
+from itertools import chain, product
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import breadth_first_order
 
-from genpop import (cell_counts, reference_next, reference_step, reference_sups,
-                    sample_populations, with_empty_best_responder_cell)
-from popdyn import adjacency, oracle
+from genpop import (cell_counts, dense_is_equilibrium, dense_stability, reference_next,
+                    reference_step, reference_sups, sample_populations,
+                    with_empty_best_responder_cell)
+from popdyn import adjacency, local, oracle
 from popdyn.cells import IMITATOR, CellSpace
 from popdyn.dynamics import AgentRef, Scripted, simulate
 from popdyn.equilibria import enumerate_equilibria
@@ -20,13 +23,8 @@ from popdyn.model import (
     UtilityLine,
     validate_population,
 )
-from popdyn.oracle import (
-    build_transition_digraph,
-    export_adjacency,
-    is_equilibrium_oracle,
-    is_stable_oracle,
-    minimal_invariant_sets,
-)
+from popdyn.local import is_equilibrium_oracle, is_stable_oracle
+from popdyn.oracle import build_transition_digraph, export_adjacency, minimal_invariant_sets
 
 
 def test_ex7_2_has_72_nodes(graphs):
@@ -434,18 +432,48 @@ def test_stability_matches_full_mask_reference(pops):
     verdicts = set()
     for pop in corpus:
         g = build_transition_digraph(pop, max_states=20_000_000)
-        built = set(vars(g))
         states = [rec.state for rec in enumerate_equilibria(pop)]
-        got = [is_stable_oracle(g, eq) for eq in states]
-        starts = [oracle._stability_starts(g, eq) for eq in states]
-        # the search decodes only the states it visits, and caches no view on the graph
-        assert set(vars(g)) == built
+        got = [is_stable_oracle(pop, eq) for eq in states]
+        starts = [local._stability_starts(pop.space, local.split_indices(pop.space, eq))
+                  for eq in states]
         for eq, verdict, start in zip(states, got, starts):
             dist = _pooled_distance(g, eq)
             assert verdict == _is_stable_full_mask(g, dist)
             assert start.tolist() == np.flatnonzero(dist == 1).tolist()
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_local_answers_match_the_dense_oracle(pops, graphs, monkeypatch):
+    # the kernel source is read at the equilibrium's splits, then at each
+    # state that the dense search reads, once, and at no other state
+    read = []
+    kernel = local.KernelMoves.__getitem__
+
+    def recording(self, indices):
+        read.append(np.asarray(indices).tolist())
+        return kernel(self, indices)
+
+    monkeypatch.setattr(local.KernelMoves, "__getitem__", recording)
+    generated = [*sample_populations(seed=23, count=150), *sample_populations(seed=29, count=150)]
+    verdicts = Counter()
+    for pop in [*(pops[name] for name in sorted(pops)), *generated]:
+        records = enumerate_equilibria(pop)
+        g = build_transition_digraph(pop, max_states=20_000_000) if records else None
+        for rec in records:
+            read.clear()
+            want, dense_read = dense_stability(g, rec.state)
+            assert is_stable_oracle(pop, rec.state) == want, rec.state
+            assert sorted(read[0]) == sorted(local.split_indices(pop.space, rec.state).tolist())
+            assert sorted(chain.from_iterable(read[1:])) == dense_read, rec.state
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+    for name in ("ex7_1", "ex7_2", "ex7_3", "ex7_4"):
+        pop, g = pops[name], graphs(name)
+        counts = [range(t.best_responders + 1) for t in pop.all_types()]
+        for xI, *br in product(range(pop.m + 1), *counts):
+            state = State(xI, tuple(br[:pop.b]), tuple(br[pop.b:]))
+            assert is_equilibrium_oracle(pop, state) == dense_is_equilibrium(g, state), state
 
 
 def test_scc_call_does_not_copy_the_graph(pops):
@@ -476,27 +504,27 @@ def test_sink_search_allocates_a_few_bytes_per_state(pops):
     assert "reverse_moves" not in g.__dict__
 
 
-def test_is_equilibrium_examples(pops, graphs):
-    pop, g = pops["ex1"], graphs("ex1")
-    assert is_equilibrium_oracle(g, pop.state(0, 9, 0, 0, 0, 15))
+def test_is_equilibrium_examples(pops):
+    pop = pops["ex1"]
+    assert is_equilibrium_oracle(pop, pop.state(0, 9, 0, 0, 0, 15))
     all_coop = pop.state(20, 9, 20, 10, 1, 15)
-    assert not is_equilibrium_oracle(g, all_coop)
+    assert not is_equilibrium_oracle(pop, all_coop)
 
 
-def test_witness_successor_breaks_equilibrium(pops, graphs):
+def test_witness_successor_breaks_equilibrium(pops):
     # a state where an imitator strictly prefers to switch cannot be fixed
-    pop, g = pops["ex2"], graphs("ex2")
+    pop = pops["ex2"]
     state = pop.state(13, 9, 0, 0, 0, 0)  # top earners cooperate, one imitator defects
-    assert not is_equilibrium_oracle(g, state)
+    assert not is_equilibrium_oracle(pop, state)
 
 
-def test_stability_oracle_ex2(pops, graphs):
-    assert not is_stable_oracle(graphs("ex2"), pops["ex2"].state(14, 9, 0, 0, 0, 0))
+def test_stability_oracle_ex2(pops):
+    assert not is_stable_oracle(pops["ex2"], pops["ex2"].state(14, 9, 0, 0, 0, 0))
 
 
-def test_stability_oracle_rejects_non_equilibrium(pops, graphs):
+def test_stability_oracle_rejects_non_equilibrium(pops):
     with pytest.raises(NotAnEquilibrium):
-        is_stable_oracle(graphs("ex2"), State(0, (0, 0), (0, 0, 0)))
+        is_stable_oracle(pops["ex2"], State(0, (0, 0), (0, 0, 0)))
 
 
 def test_stability_special_case_all_defect():
@@ -505,27 +533,25 @@ def test_stability_special_case_all_defect():
         {"coordinating": [{"uC": UtilityLine(1, 0), "uD": UtilityLine(0, "3/2"),
                            "bestResponders": 3, "imitators": 1}]}
     )
-    g = build_transition_digraph(pop)
-    assert is_stable_oracle(g, State(0, (), (0,)))
+    assert is_stable_oracle(pop, State(0, (), (0,)))
 
 
 def test_stability_oracle_ex7_1(pops):
     pop = pops["ex7_1"]
-    g = build_transition_digraph(pop)
-    assert is_stable_oracle(g, pop.state(0, 1, 0))  # pooled (xI, xa, xc)
+    assert is_stable_oracle(pop, pop.state(0, 1, 0))  # pooled (xI, xa, xc)
 
 
 def test_reachable_set_from_equilibrium(pops, graphs):
     pop, g = pops["ex1"], graphs("ex1")
     eq = pop.state(0, 9, 0, 0, 0, 15)
-    closure = oracle.frontier_search(g, g.indices_of(eq))
+    closure = oracle.frontier_search(g, local.split_indices(g.space, eq))
     assert g.pooled_states_of(np.flatnonzero(closure)) == frozenset({eq})
 
 
 def test_reachable_set_ex2_covers_both_outcomes(pops, graphs):
     pop, g = pops["ex2"], graphs("ex2")
-    closure = oracle.frontier_search(g, g.indices_of(State(0, (0, 0), (0, 0, 0))))
-    assert closure[g.indices_of(pop.state(14, 9, 0, 0, 0, 0))].any()
+    closure = oracle.frontier_search(g, local.split_indices(g.space, State(0, (0, 0), (0, 0, 0))))
+    assert closure[local.split_indices(g.space, pop.state(14, 9, 0, 0, 0, 0))].any()
     fluctuation = next(s for s in minimal_invariant_sets(g) if not s.is_singleton)
     assert closure[fluctuation.indices].all()
 

@@ -31,7 +31,7 @@ SMALL = ("ex7_1", "ex7_2", "ex7_3", "ex7_4")
 @pytest.mark.parametrize("name", SMALL)
 def test_small_fixture_full_battery(name, pops, graphs):
     pop, graph = pops[name], graphs(name)
-    assert verify_equilibria(pop, graph) == []
+    assert verify_equilibria(pop, graph, equilibria.enumerate_equilibria(pop)) == []
     assert verify_invariants(pop, graph, invariants.invariance_report(pop)) == []
     assert verify_oracle(graph) == []
     assert verify_stochastic(st.build_chain(pop, graph)) == []
@@ -40,7 +40,7 @@ def test_small_fixture_full_battery(name, pops, graphs):
 @pytest.mark.parametrize("name", ("ex1", "ex2", "ex3"))
 def test_large_fixture_full_battery(name, pops, graphs):
     pop, graph = pops[name], graphs(name)
-    assert verify_equilibria(pop, graph) == []
+    assert verify_equilibria(pop, graph, equilibria.enumerate_equilibria(pop)) == []
     assert verify_invariants(pop, graph, invariants.invariance_report(pop)) == []
     assert verify_oracle(graph) == []
 
@@ -50,7 +50,7 @@ def test_population_built_in_any_type_order_verifies(pops):
     pop = pops["ex1"]
     direct = PopulationSpec(pop.anticoordinating[::-1], pop.coordinating[::-1])
     graph = build_transition_digraph(direct, max_states=20_000_000)
-    assert verify_equilibria(direct, graph) == []
+    assert verify_equilibria(direct, graph, equilibria.enumerate_equilibria(direct)) == []
     assert verify_invariants(direct, graph, invariants.invariance_report(direct)) == []
     assert direct == pop
 
@@ -235,7 +235,7 @@ def test_verify_equilibria_runs_no_sink_search(pops, monkeypatch):
     for module in (oracle, verify):
         monkeypatch.setattr(module, "minimal_invariant_sets", no_search)
     monkeypatch.setattr(oracle, "_sinks", no_search)
-    assert verify_equilibria(pops["ex7_4"], graph) == []
+    assert verify_equilibria(pops["ex7_4"], graph, equilibria.enumerate_equilibria(pops["ex7_4"])) == []
 
 
 def test_verify_equilibria_flags_wrong_cooperation_preserving_verdict(pops, graphs, monkeypatch):
@@ -243,5 +243,5 @@ def test_verify_equilibria_flags_wrong_cooperation_preserving_verdict(pops, grap
     real = equilibria.is_exclusive_cooperation_preserving
     monkeypatch.setattr(equilibria, "is_exclusive_cooperation_preserving",
                         lambda p, state: not real(p, state))
-    problems = verify_equilibria(pop, graph)
+    problems = verify_equilibria(pop, graph, equilibria.enumerate_equilibria(pop))
     assert any(p.startswith("cooperation-preserving mismatch") for p in problems)
